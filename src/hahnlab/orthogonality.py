@@ -20,7 +20,8 @@ from .numerics import gamma_product, hahn_weight_log, pochhammer
 from .polynomials import (HahnParams, JacobiParams, _to_complex,
                           chahn_coeffs_complex, horner, jacobi_coeffs_complex,
                           pasternack_coeffs_complex)
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_line
+from .quadrature import (_EPS, DEFAULT_CONFIG, QuadratureConfig, integrate_line,
+                         integrate_line_trapezoid, truncation_radius)
 from .reports import QuadDiagnostics, VerificationReport, toleranced_report
 from .transforms import tanh_weight_logs
 
@@ -38,6 +39,12 @@ class GramResult:
     divides entry (n, m) by sqrt(|h_n h_m|) of the expected norms, which
     is the quantity double precision can actually drive to zero when the
     raw entries span many orders of magnitude.
+
+    What the matrix cost: evaluations is the number of trapezoid nodes
+    (each one weight and N polynomial values), step the final h,
+    truncation_radius the cut-off Z of the grid, and estimated_error the
+    largest norm-scaled change of an entry between steps 2h and h, floored
+    by the rounding of the polynomial values (a relative error for N = 1).
     """
 
     matrix: list
@@ -46,6 +53,9 @@ class GramResult:
     max_diag_rel_err: float
     max_offdiag_scaled: float = 0.0
     evaluations: int = 0
+    step: float = 0.0
+    truncation_radius: float = 0.0
+    estimated_error: float = 0.0
 
     @property
     def size(self) -> int:
@@ -68,7 +78,13 @@ class GramResult:
             "max_offdiag_scaled": self.max_offdiag_scaled,
             "max_diag_rel_err": self.max_diag_rel_err,
             "evaluations": self.evaluations,
+            "step": self.step,
+            "truncation_radius": self.truncation_radius,
+            "estimated_error": self.estimated_error,
         }
+
+    def diagnostics(self) -> QuadDiagnostics:
+        return QuadDiagnostics(self.evaluations, self.estimated_error)
 
 
 def chahn_norm_rhs(n: int, alpha, beta, a, b) -> complex:
@@ -81,12 +97,12 @@ def chahn_norm_rhs(n: int, alpha, beta, a, b) -> complex:
             raise DomainError(f"Re({name}) must be positive")
     s = al + be + av + bv
     value = gamma_product([al + be + n, av + bv + n, al + av + n, be + bv + n],
-                          [s + n - 1])
-    return value / (math.factorial(n) * (2 * n + s - 1))
-
-
-def _gram_entry_zero_by_parity(symmetric: bool, n: int, m: int) -> bool:
-    return symmetric and (n + m) % 2 == 1
+                          [s + n])
+    # (2n+s-1) Gamma(n+s-1) = Gamma(n+s) (2n+s-1)/(n+s-1); at n = 0 the
+    # ratio is 1, so s = 1 (a removable singularity of the quoted form) works
+    if n:
+        value *= (n + s - 1) / (2 * n + s - 1)
+    return value / math.factorial(n)
 
 
 def chahn_gram(N: int, alpha, beta, a, b,
@@ -97,58 +113,64 @@ def chahn_gram(N: int, alpha, beta, a, b,
     the closed-form diagonal justifies this by the leading-coefficient
     replacement argument.  For all-equal parameters odd/even entries
     vanish by parity and are set to zero without quadrature.
+
+    Every entry comes from one nested trapezoidal pass: the integrand is
+    analytic in the strip |Im z| < d = min Re(alpha, beta, a, b), so the
+    rule starts from a step set by d and halves it until no entry moves
+    by more than max(abs_tol, rel_tol sqrt|G_nn G_mm|).  Each node costs
+    one weight and N polynomial values, shared by all entries.
     """
     if not 1 <= N <= GRAM_SIZE_CAP:
         raise DomainError(f"Gram size must be in 1..{GRAM_SIZE_CAP}")
     al, be = _to_complex(alpha), _to_complex(beta)
     av, bv = _to_complex(a), _to_complex(b)
+    expected = [chahn_norm_rhs(n, al, be, av, bv) for n in range(N)]
     # coefficient construction sees the original (possibly exact) parameters
     params = HahnParams(alpha, b, a, beta)
     polys = [chahn_coeffs_complex(n, params) for n in range(N)]
-    bounds = [sum(abs(u) for u in cs) for cs in polys]
-    symmetric = al == be == av == bv
+    # entries (n, m), m >= n, in row order; parity zeros are left out
+    stride = 2 if al == be == av == bv else 1
+    entries = [(n, m) for n in range(N) for m in range(n, N, stride)]
+    diagonal_index = [entries.index((n, n)) for n in range(N)]
     two_pi = 2.0 * math.pi
 
-    cache: dict = {}
+    def node(z: float) -> list:
+        """The entries' integrands at z, then the moments |w| |z|^q,
+        q < 2N - 1, that bound the rounding of the polynomial values."""
+        w = cmath.exp(hahn_weight_log(z, al, be, av, bv)) / two_pi
+        p = [horner(cs, z) for cs in polys]
+        out = []
+        for n in range(N):
+            wp = w * p[n]
+            out.extend([wp * v for v in p[n::stride]])
+        x, moment = abs(z), abs(w)
+        for _ in range(2 * N - 1):
+            out.append(moment)
+            moment *= x
+        return out
 
-    def basis(z: float):
-        hit = cache.get(z)
-        if hit is None:
-            w = cmath.exp(hahn_weight_log(z, al, be, av, bv))
-            hit = (w, [horner(cs, z) for cs in polys])
-            cache[z] = hit
-        return hit
+    def tolerances(values: list) -> list:
+        diag = [abs(values[i]) for i in diagonal_index]
+        return [max(config.abs_tol, config.rel_tol * math.sqrt(diag[n] * diag[m]))
+                for n, m in entries] + [math.inf] * (2 * N - 1)
 
-    def entry_integrand(n: int, m: int):
-        def f(z: float) -> complex:
-            w, values = basis(z)
-            return w * values[n] * values[m] / two_pi
-        return f
+    # one cut-off for the whole matrix, from the largest diagonal envelope
+    bounds = [sum(abs(u) for u in cs) for cs in polys]
 
-    def entry_envelope(n: int, m: int):
-        bn, bm = bounds[n], bounds[m]
-        dn, dm = len(polys[n]) - 1, len(polys[m]) - 1
-        def env(z: float) -> float:
-            g = hahn_weight_log(z, al, be, av, bv).real
-            r = max(1.0, abs(z))
-            return math.exp(g) * bn * bm * r ** (dn + dm) / two_pi
-        return env
+    def envelope(z: float) -> float:
+        g = hahn_weight_log(z, al, be, av, bv).real
+        r = max(1.0, abs(z))
+        return math.exp(g) * max(bn * bn * r ** (2 * n)
+                                 for n, bn in enumerate(bounds)) / two_pi
+
+    radius = truncation_radius(envelope, config)
+    strip = min(al.real, be.real, av.real, bv.real)
+    res = integrate_line_trapezoid(node, radius, min(strip, 0.5), tolerances, config)
 
     matrix = [[0j] * N for _ in range(N)]
-    evaluations = 0
-    for n in range(N):
-        for m in range(n, N):
-            if _gram_entry_zero_by_parity(symmetric, n, m):
-                value = 0j
-            else:
-                res = integrate_line(entry_integrand(n, m), entry_envelope(n, m),
-                                     config)
-                value = res.value
-                evaluations += res.evaluations
-            matrix[n][m] = value
-            matrix[m][n] = value
-
-    expected = [chahn_norm_rhs(n, al, be, av, bv) for n in range(N)]
+    for (n, m), value in zip(entries, res.values):
+        matrix[n][m] = value
+        matrix[m][n] = value
     scale = [math.sqrt(abs(h)) for h in expected]
     max_off = 0.0
     max_off_scaled = 0.0
@@ -161,32 +183,35 @@ def chahn_gram(N: int, alpha, beta, a, b,
             max_off_scaled = max(max_off_scaled, v / (scale[n] * scale[m]))
     max_diag = max(abs(matrix[n][n] - expected[n]) / abs(expected[n])
                    for n in range(N))
+    # error estimate, norm-scaled: the last change of each entry, floored by
+    # rounding.  Horner's error at z is about eps sum_k |c_k| |z|^k; by
+    # Cauchy-Schwarz it moves entry (n, m) by eps (kappa_n + kappa_m), with
+    # kappa_n^2 = int |w| (sum_k |c_k| |z|^k)^2 / |G_nn| from the moments.
+    moments = [u.real for u in res.values[len(entries):]]
+    kappa = []
+    for n, cs in enumerate(polys):
+        mags = [abs(u) for u in cs]
+        mass = sum(cj * ck * moments[j + k] for j, cj in enumerate(mags)
+                   for k, ck in enumerate(mags))
+        kappa.append(math.sqrt(mass / abs(matrix[n][n])))
+    estimate = max(max(c / (scale[n] * scale[m]), _EPS * (kappa[n] + kappa[m]))
+                   for (n, m), c in zip(entries, res.changes))
     return GramResult(matrix, expected, max_off, max_diag, max_off_scaled,
-                      evaluations)
+                      res.nodes, res.step, radius, estimate)
 
 
 def barnes_check(alpha, beta, a, b, config: QuadratureConfig = DEFAULT_CONFIG,
                  tol: float = 1e-9) -> VerificationReport:
     """(1/2pi) int Gamma(alpha+iz) Gamma(beta-iz) Gamma(a-iz) Gamma(b+iz) dz
-    against the closed gamma-ratio form (the degree-zero norm)."""
-    al, be = _to_complex(alpha), _to_complex(beta)
-    av, bv = _to_complex(a), _to_complex(b)
-    name = f"barnes[{alpha}, {beta}, {a}, {b}]"
-    two_pi = 2.0 * math.pi
-
-    def f(z: float) -> complex:
-        return cmath.exp(hahn_weight_log(z, al, be, av, bv)) / two_pi
-
-    def env(z: float) -> float:
-        return math.exp(hahn_weight_log(z, al, be, av, bv).real) / two_pi
-
-    res = integrate_line(f, env, config)
-    expected = chahn_norm_rhs(0, al, be, av, bv)
-    abs_err = abs(res.value - expected)
+    against the closed gamma-ratio form (the degree-zero norm): the
+    N = 1 Gram matrix, whose only polynomial is p_0 = 1."""
+    g = chahn_gram(1, alpha, beta, a, b, config)
+    value, expected = g.matrix[0][0], g.expected_diagonal[0]
+    abs_err = abs(value - expected)
     rel_err = abs_err / abs(expected)
-    diag = QuadDiagnostics(res.evaluations, res.error_estimate)
-    return toleranced_report(name, abs_err, rel_err, tol, 0.0,
-                             f"measured={res.value!r} expected={expected!r}", diag)
+    return toleranced_report(f"barnes[{alpha}, {beta}, {a}, {b}]", abs_err, rel_err,
+                             tol, 0.0, f"measured={value!r} expected={expected!r}",
+                             g.diagnostics())
 
 
 def _sech(u: float) -> float:

@@ -74,7 +74,9 @@ def _gram_report(name: str, alpha, beta, a, b, N: int,
     ok = g.max_diag_rel_err <= diag_tol and g.max_offdiag_scaled <= offdiag_tol
     return VerificationReport(
         name, "pass" if ok else "fail", g.max_offdiag_scaled, g.max_diag_rel_err,
-        f"N={N}; diag tol {diag_tol:g}, norm-scaled offdiag tol {offdiag_tol:g}")
+        f"N={N}; diag tol {diag_tol:g}, norm-scaled offdiag tol {offdiag_tol:g}; "
+        f"trapezoid step {g.step:g}, truncation radius {g.truncation_radius:g}",
+        g.diagnostics())
 
 
 def suite_chahn_gram(config: QuadratureConfig, tol: float | None):

@@ -104,8 +104,9 @@ def mellin_pair_check(n: int, alpha, beta, gamma, delta, lam: float,
                       tol: float = 1e-8, tol_abs: float = 1e-12) -> VerificationReport:
     """Mellin transform of x^alpha (1+x)^{-alpha-beta} P_n((1-x)/(1+x)) at
     s = -i*lambda, computed through the x = exp(-2u) reduction to the
-    Fourier pair; both quoted and substitution-consistent gamma-argument conventions of
-    the closed form are measured and the matching one is reported."""
+    Fourier pair.  Pass or fail rests on the substitution-consistent
+    Gamma(beta + i*lambda) form alone; the error of the often-quoted
+    Gamma(beta - i*lambda) form is recorded in the details."""
     _require_positive_re(alpha=alpha, beta=beta)
     name = f"mellin-pair[n={n}, lambda={lam}]"
     al, be = _to_complex(alpha), _to_complex(beta)
@@ -121,22 +122,18 @@ def mellin_pair_check(n: int, alpha, beta, gamma, delta, lam: float,
 
     err_quoted = abs(lhs_value - rhs_quoted)
     err_corrected = abs(lhs_value - rhs_corrected)
-    scale_ref = max(abs(rhs_corrected), abs(rhs_quoted), 1e-300)
-    rel_quoted = err_quoted / scale_ref
-    rel_corrected = err_corrected / scale_ref
+    rel_quoted = err_quoted / max(abs(rhs_quoted), 1e-300)
+    rel_corrected = err_corrected / max(abs(rhs_corrected), 1e-300)
     if lam == 0.0:
         which = "conventions coincide at lambda = 0"
-    elif rel_corrected <= rel_quoted:
-        which = (f"Gamma(beta + i*lambda) convention matches "
-                 f"(rel {rel_corrected:.3e}); quoted convention off by rel "
-                 f"{rel_quoted:.3e}")
     else:
-        which = (f"quoted Gamma(beta - i*lambda) convention matches "
-                 f"(rel {rel_quoted:.3e}); corrected off by rel {rel_corrected:.3e}")
-    best_abs = min(err_quoted, err_corrected)
-    best_rel = min(rel_quoted, rel_corrected)
+        matches = rel_corrected <= tol or err_corrected <= tol_abs
+        which = (f"Gamma(beta + i*lambda) convention "
+                 f"{'matches' if matches else 'does not match'} "
+                 f"(rel {rel_corrected:.3e}); quoted Gamma(beta - i*lambda) "
+                 f"convention off by rel {rel_quoted:.3e}")
     diag = QuadDiagnostics(lhs.evaluations, lhs.error_estimate)
-    return toleranced_report(name, best_abs, best_rel, tol, tol_abs,
+    return toleranced_report(name, err_corrected, rel_corrected, tol, tol_abs,
                              which + "; " + MELLIN_SIGN_NOTE, diag)
 
 

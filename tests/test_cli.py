@@ -169,6 +169,25 @@ def test_gram_unreachable_tolerance_exit_1(tmp_path, capsys):
     assert "fail" in stdout
 
 
+def test_gram_size_16_exact_parameters(tmp_path, capsys):
+    code, stdout, _ = run_cli(["gram", "--size", "16", "--alpha", "1/2", "--beta", "1/2",
+                               "--a", "1/2", "--b", "1/2",
+                               "--out", str(tmp_path / "g16.csv")], capsys)
+    assert code == 0
+    summary = json.loads((tmp_path / "g16.summary.json").read_text())
+    assert summary["max_offdiag_scaled"] <= 1e-10
+    assert summary["evaluations"] > 0 and summary["estimated_error"] > 0.0
+
+
+def test_gram_offdiag_scaled_tol_flag(tmp_path, capsys):
+    args = ["gram", "--size", "3", "--alpha", "1", "--beta", "1/2", "--a", "3/4",
+            "--b", "5/4", "--out", str(tmp_path / "s.csv")]
+    assert run_cli(args + ["--offdiag-scaled-tol", "1e-30"], capsys)[0] == 1
+    assert run_cli(args + ["--offdiag-scaled-tol", "1e-6"], capsys)[0] == 0
+    with pytest.raises(SystemExit):
+        main(args + ["--offdiag-abs-tol", "1e-6"])
+
+
 def test_gram_parse_error_exit_2(tmp_path, capsys):
     code, _, _ = run_cli(["gram", "--size", "2", "--alpha", "zebra", "--beta", "1/2",
                           "--a", "1/2", "--b", "1/2",

@@ -2,11 +2,14 @@
 families, classical Jacobi."""
 
 import math
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from hahnlab.errors import DomainError
+from hahnlab.errors import DomainError, QuadratureError
+from hahnlab.exact import GaussianRational
 from hahnlab.orthogonality import (GramResult, barnes_check,
                                    bateman_ortho_check, chahn_gram,
                                    chahn_norm_rhs, jacobi_ortho_check,
@@ -43,6 +46,13 @@ def test_norm_rhs_against_lgamma_oracle():
             got = chahn_norm_rhs(n, *params)
             want = oracle(n, *params)
             assert abs(got - want) <= 1e-12 * want
+
+
+def test_norm_rhs_removable_singularity_at_sum_one():
+    # alpha + beta + a + b = 1: (2n+s-1) Gamma(n+s-1) -> Gamma(s) at n = 0,
+    # Barnes' denominator; here every pair sum is 1/2, so h_0 = Gamma(1/2)^4
+    al, be = complex(0.25, 0.5), complex(0.25, -0.5)
+    assert abs(chahn_norm_rhs(0, al, be, be, al) - math.pi ** 2) <= 1e-13 * math.pi ** 2
 
 
 def test_norm_rhs_rejects_nonpositive():
@@ -283,3 +293,70 @@ def test_gram_csv_and_summary():
     assert summary["size"] == 2
     assert summary["max_offdiag_abs"] == 0.0
     assert isinstance(g, GramResult)
+
+
+def _mp_norms(N, params):
+    """Closed-form squared norms from mpmath at 40 digits; n = 0 takes the
+    Gamma(s) limit so that alpha + beta + a + b = 1 is allowed."""
+    with mpmath.workdps(40):
+        al, be, av, bv = (mpmath.mpmathify(complex(p)) if isinstance(p, complex)
+                          else mpmath.mpf(p.numerator) / p.denominator for p in params)
+        s = al + be + av + bv
+        out = []
+        for n in range(N):
+            num = (mpmath.gamma(al + be + n) * mpmath.gamma(av + bv + n)
+                   * mpmath.gamma(n + al + av) * mpmath.gamma(n + be + bv))
+            if n == 0:
+                out.append(complex(num / mpmath.gamma(s)))
+            else:
+                out.append(complex(num / (mpmath.factorial(n) * (2 * n + s - 1)
+                                          * mpmath.gamma(n + s - 1))))
+        return out
+
+
+QUARTER_CONJ = (GaussianRational(F(1, 4), F(1, 2)), GaussianRational(F(1, 4), F(-1, 2)),
+                GaussianRational(F(1, 4), F(-1, 2)), GaussianRational(F(1, 4), F(1, 2)))
+
+
+@pytest.mark.parametrize("params", [
+    (F(1, 8),) * 4,   # strip half-width 1/8
+    QUARTER_CONJ,     # 1/4 +- 1/2 i conjugate pair, alpha + beta + a + b = 1
+    (F(2),) * 4,
+], ids=["all-1/8", "quarter-conjugate-pair", "all-2"])
+def test_gram_size_16_against_mpmath_norms(params):
+    g = chahn_gram(16, *params, CFG)
+    norms = _mp_norms(16, [p.to_complex() if isinstance(p, GaussianRational) else p
+                           for p in params])
+    for n in range(16):
+        assert abs(g.matrix[n][n] - norms[n]) <= 1e-12 * abs(norms[n])
+        for m in range(16):
+            if m != n:
+                assert abs(g.matrix[n][m]) <= 1e-12 * math.sqrt(abs(norms[n] * norms[m]))
+
+
+@pytest.mark.parametrize("N, params", [
+    (8, (HALF,) * 4),
+    (16, (1, HALF, F(3, 4), F(5, 4))),
+    (16, QUARTER_CONJ),
+])
+def test_gram_error_estimate_covers_offdiagonal_error(N, params):
+    g = chahn_gram(N, *params, CFG)
+    assert g.max_offdiag_scaled > 0.0
+    assert g.estimated_error >= g.max_offdiag_scaled
+
+
+def test_gram_reports_its_cost():
+    g = chahn_gram(4, 1, HALF, F(3, 4), F(5, 4), CFG)
+    summary = g.to_summary_dict()
+    # nodes of a symmetric grid of step h out to the truncation radius
+    assert summary["evaluations"] == 2 * int(g.truncation_radius / g.step) + 1
+    assert 0.0 < summary["step"] <= 0.5 and summary["truncation_radius"] >= 2.0
+    assert 0.0 < summary["estimated_error"] <= 1e-10
+    assert g.diagnostics().evaluations == g.evaluations
+
+
+def test_gram_narrow_strip_raises_promptly():
+    t0 = time.perf_counter()
+    with pytest.raises(QuadratureError):
+        chahn_gram(4, F(1, 10000), HALF, HALF, HALF, CFG)
+    assert time.perf_counter() - t0 < 5.0

@@ -6,7 +6,8 @@ import pytest
 
 from hahnlab.errors import DomainError, QuadratureError
 from hahnlab.quadrature import (QuadratureConfig, integrate_interval,
-                                integrate_line, truncation_radius)
+                                integrate_line, integrate_line_trapezoid,
+                                truncation_radius)
 
 CFG = QuadratureConfig()
 
@@ -99,3 +100,41 @@ def test_deterministic_repeat():
             for _ in range(2)]
     assert runs[0].value == runs[1].value
     assert runs[0].evaluations == runs[1].evaluations
+
+
+def _relative(values):
+    return [max(CFG.abs_tol, CFG.rel_tol * abs(v)) for v in values]
+
+
+def test_trapezoid_vector_sech_squared_and_moment():
+    # components: sech^2 x (integral 2) and x^2 sech^2 x (integral pi^2/6);
+    # both analytic in |Im x| < pi/2
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        s2 = _sech(x) ** 2
+        return [s2, x * x * s2]
+
+    res = integrate_line_trapezoid(f, 40.0, 0.5, _relative, CFG)
+    assert abs(res.values[0] - 2.0) <= 1e-14
+    assert abs(res.values[1] - math.pi ** 2 / 6.0) <= 1e-13
+    # nested: every node evaluated exactly once, all on the final grid
+    assert len(calls) == len(set(calls)) == res.nodes == 2 * int(40.0 / res.step) + 1
+    assert res.changes[0] <= 1e-10 * 2.0
+
+
+def test_trapezoid_node_budget_raises_before_evaluating():
+    cfg = QuadratureConfig(max_subdivisions=10)
+    calls = []
+    with pytest.raises(QuadratureError):
+        integrate_line_trapezoid(lambda x: calls.append(x) or [1.0], 100.0, 0.5,
+                                 _relative, cfg)
+    assert calls == [0.0]  # the centre node only; the 401-node grid never ran
+
+
+def test_trapezoid_unconverged_raises():
+    # a kink at 0 converges only algebraically in h
+    with pytest.raises(QuadratureError):
+        integrate_line_trapezoid(lambda x: [math.exp(-abs(x))], 40.0, 0.5,
+                                 _relative, CFG)

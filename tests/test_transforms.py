@@ -111,6 +111,26 @@ def test_mellin_sign_convention_finding():
     assert "Gamma(beta + i*lambda) convention matches" in r.details
 
 
+def test_mellin_fails_when_only_quoted_form_matches(monkeypatch):
+    """A quadrature side that equals the quoted Gamma(beta - i*lambda) form
+    must fail the check, whose criterion is the substitution-consistent form."""
+    from hahnlab import transforms
+    from hahnlab.numerics import gamma_product
+    from hahnlab.polynomials import HahnParams, chahn_eval
+    from hahnlab.quadrature import IntegralResult
+
+    n, al, be, ga, de, lam = 2, 0.6, 1.1, 0.25, 0.8, 0.7
+    hp = HahnParams(al, de - be + 1, ga - al + 1, be)
+    quoted = gamma_product([al - 1j * lam, be - 1j * lam], [al + be + n]) \
+        * (-1j) ** n * chahn_eval(n, hp, -lam)
+    scale = cmath.exp((1 - al - be) * math.log(2.0))
+    monkeypatch.setattr(transforms, "_weighted_jacobi_transform",
+                        lambda *args: IntegralResult(quoted / scale, 0.0, 0))
+    r = mellin_pair_check(n, al, be, ga, de, lam, CFG)
+    assert not r.passed
+    assert "convention does not match" in r.details
+
+
 def test_mellin_lambda0_degenerate():
     r = mellin_pair_check(1, F(3, 5), F(11, 10), F(1, 4), F(4, 5), 0.0, CFG)
     assert r.passed
