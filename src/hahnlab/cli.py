@@ -1,9 +1,10 @@
 """Command line front end.
 
-Three subcommands: eval (single polynomial values, float or exact),
-verify (named check suites, JSON report array), gram (continuous Hahn
-Gram matrix to CSV plus JSON summary).  Exit codes: 0 pass, 1 any
-verification failure, 2 usage or domain error.
+Three subcommands: eval (single polynomial values, computed exactly and
+printed exactly or rounded once to float), verify (named check suites,
+JSON report array), gram (continuous Hahn Gram matrix to CSV plus JSON
+summary).  Exit codes: 0 pass, 1 any verification failure, 2 usage or
+domain error.
 
 Parameter grammar, used everywhere: rationals as p/q, decimals allowed,
 complex values as a+bi / a-bi.  File outputs are deterministic for
@@ -26,8 +27,7 @@ from pathlib import Path
 from .errors import HahnlabError, QuadratureError
 from .exact import GaussianRational
 from .polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
-                          chahn_eval, jacobi_coeffs_exact, jacobi_eval,
-                          pasternack_coeffs_exact, pasternack_eval)
+                          jacobi_coeffs_exact, pasternack_coeffs_exact)
 from .orthogonality import chahn_gram
 from .quadrature import QuadratureConfig
 from .suites import SUITES, run_suites
@@ -86,28 +86,21 @@ def _default_rel_tol() -> float | None:
 
 
 def cmd_eval(args) -> int:
-    exact = args.mode == "exact"
+    """Both modes evaluate the exact polynomial at the exact x; float mode
+    rounds that value once."""
     x = parse_scalar(args.x)
     if args.family == "jacobi":
         params = JacobiParams(parse_scalar(args.gamma), parse_scalar(args.delta))
-        if exact:
-            value = jacobi_coeffs_exact(args.n, params)(x)
-        else:
-            value = jacobi_eval(args.n, params, x.to_complex())
+        poly = jacobi_coeffs_exact(args.n, params)
     elif args.family == "chahn":
         params = HahnParams(parse_scalar(args.a), parse_scalar(args.b),
                             parse_scalar(args.c), parse_scalar(args.d))
-        if exact:
-            value = chahn_coeffs_exact(args.n, params)(x)
-        else:
-            value = chahn_eval(args.n, params, x.to_complex())
+        poly = chahn_coeffs_exact(args.n, params)
     else:  # bateman | pasternack
         m = parse_scalar(args.m) if args.family == "pasternack" else GaussianRational(0)
-        if exact:
-            value = pasternack_coeffs_exact(args.n, Fraction(m.re) if m.is_real() else m)(x)
-        else:
-            value = pasternack_eval(args.n, m.to_complex(), x.to_complex())
-    print(str(value) if exact else _format_complex(value))
+        poly = pasternack_coeffs_exact(args.n, m)
+    value = poly(x)
+    print(str(value) if args.mode == "exact" else _format_complex(value.to_complex()))
     return EXIT_OK
 
 

@@ -154,14 +154,14 @@ def chahn_gram(N: int, alpha, beta, a, b,
         return [max(config.abs_tol, config.rel_tol * math.sqrt(diag[n] * diag[m]))
                 for n, m in entries] + [math.inf] * (2 * N - 1)
 
-    # one cut-off for the whole matrix, from the largest diagonal envelope
-    bounds = [sum(abs(u) for u in cs) for cs in polys]
+    # one cut-off for the whole matrix, from the largest diagonal envelope;
+    # |p_n(z)| <= sum_k |c_k| |z|^k, the Horner magnitude
+    mags = [[abs(u) for u in cs] for cs in polys]
 
     def envelope(z: float) -> float:
         g = hahn_weight_log(z, al, be, av, bv).real
-        r = max(1.0, abs(z))
-        return math.exp(g) * max(bn * bn * r ** (2 * n)
-                                 for n, bn in enumerate(bounds)) / two_pi
+        x = abs(z)
+        return math.exp(g) * max(horner(mag, x).real for mag in mags) ** 2 / two_pi
 
     radius = truncation_radius(envelope, config)
     strip = min(al.real, be.real, av.real, bv.real)
@@ -189,10 +189,9 @@ def chahn_gram(N: int, alpha, beta, a, b,
     # kappa_n^2 = int |w| (sum_k |c_k| |z|^k)^2 / |G_nn| from the moments.
     moments = [u.real for u in res.values[len(entries):]]
     kappa = []
-    for n, cs in enumerate(polys):
-        mags = [abs(u) for u in cs]
-        mass = sum(cj * ck * moments[j + k] for j, cj in enumerate(mags)
-                   for k, ck in enumerate(mags))
+    for n, mag in enumerate(mags):
+        mass = sum(cj * ck * moments[j + k] for j, cj in enumerate(mag)
+                   for k, ck in enumerate(mag))
         kappa.append(math.sqrt(mass / abs(matrix[n][n])))
     estimate = max(max(c / (scale[n] * scale[m]), _EPS * (kappa[n] + kappa[m]))
                    for (n, m), c in zip(entries, res.changes))

@@ -10,8 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DomainError, PoleError
+from .errors import DomainError
 from .exact import GR_ONE, GR_ZERO, GaussianRational, gr
+from .polynomials import _hypergeometric_terms
 
 
 class FormalSeries:
@@ -130,30 +131,12 @@ class FormalSeries:
 
 def one_minus_t_power(exponent, order: int) -> FormalSeries:
     """(1 - t)^exponent as an exact series: sum_k (-exponent)_k / k! t^k."""
-    e = gr(exponent)
-    out = [GR_ONE]
-    term = GR_ONE
-    for k in range(order):
-        term = term * (-e + k) / gr(k + 1)
-        out.append(term)
-    return FormalSeries(out, order)
+    return hypergeometric_series([-gr(exponent)], [], order)
 
 
 def hypergeometric_series(numerators: Sequence, denominators: Sequence,
                           order: int) -> FormalSeries:
     """sum_k (prod (n_i)_k / prod (d_j)_k) u^k / k! as a series in u."""
-    nums = [gr(v) for v in numerators]
-    dens = [gr(v) for v in denominators]
-    out = [GR_ONE]
-    term = GR_ONE
-    for k in range(order):
-        for d in dens:
-            if not (d + k):
-                raise PoleError(f"hypergeometric denominator ({d})_k hits zero at k={k + 1}")
-        for v in nums:
-            term = term * (v + k)
-        for d in dens:
-            term = term / (d + k)
-        term = term / gr(k + 1)
-        out.append(term)
-    return FormalSeries(out, order)
+    terms = _hypergeometric_terms([gr(v) for v in numerators],
+                                  [gr(v) for v in denominators], order)
+    return FormalSeries(terms, order)

@@ -76,6 +76,28 @@ def test_eval_unparseable_exit_2(capsys):
     assert code == 2
 
 
+def test_eval_float_mode_rounds_exact_value(capsys):
+    # mpmath at 50 digits: P_64^(0.3, 0.7)(0.4) = 0.0370323749150287099...
+    code, out, _ = run_cli(["eval", "jacobi", "--n", "64", "--gamma", "0.3",
+                            "--delta", "0.7", "--x", "0.4"], capsys)
+    assert code == 0
+    assert out.strip() == "0.03703237491502871"
+
+
+@pytest.mark.parametrize("argv", [
+    ["jacobi", "--n", "80", "--gamma", "0.3", "--delta", "0.7", "--x", "0.4"],
+    ["chahn", "--n", "200", "--a", "1/2", "--b", "1/2", "--c", "1/2",
+     "--d", "1/2", "--x", "3"],
+])
+def test_eval_above_exact_cap_exit_2(argv, capsys):
+    # the cap holds in float mode too: the float term sum is far off at
+    # these degrees (of order -1e18 for the Jacobi case, NaN for the Hahn one)
+    code, out, err = run_cli(["eval", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert "capped at degree" in err
+
+
 def test_verify_suite_writes_report_and_manifest(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, stdout, _ = run_cli(["verify", "--suite", "barnes",

@@ -158,6 +158,32 @@ def test_float_exact_agreement():
                     f"n={n} x={x} params={params}"
 
 
+def test_float_parameter_path_matches_exact():
+    """Float parameters run the float term sum; the same values as exact
+    parameters give the oracle.  Complex x with |Im x| in [1/4, 1] keeps
+    clear of the real zeros; n <= 6, 1e-10 relative."""
+    G = GaussianRational
+    cases = [
+        (jacobi_eval, jacobi_coeffs_exact, JacobiParams, (F(3, 8), F(13, 8))),
+        (jacobi_eval, jacobi_coeffs_exact, JacobiParams, (F(-5, 8), G(F(7, 8), F(1, 4)))),
+        (chahn_eval, chahn_coeffs_exact, HahnParams, (F(3, 8), F(5, 8), F(7, 8), F(9, 8))),
+        (chahn_eval, chahn_coeffs_exact, HahnParams,
+         (G(HALF, F(1, 4)), G(F(3, 4), F(-1, 4)), G(HALF, F(-1, 4)), G(F(3, 4), F(1, 4)))),
+        (pasternack_eval, pasternack_coeffs_exact, lambda m: m, (F(3, 8),)),
+        (pasternack_eval, pasternack_coeffs_exact, lambda m: m, (F(0),)),
+    ]
+    xs = [G(F(3, 4), F(1, 4)), G(F(-5, 2), F(-1)), G(F(9, 4), HALF), G(0, F(3, 4))]
+    for feval, fexact, make, values in cases:
+        floats = make(*(gr(v).to_complex() if gr(v).im else float(v) for v in values))
+        for n in range(7):
+            poly = fexact(n, make(*values))
+            for x in xs:
+                exact_value = poly(x).to_complex()
+                float_value = feval(n, floats, x.to_complex())
+                assert abs(float_value - exact_value) <= 1e-10 * abs(exact_value), \
+                    f"{feval.__name__} n={n} x={x} values={values}"
+
+
 def test_complex_coeff_builders_exact_dispatch():
     """Exact parameters give the exactly-rounded coefficient vector."""
     hp = HahnParams(F(1, 2), F(2, 3), F(3, 4), F(4, 5))

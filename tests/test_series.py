@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hahnlab.errors import DomainError
+from hahnlab.errors import DomainError, ExactInputError, PoleError
 from hahnlab.exact import GaussianRational, gr
 from hahnlab.series import (FormalSeries, hypergeometric_series,
                             one_minus_t_power)
@@ -83,6 +83,15 @@ def test_hypergeometric_1f0_binomial():
     # 1F0(a; u) = (1-u)^{-a}
     a = F(3, 2)
     assert hypergeometric_series([a], [], 7) == one_minus_t_power(-a, 7)
+
+
+def test_hypergeometric_series_rejects_poles_and_floats():
+    # (-2)_k vanishes from k = 3 on; order 2 never reaches it
+    assert hypergeometric_series([1], [-2], 2).coeffs == (gr(1), gr(F(-1, 2)), gr(F(1, 2)))
+    with pytest.raises(PoleError):
+        hypergeometric_series([1], [-2], 3)
+    with pytest.raises(ExactInputError):
+        hypergeometric_series([0.5], [], 3)
 
 
 @given(series6, series6, series6)
