@@ -10,12 +10,13 @@ are compared as exact polynomials.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DomainError
 from .exact import GR_I, GR_ONE, ExactPoly, GaussianRational, gr
-from .polynomials import (HahnParams, JacobiParams, _exact_pochhammer,
-                          chahn_coeffs_exact, jacobi_coeffs_exact)
+from .polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
+                          jacobi_coeffs_exact)
 from .reports import VerificationReport, exact_report
 from .series import FormalSeries, hypergeometric_series, one_minus_t_power
 
@@ -65,19 +66,16 @@ def genfun_jacobi_check(which: int, gamma, delta, x, order: int) -> Verification
         hyper = hypergeometric_series(
             [Fraction(g + d + 1, 2), Fraction(g + d + 2, 2)], [g + 1], order)
         lhs = one_minus_t_power(-(g + d + 1), order) * hyper.compose(inner)
-        rhs_coeffs = [
-            _exact_pochhammer(gr(g + d + 1), n) / _exact_pochhammer(gr(g + 1), n)
-            * values[n]
-            for n in range(order + 1)]
+        num, den = _rising(gr(g + d + 1), order), _rising(gr(g + 1), order)
+        rhs_coeffs = [num[n] / den[n] * values[n] for n in range(order + 1)]
     else:
         s1 = hypergeometric_series([], [g + 1], order).compose(
             gr(Fraction(xv - 1, 2)) * t)
         s2 = hypergeometric_series([], [d + 1], order).compose(
             gr(Fraction(xv + 1, 2)) * t)
         lhs = s1 * s2
-        rhs_coeffs = [
-            values[n] / (_exact_pochhammer(gr(g + 1), n) * _exact_pochhammer(gr(d + 1), n))
-            for n in range(order + 1)]
+        g1, d1 = _rising(gr(g + 1), order), _rising(gr(d + 1), order)
+        rhs_coeffs = [values[n] / (g1[n] * d1[n]) for n in range(order + 1)]
     return _series_report(name, lhs, FormalSeries(rhs_coeffs, order))
 
 
@@ -103,6 +101,8 @@ def genfun_chahn_check(which: int, alpha, beta, gamma, delta, z,
     params = HahnParams(al, de, ga, be)
     p_values = [chahn_coeffs_exact(n, params)(zv) for n in range(order + 1)]
     half = GaussianRational(Fraction(1, 2))
+    # every Pochhammer symbol the sums need, each table built once
+    ab, ag = _rising(al + be, order), _rising(ga + al, order)
 
     if which == 1:
         inner = gr(-4) * FormalSeries.identity(order) * one_minus_t_power(-2, order)
@@ -110,35 +110,32 @@ def genfun_chahn_check(which: int, alpha, beta, gamma, delta, z,
             [(s_total - 1) * half, s_total * half, a_iz],
             [ga + al, al + be], order)
         lhs = one_minus_t_power(GR_ONE - s_total, order) * hyper.compose(inner)
-        rhs_coeffs = [
-            _exact_pochhammer(s_total - 1, n)
-            / (_exact_pochhammer(al + be, n) * _exact_pochhammer(al + ga, n))
-            * (minus_i ** n) * p_values[n]
-            for n in range(order + 1)]
+        s1 = _rising(s_total - 1, order)
+        rhs_coeffs = [s1[n] / (ab[n] * ag[n]) * (minus_i ** n) * p_values[n]
+                      for n in range(order + 1)]
         return _series_report(name, lhs, FormalSeries(rhs_coeffs, order),
                               GENFUN_EXPONENT_NOTE)
 
-    lhs_coeffs = [
-        (minus_i ** n) * p_values[n]
-        / (_exact_pochhammer(ga + al, n) * _exact_pochhammer(de + be, n)
-           * _exact_pochhammer(al + be, n))
-        for n in range(order + 1)]
+    db = _rising(de + be, order)
+    aiz, biz = _rising(a_iz, order), _rising(b_iz, order)
+    fact = [gr(math.factorial(k)) for k in range(order + 1)]
+    lhs_coeffs = [(minus_i ** n) * p_values[n] / (ag[n] * db[n] * ab[n])
+                  for n in range(order + 1)]
     rhs_coeffs = [gr(0) for _ in range(order + 1)]
     for p in range(order + 1):
         for k in range(order + 1 - p):
-            term = (gr(-1) ** p) * _exact_pochhammer(a_iz, p) * _exact_pochhammer(b_iz, k) \
-                / (gr(_fact(p)) * _exact_pochhammer(ga + al, p)
-                   * gr(_fact(k)) * _exact_pochhammer(de + be, k)
-                   * _exact_pochhammer(al + be, p + k))
+            term = (gr(-1) ** p) * aiz[p] * biz[k] \
+                / (fact[p] * ag[p] * fact[k] * db[k] * ab[p + k])
             rhs_coeffs[p + k] = rhs_coeffs[p + k] + term
     return _series_report(name, FormalSeries(lhs_coeffs, order),
                           FormalSeries(rhs_coeffs, order))
 
 
-def _fact(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
+def _rising(a: GaussianRational, order: int) -> list:
+    """[(a)_0, (a)_1, ..., (a)_order], each from the one before."""
+    out = [GR_ONE]
+    for j in range(order):
+        out.append(out[-1] * (a + j))
     return out
 
 

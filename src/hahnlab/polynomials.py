@@ -17,6 +17,16 @@ odd p_n at 0 for symmetric parameters, which the Fourier pair check at
 z = 0 relies on).  Exactness is honest in the sense that float inputs are
 rejected rather than silently coerced.
 
+Everything that does not depend on x is built once per process: the memo
+_built holds one entry per (route, family, n, parameters), with the
+ExactPoly on the exact route or the float plan (prefactor, terms, linear
+factors) on the float route, plus the complex coefficient vector derived
+from either.  The rule is: dispatch on exactness, then look up.  The route
+comes from the parameters' types before the lookup, because equal
+parameters of different exactness (1 and 1.0) hash alike and must still
+take different routes.  Errors are raised on every call, never stored;
+cached values are immutable, and *_coeffs_complex returns a fresh list.
+
 Conventions, fixed once here and used everywhere downstream:
 
   jacobi:      P_n(x) with parameters (gamma, delta), argument x
@@ -144,40 +154,46 @@ def _hypergeometric_terms(upper, lower, count: int, one=GR_ONE) -> list:
     return terms
 
 
-class _Sum(NamedTuple):
-    """prefactor * sum_{k<=n} t_k prod_{j<k} (shift + j step + slope x), the
-    t_k from _hypergeometric_terms((-n, *upper), lower, n)."""
+class _Plan(NamedTuple):
+    """p_n with x left open: prefactor * sum_{k<=n} terms[k] prod_{j<k} L_j(x),
+    L_j(x) = offsets[j] + slope x.  Nothing in it depends on x."""
 
     prefactor: object
-    upper: tuple
-    lower: tuple
-    shift: object
-    step: object
+    terms: tuple
+    offsets: tuple
     slope: object
 
 
-def _jacobi_sum(n: int, params: JacobiParams, field: _Field) -> _Sum:
+def _plan(n: int, field: _Field, prefactor, upper, lower, shift, step, slope) -> _Plan:
+    """The terms from _hypergeometric_terms((-n, *upper), lower, n) and the
+    linear factors L_j(x) = shift + j step + slope x."""
+    terms = _hypergeometric_terms((-n, *upper), lower, n, field.one)
+    return _Plan(prefactor, tuple(terms), tuple(shift + j * step for j in range(n)), slope)
+
+
+def _jacobi_sum(n: int, params: JacobiParams, field: _Field) -> _Plan:
     # ((gamma+1)_n / n!) 2F1(-n, n+gamma+delta+1; gamma+1; (1-x)/2)
     g, d = field.of(params.gamma), field.of(params.delta)
     _check_poch(g + 1, n, "gamma+1")
-    return _Sum(_poch_over_factorial((g + 1,), n, field), (n + g + d + 1,), (g + 1,),
-                field.half, 0, -field.half)
+    return _plan(n, field, _poch_over_factorial((g + 1,), n, field), (n + g + d + 1,),
+                 (g + 1,), field.half, 0, -field.half)
 
 
-def _chahn_sum(n: int, params: HahnParams, field: _Field) -> _Sum:
+def _chahn_sum(n: int, params: HahnParams, field: _Field) -> _Plan:
     # i^n ((a+c)_n (a+d)_n / n!) 3F2(-n, n+a+b+c+d-1, a+ix; a+c, a+d; 1)
     a, b, c, d = map(field.of, (params.a, params.b, params.c, params.d))
     _check_poch(a + c, n, "a+c")
     _check_poch(a + d, n, "a+d")
-    return _Sum(field.i ** (n % 4) * _poch_over_factorial((a + c, a + d), n, field),
-                (n + a + b + c + d - 1,), (a + c, a + d), a, 1, field.i)
+    return _plan(n, field, field.i ** (n % 4) * _poch_over_factorial((a + c, a + d), n, field),
+                 (n + a + b + c + d - 1,), (a + c, a + d), a, 1, field.i)
 
 
-def _pasternack_sum(n: int, m, field: _Field) -> _Sum:
+def _pasternack_sum(n: int, m, field: _Field) -> _Plan:
     # 3F2(-n, n+1, (1+m+x)/2; 1, m+1; 1)
     mv = field.of(m)
     _check_poch(mv + 1, n, "m+1")
-    return _Sum(field.one, (n + 1,), (1, mv + 1), (1 + mv) * field.half, 1, field.half)
+    return _plan(n, field, field.one, (n + 1,), (1, mv + 1), (1 + mv) * field.half, 1,
+                 field.half)
 
 
 def _poch_over_factorial(values, n: int, field: _Field):
@@ -185,30 +201,29 @@ def _poch_over_factorial(values, n: int, field: _Field):
     return _hypergeometric_terms(values, (), n, field.one)[n]
 
 
-def _coefficients(n: int, s: _Sum, field: _Field) -> list:
+def _coefficients(plan: _Plan) -> list:
     """Monomial coefficients by the nested (Newton-form) product
-    t_0 + L_0(x) (t_1 + L_1(x) (... + L_{n-1}(x) t_n)), L_k = shift + k step + slope x."""
-    t = _hypergeometric_terms((-n, *s.upper), s.lower, n, field.one)
-    acc = [t[n]]
-    for k in range(n - 1, -1, -1):
-        c0 = s.shift + k * s.step
+    t_0 + L_0(x) (t_1 + L_1(x) (... + L_{n-1}(x) t_n))."""
+    t, slope = plan.terms, plan.slope
+    acc = [t[-1]]
+    for k in range(len(plan.offsets) - 1, -1, -1):
+        c0 = plan.offsets[k]
         nxt = [c0 * acc[0] + t[k]]
-        nxt.extend(c0 * acc[j] + s.slope * acc[j - 1] for j in range(1, len(acc)))
-        nxt.append(s.slope * acc[-1])
+        nxt.extend(c0 * acc[j] + slope * acc[j - 1] for j in range(1, len(acc)))
+        nxt.append(slope * acc[-1])
         acc = nxt
-    return [s.prefactor * c for c in acc]
+    return [plan.prefactor * c for c in acc]
 
 
-def _value(n: int, s: _Sum, x: complex) -> complex:
+def _value(plan: _Plan, x: complex) -> complex:
     """The sum at a point in floats, as a forward running sum, term by term
     (nesting it like _coefficients moves exact cancellations off zero)."""
-    t = _hypergeometric_terms((-n, *s.upper), s.lower, n, _FLOAT.one)
-    sx = s.slope * x
+    sx = plan.slope * x
     power = total = 1 + 0j
-    for k in range(n):
-        power *= s.shift + k * s.step + sx
-        total += t[k + 1] * power
-    return s.prefactor * total
+    for offset, term in zip(plan.offsets, plan.terms[1:]):
+        power *= offset + sx
+        total += term * power
+    return plan.prefactor * total
 
 
 def _exact_pochhammer(a: GaussianRational, k: int) -> GaussianRational:
@@ -226,51 +241,85 @@ def horner(coeffs, x: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# the nine public routines: one family each, three uses of the builder
+# the memo: each polynomial's x-independent part, built once per process
 # ---------------------------------------------------------------------------
 
-def _eval(n: int, params, x, exact: bool, family, exact_coeffs) -> complex:
+_MEMO_SIZE = 1024
+
+
+class _Built:
+    """One polynomial on one route: the ExactPoly (exact route) or the float
+    _Plan (float route), and the complex coefficient vector derived from
+    either the first time it is asked for."""
+
+    __slots__ = ("poly", "plan", "_coeffs")
+
+    def __init__(self, poly=None, plan=None):
+        self.poly, self.plan, self._coeffs = poly, plan, None
+
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            self._coeffs = tuple(_coefficients(self.plan) if self.poly is None
+                                 else self.poly.complex_coeffs())
+        return self._coeffs
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _built(exact: bool, family, n: int, params) -> _Built:
+    """p_n of `family` on the exact route (exact=True) or the float one.
+
+    Callers choose the route before the lookup: JacobiParams(1, 0) and
+    JacobiParams(1.0, 0.0) are equal and hash alike, and only the route
+    flag keeps them apart.  Errors propagate and are not stored."""
+    if n < 0:
+        raise DomainError("polynomial degree must be nonnegative")
+    if not exact:
+        return _Built(plan=family(n, params, _FLOAT))
+    poly = ExactPoly(_coefficients(family(n, params, _EXACT)))
+    if poly.degree != n:
+        raise PoleError(f"degenerate parameters: degree {poly.degree} != {n}")
+    return _Built(poly=poly)
+
+
+# ---------------------------------------------------------------------------
+# the nine public routines: one family each, three uses of the memo
+# ---------------------------------------------------------------------------
+
+def _eval(n: int, params, x, exact: bool, family) -> complex:
     """Exact parameters go through the exact coefficient vector and a single
     Horner pass: the unit-argument terminating series loses digits to term
     cancellation at large n, the exact route does not."""
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
     if exact and n <= EXACT_DEGREE_CAP:
-        return horner(exact_coeffs(n, params).complex_coeffs(), _to_complex(x))
-    return _value(n, family(n, params, _FLOAT), _to_complex(x))
+        return horner(_built(True, family, n, params).coeffs(), _to_complex(x))
+    return _value(_built(False, family, n, params).plan, _to_complex(x))
 
 
 def _coeffs_exact(n: int, params, exact: bool, family, names: str) -> ExactPoly:
     _check_exact_degree(n)
     if not exact:
         raise ExactInputError(f"exact mode requires {names}")
-    poly = ExactPoly(_coefficients(n, family(n, params, _EXACT), _EXACT))
-    if poly.degree != n:
-        raise PoleError(f"degenerate parameters: degree {poly.degree} != {n}")
-    return poly
+    return _built(True, family, n, params).poly
 
 
-def _coeffs_complex(n: int, params, exact: bool, family, exact_coeffs) -> list:
+def _coeffs_complex(n: int, params, exact: bool, family) -> list:
     # exact parameters route through the exact builder: float coefficients
     # lose digits to cancellation at large n
-    if exact and n <= EXACT_DEGREE_CAP:
-        return exact_coeffs(n, params).complex_coeffs()
-    return _coefficients(n, family(n, params, _FLOAT), _FLOAT)
+    return list(_built(exact and n <= EXACT_DEGREE_CAP, family, n, params).coeffs())
 
 
 def jacobi_eval(n: int, params: JacobiParams, x: complex) -> complex:
     """P_n at x: ((gamma+1)_n / n!) * 2F1(-n, n+gamma+delta+1; gamma+1; (1-x)/2)."""
-    return _eval(n, params, x, params.is_exact(), _jacobi_sum, _jacobi_exact_cached)
+    return _eval(n, params, x, params.is_exact(), _jacobi_sum)
 
 
 def chahn_eval(n: int, params: HahnParams, x: complex) -> complex:
     """p_n at x: i^n ((a+c)_n (a+d)_n / n!) * terminating 3F2 at unit argument."""
-    return _eval(n, params, x, params.is_exact(), _chahn_sum, _chahn_exact_cached)
+    return _eval(n, params, x, params.is_exact(), _chahn_sum)
 
 
 def pasternack_eval(n: int, m: complex, x: complex) -> complex:
     """F_n at x: 3F2(-n, n+1, (1+m+x)/2; 1, m+1; 1); m = 0 is Bateman's F_n."""
-    return _eval(n, m, x, _is_exact(m), _pasternack_sum, pasternack_coeffs_exact)
+    return _eval(n, m, x, _is_exact(m), _pasternack_sum)
 
 
 def jacobi_coeffs_exact(n: int, params: JacobiParams) -> ExactPoly:
@@ -288,20 +337,16 @@ def pasternack_coeffs_exact(n: int, m) -> ExactPoly:
     return _coeffs_exact(n, m, _is_exact(m), _pasternack_sum, "rational m")
 
 
-_jacobi_exact_cached = lru_cache(maxsize=512)(jacobi_coeffs_exact)
-_chahn_exact_cached = lru_cache(maxsize=512)(chahn_coeffs_exact)
-
-
 def jacobi_coeffs_complex(n: int, params: JacobiParams) -> list:
-    return _coeffs_complex(n, params, params.is_exact(), _jacobi_sum, jacobi_coeffs_exact)
+    return _coeffs_complex(n, params, params.is_exact(), _jacobi_sum)
 
 
 def chahn_coeffs_complex(n: int, params: HahnParams) -> list:
-    return _coeffs_complex(n, params, params.is_exact(), _chahn_sum, chahn_coeffs_exact)
+    return _coeffs_complex(n, params, params.is_exact(), _chahn_sum)
 
 
 def pasternack_coeffs_complex(n: int, m) -> list:
-    return _coeffs_complex(n, m, _is_exact(m), _pasternack_sum, pasternack_coeffs_exact)
+    return _coeffs_complex(n, m, _is_exact(m), _pasternack_sum)
 
 
 def pasternack_hahn_params(m) -> HahnParams:

@@ -1,11 +1,13 @@
 """Command line interface: values, exit codes, reports, manifests."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import hahnlab
 from hahnlab.cli import main, parse_scalar
 from hahnlab.exact import GaussianRational
 
@@ -218,9 +220,13 @@ def test_gram_parse_error_exit_2(tmp_path, capsys):
 
 
 def test_console_script_installed():
+    # the child imports the same hahnlab as this process, installed or not
+    src = os.path.dirname(os.path.dirname(hahnlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "hahnlab.cli", "eval", "chahn",
                            "--n", "1", "--a", "1/2", "--b", "1/2", "--c", "1/2",
                            "--d", "1/2", "--x", "1", "--mode", "exact"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"

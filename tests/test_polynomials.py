@@ -16,7 +16,9 @@ from hahnlab.polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams,
                                  pasternack_coeffs_exact, pasternack_eval,
                                  pasternack_hahn_params,
                                  pasternack_reflection_check,
-                                 _exact_pochhammer)
+                                 _EXACT, _FLOAT, _built, _chahn_sum,
+                                 _coefficients, _exact_pochhammer,
+                                 _jacobi_sum, _pasternack_sum, _value)
 
 F = Fraction
 HALF = F(1, 2)
@@ -275,3 +277,91 @@ def test_reflection_full_grid():
 def test_horner_matches_eval():
     coeffs = [1.0, -2.0, 0.5j]
     assert horner(coeffs, 2.0) == 1.0 - 4.0 + 0.5j * 4.0
+
+
+# --- the memo ----------------------------------------------------------------
+
+def test_memo_keeps_exact_and_float_routes_apart():
+    """Equal parameters of different exactness hash alike; each still takes
+    its own route, in either call order."""
+    x = 0.3 + 0.7j
+    exact, floats = JacobiParams(1, 0), JacobiParams(1.0, 0.0)
+    assert exact == floats and hash(exact) == hash(floats)
+    want_exact = horner(ExactPoly(_coefficients(_jacobi_sum(5, exact, _EXACT))).complex_coeffs(), x)
+    want_float = _value(_jacobi_sum(5, floats, _FLOAT), x)
+    assert want_exact != want_float
+    for order in ((exact, floats), (floats, exact)):
+        _built.cache_clear()
+        for params in order:
+            want = want_exact if params.is_exact() else want_float
+            assert jacobi_eval(5, params, x) == want
+    with pytest.raises(ExactInputError):
+        jacobi_coeffs_exact(5, floats)
+
+    half_exact, half_float = HahnParams(HALF, HALF, HALF, HALF), HahnParams(0.5, 0.5, 0.5, 0.5)
+    assert half_exact == half_float and hash(half_exact) == hash(half_float)
+    want_exact = horner(chahn_coeffs_exact(7, half_exact).complex_coeffs(), x)
+    want_float = _value(_chahn_sum(7, half_float, _FLOAT), x)
+    assert want_exact != want_float
+    for order in ((half_exact, half_float), (half_float, half_exact)):
+        _built.cache_clear()
+        for params in order:
+            want = want_exact if params.is_exact() else want_float
+            assert chahn_eval(7, params, x) == want
+    with pytest.raises(ExactInputError):
+        chahn_coeffs_exact(7, half_float)
+
+
+def test_memo_float_eval_is_the_uncached_sum():
+    """Cached float values equal a fresh build's forward sum bit for bit."""
+    cases = [(jacobi_eval, _jacobi_sum, JacobiParams(0.3, 0.7)),
+             (chahn_eval, _chahn_sum, HahnParams(0.6, 0.7 + 0.1j, 0.8, 0.9 - 0.1j)),
+             (pasternack_eval, _pasternack_sum, -0.25)]
+    xs = [0.0, 0.4, -2.5, 0.3 + 0.7j, 3 - 1j]
+    for feval, family, params in cases:
+        for n in (0, 1, 4, 9):
+            for _ in range(2):
+                for x in xs:
+                    assert feval(n, params, x) == _value(family(n, params, _FLOAT), x)
+
+
+def test_memo_does_not_store_errors():
+    for _ in range(2):
+        with pytest.raises(PoleError):
+            jacobi_eval(3, JacobiParams(-2.0, 0.0), 0.5)
+        with pytest.raises(PoleError):
+            jacobi_coeffs_exact(3, JacobiParams(-2, 0))
+        with pytest.raises(PoleError):
+            chahn_coeffs_complex(3, HahnParams(1, 1, -2, 1))
+        with pytest.raises(PoleError):
+            pasternack_eval(3, F(-2), 0.5)
+
+
+def test_memo_returns_fresh_coefficient_lists():
+    for params in (HahnParams(HALF, F(2, 3), F(3, 4), F(4, 5)), HahnParams(0.5, 0.6, 0.7, 0.8)):
+        first = chahn_coeffs_complex(4, params)
+        want = list(first)
+        first[0] = 99.0
+        first.append(1.0)
+        assert chahn_coeffs_complex(4, params) == want
+
+
+def test_memo_gram_reuses_smaller_degrees(monkeypatch):
+    """A 16 x 16 Gram after an 8 x 8 one on the same exact parameters
+    builds only degrees 8 to 15."""
+    from hahnlab import polynomials
+    from hahnlab.orthogonality import chahn_gram
+    built = []
+
+    def counted(plan):
+        built.append(len(plan.terms) - 1)
+        return _coefficients(plan)
+
+    monkeypatch.setattr(polynomials, "_coefficients", counted)
+    _built.cache_clear()
+    params = (F(1), HALF, F(3, 4), F(5, 4))
+    chahn_gram(8, *params)
+    assert sorted(built) == list(range(8))
+    built.clear()
+    chahn_gram(16, *params)
+    assert sorted(built) == list(range(8, 16))
