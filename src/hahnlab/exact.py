@@ -40,6 +40,10 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: __setattr__ refuses slot state
+        return GaussianRational, (self.re, self.im)
+
     # -- coercion ---------------------------------------------------------
 
     @staticmethod
@@ -218,6 +222,9 @@ class ExactPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactPoly is immutable")
+
+    def __reduce__(self):
+        return ExactPoly, (self.coeffs,)
 
     @classmethod
     def zero(cls) -> "ExactPoly":

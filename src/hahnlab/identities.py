@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .exact import GR_I, GR_ONE, ExactPoly, GaussianRational, gr
 from .polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
-                          jacobi_coeffs_exact)
+                          jacobi_coeffs_exact, _rising)
 from .reports import VerificationReport, exact_report
 from .series import FormalSeries, hypergeometric_series, one_minus_t_power
 
@@ -66,7 +66,7 @@ def genfun_jacobi_check(which: int, gamma, delta, x, order: int) -> Verification
         hyper = hypergeometric_series(
             [Fraction(g + d + 1, 2), Fraction(g + d + 2, 2)], [g + 1], order)
         lhs = one_minus_t_power(-(g + d + 1), order) * hyper.compose(inner)
-        num, den = _rising(gr(g + d + 1), order), _rising(gr(g + 1), order)
+        num, den = _rising(g + d + 1, order), _rising(g + 1, order)
         rhs_coeffs = [num[n] / den[n] * values[n] for n in range(order + 1)]
     else:
         s1 = hypergeometric_series([], [g + 1], order).compose(
@@ -74,7 +74,7 @@ def genfun_jacobi_check(which: int, gamma, delta, x, order: int) -> Verification
         s2 = hypergeometric_series([], [d + 1], order).compose(
             gr(Fraction(xv + 1, 2)) * t)
         lhs = s1 * s2
-        g1, d1 = _rising(gr(g + 1), order), _rising(gr(d + 1), order)
+        g1, d1 = _rising(g + 1, order), _rising(d + 1, order)
         rhs_coeffs = [values[n] / (g1[n] * d1[n]) for n in range(order + 1)]
     return _series_report(name, lhs, FormalSeries(rhs_coeffs, order))
 
@@ -129,14 +129,6 @@ def genfun_chahn_check(which: int, alpha, beta, gamma, delta, z,
             rhs_coeffs[p + k] = rhs_coeffs[p + k] + term
     return _series_report(name, FormalSeries(lhs_coeffs, order),
                           FormalSeries(rhs_coeffs, order))
-
-
-def _rising(a: GaussianRational, order: int) -> list:
-    """[(a)_0, (a)_1, ..., (a)_order], each from the one before."""
-    out = [GR_ONE]
-    for j in range(order):
-        out.append(out[-1] * (a + j))
-    return out
 
 
 def contiguous_check(which: int, n: int, alpha, beta, gamma, delta) -> VerificationReport:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import DomainError, StructureError
 from .exact import GR_I, GR_ONE, ExactPoly, GaussianRational, gr
 from .polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
-                          jacobi_coeffs_exact, _exact_pochhammer)
+                          jacobi_coeffs_exact, _rising)
 from .reports import VerificationReport, exact_report
 
 SIGN_NOTE = ("log-derivative factor used as (beta-alpha)-(alpha+beta)t; "
@@ -76,7 +76,7 @@ def shifted_operator_identity_check(alpha, beta, r: int) -> VerificationReport:
         f = WeightedTanhFunction(
             f.alpha, f.beta,
             gr(alpha + j) * f.poly + GaussianRational(Fraction(1, 2)) * df.poly)
-    expected = _exact_pochhammer(gr(alpha + beta), r) \
+    expected = _rising(alpha + beta, r)[r] \
         * GaussianRational(Fraction(1, 2 ** r)) \
         * _poly_power(ExactPoly([GR_ONE, -GR_ONE]), r)
     residual = f.poly - expected
@@ -122,7 +122,7 @@ def hahn_operator_identity_check(n: int, alpha, beta, gamma, delta) -> Verificat
     lhs = apply_operator_polynomial(
         op_poly, -GR_I * GaussianRational(Fraction(1, 2)),
         weight_function(alpha, beta))
-    rhs_poly = (GR_I ** n) * _exact_pochhammer(gr(alpha + beta), n) \
+    rhs_poly = (GR_I ** n) * _rising(alpha + beta, n)[n] \
         * jacobi_coeffs_exact(n, JacobiParams(gamma, delta))
     residual = lhs.poly - rhs_poly
     detail = SIGN_NOTE

@@ -6,12 +6,14 @@ Every family is one terminating hypergeometric sum
     t_{k+1} / t_k = (k-n) prod (u+k) / ((k+1) prod (l+k)),
 
 written down as a few lines of data (_jacobi_sum, _chahn_sum,
-_pasternack_sum) and built by one term-ratio loop, _hypergeometric_terms,
-that is generic over the scalar field: GaussianRational for exact
-parameters, complex otherwise (never gamma quotients, which would
-reintroduce the very poles the termination avoids).  Monomial
-coefficients, exact or float, come from the nested (Newton-form) product
-of the terms.  Float point values keep a forward running sum, term by
+_pasternack_sum) and built from the term ratio: in complex floats for
+float parameters (_hypergeometric_terms), and for exact ones in Gaussian
+integers over one positive integer denominator (_gaussian_terms), never
+gamma quotients, which would reintroduce the very poles the termination
+avoids.  Monomial coefficients come from the nested (Newton-form) product
+of the terms; exact builds run it in integers too (_exact_poly) and make
+one GaussianRational per coefficient, at the end, so no build goes through
+Fraction arithmetic.  Float point values keep a forward running sum, term by
 term: nesting the value as well moves exact cancellations off zero (an
 odd p_n at 0 for symmetric parameters, which the Fourier pair check at
 z = 0 relies on).  Exactness is honest in the sense that float inputs are
@@ -43,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import DomainError, ExactInputError, PoleError
@@ -115,29 +118,37 @@ def _to_complex(value) -> complex:
 
 
 class _Field(NamedTuple):
-    """The scalars a build runs in: exact Q(i), or complex floats."""
+    """The scalars a family's data is formed in: exact Q(i), or complex floats."""
 
     of: object  # conversion of a parameter
     one: object
     half: object
     i: object
+    poch: object  # (values, n) -> prod (v)_n / n!
 
 
-_EXACT = _Field(gr, GR_ONE, GaussianRational(Fraction(1, 2)), GR_I)
-_FLOAT = _Field(_to_complex, 1.0, 0.5, 1j)
+class _Sum(NamedTuple):
+    """p_n as data: prefactor * sum_{k<=n} t_k prod_{j<k} (shift + j step + slope x),
+    with t_k the terms of _hypergeometric_terms((-n, *upper), lower, n)."""
+
+    n: int
+    prefactor: object
+    upper: tuple
+    lower: tuple
+    shift: object
+    step: int
+    slope: object
 
 
 # ---------------------------------------------------------------------------
-# the one terminating-hypergeometric builder
+# the builder: term loops, the families as data, nested products
 # ---------------------------------------------------------------------------
 
-def _hypergeometric_terms(upper, lower, count: int, one=GR_ONE) -> list:
-    """t_0 = one, ..., t_count with t_{k+1}/t_k = prod (u+k) / ((k+1) prod (l+k)).
-
-    Generic over the scalar field: the terms are exact when `one` and the
-    parameters are GaussianRational, complex when they are complex.
-    """
-    term = one
+def _hypergeometric_terms(upper, lower, count: int) -> list:
+    """t_0 = 1, ..., t_count with t_{k+1}/t_k = prod (u+k) / ((k+1) prod (l+k)),
+    in complex floats (never gamma quotients, which would reintroduce the
+    very poles the termination avoids)."""
+    term = 1.0
     terms = [term]
     for k in range(count):
         num = 1
@@ -154,6 +165,91 @@ def _hypergeometric_terms(upper, lower, count: int, one=GR_ONE) -> list:
     return terms
 
 
+def _gaussian(values) -> tuple:
+    """Exact scalars as Gaussian integers over one positive q: the pairs
+    (re, im) with value = (re + i im) / q, and q."""
+    values = [gr(v) for v in values]
+    q = lcm(*(f.denominator for v in values for f in (v.re, v.im)))
+    return [(v.re.numerator * (q // v.re.denominator),
+             v.im.numerator * (q // v.im.denominator)) for v in values], q
+
+
+def _gaussian_terms(upper, lower, count: int) -> list:
+    """The terms of _hypergeometric_terms for exact parameters, fraction-free:
+    t_k = (re + i im) / den as reduced integer triples.  With every parameter
+    over one q, u + k = (u_re + kq + i u_im) / q; dividing by a lower factor
+    multiplies by its conjugate and divides by its norm, so den stays an integer."""
+    pairs, q = _gaussian((*upper, *lower))
+    ups, lows = pairs[:len(upper)], pairs[len(upper):]
+    q_up, q_low = q ** len(upper), q ** len(lower)
+    re, im, den = 1, 0, 1
+    terms = [(re, im, den)]
+    for k in range(count):
+        kq = k * q
+        re, im = re * q_low, im * q_low
+        for u_re, u_im in ups:
+            u_re += kq
+            re, im = re * u_re - im * u_im, re * u_im + im * u_re
+        den *= (k + 1) * q_up
+        for (l_re, l_im), v in zip(lows, lower):
+            l_re += kq
+            if not (l_re or l_im):
+                raise PoleError(f"hypergeometric denominator ({v})_k hits zero at k={k + 1}")
+            re, im = re * l_re + im * l_im, im * l_re - re * l_im
+            den *= l_re * l_re + l_im * l_im
+        g = gcd(re, im, den)
+        re, im, den = re // g, im // g, den // g
+        terms.append((re, im, den))
+    return terms
+
+
+def _rational(re: int, im: int, den: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+def _exact_terms(upper, lower, count: int) -> list:
+    """The terms of _hypergeometric_terms over Q(i), from the integer loop."""
+    return [_rational(*t) for t in _gaussian_terms(upper, lower, count)]
+
+
+def _rising(a, count: int) -> list:
+    """[(a)_0, ..., (a)_count] over Q(i): the terms for upper (a, 1), as (1)_k = k!."""
+    return _exact_terms((a, 1), (), count)
+
+
+_EXACT = _Field(gr, GR_ONE, GaussianRational(Fraction(1, 2)), GR_I,
+                lambda values, n: _rational(*_gaussian_terms(values, (), n)[n]))
+# one factor at a time, so floats never overflow n!
+_FLOAT = _Field(_to_complex, 1.0, 0.5, 1j,
+                lambda values, n: _hypergeometric_terms(values, (), n)[n])
+
+
+def _jacobi_sum(n: int, params: JacobiParams, field: _Field) -> _Sum:
+    # ((gamma+1)_n / n!) 2F1(-n, n+gamma+delta+1; gamma+1; (1-x)/2)
+    g, d = field.of(params.gamma), field.of(params.delta)
+    g1 = g + 1
+    _check_poch(g1, n, "gamma+1")
+    return _Sum(n, field.poch((g1,), n), (n + g + d + 1,), (g1,), field.half, 0, -field.half)
+
+
+def _chahn_sum(n: int, params: HahnParams, field: _Field) -> _Sum:
+    # i^n ((a+c)_n (a+d)_n / n!) 3F2(-n, n+a+b+c+d-1, a+ix; a+c, a+d; 1)
+    a, b, c, d = map(field.of, (params.a, params.b, params.c, params.d))
+    lower = (a + c, a + d)
+    _check_poch(lower[0], n, "a+c")
+    _check_poch(lower[1], n, "a+d")
+    return _Sum(n, field.i ** (n % 4) * field.poch(lower, n), (n + a + b + c + d - 1,),
+                lower, a, 1, field.i)
+
+
+def _pasternack_sum(n: int, m, field: _Field) -> _Sum:
+    # 3F2(-n, n+1, (1+m+x)/2; 1, m+1; 1)
+    mv = field.of(m)
+    m1 = mv + 1
+    _check_poch(m1, n, "m+1")
+    return _Sum(n, field.one, (n + 1,), (1, m1), m1 * field.half, 1, field.half)
+
+
 class _Plan(NamedTuple):
     """p_n with x left open: prefactor * sum_{k<=n} terms[k] prod_{j<k} L_j(x),
     L_j(x) = offsets[j] + slope x.  Nothing in it depends on x."""
@@ -164,41 +260,11 @@ class _Plan(NamedTuple):
     slope: object
 
 
-def _plan(n: int, field: _Field, prefactor, upper, lower, shift, step, slope) -> _Plan:
-    """The terms from _hypergeometric_terms((-n, *upper), lower, n) and the
-    linear factors L_j(x) = shift + j step + slope x."""
-    terms = _hypergeometric_terms((-n, *upper), lower, n, field.one)
-    return _Plan(prefactor, tuple(terms), tuple(shift + j * step for j in range(n)), slope)
-
-
-def _jacobi_sum(n: int, params: JacobiParams, field: _Field) -> _Plan:
-    # ((gamma+1)_n / n!) 2F1(-n, n+gamma+delta+1; gamma+1; (1-x)/2)
-    g, d = field.of(params.gamma), field.of(params.delta)
-    _check_poch(g + 1, n, "gamma+1")
-    return _plan(n, field, _poch_over_factorial((g + 1,), n, field), (n + g + d + 1,),
-                 (g + 1,), field.half, 0, -field.half)
-
-
-def _chahn_sum(n: int, params: HahnParams, field: _Field) -> _Plan:
-    # i^n ((a+c)_n (a+d)_n / n!) 3F2(-n, n+a+b+c+d-1, a+ix; a+c, a+d; 1)
-    a, b, c, d = map(field.of, (params.a, params.b, params.c, params.d))
-    _check_poch(a + c, n, "a+c")
-    _check_poch(a + d, n, "a+d")
-    return _plan(n, field, field.i ** (n % 4) * _poch_over_factorial((a + c, a + d), n, field),
-                 (n + a + b + c + d - 1,), (a + c, a + d), a, 1, field.i)
-
-
-def _pasternack_sum(n: int, m, field: _Field) -> _Plan:
-    # 3F2(-n, n+1, (1+m+x)/2; 1, m+1; 1)
-    mv = field.of(m)
-    _check_poch(mv + 1, n, "m+1")
-    return _plan(n, field, field.one, (n + 1,), (1, mv + 1), (1 + mv) * field.half, 1,
-                 field.half)
-
-
-def _poch_over_factorial(values, n: int, field: _Field):
-    """prod (v)_n / n!, one factor at a time so floats never overflow n!."""
-    return _hypergeometric_terms(values, (), n, field.one)[n]
+def _plan(s: _Sum) -> _Plan:
+    """The float terms and linear factors of a sum with complex parameters."""
+    terms = _hypergeometric_terms((-s.n, *s.upper), s.lower, s.n)
+    return _Plan(s.prefactor, tuple(terms), tuple(s.shift + j * s.step for j in range(s.n)),
+                 s.slope)
 
 
 def _coefficients(plan: _Plan) -> list:
@@ -215,6 +281,38 @@ def _coefficients(plan: _Plan) -> list:
     return [plan.prefactor * c for c in acc]
 
 
+def _exact_poly(s: _Sum) -> ExactPoly:
+    """The monomial coefficients of a sum with exact parameters, by the same
+    nested product run fraction-free.  The terms go over their lcm D (t_k =
+    T_k / D) and the linear factors over one q (L_k(x) = (O_k + S x) / q), so
+
+        A_n = T_n,  A_k = q^(n-k) T_k + (O_k + S x) A_{k+1},
+        p_n = prefactor * A_0 / (D q^n)
+
+    in Gaussian integers; a GaussianRational is made once per coefficient."""
+    n = s.n
+    terms = _gaussian_terms((-n, *s.upper), s.lower, n)
+    lcm_den = lcm(*(den for _, _, den in terms))
+    [(o_re, o_im), (s_re, s_im)], q = _gaussian((s.shift, s.slope))
+    step = s.step * q
+    acc_re, acc_im, power = [], [], 1  # A_{n+1} = 0, power = q^(n-k)
+    for k in range(n, -1, -1):
+        ok_re = o_re + k * step
+        # coefficient j of (O_k + S x) A is O_k A_j + S A_{j-1}
+        rows = list(zip(acc_re + [0], acc_im + [0], [0] + acc_re, [0] + acc_im))
+        acc_re = [ok_re * a - o_im * b + s_re * c - s_im * d for a, b, c, d in rows]
+        acc_im = [ok_re * b + o_im * a + s_re * d + s_im * c for a, b, c, d in rows]
+        t_re, t_im, t_den = terms[k]
+        scale = power * (lcm_den // t_den)
+        acc_re[0] += scale * t_re
+        acc_im[0] += scale * t_im
+        power *= q
+    [(p_re, p_im)], p_den = _gaussian((s.prefactor,))
+    den = p_den * lcm_den * q ** n
+    return ExactPoly(_rational(p_re * a - p_im * b, p_re * b + p_im * a, den)
+                     for a, b in zip(acc_re, acc_im))
+
+
 def _value(plan: _Plan, x: complex) -> complex:
     """The sum at a point in floats, as a forward running sum, term by term
     (nesting it like _coefficients moves exact cancellations off zero)."""
@@ -224,13 +322,6 @@ def _value(plan: _Plan, x: complex) -> complex:
         power *= offset + sx
         total += term * power
     return plan.prefactor * total
-
-
-def _exact_pochhammer(a: GaussianRational, k: int) -> GaussianRational:
-    result = GR_ONE
-    for j in range(k):
-        result = result * (a + j)
-    return result
 
 
 def horner(coeffs, x: complex) -> complex:
@@ -274,8 +365,8 @@ def _built(exact: bool, family, n: int, params) -> _Built:
     if n < 0:
         raise DomainError("polynomial degree must be nonnegative")
     if not exact:
-        return _Built(plan=family(n, params, _FLOAT))
-    poly = ExactPoly(_coefficients(family(n, params, _EXACT)))
+        return _Built(plan=_plan(family(n, params, _FLOAT)))
+    poly = _exact_poly(family(n, params, _EXACT))
     if poly.degree != n:
         raise PoleError(f"degenerate parameters: degree {poly.degree} != {n}")
     return _Built(poly=poly)
@@ -361,8 +452,8 @@ def pasternack_reflection_check(n: int, m) -> VerificationReport:
     """Exact identity (1+m)_n F_n^m(x) = (1-m)_n F_n^{-m}(x)."""
     name = f"pasternack-reflection[n={n}, m={m}]"
     mg = gr(m)
-    lhs = _exact_pochhammer(GR_ONE + mg, n) * pasternack_coeffs_exact(n, mg)
-    rhs = _exact_pochhammer(GR_ONE - mg, n) * pasternack_coeffs_exact(n, -mg)
+    lhs = _rising(GR_ONE + mg, n)[n] * pasternack_coeffs_exact(n, mg)
+    rhs = _rising(GR_ONE - mg, n)[n] * pasternack_coeffs_exact(n, -mg)
     residual = lhs - rhs
     detail = "" if residual.is_zero() else f"residual {residual}"
     return exact_report(name, residual.max_abs_coefficient(), detail)

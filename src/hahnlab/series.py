@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError
 from .exact import GR_ONE, GR_ZERO, GaussianRational, gr
-from .polynomials import _hypergeometric_terms
+from .polynomials import _exact_terms
 
 
 class FormalSeries:
@@ -31,6 +31,9 @@ class FormalSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalSeries is immutable")
+
+    def __reduce__(self):
+        return FormalSeries, (self.coeffs, self.order)
 
     @classmethod
     def constant(cls, value, order: int) -> "FormalSeries":
@@ -137,6 +140,4 @@ def one_minus_t_power(exponent, order: int) -> FormalSeries:
 def hypergeometric_series(numerators: Sequence, denominators: Sequence,
                           order: int) -> FormalSeries:
     """sum_k (prod (n_i)_k / prod (d_j)_k) u^k / k! as a series in u."""
-    terms = _hypergeometric_terms([gr(v) for v in numerators],
-                                  [gr(v) for v in denominators], order)
-    return FormalSeries(terms, order)
+    return FormalSeries(_exact_terms(numerators, denominators, order), order)

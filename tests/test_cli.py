@@ -230,3 +230,17 @@ def test_console_script_installed():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"
+
+
+def test_runtime_is_stdlib_only():
+    """Importing every hahnlab module loads no numpy, scipy or mpmath."""
+    src = os.path.dirname(os.path.dirname(hahnlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import importlib, pkgutil, sys, hahnlab\n"
+            "for info in pkgutil.iter_modules(hahnlab.__path__):\n"
+            "    importlib.import_module('hahnlab.' + info.name)\n"
+            "print(' '.join(m for m in ('numpy', 'scipy', 'mpmath') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -1,6 +1,8 @@
 """Exact Q(i) scalar and polynomial arithmetic."""
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from hahnlab.errors import ExactInputError
 from hahnlab.exact import GR_I, GR_ONE, ExactPoly, GaussianRational, gr
+from hahnlab.series import FormalSeries
 
 F = Fraction
 
@@ -128,3 +131,14 @@ def test_poly_json_round_trip():
     data = json.loads(json.dumps(p.to_json()))
     assert data[0] == {"re": "1/2", "im": "-3/7"}
     assert ExactPoly.from_json(data) == p
+
+
+@given(gaussians, polys)
+@settings(max_examples=30, deadline=None)
+def test_pickle_and_copy_round_trip(a, p):
+    """The immutable exact types survive pickle, copy and deepcopy: an equal
+    object with an equal hash."""
+    for x in (a, p, FormalSeries(p.coeffs, 3)):
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(y) is type(x)
+            assert y == x and hash(y) == hash(x)

@@ -4,10 +4,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hahnlab.errors import DomainError, ExactInputError, PoleError
 from hahnlab.exact import GR_I, ExactPoly, GaussianRational, gr
 from hahnlab.numerics import pochhammer
+from hahnlab.series import hypergeometric_series
 from hahnlab.polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams,
                                  chahn_coeffs_complex, chahn_coeffs_exact,
                                  chahn_eval, horner, jacobi_coeffs_complex,
@@ -17,11 +20,19 @@ from hahnlab.polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams,
                                  pasternack_hahn_params,
                                  pasternack_reflection_check,
                                  _EXACT, _FLOAT, _built, _chahn_sum,
-                                 _coefficients, _exact_pochhammer,
-                                 _jacobi_sum, _pasternack_sum, _value)
+                                 _exact_poly, _jacobi_sum, _pasternack_sum,
+                                 _plan, _value)
 
 F = Fraction
 HALF = F(1, 2)
+
+
+def _poch(a, n: int) -> GaussianRational:
+    """(a)_n by its defining product."""
+    out = gr(1)
+    for j in range(n):
+        out = out * (gr(a) + j)
+    return out
 
 
 # --- Jacobi ---------------------------------------------------------------
@@ -60,7 +71,7 @@ def test_jacobi_coeffs_eval_at_one_exact():
     for n in (0, 2, 5):
         g, d = F(1, 3), F(3, 4)
         p = jacobi_coeffs_exact(n, JacobiParams(g, d))
-        expected = _exact_pochhammer(gr(g + 1), n) / gr(math.factorial(n))
+        expected = _poch(g + 1, n) / gr(math.factorial(n))
         assert p(gr(1)) == expected
 
 
@@ -92,7 +103,7 @@ def test_chahn_leading_coefficient_formula():
         params = HahnParams(F(1, 3), F(2, 5), F(3, 4), F(5, 6))
         p = chahn_coeffs_exact(n, params)
         s = F(1, 3) + F(2, 5) + F(3, 4) + F(5, 6)
-        expected = _exact_pochhammer(gr(n + s - 1), n) / gr(math.factorial(n))
+        expected = _poch(n + s - 1, n) / gr(math.factorial(n))
         assert p.degree == n
         assert p.leading_coefficient == expected
         assert p.leading_coefficient.is_real()
@@ -246,7 +257,7 @@ def test_pasternack_exact_matches_chahn_route():
             direct = pasternack_coeffs_exact(n, m)
             p = chahn_coeffs_exact(n, hp)
             via = p.scale_argument(-GR_I * GaussianRational(F(1, 2)))
-            scale = (GR_I ** n) * _exact_pochhammer(gr(1 + m), n)
+            scale = (GR_I ** n) * _poch(1 + m, n)
             assert via == scale * direct
 
 
@@ -279,6 +290,153 @@ def test_horner_matches_eval():
     assert horner(coeffs, 2.0) == 1.0 - 4.0 + 0.5j * 4.0
 
 
+# --- an independent oracle: the defining sums in Fraction pairs ----------------
+
+def _qmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _qdiv(a, b):
+    norm = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) / norm, (a[1] * b[0] - a[0] * b[1]) / norm)
+
+
+def _qshift(a, k):
+    return (a[0] + k, a[1])
+
+
+def _naive_sum(prefactor, upper, lower, n, z=(F(1), F(0))):
+    """prefactor * sum_{k<=n} (-n)_k prod (u)_k z^k / (k! prod (l)_k), each
+    Pochhammer symbol a running product of its factors; ZeroDivisionError
+    where a lower one vanishes."""
+    total, num, den, power = (F(0), F(0)), (F(1), F(0)), (F(1), F(0)), (F(1), F(0))
+    for k in range(n + 1):
+        if k:
+            num = _qmul(num, (F(k - 1 - n), F(0)))
+            for u in upper:
+                num = _qmul(num, _qshift(u, k - 1))
+            den = _qmul(den, (F(k), F(0)))
+            for v in lower:
+                den = _qmul(den, _qshift(v, k - 1))
+            power = _qmul(power, z)
+        term = _qdiv(_qmul(num, power), den)
+        total = (total[0] + term[0], total[1] + term[1])
+    return _qmul(prefactor, total)
+
+
+def _naive_poch_over_factorial(values, n):
+    out = (F(1), F(0))
+    for v in values:
+        for j in range(n):
+            out = _qmul(out, _qshift(v, j))
+    return _qdiv(out, (F(math.factorial(n)), F(0)))
+
+
+def _naive(family, n, p, x):
+    """The family's defining sum at x, or ZeroDivisionError at a pole."""
+    if family == "jacobi":
+        g, d = p[0], p[1]
+        g1 = _qshift(g, 1)
+        z = ((1 - x[0]) / 2, -x[1] / 2)
+        return _naive_sum(_naive_poch_over_factorial([g1], n),
+                          [_qshift((g[0] + d[0], g[1] + d[1]), n + 1)], [g1], n, z)
+    if family == "chahn":
+        a, b, c, d = p
+        ac, ad = (a[0] + c[0], a[1] + c[1]), (a[0] + d[0], a[1] + d[1])
+        s = (a[0] + b[0] + c[0] + d[0], a[1] + b[1] + c[1] + d[1])
+        a_ix = (a[0] - x[1], a[1] + x[0])
+        unit = [(F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1))][n % 4]
+        return _naive_sum(_qmul(unit, _naive_poch_over_factorial([ac, ad], n)),
+                          [_qshift(s, n - 1), a_ix], [ac, ad], n)
+    m = p[0]
+    half = ((1 + m[0] + x[0]) / 2, (m[1] + x[1]) / 2)
+    return _naive_sum((F(1), F(0)), [(F(n + 1), F(0)), half],
+                      [(F(1), F(0)), _qshift(m, 1)], n)
+
+
+def _leading_pochhammer_vanishes(family, n, p):
+    """The family's leading coefficient is a nonzero multiple of (n + sigma)_n."""
+    if family == "pasternack":
+        return False
+    sigma = (p[0][0] + p[1][0] + 1, p[0][1] + p[1][1]) if family == "jacobi" else \
+        (sum(v[0] for v in p) - 1, sum(v[1] for v in p))
+    return sigma[1] == 0 and sigma[0].denominator == 1 and -2 * n + 1 <= sigma[0] <= -n
+
+
+def _build(family, n, p):
+    exact = [GaussianRational(re, im) if im else re for re, im in p]
+    if family == "jacobi":
+        return jacobi_coeffs_exact(n, JacobiParams(*exact[:2]))
+    if family == "chahn":
+        return chahn_coeffs_exact(n, HahnParams(*exact))
+    return pasternack_coeffs_exact(n, exact[0])
+
+
+_fractions = st.builds(F, st.integers(-36, 36), st.integers(1, 12))
+_gaussians = st.tuples(_fractions, st.one_of(st.just(F(0)), _fractions))
+
+
+def _check_against_naive(family, n, p, x):
+    try:
+        want = _naive(family, n, p, x)
+    except ZeroDivisionError:
+        with pytest.raises(PoleError):
+            _build(family, n, p)
+        return
+    if _leading_pochhammer_vanishes(family, n, p):
+        with pytest.raises(PoleError, match="degenerate parameters"):
+            _build(family, n, p)
+        return
+    got = _build(family, n, p)(GaussianRational(*x))
+    assert (got.re, got.im) == want
+
+
+@given(st.sampled_from(("jacobi", "chahn", "pasternack")), st.integers(0, 20),
+       st.lists(_gaussians, min_size=4, max_size=4), _gaussians)
+@settings(max_examples=80, deadline=None)
+def test_exact_builds_match_naive_sum(family, n, p, x):
+    """Exact builds, evaluated at a Gaussian-rational x, equal the defining
+    sum summed term by term in Fractions."""
+    _check_against_naive(family, n, p, x)
+
+
+@pytest.mark.parametrize("family, p", [
+    ("jacobi", [(F(3, 10), F(0)), (F(7, 10), F(0))]),
+    ("jacobi", [(F(-5, 8), F(1, 3)), (F(7, 8), F(-1, 4))]),
+    ("pasternack", [(F(3, 8), F(0))]),
+    ("pasternack", [(F(-1, 2), F(0))]),
+])
+def test_exact_builds_match_naive_sum_at_the_cap(family, p):
+    _check_against_naive(family, EXACT_DEGREE_CAP, p, (F(2, 5), F(1, 3)))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: jacobi_coeffs_exact(3, JacobiParams(-2, 0)), PoleError,
+     "(gamma+1)_k vanishes for k <= 3"),
+    (lambda: jacobi_coeffs_exact(2, JacobiParams(0, -3)), PoleError,
+     "degenerate parameters: degree 0 != 2"),
+    (lambda: chahn_coeffs_exact(3, HahnParams(1, 1, -2, 1)), PoleError,
+     "(a+c)_k vanishes for k <= 3"),
+    (lambda: chahn_coeffs_exact(3, HahnParams(1, 1, 1, -3)), PoleError,
+     "(a+d)_k vanishes for k <= 3"),
+    (lambda: chahn_coeffs_exact(3, HahnParams(GaussianRational(HALF, F(1, 3)), F(-7, 2),
+                                              GaussianRational(HALF, F(-1, 3)), HALF)),
+     PoleError, "degenerate parameters: degree 0 != 3"),
+    (lambda: pasternack_coeffs_exact(3, F(-2)), PoleError, "(m+1)_k vanishes for k <= 3"),
+    (lambda: hypergeometric_series([1], [-2], 5), PoleError,
+     "hypergeometric denominator (-2)_k hits zero at k=3"),
+    (lambda: hypergeometric_series([GaussianRational(1, 1)], [F(-2)], 5), PoleError,
+     "hypergeometric denominator (-2)_k hits zero at k=3"),
+    (lambda: jacobi_coeffs_exact(EXACT_DEGREE_CAP + 1, JacobiParams(0, 0)), DomainError,
+     f"exact construction is capped at degree {EXACT_DEGREE_CAP}"),
+])
+def test_exact_build_errors(build, error, message):
+    """Poles, degenerate degrees and the cap raise with these exact messages."""
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 # --- the memo ----------------------------------------------------------------
 
 def test_memo_keeps_exact_and_float_routes_apart():
@@ -287,8 +445,8 @@ def test_memo_keeps_exact_and_float_routes_apart():
     x = 0.3 + 0.7j
     exact, floats = JacobiParams(1, 0), JacobiParams(1.0, 0.0)
     assert exact == floats and hash(exact) == hash(floats)
-    want_exact = horner(ExactPoly(_coefficients(_jacobi_sum(5, exact, _EXACT))).complex_coeffs(), x)
-    want_float = _value(_jacobi_sum(5, floats, _FLOAT), x)
+    want_exact = horner(_exact_poly(_jacobi_sum(5, exact, _EXACT)).complex_coeffs(), x)
+    want_float = _value(_plan(_jacobi_sum(5, floats, _FLOAT)), x)
     assert want_exact != want_float
     for order in ((exact, floats), (floats, exact)):
         _built.cache_clear()
@@ -301,7 +459,7 @@ def test_memo_keeps_exact_and_float_routes_apart():
     half_exact, half_float = HahnParams(HALF, HALF, HALF, HALF), HahnParams(0.5, 0.5, 0.5, 0.5)
     assert half_exact == half_float and hash(half_exact) == hash(half_float)
     want_exact = horner(chahn_coeffs_exact(7, half_exact).complex_coeffs(), x)
-    want_float = _value(_chahn_sum(7, half_float, _FLOAT), x)
+    want_float = _value(_plan(_chahn_sum(7, half_float, _FLOAT)), x)
     assert want_exact != want_float
     for order in ((half_exact, half_float), (half_float, half_exact)):
         _built.cache_clear()
@@ -322,7 +480,7 @@ def test_memo_float_eval_is_the_uncached_sum():
         for n in (0, 1, 4, 9):
             for _ in range(2):
                 for x in xs:
-                    assert feval(n, params, x) == _value(family(n, params, _FLOAT), x)
+                    assert feval(n, params, x) == _value(_plan(family(n, params, _FLOAT)), x)
 
 
 def test_memo_does_not_store_errors():
@@ -353,11 +511,11 @@ def test_memo_gram_reuses_smaller_degrees(monkeypatch):
     from hahnlab.orthogonality import chahn_gram
     built = []
 
-    def counted(plan):
-        built.append(len(plan.terms) - 1)
-        return _coefficients(plan)
+    def counted(s):
+        built.append(s.n)
+        return _exact_poly(s)
 
-    monkeypatch.setattr(polynomials, "_coefficients", counted)
+    monkeypatch.setattr(polynomials, "_exact_poly", counted)
     _built.cache_clear()
     params = (F(1), HALF, F(3, 4), F(5, 4))
     chahn_gram(8, *params)
