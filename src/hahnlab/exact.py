@@ -5,12 +5,17 @@ ExactPoly is a dense univariate polynomial with GaussianRational
 coefficients, stored lowest degree first with the trailing coefficient
 nonzero.  Equality on both types is decidable and exact, which is what
 every zero-residual identity check in this package rests on.
+
+Exact scalars also have an integer form, Gaussian integers over one positive
+denominator (_gaussian, back by _rational).  Every ExactPoly and FormalSeries
+product runs in it, through one fraction-free kernel (_product).
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 from .errors import ExactInputError
@@ -204,6 +209,38 @@ def gr(value) -> GaussianRational:
     return GaussianRational.from_value(value)
 
 
+def _gaussian(values) -> tuple:
+    """Exact scalars as Gaussian integers over one positive q: the pairs
+    (re, im) with value = (re + i im) / q, and q."""
+    values = [gr(v) for v in values]
+    q = lcm(*(f.denominator for v in values for f in (v.re, v.im)))
+    return [(v.re.numerator * (q // v.re.denominator),
+             v.im.numerator * (q // v.im.denominator)) for v in values], q
+
+
+def _rational(re: int, im: int, den: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+def _product(a, b, limit=None) -> list:
+    """The coefficients of a * b (exact scalars, lowest degree first), through
+    degree limit if one is given: each operand over one integer denominator,
+    the schoolbook product on Gaussian-integer pairs, and one GaussianRational
+    per output coefficient.  An empty operand is the zero polynomial."""
+    size = len(a) + len(b) - 1
+    if limit is not None:
+        a, b, size = a[:limit + 1], b[:limit + 1], min(size, limit + 1)
+    (a_pairs, a_den), (b_pairs, b_den) = _gaussian(a), _gaussian(b)
+    re, im = [0] * size, [0] * size
+    for i, (a_re, a_im) in enumerate(a_pairs):
+        if a_re or a_im:
+            for k, (b_re, b_im) in enumerate(b_pairs[:size - i], i):
+                re[k] += a_re * b_re - a_im * b_im
+                im[k] += a_re * b_im + a_im * b_re
+    den = a_den * b_den
+    return [_rational(r, m, den) for r, m in zip(re, im)]
+
+
 class ExactPoly:
     """Univariate polynomial over Q(i), coefficients indexed by degree.
 
@@ -271,18 +308,9 @@ class ExactPoly:
 
     def __mul__(self, other):
         if isinstance(other, ExactPoly):
-            if self.is_zero() or other.is_zero():
-                return ExactPoly.zero()
-            out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return ExactPoly(out)
+            return ExactPoly(_product(self.coeffs, other.coeffs))
         if isinstance(other, (int, Fraction, GaussianRational)):
-            s = gr(other)
-            return ExactPoly(c * s for c in self.coeffs)
+            return ExactPoly(_product(self.coeffs, (other,)))
         return NotImplemented
 
     __rmul__ = __mul__

@@ -10,7 +10,6 @@ are compared as exact polynomials.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import DomainError
@@ -117,16 +116,15 @@ def genfun_chahn_check(which: int, alpha, beta, gamma, delta, z,
                               GENFUN_EXPONENT_NOTE)
 
     db = _rising(de + be, order)
-    aiz, biz = _rising(a_iz, order), _rising(b_iz, order)
-    fact = [gr(math.factorial(k)) for k in range(order + 1)]
     lhs_coeffs = [(minus_i ** n) * p_values[n] / (ag[n] * db[n] * ab[n])
                   for n in range(order + 1)]
-    rhs_coeffs = [gr(0) for _ in range(order + 1)]
-    for p in range(order + 1):
-        for k in range(order + 1 - p):
-            term = (gr(-1) ** p) * aiz[p] * biz[k] \
-                / (fact[p] * ag[p] * fact[k] * db[k] * ab[p + k])
-            rhs_coeffs[p + k] = rhs_coeffs[p + k] + term
+    # the double sum is a product of series in t: A_p = (-1)^p (alpha+iz)_p /
+    # (p! (gamma+alpha)_p) and B_k = (beta-iz)_k / (k! (delta+beta)_k), with
+    # coefficient n then divided by (alpha+beta)_n
+    a_terms = hypergeometric_series([a_iz], [ga + al], order).coeffs
+    a_series = FormalSeries([-c if p % 2 else c for p, c in enumerate(a_terms)], order)
+    double = a_series * hypergeometric_series([b_iz], [de + be], order)
+    rhs_coeffs = [c / ab[n] for n, c in enumerate(double.coeffs)]
     return _series_report(name, FormalSeries(lhs_coeffs, order),
                           FormalSeries(rhs_coeffs, order))
 

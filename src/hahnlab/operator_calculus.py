@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import DomainError, StructureError
 from .exact import GR_I, GR_ONE, ExactPoly, GaussianRational, gr
 from .polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
-                          jacobi_coeffs_exact, _rising)
+                          jacobi_coeffs_exact, _exact_terms, _rising)
 from .reports import VerificationReport, exact_report
 
 SIGN_NOTE = ("log-derivative factor used as (beta-alpha)-(alpha+beta)t; "
@@ -76,18 +76,12 @@ def shifted_operator_identity_check(alpha, beta, r: int) -> VerificationReport:
         f = WeightedTanhFunction(
             f.alpha, f.beta,
             gr(alpha + j) * f.poly + GaussianRational(Fraction(1, 2)) * df.poly)
+    # (1-t)^r = sum_k (-r)_k / k! t^k
     expected = _rising(alpha + beta, r)[r] \
         * GaussianRational(Fraction(1, 2 ** r)) \
-        * _poly_power(ExactPoly([GR_ONE, -GR_ONE]), r)
+        * ExactPoly(_exact_terms((-r,), (), r))
     residual = f.poly - expected
     return exact_report(name, residual.max_abs_coefficient(), SIGN_NOTE)
-
-
-def _poly_power(p: ExactPoly, k: int) -> ExactPoly:
-    out = ExactPoly.one()
-    for _ in range(k):
-        out = out * p
-    return out
 
 
 def apply_operator_polynomial(op_poly: ExactPoly, scale: GaussianRational,

@@ -49,7 +49,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import DomainError, ExactInputError, PoleError
-from .exact import GR_I, GR_ONE, ExactPoly, GaussianRational, gr
+from .exact import GR_I, GR_ONE, ExactPoly, GaussianRational, _gaussian, _rational, gr
 from .reports import VerificationReport, exact_report
 
 # coefficient growth is unbounded; cap keeps exact runs tractable
@@ -165,15 +165,6 @@ def _hypergeometric_terms(upper, lower, count: int) -> list:
     return terms
 
 
-def _gaussian(values) -> tuple:
-    """Exact scalars as Gaussian integers over one positive q: the pairs
-    (re, im) with value = (re + i im) / q, and q."""
-    values = [gr(v) for v in values]
-    q = lcm(*(f.denominator for v in values for f in (v.re, v.im)))
-    return [(v.re.numerator * (q // v.re.denominator),
-             v.im.numerator * (q // v.im.denominator)) for v in values], q
-
-
 def _gaussian_terms(upper, lower, count: int) -> list:
     """The terms of _hypergeometric_terms for exact parameters, fraction-free:
     t_k = (re + i im) / den as reduced integer triples.  With every parameter
@@ -201,10 +192,6 @@ def _gaussian_terms(upper, lower, count: int) -> list:
         re, im, den = re // g, im // g, den // g
         terms.append((re, im, den))
     return terms
-
-
-def _rational(re: int, im: int, den: int) -> GaussianRational:
-    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 def _exact_terms(upper, lower, count: int) -> list:

@@ -2,7 +2,9 @@
 
 A FormalSeries holds coefficients for t^0 .. t^order and all arithmetic is
 exact up to that order.  Binary operations truncate to the smaller order
-of the two operands; nothing ever silently extends an order.
+of the two operands; nothing ever silently extends an order.  Products and
+composition (Horner, one product per step) run through exact._product, the
+fraction-free kernel that ExactPoly uses.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .exact import GR_ONE, GR_ZERO, GaussianRational, gr
+from .exact import GR_ONE, GR_ZERO, GaussianRational, _product, gr
 from .polynomials import _exact_terms
 
 
@@ -45,7 +47,7 @@ class FormalSeries:
         return cls([GR_ZERO, GR_ONE], order)
 
     def coeff(self, k: int) -> GaussianRational:
-        return self.coeffs[k] if k <= self.order else GR_ZERO
+        return self.coeffs[k] if 0 <= k <= self.order else GR_ZERO
 
     def valuation(self) -> int:
         for k, c in enumerate(self.coeffs):
@@ -78,21 +80,11 @@ class FormalSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            s = gr(other)
-            return FormalSeries([c * s for c in self.coeffs], self.order)
+            return FormalSeries(_product(self.coeffs, (other,)), self.order)
         if not isinstance(other, FormalSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        out = [GR_ZERO] * (n + 1)
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return FormalSeries(out, n)
+        return FormalSeries(_product(self.coeffs, other.coeffs, n), n)
 
     __rmul__ = __mul__
 
@@ -114,11 +106,11 @@ class FormalSeries:
         if inner.coeffs[0]:
             raise DomainError("composition needs inner valuation >= 1")
         n = min(self.order, inner.order)
-        acc = FormalSeries.constant(0, n)
-        inner_n = FormalSeries(inner.coeffs[:n + 1], n)
+        acc = []
         for c in reversed(self.coeffs[:n + 1]):
-            acc = acc * inner_n + FormalSeries.constant(c, n)
-        return acc
+            # Horner: acc * inner has constant term 0, so c is the new one
+            acc = [c, *_product(acc, inner.coeffs, n)[1:]]
+        return FormalSeries(acc, n)
 
     def truncate(self, order: int) -> "FormalSeries":
         if order > self.order:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hahnlab.errors import ExactInputError
-from hahnlab.exact import GR_I, GR_ONE, ExactPoly, GaussianRational, gr
+from hahnlab.exact import GR_I, GR_ONE, ExactPoly, GaussianRational, _product, gr
 from hahnlab.series import FormalSeries
 
 F = Fraction
@@ -142,3 +142,74 @@ def test_pickle_and_copy_round_trip(a, p):
         for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
             assert type(y) is type(x)
             assert y == x and hash(y) == hash(x)
+
+
+def _schoolbook(a, b, limit=None):
+    """a * b one GaussianRational product at a time: the kernel's oracle."""
+    out = [GaussianRational(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + gr(x) * gr(y)
+    return out if limit is None else out[:limit + 1]
+
+
+real_scalars = st.one_of(st.integers(-20, 20), rationals)
+scalars = st.one_of(real_scalars, gaussians, st.just(0))
+coeff_lists = st.one_of(st.lists(real_scalars, max_size=8), st.lists(scalars, max_size=8))
+
+
+@given(coeff_lists, coeff_lists, st.none() | st.integers(0, 10))
+@settings(max_examples=80, deadline=None)
+def test_product_matches_schoolbook(a, b, limit):
+    """The kernel, real-only or complex, of unequal lengths, empty operands
+    and truncation included, gives the schoolbook product exactly."""
+    got = _product(a, b, limit)
+    assert got == _schoolbook(a, b, limit)
+    assert all(type(c) is GaussianRational for c in got)
+
+
+@given(coeff_lists, coeff_lists, scalars)
+@settings(max_examples=60, deadline=None)
+def test_poly_mul_matches_schoolbook(a, b, s):
+    p, q = ExactPoly(a), ExactPoly(b)
+    assert p * q == ExactPoly(_schoolbook(a, b))
+    assert p * s == s * p == ExactPoly(_schoolbook(a, [s]))
+
+
+@given(coeff_lists, coeff_lists, st.integers(0, 7), st.integers(0, 7), scalars)
+@settings(max_examples=60, deadline=None)
+def test_series_mul_and_compose_match_schoolbook(a, b, order_a, order_b, s):
+    """Series products truncate at the smaller order; compose is Horner with
+    one truncated product per step."""
+    fa, fb = FormalSeries(a, order_a), FormalSeries(b, order_b)
+    n = min(order_a, order_b)
+    assert fa * fb == FormalSeries(_schoolbook(fa.coeffs, fb.coeffs, n), n)
+    assert fa * s == s * fa == FormalSeries(_schoolbook(fa.coeffs, [s]), order_a)
+    inner = FormalSeries([0, *fb.coeffs[1:]], order_b)
+    acc = []
+    for c in reversed(fa.coeffs[:n + 1]):
+        acc = _schoolbook(acc, inner.coeffs, n)
+        acc = [gr(c) + (acc[0] if acc else 0), *acc[1:]]
+    assert fa.compose(inner) == FormalSeries(acc, n)
+
+
+def test_products_make_no_scalar_multiplications(monkeypatch):
+    """Polynomial and series products run in Gaussian integers, never through
+    GaussianRational.__mul__."""
+    calls = []
+    scalar_mul = GaussianRational.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return scalar_mul(self, other)
+
+    monkeypatch.setattr(GaussianRational, "__mul__", counted)
+    monkeypatch.setattr(GaussianRational, "__rmul__", counted)
+    p = ExactPoly([GaussianRational(F(1, 2), 3), F(-2, 3), 5, GR_I])
+    s = FormalSeries(p.coeffs, 6)
+    inner = FormalSeries([0, F(1, 3), GaussianRational(2, -1)], 6)
+    results = [p * p, p * F(3, 4), 2 * p, p * GR_I, s * s, s * inner, s * GR_I,
+               F(1, 5) * s, s.compose(inner)]
+    assert not calls
+    assert results[0] == ExactPoly(_schoolbook(p.coeffs, p.coeffs))
+    assert GR_I * GR_I == -1 and calls  # the counter does count

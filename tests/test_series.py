@@ -24,6 +24,9 @@ def test_constant_and_identity():
     assert (one * t).coeffs == t.coeffs
     assert t.valuation() == 1
     assert one.valuation() == 0
+    # outside 0..order a coefficient is 0, below as well as above
+    assert FormalSeries([1, 2, 3], 2).coeff(-1) == 0
+    assert FormalSeries([1, 2, 3], 2).coeff(3) == 0
 
 
 def test_truncation_to_smaller_order():
