@@ -202,6 +202,7 @@ class GaussianRational:
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
+I_POWERS = (GR_ONE, GR_I, GaussianRational(-1), GaussianRational(0, -1))  # i^(k % 4)
 
 
 def gr(value) -> GaussianRational:
@@ -324,12 +325,17 @@ class ExactPoly:
         return hash(self.coeffs)
 
     def __call__(self, x):
-        """Horner evaluation: exact for exact x, complex otherwise."""
+        """Horner evaluation: exact for exact x, complex otherwise.  Exact x
+        runs on Gaussian integers, over one q with the coefficients (x = X/q,
+        c_k = C_k/q): p(x) = sum_k C_k X^k q^(n-k) / q^(n+1)."""
         if isinstance(x, (int, Fraction, GaussianRational)):
-            acc = GR_ZERO
-            for c in reversed(self.coeffs):
-                acc = acc * gr(x) + c
-            return acc
+            [(x_re, x_im), *pairs], q = _gaussian((x, *self.coeffs))
+            acc_re, acc_im, power = 0, 0, 1
+            for c_re, c_im in reversed(pairs):
+                acc_re, acc_im = (acc_re * x_re - acc_im * x_im + power * c_re,
+                                  acc_re * x_im + acc_im * x_re + power * c_im)
+                power *= q
+            return _rational(acc_re, acc_im, power)
         xc = complex(x)
         acc_c = 0j
         for c in reversed(self.coeffs):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import GR_I, GR_ONE, ExactPoly, GaussianRational, gr
+from .exact import GR_I, GR_ONE, I_POWERS, ExactPoly, GaussianRational, gr
 from .polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
                           jacobi_coeffs_exact, _rising)
 from .reports import VerificationReport, exact_report
@@ -96,7 +96,6 @@ def genfun_chahn_check(which: int, alpha, beta, gamma, delta, z,
     s_total = al + be + ga + de
     a_iz = al + GR_I * zv
     b_iz = be - GR_I * zv
-    minus_i = -GR_I
     params = HahnParams(al, de, ga, be)
     p_values = [chahn_coeffs_exact(n, params)(zv) for n in range(order + 1)]
     half = GaussianRational(Fraction(1, 2))
@@ -110,13 +109,14 @@ def genfun_chahn_check(which: int, alpha, beta, gamma, delta, z,
             [ga + al, al + be], order)
         lhs = one_minus_t_power(GR_ONE - s_total, order) * hyper.compose(inner)
         s1 = _rising(s_total - 1, order)
-        rhs_coeffs = [s1[n] / (ab[n] * ag[n]) * (minus_i ** n) * p_values[n]
+        # (-i)^n = i^(-n)
+        rhs_coeffs = [s1[n] / (ab[n] * ag[n]) * I_POWERS[-n % 4] * p_values[n]
                       for n in range(order + 1)]
         return _series_report(name, lhs, FormalSeries(rhs_coeffs, order),
                               GENFUN_EXPONENT_NOTE)
 
     db = _rising(de + be, order)
-    lhs_coeffs = [(minus_i ** n) * p_values[n] / (ag[n] * db[n] * ab[n])
+    lhs_coeffs = [I_POWERS[-n % 4] * p_values[n] / (ag[n] * db[n] * ab[n])
                   for n in range(order + 1)]
     # the double sum is a product of series in t: A_p = (-1)^p (alpha+iz)_p /
     # (p! (gamma+alpha)_p) and B_k = (beta-iz)_k / (k! (delta+beta)_k), with

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, StructureError
-from .exact import GR_I, GR_ONE, ExactPoly, GaussianRational, gr
+from .exact import GR_I, GR_ONE, I_POWERS, ExactPoly, GaussianRational, gr
 from .polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
                           jacobi_coeffs_exact, _exact_terms, _rising)
 from .reports import VerificationReport, exact_report
@@ -116,7 +116,7 @@ def hahn_operator_identity_check(n: int, alpha, beta, gamma, delta) -> Verificat
     lhs = apply_operator_polynomial(
         op_poly, -GR_I * GaussianRational(Fraction(1, 2)),
         weight_function(alpha, beta))
-    rhs_poly = (GR_I ** n) * _rising(alpha + beta, n)[n] \
+    rhs_poly = I_POWERS[n % 4] * _rising(alpha + beta, n)[n] \
         * jacobi_coeffs_exact(n, JacobiParams(gamma, delta))
     residual = lhs.poly - rhs_poly
     detail = SIGN_NOTE

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import add
 
 from .errors import DomainError
 from .numerics import gamma_product, hahn_weight_log, pochhammer
@@ -118,7 +119,11 @@ def chahn_gram(N: int, alpha, beta, a, b,
     analytic in the strip |Im z| < d = min Re(alpha, beta, a, b), so the
     rule starts from a step set by d and halves it until no entry moves
     by more than max(abs_tol, rel_tol sqrt|G_nn G_mm|).  Each node costs
-    one weight and N polynomial values, shared by all entries.
+    one weight and N polynomial values, shared by all entries.  The rule
+    takes the even part on z >= 0: with real parameters w(-z) = conj w(z)
+    and p_n(-z) = (-1)^n conj p_n(z), so one node serves z and -z.  The
+    cut-off Z is relative to the norms: the tail of entry (n, m) stays
+    below abs_tol 10^-margin max(1, sqrt|h_n h_m|), far below its tolerance.
     """
     if not 1 <= N <= GRAM_SIZE_CAP:
         raise DomainError(f"Gram size must be in 1..{GRAM_SIZE_CAP}")
@@ -130,6 +135,7 @@ def chahn_gram(N: int, alpha, beta, a, b,
     polys = [chahn_coeffs_complex(n, params) for n in range(N)]
     # entries (n, m), m >= n, in row order; parity zeros are left out
     stride = 2 if al == be == av == bv else 1
+    real = not (al.imag or be.imag or av.imag or bv.imag)
     entries = [(n, m) for n in range(N) for m in range(n, N, stride)]
     diagonal_index = [entries.index((n, n)) for n in range(N)]
     two_pi = 2.0 * math.pi
@@ -149,23 +155,33 @@ def chahn_gram(N: int, alpha, beta, a, b,
             moment *= x
         return out
 
+    # real parameters: entry (n, m) of node(-z) is (-1)^(n+m) conj node(z)
+    odd = [(n + m) % 2 for n, m in entries] + [0] * (2 * N - 1)
+
+    def even_part(z: float) -> list:
+        if not real:
+            return list(map(add, node(z), node(-z)))
+        return [v - v.conjugate() if o else v + v.conjugate()
+                for v, o in zip(node(z), odd)]
+
     def tolerances(values: list) -> list:
         diag = [abs(values[i]) for i in diagonal_index]
         return [max(config.abs_tol, config.rel_tol * math.sqrt(diag[n] * diag[m]))
                 for n, m in entries] + [math.inf] * (2 * N - 1)
 
-    # one cut-off for the whole matrix, from the largest diagonal envelope;
-    # |p_n(z)| <= sum_k |c_k| |z|^k, the Horner magnitude
+    # one cut-off for the whole matrix, from the largest diagonal envelope over
+    # max(|h_n|, 1); |p_n(z)| <= sum_k |c_k| |z|^k, the Horner magnitude
     mags = [[abs(u) for u in cs] for cs in polys]
 
     def envelope(z: float) -> float:
         g = hahn_weight_log(z, al, be, av, bv).real
         x = abs(z)
-        return math.exp(g) * max(horner(mag, x).real for mag in mags) ** 2 / two_pi
+        return math.exp(g) * max(horner(mag, x).real ** 2 / max(abs(h), 1.0)
+                                 for mag, h in zip(mags, expected)) / two_pi
 
     radius = truncation_radius(envelope, config)
     strip = min(al.real, be.real, av.real, bv.real)
-    res = integrate_line_trapezoid(node, radius, min(strip, 0.5), tolerances, config)
+    res = integrate_line_trapezoid(even_part, radius, min(strip, 0.5), tolerances, config)
 
     matrix = [[0j] * N for _ in range(N)]
     for (n, m), value in zip(entries, res.values):

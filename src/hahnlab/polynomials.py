@@ -49,7 +49,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import DomainError, ExactInputError, PoleError
-from .exact import GR_I, GR_ONE, ExactPoly, GaussianRational, _gaussian, _rational, gr
+from .exact import GR_ONE, I_POWERS, ExactPoly, GaussianRational, _gaussian, _rational, gr
 from .reports import VerificationReport, exact_report
 
 # coefficient growth is unbounded; cap keeps exact runs tractable
@@ -123,7 +123,7 @@ class _Field(NamedTuple):
     of: object  # conversion of a parameter
     one: object
     half: object
-    i: object
+    i_powers: tuple  # i^0 .. i^3
     poch: object  # (values, n) -> prod (v)_n / n!
 
 
@@ -204,10 +204,10 @@ def _rising(a, count: int) -> list:
     return _exact_terms((a, 1), (), count)
 
 
-_EXACT = _Field(gr, GR_ONE, GaussianRational(Fraction(1, 2)), GR_I,
+_EXACT = _Field(gr, GR_ONE, GaussianRational(Fraction(1, 2)), I_POWERS,
                 lambda values, n: _rational(*_gaussian_terms(values, (), n)[n]))
 # one factor at a time, so floats never overflow n!
-_FLOAT = _Field(_to_complex, 1.0, 0.5, 1j,
+_FLOAT = _Field(_to_complex, 1.0, 0.5, tuple(1j ** k for k in range(4)),
                 lambda values, n: _hypergeometric_terms(values, (), n)[n])
 
 
@@ -225,8 +225,8 @@ def _chahn_sum(n: int, params: HahnParams, field: _Field) -> _Sum:
     lower = (a + c, a + d)
     _check_poch(lower[0], n, "a+c")
     _check_poch(lower[1], n, "a+d")
-    return _Sum(n, field.i ** (n % 4) * field.poch(lower, n), (n + a + b + c + d - 1,),
-                lower, a, 1, field.i)
+    return _Sum(n, field.i_powers[n % 4] * field.poch(lower, n), (n + a + b + c + d - 1,),
+                lower, a, 1, field.i_powers[1])
 
 
 def _pasternack_sum(n: int, m, field: _Field) -> _Sum:

@@ -2,14 +2,17 @@
 
 The four-gamma line integrals (Gram matrices, Barnes' lemma) use the
 nested trapezoidal rule: their integrands are analytic in a strip around
-the real line, where the rule converges geometrically in 1/h.  The other
-integrands still use adaptive Gauss-Kronrod.
+the real line, where the rule converges geometrically in 1/h.  It takes
+the integrand's even part f(z) + f(-z) on z >= 0, so a caller with a
+reflection symmetry evaluates each node pair once.  The other integrands
+still use adaptive Gauss-Kronrod.
 
 Unbounded integrals are truncated to [-Z, Z] with Z chosen from a caller
 supplied envelope: an upper bound on |f| that is valid (and decaying)
 outside a core interval.  Z is the smallest scanned radius at which both
 the envelope value and a one-sided tail estimate fall below
-abs_tol * 10**(-truncation_margin).
+abs_tol * 10**(-truncation_margin); the Gram matrix divides its envelope
+by the closed-form norms, which makes its cut-off relative.
 
 Panels are refined by bisecting the panel with the largest |K15 - G7|
 discrepancy; ties break on the leftmost panel and the final sum runs in
@@ -243,7 +246,9 @@ def integrate_line_trapezoid(f: Callable[[float], list], radius: float,
                              ) -> TrapezoidResult:
     """Nested trapezoidal rule for a vector integrand on [-radius, radius].
 
-    f(z) returns one complex value per component.  The step starts at
+    f(z), called at z >= 0 only, returns the even part F(z) + F(-z) of the
+    integrand F, one complex value per component (the centre node weighs
+    f(0) / 2; nodes counts both sides, for the budget).  The step starts at
     `step` and is halved, each halving evaluating only the new odd nodes,
     until every component moves by no more than tolerances(values) between
     two consecutive steps.  More than 15 * config.max_subdivisions nodes
@@ -254,7 +259,7 @@ def integrate_line_trapezoid(f: Callable[[float], list], radius: float,
         raise DomainError("trapezoid radius and step must be positive")
     budget = 15 * config.max_subdivisions
     h = step
-    sums = list(f(0.0))
+    sums = [0.5 * v for v in f(0.0)]
     nodes = 1
     values = None
     while True:
@@ -267,9 +272,7 @@ def integrate_line_trapezoid(f: Callable[[float], list], radius: float,
                 f"trapezoid step {h:.3g} on [-{radius:.3g}, {radius:.3g}] "
                 f"needs {nodes} nodes, over the budget of {budget}")
         for k in new:
-            z = k * h
-            sums = list(map(add, sums, f(z)))
-            sums = list(map(add, sums, f(-z)))
+            sums = list(map(add, sums, f(k * h)))
         previous, values = values, [h * s for s in sums]
         if previous is not None:
             changes = [abs(u - v) for u, v in zip(values, previous)]

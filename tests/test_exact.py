@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hahnlab.errors import ExactInputError
-from hahnlab.exact import GR_I, GR_ONE, ExactPoly, GaussianRational, _product, gr
+from hahnlab.exact import (GR_I, GR_ONE, I_POWERS, ExactPoly, GaussianRational,
+                           _product, gr)
 from hahnlab.series import FormalSeries
 
 F = Fraction
@@ -45,6 +46,11 @@ def test_division_and_pow():
     assert a ** -2 == GR_ONE / (a * a)
     with pytest.raises(ZeroDivisionError):
         GR_ONE / GaussianRational(0, 0)
+
+
+def test_i_powers_lookup():
+    for k in range(-9, 10):
+        assert I_POWERS[k % 4] == (GR_I ** k if k >= 0 else GR_ONE / GR_I ** -k)
 
 
 def test_conjugate_and_str():
@@ -213,3 +219,39 @@ def test_products_make_no_scalar_multiplications(monkeypatch):
     assert not calls
     assert results[0] == ExactPoly(_schoolbook(p.coeffs, p.coeffs))
     assert GR_I * GR_I == -1 and calls  # the counter does count
+
+
+def _horner(coeffs, x):
+    """p(x) one GaussianRational multiply at a time: the evaluation's oracle."""
+    acc = GaussianRational(0)
+    for c in reversed(coeffs):
+        acc = acc * gr(x) + c
+    return acc
+
+
+@given(polys, st.one_of(st.integers(-9, 9), rationals, gaussians))
+@settings(max_examples=80, deadline=None)
+def test_exact_evaluation_matches_horner(p, x):
+    value = p(x)
+    assert type(value) is GaussianRational
+    assert value == _horner(p.coeffs, x)
+
+
+def test_exact_evaluation_makes_no_scalar_multiplications(monkeypatch):
+    """Exact point values run Horner on Gaussian integers, never through
+    GaussianRational.__mul__."""
+    calls = []
+    scalar_mul = GaussianRational.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return scalar_mul(self, other)
+
+    p = ExactPoly([GaussianRational(F(1, 2), 3), F(-2, 3), 5, GR_I])
+    points = [F(3, 7), GaussianRational(F(-1, 2), F(5, 3)), 4, GR_I]
+    expected = [_horner(p.coeffs, x) for x in points]
+    monkeypatch.setattr(GaussianRational, "__mul__", counted)
+    monkeypatch.setattr(GaussianRational, "__rmul__", counted)
+    assert [p(x) for x in points] == expected
+    assert ExactPoly()(F(1, 3)) == 0
+    assert not calls

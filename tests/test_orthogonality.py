@@ -8,8 +8,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from hahnlab import orthogonality
 from hahnlab.errors import DomainError, QuadratureError
 from hahnlab.exact import GaussianRational
+from hahnlab.numerics import hahn_weight_log
 from hahnlab.orthogonality import (GramResult, barnes_check,
                                    bateman_ortho_check, chahn_gram,
                                    chahn_norm_rhs, jacobi_ortho_check,
@@ -295,10 +297,10 @@ def test_gram_csv_and_summary():
     assert isinstance(g, GramResult)
 
 
-def _mp_norms(N, params):
-    """Closed-form squared norms from mpmath at 40 digits; n = 0 takes the
+def _mp_norms(N, params, digits=40):
+    """Closed-form squared norms from mpmath at `digits` digits; n = 0 takes the
     Gamma(s) limit so that alpha + beta + a + b = 1 is allowed."""
-    with mpmath.workdps(40):
+    with mpmath.workdps(digits):
         al, be, av, bv = (mpmath.mpmathify(complex(p)) if isinstance(p, complex)
                           else mpmath.mpf(p.numerator) / p.denominator for p in params)
         s = al + be + av + bv
@@ -360,3 +362,79 @@ def test_gram_narrow_strip_raises_promptly():
     with pytest.raises(QuadratureError):
         chahn_gram(4, F(1, 10000), HALF, HALF, HALF, CFG)
     assert time.perf_counter() - t0 < 5.0
+
+
+CONJ_PAIR = (GaussianRational(HALF, F(1, 4)), GaussianRational(F(3, 4), F(-1, 4)),
+             GaussianRational(HALF, F(-1, 4)), GaussianRational(F(3, 4), F(1, 4)))
+
+
+@pytest.mark.parametrize("params, folded", [
+    ((1, HALF, F(3, 4), F(5, 4)), True),
+    ((0.5, 0.5, 0.5, 0.5), True),
+    (CONJ_PAIR, False),
+], ids=["exact-real", "float-real", "conjugate-pair"])
+def test_gram_folds_the_reflection_for_real_parameters(monkeypatch, params, folded):
+    """Real parameters: the node at -z is the conjugate of the one at z up to
+    the sign (-1)^(n+m), so the weight is never evaluated at z < 0; other
+    parameters still evaluate both."""
+    seen = []
+
+    def recorder(z, *args):
+        seen.append(z)
+        return hahn_weight_log(z, *args)
+
+    monkeypatch.setattr(orthogonality, "hahn_weight_log", recorder)
+    g = chahn_gram(8, *params, CFG)
+    negative = [z for z in seen if z < 0.0]
+    half_grid = int(g.truncation_radius / g.step)
+    assert g.evaluations == 2 * half_grid + 1
+    if folded:
+        assert not negative
+    else:
+        assert len(negative) == half_grid
+
+
+def test_gram_cutoff_is_relative_to_the_norms():
+    """N = 16 norms reach 1e24; an absolute tail target ran the grid out to
+    Z = 30, the norm-relative one stops at Z <= 19 at no loss of accuracy."""
+    params = (F(1), HALF, F(3, 4), F(5, 4))
+    g = chahn_gram(16, *params, CFG)
+    assert g.truncation_radius <= 19.0
+    norms = _mp_norms(16, params)
+    for n in range(16):
+        assert abs(g.matrix[n][n] - norms[n]) <= 1e-13 * abs(norms[n])
+        for m in range(16):
+            if m != n:
+                assert abs(g.matrix[n][m]) <= 1e-13 * math.sqrt(abs(norms[n] * norms[m]))
+
+
+def _norm_scaled_error(g, norms):
+    N = g.size
+    return max(abs(g.matrix[n][m] - (norms[n] if n == m else 0.0))
+               / math.sqrt(abs(norms[n] * norms[m]))
+               for n in range(N) for m in range(N))
+
+
+@pytest.mark.parametrize("N", [1, 8, 12, 16])
+@pytest.mark.parametrize("params", [
+    (HALF,) * 4,
+    (F(1), HALF, F(3, 4), F(5, 4)),
+    CONJ_PAIR,
+    (F(2), F(1, 3), F(3, 2), F(3, 4)),
+], ids=["all-1/2", "1-1/2-3/4-5/4", "conjugate-pair", "2-1/3-3/2-3/4"])
+def test_gram_error_estimate_covers_error_against_mpmath(params, N):
+    """The reported estimate bounds the achieved norm-scaled error, diagonal
+    and off-diagonal, against closed-form norms at 50 digits."""
+    g = chahn_gram(N, *params, CFG)
+    norms = _mp_norms(N, [p.to_complex() if isinstance(p, GaussianRational) else p
+                          for p in params], digits=50)
+    assert g.estimated_error >= _norm_scaled_error(g, norms)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "float parameters: the kappa floor counts Horner rounding but not the "
+    "error of the float coefficients (ROADMAP direction 1)"))
+def test_gram_error_estimate_covers_error_float_parameters():
+    g = chahn_gram(8, 0.5, 0.5, 0.5, 0.5, CFG)
+    norms = _mp_norms(8, (HALF,) * 4, digits=50)
+    assert g.estimated_error >= _norm_scaled_error(g, norms)

@@ -130,6 +130,25 @@ def test_chahn_imaginary_shift_realness():
         assert all(c.is_real() for c in q.coeffs)
 
 
+@pytest.mark.parametrize("alpha, beta, a, b", [
+    (HALF, HALF, HALF, HALF),
+    (F(1), HALF, F(3, 4), F(5, 4)),
+    (F(2), F(1, 3), F(3, 2), F(3, 4)),
+    (F(7, 8), F(3, 8), F(13, 8), F(5, 8)),
+])
+def test_chahn_gram_order_coefficient_parity(alpha, beta, a, b):
+    """For real parameters in the Gram's order (alpha, b, a, beta), c_k of p_n
+    is real for n - k even and purely imaginary for n - k odd, so
+    p_n(-z) = (-1)^n conj p_n(z) at real z: the lemma behind the Gram's
+    reflection fold."""
+    params = HahnParams(alpha, b, a, beta)
+    for n in range(13):
+        coeffs = chahn_coeffs_exact(n, params).coeffs
+        assert len(coeffs) == n + 1
+        for k, c in enumerate(coeffs):
+            assert (c.im if (n - k) % 2 == 0 else c.re) == 0, (n, k, c)
+
+
 def test_chahn_pole_error():
     with pytest.raises(PoleError):
         chahn_eval(3, HahnParams(1, 1, -2, 1), 0.0)

@@ -108,27 +108,41 @@ def _relative(values):
 
 def test_trapezoid_vector_sech_squared_and_moment():
     # components: sech^2 x (integral 2) and x^2 sech^2 x (integral pi^2/6);
-    # both analytic in |Im x| < pi/2
+    # both analytic in |Im x| < pi/2 and even, so the even part is twice
+    # the integrand
     calls = []
 
-    def f(x):
+    def g(x):
         calls.append(x)
         s2 = _sech(x) ** 2
-        return [s2, x * x * s2]
+        return [2.0 * s2, 2.0 * x * x * s2]
 
-    res = integrate_line_trapezoid(f, 40.0, 0.5, _relative, CFG)
+    res = integrate_line_trapezoid(g, 40.0, 0.5, _relative, CFG)
     assert abs(res.values[0] - 2.0) <= 1e-14
     assert abs(res.values[1] - math.pi ** 2 / 6.0) <= 1e-13
-    # nested: every node evaluated exactly once, all on the final grid
-    assert len(calls) == len(set(calls)) == res.nodes == 2 * int(40.0 / res.step) + 1
+    # nested and folded: every node z >= 0 of the final grid evaluated
+    # exactly once, and nodes still counts both sides of the grid
+    assert min(calls) == 0.0
+    assert len(calls) == len(set(calls)) == int(40.0 / res.step) + 1
+    assert res.nodes == 2 * int(40.0 / res.step) + 1
     assert res.changes[0] <= 1e-10 * 2.0
+
+
+def test_trapezoid_even_part_cancels_odd_part():
+    # F(x) = (1 + x) sech^2 x: the odd part cancels in F(x) + F(-x), so
+    # the integral is that of sech^2 x alone
+    def g(x):
+        return [(1.0 + x) * _sech(x) ** 2 + (1.0 - x) * _sech(-x) ** 2]
+
+    res = integrate_line_trapezoid(g, 40.0, 0.5, _relative, CFG)
+    assert abs(res.values[0] - 2.0) <= 1e-14
 
 
 def test_trapezoid_node_budget_raises_before_evaluating():
     cfg = QuadratureConfig(max_subdivisions=10)
     calls = []
     with pytest.raises(QuadratureError):
-        integrate_line_trapezoid(lambda x: calls.append(x) or [1.0], 100.0, 0.5,
+        integrate_line_trapezoid(lambda x: calls.append(x) or [2.0], 100.0, 0.5,
                                  _relative, cfg)
     assert calls == [0.0]  # the centre node only; the 401-node grid never ran
 
@@ -136,5 +150,5 @@ def test_trapezoid_node_budget_raises_before_evaluating():
 def test_trapezoid_unconverged_raises():
     # a kink at 0 converges only algebraically in h
     with pytest.raises(QuadratureError):
-        integrate_line_trapezoid(lambda x: [math.exp(-abs(x))], 40.0, 0.5,
+        integrate_line_trapezoid(lambda x: [2.0 * math.exp(-x)], 40.0, 0.5,
                                  _relative, CFG)
