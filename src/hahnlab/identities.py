@@ -16,7 +16,7 @@ from .errors import DomainError
 from .exact import GR_I, GR_ONE, I_POWERS, ExactPoly, GaussianRational, gr
 from .polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
                           jacobi_coeffs_exact, _rising)
-from .reports import VerificationReport, exact_report
+from .reports import VerificationReport, exact_report, residual_report
 from .series import FormalSeries, hypergeometric_series, one_minus_t_power
 
 GENFUN_EXPONENT_NOTE = (
@@ -166,10 +166,7 @@ def contiguous_check(which: int, n: int, alpha, beta, gamma, delta) -> Verificat
         lhs = (s_total + 2 * n) * (alpha_plus_iz * p_shift)
         rhs = ((al + be + n) * (ga + al + n)) * p_n + (GR_I * (n + 1)) * p_up
         note = ""
-    residual = lhs - rhs
-    detail = note if residual.is_zero() else \
-        ((note + "; " if note else "") + f"residual {residual}")
-    return exact_report(name, residual.max_abs_coefficient(), detail)
+    return residual_report(name, lhs - rhs, note)
 
 
 def jacobi_classical_check(which: str, n: int, gamma, delta) -> VerificationReport:
@@ -196,6 +193,4 @@ def jacobi_classical_check(which: str, n: int, gamma, delta) -> VerificationRepo
             * (ExactPoly([GR_ONE, -GR_ONE]) * jacobi_coeffs_exact(n, JacobiParams(g + 1, d)))
     else:
         raise DomainError("which must be 'derivative' or 'eq454'")
-    residual = lhs - rhs
-    detail = "" if residual.is_zero() else f"residual {residual}"
-    return exact_report(name, residual.max_abs_coefficient(), detail)
+    return residual_report(name, lhs - rhs)

@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, StructureError
+from .errors import DomainError, HahnlabError, StructureError
 from .exact import GR_I, GR_ONE, I_POWERS, ExactPoly, GaussianRational, gr
 from .polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
                           jacobi_coeffs_exact, _exact_terms, _rising)
-from .reports import VerificationReport, exact_report
+from .reports import VerificationReport, residual_report
 
 SIGN_NOTE = ("log-derivative factor used as (beta-alpha)-(alpha+beta)t; "
              "the variant (alpha+beta+(alpha-beta)t) is inconsistent with "
@@ -80,8 +80,7 @@ def shifted_operator_identity_check(alpha, beta, r: int) -> VerificationReport:
     expected = _rising(alpha + beta, r)[r] \
         * GaussianRational(Fraction(1, 2 ** r)) \
         * ExactPoly(_exact_terms((-r,), (), r))
-    residual = f.poly - expected
-    return exact_report(name, residual.max_abs_coefficient(), SIGN_NOTE)
+    return residual_report(name, f.poly - expected, SIGN_NOTE)
 
 
 def apply_operator_polynomial(op_poly: ExactPoly, scale: GaussianRational,
@@ -118,12 +117,11 @@ def hahn_operator_identity_check(n: int, alpha, beta, gamma, delta) -> Verificat
         weight_function(alpha, beta))
     rhs_poly = I_POWERS[n % 4] * _rising(alpha + beta, n)[n] \
         * jacobi_coeffs_exact(n, JacobiParams(gamma, delta))
-    residual = lhs.poly - rhs_poly
     detail = SIGN_NOTE
     if gamma == 0 and delta == 0 and alpha == beta:
         m = 2 * alpha - 1
         detail += f"; sech-power specialization m={m}" + (" (Bateman)" if m == 0 else "")
-    return exact_report(name, residual.max_abs_coefficient(), detail)
+    return residual_report(name, lhs.poly - rhs_poly, detail)
 
 
 def derive_recurrence(n: int, params: HahnParams):
@@ -150,3 +148,18 @@ def derive_recurrence(n: int, params: HahnParams):
         raise StructureError(
             f"x p_{n} expansion has nonzero coefficients below n-1: {bad}")
     return coeffs[n + 1], coeffs[n], coeffs[n - 1]
+
+
+def recurrence_check(label: str, params: HahnParams, n: int) -> VerificationReport:
+    """A_n of derive_recurrence against the leading-coefficient ratio
+    lc(p_n) / lc(p_{n+1}), exactly; a failed derivation is a failed check."""
+    name = f"recurrence[{label}, n={n}]"
+    try:
+        a_n, _, _ = derive_recurrence(n, params)
+        lc_ratio = chahn_coeffs_exact(n, params).leading_coefficient \
+            / chahn_coeffs_exact(n + 1, params).leading_coefficient
+    except HahnlabError as exc:
+        return VerificationReport(name, "fail", float("inf"), float("inf"), str(exc))
+    ok = a_n == lc_ratio
+    return VerificationReport(name, "pass" if ok else "fail",
+                              0.0 if ok else float("nan"), 0.0, f"A_n={a_n}")

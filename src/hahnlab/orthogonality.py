@@ -24,7 +24,7 @@ from .polynomials import (HahnParams, JacobiParams, _to_complex,
 from .quadrature import (_EPS, DEFAULT_CONFIG, QuadratureConfig, integrate_line,
                          integrate_line_trapezoid, truncation_radius)
 from .reports import QuadDiagnostics, VerificationReport, toleranced_report
-from .transforms import tanh_weight_logs
+from .transforms import _tanh_product_integral
 
 GRAM_SIZE_CAP = 16  # keeps the weight's dynamic range inside double precision
 
@@ -175,6 +175,8 @@ def chahn_gram(N: int, alpha, beta, a, b,
 
     def envelope(z: float) -> float:
         g = hahn_weight_log(z, al, be, av, bv).real
+        if not real:  # then |w(-z)| != |w(z)|; bound both tails
+            g = max(g, hahn_weight_log(-z, al, be, av, bv).real)
         x = abs(z)
         return math.exp(g) * max(horner(mag, x).real ** 2 / max(abs(h), 1.0)
                                  for mag, h in zip(mags, expected)) / two_pi
@@ -215,6 +217,23 @@ def chahn_gram(N: int, alpha, beta, a, b,
                       res.nodes, res.step, radius, estimate)
 
 
+_GRAM_OFFDIAG_TOL = 1e-10
+
+
+def gram_check(name: str, alpha, beta, a, b, N: int,
+               config: QuadratureConfig = DEFAULT_CONFIG,
+               tol: float = 1e-8) -> VerificationReport:
+    """The N x N Gram matrix: diagonal within tol of the closed-form norms,
+    off-diagonal within 1e-10 after scaling by sqrt|h_n h_m|."""
+    g = chahn_gram(N, alpha, beta, a, b, config=config)
+    ok = g.max_diag_rel_err <= tol and g.max_offdiag_scaled <= _GRAM_OFFDIAG_TOL
+    return VerificationReport(
+        name, "pass" if ok else "fail", g.max_offdiag_scaled, g.max_diag_rel_err,
+        f"N={N}; diag tol {tol:g}, norm-scaled offdiag tol {_GRAM_OFFDIAG_TOL:g}; "
+        f"trapezoid step {g.step:g}, truncation radius {g.truncation_radius:g}",
+        g.diagnostics())
+
+
 def barnes_check(alpha, beta, a, b, config: QuadratureConfig = DEFAULT_CONFIG,
                  tol: float = 1e-9) -> VerificationReport:
     """(1/2pi) int Gamma(alpha+iz) Gamma(beta-iz) Gamma(a-iz) Gamma(b+iz) dz
@@ -244,7 +263,7 @@ def pi_m_over_sin_pi_m(m) -> complex:
     return u / cmath.sin(u)
 
 
-def _sech_family_check(name: str, fn_coeffs, fp_coeffs, weight, weight_env_scale,
+def _sech_family_check(name: str, fn_coeffs, fp_coeffs, weight,
                        expected: complex, config: QuadratureConfig,
                        tol: float, tol_abs: float,
                        details: str = "") -> VerificationReport:
@@ -256,9 +275,12 @@ def _sech_family_check(name: str, fn_coeffs, fp_coeffs, weight, weight_env_scale
         ix = 1j * x
         return horner(fn_coeffs, ix) * horner(fp_coeffs, ix) * weight(x)
 
+    # both weights are at most 4 e^{-pi|x|}: sech^2(pi x / 2) everywhere, and
+    # 1 / (cosh(pi x) + cos(pi m)) since cosh(pi x) + cos(pi m) >= e^{pi|x|}/2 - 1
+    # >= e^{pi|x|}/4 for |x| >= 0.45 (the truncation scan starts at 2)
     def env(x: float) -> float:
         r = max(1.0, abs(x))
-        return bn * bp * r ** (dn + dp) * weight_env_scale(x)
+        return bn * bp * r ** (dn + dp) * (4.0 * math.exp(-math.pi * abs(x)))
 
     res = integrate_line(f, env, config)
     abs_err = abs(res.value - expected)
@@ -281,7 +303,6 @@ def bateman_ortho_check(n: int, m: int, config: QuadratureConfig = DEFAULT_CONFI
         f"bateman-ortho[n={n}, m={m}]",
         pasternack_coeffs_complex(n, 0), pasternack_coeffs_complex(m, 0),
         lambda x: _sech(math.pi * x / 2.0) ** 2,
-        lambda x: 4.0 * math.exp(-math.pi * abs(x)),
         expected, config, tol, tol_abs)
 
 
@@ -313,15 +334,7 @@ def pasternack_ortho_check(n: int, p: int, m,
         f"pasternack-ortho[n={n}, p={p}, m={m}]",
         pasternack_coeffs_complex(n, mc), pasternack_coeffs_complex(p, mc),
         lambda x: 1.0 / (cos_pim + math.cosh(math.pi * x)),
-        _reciprocal_cosh_env(cos_pim),
         expected, config, tol, tol_abs, details)
-
-
-def _reciprocal_cosh_env(cos_pim: complex):
-    # cosh(pi x) + cos(pi m) >= e^{pi|x|}/2 - 1 >= e^{pi|x|}/4 for |x| >= 0.45
-    def env(x: float) -> float:
-        return 4.0 * math.exp(-math.pi * abs(x))
-    return env
 
 
 def _pasternack_vs_hahn_norm_ratio(n: int, mc: complex, expected: complex) -> float:
@@ -354,7 +367,6 @@ def pasternack_biortho_check(n: int, p: int, m,
         f"pasternack-biortho[n={n}, p={p}, m={m}]",
         pasternack_coeffs_complex(n, mc), pasternack_coeffs_complex(p, -mc),
         lambda x: 1.0 / (cos_pim + math.cosh(math.pi * x)),
-        _reciprocal_cosh_env(cos_pim),
         expected, config, tol, tol_abs, BIORTHO_NOTE)
 
 
@@ -373,20 +385,7 @@ def jacobi_ortho_check(n: int, m: int, alpha, beta,
     name = f"jacobi-ortho[n={n}, m={m}, alpha={alpha}, beta={beta}]"
     pn = jacobi_coeffs_complex(n, JacobiParams(al, be))
     pm = jacobi_coeffs_complex(m, JacobiParams(al, be))
-    bound = sum(abs(u) for u in pn) * sum(abs(u) for u in pm)
-    wa, wb = al + 1, be + 1
-
-    def f(u: float) -> complex:
-        l1, l2 = tanh_weight_logs(u)
-        t = math.tanh(u)
-        return cmath.exp(wa * l1 + wb * l2) * horner(pn, t) * horner(pm, t)
-
-    def env(u: float) -> float:
-        l1, l2 = tanh_weight_logs(abs(u))
-        return bound * max(math.exp(wa.real * l1 + wb.real * l2),
-                           math.exp(wa.real * l2 + wb.real * l1))
-
-    res = integrate_line(f, env, config)
+    res = _tanh_product_integral(pn, pm, al + 1, be + 1, config)
     if n == m:
         expected = cmath.exp((al + be + 1) * math.log(2.0)) \
             * gamma_product([n + al + 1, n + be + 1], [n + al + be + 1]) \

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, ExactInputError, PoleError
 from .exact import GR_ONE, I_POWERS, ExactPoly, GaussianRational, _gaussian, _rational, gr
-from .reports import VerificationReport, exact_report
+from .reports import VerificationReport, residual_report
 
 # coefficient growth is unbounded; cap keeps exact runs tractable
 EXACT_DEGREE_CAP = 64
@@ -441,6 +441,4 @@ def pasternack_reflection_check(n: int, m) -> VerificationReport:
     mg = gr(m)
     lhs = _rising(GR_ONE + mg, n)[n] * pasternack_coeffs_exact(n, mg)
     rhs = _rising(GR_ONE - mg, n)[n] * pasternack_coeffs_exact(n, -mg)
-    residual = lhs - rhs
-    detail = "" if residual.is_zero() else f"residual {residual}"
-    return exact_report(name, residual.max_abs_coefficient(), detail)
+    return residual_report(name, lhs - rhs)

@@ -55,6 +55,15 @@ def exact_report(name: str, residual_abs: float, details: str = "") -> Verificat
                               float("inf") if residual_abs else 0.0, details)
 
 
+def residual_report(name: str, residual, note: str = "") -> VerificationReport:
+    """exact_report of an exact polynomial residual lhs - rhs; the details
+    are the note, followed by the residual itself when it is nonzero."""
+    detail = note
+    if not residual.is_zero():
+        detail = (note + "; " if note else "") + f"residual {residual}"
+    return exact_report(name, residual.max_abs_coefficient(), detail)
+
+
 def toleranced_report(name: str, abs_err: float, rel_err: float,
                       tol_rel: float, tol_abs: float, details: str = "",
                       diagnostics: QuadDiagnostics | None = None) -> VerificationReport:

@@ -50,6 +50,21 @@ def _weighted_jacobi_envelope(coeff_bound: float, re_alpha: float, re_beta: floa
     return env
 
 
+def _tanh_product_integral(pn, pm, wa: complex, wb: complex,
+                           config: QuadratureConfig) -> IntegralResult:
+    """int (1 - tanh x)^wa (1 + tanh x)^wb pn(tanh x) pm(tanh x) dx over the
+    line, for coefficient lists pn and pm: the beta-type integral over
+    [-1, 1] in the variable t = tanh x."""
+    bound = sum(abs(u) for u in pn) * sum(abs(u) for u in pm)
+
+    def f(x: float) -> complex:
+        l1, l2 = tanh_weight_logs(x)
+        t = math.tanh(x)
+        return cmath.exp(wa * l1 + wb * l2) * horner(pn, t) * horner(pm, t)
+
+    return integrate_line(f, _weighted_jacobi_envelope(bound, wa.real, wb.real), config)
+
+
 def _require_positive_re(**named):
     for name, value in named.items():
         if _to_complex(value).real <= 0.0:
@@ -152,16 +167,7 @@ def parseval_check(n: int, m: int, alpha, beta, a, b, gamma, delta, c, d,
     # left: 2 pi * integral of the tanh-substituted beta-type integrand
     pn = jacobi_coeffs_complex(n, JacobiParams(ga, de))
     pm = jacobi_coeffs_complex(m, JacobiParams(cv, dv))
-    wa, wb = al + av, be + bv
-    bound = sum(abs(u) for u in pn) * sum(abs(u) for u in pm)
-
-    def f_left(x: float) -> complex:
-        l1, l2 = tanh_weight_logs(x)
-        t = math.tanh(x)
-        return cmath.exp(wa * l1 + wb * l2) * horner(pn, t) * horner(pm, t)
-
-    left = integrate_line(f_left, _weighted_jacobi_envelope(bound, wa.real, wb.real),
-                          config)
+    left = _tanh_product_integral(pn, pm, al + av, be + bv, config)
     lhs_value = 2.0 * math.pi * left.value
 
     # right: gamma-weighted line integral over the transforms

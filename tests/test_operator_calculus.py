@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hahnlab.errors import DomainError
+from hahnlab import operator_calculus
+from hahnlab.errors import DomainError, StructureError
 from hahnlab.exact import ExactPoly, GaussianRational, gr
-from hahnlab.operator_calculus import (WeightedTanhFunction, d_dx,
+from hahnlab.operator_calculus import (SIGN_NOTE, WeightedTanhFunction, d_dx,
                                        derive_recurrence,
                                        hahn_operator_identity_check,
+                                       recurrence_check,
                                        shifted_operator_identity_check,
                                        weight_function)
 from hahnlab.polynomials import HahnParams, chahn_coeffs_exact
@@ -111,6 +113,43 @@ def test_hahn_operator_parameter_grid():
 def test_hahn_operator_requires_positive_weight():
     with pytest.raises(DomainError):
         hahn_operator_identity_check(1, F(-1, 2), HALF, 0, 0)
+
+
+def _quoted_d_dx(f):
+    """d/dx with the quoted log-derivative factor alpha + beta + (alpha - beta) t."""
+    a, b = gr(f.alpha), gr(f.beta)
+    poly = ExactPoly([a + b, a - b]) * f.poly + ExactPoly([1, 0, -1]) * f.poly.derivative()
+    return WeightedTanhFunction(f.alpha, f.beta, poly)
+
+
+@pytest.mark.parametrize("check, args", [
+    (hahn_operator_identity_check, (2, F(3, 4), F(5, 4), F(1, 3), F(2, 5))),
+    (shifted_operator_identity_check, (F(3, 4), F(5, 4), 2)),
+], ids=["hahn-operator", "shifted-operator"])
+def test_failing_operator_residual_is_in_the_details(monkeypatch, check, args):
+    monkeypatch.setattr(operator_calculus, "d_dx", _quoted_d_dx)
+    report = check(*args)
+    assert report.status == "fail" and report.max_abs_err > 0.0
+    assert report.details.startswith(SIGN_NOTE + "; residual ")
+    assert len(report.details) > len(SIGN_NOTE + "; residual ")
+
+
+def test_recurrence_check_passes_and_names_the_case():
+    report = recurrence_check("all 1/2", HahnParams(HALF, HALF, HALF, HALF), 1)
+    assert report.passed
+    assert report.name == "recurrence[all 1/2, n=1]"
+    assert report.details == "A_n=1/3"
+
+
+def test_recurrence_check_reports_a_failed_derivation(monkeypatch):
+    def broken(n, params):
+        raise StructureError("x p_1 expansion has nonzero coefficients below n-1")
+
+    monkeypatch.setattr(operator_calculus, "derive_recurrence", broken)
+    report = recurrence_check("all 1/2", HahnParams(HALF, HALF, HALF, HALF), 1)
+    assert report.status == "fail"
+    assert report.max_abs_err == report.max_rel_err == float("inf")
+    assert "nonzero coefficients" in report.details
 
 
 def test_recurrence_symmetric_halves():

@@ -1,6 +1,7 @@
 """Orthogonality relations: Gram matrices, Barnes' lemma, sech-weight
 families, classical Jacobi."""
 
+import cmath
 import math
 import time
 from fractions import Fraction
@@ -17,7 +18,8 @@ from hahnlab.orthogonality import (GramResult, barnes_check,
                                    chahn_norm_rhs, jacobi_ortho_check,
                                    pasternack_biortho_check,
                                    pasternack_ortho_check, pi_m_over_sin_pi_m)
-from hahnlab.quadrature import QuadratureConfig
+from hahnlab.polynomials import HahnParams, chahn_coeffs_complex, horner
+from hahnlab.quadrature import QuadratureConfig, truncation_radius
 
 F = Fraction
 HALF = F(1, 2)
@@ -376,22 +378,61 @@ CONJ_PAIR = (GaussianRational(HALF, F(1, 4)), GaussianRational(F(3, 4), F(-1, 4)
 def test_gram_folds_the_reflection_for_real_parameters(monkeypatch, params, folded):
     """Real parameters: the node at -z is the conjugate of the one at z up to
     the sign (-1)^(n+m), so the weight is never evaluated at z < 0; other
-    parameters still evaluate both."""
-    seen = []
+    parameters still evaluate both grid sides (and both envelope sides)."""
+    seen, scan = [], []
 
     def recorder(z, *args):
         seen.append(z)
         return hahn_weight_log(z, *args)
 
+    def radius(*args, **kwargs):
+        z = truncation_radius(*args, **kwargs)
+        scan.extend(seen)  # the envelope's calls; the grid's come after
+        seen.clear()
+        return z
+
     monkeypatch.setattr(orthogonality, "hahn_weight_log", recorder)
+    monkeypatch.setattr(orthogonality, "truncation_radius", radius)
     g = chahn_gram(8, *params, CFG)
     negative = [z for z in seen if z < 0.0]
     half_grid = int(g.truncation_radius / g.step)
     assert g.evaluations == 2 * half_grid + 1
     if folded:
-        assert not negative
+        assert not negative and min(scan) > 0.0
     else:
         assert len(negative) == half_grid
+
+
+@pytest.mark.parametrize("N", [1, 8, 16])
+@pytest.mark.parametrize("params", [
+    (F(1), HALF, F(3, 4), F(5, 4)),
+    CONJ_PAIR,
+], ids=["1-1/2-3/4-5/4", "conjugate-pair"])
+def test_gram_envelope_bounds_both_tails(monkeypatch, params, N):
+    """At and beyond the returned cut-off the envelope bounds the norm-scaled
+    integrand |w(z)| |p_n(z)|^2 / (2 pi max(|h_n|, 1)) at +z and at -z; for
+    the conjugate pair |w(-z)| is about e^pi |w(z)|."""
+    captured = []
+
+    def radius(envelope, *args, **kwargs):
+        z = truncation_radius(envelope, *args, **kwargs)
+        captured.append((envelope, z))
+        return z
+
+    monkeypatch.setattr(orthogonality, "truncation_radius", radius)
+    chahn_gram(N, *params, CFG)
+    (envelope, radius_z), = captured
+    al, be, a, b = (p.to_complex() if isinstance(p, GaussianRational) else complex(p)
+                    for p in params)
+    polys = [chahn_coeffs_complex(n, HahnParams(params[0], params[3], params[2], params[1]))
+             for n in range(N)]
+    scales = [2.0 * math.pi * max(abs(chahn_norm_rhs(n, al, be, a, b)), 1.0)
+              for n in range(N)]
+    for z in (radius_z, radius_z + 0.5, radius_z + 2.0):
+        for x in (z, -z):
+            w = abs(cmath.exp(hahn_weight_log(x, al, be, a, b)))
+            worst = max(w * abs(horner(cs, x)) ** 2 / s for cs, s in zip(polys, scales))
+            assert envelope(z) >= worst
 
 
 def test_gram_cutoff_is_relative_to_the_norms():

@@ -1,0 +1,76 @@
+"""The suite table: names, order, and which rows take config and tol."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from hahnlab import suites
+from hahnlab.quadrature import QuadratureConfig
+from hahnlab.suites import SUITES, run_suites
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+QUADRATURE_SUITES = ("barnes", "bateman", "pasternack", "biortho", "jacobi-ortho",
+                     "chahn-gram", "fourier", "mellin", "parseval")
+EXACT_SUITES = ("contiguous", "genfun-jacobi", "genfun-chahn", "jacobi-classical",
+                "operator", "shifted-operator", "recurrence", "reflection")
+
+
+def _dicts(reports):
+    return [r.to_dict() for r in reports]
+
+
+def test_all_check_names_in_report_order():
+    expected = (BENCH / "verify_all_checks.txt").read_text(encoding="utf-8").split("\n")
+    reports = run_suites("all")
+    assert [r.name for r in reports] == [line for line in expected if line]
+    assert all(r.passed for r in reports)
+
+
+def test_suite_keys_match_the_benchmark_span_names():
+    """The benchmark reads one suite.<name> span per entry of its own list;
+    a renamed or added suite would read 0 there without failing."""
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    names = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "SUITE_NAMES" for t in node.targets))
+    assert tuple(SUITES) == names
+    assert set(SUITES) == set(QUADRATURE_SUITES) | set(EXACT_SUITES)
+
+
+@pytest.mark.parametrize("name", QUADRATURE_SUITES)
+def test_quadrature_suites_receive_the_config(name):
+    """One subdivision is too few for every quadrature row; the suite must
+    stop with a structured error, not run on the default config."""
+    reports = run_suites(name, config=QuadratureConfig(max_subdivisions=1))
+    assert [(r.name, r.status) for r in reports] == [(f"suite:{name}", "error")]
+
+
+@pytest.mark.parametrize("name", EXACT_SUITES)
+def test_exact_suites_ignore_config_and_tolerance(name):
+    default = _dicts(SUITES[name](suites.DEFAULT_CONFIG, None))
+    assert default and all(d["status"] == "pass" for d in default)
+    assert _dicts(SUITES[name](QuadratureConfig(max_subdivisions=1), None)) == default
+    assert _dicts(SUITES[name](suites.DEFAULT_CONFIG, 1e-30)) == default
+
+
+def test_rows_call_the_check_bound_in_the_module(monkeypatch):
+    calls = []
+
+    def double(*args, **kwargs):
+        calls.append((args, kwargs))
+        return "report"
+
+    monkeypatch.setattr(suites, "pasternack_reflection_check", double)
+    monkeypatch.setattr(suites, "barnes_check", double)
+    assert SUITES["reflection"](suites.DEFAULT_CONFIG, None) == ["report"] * 48
+    assert all(kwargs == {} for _, kwargs in calls)
+    calls.clear()
+    config = QuadratureConfig(rel_tol=1e-9)
+    assert SUITES["barnes"](config, None) == ["report"] * 4
+    # no tolerance given: the check keeps its own default
+    assert all(kwargs == {"config": config} for _, kwargs in calls)
+    calls.clear()
+    SUITES["barnes"](config, 1e-6)
+    assert all(kwargs == {"config": config, "tol": 1e-6} for _, kwargs in calls)
