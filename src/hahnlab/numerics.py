@@ -154,13 +154,23 @@ def gamma_product(factors, inverse_factors=()) -> complex:
 
 def hahn_weight_log(z: float, alpha: complex, beta_: complex,
                     a: complex, b: complex) -> complex:
-    """log of Gamma(alpha+iz) Gamma(beta-iz) Gamma(a-iz) Gamma(b+iz)."""
-    for name, p in (("alpha", alpha), ("beta", beta_), ("a", a), ("b", b)):
-        if complex(p).real <= 0.0:
+    """log of Gamma(alpha+iz) Gamma(beta-iz) Gamma(a-iz) Gamma(b+iz), real z.
+
+    For real z, log Gamma(p - iz) = conj log Gamma(conj p + iz), so the
+    four shifts share their log-gammas where they coincide in that form:
+    all 1/2 takes one call, a conjugate pair (a = conj alpha, b = conj
+    beta) two.  The terms are summed in the order above either way.
+    """
+    params = [complex(p) for p in (alpha, beta_, a, b)]
+    for name, p in zip(("alpha", "beta", "a", "b"), params):
+        if p.real <= 0.0:
             raise DomainError(f"hahn weight requires Re({name}) > 0")
-    iz = 1j * z
-    return (log_gamma_complex(alpha + iz) + log_gamma_complex(beta_ - iz)
-            + log_gamma_complex(a - iz) + log_gamma_complex(b + iz))
+    al, be, av, bv = params
+    iz = 1j * float(z)  # the conjugate identity needs real z
+    shifts = (al, be.conjugate(), av.conjugate(), bv)
+    logs = {p: log_gamma_complex(p + iz) for p in set(shifts)}
+    ga, gb, gc, gd = (logs[p] for p in shifts)
+    return ga + gb.conjugate() + gc.conjugate() + gd
 
 
 def hahn_weight(z: float, alpha: complex, beta_: complex,

@@ -14,7 +14,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from operator import add
+from itertools import repeat
+from operator import add, mul
 
 from .errors import DomainError
 from .numerics import gamma_product, hahn_weight_log, pochhammer
@@ -42,8 +43,9 @@ class GramResult:
     raw entries span many orders of magnitude.
 
     What the matrix cost: evaluations is the number of trapezoid nodes
-    (each one weight and N polynomial values), step the final h,
-    truncation_radius the cut-off Z of the grid, and estimated_error the
+    (each one weight and N polynomial values, computed a trapezoid level
+    at a time; each entry is one dot product per level), step the final
+    h, truncation_radius the cut-off Z of the grid, and estimated_error the
     largest norm-scaled change of an entry between steps 2h and h, floored
     by the rounding of the polynomial values (a relative error for N = 1).
     """
@@ -119,7 +121,9 @@ def chahn_gram(N: int, alpha, beta, a, b,
     analytic in the strip |Im z| < d = min Re(alpha, beta, a, b), so the
     rule starts from a step set by d and halves it until no entry moves
     by more than max(abs_tol, rel_tol sqrt|G_nn G_mm|).  Each node costs
-    one weight and N polynomial values, shared by all entries.  The rule
+    one weight and N polynomial values, shared by all entries; they come a
+    level of new nodes at a time, as one weight list and N Horner passes
+    over the level, and each entry is one dot product over it.  The rule
     takes the even part on z >= 0: with real parameters w(-z) = conj w(z)
     and p_n(-z) = (-1)^n conj p_n(z), so one node serves z and -z.  The
     cut-off Z is relative to the norms: the tail of entry (n, m) stays
@@ -140,29 +144,36 @@ def chahn_gram(N: int, alpha, beta, a, b,
     diagonal_index = [entries.index((n, n)) for n in range(N)]
     two_pi = 2.0 * math.pi
 
-    def node(z: float) -> list:
-        """The entries' integrands at z, then the moments |w| |z|^q,
-        q < 2N - 1, that bound the rounding of the polynomial values."""
-        w = cmath.exp(hahn_weight_log(z, al, be, av, bv)) / two_pi
-        p = [horner(cs, z) for cs in polys]
+    def side(zs: list) -> list:
+        """The entries' integrands summed over the nodes zs, then the
+        moments |w| |z|^q, q < 2N - 1, that bound the rounding of the
+        polynomial values: one loop over the level per quantity."""
+        w = [cmath.exp(hahn_weight_log(z, al, be, av, bv)) / two_pi for z in zs]
+        p = []
+        for cs in polys:  # Horner over the level, equal to horner(cs, z)
+            acc = [0j] * len(zs)
+            for c in reversed(cs):
+                acc = list(map(add, map(mul, acc, zs), repeat(c)))
+            p.append(acc)
         out = []
         for n in range(N):
-            wp = w * p[n]
-            out.extend([wp * v for v in p[n::stride]])
-        x, moment = abs(z), abs(w)
+            wp = list(map(mul, w, p[n]))
+            out.extend([sum(map(mul, wp, v)) for v in p[n::stride]])
+        moment, x = [abs(u) for u in w], [abs(z) for z in zs]
         for _ in range(2 * N - 1):
-            out.append(moment)
-            moment *= x
+            out.append(sum(moment))
+            moment = list(map(mul, moment, x))
         return out
 
-    # real parameters: entry (n, m) of node(-z) is (-1)^(n+m) conj node(z)
+    # real parameters: entry (n, m) at -z is (-1)^(n+m) conj of that at z;
+    # the fold is linear, so it applies to the level's sum
     odd = [(n + m) % 2 for n, m in entries] + [0] * (2 * N - 1)
 
-    def even_part(z: float) -> list:
+    def even_part(zs: list) -> list:
         if not real:
-            return list(map(add, node(z), node(-z)))
+            return list(map(add, side(zs), side([-z for z in zs])))
         return [v - v.conjugate() if o else v + v.conjugate()
-                for v, o in zip(node(z), odd)]
+                for v, o in zip(side(zs), odd)]
 
     def tolerances(values: list) -> list:
         diag = [abs(values[i]) for i in diagonal_index]

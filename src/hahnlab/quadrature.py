@@ -4,8 +4,10 @@ The four-gamma line integrals (Gram matrices, Barnes' lemma) use the
 nested trapezoidal rule: their integrands are analytic in a strip around
 the real line, where the rule converges geometrically in 1/h.  It takes
 the integrand's even part f(z) + f(-z) on z >= 0, so a caller with a
-reflection symmetry evaluates each node pair once.  The other integrands
-still use adaptive Gauss-Kronrod.
+reflection symmetry evaluates each node pair once, and it hands the
+integrand one whole level of new nodes at a time, so a vector integrand
+runs each of its loops over the level instead of once per node.  The
+other integrands still use adaptive Gauss-Kronrod.
 
 Unbounded integrals are truncated to [-Z, Z] with Z chosen from a caller
 supplied envelope: an upper bound on |f| that is valid (and decaying)
@@ -77,9 +79,13 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @dataclass(frozen=True)
 class IntegralResult:
+    """mass is the integral of |f| (the panels' K15 sums of |f|), the scale
+    against which a value near zero is judged."""
+
     value: complex
     error_estimate: float
     evaluations: int
+    mass: float = 0.0
 
 
 _EPS = 2.220446049250313e-16
@@ -182,10 +188,12 @@ def integrate_interval(f: Callable[[float], complex], a: float, b: float,
     panels.sort(key=lambda p: p[0])
     total = 0j
     total_err = 0.0
+    total_resabs = 0.0
     for p in panels:
         total += p[2]
         total_err += p[3]
-    return IntegralResult(total, total_err, evaluations)
+        total_resabs += p[4]
+    return IntegralResult(total, total_err, evaluations, total_resabs)
 
 
 def truncation_radius(envelope: Callable[[float], float],
@@ -239,27 +247,29 @@ class TrapezoidResult:
     nodes: int
 
 
-def integrate_line_trapezoid(f: Callable[[float], list], radius: float,
+def integrate_line_trapezoid(f: Callable[[list], list], radius: float,
                              step: float,
                              tolerances: Callable[[list], list],
                              config: QuadratureConfig = DEFAULT_CONFIG
                              ) -> TrapezoidResult:
     """Nested trapezoidal rule for a vector integrand on [-radius, radius].
 
-    f(z), called at z >= 0 only, returns the even part F(z) + F(-z) of the
-    integrand F, one complex value per component (the centre node weighs
-    f(0) / 2; nodes counts both sides, for the budget).  The step starts at
-    `step` and is halved, each halving evaluating only the new odd nodes,
-    until every component moves by no more than tolerances(values) between
-    two consecutive steps.  More than 15 * config.max_subdivisions nodes
-    (the Gauss-Kronrod evaluation budget) raise QuadratureError before
-    they are evaluated, so an unconverged result is never returned.
+    f(zs) is called once per level with the level's new nodes, a non-empty
+    list of z >= 0, and returns the sum over them of the even part
+    F(z) + F(-z) of the integrand F, one complex value per component.
+    The first call is f([0.0]), the centre node, which weighs half; nodes
+    counts both sides, for the budget.  The step starts at `step` and is
+    halved, each halving evaluating only the new odd nodes, until every
+    component moves by no more than tolerances(values) between two
+    consecutive steps.  More than 15 * config.max_subdivisions nodes (the
+    Gauss-Kronrod evaluation budget) raise QuadratureError before the
+    level is evaluated, so an unconverged result is never returned.
     """
     if not (radius > 0.0 and step > 0.0):
         raise DomainError("trapezoid radius and step must be positive")
     budget = 15 * config.max_subdivisions
     h = step
-    sums = [0.5 * v for v in f(0.0)]
+    sums = [0.5 * v for v in f([0.0])]
     nodes = 1
     values = None
     while True:
@@ -271,8 +281,8 @@ def integrate_line_trapezoid(f: Callable[[float], list], radius: float,
             raise QuadratureError(
                 f"trapezoid step {h:.3g} on [-{radius:.3g}, {radius:.3g}] "
                 f"needs {nodes} nodes, over the budget of {budget}")
-        for k in new:
-            sums = list(map(add, sums, f(k * h)))
+        if new:
+            sums = list(map(add, sums, f([k * h for k in new])))
         previous, values = values, [h * s for s in sums]
         if previous is not None:
             changes = [abs(u - v) for u, v in zip(values, previous)]

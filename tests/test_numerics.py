@@ -7,8 +7,9 @@ import random
 import mpmath as mp
 import pytest
 
+from hahnlab import numerics
 from hahnlab.errors import DomainError, PoleError, RangeOverflowError
-from hahnlab.numerics import (beta, gamma, hahn_weight, log_gamma,
+from hahnlab.numerics import (beta, gamma, hahn_weight, hahn_weight_log, log_gamma,
                               log_gamma_complex, pochhammer)
 
 mp.mp.dps = 30
@@ -157,6 +158,43 @@ def test_hahn_weight_conjugate_pairs_real_positive():
         w = hahn_weight(z, alpha, beta_, alpha.conjugate(), beta_.conjugate())
         assert abs(w.imag) <= 1e-12 * abs(w.real)
         assert w.real > 0.0
+
+
+@pytest.mark.parametrize("params, calls", [
+    ((0.5, 0.5, 0.5, 0.5), 1),
+    ((0.5 + 0.25j, 0.75 - 0.4j, 0.5 - 0.25j, 0.75 + 0.4j), 2),
+    ((0.6, 0.7, 0.8, 0.9), 4),
+    ((0.6 + 0.25j, 0.7 - 0.1j, 0.8 + 0.5j, 0.9 + 0.25j), 4),
+    ((0.3 + 0.25j, 0.2, 0.3 - 0.25j, 1.4 + 0.5j), 3),
+], ids=["all-1/2", "conjugate-pair", "real", "complex", "re-below-1/2"])
+def test_hahn_weight_log_shares_shifts_bitwise(monkeypatch, params, calls):
+    """For real z, log Gamma(p - iz) = conj log Gamma(conj p + iz): the
+    shared form equals the four-term sum bit for bit, on both sides of the
+    real line and on the reflection branch (Re p < 1/2), and it makes one
+    log-gamma call per distinct shift."""
+    al, be, a, b = params
+    made = []
+
+    def counted(w):
+        made.append(w)
+        return log_gamma_complex(w)
+
+    monkeypatch.setattr(numerics, "log_gamma_complex", counted)
+    for k in range(-80, 81):
+        z = 0.125 * k
+        made.clear()
+        got = hahn_weight_log(z, al, be, a, b)
+        assert len(made) == calls
+        iz = 1j * z
+        want = (log_gamma_complex(al + iz) + log_gamma_complex(be - iz)
+                + log_gamma_complex(a - iz) + log_gamma_complex(b + iz))
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_hahn_weight_log_rejects_complex_z():
+    # the shared shifts hold for real z only
+    with pytest.raises(TypeError):
+        hahn_weight_log(1.0 + 0.5j, 0.5, 0.5, 0.5, 0.5)
 
 
 def test_hahn_weight_domain_error():

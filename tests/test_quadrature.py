@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod line integration."""
+"""Line quadrature: adaptive Gauss-Kronrod and the nested trapezoidal rule."""
 
 import math
 
@@ -112,10 +112,11 @@ def test_trapezoid_vector_sech_squared_and_moment():
     # the integrand
     calls = []
 
-    def g(x):
-        calls.append(x)
-        s2 = _sech(x) ** 2
-        return [2.0 * s2, 2.0 * x * x * s2]
+    def g(zs):
+        calls.extend(zs)
+        s2 = [_sech(x) ** 2 for x in zs]
+        return [sum(2.0 * s for s in s2),
+                sum(2.0 * x * x * s for x, s in zip(zs, s2))]
 
     res = integrate_line_trapezoid(g, 40.0, 0.5, _relative, CFG)
     assert abs(res.values[0] - 2.0) <= 1e-14
@@ -128,11 +129,30 @@ def test_trapezoid_vector_sech_squared_and_moment():
     assert res.changes[0] <= 1e-10 * 2.0
 
 
+def test_trapezoid_calls_f_once_per_level():
+    # the centre alone, then the whole first grid, then each halving's new
+    # odd nodes, each level in one call
+    levels = []
+
+    def g(zs):
+        levels.append(zs)
+        return [sum(2.0 * _sech(x) ** 2 for x in zs)]
+
+    res = integrate_line_trapezoid(g, 40.0, 0.5, _relative, CFG)
+    assert levels[0] == [0.0]
+    assert levels[1] == [0.5 * k for k in range(1, 81)]
+    for j, level in enumerate(levels[2:], 1):
+        h = 0.5 / 2 ** j
+        assert level == [k * h for k in range(1, int(40.0 / h) + 1, 2)]
+    assert res.step == 0.5 / 2 ** (len(levels) - 2)
+
+
 def test_trapezoid_even_part_cancels_odd_part():
     # F(x) = (1 + x) sech^2 x: the odd part cancels in F(x) + F(-x), so
     # the integral is that of sech^2 x alone
-    def g(x):
-        return [(1.0 + x) * _sech(x) ** 2 + (1.0 - x) * _sech(-x) ** 2]
+    def g(zs):
+        return [sum((1.0 + x) * _sech(x) ** 2 + (1.0 - x) * _sech(-x) ** 2
+                    for x in zs)]
 
     res = integrate_line_trapezoid(g, 40.0, 0.5, _relative, CFG)
     assert abs(res.values[0] - 2.0) <= 1e-14
@@ -142,13 +162,13 @@ def test_trapezoid_node_budget_raises_before_evaluating():
     cfg = QuadratureConfig(max_subdivisions=10)
     calls = []
     with pytest.raises(QuadratureError):
-        integrate_line_trapezoid(lambda x: calls.append(x) or [2.0], 100.0, 0.5,
-                                 _relative, cfg)
+        integrate_line_trapezoid(lambda zs: calls.extend(zs) or [2.0 * len(zs)],
+                                 100.0, 0.5, _relative, cfg)
     assert calls == [0.0]  # the centre node only; the 401-node grid never ran
 
 
 def test_trapezoid_unconverged_raises():
     # a kink at 0 converges only algebraically in h
     with pytest.raises(QuadratureError):
-        integrate_line_trapezoid(lambda x: [2.0 * math.exp(-x)], 40.0, 0.5,
-                                 _relative, CFG)
+        integrate_line_trapezoid(lambda zs: [sum(2.0 * math.exp(-x) for x in zs)],
+                                 40.0, 0.5, _relative, CFG)

@@ -52,10 +52,25 @@ def test_fourier_n0_sech_self_reciprocity():
 def test_fourier_degree_one_grid():
     for z in (0.0, 1.0, 2.0):
         r = fourier_pair_check(1, HALF, HALF, 0, 0, z, CFG)
-        # z = 0 makes both sides exactly zero (odd integrand), where only
-        # the absolute fallback applies
+        # z = 0 makes the closed form exactly zero (odd integrand); the
+        # relative error is then taken against the |f| mass
         assert r.passed
         assert r.max_rel_err <= 1e-8 or r.max_abs_err <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_fourier_zero_of_closed_form_judged_by_mass(monkeypatch, n):
+    """Odd n at z = 0 with symmetric parameters: the closed form vanishes.
+    One nudged by 1e-16 is still right to rounding; against |rhs| alone its
+    relative error would read about 1, against the |f| mass it is tiny."""
+    from hahnlab import transforms
+
+    exact = transforms._fourier_closed_form
+    assert exact(n, HALF, HALF, 0, 0, 0.0) == 0.0
+    monkeypatch.setattr(transforms, "_fourier_closed_form",
+                        lambda *args: exact(*args) + 1e-16)
+    r = fourier_pair_check(n, HALF, HALF, 0, 0, 0.0, CFG, tol_abs=0.0)
+    assert r.passed and r.max_rel_err <= 1e-15
 
 
 def test_fourier_complex_conjugate_parameters():
