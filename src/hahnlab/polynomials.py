@@ -45,7 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import DomainError, ExactInputError, PoleError
@@ -315,6 +317,15 @@ def horner(coeffs, x: complex) -> complex:
     acc = 0j
     for c in reversed(coeffs):
         acc = acc * x + c
+    return acc
+
+
+def horner_level(coeffs, xs: list) -> list:
+    """[horner(coeffs, x) for x in xs], bit for bit, with one pass over the
+    list per coefficient instead of one Python loop per point."""
+    acc = [0j] * len(xs)
+    for c in reversed(coeffs):
+        acc = list(map(add, map(mul, acc, xs), repeat(c)))
     return acc
 
 

@@ -1,13 +1,16 @@
 """Line quadrature: a nested trapezoidal rule and adaptive Gauss-Kronrod.
 
-The four-gamma line integrals (Gram matrices, Barnes' lemma) use the
-nested trapezoidal rule: their integrands are analytic in a strip around
-the real line, where the rule converges geometrically in 1/h.  It takes
-the integrand's even part f(z) + f(-z) on z >= 0, so a caller with a
-reflection symmetry evaluates each node pair once, and it hands the
-integrand one whole level of new nodes at a time, so a vector integrand
-runs each of its loops over the level instead of once per node.  The
-other integrands still use adaptive Gauss-Kronrod.
+Every integral the package verifies (Gram matrices, Barnes' lemma, the
+sech and tanh weighted orthogonality relations, the Fourier, Mellin and
+Parseval pairs) uses the nested trapezoidal rule: each integrand is
+analytic in a strip around the real line, where the rule converges
+geometrically in 1/h, so the first step comes from the strip's
+half-width.  The rule takes the integrand's even part f(z) + f(-z) on
+z >= 0, so a caller with a reflection symmetry evaluates each node pair
+once, and it hands the integrand one whole level of new nodes at a time,
+so a vector integrand runs each of its loops over the level instead of
+once per node.  Adaptive Gauss-Kronrod (integrate_line,
+integrate_interval) remains as a public routine that no check calls.
 
 Unbounded integrals are truncated to [-Z, Z] with Z chosen from a caller
 supplied envelope: an upper bound on |f| that is valid (and decaying)
@@ -16,9 +19,10 @@ the envelope value and a one-sided tail estimate fall below
 abs_tol * 10**(-truncation_margin); the Gram matrix divides its envelope
 by the closed-form norms, which makes its cut-off relative.
 
-Panels are refined by bisecting the panel with the largest |K15 - G7|
-discrepancy; ties break on the leftmost panel and the final sum runs in
-left-to-right panel order, so results are bit-for-bit deterministic.
+Gauss-Kronrod panels are refined by bisecting the panel with the largest
+|K15 - G7| discrepancy; ties break on the leftmost panel and the final
+sum runs in left-to-right panel order, so results are bit-for-bit
+deterministic.
 """
 
 from __future__ import annotations
@@ -79,8 +83,9 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """mass is the integral of |f| (the panels' K15 sums of |f|), the scale
-    against which a value near zero is judged."""
+    """mass is the integral of |f| (the trapezoid sum of |f|, or the panels'
+    K15 sums of |f|), the scale against which a value near zero is judged;
+    evaluations counts trapezoid nodes or Gauss-Kronrod points."""
 
     value: complex
     error_estimate: float
@@ -289,3 +294,40 @@ def integrate_line_trapezoid(f: Callable[[list], list], radius: float,
             if all(c <= t for c, t in zip(changes, tolerances(values))):
                 return TrapezoidResult(values, changes, h, nodes)
         h *= 0.5
+
+
+def _line_integral(f: Callable[[list], tuple], envelope: Callable[[float], float],
+                   strip: float, config: QuadratureConfig = DEFAULT_CONFIG,
+                   reflection: int | None = None) -> IntegralResult:
+    """Integral over the line of a scalar integrand F by the nested
+    trapezoidal rule.
+
+    f(zs) returns (sum F(z), sum |F(z)|) over a list of nodes of either
+    sign.  With reflection = s (+1 or -1) the caller promises
+    F(-z) = s conj F(z), and the even part at z >= 0 is v + s conj v from
+    one call; with None, f is called on -zs as well.  The cut-off comes
+    from envelope (truncation_radius), the first step is min(1/2, strip),
+    strip being the half-width of the integrand's strip of analyticity
+    (or less, for an oscillatory one), and the rule stops once the value
+    moves by no more than max(abs_tol, rel_tol |value|) between 2h and h,
+    or by no more than the rounding of the |F| mass, the targets of
+    integrate_interval; that last change is the error estimate.
+    """
+
+    def even_part(zs: list) -> list:
+        v, mass = f(zs)
+        if reflection is None:
+            u, mass_minus = f([-z for z in zs])
+            return [v + u, mass + mass_minus]
+        return [v + v.conjugate() if reflection > 0 else v - v.conjugate(),
+                2.0 * mass]
+
+    def tolerances(values: list) -> list:
+        value, mass = values
+        return [max(config.abs_tol, config.rel_tol * abs(value),
+                    100.0 * _EPS * mass), math.inf]
+
+    radius = truncation_radius(envelope, config)
+    res = integrate_line_trapezoid(even_part, radius, min(0.5, strip), tolerances,
+                                   config)
+    return IntegralResult(res.values[0], res.changes[0], res.nodes, res.values[1])

@@ -7,6 +7,12 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class QuadDiagnostics:
+    """What a quadrature check cost: evaluations is the number of nested
+    trapezoid nodes, both signs counted, summed over the check's integrals
+    (every quadrature check runs on the trapezoidal rule); estimated_error
+    is the last change of the value between steps 2h and h, summed over
+    the integrals (norm-scaled and rounding-floored for a Gram matrix)."""
+
     evaluations: int
     estimated_error: float
 
@@ -70,3 +76,20 @@ def toleranced_report(name: str, abs_err: float, rel_err: float,
     ok = rel_err <= tol_rel or abs_err <= tol_abs
     return VerificationReport(name, "pass" if ok else "fail",
                               abs_err, rel_err, details, diagnostics)
+
+
+def integral_report(name: str, abs_err: float, scale: float, mass: float,
+                    tol_rel: float, tol_abs: float, details: str = "",
+                    diagnostics: QuadDiagnostics | None = None) -> VerificationReport:
+    """toleranced_report of an integral whose error abs_err has the scale
+    |expected|.  A scale of exactly 0 (an off-diagonal entry, a relation
+    whose value is known to vanish) gives a relative error no meaning: it
+    is then taken against the integrand's |f| mass, and the entry passes
+    on tol_abs alone, so the mass scales the figure reported but never the
+    verdict."""
+    if scale == 0.0:
+        return VerificationReport(name, "pass" if abs_err <= tol_abs else "fail",
+                                  abs_err, abs_err / max(mass, 1e-300), details,
+                                  diagnostics)
+    return toleranced_report(name, abs_err, abs_err / scale, tol_rel, tol_abs,
+                             details, diagnostics)

@@ -1,7 +1,7 @@
 """Fourier, Mellin and Parseval transform-pair verifications.
 
-Each check computes one side of a transform identity by adaptive
-quadrature and the other side in closed form from gamma functions and a
+Each check computes one side of a transform identity by the nested
+trapezoidal rule and the other side in closed form from gamma functions and a
 continuous Hahn value, then reports the discrepancy.  The Fourier
 convention is F(f)(z) = int e^{-ixz} f(x) dx with Parseval constant 2*pi.
 """
@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import cmath
 import math
+from operator import mul
 
 from .errors import DomainError
 from .numerics import gamma_product, hahn_weight_log, log_gamma_complex
 from .polynomials import (HahnParams, JacobiParams, _to_complex, chahn_eval,
-                          chahn_coeffs_complex, horner, jacobi_coeffs_complex)
+                          chahn_coeffs_complex, horner_level, jacobi_coeffs_complex)
 from .quadrature import (DEFAULT_CONFIG, IntegralResult, QuadratureConfig,
-                         integrate_line)
-from .reports import QuadDiagnostics, VerificationReport, toleranced_report
+                         _line_integral)
+from .reports import (QuadDiagnostics, VerificationReport, integral_report,
+                      toleranced_report)
 
 _LOG_2 = math.log(2.0)
 
@@ -51,18 +53,25 @@ def _weighted_jacobi_envelope(coeff_bound: float, re_alpha: float, re_beta: floa
 
 
 def _tanh_product_integral(pn, pm, wa: complex, wb: complex,
-                           config: QuadratureConfig) -> IntegralResult:
-    """int (1 - tanh x)^wa (1 + tanh x)^wb pn(tanh x) pm(tanh x) dx over the
-    line, for coefficient lists pn and pm: the beta-type integral over
-    [-1, 1] in the variable t = tanh x."""
+                           config: QuadratureConfig, z: float = 0.0) -> IntegralResult:
+    """int e^{-ixz} (1 - tanh x)^wa (1 + tanh x)^wb pn(tanh x) pm(tanh x) dx
+    over the line, for coefficient lists pn and pm: the beta-type integral
+    over [-1, 1] in the variable t = tanh x, and its Fourier transform.
+
+    The integrand is analytic in |Im x| < pi/2 and has no reflection
+    symmetry, so each level is evaluated at both signs; the first step is
+    at most pi/|z|, half a period of the oscillation."""
     bound = sum(abs(u) for u in pn) * sum(abs(u) for u in pm)
 
-    def f(x: float) -> complex:
-        l1, l2 = tanh_weight_logs(x)
-        t = math.tanh(x)
-        return cmath.exp(wa * l1 + wb * l2) * horner(pn, t) * horner(pm, t)
+    def f(xs: list) -> tuple:
+        w = [cmath.exp(-1j * z * x + wa * l1 + wb * l2)
+             for x, (l1, l2) in zip(xs, map(tanh_weight_logs, xs))]
+        ts = list(map(math.tanh, xs))
+        terms = list(map(mul, map(mul, w, horner_level(pn, ts)), horner_level(pm, ts)))
+        return sum(terms), sum(map(abs, terms))
 
-    return integrate_line(f, _weighted_jacobi_envelope(bound, wa.real, wb.real), config)
+    env = _weighted_jacobi_envelope(bound, wa.real, wb.real)
+    return _line_integral(f, env, math.pi / max(2.0, abs(z)), config)
 
 
 def _require_positive_re(**named):
@@ -74,18 +83,9 @@ def _require_positive_re(**named):
 def _weighted_jacobi_transform(n, alpha, beta, gamma, delta, z,
                                config: QuadratureConfig) -> IntegralResult:
     """Quadrature side of the Fourier pair at frequency z."""
-    al, be = _to_complex(alpha), _to_complex(beta)
     coeffs = jacobi_coeffs_complex(n, JacobiParams(gamma, delta))
-    bound = sum(abs(c) for c in coeffs)
-
-    def f(x: float) -> complex:
-        l1, l2 = tanh_weight_logs(x)
-        return cmath.exp(-1j * z * x + al * l1 + be * l2) \
-            * horner(coeffs, math.tanh(x))
-
-    env = _weighted_jacobi_envelope(bound, al.real, be.real)
-    width = math.pi / abs(z) if z else None
-    return integrate_line(f, env, config, max_panel_width=width)
+    return _tanh_product_integral(coeffs, [1.0], _to_complex(alpha),
+                                  _to_complex(beta), config, z)
 
 
 def _fourier_closed_form(n, alpha, beta, gamma, delta, z) -> complex:
@@ -154,6 +154,48 @@ def mellin_pair_check(n: int, alpha, beta, gamma, delta, lam: float,
                              which + "; " + MELLIN_SIGN_NOTE, diag)
 
 
+def _parseval_right(n: int, m: int, al: complex, be: complex, av: complex,
+                    bv: complex, ga: complex, de: complex, cv: complex, dv: complex,
+                    config: QuadratureConfig) -> IntegralResult:
+    """The line integral on the right of the Parseval identity:
+    int w(z/2) p_n(z/2) conj q_m(z/2) dz / (Gamma(al+be+n) Gamma(av+bv+m)),
+    w the four-gamma weight on (al, be, av, bv) and p_n, q_m the continuous
+    Hahn transforms of the two Jacobi factors.
+
+    w(z/2) is analytic in |Im z| < 2 min Re(al, be, av, bv).  For real
+    parameters w(-z) = conj w(z) and p_n(-x) = (-1)^n conj p_n(x), so the
+    integrand at -z is (-1)^(n+m) times the conjugate of the one at z."""
+    hp_n = HahnParams(al, de - be + 1, ga - al + 1, be)
+    hp_m_conj = HahnParams(av.conjugate(),
+                           dv.conjugate() - bv.conjugate() + 1,
+                           cv.conjugate() - av.conjugate() + 1,
+                           bv.conjugate())
+    cn = chahn_coeffs_complex(n, hp_n)
+    cm = chahn_coeffs_complex(m, hp_m_conj)
+    log_norm = -(log_gamma_complex(al + be + n) + log_gamma_complex(av + bv + m))
+
+    def gamma_sum_log(z: float) -> complex:
+        return hahn_weight_log(0.5 * z, al, be, av, bv) + log_norm
+
+    def f(zs: list) -> tuple:
+        halves = [0.5 * z for z in zs]
+        w = [cmath.exp(gamma_sum_log(z)) for z in zs]
+        terms = list(map(mul, map(mul, w, horner_level(cn, halves)),
+                         [u.conjugate() for u in horner_level(cm, halves)]))
+        return sum(terms), sum(map(abs, terms))
+
+    def env(z: float) -> float:
+        g = gamma_sum_log(z).real
+        r = 0.5 * abs(z)
+        pb = sum(abs(u) * r ** k for k, u in enumerate(cn)) \
+            * sum(abs(u) * r ** k for k, u in enumerate(cm))
+        return math.exp(g) * pb
+
+    real = not any(v.imag for v in (al, be, av, bv, ga, de, cv, dv))
+    return _line_integral(f, env, 2.0 * min(al.real, be.real, av.real, bv.real),
+                          config, (-1) ** (n + m) if real else None)
+
+
 def parseval_check(n: int, m: int, alpha, beta, a, b, gamma, delta, c, d,
                    config: QuadratureConfig = DEFAULT_CONFIG,
                    tol: float = 1e-8, tol_abs: float = 1e-10) -> VerificationReport:
@@ -173,36 +215,17 @@ def parseval_check(n: int, m: int, alpha, beta, a, b, gamma, delta, c, d,
     lhs_value = 2.0 * math.pi * left.value
 
     # right: gamma-weighted line integral over the transforms
-    hp_n = HahnParams(al, de - be + 1, ga - al + 1, be)
-    hp_m_conj = HahnParams(av.conjugate(),
-                           dv.conjugate() - bv.conjugate() + 1,
-                           cv.conjugate() - av.conjugate() + 1,
-                           bv.conjugate())
-    cn = chahn_coeffs_complex(n, hp_n)
-    cm = chahn_coeffs_complex(m, hp_m_conj)
-    log_norm = -(log_gamma_complex(al + be + n) + log_gamma_complex(av + bv + m))
+    right = _parseval_right(n, m, al, be, av, bv, ga, de, cv, dv, config)
+    factor = (1j ** ((m - n) % 4)) * cmath.exp((al + av + be + bv - 2) * _LOG_2)
+    rhs_value = factor * right.value
 
-    def gamma_sum_log(z: float) -> complex:
-        return hahn_weight_log(0.5 * z, al, be, av, bv) + log_norm
-
-    def f_right(z: float) -> complex:
-        w = cmath.exp(gamma_sum_log(z))
-        return w * horner(cn, 0.5 * z) * horner(cm, 0.5 * z).conjugate()
-
-    def env_right(z: float) -> float:
-        g = gamma_sum_log(z).real
-        r = 0.5 * abs(z)
-        pb = sum(abs(u) * r ** k for k, u in enumerate(cn)) \
-            * sum(abs(u) * r ** k for k, u in enumerate(cm))
-        return math.exp(g) * pb
-
-    right = integrate_line(f_right, env_right, config)
-    rhs_value = (1j ** ((m - n) % 4)) \
-        * cmath.exp((al + av + be + bv - 2) * _LOG_2) * right.value
-
+    # gamma = c = alpha + a - 1 and delta = d = beta + b - 1 make the left
+    # side the Jacobi orthogonality integral of P_n and P_m: 0 for n != m
+    vanishes = n != m and gamma == c == alpha + a - 1 and delta == d == beta + b - 1
     abs_err = abs(lhs_value - rhs_value)
-    rel_err = abs_err / max(abs(lhs_value), abs(rhs_value), 1e-300)
+    scale = 0.0 if vanishes else max(abs(lhs_value), abs(rhs_value))
+    mass = max(2.0 * math.pi * left.mass, abs(factor) * right.mass)
     diag = QuadDiagnostics(left.evaluations + right.evaluations,
                            left.error_estimate + right.error_estimate)
-    return toleranced_report(name, abs_err, rel_err, tol, tol_abs,
-                             f"lhs={lhs_value!r} rhs={rhs_value!r}", diag)
+    return integral_report(name, abs_err, scale, mass, tol, tol_abs,
+                           f"lhs={lhs_value!r} rhs={rhs_value!r}", diag)

@@ -18,8 +18,12 @@ from hahnlab.orthogonality import (GramResult, barnes_check,
                                    chahn_norm_rhs, jacobi_ortho_check,
                                    pasternack_biortho_check,
                                    pasternack_ortho_check, pi_m_over_sin_pi_m)
-from hahnlab.polynomials import HahnParams, chahn_coeffs_complex, horner
-from hahnlab.quadrature import QuadratureConfig, truncation_radius
+from hahnlab.polynomials import (HahnParams, JacobiParams, chahn_coeffs_complex,
+                                 horner, horner_level, jacobi_coeffs_complex,
+                                 pasternack_coeffs_complex)
+from hahnlab.quadrature import (_EPS, IntegralResult, QuadratureConfig,
+                                truncation_radius)
+from hahnlab.transforms import _tanh_product_integral
 
 F = Fraction
 HALF = F(1, 2)
@@ -479,3 +483,144 @@ def test_gram_error_estimate_covers_error_float_parameters():
     g = chahn_gram(8, 0.5, 0.5, 0.5, 0.5, CFG)
     norms = _mp_norms(8, (HALF,) * 4, digits=50)
     assert g.estimated_error >= _norm_scaled_error(g, norms)
+
+
+# --- the sech and tanh integrals on the nested trapezoid ------------------------
+
+def _mp_pasternack(n, m, x):
+    return mpmath.hyp3f2(-n, n + 1, (1 + m + x) / 2, 1, 1 + m, 1)
+
+
+def _mp(v):
+    if isinstance(v, complex):
+        return mpmath.mpc(v)
+    return mpmath.mpf(F(v).numerator) / F(v).denominator
+
+
+def _sech_case(kind, m):
+    """(float weight, mpmath weight, strip) of the sech families at m."""
+    if kind == "bateman":
+        return (lambda x: orthogonality._sech(math.pi * x / 2.0) ** 2,
+                lambda x: mpmath.sech(mpmath.pi * x / 2) ** 2, 1.0)
+    c = cmath.cos(math.pi * complex(m))
+    return (lambda x: 1.0 / (c + math.cosh(math.pi * x)),
+            lambda x: 1 / (mpmath.cos(mpmath.pi * _mp(m)) + mpmath.cosh(mpmath.pi * x)),
+            1.0 - abs(complex(m).real))
+
+
+@pytest.mark.parametrize("kind, n, p, m, m2", [
+    ("bateman", 3, 3, 0, 0), ("bateman", 4, 2, 0, 0),
+    ("pasternack", 2, 2, HALF, HALF), ("pasternack", 3, 1, HALF, HALF),
+    ("biortho", 2, 2, F(1, 3), F(-1, 3)), ("biortho", 3, 1, F(1, 3), F(-1, 3)),
+    ("pasternack", 2, 2, 0.4j, 0.4j),  # complex coefficients: no fold
+])
+def test_sech_integral_against_mpmath(kind, n, p, m, m2):
+    """int F_n^m(ix) F_p^m2(ix) w(x) dx against mpmath.quad at 20 digits,
+    with F from mpmath's 3F2."""
+    weight, mp_weight, strip = _sech_case(kind, m)
+    res = orthogonality._sech_integral(pasternack_coeffs_complex(n, m),
+                                       pasternack_coeffs_complex(p, m2),
+                                       weight, strip, CFG)
+    mpm, mpm2 = _mp(m), _mp(m2)
+    with mpmath.workdps(20):
+        want = complex(mpmath.quad(
+            lambda x: _mp_pasternack(n, mpm, 1j * x) * _mp_pasternack(p, mpm2, 1j * x)
+            * mp_weight(x), [-mpmath.inf, 0, mpmath.inf]))
+    assert abs(res.value - want) <= 1e-13 * max(abs(want), 1.0)
+    assert res.mass >= abs(res.value) * (1.0 - 1e-15)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2)])
+def test_tanh_jacobi_integral_complex_parameters_against_mpmath(n, m):
+    """The x = tanh u route of jacobi_ortho_check against the integral over
+    [-1, 1] itself, with mpmath's Jacobi polynomials."""
+    al, be = complex(0.5, 1.0), complex(0.5, -1.0)
+    res = _tanh_product_integral(jacobi_coeffs_complex(n, JacobiParams(al, be)),
+                                 jacobi_coeffs_complex(m, JacobiParams(al, be)),
+                                 al + 1, be + 1, CFG)
+    a, b = mpmath.mpc(al), mpmath.mpc(be)
+    with mpmath.workdps(20):
+        want = complex(mpmath.quad(lambda t: (1 - t) ** a * (1 + t) ** b
+                                   * mpmath.jacobi(n, a, b, t) * mpmath.jacobi(m, a, b, t),
+                                   [-1, 0, 1]))
+    assert abs(res.value - want) <= 1e-13 * max(abs(want), 1.0)
+
+
+@pytest.mark.parametrize("check, args", [
+    (bateman_ortho_check, (4, 0)),
+    (pasternack_ortho_check, (3, 0, HALF)),
+    (pasternack_biortho_check, (0, 3, F(1, 3))),
+    (jacobi_ortho_check, (3, 2, complex(0.5, 1.0), complex(0.5, -1.0))),
+])
+def test_zero_expected_entry_reports_error_against_mass(check, args):
+    # dividing by max(|expected|, 1e-300) read about 1e285 here
+    r = check(*args, CFG)
+    assert r.passed and r.max_rel_err <= 1e-13
+
+
+@pytest.mark.parametrize("check, args, target", [
+    (bateman_ortho_check, (1, 0), "_line_integral"),
+    (pasternack_biortho_check, (2, 1, F(1, 3)), "_line_integral"),
+    (jacobi_ortho_check, (3, 1, F(1, 3), F(3, 4)), "_tanh_product_integral"),
+])
+def test_zero_expected_entry_passes_on_tol_abs_alone(monkeypatch, check, args, target):
+    """An off-diagonal value of 1e-9 over a mass of 1 is 1e-9 relative, inside
+    the relative tolerance 1e-8, but ten times tol_abs: it must fail."""
+    monkeypatch.setattr(orthogonality, target,
+                        lambda *a, **k: IntegralResult(1e-9, 0.0, 1, 1.0))
+    r = check(*args, CFG)
+    assert r.max_rel_err == pytest.approx(1e-9)
+    assert not r.passed
+
+
+def _fold(real, mode):
+    """_line_integral without its reflection fold ("none") or with
+    v - conj v where v + conj v belongs ("mutated")."""
+    def run(f, env, strip, config, reflection=None):
+        if mode == "none":
+            return real(f, env, strip, config)
+        return real(f, env, strip, config, -1 if reflection == 1 else reflection)
+    return run
+
+
+@pytest.mark.parametrize("n, p, m", [(3, 3, 0), (3, 1, HALF), (2, 2, F(1, 3))])
+def test_sech_fold_agrees_with_both_sides(monkeypatch, n, p, m):
+    """Real coefficients: the folded level sums equal the ones that evaluate
+    both signs, to rounding, on the same grid."""
+    weight, _, strip = _sech_case("bateman" if m == 0 else "pasternack", m)
+    args = (pasternack_coeffs_complex(n, m), pasternack_coeffs_complex(p, m),
+            weight, strip, CFG)
+    folded = orthogonality._sech_integral(*args)
+    monkeypatch.setattr(orthogonality, "_line_integral",
+                        _fold(orthogonality._line_integral, "none"))
+    both = orthogonality._sech_integral(*args)
+    assert abs(folded.value - both.value) <= 8 * _EPS * folded.mass
+    assert folded.evaluations == both.evaluations
+
+
+@pytest.mark.parametrize("check, args", [
+    (bateman_ortho_check, (2, 2)),
+    (pasternack_ortho_check, (1, 1, HALF)),
+])
+def test_sech_mutated_fold_sign_fails(monkeypatch, check, args):
+    assert check(*args, CFG).passed
+    monkeypatch.setattr(orthogonality, "_line_integral",
+                        _fold(orthogonality._line_integral, "mutated"))
+    assert not check(*args, CFG).passed
+
+
+def test_sech_narrow_strip_raises_before_evaluating(monkeypatch):
+    """1 - |m| = 1e-4 sets the first step; that grid is over the node budget,
+    which is checked before the level runs: only the centre is evaluated."""
+    sizes = []
+
+    def recorder(coeffs, xs):
+        sizes.append(len(xs))
+        return horner_level(coeffs, xs)
+
+    monkeypatch.setattr(orthogonality, "horner_level", recorder)
+    t0 = time.perf_counter()
+    with pytest.raises(QuadratureError):
+        pasternack_ortho_check(1, 1, 0.9999, CFG)
+    assert set(sizes) == {1}
+    assert time.perf_counter() - t0 < 5.0

@@ -1,13 +1,14 @@
 """Line quadrature: adaptive Gauss-Kronrod and the nested trapezoidal rule."""
 
+import cmath
 import math
 
 import pytest
 
 from hahnlab.errors import DomainError, QuadratureError
-from hahnlab.quadrature import (QuadratureConfig, integrate_interval,
-                                integrate_line, integrate_line_trapezoid,
-                                truncation_radius)
+from hahnlab.quadrature import (_EPS, QuadratureConfig, _line_integral,
+                                integrate_interval, integrate_line,
+                                integrate_line_trapezoid, truncation_radius)
 
 CFG = QuadratureConfig()
 
@@ -172,3 +173,27 @@ def test_trapezoid_unconverged_raises():
     with pytest.raises(QuadratureError):
         integrate_line_trapezoid(lambda zs: [sum(2.0 * math.exp(-x) for x in zs)],
                                  40.0, 0.5, _relative, CFG)
+
+
+def test_line_integral_folds_and_reports_the_mass():
+    # F(x) = e^{iwx} sech^2 x has F(-x) = conj F(x), the integral
+    # pi w / sinh(pi w / 2) and |F| mass 2
+    w = 3.0
+    expected = math.pi * w / math.sinh(math.pi * w / 2.0)
+
+    def f(xs):
+        terms = [cmath.exp(1j * w * x) * _sech(x) ** 2 for x in xs]
+        return sum(terms), sum(map(abs, terms))
+
+    def env(x):
+        return 4.0 * math.exp(-2.0 * abs(x))
+
+    strip = min(math.pi / 2.0, math.pi / w)
+    folded = _line_integral(f, env, strip, CFG, 1)
+    unfolded = _line_integral(f, env, strip, CFG)
+    for res in (folded, unfolded):
+        assert abs(res.value - expected) <= 1e-13
+        assert abs(res.mass - 2.0) <= 1e-13
+        assert res.error_estimate <= CFG.rel_tol * abs(expected)
+    assert abs(folded.value - unfolded.value) <= 8 * _EPS * folded.mass
+    assert folded.evaluations == unfolded.evaluations

@@ -4,14 +4,15 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from hahnlab.errors import DomainError
 from hahnlab.numerics import beta as beta_fn
-from hahnlab.quadrature import QuadratureConfig
+from hahnlab.quadrature import _EPS, IntegralResult, QuadratureConfig
 from hahnlab.transforms import (fourier_pair_check, mellin_pair_check,
                                 parseval_check, tanh_weight, tanh_weight_logs,
-                                _weighted_jacobi_transform)
+                                _parseval_right, _weighted_jacobi_transform)
 
 F = Fraction
 HALF = F(1, 2)
@@ -183,3 +184,114 @@ def test_parseval_pasternack_specialization_zero():
     r = parseval_check(3, 1, al, al, av, av, 0, 0, 0, 0, CFG)
     assert r.passed
     assert r.max_abs_err <= 1e-10
+
+
+# --- the tanh and four-gamma integrals on the nested trapezoid ------------------
+
+def _mp_fourier(n, al, be, ga, de, z):
+    """int e^{-ixz} (1 - tanh x)^al (1 + tanh x)^be P_n^(ga, de)(tanh x) dx
+    in mpmath: Gauss-Legendre on unit-spaced panels of [-36, 36]."""
+    with mpmath.workdps(18):
+        al, be, ga, de = (mpmath.mpmathify(complex(v)) for v in (al, be, ga, de))
+
+        def f(x):
+            lo, hi = 2 / (1 + mpmath.exp(2 * x)), 2 / (1 + mpmath.exp(-2 * x))
+            return mpmath.expj(-z * x) * lo ** al * hi ** be \
+                * mpmath.jacobi(n, ga, de, mpmath.tanh(x))
+        return complex(mpmath.quad(f, mpmath.linspace(-36, 36, 37),
+                                   method="gauss-legendre"))
+
+
+@pytest.mark.parametrize("n, params", [
+    (3, (F(3, 5), F(11, 10), F(1, 4), F(4, 5))),
+    (2, (complex(0.5, 0.25), complex(0.5, -0.25), F(1, 4), F(1, 4))),
+])
+def test_fourier_integral_at_z5_against_mpmath(n, params):
+    res = _weighted_jacobi_transform(n, *params, 5.0, CFG)
+    want = _mp_fourier(n, *params, 5.0)
+    assert abs(res.value - want) <= 1e-13 * max(abs(want), 1.0)
+
+
+def _mp_chahn(n, a, b, c, d, x):
+    return (1j ** n * mpmath.rf(a + c, n) * mpmath.rf(a + d, n) / mpmath.factorial(n)
+            * mpmath.hyp3f2(-n, n + a + b + c + d - 1, a + 1j * x, a + c, a + d, 1))
+
+
+def _mp_parseval_right(n, m, al, be, av, bv, ga, de, cv, dv):
+    with mpmath.workdps(18):
+        al, be, av, bv, ga, de, cv, dv = (mpmath.mpc(complex(v))
+                                          for v in (al, be, av, bv, ga, de, cv, dv))
+        cj = mpmath.conj
+        norm = mpmath.gamma(al + be + n) * mpmath.gamma(av + bv + m)
+
+        def f(z):
+            x = z / 2
+            w = mpmath.gamma(al + 1j * x) * mpmath.gamma(be - 1j * x) \
+                * mpmath.gamma(av - 1j * x) * mpmath.gamma(bv + 1j * x)
+            p = _mp_chahn(n, al, de - be + 1, ga - al + 1, be, x)
+            q = _mp_chahn(m, cj(av), cj(dv) - cj(bv) + 1, cj(cv) - cj(av) + 1, cj(bv), x)
+            return w * p * cj(q) / norm
+        return complex(mpmath.quad(f, mpmath.linspace(-30, 30, 31),
+                                   method="gauss-legendre"))
+
+
+PARSEVAL_REAL = (2, 1, 0.75, 0.5, 0.25, 1.0, 1 / 3, 0.4, 0.2, 0.6)
+PARSEVAL_COMPLEX = (2, 1, complex(0.5, 0.25), complex(0.75, -0.25), complex(0.5, -0.25),
+                    complex(0.75, 0.25), complex(0.3, 0.2), 0.4, 0.2, complex(0.6, -0.1))
+
+
+@pytest.mark.parametrize("args", [PARSEVAL_REAL, PARSEVAL_COMPLEX],
+                         ids=["real-folded", "complex-both-sides"])
+def test_parseval_right_integral_against_mpmath(args):
+    res = _parseval_right(*args[:2], *map(complex, args[2:]), CFG)
+    want = _mp_parseval_right(*args)
+    assert abs(res.value - want) <= 1e-13 * max(abs(want), 1.0)
+
+
+def test_parseval_zero_case_reports_error_against_mass():
+    # both sides are about 1e-17: against max(|lhs|, |rhs|) the relative
+    # error read 1.1
+    r = parseval_check(2, 1, F(3, 4), HALF, F(3, 4), 1, *(HALF,) * 4, CFG)
+    assert r.passed and r.max_rel_err <= 1e-13
+
+
+def test_parseval_zero_case_passes_on_tol_abs_alone(monkeypatch):
+    """A left side of 1e-9 over a mass of about 1 is inside the relative
+    tolerance but ten times tol_abs: the check must fail."""
+    from hahnlab import transforms
+    monkeypatch.setattr(transforms, "_tanh_product_integral",
+                        lambda *a, **k: IntegralResult(1e-9 / (2 * math.pi), 0.0, 1,
+                                                       1.0 / (2 * math.pi)))
+    r = parseval_check(2, 1, F(3, 4), HALF, F(3, 4), 1, *(HALF,) * 4, CFG)
+    assert r.max_rel_err <= 1e-8 and r.max_abs_err >= 1e-9 * (1 - 1e-6)
+    assert not r.passed
+
+
+def _fold(real, mode):
+    """_line_integral without its reflection fold ("none") or with
+    v - conj v where v + conj v belongs ("mutated")."""
+    def run(f, env, strip, config, reflection=None):
+        if mode == "none":
+            return real(f, env, strip, config)
+        return real(f, env, strip, config, -1 if reflection == 1 else reflection)
+    return run
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (0, 0)])
+def test_parseval_fold_agrees_with_both_sides(monkeypatch, n, m):
+    from hahnlab import transforms
+    args = (n, m, *map(complex, PARSEVAL_REAL[2:]), CFG)
+    folded = _parseval_right(*args)
+    monkeypatch.setattr(transforms, "_line_integral", _fold(transforms._line_integral, "none"))
+    both = _parseval_right(*args)
+    assert abs(folded.value - both.value) <= 8 * _EPS * folded.mass
+    assert folded.evaluations == both.evaluations
+
+
+def test_parseval_mutated_fold_sign_fails(monkeypatch):
+    from hahnlab import transforms
+    args = (0, 0, *(HALF,) * 4, 0, 0, 0, 0, CFG)
+    assert parseval_check(*args).passed
+    monkeypatch.setattr(transforms, "_line_integral",
+                        _fold(transforms._line_integral, "mutated"))
+    assert not parseval_check(*args).passed
