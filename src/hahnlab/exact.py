@@ -1,33 +1,45 @@
 """Exact arithmetic over Q(i).
 
-GaussianRational is a pair of arbitrary-precision rationals (re, im);
-ExactPoly is a dense univariate polynomial with GaussianRational
-coefficients, stored lowest degree first with the trailing coefficient
-nonzero.  Equality on both types is decidable and exact, which is what
-every zero-residual identity check in this package rests on.
+GaussianRational is a pair of arbitrary-precision rationals (re, im), the
+scalar API.  ExactPoly is a dense univariate polynomial over Q(i), lowest
+degree first, stored in one canonical integer form: Gaussian-integer
+numerators over one positive denominator,
 
-Exact scalars also have an integer form, Gaussian integers over one positive
-denominator (_gaussian, back by _rational).  Every ExactPoly and FormalSeries
-product runs in it, through one fraction-free kernel (_product).
+    c_k = (re[k] + i im[k]) / den,   gcd(*re, *im, den) = 1,
+
+with the trailing coefficient nonzero and im empty when every coefficient
+is real, so real work is plain int arithmetic.  Equal polynomials have
+equal vectors, so equality and hashing compare integer tuples; equality is
+decidable and exact, which is what every zero-residual identity check in
+this package rests on.  The ring operations, the product (one fraction-free
+kernel, _multiply), evaluation, derivative and argument scaling read and
+write the vectors directly; .coeffs, the tuple of GaussianRational, is built
+on first access and cached.  FormalSeries (series.py) is the same storage
+truncated at an order.  _vectors takes exact scalars to the integer form
+and _rational takes one coefficient back; _OverQ is the unreduced scalar
+the polynomial families form their data in.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import lcm
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable, Union
 
-from .errors import ExactInputError
+from .errors import DomainError, ExactInputError
 
 ExactScalar = Union[int, Fraction, "GaussianRational"]
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+    # int first: isinstance against Fraction's ABC metaclass is slow on a miss
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, str):
         return Fraction(value)
     raise ExactInputError(f"not an exact rational: {value!r}")
@@ -87,61 +99,62 @@ class GaussianRational:
         raise ExactInputError(f"cannot parse exact scalar: {text!r}")
 
     # -- arithmetic -------------------------------------------------------
-
-    def _coerced(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
+    # a real operand (int or Fraction) meets re and im alone, so mixed
+    # operations skip the zero imaginary part; products and quotients of two
+    # GaussianRationals run on Gaussian integers (_scalar), one Fraction pair
+    # at the end
 
     def __add__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if isinstance(other, GaussianRational):
+            return _pair(self.re + other.re, self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return _pair(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        if isinstance(other, GaussianRational):
+            return _pair(self.re - other.re, self.im - other.im)
+        if isinstance(other, (int, Fraction)):
+            return _pair(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        if isinstance(other, (int, Fraction)):
+            return _pair(other - self.re, -self.im)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        if isinstance(other, GaussianRational):
+            (a, b, d), (c, e, f) = _scalar(self), _scalar(other)
+            return _rational(a * c - b * e, a * e + b * c, d * f)
+        if isinstance(other, (int, Fraction)):
+            return _pair(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
+        if isinstance(other, GaussianRational):
+            (a, b, d), (c, e, f) = _scalar(self), _scalar(other)
+            norm = c * c + e * e
+            if norm:
+                return _rational(f * (a * c + b * e), f * (b * c - a * e), d * norm)
+        elif isinstance(other, (int, Fraction)):
+            if other:
+                return _pair(self.re / other, self.im / other)
+        else:
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational((self.re * o.re + self.im * o.im) / d,
-                                (self.im * o.re - self.re * o.im) / d)
+        raise ZeroDivisionError("division by zero in Q(i)")
 
     def __rtruediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(other) / self
+        return NotImplemented
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _pair(-self.re, -self.im)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -157,15 +170,16 @@ class GaussianRational:
         return result
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _pair(self.re, -self.im)
 
     # -- predicates / conversions -----------------------------------------
 
     def __eq__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return not self.im and self.re == other
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -199,6 +213,16 @@ class GaussianRational:
         return cls(Fraction(obj["re"]), Fraction(obj["im"]))
 
 
+def _pair(re: Fraction, im: Fraction) -> GaussianRational:
+    """A GaussianRational from two Fractions, unchecked: arithmetic results."""
+    value = object.__new__(GaussianRational)
+    object.__setattr__(value, "re", re)
+    object.__setattr__(value, "im", im)
+    return value
+
+
+# the plain classes first: isinstance against Fraction's ABC metaclass is slow on a miss
+_SCALARS = (GaussianRational, int, Fraction)
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
@@ -210,36 +234,137 @@ def gr(value) -> GaussianRational:
     return GaussianRational.from_value(value)
 
 
-def _gaussian(values) -> tuple:
-    """Exact scalars as Gaussian integers over one positive q: the pairs
-    (re, im) with value = (re + i im) / q, and q."""
-    values = [gr(v) for v in values]
-    q = lcm(*(f.denominator for v in values for f in (v.re, v.im)))
-    return [(v.re.numerator * (q // v.re.denominator),
-             v.im.numerator * (q // v.im.denominator)) for v in values], q
+class _OverQ:
+    """(re + i im) / q with integer re, im and q > 0, left unreduced: the exact
+    scalars the polynomial families form their data in.  Values over the same
+    q add without touching q, so data formed from parameters over one q stay
+    over it."""
+
+    __slots__ = ("re", "im", "q")
+
+    def __init__(self, re: int, im: int, q: int):
+        self.re, self.im, self.q = re, im, q
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            return _OverQ(self.re + other * self.q, self.im, self.q)
+        if other.q == self.q:
+            return _OverQ(self.re + other.re, self.im + other.im, self.q)
+        return _OverQ(self.re * other.q + other.re * self.q,
+                      self.im * other.q + other.im * self.q, self.q * other.q)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _OverQ(-self.re, -self.im, self.q)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        return _OverQ(self.re * other.re - self.im * other.im,
+                      self.re * other.im + self.im * other.re, self.q * other.q)
+
+
+def _scalar(value) -> tuple:
+    """An exact scalar (an _OverQ too) as a Gaussian integer over a positive
+    denominator: (re, im, den) with value = (re + i im) / den."""
+    if isinstance(value, GaussianRational):
+        re, im = value.re, value.im
+        den = lcm(re.denominator, im.denominator)
+        return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
+    if isinstance(value, int):
+        return value, 0, 1
+    if isinstance(value, _OverQ):
+        return value.re, value.im, value.q
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    return _scalar(gr(value))  # a string; floats raise ExactInputError
+
+
+def _vectors(values) -> tuple:
+    """Exact scalars as integer vectors over one positive denominator: (re, im,
+    den) with value_k = (re[k] + i im[k]) / den, im empty when all are real."""
+    triples = [_scalar(v) for v in values]
+    den = lcm(*[d for _, _, d in triples])
+    re = [r * (den // d) for r, _, d in triples]
+    im = [m * (den // d) for _, m, d in triples]
+    return re, im if any(im) else [], den
 
 
 def _rational(re: int, im: int, den: int) -> GaussianRational:
-    return GaussianRational(Fraction(re, den), Fraction(im, den))
+    return _pair(Fraction(re, den), Fraction(im, den))
+
+
+def _canonical(re, im, den: int, size: int | None = None) -> tuple:
+    """Integer vectors (len(im) <= len(re), den != 0) in canonical form: at
+    most size coefficients, trailing zeros trimmed, im empty when real, den > 0
+    and gcd(*re, *im, den) = 1."""
+    n = len(re) if size is None else min(len(re), size)
+    im = (*im[:n], *[0] * (n - len(im))) if any(im[:n]) else ()
+    while n and not (re[n - 1] or im and im[n - 1]):
+        n -= 1
+    if not n:
+        return (), (), 1
+    re, im = tuple(re[:n]), im[:n]
+    g = gcd(den, *re, *im) if den > 0 else -gcd(den, *re, *im)
+    if g != 1:
+        re, im, den = tuple(r // g for r in re), tuple(m // g for m in im), den // g
+    return re, im, den
+
+
+def _scaled_sum(a, sa: int, b, sb: int) -> list:
+    """sa a + sb b for integer vectors, the shorter one padded with zeros."""
+    if len(a) < len(b):
+        a, sa, b, sb = b, sb, a, sa
+    out = [x * sa for x in a]
+    for k, y in enumerate(b):
+        out[k] += y * sb
+    return out
+
+
+def _convolve(a, b, size: int) -> list:
+    """The first size coefficients of the product of integer vectors a and b."""
+    if len(a) > len(b):
+        a, b = b, a  # one pass per entry of the shorter
+    out = [0] * size
+    for i, x in enumerate(a[:size]):
+        if x:
+            row = b[:size - i]
+            end = i + len(row)
+            out[i:end] = map(add, out[i:end], map(mul, row, repeat(x)))
+    return out
+
+
+def _multiply(a_re, a_im, b_re, b_im, size: int) -> tuple:
+    """(a_re + i a_im)(b_re + i b_im) through size coefficients, as (re, im)
+    lists; an empty imaginary part is zero, and so is the product's when both
+    are."""
+    re, im = _convolve(a_re, b_re, size), _convolve(a_re, b_im, size)
+    if a_im:
+        re = list(map(sub, re, _convolve(a_im, b_im, size)))
+        im = list(map(add, im, _convolve(a_im, b_re, size)))
+    return re, im if any(im) else []
 
 
 def _product(a, b, limit=None) -> list:
     """The coefficients of a * b (exact scalars, lowest degree first), through
-    degree limit if one is given: each operand over one integer denominator,
-    the schoolbook product on Gaussian-integer pairs, and one GaussianRational
-    per output coefficient.  An empty operand is the zero polynomial."""
-    size = len(a) + len(b) - 1
+    degree limit if one is given, zeros kept: _multiply on the operands'
+    integer vectors.  An empty operand is the zero polynomial."""
+    size = max(len(a) + len(b) - 1, 0)
     if limit is not None:
-        a, b, size = a[:limit + 1], b[:limit + 1], min(size, limit + 1)
-    (a_pairs, a_den), (b_pairs, b_den) = _gaussian(a), _gaussian(b)
-    re, im = [0] * size, [0] * size
-    for i, (a_re, a_im) in enumerate(a_pairs):
-        if a_re or a_im:
-            for k, (b_re, b_im) in enumerate(b_pairs[:size - i], i):
-                re[k] += a_re * b_re - a_im * b_im
-                im[k] += a_re * b_im + a_im * b_re
-    den = a_den * b_den
-    return [_rational(r, m, den) for r, m in zip(re, im)]
+        size = min(size, limit + 1)
+    (a_re, a_im, a_den), (b_re, b_im, b_den) = _vectors(a), _vectors(b)
+    re, im = _multiply(a_re, a_im, b_re, b_im, size)
+    return [_rational(r, m, a_den * b_den) for r, m in zip(re, im or repeat(0))]
+
+
+def _poly(cls, re, im, den: int, order: int | None = None):
+    """The cls (ExactPoly or FormalSeries) with coefficients (re[k] + i im[k])
+    / den, made canonical; a series (order not None) keeps t^0 .. t^order."""
+    obj = object.__new__(cls)
+    obj._store(re, im, den, order)
+    return obj
 
 
 class ExactPoly:
@@ -247,22 +372,32 @@ class ExactPoly:
 
     The zero polynomial has an empty coefficient tuple and degree -1;
     otherwise the trailing coefficient is nonzero and degree equals
-    len(coeffs) - 1.
+    len(coeffs) - 1.  Stored as the canonical integer vectors of the module
+    docstring.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_re", "_im", "_den", "_order", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
-        normalized = [gr(c) for c in coeffs]
-        while normalized and not normalized[-1]:
-            normalized.pop()
-        object.__setattr__(self, "coeffs", tuple(normalized))
+        self._store(*_vectors(coeffs), None)
+
+    def _store(self, re, im, den: int, order: int | None):
+        if order is not None and order < 0:
+            raise DomainError("series order must be nonnegative")
+        re, im, den = _canonical(re, im, den, None if order is None else order + 1)
+        setattr_ = object.__setattr__
+        setattr_(self, "_re", re)
+        setattr_(self, "_im", im)
+        setattr_(self, "_den", den)
+        setattr_(self, "_order", order)
+        setattr_(self, "_coeffs", None)
 
     def __setattr__(self, name, value):
-        raise AttributeError("ExactPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return ExactPoly, (self.coeffs,)
+        # pickle and copy rebuild through _poly: __setattr__ refuses slot state
+        return _poly, (type(self), self._re, self._im, self._den, self._order)
 
     @classmethod
     def zero(cls) -> "ExactPoly":
@@ -276,95 +411,147 @@ class ExactPoly:
     def x(cls) -> "ExactPoly":
         return cls((GR_ZERO, GR_ONE))
 
+    def _size(self) -> int:
+        """len(coeffs): a series keeps its trailing zeros."""
+        return len(self._re) if self._order is None else self._order + 1
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as GaussianRationals, lowest degree first; built on
+        first access, then cached."""
+        if self._coeffs is None:
+            values = [_rational(r, m, self._den) for r, m in zip(self._re, self._im or repeat(0))]
+            values += [GR_ZERO] * (self._size() - len(values))
+            object.__setattr__(self, "_coeffs", tuple(values))
+        return self._coeffs
+
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._re) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._re
 
     def coeff(self, k: int) -> GaussianRational:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else GR_ZERO
+        if not 0 <= k < len(self._re):
+            return GR_ZERO
+        return _rational(self._re[k], self._im[k] if self._im else 0, self._den)
 
     @property
     def leading_coefficient(self) -> GaussianRational:
-        return self.coeffs[-1] if self.coeffs else GR_ZERO
+        return self.coeff(self.degree)
 
     # -- ring operations ---------------------------------------------------
 
+    def _order_with(self, other) -> int | None:
+        return None if self._order is None else min(self._order, other._order)
+
+    def _combine(self, other, sign: int):
+        """self + sign * other, over the lcm of the two denominators."""
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, sign * (den // other._den)
+        return _poly(type(self), _scaled_sum(self._re, sa, other._re, sb),
+                     _scaled_sum(self._im, sa, other._im, sb), den, self._order_with(other))
+
     def __add__(self, other):
-        if not isinstance(other, ExactPoly):
+        if type(other) is not type(self):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ExactPoly(self.coeff(k) + other.coeff(k) for k in range(n))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, ExactPoly):
+        if type(other) is not type(self):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ExactPoly(self.coeff(k) - other.coeff(k) for k in range(n))
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return ExactPoly(-c for c in self.coeffs)
+        return _poly(type(self), [-r for r in self._re], [-m for m in self._im],
+                     self._den, self._order)
 
     def __mul__(self, other):
-        if isinstance(other, ExactPoly):
-            return ExactPoly(_product(self.coeffs, other.coeffs))
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return ExactPoly(_product(self.coeffs, (other,)))
-        return NotImplemented
+        if type(other) is type(self):
+            order = self._order_with(other)
+            b_re, b_im, b_den = other._re, other._im, other._den
+        elif isinstance(other, _SCALARS):
+            order = self._order
+            b_re, b_im, b_den = _vectors((other,))
+        else:
+            return NotImplemented
+        size = len(self._re) + len(b_re) - 1
+        if order is not None:
+            size = min(size, order + 1)
+        re, im = _multiply(self._re, self._im, b_re, b_im, max(size, 0))
+        return _poly(type(self), re, im, self._den * b_den, order)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, ExactPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (type(other) is type(self) and self._den == other._den
+                and self._order == other._order
+                and self._re == other._re and self._im == other._im)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._re, self._im, self._den, self._order))
 
     def __call__(self, x):
-        """Horner evaluation: exact for exact x, complex otherwise.  Exact x
-        runs on Gaussian integers, over one q with the coefficients (x = X/q,
-        c_k = C_k/q): p(x) = sum_k C_k X^k q^(n-k) / q^(n+1)."""
-        if isinstance(x, (int, Fraction, GaussianRational)):
-            [(x_re, x_im), *pairs], q = _gaussian((x, *self.coeffs))
-            acc_re, acc_im, power = 0, 0, 1
-            for c_re, c_im in reversed(pairs):
+        """Horner evaluation: exact for exact x, complex otherwise.  Exact x =
+        X / q runs on Gaussian integers: with c_k = C_k / den,
+        p(x) = sum_k C_k X^k q^(n-k) / (den q^n)."""
+        if isinstance(x, _SCALARS):
+            if not self._re:
+                return GR_ZERO
+            x_re, x_im, q = _scalar(x)
+            acc_re = acc_im = 0
+            power = 1  # q^(n-k)
+            for c_re, c_im in zip(reversed(self._re),
+                                  reversed(self._im) if self._im else repeat(0)):
                 acc_re, acc_im = (acc_re * x_re - acc_im * x_im + power * c_re,
                                   acc_re * x_im + acc_im * x_re + power * c_im)
                 power *= q
-            return _rational(acc_re, acc_im, power)
+            return _rational(acc_re, acc_im, self._den * power // q)
         xc = complex(x)
         acc_c = 0j
-        for c in reversed(self.coeffs):
-            acc_c = acc_c * xc + c.to_complex()
+        for c in reversed(self.complex_coeffs()):
+            acc_c = acc_c * xc + c
         return acc_c
 
     def derivative(self) -> "ExactPoly":
-        return ExactPoly(self.coeffs[k] * k for k in range(1, len(self.coeffs)))
+        """p'; a series known through t^order has its derivative through t^(order-1)."""
+        return _poly(type(self), [k * r for k, r in enumerate(self._re)][1:],
+                     [k * m for k, m in enumerate(self._im)][1:], self._den,
+                     None if self._order is None else self._order - 1)
 
     def shift_up(self, k: int = 1) -> "ExactPoly":
         """Multiply by x**k."""
         if self.is_zero():
             return self
-        return ExactPoly((GR_ZERO,) * k + self.coeffs)
+        zeros = (0,) * k
+        return _poly(type(self), zeros + self._re, zeros + self._im if self._im else (),
+                     self._den, self._order)
 
     def scale_argument(self, c) -> "ExactPoly":
-        """Return p(c*x) exactly."""
-        s = gr(c)
-        out, power = [], GR_ONE
-        for coeff in self.coeffs:
-            out.append(coeff * power)
-            power = power * s
-        return ExactPoly(out)
+        """Return p(c*x) exactly: with c = S / s, C_k S^k s^(n-k) over den s^n."""
+        s_re, s_im, s = _scalar(c)
+        n = self.degree
+        re, im = [], []
+        p_re, p_im = 1, 0  # S^k
+        for k, (c_re, c_im) in enumerate(zip(self._re, self._im or repeat(0))):
+            scale = s ** (n - k)
+            re.append((c_re * p_re - c_im * p_im) * scale)
+            im.append((c_re * p_im + c_im * p_re) * scale)
+            p_re, p_im = p_re * s_re - p_im * s_im, p_re * s_im + p_im * s_re
+        return _poly(type(self), re, im, self._den * s ** max(n, 0), self._order)
 
     def max_abs_coefficient(self) -> float:
-        return max((abs(c.to_complex()) for c in self.coeffs), default=0.0)
+        return max(map(abs, self.complex_coeffs()), default=0.0)
 
     def complex_coeffs(self) -> list:
-        return [c.to_complex() for c in self.coeffs]
+        """[c.to_complex() for c in self.coeffs], bit for bit: an int divided by
+        an int is correctly rounded, as float(Fraction) is."""
+        den = self._den
+        values = [complex(r / den, m / den) for r, m in zip(self._re, self._im or repeat(0))]
+        return values + [0j] * (self._size() - len(values))
 
     def __str__(self):
         if self.is_zero():

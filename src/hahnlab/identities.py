@@ -13,11 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import GR_I, GR_ONE, I_POWERS, ExactPoly, GaussianRational, gr
-from .polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
-                          jacobi_coeffs_exact, _rising)
+from .exact import GR_I, GR_ONE, ExactPoly, GaussianRational, gr
+from .polynomials import HahnParams, JacobiParams, chahn_coeffs_exact, jacobi_coeffs_exact
 from .reports import VerificationReport, exact_report, residual_report
-from .series import FormalSeries, hypergeometric_series, one_minus_t_power
+from .series import FormalSeries, _hadamard, hypergeometric_series, one_minus_t_power
 
 GENFUN_EXPONENT_NOTE = (
     "closed form uses (1-t)^(1-alpha-beta-gamma-delta); the exponent "
@@ -38,7 +37,7 @@ def _first_mismatch(a: FormalSeries, b: FormalSeries) -> str:
 def _series_report(name: str, lhs: FormalSeries, rhs: FormalSeries,
                    note: str = "") -> VerificationReport:
     diff = lhs - rhs
-    residual = max((abs(c.to_complex()) for c in diff.coeffs), default=0.0)
+    residual = diff.max_abs_coefficient()
     detail = note
     if residual:
         detail = (note + "; " if note else "") + _first_mismatch(lhs, rhs)
@@ -65,17 +64,16 @@ def genfun_jacobi_check(which: int, gamma, delta, x, order: int) -> Verification
         hyper = hypergeometric_series(
             [Fraction(g + d + 1, 2), Fraction(g + d + 2, 2)], [g + 1], order)
         lhs = one_minus_t_power(-(g + d + 1), order) * hyper.compose(inner)
-        num, den = _rising(g + d + 1, order), _rising(g + 1, order)
-        rhs_coeffs = [num[n] / den[n] * values[n] for n in range(order + 1)]
+        # (gamma+delta+1)_n (1)_n / ((gamma+1)_n n!) = (gamma+delta+1)_n / (gamma+1)_n
+        weights = hypergeometric_series([g + d + 1, 1], [g + 1], order)
     else:
         s1 = hypergeometric_series([], [g + 1], order).compose(
             gr(Fraction(xv - 1, 2)) * t)
         s2 = hypergeometric_series([], [d + 1], order).compose(
             gr(Fraction(xv + 1, 2)) * t)
         lhs = s1 * s2
-        g1, d1 = _rising(g + 1, order), _rising(d + 1, order)
-        rhs_coeffs = [values[n] / (g1[n] * d1[n]) for n in range(order + 1)]
-    return _series_report(name, lhs, FormalSeries(rhs_coeffs, order))
+        weights = hypergeometric_series([1], [g + 1, d + 1], order)
+    return _series_report(name, lhs, _hadamard(weights, FormalSeries(values, order)))
 
 
 def genfun_chahn_check(which: int, alpha, beta, gamma, delta, z,
@@ -97,10 +95,9 @@ def genfun_chahn_check(which: int, alpha, beta, gamma, delta, z,
     a_iz = al + GR_I * zv
     b_iz = be - GR_I * zv
     params = HahnParams(al, de, ga, be)
-    p_values = [chahn_coeffs_exact(n, params)(zv) for n in range(order + 1)]
+    p_series = FormalSeries([chahn_coeffs_exact(n, params)(zv) for n in range(order + 1)],
+                            order)
     half = GaussianRational(Fraction(1, 2))
-    # every Pochhammer symbol the sums need, each table built once
-    ab, ag = _rising(al + be, order), _rising(ga + al, order)
 
     if which == 1:
         inner = gr(-4) * FormalSeries.identity(order) * one_minus_t_power(-2, order)
@@ -108,25 +105,20 @@ def genfun_chahn_check(which: int, alpha, beta, gamma, delta, z,
             [(s_total - 1) * half, s_total * half, a_iz],
             [ga + al, al + be], order)
         lhs = one_minus_t_power(GR_ONE - s_total, order) * hyper.compose(inner)
-        s1 = _rising(s_total - 1, order)
-        # (-i)^n = i^(-n)
-        rhs_coeffs = [s1[n] / (ab[n] * ag[n]) * I_POWERS[-n % 4] * p_values[n]
-                      for n in range(order + 1)]
-        return _series_report(name, lhs, FormalSeries(rhs_coeffs, order),
-                              GENFUN_EXPONENT_NOTE)
+        # (S-1)_n (1)_n / ((alpha+beta)_n (alpha+gamma)_n n!), and (t/i)^n as t -> -it
+        weights = hypergeometric_series([s_total - 1, 1], [al + be, ga + al], order)
+        rhs = _hadamard(weights, p_series).scale_argument(-GR_I)
+        return _series_report(name, lhs, rhs, GENFUN_EXPONENT_NOTE)
 
-    db = _rising(de + be, order)
-    lhs_coeffs = [I_POWERS[-n % 4] * p_values[n] / (ag[n] * db[n] * ab[n])
-                  for n in range(order + 1)]
+    weights = hypergeometric_series([1], [ga + al, de + be, al + be], order)
+    lhs = _hadamard(weights, p_series).scale_argument(-GR_I)
     # the double sum is a product of series in t: A_p = (-1)^p (alpha+iz)_p /
     # (p! (gamma+alpha)_p) and B_k = (beta-iz)_k / (k! (delta+beta)_k), with
     # coefficient n then divided by (alpha+beta)_n
-    a_terms = hypergeometric_series([a_iz], [ga + al], order).coeffs
-    a_series = FormalSeries([-c if p % 2 else c for p, c in enumerate(a_terms)], order)
+    a_series = hypergeometric_series([a_iz], [ga + al], order).scale_argument(-1)
     double = a_series * hypergeometric_series([b_iz], [de + be], order)
-    rhs_coeffs = [c / ab[n] for n, c in enumerate(double.coeffs)]
-    return _series_report(name, FormalSeries(lhs_coeffs, order),
-                          FormalSeries(rhs_coeffs, order))
+    rhs = _hadamard(hypergeometric_series([1], [al + be], order), double)
+    return _series_report(name, lhs, rhs)
 
 
 def contiguous_check(which: int, n: int, alpha, beta, gamma, delta) -> VerificationReport:

@@ -152,6 +152,25 @@ def gamma_product(factors, inverse_factors=()) -> complex:
     return _exp_checked(w, "gamma product")
 
 
+def _hahn_weight_log_of(alpha: complex, beta_: complex, a: complex, b: complex):
+    """z -> hahn_weight_log(z, alpha, beta_, a, b): the parameters are checked
+    and converted once, so a caller with many nodes pays that once per tuple."""
+    params = [complex(p) for p in (alpha, beta_, a, b)]
+    for name, p in zip(("alpha", "beta", "a", "b"), params):
+        if p.real <= 0.0:
+            raise DomainError(f"hahn weight requires Re({name}) > 0")
+    al, be, av, bv = params
+    shifts = (al, be.conjugate(), av.conjugate(), bv)
+    distinct = set(shifts)
+
+    def log_weight(z: float) -> complex:
+        iz = 1j * float(z)  # the conjugate identity needs real z
+        logs = {p: log_gamma_complex(p + iz) for p in distinct}
+        ga, gb, gc, gd = (logs[p] for p in shifts)
+        return ga + gb.conjugate() + gc.conjugate() + gd
+    return log_weight
+
+
 def hahn_weight_log(z: float, alpha: complex, beta_: complex,
                     a: complex, b: complex) -> complex:
     """log of Gamma(alpha+iz) Gamma(beta-iz) Gamma(a-iz) Gamma(b+iz), real z.
@@ -161,16 +180,7 @@ def hahn_weight_log(z: float, alpha: complex, beta_: complex,
     all 1/2 takes one call, a conjugate pair (a = conj alpha, b = conj
     beta) two.  The terms are summed in the order above either way.
     """
-    params = [complex(p) for p in (alpha, beta_, a, b)]
-    for name, p in zip(("alpha", "beta", "a", "b"), params):
-        if p.real <= 0.0:
-            raise DomainError(f"hahn weight requires Re({name}) > 0")
-    al, be, av, bv = params
-    iz = 1j * float(z)  # the conjugate identity needs real z
-    shifts = (al, be.conjugate(), av.conjugate(), bv)
-    logs = {p: log_gamma_complex(p + iz) for p in set(shifts)}
-    ga, gb, gc, gd = (logs[p] for p in shifts)
-    return ga + gb.conjugate() + gc.conjugate() + gd
+    return _hahn_weight_log_of(alpha, beta_, a, b)(z)
 
 
 def hahn_weight(z: float, alpha: complex, beta_: complex,

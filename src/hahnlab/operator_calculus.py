@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, HahnlabError, StructureError
-from .exact import GR_I, GR_ONE, I_POWERS, ExactPoly, GaussianRational, gr
+from .exact import GR_I, I_POWERS, ExactPoly, GaussianRational, _poly, gr
 from .polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
-                          jacobi_coeffs_exact, _exact_terms, _rising)
+                          jacobi_coeffs_exact, _pochhammer, _term_vectors)
 from .reports import VerificationReport, residual_report
 
 SIGN_NOTE = ("log-derivative factor used as (beta-alpha)-(alpha+beta)t; "
@@ -55,11 +55,12 @@ def weight_function(alpha, beta) -> WeightedTanhFunction:
     return WeightedTanhFunction(Fraction(alpha), Fraction(beta), ExactPoly.one())
 
 
+_ONE_MINUS_T2 = ExactPoly([1, 0, -1])
+
+
 def d_dx(f: WeightedTanhFunction) -> WeightedTanhFunction:
-    a, b = gr(f.alpha), gr(f.beta)
-    log_factor = ExactPoly([b - a, -(a + b)])
-    one_minus_t2 = ExactPoly([GR_ONE, gr(0), -GR_ONE])
-    new_poly = log_factor * f.poly + one_minus_t2 * f.poly.derivative()
+    log_factor = ExactPoly([f.beta - f.alpha, -(f.alpha + f.beta)])
+    new_poly = log_factor * f.poly + _ONE_MINUS_T2 * f.poly.derivative()
     return WeightedTanhFunction(f.alpha, f.beta, new_poly)
 
 
@@ -77,9 +78,9 @@ def shifted_operator_identity_check(alpha, beta, r: int) -> VerificationReport:
             f.alpha, f.beta,
             gr(alpha + j) * f.poly + GaussianRational(Fraction(1, 2)) * df.poly)
     # (1-t)^r = sum_k (-r)_k / k! t^k
-    expected = _rising(alpha + beta, r)[r] \
+    expected = _pochhammer(alpha + beta, r) \
         * GaussianRational(Fraction(1, 2 ** r)) \
-        * ExactPoly(_exact_terms((-r,), (), r))
+        * _poly(ExactPoly, *_term_vectors((-r,), (), r))
     return residual_report(name, f.poly - expected, SIGN_NOTE)
 
 
@@ -95,10 +96,9 @@ def apply_operator_polynomial(op_poly: ExactPoly, scale: GaussianRational,
     for _ in range(op_poly.degree):
         derivatives.append(d_dx(derivatives[-1]))
     acc = ExactPoly.zero()
-    power = GR_ONE
-    for j, c in enumerate(op_poly.coeffs):
-        acc = acc + (c * power) * derivatives[j].poly
-        power = power * scale
+    # c_j scale^j are the coefficients of op_poly(scale x)
+    for c, derivative in zip(op_poly.scale_argument(scale).coeffs, derivatives):
+        acc = acc + c * derivative.poly
     return WeightedTanhFunction(f.alpha, f.beta, acc)
 
 
@@ -115,7 +115,7 @@ def hahn_operator_identity_check(n: int, alpha, beta, gamma, delta) -> Verificat
     lhs = apply_operator_polynomial(
         op_poly, -GR_I * GaussianRational(Fraction(1, 2)),
         weight_function(alpha, beta))
-    rhs_poly = I_POWERS[n % 4] * _rising(alpha + beta, n)[n] \
+    rhs_poly = I_POWERS[n % 4] * _pochhammer(alpha + beta, n) \
         * jacobi_coeffs_exact(n, JacobiParams(gamma, delta))
     detail = SIGN_NOTE
     if gamma == 0 and delta == 0 and alpha == beta:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import add, mul
 
 from .errors import DomainError
-from .numerics import gamma_product, hahn_weight_log, pochhammer
+from .numerics import _hahn_weight_log_of, gamma_product, pochhammer
 from .polynomials import (HahnParams, JacobiParams, _to_complex,
                           chahn_coeffs_complex, horner, horner_level,
                           jacobi_coeffs_complex, pasternack_coeffs_complex)
@@ -144,12 +144,13 @@ def chahn_gram(N: int, alpha, beta, a, b,
     entries = [(n, m) for n in range(N) for m in range(n, N, stride)]
     diagonal_index = [entries.index((n, n)) for n in range(N)]
     two_pi = 2.0 * math.pi
+    log_weight = _hahn_weight_log_of(al, be, av, bv)
 
     def side(zs: list) -> list:
         """The entries' integrands summed over the nodes zs, then the
         moments |w| |z|^q, q < 2N - 1, that bound the rounding of the
         polynomial values: one loop over the level per quantity."""
-        w = [cmath.exp(hahn_weight_log(z, al, be, av, bv)) / two_pi for z in zs]
+        w = [cmath.exp(log_weight(z)) / two_pi for z in zs]
         p = [horner_level(cs, zs) for cs in polys]
         out = []
         for n in range(N):
@@ -181,9 +182,9 @@ def chahn_gram(N: int, alpha, beta, a, b,
     mags = [[abs(u) for u in cs] for cs in polys]
 
     def envelope(z: float) -> float:
-        g = hahn_weight_log(z, al, be, av, bv).real
+        g = log_weight(z).real
         if not real:  # then |w(-z)| != |w(z)|; bound both tails
-            g = max(g, hahn_weight_log(-z, al, be, av, bv).real)
+            g = max(g, log_weight(-z).real)
         x = abs(z)
         return math.exp(g) * max(horner(mag, x).real ** 2 / max(abs(h), 1.0)
                                  for mag, h in zip(mags, expected)) / two_pi

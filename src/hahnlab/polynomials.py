@@ -10,10 +10,13 @@ _pasternack_sum) and built from the term ratio: in complex floats for
 float parameters (_hypergeometric_terms), and for exact ones in Gaussian
 integers over one positive integer denominator (_gaussian_terms), never
 gamma quotients, which would reintroduce the very poles the termination
-avoids.  Monomial coefficients come from the nested (Newton-form) product
-of the terms; exact builds run it in integers too (_exact_poly) and make
-one GaussianRational per coefficient, at the end, so no build goes through
-Fraction arithmetic.  Float point values keep a forward running sum, term by
+avoids.  The exact data are formed over one q too: the parameters go to
+Gaussian integers over their common denominator (_OverQ) before the
+family adds anything to them.  Monomial coefficients come from the nested
+(Newton-form) product of the terms; exact builds run it in integers too
+(_exact_poly) and hand the integer vectors straight to ExactPoly's storage,
+so no build goes through Fraction arithmetic.  Float point values keep a
+forward running sum, term by
 term: nesting the value as well moves exact cancellations off zero (an
 odd p_n at 0 for symmetric parameters, which the Fourier pair check at
 z = 0 relies on).  Exactness is honest in the sense that float inputs are
@@ -51,17 +54,19 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .errors import DomainError, ExactInputError, PoleError
-from .exact import GR_ONE, I_POWERS, ExactPoly, GaussianRational, _gaussian, _rational, gr
+from .exact import (ExactPoly, GaussianRational, _multiply, _OverQ, _poly, _rational, _scalar,
+                    _vectors, gr)
 from .reports import VerificationReport, residual_report
 
 # coefficient growth is unbounded; cap keeps exact runs tractable
 EXACT_DEGREE_CAP = 64
 
-_EXACT_TYPES = (int, Fraction, GaussianRational)
+_EXACT_TYPES = (GaussianRational, int, Fraction)
 
 
 def _is_exact(value) -> bool:
-    return isinstance(value, _EXACT_TYPES)
+    # floats first: Fraction's ABC metaclass makes isinstance slow on them
+    return not isinstance(value, (float, complex)) and isinstance(value, _EXACT_TYPES)
 
 
 def _check_exact_degree(n: int):
@@ -73,12 +78,8 @@ def _check_exact_degree(n: int):
 
 def _poch_has_zero(value, n: int) -> bool:
     """True when (value)_k = 0 for some k <= n."""
-    if _is_exact(value):
-        g = gr(value)
-        if g.im != 0:
-            return False
-        v = g.re
-        return v.denominator == 1 and -(n - 1) <= v <= 0
+    if isinstance(value, _OverQ):
+        return not value.im and not value.re % value.q and -(n - 1) <= value.re // value.q <= 0
     z = complex(value)
     if abs(z.imag) > 1e-12:
         return False
@@ -119,10 +120,17 @@ def _to_complex(value) -> complex:
     return complex(value)
 
 
-class _Field(NamedTuple):
-    """The scalars a family's data is formed in: exact Q(i), or complex floats."""
+def _over_one_q(*values) -> list:
+    """Exact scalars as _OverQ over their common denominator."""
+    re, im, q = _vectors(values)
+    return [_OverQ(r, m, q) for r, m in zip(re, im or repeat(0))]
 
-    of: object  # conversion of a parameter
+
+class _Field(NamedTuple):
+    """The scalars a family's data is formed in: exact Q(i) over one q, or
+    complex floats."""
+
+    of: object  # conversion of the parameters, all at once
     one: object
     half: object
     i_powers: tuple  # i^0 .. i^3
@@ -172,7 +180,8 @@ def _gaussian_terms(upper, lower, count: int) -> list:
     t_k = (re + i im) / den as reduced integer triples.  With every parameter
     over one q, u + k = (u_re + kq + i u_im) / q; dividing by a lower factor
     multiplies by its conjugate and divides by its norm, so den stays an integer."""
-    pairs, q = _gaussian((*upper, *lower))
+    re, im, q = _vectors((*upper, *lower))
+    pairs = list(zip(re, im or repeat(0)))
     ups, lows = pairs[:len(upper)], pairs[len(upper):]
     q_up, q_low = q ** len(upper), q ** len(lower)
     re, im, den = 1, 0, 1
@@ -196,26 +205,37 @@ def _gaussian_terms(upper, lower, count: int) -> list:
     return terms
 
 
-def _exact_terms(upper, lower, count: int) -> list:
-    """The terms of _hypergeometric_terms over Q(i), from the integer loop."""
-    return [_rational(*t) for t in _gaussian_terms(upper, lower, count)]
+def _term_vectors(upper, lower, count: int) -> tuple:
+    """The terms of _hypergeometric_terms for exact scalars, as integer vectors
+    over their common denominator (re, im, den)."""
+    terms = _gaussian_terms(upper, lower, count)
+    den = lcm(*(d for _, _, d in terms))
+    return [r * (den // d) for r, _, d in terms], [m * (den // d) for _, m, d in terms], den
 
 
-def _rising(a, count: int) -> list:
-    """[(a)_0, ..., (a)_count] over Q(i): the terms for upper (a, 1), as (1)_k = k!."""
-    return _exact_terms((a, 1), (), count)
+def _pochhammer(a, n: int) -> GaussianRational:
+    """(a)_n = prod_{k<n} (a + k) over Q(i): with a = (A + iB) / q, the
+    Gaussian-integer product of A + kq + iB over q^n."""
+    a_re, a_im, q = _scalar(a)
+    re, im = 1, 0
+    for k in range(n):
+        u = a_re + k * q
+        re, im = re * u - im * a_im, re * a_im + im * u
+    return _rational(re, im, q ** n)
 
 
-_EXACT = _Field(gr, GR_ONE, GaussianRational(Fraction(1, 2)), I_POWERS,
-                lambda values, n: _rational(*_gaussian_terms(values, (), n)[n]))
+_EXACT = _Field(_over_one_q, 1, _OverQ(1, 0, 2), tuple(_OverQ(*p, 1) for p in
+                                                      ((1, 0), (0, 1), (-1, 0), (0, -1))),
+                lambda values, n: _OverQ(*_gaussian_terms(values, (), n)[n]))
 # one factor at a time, so floats never overflow n!
-_FLOAT = _Field(_to_complex, 1.0, 0.5, tuple(1j ** k for k in range(4)),
+_FLOAT = _Field(lambda *values: [_to_complex(v) for v in values], 1.0, 0.5,
+                tuple(1j ** k for k in range(4)),
                 lambda values, n: _hypergeometric_terms(values, (), n)[n])
 
 
 def _jacobi_sum(n: int, params: JacobiParams, field: _Field) -> _Sum:
     # ((gamma+1)_n / n!) 2F1(-n, n+gamma+delta+1; gamma+1; (1-x)/2)
-    g, d = field.of(params.gamma), field.of(params.delta)
+    g, d = field.of(params.gamma, params.delta)
     g1 = g + 1
     _check_poch(g1, n, "gamma+1")
     return _Sum(n, field.poch((g1,), n), (n + g + d + 1,), (g1,), field.half, 0, -field.half)
@@ -223,7 +243,7 @@ def _jacobi_sum(n: int, params: JacobiParams, field: _Field) -> _Sum:
 
 def _chahn_sum(n: int, params: HahnParams, field: _Field) -> _Sum:
     # i^n ((a+c)_n (a+d)_n / n!) 3F2(-n, n+a+b+c+d-1, a+ix; a+c, a+d; 1)
-    a, b, c, d = map(field.of, (params.a, params.b, params.c, params.d))
+    a, b, c, d = field.of(params.a, params.b, params.c, params.d)
     lower = (a + c, a + d)
     _check_poch(lower[0], n, "a+c")
     _check_poch(lower[1], n, "a+d")
@@ -233,7 +253,7 @@ def _chahn_sum(n: int, params: HahnParams, field: _Field) -> _Sum:
 
 def _pasternack_sum(n: int, m, field: _Field) -> _Sum:
     # 3F2(-n, n+1, (1+m+x)/2; 1, m+1; 1)
-    mv = field.of(m)
+    mv, = field.of(m)
     m1 = mv + 1
     _check_poch(m1, n, "m+1")
     return _Sum(n, field.one, (n + 1,), (1, m1), m1 * field.half, 1, field.half)
@@ -278,28 +298,33 @@ def _exact_poly(s: _Sum) -> ExactPoly:
         A_n = T_n,  A_k = q^(n-k) T_k + (O_k + S x) A_{k+1},
         p_n = prefactor * A_0 / (D q^n)
 
-    in Gaussian integers; a GaussianRational is made once per coefficient."""
+    in Gaussian integers, handed to ExactPoly's storage as they are."""
     n = s.n
     terms = _gaussian_terms((-n, *s.upper), s.lower, n)
     lcm_den = lcm(*(den for _, _, den in terms))
-    [(o_re, o_im), (s_re, s_im)], q = _gaussian((s.shift, s.slope))
+    (o_re, s_re), im, q = _vectors((s.shift, s.slope))
+    o_im, s_im = im or (0, 0)
+    real = not (o_im or s_im or any(t_im for _, t_im, _ in terms))
     step = s.step * q
     acc_re, acc_im, power = [], [], 1  # A_{n+1} = 0, power = q^(n-k)
     for k in range(n, -1, -1):
         ok_re = o_re + k * step
         # coefficient j of (O_k + S x) A is O_k A_j + S A_{j-1}
-        rows = list(zip(acc_re + [0], acc_im + [0], [0] + acc_re, [0] + acc_im))
-        acc_re = [ok_re * a - o_im * b + s_re * c - s_im * d for a, b, c, d in rows]
-        acc_im = [ok_re * b + o_im * a + s_re * d + s_im * c for a, b, c, d in rows]
+        if real:
+            acc_re = [ok_re * a + s_re * c for a, c in zip(acc_re + [0], [0] + acc_re)]
+        else:
+            rows = list(zip(acc_re + [0], acc_im + [0], [0] + acc_re, [0] + acc_im))
+            acc_re = [ok_re * a - o_im * b + s_re * c - s_im * d for a, b, c, d in rows]
+            acc_im = [ok_re * b + o_im * a + s_re * d + s_im * c for a, b, c, d in rows]
         t_re, t_im, t_den = terms[k]
         scale = power * (lcm_den // t_den)
         acc_re[0] += scale * t_re
-        acc_im[0] += scale * t_im
+        if t_im:
+            acc_im[0] += scale * t_im
         power *= q
-    [(p_re, p_im)], p_den = _gaussian((s.prefactor,))
-    den = p_den * lcm_den * q ** n
-    return ExactPoly(_rational(p_re * a - p_im * b, p_re * b + p_im * a, den)
-                     for a, b in zip(acc_re, acc_im))
+    p_re, p_im, p_den = _vectors((s.prefactor,))
+    return _poly(ExactPoly, *_multiply(p_re, p_im, acc_re, acc_im, n + 1),
+                 p_den * lcm_den * q ** n)
 
 
 def _value(plan: _Plan, x: complex) -> complex:
@@ -440,9 +465,11 @@ def pasternack_coeffs_complex(n: int, m) -> list:
 
 def pasternack_hahn_params(m) -> HahnParams:
     """The continuous Hahn parameter tuple behind F_n^m."""
-    field = _EXACT if _is_exact(m) else _FLOAT
-    mv = field.of(m)
-    p, q = (1 + mv) * field.half, (1 - mv) * field.half
+    if _is_exact(m):
+        mv, half = gr(m), GaussianRational(Fraction(1, 2))
+    else:
+        mv, half = _to_complex(m), 0.5
+    p, q = (1 + mv) * half, (1 - mv) * half
     return HahnParams(p, q, q, p)
 
 
@@ -450,6 +477,6 @@ def pasternack_reflection_check(n: int, m) -> VerificationReport:
     """Exact identity (1+m)_n F_n^m(x) = (1-m)_n F_n^{-m}(x)."""
     name = f"pasternack-reflection[n={n}, m={m}]"
     mg = gr(m)
-    lhs = _rising(GR_ONE + mg, n)[n] * pasternack_coeffs_exact(n, mg)
-    rhs = _rising(GR_ONE - mg, n)[n] * pasternack_coeffs_exact(n, -mg)
+    lhs = _pochhammer(1 + mg, n) * pasternack_coeffs_exact(n, mg)
+    rhs = _pochhammer(1 - mg, n) * pasternack_coeffs_exact(n, -mg)
     return residual_report(name, lhs - rhs)

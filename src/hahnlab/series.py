@@ -1,127 +1,96 @@
 """Truncated formal power series over Q(i).
 
-A FormalSeries holds coefficients for t^0 .. t^order and all arithmetic is
-exact up to that order.  Binary operations truncate to the smaller order
-of the two operands; nothing ever silently extends an order.  Products and
-composition (Horner, one product per step) run through exact._product, the
-fraction-free kernel that ExactPoly uses.
+A FormalSeries is an ExactPoly truncated at an order: the same canonical
+integer storage (Gaussian-integer numerators over one denominator), plus
+the order, and coefficients for t^0 .. t^order (.coeffs keeps the trailing
+zeros, order + 1 of them).  The ring operations are ExactPoly's: exact up
+to the order, and a binary operation truncates to the smaller order of
+the two operands; nothing ever silently extends an order.  The reciprocal
+(Newton's iteration, from those operations) and composition (Horner)
+run on the integer vectors too.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .exact import GR_ONE, GR_ZERO, GaussianRational, _product, gr
-from .polynomials import _exact_terms
+from .exact import ExactPoly, _multiply, _poly, _scaled_sum, _vectors, gr
+from .polynomials import _term_vectors
 
 
-class FormalSeries:
-    __slots__ = ("coeffs", "order")
+class FormalSeries(ExactPoly):
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable, order: int | None = None):
-        data = [gr(c) for c in coeffs]
-        if order is None:
-            order = len(data) - 1
-        if order < 0:
-            raise DomainError("series order must be nonnegative")
-        if len(data) < order + 1:
-            data.extend([GR_ZERO] * (order + 1 - len(data)))
-        object.__setattr__(self, "coeffs", tuple(data[:order + 1]))
-        object.__setattr__(self, "order", order)
+        re, im, den = _vectors(coeffs)
+        self._store(re, im, den, len(re) - 1 if order is None else order)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalSeries is immutable")
-
-    def __reduce__(self):
-        return FormalSeries, (self.coeffs, self.order)
+    @property
+    def order(self) -> int:
+        return self._order
 
     @classmethod
     def constant(cls, value, order: int) -> "FormalSeries":
-        return cls([gr(value)], order)
+        return cls([value], order)
 
     @classmethod
     def identity(cls, order: int) -> "FormalSeries":
         """The series t."""
-        return cls([GR_ZERO, GR_ONE], order)
-
-    def coeff(self, k: int) -> GaussianRational:
-        return self.coeffs[k] if 0 <= k <= self.order else GR_ZERO
+        return cls([0, 1], order)
 
     def valuation(self) -> int:
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return self.order + 1
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __add__(self, other):
-        if not isinstance(other, FormalSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return FormalSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n)
-
-    def __sub__(self, other):
-        if not isinstance(other, FormalSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return FormalSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)], n)
-
-    def __neg__(self):
-        return FormalSeries([-c for c in self.coeffs], self.order)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return FormalSeries(_product(self.coeffs, (other,)), self.order)
-        if not isinstance(other, FormalSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return FormalSeries(_product(self.coeffs, other.coeffs, n), n)
-
-    __rmul__ = __mul__
+        """The index of the first nonzero coefficient; order + 1 for zero."""
+        pairs = zip(self._re, self._im or repeat(0))
+        return next((k for k, (r, m) in enumerate(pairs) if r or m), self._order + 1)
 
     def reciprocal(self) -> "FormalSeries":
-        """Multiplicative inverse; requires a unit constant term."""
-        c0 = self.coeffs[0]
-        if not c0:
+        """Multiplicative inverse; requires a unit constant term.  Newton's step
+        g -> g (2 - self g) doubles the number of known terms."""
+        if self.valuation():
             raise DomainError("series with zero constant term has no reciprocal")
-        out = [GR_ONE / c0]
-        for k in range(1, self.order + 1):
-            acc = GR_ZERO
-            for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * out[k - j]
-            out.append(-acc / c0)
-        return FormalSeries(out, self.order)
+        inverse = FormalSeries([1 / self.coeff(0)], self._order)
+        two = FormalSeries.constant(2, self._order)
+        for _ in range(self._order.bit_length()):
+            inverse = inverse * (two - self * inverse)
+        return inverse
 
     def compose(self, inner: "FormalSeries") -> "FormalSeries":
-        """self(inner(t)); inner must have zero constant term."""
-        if inner.coeffs[0]:
+        """self(inner(t)); inner must have zero constant term.  Horner, one
+        truncated product per step, on integers: with self = C / D and
+        inner = P / E, A_top = C_top, A_k = P A_{k+1} + C_k E^(top-k), and
+        self(inner) = A_0 / (D E^top)."""
+        if not inner.valuation():
             raise DomainError("composition needs inner valuation >= 1")
-        n = min(self.order, inner.order)
-        acc = []
-        for c in reversed(self.coeffs[:n + 1]):
-            # Horner: acc * inner has constant term 0, so c is the new one
-            acc = [c, *_product(acc, inner.coeffs, n)[1:]]
-        return FormalSeries(acc, n)
+        n = min(self._order, inner._order)
+        acc_re, acc_im, power = [], [], 1
+        for k in range(min(n, self.degree), -1, -1):
+            acc_re, acc_im = _multiply(inner._re, inner._im, acc_re, acc_im, n + 1)
+            acc_re = _scaled_sum(acc_re, 1, self._re[k:k + 1], power)
+            acc_im = _scaled_sum(acc_im, 1, self._im[k:k + 1], power)
+            power *= inner._den
+        return _poly(FormalSeries, acc_re, acc_im, self._den * power // inner._den, n)
 
     def truncate(self, order: int) -> "FormalSeries":
-        if order > self.order:
+        if order > self._order:
             raise DomainError("truncate cannot extend the order")
-        return FormalSeries(self.coeffs[:order + 1], order)
+        return _poly(FormalSeries, self._re, self._im, self._den, order)
 
     def __str__(self):
         terms = [f"({c})t^{k}" for k, c in enumerate(self.coeffs) if c]
         return (" + ".join(terms) or "0") + f" + O(t^{self.order + 1})"
 
     __repr__ = __str__
+
+
+def _hadamard(a: FormalSeries, b: FormalSeries) -> FormalSeries:
+    """sum_k a_k b_k t^k, to the smaller order: coefficient by coefficient, on
+    the integer vectors."""
+    rows = list(zip(a._re, a._im or repeat(0), b._re, b._im or repeat(0)))
+    return _poly(FormalSeries, [ar * br - ai * bi for ar, ai, br, bi in rows],
+                 [ar * bi + ai * br for ar, ai, br, bi in rows], a._den * b._den,
+                 min(a._order, b._order))
 
 
 def one_minus_t_power(exponent, order: int) -> FormalSeries:
@@ -132,4 +101,4 @@ def one_minus_t_power(exponent, order: int) -> FormalSeries:
 def hypergeometric_series(numerators: Sequence, denominators: Sequence,
                           order: int) -> FormalSeries:
     """sum_k (prod (n_i)_k / prod (d_j)_k) u^k / k! as a series in u."""
-    return FormalSeries(_exact_terms(numerators, denominators, order), order)
+    return _poly(FormalSeries, *_term_vectors(numerators, denominators, order), order)

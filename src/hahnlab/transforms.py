@@ -13,7 +13,7 @@ import math
 from operator import mul
 
 from .errors import DomainError
-from .numerics import gamma_product, hahn_weight_log, log_gamma_complex
+from .numerics import _hahn_weight_log_of, gamma_product, log_gamma_complex
 from .polynomials import (HahnParams, JacobiParams, _to_complex, chahn_eval,
                           chahn_coeffs_complex, horner_level, jacobi_coeffs_complex)
 from .quadrature import (DEFAULT_CONFIG, IntegralResult, QuadratureConfig,
@@ -173,9 +173,10 @@ def _parseval_right(n: int, m: int, al: complex, be: complex, av: complex,
     cn = chahn_coeffs_complex(n, hp_n)
     cm = chahn_coeffs_complex(m, hp_m_conj)
     log_norm = -(log_gamma_complex(al + be + n) + log_gamma_complex(av + bv + m))
+    log_weight = _hahn_weight_log_of(al, be, av, bv)
 
     def gamma_sum_log(z: float) -> complex:
-        return hahn_weight_log(0.5 * z, al, be, av, bv) + log_norm
+        return log_weight(0.5 * z) + log_norm
 
     def f(zs: list) -> tuple:
         halves = [0.5 * z for z in zs]

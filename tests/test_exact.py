@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from hahnlab.errors import ExactInputError
 from hahnlab.exact import (GR_I, GR_ONE, I_POWERS, ExactPoly, GaussianRational,
-                           _product, gr)
+                           _poly, _product, gr)
+from hahnlab.polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
+                                 jacobi_coeffs_exact, pasternack_coeffs_exact)
 from hahnlab.series import FormalSeries
 
 F = Fraction
@@ -255,3 +258,114 @@ def test_exact_evaluation_makes_no_scalar_multiplications(monkeypatch):
     assert [p(x) for x in points] == expected
     assert ExactPoly()(F(1, 3)) == 0
     assert not calls
+
+
+# --- the canonical integer storage --------------------------------------------
+
+def _storage(p):
+    return p._re, p._im, p._den
+
+
+def _assert_one_form(polys):
+    """Equal, equal hashes, and the same canonical vectors."""
+    first = polys[0]
+    for p in polys:
+        assert p == first and hash(p) == hash(first)
+        assert _storage(p) == _storage(first)
+    re, im, den = _storage(first)
+    assert den > 0 and gcd(*re, *im, den) == 1
+    assert not re or re[-1] or (im and im[-1])
+    assert not im or any(im)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: jacobi_coeffs_exact(4, JacobiParams(F(1, 3), F(3, 4))),
+    lambda: chahn_coeffs_exact(3, HahnParams(GaussianRational(F(1, 2), F(1, 3)), F(1, 4),
+                                             GaussianRational(F(1, 2), F(-1, 3)), F(1, 4))),
+    lambda: pasternack_coeffs_exact(5, F(2, 3)),
+], ids=["jacobi", "chahn-complex", "pasternack"])
+def test_equal_polynomials_share_one_canonical_form(build):
+    """An exact build, a product, a sum, a GaussianRational list, from_json,
+    pickle and copy all reach the same vectors: == and hash compare tuples."""
+    p = build()
+    x_plus_one, x_minus_one = ExactPoly([1, 1]), ExactPoly([-1, 1])
+    routes = [
+        p,
+        ExactPoly(p.coeffs),
+        ExactPoly([*p.coeffs, 0, GaussianRational(0, 0)]),
+        ExactPoly.from_json(json.loads(json.dumps(p.to_json()))),
+        pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p),
+        (p + x_plus_one) - x_plus_one,
+        ExactPoly([F(1, 2)]) * (2 * p),
+        (p * 7) * F(1, 7),
+        (p * GR_I) * -GR_I,
+    ]
+    _assert_one_form(routes)
+    _assert_one_form([x_plus_one * x_minus_one, ExactPoly([-1, 0, 1]),
+                      ExactPoly([F(-3, 3), 0, GaussianRational(F(4, 4), 0)])])
+
+
+def test_zero_polynomial_and_scaling_by_zero():
+    p = ExactPoly([F(1, 3), GR_I, 5])
+    zeros = [ExactPoly(), ExactPoly.zero(), ExactPoly([0, 0]), ExactPoly([GaussianRational(0, 0)]),
+             p - p, p * 0, 0 * p, p * F(0), p * GaussianRational(0), p * ExactPoly()]
+    _assert_one_form(zeros)
+    assert _storage(zeros[0]) == ((), (), 1)
+    assert zeros[0].degree == -1 and zeros[0].coeffs == () and zeros[0].is_zero()
+
+
+def test_trailing_zeros_are_trimmed():
+    p = ExactPoly([1, GaussianRational(F(1, 2), 2), 0, GaussianRational(0, 0), F(0, 5)])
+    assert p.degree == 1 and len(p.coeffs) == 2
+    _assert_one_form([p, ExactPoly([1, GaussianRational(F(1, 2), 2)])])
+    # an imaginary part that cancels leaves a real polynomial: im is empty
+    q = ExactPoly([1, GR_I]) + ExactPoly([0, -GR_I])
+    assert _storage(q) == ((1,), (), 1)
+
+
+@pytest.mark.parametrize("re, im, den, want", [
+    ([2, -4], [], -6, [F(-1, 3), F(2, 3)]),
+    ([6, 0, 0], [3, 9, 0], 12, [GaussianRational(F(1, 2), F(1, 4)), GaussianRational(0, F(3, 4))]),
+    ([-5], [10], -15, [GaussianRational(F(1, 3), F(-2, 3))]),
+    ([0, 0], [0, 0], -7, []),
+])
+def test_negative_or_unreduced_denominators_are_normalized(re, im, den, want):
+    p = _poly(ExactPoly, re, im, den)
+    _assert_one_form([p, ExactPoly(want)])
+    assert p.coeffs == tuple(gr(c) for c in want)
+
+
+def test_series_keep_their_order_and_trailing_zeros():
+    s = FormalSeries([1, F(1, 2), 0, 0], 5)
+    assert s.order == 5 and len(s.coeffs) == 6 and s.coeffs[2:] == (gr(0),) * 4
+    assert len(s.complex_coeffs()) == 6
+    _assert_one_form([s, FormalSeries([2, 1], 5) * F(1, 2), FormalSeries([1, F(1, 2)], 5),
+                      pickle.loads(pickle.dumps(s)), copy.deepcopy(s),
+                      FormalSeries([1, F(1, 2), 0, 0, 0, 0, 7, 8], 5)])
+    # the order takes part in equality, and a series is never an ExactPoly
+    assert s != FormalSeries([1, F(1, 2)], 4)
+    assert s != ExactPoly([1, F(1, 2)]) and ExactPoly([1]) != FormalSeries([1], 0)
+    assert s.truncate(1) == FormalSeries([1, F(1, 2)])
+    assert FormalSeries([0, 0], 3).coeffs == (gr(0),) * 4
+
+
+_big_ints = st.one_of(st.integers(2 ** 53, 2 ** 90), st.integers(-2 ** 90, -2 ** 53), st.just(0))
+_big_fractions = st.builds(F, _big_ints, st.integers(2 ** 53, 2 ** 90))
+_big_coeffs = st.lists(st.one_of(_big_fractions, st.builds(GaussianRational, _big_fractions,
+                                                           _big_fractions)), max_size=7)
+
+
+def _bits(values):
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+@given(_big_coeffs, st.integers(0, 9))
+@settings(max_examples=60, deadline=None)
+def test_complex_coefficients_round_like_fractions(coeffs, order):
+    """complex_coeffs() and max_abs_coefficient() equal the GaussianRational
+    route bit for bit with numerators and denominators above 2^53: an int over
+    an int is correctly rounded, as float(Fraction) is."""
+    for p in (ExactPoly(coeffs), FormalSeries(coeffs, order) if coeffs else FormalSeries([0], order)):
+        want = [c.to_complex() for c in p.coeffs]
+        assert _bits(p.complex_coeffs()) == _bits(want)
+        assert p.max_abs_coefficient().hex() == max(map(abs, want), default=0.0).hex()

@@ -9,8 +9,9 @@ import pytest
 
 from hahnlab import numerics
 from hahnlab.errors import DomainError, PoleError, RangeOverflowError
-from hahnlab.numerics import (beta, gamma, hahn_weight, hahn_weight_log, log_gamma,
-                              log_gamma_complex, pochhammer)
+from hahnlab.numerics import (_hahn_weight_log_of, beta, gamma, hahn_weight,
+                              hahn_weight_log, log_gamma, log_gamma_complex, pochhammer)
+from hahnlab.orthogonality import chahn_gram
 
 mp.mp.dps = 30
 
@@ -200,6 +201,57 @@ def test_hahn_weight_log_rejects_complex_z():
 def test_hahn_weight_domain_error():
     with pytest.raises(DomainError):
         hahn_weight(0.0, -0.5, 1, 1, 1)
+
+
+def _per_call_weight_log(z, alpha, beta_, a, b):
+    """The per-node route the factory replaced: check, convert and share the
+    shifts at every call."""
+    params = [complex(p) for p in (alpha, beta_, a, b)]
+    for name, p in zip(("alpha", "beta", "a", "b"), params):
+        if p.real <= 0.0:
+            raise DomainError(f"hahn weight requires Re({name}) > 0")
+    al, be, av, bv = params
+    iz = 1j * float(z)
+    shifts = (al, be.conjugate(), av.conjugate(), bv)
+    logs = {p: log_gamma_complex(p + iz) for p in set(shifts)}
+    ga, gb, gc, gd = (logs[p] for p in shifts)
+    return ga + gb.conjugate() + gc.conjugate() + gd
+
+
+@pytest.mark.parametrize("params", [
+    (0.5, 0.5, 0.5, 0.5),
+    (1.0, 0.5, 0.75, 1.25),
+    (0.5 + 0.25j, 0.75 - 0.25j, 0.5 - 0.25j, 0.75 + 0.25j),
+], ids=["all-1/2", "1-1/2-3/4-5/4", "conjugate-pair"])
+def test_weight_factory_matches_the_per_call_route_bitwise(params):
+    """The weight bound once per parameter tuple (what chahn_gram evaluates)
+    equals the per-call route bit for bit, on both sides of the real line."""
+    log_weight = _hahn_weight_log_of(*params)
+    for k in range(-160, 161):
+        z = 0.0625 * k
+        want = _per_call_weight_log(z, *params)
+        for got in (log_weight(z), hahn_weight_log(z, *params)):
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+@pytest.mark.parametrize("params, name", [
+    ((-0.5, 1, 1, 1), "alpha"),
+    ((1, 0.0, 1, 1), "beta"),
+    ((1, 1, -1 + 2j, 1), "a"),
+    ((1, 1, 1, -0.25j), "b"),
+])
+def test_weight_domain_error_before_any_node(monkeypatch, params, name):
+    """Re <= 0 raises DomainError when the weight is bound, before a single
+    log-gamma (node) is evaluated; the Gram matrix refuses as early."""
+    calls = []
+    monkeypatch.setattr(numerics, "log_gamma_complex", calls.append)
+    with pytest.raises(DomainError, match=f"Re\\({name}\\) > 0"):
+        _hahn_weight_log_of(*params)
+    with pytest.raises(DomainError, match=f"Re\\({name}\\) > 0"):
+        hahn_weight_log(0.0, *params)
+    with pytest.raises(DomainError):
+        chahn_gram(4, *params)
+    assert calls == []
 
 
 def test_hahn_weight_overflow_is_structured():

@@ -12,7 +12,7 @@ import pytest
 from hahnlab import orthogonality
 from hahnlab.errors import DomainError, QuadratureError
 from hahnlab.exact import GaussianRational
-from hahnlab.numerics import hahn_weight_log
+from hahnlab.numerics import _hahn_weight_log_of, hahn_weight_log
 from hahnlab.orthogonality import (GramResult, barnes_check,
                                    bateman_ortho_check, chahn_gram,
                                    chahn_norm_rhs, jacobi_ortho_check,
@@ -385,9 +385,13 @@ def test_gram_folds_the_reflection_for_real_parameters(monkeypatch, params, fold
     parameters still evaluate both grid sides (and both envelope sides)."""
     seen, scan = [], []
 
-    def recorder(z, *args):
-        seen.append(z)
-        return hahn_weight_log(z, *args)
+    def recorder(*args):
+        log_weight = _hahn_weight_log_of(*args)
+
+        def recorded(z):
+            seen.append(z)
+            return log_weight(z)
+        return recorded
 
     def radius(*args, **kwargs):
         z = truncation_radius(*args, **kwargs)
@@ -395,7 +399,7 @@ def test_gram_folds_the_reflection_for_real_parameters(monkeypatch, params, fold
         seen.clear()
         return z
 
-    monkeypatch.setattr(orthogonality, "hahn_weight_log", recorder)
+    monkeypatch.setattr(orthogonality, "_hahn_weight_log_of", recorder)
     monkeypatch.setattr(orthogonality, "truncation_radius", radius)
     g = chahn_gram(8, *params, CFG)
     negative = [z for z in seen if z < 0.0]

@@ -19,9 +19,9 @@ from hahnlab.polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams,
                                  pasternack_coeffs_exact, pasternack_eval,
                                  pasternack_hahn_params,
                                  pasternack_reflection_check,
-                                 _EXACT, _FLOAT, _built, _chahn_sum,
-                                 _exact_poly, _jacobi_sum, _pasternack_sum,
-                                 _plan, _value)
+                                 _EXACT, _EXACT_TYPES, _FLOAT, _built, _chahn_sum,
+                                 _exact_poly, _is_exact, _jacobi_sum,
+                                 _pasternack_sum, _plan, _value)
 
 F = Fraction
 HALF = F(1, 2)
@@ -161,6 +161,19 @@ def test_exact_mode_rejects_floats():
         jacobi_coeffs_exact(2, JacobiParams(0.5, 0))
     with pytest.raises(ExactInputError):
         pasternack_coeffs_exact(2, 0.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: 3, lambda: True, lambda: F(3, 8), lambda: GaussianRational(HALF, 1),
+    lambda: 0.375, lambda: 0.375 + 1j, lambda: "3/8",
+    lambda: pytest.importorskip("numpy").float64(0.375),
+    lambda: pytest.importorskip("numpy").complex128(0.375 + 1j),
+], ids=["int", "bool", "Fraction", "GaussianRational", "float", "complex", "str",
+        "numpy.float64", "numpy.complex128"])
+def test_is_exact_verdict_is_the_isinstance_one(make):
+    """The early float rejection changes no verdict."""
+    value = make()
+    assert _is_exact(value) is isinstance(value, _EXACT_TYPES)
 
 
 def test_exact_degree_cap():
