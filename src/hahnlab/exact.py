@@ -46,9 +46,13 @@ def _as_fraction(value) -> Fraction:
 
 
 class GaussianRational:
-    """An element of Q(i) with exact field arithmetic."""
+    """An element of Q(i) with exact field arithmetic.
 
-    __slots__ = ("re", "im")
+    A real value equals the int or Fraction re and hashes as hash(re), so
+    the two are one key in a set, a dict or a memo.  The hash is computed
+    on first use and kept in the _hash slot."""
+
+    __slots__ = ("re", "im", "_hash")
 
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", _as_fraction(re))
@@ -182,7 +186,12 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        try:
+            return self._hash
+        except AttributeError:  # first use: no constructor sets the slot
+            value = hash((self.re, self.im)) if self.im else hash(self.re)
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)

@@ -47,8 +47,10 @@ class GramResult:
     (each one weight and N polynomial values, computed a trapezoid level
     at a time; each entry is one dot product per level), step the final
     h, truncation_radius the cut-off Z of the grid, and estimated_error the
-    largest norm-scaled change of an entry between steps 2h and h, floored
-    by the rounding of the polynomial values (a relative error for N = 1).
+    largest norm-scaled estimate of an entry (integrate_line_trapezoid: the
+    predicted tail of its changes, else its change between steps 2h and h),
+    floored by the rounding of the polynomial values (a relative error for
+    N = 1).
     """
 
     matrix: list
@@ -120,8 +122,9 @@ def chahn_gram(N: int, alpha, beta, a, b,
 
     Every entry comes from one nested trapezoidal pass: the integrand is
     analytic in the strip |Im z| < d = min Re(alpha, beta, a, b), so the
-    rule starts from a step set by d and halves it until no entry moves
-    by more than max(abs_tol, rel_tol sqrt|G_nn G_mm|).  Each node costs
+    rule starts from a step set by d and halves it until every entry's
+    estimate (its predicted tail or its last change) is within
+    max(abs_tol, rel_tol sqrt|G_nn G_mm|).  Each node costs
     one weight and N polynomial values, shared by all entries; they come a
     level of new nodes at a time, as one weight list and N Horner passes
     over the level, and each entry is one dot product over it.  The rule
@@ -209,7 +212,7 @@ def chahn_gram(N: int, alpha, beta, a, b,
             max_off_scaled = max(max_off_scaled, v / (scale[n] * scale[m]))
     max_diag = max(abs(matrix[n][n] - expected[n]) / abs(expected[n])
                    for n in range(N))
-    # error estimate, norm-scaled: the last change of each entry, floored by
+    # error estimate, norm-scaled: each entry's trapezoid estimate, floored by
     # rounding.  Horner's error at z is about eps sum_k |c_k| |z|^k; by
     # Cauchy-Schwarz it moves entry (n, m) by eps (kappa_n + kappa_m), with
     # kappa_n^2 = int |w| (sum_k |c_k| |z|^k)^2 / |G_nn| from the moments.

@@ -113,6 +113,9 @@ class HahnParams:
 
 
 def _to_complex(value) -> complex:
+    # the plain numbers first: isinstance against Fraction's ABC is slow on a miss
+    if isinstance(value, (complex, float, int)):
+        return complex(value)
     if isinstance(value, GaussianRational):
         return value.to_complex()
     if isinstance(value, Fraction):

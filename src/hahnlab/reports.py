@@ -10,8 +10,9 @@ class QuadDiagnostics:
     """What a quadrature check cost: evaluations is the number of nested
     trapezoid nodes, both signs counted, summed over the check's integrals
     (every quadrature check runs on the trapezoidal rule); estimated_error
-    is the last change of the value between steps 2h and h, summed over
-    the integrals (norm-scaled and rounding-floored for a Gram matrix)."""
+    is the trapezoid's estimate of the value (the predicted tail of its
+    changes, else its last change) floored at rounding, summed over the
+    integrals (norm-scaled for a Gram matrix)."""
 
     evaluations: int
     estimated_error: float

@@ -153,6 +153,29 @@ def test_pickle_and_copy_round_trip(a, p):
             assert y == x and hash(y) == hash(x)
 
 
+@pytest.mark.parametrize("value", [0, 1, -7, 2 ** 70, F(1, 2), F(-22, 7), F(3, 10 ** 20)])
+def test_real_value_hashes_as_its_rational(value):
+    """Equal objects hash alike: a real GaussianRational is one set and
+    dict key with the int or Fraction it equals."""
+    g = GaussianRational(value)
+    assert g == value and hash(g) == hash(value) == hash(F(value))
+    assert len({g, value, F(value)}) == 1
+    assert {value: "x"}[g] == "x"
+    # results of arithmetic reach the same hash
+    assert hash(g + GR_I - GR_I) == hash(value)
+
+
+@pytest.mark.parametrize("re, im", [(0, 1), (F(1, 2), F(-1, 3)), (-5, 2 ** 70)])
+def test_non_real_hash_is_stable(re, im):
+    g = GaussianRational(re, im)
+    first = hash(g)
+    same = GaussianRational(F(re), F(im)) + 0
+    assert g == same and hash(g) == first == hash(same)
+    assert g != re and len({g, same, F(re)}) == 2
+    for y in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert y == g and hash(y) == hash(g)
+
+
 def _schoolbook(a, b, limit=None):
     """a * b one GaussianRational product at a time: the kernel's oracle."""
     out = [GaussianRational(0)] * max(len(a) + len(b) - 1, 0)

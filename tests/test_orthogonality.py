@@ -534,6 +534,31 @@ def test_sech_integral_against_mpmath(kind, n, p, m, m2):
     assert res.mass >= abs(res.value) * (1.0 - 1e-15)
 
 
+@pytest.mark.parametrize("check", [pasternack_ortho_check, pasternack_biortho_check])
+def test_sech_estimate_covers_error_against_mpmath(monkeypatch, check):
+    """[0, 0, 1/3], the rows whose value moved most when the rule began to
+    stop on a predicted tail: int dx / (cos(pi/3) + cosh(pi x)) against
+    mpmath.quad at 30 digits stays within the reported estimate."""
+    seen, line_integral = [], orthogonality._line_integral
+
+    def spy(*args):
+        res = line_integral(*args)
+        seen.append(res)
+        return res
+
+    monkeypatch.setattr(orthogonality, "_line_integral", spy)
+    report = check(0, 0, F(1, 3), CFG)
+    [res] = seen
+    with mpmath.workdps(30):
+        c = mpmath.cos(mpmath.pi / 3)
+        want = mpmath.quad(lambda x: 1 / (c + mpmath.cosh(mpmath.pi * x)),
+                           [-mpmath.inf, 0, mpmath.inf])
+        error = float(abs(mpmath.mpc(res.value) - want))
+    assert report.passed
+    assert report.quad_diagnostics.estimated_error == res.error_estimate
+    assert error <= res.error_estimate
+
+
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 2)])
 def test_tanh_jacobi_integral_complex_parameters_against_mpmath(n, m):
     """The x = tanh u route of jacobi_ortho_check against the integral over

@@ -21,7 +21,7 @@ from hahnlab.polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams,
                                  pasternack_reflection_check,
                                  _EXACT, _EXACT_TYPES, _FLOAT, _built, _chahn_sum,
                                  _exact_poly, _is_exact, _jacobi_sum,
-                                 _pasternack_sum, _plan, _value)
+                                 _pasternack_sum, _plan, _to_complex, _value)
 
 F = Fraction
 HALF = F(1, 2)
@@ -500,6 +500,31 @@ def test_memo_keeps_exact_and_float_routes_apart():
             assert chahn_eval(7, params, x) == want
     with pytest.raises(ExactInputError):
         chahn_coeffs_exact(7, half_float)
+
+
+def test_memo_builds_once_for_equal_exact_parameters_of_either_type():
+    """HahnParams of Fractions and of the equal real GaussianRationals are
+    one memo key: the second lookup is a hit on the first build."""
+    fractions = HahnParams(HALF, F(3, 4), F(2, 3), 1)
+    gaussians = HahnParams(*map(GaussianRational, (HALF, F(3, 4), F(2, 3), 1)))
+    assert fractions == gaussians and hash(fractions) == hash(gaussians)
+    _built.cache_clear()
+    poly = chahn_coeffs_exact(7, fractions)
+    assert chahn_coeffs_exact(7, gaussians) is poly
+    assert _built.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("x", [0, -3, 2 ** 80, True, 0.1, -0.0, 1e308, 2.5 - 0.0j,
+                               complex(-0.0, 3.0), F(1, 3), GaussianRational(F(1, 3), -2)])
+def test_to_complex_values(x):
+    """Bitwise the complex(x) of a plain number; exact scalars through their
+    rational parts."""
+    got = _to_complex(x)
+    want = (complex(float(x.re), float(x.im)) if isinstance(x, GaussianRational)
+            else complex(float(x)) if isinstance(x, F) else complex(x))
+    assert type(got) is complex
+    assert (math.copysign(1.0, got.real), math.copysign(1.0, got.imag), got) == \
+        (math.copysign(1.0, want.real), math.copysign(1.0, want.imag), want)
 
 
 def test_memo_float_eval_is_the_uncached_sum():

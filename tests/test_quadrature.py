@@ -168,6 +168,92 @@ def test_trapezoid_node_budget_raises_before_evaluating():
     assert calls == [0.0]  # the centre node only; the 401-node grid never ran
 
 
+def _trapezoid(g, radius, h):
+    """The plain (not nested) trapezoid sums of the even part g at step h."""
+    centre, rest = g([0.0]), g([k * h for k in range(1, int(radius / h) + 1)])
+    return [h * (0.5 * c + r) for c, r in zip(centre, rest)]
+
+
+def test_trapezoid_stops_a_level_before_the_change_only_rule():
+    # sech^2 x and x^2 sech^2 x converge like e^{-pi^2 / h}: from h = 1 the
+    # changes are about 4e-3 (1 -> 1/2) and 4e-7 (1/2 -> 1/4), so the
+    # predicted tail at 1/4 is about 4e-11, under the tolerance, while the
+    # change itself passes only at 1/8
+    def g(zs):
+        s2 = [_sech(x) ** 2 for x in zs]
+        return [sum(2.0 * s for s in s2),
+                sum(2.0 * x * x * s for x, s in zip(zs, s2))]
+
+    res = integrate_line_trapezoid(g, 40.0, 1.0, _relative, CFG)
+    h = 0.5
+    while not all(abs(u - v) <= t for u, v, t in
+                  zip(_trapezoid(g, 40.0, h), _trapezoid(g, 40.0, 2 * h),
+                      _relative(_trapezoid(g, 40.0, h)))):
+        h *= 0.5
+    assert res.step == 2 * h == 0.25
+    assert abs(res.values[0] - 2.0) <= 1e-14
+    assert abs(res.values[1] - math.pi ** 2 / 6.0) <= 1e-14
+    # the reported estimate is the predicted tail, not the last change
+    last = [abs(u - v) for u, v in zip(res.values, _trapezoid(g, 40.0, 0.5))]
+    assert all(e < 1e-3 * c for e, c in zip(res.changes, last))
+    assert all(e <= t for e, t in zip(res.changes, _relative(res.values)))
+
+
+def _sequence(*components, step=0.5):
+    """A level integrand whose nested trapezoid values at the steps
+    step / 2^j are given, one list per component: each call returns what
+    the sums need to move from one level's value to the next (the centre
+    node contributes nothing)."""
+    levels = iter([[0.0] * len(components)]
+                  + [[v[j] * 2 ** j / step - (v[j - 1] * 2 ** (j - 1) / step if j else 0.0)
+                      for v in components] for j in range(len(components[0]))])
+    return lambda zs: next(levels)
+
+
+def _absolute(tol):
+    return lambda values: [tol] * len(values)
+
+
+def test_trapezoid_zero_previous_change_makes_no_prediction():
+    # a component at exactly zero (0 / 0 if predicted), one that first moves
+    # right after a zero change (1 -> 2: no ratio, so no prediction), and one
+    # that holds the first level open
+    zero = [0.0] * 5
+    late = [1.0, 1.0, 2.0, 2.0, 2.0]
+    early = [0.0, 1.0, 1.0, 1.0, 1.0]
+    res = integrate_line_trapezoid(_sequence(zero, late, early), 1.0, 0.5,
+                                   _absolute(1e-6), CFG)
+    assert res.step == 0.5 / 8  # not 1/8, where `late` moved by 1
+    assert res.values == [0.0, 2.0, 1.0]
+    assert res.changes == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("ratio", [0.6, 1.0, 3.0])
+def test_trapezoid_non_contracting_changes_never_predict(ratio):
+    # changes 1, r, r^2, ...: with r > 1/2 the stop is the change-only rule's,
+    # and the estimate is the last change itself
+    values = [sum(ratio ** k for k in range(j + 1)) for j in range(14)]
+    f = _sequence(values)
+    if ratio >= 1.0:
+        with pytest.raises(QuadratureError):
+            integrate_line_trapezoid(f, 1.0, 0.5, _absolute(1e-2), CFG)
+        return
+    res = integrate_line_trapezoid(f, 1.0, 0.5, _absolute(1e-2), CFG)
+    j = next(j for j in range(1, 14) if ratio ** j <= 1e-2)
+    assert res.step == 0.5 / 2 ** j
+    assert res.changes[0] == pytest.approx(ratio ** j, rel=1e-12)
+
+
+def test_trapezoid_prediction_is_the_richardson_tail():
+    # values 1 + 4^-j (an h^2 rule, r = 1/4): the tail d r / (1 - r) = d / 3
+    # is exactly the error 4^-j, which passes 1e-4 at j = 7, one level
+    # before the change 3 * 4^-j does
+    values = [1.0 + 4.0 ** -j for j in range(12)]
+    res = integrate_line_trapezoid(_sequence(values), 1.0, 0.5, _absolute(1e-4), CFG)
+    assert res.step == 0.5 / 2 ** 7  # 4^-7 < 1e-4 < 4^-6
+    assert res.changes[0] == pytest.approx(res.values[0] - 1.0, rel=1e-9)
+
+
 def test_trapezoid_unconverged_raises():
     # a kink at 0 converges only algebraically in h
     with pytest.raises(QuadratureError):

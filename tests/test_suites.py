@@ -1,11 +1,14 @@
 """The suite table: names, order, and which rows take config and tol."""
 
 import ast
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from hahnlab import suites
+from hahnlab.exact import GaussianRational
+from hahnlab.orthogonality import chahn_gram
 from hahnlab.quadrature import QuadratureConfig
 from hahnlab.suites import SUITES, run_suites
 
@@ -21,11 +24,36 @@ def _dicts(reports):
     return [r.to_dict() for r in reports]
 
 
-def test_all_check_names_in_report_order():
+@pytest.fixture(scope="module")
+def all_reports():
+    return run_suites("all")
+
+
+def test_all_check_names_in_report_order(all_reports):
     expected = (BENCH / "verify_all_checks.txt").read_text(encoding="utf-8").split("\n")
-    reports = run_suites("all")
-    assert [r.name for r in reports] == [line for line in expected if line]
-    assert all(r.passed for r in reports)
+    assert [r.name for r in all_reports] == [line for line in expected if line]
+    assert all(r.passed for r in all_reports)
+
+
+def test_all_suites_node_budget(all_reports):
+    """Trapezoid nodes over every quadrature row.  The rule stops on the
+    predicted tail of its changes, one level before the change itself would
+    pass (43,784 nodes when it waited for the change); a rule that confirms
+    the last level again fails here."""
+    total = sum(r.quad_diagnostics.evaluations for r in all_reports
+                if r.quad_diagnostics is not None)
+    assert total <= 33_600
+
+
+@pytest.mark.parametrize("params", [
+    (F(1, 2),) * 4,
+    (1, F(1, 2), F(3, 4), F(5, 4)),
+    (GaussianRational(F(1, 2), F(1, 4)), GaussianRational(F(3, 4), F(-1, 4)),
+     GaussianRational(F(1, 2), F(-1, 4)), GaussianRational(F(3, 4), F(1, 4))),
+], ids=["all-1/2", "1-1/2-3/4-5/4", "conjugate-pair"])
+def test_gram_16_node_budget(params):
+    """The 16 x 16 Gram stops at h = 1/16 (1,153 to 1,185 nodes at 1/32)."""
+    assert chahn_gram(16, *params).evaluations <= 593
 
 
 def test_suite_keys_match_the_benchmark_span_names():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from hahnlab import quadrature
 from hahnlab.errors import DomainError
 from hahnlab.numerics import beta as beta_fn
 from hahnlab.quadrature import _EPS, IntegralResult, QuadratureConfig
@@ -210,6 +211,26 @@ def test_fourier_integral_at_z5_against_mpmath(n, params):
     res = _weighted_jacobi_transform(n, *params, 5.0, CFG)
     want = _mp_fourier(n, *params, 5.0)
     assert abs(res.value - want) <= 1e-13 * max(abs(want), 1.0)
+
+
+def test_fourier_estimate_covers_one_more_halving(monkeypatch):
+    """The row's estimate (the predicted tail, floored at the rounding of
+    the |f| mass) bounds how far one forced extra halving moves the value."""
+    seen, trapezoid = [], quadrature.integrate_line_trapezoid
+
+    def spy(f, radius, step, tolerances, config):
+        res = trapezoid(f, radius, step, tolerances, config)
+        seen.append((f, radius, res))
+        return res
+
+    monkeypatch.setattr(quadrature, "integrate_line_trapezoid", spy)
+    report = fourier_pair_check(1, F(3, 5), F(11, 10), F(1, 4), F(4, 5), 5.0, CFG)
+    assert report.passed
+    [(f, radius, res)] = seen
+    h = 0.5 * res.step
+    value, _ = f([k * h for k in range(1, int(radius / h) + 1, 2)])
+    after = 0.5 * res.values[0] + h * value
+    assert abs(after - res.values[0]) <= report.quad_diagnostics.estimated_error
 
 
 def _mp_chahn(n, a, b, c, d, x):
