@@ -10,7 +10,7 @@ from .polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
                           chahn_eval, jacobi_coeffs_exact, jacobi_eval,
                           pasternack_coeffs_exact, pasternack_eval,
                           pasternack_reflection_check)
-from .quadrature import IntegralResult, QuadratureConfig, integrate_line
+from .quadrature import IntegralResult, integrate_line
 from .reports import QuadDiagnostics, VerificationReport
 
 __version__ = "0.1.0"
@@ -23,7 +23,7 @@ __all__ = [
     "HahnParams", "JacobiParams", "chahn_coeffs_exact", "chahn_eval",
     "jacobi_coeffs_exact", "jacobi_eval", "pasternack_coeffs_exact",
     "pasternack_eval", "pasternack_reflection_check",
-    "IntegralResult", "QuadratureConfig", "integrate_line",
+    "IntegralResult", "integrate_line",
     "QuadDiagnostics", "VerificationReport",
     "__version__",
 ]

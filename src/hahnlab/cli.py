@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -29,7 +30,6 @@ from .exact import GaussianRational
 from .polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
                           jacobi_coeffs_exact, pasternack_coeffs_exact)
 from .orthogonality import chahn_gram
-from .quadrature import QuadratureConfig
 from .suites import SUITES, run_suites
 
 EXIT_OK = 0
@@ -80,9 +80,20 @@ def _write_manifest(command: str, parameters: dict, outputs: list[Path]):
         encoding="utf-8")
 
 
+def _tolerance(text: str, source: str = "tolerance") -> float:
+    """A verdict tolerance from outside the program: a finite float >= 0.
+    NaN fails every comparison and infinity passes every relative one, so
+    neither is a tolerance."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"{source} must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _default_rel_tol() -> float | None:
     raw = os.environ.get("HAHNLAB_TOL")
-    return float(raw) if raw else None
+    return _tolerance(raw, "HAHNLAB_TOL") if raw else None
 
 
 def cmd_eval(args) -> int:
@@ -106,8 +117,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     rel_tol = args.rel_tol if args.rel_tol is not None else _default_rel_tol()
-    config = QuadratureConfig()
-    reports = run_suites(args.suite, config=config, tol=rel_tol)
+    reports = run_suites(args.suite, tol=rel_tol)
     out_path = Path(args.out)
     payload = [r.to_dict() for r in reports]
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
@@ -127,9 +137,8 @@ def cmd_gram(args) -> int:
     # exact parameters keep the coefficients exact: float-built ones fail
     # the Gram check from N = 12 on
     values = {k: (Fraction(v.re) if v.is_real() else v) for k, v in params.items()}
-    config = QuadratureConfig()
     result = chahn_gram(args.size, values["alpha"], values["beta"],
-                        values["a"], values["b"], config=config)
+                        values["a"], values["b"])
     out_csv = Path(args.out)
     out_csv.write_text(result.to_csv_text(), encoding="utf-8")
     summary = result.to_summary_dict()
@@ -172,8 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", default="all",
                           help=f"'all' or a name filter over: {', '.join(sorted(SUITES))}")
     p_verify.add_argument("--out", default="verify_report.json")
-    p_verify.add_argument("--rel-tol", type=float, default=None,
-                          help="override relative tolerance (default from HAHNLAB_TOL)")
+    p_verify.add_argument("--rel-tol", type=_tolerance, default=None,
+                          help="relative tolerance of the verdicts (default from "
+                               "HAHNLAB_TOL, else each check's own); the quadrature's "
+                               "targets are fixed")
     p_verify.set_defaults(func=cmd_verify)
 
     p_gram = sub.add_parser("gram", help="continuous Hahn Gram matrix")
@@ -183,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gram.add_argument("--a", required=True)
     p_gram.add_argument("--b", required=True)
     p_gram.add_argument("--out", default="gram.csv")
-    p_gram.add_argument("--diag-rel-tol", type=float, default=1e-8)
-    p_gram.add_argument("--offdiag-scaled-tol", type=float, default=1e-10,
+    p_gram.add_argument("--diag-rel-tol", type=_tolerance, default=1e-8)
+    p_gram.add_argument("--offdiag-scaled-tol", type=_tolerance, default=1e-10,
                         help="bound on |G_nm| / sqrt(|h_n h_m|), n != m")
     p_gram.set_defaults(func=cmd_gram)
     return parser
@@ -208,7 +219,8 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
-    except (HahnlabError, KeyError, ValueError, OverflowError) as exc:
+    except (HahnlabError, KeyError, ValueError, OverflowError,
+            argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

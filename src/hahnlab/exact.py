@@ -356,18 +356,6 @@ def _multiply(a_re, a_im, b_re, b_im, size: int) -> tuple:
     return re, im if any(im) else []
 
 
-def _product(a, b, limit=None) -> list:
-    """The coefficients of a * b (exact scalars, lowest degree first), through
-    degree limit if one is given, zeros kept: _multiply on the operands'
-    integer vectors.  An empty operand is the zero polynomial."""
-    size = max(len(a) + len(b) - 1, 0)
-    if limit is not None:
-        size = min(size, limit + 1)
-    (a_re, a_im, a_den), (b_re, b_im, b_den) = _vectors(a), _vectors(b)
-    re, im = _multiply(a_re, a_im, b_re, b_im, size)
-    return [_rational(r, m, a_den * b_den) for r, m in zip(re, im or repeat(0))]
-
-
 def _poly(cls, re, im, den: int, order: int | None = None):
     """The cls (ExactPoly or FormalSeries) with coefficients (re[k] + i im[k])
     / den, made canonical; a series (order not None) keeps t^0 .. t^order."""

@@ -21,9 +21,8 @@ from .numerics import _hahn_weight_log_of, gamma_product, pochhammer
 from .polynomials import (HahnParams, JacobiParams, _to_complex,
                           chahn_coeffs_complex, horner, horner_level,
                           jacobi_coeffs_complex, pasternack_coeffs_complex)
-from .quadrature import (_EPS, DEFAULT_CONFIG, IntegralResult, QuadratureConfig,
-                         _line_integral, integrate_line_trapezoid,
-                         truncation_radius)
+from .quadrature import (_ABS_TOL, _EPS, _REL_TOL, IntegralResult, _line_integral,
+                         integrate_line_trapezoid, truncation_radius)
 from .reports import (QuadDiagnostics, VerificationReport, integral_report,
                       toleranced_report)
 from .transforms import _tanh_product_integral
@@ -111,8 +110,7 @@ def chahn_norm_rhs(n: int, alpha, beta, a, b) -> complex:
     return value / math.factorial(n)
 
 
-def chahn_gram(N: int, alpha, beta, a, b,
-               config: QuadratureConfig = DEFAULT_CONFIG) -> GramResult:
+def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     """N x N Gram matrix (1/2pi) int w(z) p_n(z) p_m(z) dz.
 
     Both polynomial slots carry the parameter order (alpha, b, a, beta);
@@ -124,14 +122,14 @@ def chahn_gram(N: int, alpha, beta, a, b,
     analytic in the strip |Im z| < d = min Re(alpha, beta, a, b), so the
     rule starts from a step set by d and halves it until every entry's
     estimate (its predicted tail or its last change) is within
-    max(abs_tol, rel_tol sqrt|G_nn G_mm|).  Each node costs
+    max(1e-14, 1e-10 sqrt|G_nn G_mm|).  Each node costs
     one weight and N polynomial values, shared by all entries; they come a
     level of new nodes at a time, as one weight list and N Horner passes
     over the level, and each entry is one dot product over it.  The rule
     takes the even part on z >= 0: with real parameters w(-z) = conj w(z)
     and p_n(-z) = (-1)^n conj p_n(z), so one node serves z and -z.  The
     cut-off Z is relative to the norms: the tail of entry (n, m) stays
-    below abs_tol 10^-margin max(1, sqrt|h_n h_m|), far below its tolerance.
+    below 1e-16 max(1, sqrt|h_n h_m|), far below its tolerance.
     """
     if not 1 <= N <= GRAM_SIZE_CAP:
         raise DomainError(f"Gram size must be in 1..{GRAM_SIZE_CAP}")
@@ -177,7 +175,7 @@ def chahn_gram(N: int, alpha, beta, a, b,
 
     def tolerances(values: list) -> list:
         diag = [abs(values[i]) for i in diagonal_index]
-        return [max(config.abs_tol, config.rel_tol * math.sqrt(diag[n] * diag[m]))
+        return [max(_ABS_TOL, _REL_TOL * math.sqrt(diag[n] * diag[m]))
                 for n, m in entries] + [math.inf] * (2 * N - 1)
 
     # one cut-off for the whole matrix, from the largest diagonal envelope over
@@ -192,9 +190,9 @@ def chahn_gram(N: int, alpha, beta, a, b,
         return math.exp(g) * max(horner(mag, x).real ** 2 / max(abs(h), 1.0)
                                  for mag, h in zip(mags, expected)) / two_pi
 
-    radius = truncation_radius(envelope, config)
+    radius = truncation_radius(envelope)
     strip = min(al.real, be.real, av.real, bv.real)
-    res = integrate_line_trapezoid(even_part, radius, min(strip, 0.5), tolerances, config)
+    res = integrate_line_trapezoid(even_part, radius, min(strip, 0.5), tolerances)
 
     matrix = [[0j] * N for _ in range(N)]
     for (n, m), value in zip(entries, res.values):
@@ -232,11 +230,10 @@ _GRAM_OFFDIAG_TOL = 1e-10
 
 
 def gram_check(name: str, alpha, beta, a, b, N: int,
-               config: QuadratureConfig = DEFAULT_CONFIG,
                tol: float = 1e-8) -> VerificationReport:
     """The N x N Gram matrix: diagonal within tol of the closed-form norms,
     off-diagonal within 1e-10 after scaling by sqrt|h_n h_m|."""
-    g = chahn_gram(N, alpha, beta, a, b, config=config)
+    g = chahn_gram(N, alpha, beta, a, b)
     ok = g.max_diag_rel_err <= tol and g.max_offdiag_scaled <= _GRAM_OFFDIAG_TOL
     return VerificationReport(
         name, "pass" if ok else "fail", g.max_offdiag_scaled, g.max_diag_rel_err,
@@ -245,12 +242,11 @@ def gram_check(name: str, alpha, beta, a, b, N: int,
         g.diagnostics())
 
 
-def barnes_check(alpha, beta, a, b, config: QuadratureConfig = DEFAULT_CONFIG,
-                 tol: float = 1e-9) -> VerificationReport:
+def barnes_check(alpha, beta, a, b, tol: float = 1e-9) -> VerificationReport:
     """(1/2pi) int Gamma(alpha+iz) Gamma(beta-iz) Gamma(a-iz) Gamma(b+iz) dz
     against the closed gamma-ratio form (the degree-zero norm): the
     N = 1 Gram matrix, whose only polynomial is p_0 = 1."""
-    g = chahn_gram(1, alpha, beta, a, b, config)
+    g = chahn_gram(1, alpha, beta, a, b)
     value, expected = g.matrix[0][0], g.expected_diagonal[0]
     abs_err = abs(value - expected)
     rel_err = abs_err / abs(expected)
@@ -274,8 +270,7 @@ def pi_m_over_sin_pi_m(m) -> complex:
     return u / cmath.sin(u)
 
 
-def _sech_integral(fn_coeffs, fp_coeffs, weight, strip: float,
-                   config: QuadratureConfig) -> IntegralResult:
+def _sech_integral(fn_coeffs, fp_coeffs, weight, strip: float) -> IntegralResult:
     """int fn(ix) fp(ix) weight(x) dx for a real even weight, analytic in
     |Im x| < strip and at most 4 e^{-pi |x|} for |x| >= 2.  With real
     coefficients the integrand at -x is the conjugate of the one at x, so
@@ -298,14 +293,13 @@ def _sech_integral(fn_coeffs, fp_coeffs, weight, strip: float,
         r = max(1.0, abs(x))
         return bn * bp * r ** (dn + dp) * (4.0 * math.exp(-math.pi * abs(x)))
 
-    return _line_integral(f, env, strip, config, 1 if real else None)
+    return _line_integral(f, env, strip, 1 if real else None)
 
 
 def _sech_family_check(name: str, fn_coeffs, fp_coeffs, weight, strip: float,
-                       expected: complex, config: QuadratureConfig,
-                       tol: float, tol_abs: float,
+                       expected: complex, tol: float, tol_abs: float,
                        details: str = "") -> VerificationReport:
-    res = _sech_integral(fn_coeffs, fp_coeffs, weight, strip, config)
+    res = _sech_integral(fn_coeffs, fp_coeffs, weight, strip)
     diag = QuadDiagnostics(res.evaluations, res.error_estimate)
     text = f"measured={res.value!r} expected={expected!r}"
     if details:
@@ -314,7 +308,7 @@ def _sech_family_check(name: str, fn_coeffs, fp_coeffs, weight, strip: float,
                            tol, tol_abs, text, diag)
 
 
-def bateman_ortho_check(n: int, m: int, config: QuadratureConfig = DEFAULT_CONFIG,
+def bateman_ortho_check(n: int, m: int,
                         tol: float = 1e-8, tol_abs: float = 1e-10) -> VerificationReport:
     """int F_n(ix) F_m(ix) / cosh^2(pi x / 2) dx
     = delta_{n,m} 4 (-1)^n / (pi (2n+1))."""
@@ -325,11 +319,10 @@ def bateman_ortho_check(n: int, m: int, config: QuadratureConfig = DEFAULT_CONFI
         f"bateman-ortho[n={n}, m={m}]",
         pasternack_coeffs_complex(n, 0), pasternack_coeffs_complex(m, 0),
         lambda x: _sech(math.pi * x / 2.0) ** 2, 1.0,
-        expected, config, tol, tol_abs)
+        expected, tol, tol_abs)
 
 
 def pasternack_ortho_check(n: int, p: int, m,
-                           config: QuadratureConfig = DEFAULT_CONFIG,
                            tol: float = 1e-8, tol_abs: float = 1e-10) -> VerificationReport:
     """int F_n^m(ix) F_p^m(ix) / (cos(pi m) + cosh(pi x)) dx against
     delta_{n,p} ((-1)^n / (2n+1)) (2/pi) ((1-m)_n / (1+m)_n) (m pi / sin(pi m)),
@@ -356,7 +349,7 @@ def pasternack_ortho_check(n: int, p: int, m,
         f"pasternack-ortho[n={n}, p={p}, m={m}]",
         pasternack_coeffs_complex(n, mc), pasternack_coeffs_complex(p, mc),
         lambda x: 1.0 / (cos_pim + math.cosh(math.pi * x)), 1.0 - abs(mc.real),
-        expected, config, tol, tol_abs, details)
+        expected, tol, tol_abs, details)
 
 
 def _pasternack_vs_hahn_norm_ratio(n: int, mc: complex, expected: complex) -> float:
@@ -371,7 +364,6 @@ def _pasternack_vs_hahn_norm_ratio(n: int, mc: complex, expected: complex) -> fl
 
 
 def pasternack_biortho_check(n: int, p: int, m,
-                             config: QuadratureConfig = DEFAULT_CONFIG,
                              tol: float = 1e-8, tol_abs: float = 1e-10) -> VerificationReport:
     """int F_n^m(ix) F_p^{-m}(ix) / (cosh(pi x) + cos(m pi)) dx against
     delta_{n,p} (2 (-1)^n / (pi (2n+1))) (m pi / sin(pi m))."""
@@ -389,11 +381,10 @@ def pasternack_biortho_check(n: int, p: int, m,
         f"pasternack-biortho[n={n}, p={p}, m={m}]",
         pasternack_coeffs_complex(n, mc), pasternack_coeffs_complex(p, -mc),
         lambda x: 1.0 / (cos_pim + math.cosh(math.pi * x)), 1.0 - abs(mc.real),
-        expected, config, tol, tol_abs, BIORTHO_NOTE)
+        expected, tol, tol_abs, BIORTHO_NOTE)
 
 
 def jacobi_ortho_check(n: int, m: int, alpha, beta,
-                       config: QuadratureConfig = DEFAULT_CONFIG,
                        tol: float = 1e-9, tol_abs: float = 1e-11) -> VerificationReport:
     """int_{-1}^1 (1-x)^alpha (1+x)^beta P_n P_m dx against the beta-type
     closed form, valid for complex parameters with Re > -1.
@@ -407,7 +398,7 @@ def jacobi_ortho_check(n: int, m: int, alpha, beta,
     name = f"jacobi-ortho[n={n}, m={m}, alpha={alpha}, beta={beta}]"
     pn = jacobi_coeffs_complex(n, JacobiParams(al, be))
     pm = jacobi_coeffs_complex(m, JacobiParams(al, be))
-    res = _tanh_product_integral(pn, pm, al + 1, be + 1, config)
+    res = _tanh_product_integral(pn, pm, al + 1, be + 1)
     if n == m:
         expected = cmath.exp((al + be + 1) * math.log(2.0)) \
             * gamma_product([n + al + 1, n + be + 1], [n + al + be + 1]) \

@@ -16,12 +16,16 @@ Weideman, SIAM Review 56 (2014)), so the rule does not compute one more
 level only to confirm it.  Adaptive Gauss-Kronrod (integrate_line,
 integrate_interval) remains as a public routine that no check calls.
 
+The targets are fixed constants, a value converging within
+max(1e-10 |value|, 1e-14): the step comes from the strip and the stop
+from the rule's own estimate, so no integrand needs targets of its own.
+
 Unbounded integrals are truncated to [-Z, Z] with Z chosen from a caller
 supplied envelope: an upper bound on |f| that is valid (and decaying)
 outside a core interval.  Z is the smallest scanned radius at which both
-the envelope value and a one-sided tail estimate fall below
-abs_tol * 10**(-truncation_margin); the Gram matrix divides its envelope
-by the closed-form norms, which makes its cut-off relative.
+the envelope value and a one-sided tail estimate fall below 1e-16; the
+Gram matrix divides its envelope by the closed-form norms, which makes
+its cut-off relative.
 
 Gauss-Kronrod panels are refined by bisecting the panel with the largest
 |K15 - G7| discrepancy; ties break on the leftmost panel and the final
@@ -67,22 +71,12 @@ _WG = (
     0.417959183673469,
 )
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    truncation_margin: float = 2.0
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be at least 1")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-14
+_TAIL_TOL = _ABS_TOL / 100  # the truncation target, well below _ABS_TOL
+# over these, QuadratureError rather than an unconverged value
+_NODE_BUDGET = 30_000  # trapezoid nodes, both signs counted
+_MAX_PANELS = 2000  # Gauss-Kronrod panels
 
 
 @dataclass(frozen=True)
@@ -142,7 +136,6 @@ def _gk15(f: Callable[[float], complex], a: float, b: float):
 
 
 def integrate_interval(f: Callable[[float], complex], a: float, b: float,
-                       config: QuadratureConfig = DEFAULT_CONFIG,
                        max_panel_width: float | None = None) -> IntegralResult:
     """Adaptive integral of f over the finite interval [a, b]."""
     if not b > a:
@@ -177,12 +170,12 @@ def integrate_interval(f: Callable[[float], complex], a: float, b: float,
                 if key > worst_key:
                     worst_key = key
                     worst = p
-        if total_err <= max(config.abs_tol, config.rel_tol * abs(total)):
+        if total_err <= max(_ABS_TOL, _REL_TOL * abs(total)):
             break
         # request below attainable rounding precision: accept best effort
         if total_err <= 100.0 * _EPS * total_resabs:
             break
-        if worst is None or len(panels) >= config.max_subdivisions:
+        if worst is None or len(panels) >= _MAX_PANELS:
             raise QuadratureError(
                 f"no convergence with {len(panels)} panels; "
                 f"error estimate {total_err:.3g} for value {abs(total):.3g}")
@@ -205,24 +198,22 @@ def integrate_interval(f: Callable[[float], complex], a: float, b: float,
     return IntegralResult(total, total_err, evaluations, total_resabs)
 
 
-def truncation_radius(envelope: Callable[[float], float],
-                      config: QuadratureConfig = DEFAULT_CONFIG,
-                      start: float = 2.0) -> float:
-    """Smallest scanned Z where envelope and tail fall below the target."""
-    target = config.abs_tol * 10.0 ** (-config.truncation_margin)
-    z = max(2.0, start)
+def truncation_radius(envelope: Callable[[float], float]) -> float:
+    """Smallest Z, scanned from 2 in steps of 1/2, where envelope and tail
+    fall below _TAIL_TOL."""
+    z = 2.0
     step = 0.5
     while z <= 720.0:
         e0 = envelope(z)
         if e0 <= 0.0:
             return z
-        if e0 < target:
+        if e0 < _TAIL_TOL:
             e1 = envelope(z + step)
             if e1 <= 0.0:
                 return z + step
             if e1 < e0:
                 rate = math.log(e0 / e1) / step
-                if e0 / rate < target:
+                if e0 / rate < _TAIL_TOL:
                     return z
         z += step
     raise QuadratureError("envelope never decays below the truncation target")
@@ -230,19 +221,16 @@ def truncation_radius(envelope: Callable[[float], float],
 
 def integrate_line(f: Callable[[float], complex],
                    envelope: Callable[[float], float],
-                   config: QuadratureConfig = DEFAULT_CONFIG,
-                   max_panel_width: float | None = None,
-                   envelope_valid_from: float = 0.0) -> IntegralResult:
+                   max_panel_width: float | None = None) -> IntegralResult:
     """Integral of f over the whole line, truncated via the envelope.
 
-    envelope(x) must bound |f(+-x)| from above for x beyond the core
-    interval [-envelope_valid_from, envelope_valid_from] and eventually
+    envelope(x) must bound |f(+-x)| from above for x >= 2 and eventually
     decay; oscillatory integrands should pass max_panel_width of about
     pi / frequency so a panel never spans more than half a period.
     """
-    z = truncation_radius(envelope, config, start=max(2.0, envelope_valid_from))
+    z = truncation_radius(envelope)
     width = min(2.0, max_panel_width) if max_panel_width else 2.0
-    return integrate_interval(f, -z, z, config, max_panel_width=width)
+    return integrate_interval(f, -z, z, max_panel_width=width)
 
 
 @dataclass(frozen=True)
@@ -259,8 +247,7 @@ class TrapezoidResult:
 
 def integrate_line_trapezoid(f: Callable[[list], list], radius: float,
                              step: float,
-                             tolerances: Callable[[list], list],
-                             config: QuadratureConfig = DEFAULT_CONFIG
+                             tolerances: Callable[[list], list]
                              ) -> TrapezoidResult:
     """Nested trapezoidal rule for a vector integrand on [-radius, radius].
 
@@ -275,14 +262,12 @@ def integrate_line_trapezoid(f: Callable[[list], list], radius: float,
     4h and 2h is positive and r = d / p <= 1/2, the geometric tail
     d r / (1 - r) = d^2 / (p - d), which is at most d: the rule never
     evaluates more levels than a stop on the changes alone, and an h^2 rule
-    (a kink, r = 1/4) gets the Richardson tail d / 3.  More than
-    15 * config.max_subdivisions nodes (the Gauss-Kronrod evaluation
-    budget) raise QuadratureError before the level is evaluated, so an
-    unconverged result is never returned.
+    (a kink, r = 1/4) gets the Richardson tail d / 3.  A level that would
+    take the nodes past _NODE_BUDGET raises QuadratureError before it is
+    evaluated, so an unconverged result is never returned.
     """
     if not (radius > 0.0 and step > 0.0):
         raise DomainError("trapezoid radius and step must be positive")
-    budget = 15 * config.max_subdivisions
     h = step
     sums = [0.5 * v for v in f([0.0])]
     nodes = 1
@@ -292,10 +277,10 @@ def integrate_line_trapezoid(f: Callable[[list], list], radius: float,
         # step only the odd k are new
         new = range(1, int(radius / h) + 1, 1 if values is None else 2)
         nodes += 2 * len(new)
-        if nodes > budget:
+        if nodes > _NODE_BUDGET:
             raise QuadratureError(
                 f"trapezoid step {h:.3g} on [-{radius:.3g}, {radius:.3g}] "
-                f"needs {nodes} nodes, over the budget of {budget}")
+                f"needs {nodes} nodes, over the budget of {_NODE_BUDGET}")
         if new:
             sums = list(map(add, sums, f([k * h for k in new])))
         previous, values = values, [h * s for s in sums]
@@ -312,8 +297,7 @@ def integrate_line_trapezoid(f: Callable[[list], list], radius: float,
 
 
 def _line_integral(f: Callable[[list], tuple], envelope: Callable[[float], float],
-                   strip: float, config: QuadratureConfig = DEFAULT_CONFIG,
-                   reflection: int | None = None) -> IntegralResult:
+                   strip: float, reflection: int | None = None) -> IntegralResult:
     """Integral over the line of a scalar integrand F by the nested
     trapezoidal rule.
 
@@ -324,8 +308,8 @@ def _line_integral(f: Callable[[list], tuple], envelope: Callable[[float], float
     from envelope (truncation_radius), the first step is min(1/2, strip),
     strip being the half-width of the integrand's strip of analyticity
     (or less, for an oscillatory one), and the rule stops once the value's
-    estimate (integrate_line_trapezoid) is within max(abs_tol,
-    rel_tol |value|) or the rounding of the |F| mass, the targets of
+    estimate (integrate_line_trapezoid) is within max(_ABS_TOL,
+    _REL_TOL |value|) or the rounding of the |F| mass, the targets of
     integrate_interval.  The error estimate is that estimate, floored at
     eps times the mass: a predicted tail below rounding is not an error.
     """
@@ -340,11 +324,10 @@ def _line_integral(f: Callable[[list], tuple], envelope: Callable[[float], float
 
     def tolerances(values: list) -> list:
         value, mass = values
-        return [max(config.abs_tol, config.rel_tol * abs(value),
-                    100.0 * _EPS * mass), math.inf]
+        return [max(_ABS_TOL, _REL_TOL * abs(value), 100.0 * _EPS * mass),
+                math.inf]
 
-    radius = truncation_radius(envelope, config)
-    res = integrate_line_trapezoid(even_part, radius, min(0.5, strip), tolerances,
-                                   config)
+    radius = truncation_radius(envelope)
+    res = integrate_line_trapezoid(even_part, radius, min(0.5, strip), tolerances)
     value, mass = res.values
     return IntegralResult(value, max(res.changes[0], _EPS * mass), res.nodes, mass)

@@ -5,11 +5,12 @@ The suites are one table.  Each row is
     (suite name, check function, True for a quadrature check,
      argument tuples in report order)
 
-and one driver turns a row into the suite callable (config, tol) ->
-list of VerificationReport: it calls the check once per argument tuple.
-A quadrature check also gets config=config, and tol=tol unless tol is
-None, which leaves the check's own default tolerance; an exact check
-takes neither.  Suites are sized to run in seconds; the full-size
+and one driver turns a row into the suite callable tol -> list of
+VerificationReport: it calls the check once per argument tuple.  A
+quadrature check also gets tol=tol unless tol is None, which leaves the
+check's own default tolerance; an exact check takes no tolerance.  The
+quadrature itself has fixed targets (hahnlab.quadrature), so tol moves
+only the verdict.  Suites are sized to run in seconds; the full-size
 acceptance runs live in the test suite.
 """
 
@@ -28,7 +29,6 @@ from .orthogonality import (barnes_check, bateman_ortho_check, gram_check,
                             jacobi_ortho_check, pasternack_biortho_check,
                             pasternack_ortho_check)
 from .polynomials import HahnParams, pasternack_reflection_check
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .reports import VerificationReport
 from .transforms import fourier_pair_check, mellin_pair_check, parseval_check
 
@@ -99,22 +99,20 @@ _TABLE = [
 
 
 def _suite(check: Callable, quadrature: bool, cases: list) -> Callable:
-    def run(config: QuadratureConfig, tol: float | None) -> list[VerificationReport]:
+    def run(tol: float | None) -> list[VerificationReport]:
         # looked up by name at call time, so a rebinding of this module's
         # name (a test double, a tracing wrapper) is what runs
         fn = globals()[check.__name__]
-        if not quadrature:
+        if not quadrature or tol is None:
             return [fn(*args) for args in cases]
-        kwargs = {"config": config} if tol is None else {"config": config, "tol": tol}
-        return [fn(*args, **kwargs) for args in cases]
+        return [fn(*args, tol=tol) for args in cases]
     return run
 
 
 SUITES: dict[str, Callable] = {name: _suite(*row) for name, *row in _TABLE}
 
 
-def run_suites(name_filter: str, config: QuadratureConfig = DEFAULT_CONFIG,
-               tol: float | None = None) -> list[VerificationReport]:
+def run_suites(name_filter: str, tol: float | None = None) -> list[VerificationReport]:
     """Run every suite whose name contains the filter ('all' runs everything)."""
     selected = [k for k in SUITES
                 if name_filter == "all" or name_filter in k]
@@ -124,7 +122,7 @@ def run_suites(name_filter: str, config: QuadratureConfig = DEFAULT_CONFIG,
     reports: list[VerificationReport] = []
     for key in selected:
         try:
-            reports.extend(SUITES[key](config, tol))
+            reports.extend(SUITES[key](tol))
         except HahnlabError as exc:
             reports.append(VerificationReport(
                 f"suite:{key}", "error", float("inf"), float("inf"), str(exc)))

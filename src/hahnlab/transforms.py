@@ -16,8 +16,7 @@ from .errors import DomainError
 from .numerics import _hahn_weight_log_of, gamma_product, log_gamma_complex
 from .polynomials import (HahnParams, JacobiParams, _to_complex, chahn_eval,
                           chahn_coeffs_complex, horner_level, jacobi_coeffs_complex)
-from .quadrature import (DEFAULT_CONFIG, IntegralResult, QuadratureConfig,
-                         _line_integral)
+from .quadrature import IntegralResult, _line_integral
 from .reports import (QuadDiagnostics, VerificationReport, integral_report,
                       toleranced_report)
 
@@ -53,7 +52,7 @@ def _weighted_jacobi_envelope(coeff_bound: float, re_alpha: float, re_beta: floa
 
 
 def _tanh_product_integral(pn, pm, wa: complex, wb: complex,
-                           config: QuadratureConfig, z: float = 0.0) -> IntegralResult:
+                           z: float = 0.0) -> IntegralResult:
     """int e^{-ixz} (1 - tanh x)^wa (1 + tanh x)^wb pn(tanh x) pm(tanh x) dx
     over the line, for coefficient lists pn and pm: the beta-type integral
     over [-1, 1] in the variable t = tanh x, and its Fourier transform.
@@ -71,7 +70,7 @@ def _tanh_product_integral(pn, pm, wa: complex, wb: complex,
         return sum(terms), sum(map(abs, terms))
 
     env = _weighted_jacobi_envelope(bound, wa.real, wb.real)
-    return _line_integral(f, env, math.pi / max(2.0, abs(z)), config)
+    return _line_integral(f, env, math.pi / max(2.0, abs(z)))
 
 
 def _require_positive_re(**named):
@@ -80,12 +79,11 @@ def _require_positive_re(**named):
             raise DomainError(f"Re({name}) must be positive")
 
 
-def _weighted_jacobi_transform(n, alpha, beta, gamma, delta, z,
-                               config: QuadratureConfig) -> IntegralResult:
+def _weighted_jacobi_transform(n, alpha, beta, gamma, delta, z) -> IntegralResult:
     """Quadrature side of the Fourier pair at frequency z."""
     coeffs = jacobi_coeffs_complex(n, JacobiParams(gamma, delta))
     return _tanh_product_integral(coeffs, [1.0], _to_complex(alpha),
-                                  _to_complex(beta), config, z)
+                                  _to_complex(beta), z)
 
 
 def _fourier_closed_form(n, alpha, beta, gamma, delta, z) -> complex:
@@ -98,14 +96,13 @@ def _fourier_closed_form(n, alpha, beta, gamma, delta, z) -> complex:
 
 
 def fourier_pair_check(n: int, alpha, beta, gamma, delta, z: float,
-                       config: QuadratureConfig = DEFAULT_CONFIG,
                        tol: float = 1e-8, tol_abs: float = 1e-12) -> VerificationReport:
     """Quadrature of e^{-ixz} (1-tanh x)^alpha (1+tanh x)^beta P_n(tanh x)
     against 2^{alpha+beta-1} Gamma(alpha+iz/2) Gamma(beta-iz/2) /
     Gamma(alpha+beta+n) * i^{-n} p_n(z/2)."""
     _require_positive_re(alpha=alpha, beta=beta)
     name = f"fourier-pair[n={n}, z={z}]"
-    lhs = _weighted_jacobi_transform(n, alpha, beta, gamma, delta, z, config)
+    lhs = _weighted_jacobi_transform(n, alpha, beta, gamma, delta, z)
     rhs = _fourier_closed_form(n, alpha, beta, gamma, delta, z)
     abs_err = abs(lhs.value - rhs)
     # the |f| mass scales the error where the closed form vanishes (odd n
@@ -117,7 +114,6 @@ def fourier_pair_check(n: int, alpha, beta, gamma, delta, z: float,
 
 
 def mellin_pair_check(n: int, alpha, beta, gamma, delta, lam: float,
-                      config: QuadratureConfig = DEFAULT_CONFIG,
                       tol: float = 1e-8, tol_abs: float = 1e-12) -> VerificationReport:
     """Mellin transform of x^alpha (1+x)^{-alpha-beta} P_n((1-x)/(1+x)) at
     s = -i*lambda, computed through the x = exp(-2u) reduction to the
@@ -129,7 +125,7 @@ def mellin_pair_check(n: int, alpha, beta, gamma, delta, lam: float,
     al, be = _to_complex(alpha), _to_complex(beta)
     ga, de = _to_complex(gamma), _to_complex(delta)
     scale = cmath.exp((1 - al - be) * _LOG_2)
-    lhs = _weighted_jacobi_transform(n, alpha, beta, gamma, delta, -2.0 * lam, config)
+    lhs = _weighted_jacobi_transform(n, alpha, beta, gamma, delta, -2.0 * lam)
     lhs_value = scale * lhs.value
 
     hp = HahnParams(al, de - be + 1, ga - al + 1, be)
@@ -137,26 +133,29 @@ def mellin_pair_check(n: int, alpha, beta, gamma, delta, lam: float,
     rhs_quoted = gamma_product([al - 1j * lam, be - 1j * lam], [al + be + n]) * pol
     rhs_corrected = gamma_product([al - 1j * lam, be + 1j * lam], [al + be + n]) * pol
 
-    err_quoted = abs(lhs_value - rhs_quoted)
     err_corrected = abs(lhs_value - rhs_corrected)
-    rel_quoted = err_quoted / max(abs(rhs_quoted), 1e-300)
-    rel_corrected = err_corrected / max(abs(rhs_corrected), 1e-300)
     if lam == 0.0:
         which = "conventions coincide at lambda = 0"
     else:
+        rel_quoted = abs(lhs_value - rhs_quoted) / max(abs(rhs_quoted), 1e-300)
+        rel_corrected = err_corrected / max(abs(rhs_corrected), 1e-300)
         matches = rel_corrected <= tol or err_corrected <= tol_abs
         which = (f"Gamma(beta + i*lambda) convention "
                  f"{'matches' if matches else 'does not match'} "
                  f"(rel {rel_corrected:.3e}); quoted Gamma(beta - i*lambda) "
                  f"convention off by rel {rel_quoted:.3e}")
+    # at lambda = 0, alpha = beta and gamma = delta the integrand is an even
+    # weight times the odd P_n for odd n: the closed form is 0 up to rounding
+    vanishes = n % 2 == 1 and lam == 0.0 and alpha == beta and gamma == delta
     diag = QuadDiagnostics(lhs.evaluations, lhs.error_estimate)
-    return toleranced_report(name, err_corrected, rel_corrected, tol, tol_abs,
-                             which + "; " + MELLIN_SIGN_NOTE, diag)
+    return integral_report(name, err_corrected, 0.0 if vanishes else abs(rhs_corrected),
+                           abs(scale) * lhs.mass, tol, tol_abs,
+                           which + "; " + MELLIN_SIGN_NOTE, diag)
 
 
 def _parseval_right(n: int, m: int, al: complex, be: complex, av: complex,
-                    bv: complex, ga: complex, de: complex, cv: complex, dv: complex,
-                    config: QuadratureConfig) -> IntegralResult:
+                    bv: complex, ga: complex, de: complex, cv: complex,
+                    dv: complex) -> IntegralResult:
     """The line integral on the right of the Parseval identity:
     int w(z/2) p_n(z/2) conj q_m(z/2) dz / (Gamma(al+be+n) Gamma(av+bv+m)),
     w the four-gamma weight on (al, be, av, bv) and p_n, q_m the continuous
@@ -194,11 +193,10 @@ def _parseval_right(n: int, m: int, al: complex, be: complex, av: complex,
 
     real = not any(v.imag for v in (al, be, av, bv, ga, de, cv, dv))
     return _line_integral(f, env, 2.0 * min(al.real, be.real, av.real, bv.real),
-                          config, (-1) ** (n + m) if real else None)
+                          (-1) ** (n + m) if real else None)
 
 
 def parseval_check(n: int, m: int, alpha, beta, a, b, gamma, delta, c, d,
-                   config: QuadratureConfig = DEFAULT_CONFIG,
                    tol: float = 1e-8, tol_abs: float = 1e-10) -> VerificationReport:
     """Both sides of the Parseval identity for two weighted Jacobi factors,
     for general parameters (no orthogonality specialization imposed)."""
@@ -212,11 +210,11 @@ def parseval_check(n: int, m: int, alpha, beta, a, b, gamma, delta, c, d,
     # left: 2 pi * integral of the tanh-substituted beta-type integrand
     pn = jacobi_coeffs_complex(n, JacobiParams(ga, de))
     pm = jacobi_coeffs_complex(m, JacobiParams(cv, dv))
-    left = _tanh_product_integral(pn, pm, al + av, be + bv, config)
+    left = _tanh_product_integral(pn, pm, al + av, be + bv)
     lhs_value = 2.0 * math.pi * left.value
 
     # right: gamma-weighted line integral over the transforms
-    right = _parseval_right(n, m, al, be, av, bv, ga, de, cv, dv, config)
+    right = _parseval_right(n, m, al, be, av, bv, ga, de, cv, dv)
     factor = (1j ** ((m - n) % 4)) * cmath.exp((al + av + be + bv - 2) * _LOG_2)
     rhs_value = factor * right.value
 

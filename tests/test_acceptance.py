@@ -21,12 +21,10 @@ from hahnlab.orthogonality import (barnes_check, bateman_ortho_check,
                                    pasternack_biortho_check,
                                    pasternack_ortho_check, pi_m_over_sin_pi_m)
 from hahnlab.polynomials import HahnParams, pasternack_reflection_check
-from hahnlab.quadrature import QuadratureConfig
 from hahnlab.transforms import fourier_pair_check, mellin_pair_check
 
 F = Fraction
 HALF = F(1, 2)
-CFG = QuadratureConfig()
 
 DIAG_REL = 1e-8
 OFFDIAG_ABS = 1e-10
@@ -46,7 +44,7 @@ def test_criterion_1_bateman_orthogonality():
     worst_diag = worst_off = 0.0
     for n in range(11):
         for m in range(n + 1):
-            r = bateman_ortho_check(n, m, CFG, tol=DIAG_REL, tol_abs=OFFDIAG_ABS)
+            r = bateman_ortho_check(n, m, tol=DIAG_REL, tol_abs=OFFDIAG_ABS)
             assert r.passed, r.name
             if n == m:
                 worst_diag = max(worst_diag, r.max_rel_err)
@@ -64,7 +62,7 @@ def test_criterion_2_pasternack_orthogonality():
     for m in (F(1, 3), HALF, 0):
         for n in range(9):
             for p in range(n + 1):
-                r = pasternack_ortho_check(n, p, m, CFG,
+                r = pasternack_ortho_check(n, p, m,
                                            tol=DIAG_REL, tol_abs=OFFDIAG_ABS)
                 assert r.passed, r.name
                 if n == p:
@@ -87,7 +85,7 @@ def test_criterion_3_biorthogonality():
     worst_diag = 0.0
     for n in range(9):
         for p in range(9):
-            r = pasternack_biortho_check(n, p, m, CFG,
+            r = pasternack_biortho_check(n, p, m,
                                          tol=DIAG_REL, tol_abs=OFFDIAG_ABS)
             assert r.passed, r.name
             if n != p:
@@ -126,7 +124,7 @@ def test_criterion_4_continuous_hahn_gram():
     details = []
     worst = 0.0
     for label, params in param_sets:
-        g = chahn_gram(8, *params, config=CFG)
+        g = chahn_gram(8, *params)
         worst = max(worst, g.max_diag_rel_err)
         details.append(f"{label}: diag rel {g.max_diag_rel_err:.2e}")
     elapsed = time.time() - t0
@@ -148,7 +146,7 @@ def test_criterion_5_barnes_first_lemma():
             params = [complex(re_parts[0], im), complex(re_parts[1], -im),
                       complex(re_parts[2], rng.uniform(-0.5, 0.5)),
                       complex(re_parts[3], rng.uniform(-0.5, 0.5))]
-        r = barnes_check(*params, config=CFG, tol=1e-9)
+        r = barnes_check(*params, tol=1e-9)
         assert r.passed, r.name
         worst = max(worst, r.max_rel_err)
     _announce("5 barnes-first-lemma", worst <= 1e-9, f"worst rel {worst:.2e}")
@@ -170,7 +168,7 @@ def test_criterion_6_fourier_and_mellin_pairs():
     for al, be, ga, de in FOURIER_TUPLES:
         for n in range(9):
             for z in (0.0, 0.5, 1.0, 2.0, 5.0):
-                r = fourier_pair_check(n, al, be, ga, de, z, CFG, tol=1e-8)
+                r = fourier_pair_check(n, al, be, ga, de, z, tol=1e-8)
                 assert r.passed, f"{r.name} {r.details}"
                 if r.max_rel_err < 1.0:
                     worst = max(worst, r.max_rel_err)
@@ -179,7 +177,7 @@ def test_criterion_6_fourier_and_mellin_pairs():
     for al, be, ga, de in FOURIER_TUPLES:
         for n in (0, 2, 5, 8):
             for lam in (0.0, 0.25, 1.0):
-                r = mellin_pair_check(n, al, be, ga, de, lam, CFG, tol=1e-8)
+                r = mellin_pair_check(n, al, be, ga, de, lam, tol=1e-8)
                 assert r.passed, f"{r.name} {r.details}"
                 if r.max_rel_err < 1.0:
                     worst_mellin = max(worst_mellin, r.max_rel_err)
@@ -273,7 +271,7 @@ def test_criterion_8_jacobi_orthogonality():
     cases += [(2, 2, alpha_c, beta_c), (3, 1, alpha_c, beta_c),
               (4, 4, alpha_c, beta_c)]
     for n, m, al, be in cases:
-        r = jacobi_ortho_check(n, m, al, be, CFG, tol=1e-9, tol_abs=1e-11)
+        r = jacobi_ortho_check(n, m, al, be, tol=1e-9, tol_abs=1e-11)
         assert r.passed, r.name
         if n == m:
             worst = max(worst, r.max_rel_err)

@@ -148,6 +148,44 @@ def test_verify_env_tolerance(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+_INVALID_TOLERANCES = ["nan", "inf", "-inf", "-1e-8", "1e400"]
+_GRAM_4 = ["gram", "--size", "4", "--alpha", "1/2", "--beta", "1/2", "--a", "1/2",
+           "--b", "1/2"]
+
+
+@pytest.mark.parametrize("value", _INVALID_TOLERANCES)
+@pytest.mark.parametrize("command, flag", [
+    (["verify", "--suite", "barnes"], "--rel-tol"),
+    (_GRAM_4, "--diag-rel-tol"),
+    (_GRAM_4, "--offdiag-scaled-tol"),
+])
+def test_invalid_tolerance_flag_exit_2(command, flag, value, tmp_path, capsys):
+    """NaN fails every comparison and infinity passes every relative one:
+    such a tolerance is refused before any work, and nothing is written."""
+    with pytest.raises(SystemExit) as exc:
+        main([*command, f"{flag}={value}", "--out", str(tmp_path / "o.json")])
+    assert exc.value.code == 2
+    assert "finite number >= 0" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", _INVALID_TOLERANCES)
+def test_invalid_env_tolerance_exit_2(value, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HAHNLAB_TOL", value)
+    code, _, err = run_cli(["verify", "--suite", "barnes",
+                            "--out", str(tmp_path / "r.json")], capsys)
+    assert code == 2
+    assert "HAHNLAB_TOL" in err and "finite number >= 0" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_zero_tolerance_is_accepted(tmp_path, capsys):
+    code, _, _ = run_cli(["gram", "--size", "2", "--alpha", "1/2", "--beta", "1/2",
+                          "--a", "1/2", "--b", "1/2", "--offdiag-scaled-tol", "0",
+                          "--out", str(tmp_path / "z.csv")], capsys)
+    assert code == 0
+
+
 def test_gram_outputs(tmp_path, capsys):
     out = tmp_path / "g.csv"
     code, stdout, _ = run_cli(["gram", "--size", "2", "--alpha", "1/2",

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hahnlab.errors import ExactInputError
 from hahnlab.exact import (GR_I, GR_ONE, I_POWERS, ExactPoly, GaussianRational,
-                           _poly, _product, gr)
+                           _poly, gr)
 from hahnlab.polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
                                  jacobi_coeffs_exact, pasternack_coeffs_exact)
 from hahnlab.series import FormalSeries
@@ -188,16 +188,6 @@ def _schoolbook(a, b, limit=None):
 real_scalars = st.one_of(st.integers(-20, 20), rationals)
 scalars = st.one_of(real_scalars, gaussians, st.just(0))
 coeff_lists = st.one_of(st.lists(real_scalars, max_size=8), st.lists(scalars, max_size=8))
-
-
-@given(coeff_lists, coeff_lists, st.none() | st.integers(0, 10))
-@settings(max_examples=80, deadline=None)
-def test_product_matches_schoolbook(a, b, limit):
-    """The kernel, real-only or complex, of unequal lengths, empty operands
-    and truncation included, gives the schoolbook product exactly."""
-    got = _product(a, b, limit)
-    assert got == _schoolbook(a, b, limit)
-    assert all(type(c) is GaussianRational for c in got)
 
 
 @given(coeff_lists, coeff_lists, scalars)

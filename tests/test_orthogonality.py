@@ -15,19 +15,17 @@ from hahnlab.exact import GaussianRational
 from hahnlab.numerics import _hahn_weight_log_of, hahn_weight_log
 from hahnlab.orthogonality import (GramResult, barnes_check,
                                    bateman_ortho_check, chahn_gram,
-                                   chahn_norm_rhs, jacobi_ortho_check,
+                                   chahn_norm_rhs, gram_check, jacobi_ortho_check,
                                    pasternack_biortho_check,
                                    pasternack_ortho_check, pi_m_over_sin_pi_m)
 from hahnlab.polynomials import (HahnParams, JacobiParams, chahn_coeffs_complex,
                                  horner, horner_level, jacobi_coeffs_complex,
                                  pasternack_coeffs_complex)
-from hahnlab.quadrature import (_EPS, IntegralResult, QuadratureConfig,
-                                truncation_radius)
+from hahnlab.quadrature import _EPS, IntegralResult, truncation_radius
 from hahnlab.transforms import _tanh_product_integral
 
 F = Fraction
 HALF = F(1, 2)
-CFG = QuadratureConfig()
 
 
 # --- closed-form norms ------------------------------------------------------
@@ -71,7 +69,7 @@ def test_norm_rhs_rejects_nonpositive():
 # --- Barnes' first lemma -----------------------------------------------------
 
 def test_barnes_all_halves_is_one():
-    r = barnes_check(HALF, HALF, HALF, HALF, CFG)
+    r = barnes_check(HALF, HALF, HALF, HALF)
     assert r.passed and r.max_rel_err <= 1e-9
 
 
@@ -79,7 +77,7 @@ def test_barnes_gamma_ratio_example():
     # Gamma(3/2) Gamma(2) Gamma(7/4)^2 / Gamma(7/2), via math.lgamma oracle
     expected = math.exp(math.lgamma(1.5) + math.lgamma(2.0)
                         + 2 * math.lgamma(1.75) - math.lgamma(3.5))
-    r = barnes_check(1, HALF, F(3, 4), F(5, 4), CFG)
+    r = barnes_check(1, HALF, F(3, 4), F(5, 4))
     assert r.passed
     assert abs(chahn_norm_rhs(0, 1, 0.5, 0.75, 1.25) - expected) <= 1e-12 * expected
 
@@ -89,15 +87,15 @@ def test_barnes_swap_invariance():
     a1 = chahn_norm_rhs(0, 1.0, 0.5, 0.75, 1.25)
     a2 = chahn_norm_rhs(0, 1.25, 0.75, 0.5, 1.0)
     assert abs(a1 - a2) <= 1e-13 * abs(a1)
-    r1 = barnes_check(1.0, 0.5, 0.75, 1.25, CFG)
-    r2 = barnes_check(1.25, 0.75, 0.5, 1.0, CFG)
+    r1 = barnes_check(1.0, 0.5, 0.75, 1.25)
+    r2 = barnes_check(1.25, 0.75, 0.5, 1.0)
     assert r1.passed and r2.passed
 
 
 # --- Bateman ------------------------------------------------------------------
 
 def test_bateman_diagonal_n0():
-    r = bateman_ortho_check(0, 0, CFG)
+    r = bateman_ortho_check(0, 0)
     assert r.passed
     # 4/pi from the sech^2 antiderivative
     assert r.max_rel_err <= 1e-8
@@ -105,18 +103,18 @@ def test_bateman_diagonal_n0():
 
 def test_bateman_diagonal_n1_sign():
     # F_1(ix) = -ix; moment integral 4/(3 pi) with the (-1)^n sign
-    r = bateman_ortho_check(1, 1, CFG)
+    r = bateman_ortho_check(1, 1)
     assert r.passed
 
 
 def test_bateman_offdiag_parity():
-    r = bateman_ortho_check(0, 1, CFG)
+    r = bateman_ortho_check(0, 1)
     assert r.passed and r.max_abs_err <= 1e-10
 
 
 def test_bateman_degree_cap():
     with pytest.raises(DomainError):
-        bateman_ortho_check(13, 0, CFG)
+        bateman_ortho_check(13, 0)
 
 
 # --- Pasternack ---------------------------------------------------------------
@@ -124,7 +122,7 @@ def test_bateman_degree_cap():
 def test_pasternack_m_zero_matches_bateman_weight_rescale():
     # 1/(1 + cosh(pi x)) = sech^2(pi x / 2) / 2, so diagonals are half Bateman's
     for n in (0, 1, 2):
-        r = pasternack_ortho_check(n, n, 0, CFG)
+        r = pasternack_ortho_check(n, n, 0)
         assert r.passed
 
 
@@ -133,14 +131,14 @@ def test_pasternack_hardy_case_frozen():
     from hahnlab.polynomials import pasternack_coeffs_complex
     from hahnlab.polynomials import horner
     for n in (0, 1, 2, 3):
-        r = pasternack_ortho_check(n, n, HALF, CFG)
+        r = pasternack_ortho_check(n, n, HALF)
         assert r.passed
         expected = (-1.0) ** n / (2 * n + 1) ** 2
         assert f"expected=({expected!r}" in r.details or r.max_rel_err <= 1e-8
 
 
 def test_pasternack_offdiag_zero():
-    r = pasternack_ortho_check(2, 0, F(1, 3), CFG)
+    r = pasternack_ortho_check(2, 0, F(1, 3))
     assert r.passed and r.max_abs_err <= 1e-10
 
 
@@ -148,7 +146,7 @@ def test_pasternack_offdiag_zero():
 def test_pasternack_norm_ratio_against_gamma_route(m):
     # the sech-weight closed form and the four-gamma norm specialization
     # agree as numbers after the z = x/2 change of variables
-    r = pasternack_ortho_check(3, 3, m, CFG)
+    r = pasternack_ortho_check(3, 3, m)
     assert r.passed
     assert "specialized-norm ratio" in r.details
     ratio = float(r.details.split("specialized-norm ratio vs gamma form: ")[1].split(";")[0])
@@ -156,15 +154,15 @@ def test_pasternack_norm_ratio_against_gamma_route(m):
 
 
 def test_pasternack_imaginary_m():
-    r = pasternack_ortho_check(1, 1, 0.4j, CFG)
+    r = pasternack_ortho_check(1, 1, 0.4j)
     assert r.passed
 
 
 def test_pasternack_domain_checks():
     with pytest.raises(DomainError):
-        pasternack_ortho_check(0, 0, 1.5, CFG)
+        pasternack_ortho_check(0, 0, 1.5)
     with pytest.raises(DomainError):
-        pasternack_ortho_check(0, 0, complex(0.3, 0.4), CFG)
+        pasternack_ortho_check(0, 0, complex(0.3, 0.4))
 
 
 def test_pi_m_over_sin_small_m_series():
@@ -178,14 +176,14 @@ def test_pi_m_over_sin_small_m_series():
 
 def test_biortho_reduces_to_bateman_at_m_zero():
     for n in (0, 1, 2):
-        r = pasternack_biortho_check(n, n, 0, CFG)
+        r = pasternack_biortho_check(n, n, 0)
         assert r.passed
 
 
 def test_biortho_diagonal_and_offdiag():
-    r = pasternack_biortho_check(2, 2, F(1, 3), CFG)
+    r = pasternack_biortho_check(2, 2, F(1, 3))
     assert r.passed
-    r = pasternack_biortho_check(2, 1, F(1, 3), CFG)
+    r = pasternack_biortho_check(2, 1, F(1, 3))
     assert r.passed and r.max_abs_err <= 1e-10
 
 
@@ -211,8 +209,8 @@ def test_biortho_consistent_with_ortho_via_reflection():
                     / (cos_pim + math.cosh(math.pi * x))
             return f
 
-        v_ortho = integrate_line(integrand(f_plus), env, CFG).value
-        v_bio = integrate_line(integrand(f_minus), env, CFG).value
+        v_ortho = integrate_line(integrand(f_plus), env).value
+        v_bio = integrate_line(integrand(f_minus), env).value
         factor = pochhammer(1 + float(m), n) / pochhammer(1 - float(m), n)
         assert abs(v_bio - factor * v_ortho) <= 1e-9 * max(abs(v_bio), 1.0)
 
@@ -220,37 +218,37 @@ def test_biortho_consistent_with_ortho_via_reflection():
 # --- Jacobi --------------------------------------------------------------------
 
 def test_jacobi_ortho_interval_length():
-    r = jacobi_ortho_check(0, 0, 0, 0, CFG)
+    r = jacobi_ortho_check(0, 0, 0, 0)
     assert r.passed  # weight 1 on [-1, 1]: the measure of the interval, 2
 
 
 def test_jacobi_ortho_x_squared_moment():
-    r = jacobi_ortho_check(1, 1, 0, 0, CFG)
+    r = jacobi_ortho_check(1, 1, 0, 0)
     assert r.passed  # int x^2 over [-1,1] = 2/3
 
 
 def test_jacobi_ortho_negative_exponents():
     # endpoint singularities with -1 < alpha < 0 go through the tanh map
-    r = jacobi_ortho_check(2, 2, -0.5, F(1, 4), CFG)
+    r = jacobi_ortho_check(2, 2, -0.5, F(1, 4))
     assert r.passed
 
 
 def test_jacobi_ortho_complex_parameters():
-    r = jacobi_ortho_check(3, 2, complex(0.5, 1.0), complex(0.5, -1.0), CFG)
+    r = jacobi_ortho_check(3, 2, complex(0.5, 1.0), complex(0.5, -1.0))
     assert r.passed and r.max_abs_err <= 1e-10
-    r = jacobi_ortho_check(2, 2, complex(0.5, 1.0), complex(0.5, -1.0), CFG)
+    r = jacobi_ortho_check(2, 2, complex(0.5, 1.0), complex(0.5, -1.0))
     assert r.passed and r.max_rel_err <= 1e-9
 
 
 def test_jacobi_ortho_domain():
     with pytest.raises(DomainError):
-        jacobi_ortho_check(0, 0, -1.0, 0, CFG)
+        jacobi_ortho_check(0, 0, -1.0, 0)
 
 
 # --- continuous Hahn Gram -------------------------------------------------------
 
 def test_gram_two_by_two_frozen():
-    g = chahn_gram(2, HALF, HALF, HALF, HALF, CFG)
+    g = chahn_gram(2, HALF, HALF, HALF, HALF)
     assert abs(g.matrix[0][0] - 1.0) <= 1e-10
     assert abs(g.matrix[1][1] - 1.0 / 3.0) <= 1e-10
     assert g.max_offdiag_abs == 0.0  # parity shortcut, no quadrature consulted
@@ -258,14 +256,14 @@ def test_gram_two_by_two_frozen():
 
 
 def test_gram_entry_00_is_barnes_value():
-    g = chahn_gram(1, 1.0, 0.5, 0.75, 1.25, CFG)
+    g = chahn_gram(1, 1.0, 0.5, 0.75, 1.25)
     expected = chahn_norm_rhs(0, 1.0, 0.5, 0.75, 1.25)
     assert abs(g.matrix[0][0] - expected) <= 1e-10 * abs(expected)
 
 
 def test_gram_parameter_swap_invariance():
-    g1 = chahn_gram(3, 1.0, 0.5, 0.75, 1.25, CFG)
-    g2 = chahn_gram(3, 1.25, 0.75, 0.5, 1.0, CFG)
+    g1 = chahn_gram(3, 1.0, 0.5, 0.75, 1.25)
+    g2 = chahn_gram(3, 1.25, 0.75, 0.5, 1.0)
     scale = [math.sqrt(abs(h)) for h in g1.expected_diagonal]
     for i in range(3):
         for j in range(3):
@@ -277,7 +275,7 @@ def test_gram_conjugate_pair_real_symmetric_positive():
     from hahnlab.exact import GaussianRational
     al = GaussianRational(F(1, 2), F(1, 4))
     be = GaussianRational(F(3, 4), F(-1, 4))
-    g = chahn_gram(4, al, be, al.conjugate(), be.conjugate(), CFG)
+    g = chahn_gram(4, al, be, al.conjugate(), be.conjugate())
     scale = [math.sqrt(abs(h)) for h in g.expected_diagonal]
     for i in range(4):
         assert g.matrix[i][i].real > 0.0
@@ -288,11 +286,27 @@ def test_gram_conjugate_pair_real_symmetric_positive():
 
 def test_gram_size_cap():
     with pytest.raises(DomainError):
-        chahn_gram(17, HALF, HALF, HALF, HALF, CFG)
+        chahn_gram(17, HALF, HALF, HALF, HALF)
+
+
+def test_gram_check_passes_all_halves():
+    r = gram_check("g", HALF, HALF, HALF, HALF, 3)
+    assert r.passed and r.max_rel_err <= 1e-12 and r.max_abs_err <= 1e-10
+
+
+def test_gram_check_fails_on_a_wrong_norm(monkeypatch):
+    """Closed-form norms off by 1e-6 move the diagonal error far past the
+    1e-8 tolerance: the check must fail, not pass on the quadrature alone."""
+    right = orthogonality.chahn_norm_rhs
+    monkeypatch.setattr(orthogonality, "chahn_norm_rhs",
+                        lambda *args: (1 + 1e-6) * right(*args))
+    r = gram_check("g", HALF, HALF, HALF, HALF, 3)
+    assert r.max_rel_err == pytest.approx(1e-6, rel=1e-3)
+    assert not r.passed
 
 
 def test_gram_csv_and_summary():
-    g = chahn_gram(2, HALF, HALF, HALF, HALF, CFG)
+    g = chahn_gram(2, HALF, HALF, HALF, HALF)
     text = g.to_csv_text()
     lines = text.strip().split("\n")
     assert lines[0] == ",0,1"
@@ -332,7 +346,7 @@ QUARTER_CONJ = (GaussianRational(F(1, 4), F(1, 2)), GaussianRational(F(1, 4), F(
     (F(2),) * 4,
 ], ids=["all-1/8", "quarter-conjugate-pair", "all-2"])
 def test_gram_size_16_against_mpmath_norms(params):
-    g = chahn_gram(16, *params, CFG)
+    g = chahn_gram(16, *params)
     norms = _mp_norms(16, [p.to_complex() if isinstance(p, GaussianRational) else p
                            for p in params])
     for n in range(16):
@@ -348,13 +362,13 @@ def test_gram_size_16_against_mpmath_norms(params):
     (16, QUARTER_CONJ),
 ])
 def test_gram_error_estimate_covers_offdiagonal_error(N, params):
-    g = chahn_gram(N, *params, CFG)
+    g = chahn_gram(N, *params)
     assert g.max_offdiag_scaled > 0.0
     assert g.estimated_error >= g.max_offdiag_scaled
 
 
 def test_gram_reports_its_cost():
-    g = chahn_gram(4, 1, HALF, F(3, 4), F(5, 4), CFG)
+    g = chahn_gram(4, 1, HALF, F(3, 4), F(5, 4))
     summary = g.to_summary_dict()
     # nodes of a symmetric grid of step h out to the truncation radius
     assert summary["evaluations"] == 2 * int(g.truncation_radius / g.step) + 1
@@ -366,7 +380,7 @@ def test_gram_reports_its_cost():
 def test_gram_narrow_strip_raises_promptly():
     t0 = time.perf_counter()
     with pytest.raises(QuadratureError):
-        chahn_gram(4, F(1, 10000), HALF, HALF, HALF, CFG)
+        chahn_gram(4, F(1, 10000), HALF, HALF, HALF)
     assert time.perf_counter() - t0 < 5.0
 
 
@@ -401,7 +415,7 @@ def test_gram_folds_the_reflection_for_real_parameters(monkeypatch, params, fold
 
     monkeypatch.setattr(orthogonality, "_hahn_weight_log_of", recorder)
     monkeypatch.setattr(orthogonality, "truncation_radius", radius)
-    g = chahn_gram(8, *params, CFG)
+    g = chahn_gram(8, *params)
     negative = [z for z in seen if z < 0.0]
     half_grid = int(g.truncation_radius / g.step)
     assert g.evaluations == 2 * half_grid + 1
@@ -428,7 +442,7 @@ def test_gram_envelope_bounds_both_tails(monkeypatch, params, N):
         return z
 
     monkeypatch.setattr(orthogonality, "truncation_radius", radius)
-    chahn_gram(N, *params, CFG)
+    chahn_gram(N, *params)
     (envelope, radius_z), = captured
     al, be, a, b = (p.to_complex() if isinstance(p, GaussianRational) else complex(p)
                     for p in params)
@@ -447,7 +461,7 @@ def test_gram_cutoff_is_relative_to_the_norms():
     """N = 16 norms reach 1e24; an absolute tail target ran the grid out to
     Z = 30, the norm-relative one stops at Z <= 19 at no loss of accuracy."""
     params = (F(1), HALF, F(3, 4), F(5, 4))
-    g = chahn_gram(16, *params, CFG)
+    g = chahn_gram(16, *params)
     assert g.truncation_radius <= 19.0
     norms = _mp_norms(16, params)
     for n in range(16):
@@ -474,7 +488,7 @@ def _norm_scaled_error(g, norms):
 def test_gram_error_estimate_covers_error_against_mpmath(params, N):
     """The reported estimate bounds the achieved norm-scaled error, diagonal
     and off-diagonal, against closed-form norms at 50 digits."""
-    g = chahn_gram(N, *params, CFG)
+    g = chahn_gram(N, *params)
     norms = _mp_norms(N, [p.to_complex() if isinstance(p, GaussianRational) else p
                           for p in params], digits=50)
     assert g.estimated_error >= _norm_scaled_error(g, norms)
@@ -484,7 +498,7 @@ def test_gram_error_estimate_covers_error_against_mpmath(params, N):
     "float parameters: the kappa floor counts Horner rounding but not the "
     "error of the float coefficients (ROADMAP direction 1)"))
 def test_gram_error_estimate_covers_error_float_parameters():
-    g = chahn_gram(8, 0.5, 0.5, 0.5, 0.5, CFG)
+    g = chahn_gram(8, 0.5, 0.5, 0.5, 0.5)
     norms = _mp_norms(8, (HALF,) * 4, digits=50)
     assert g.estimated_error >= _norm_scaled_error(g, norms)
 
@@ -524,7 +538,7 @@ def test_sech_integral_against_mpmath(kind, n, p, m, m2):
     weight, mp_weight, strip = _sech_case(kind, m)
     res = orthogonality._sech_integral(pasternack_coeffs_complex(n, m),
                                        pasternack_coeffs_complex(p, m2),
-                                       weight, strip, CFG)
+                                       weight, strip)
     mpm, mpm2 = _mp(m), _mp(m2)
     with mpmath.workdps(20):
         want = complex(mpmath.quad(
@@ -547,7 +561,7 @@ def test_sech_estimate_covers_error_against_mpmath(monkeypatch, check):
         return res
 
     monkeypatch.setattr(orthogonality, "_line_integral", spy)
-    report = check(0, 0, F(1, 3), CFG)
+    report = check(0, 0, F(1, 3))
     [res] = seen
     with mpmath.workdps(30):
         c = mpmath.cos(mpmath.pi / 3)
@@ -566,7 +580,7 @@ def test_tanh_jacobi_integral_complex_parameters_against_mpmath(n, m):
     al, be = complex(0.5, 1.0), complex(0.5, -1.0)
     res = _tanh_product_integral(jacobi_coeffs_complex(n, JacobiParams(al, be)),
                                  jacobi_coeffs_complex(m, JacobiParams(al, be)),
-                                 al + 1, be + 1, CFG)
+                                 al + 1, be + 1)
     a, b = mpmath.mpc(al), mpmath.mpc(be)
     with mpmath.workdps(20):
         want = complex(mpmath.quad(lambda t: (1 - t) ** a * (1 + t) ** b
@@ -583,7 +597,7 @@ def test_tanh_jacobi_integral_complex_parameters_against_mpmath(n, m):
 ])
 def test_zero_expected_entry_reports_error_against_mass(check, args):
     # dividing by max(|expected|, 1e-300) read about 1e285 here
-    r = check(*args, CFG)
+    r = check(*args)
     assert r.passed and r.max_rel_err <= 1e-13
 
 
@@ -597,7 +611,7 @@ def test_zero_expected_entry_passes_on_tol_abs_alone(monkeypatch, check, args, t
     the relative tolerance 1e-8, but ten times tol_abs: it must fail."""
     monkeypatch.setattr(orthogonality, target,
                         lambda *a, **k: IntegralResult(1e-9, 0.0, 1, 1.0))
-    r = check(*args, CFG)
+    r = check(*args)
     assert r.max_rel_err == pytest.approx(1e-9)
     assert not r.passed
 
@@ -605,10 +619,10 @@ def test_zero_expected_entry_passes_on_tol_abs_alone(monkeypatch, check, args, t
 def _fold(real, mode):
     """_line_integral without its reflection fold ("none") or with
     v - conj v where v + conj v belongs ("mutated")."""
-    def run(f, env, strip, config, reflection=None):
+    def run(f, env, strip, reflection=None):
         if mode == "none":
-            return real(f, env, strip, config)
-        return real(f, env, strip, config, -1 if reflection == 1 else reflection)
+            return real(f, env, strip)
+        return real(f, env, strip, -1 if reflection == 1 else reflection)
     return run
 
 
@@ -618,7 +632,7 @@ def test_sech_fold_agrees_with_both_sides(monkeypatch, n, p, m):
     both signs, to rounding, on the same grid."""
     weight, _, strip = _sech_case("bateman" if m == 0 else "pasternack", m)
     args = (pasternack_coeffs_complex(n, m), pasternack_coeffs_complex(p, m),
-            weight, strip, CFG)
+            weight, strip)
     folded = orthogonality._sech_integral(*args)
     monkeypatch.setattr(orthogonality, "_line_integral",
                         _fold(orthogonality._line_integral, "none"))
@@ -632,10 +646,10 @@ def test_sech_fold_agrees_with_both_sides(monkeypatch, n, p, m):
     (pasternack_ortho_check, (1, 1, HALF)),
 ])
 def test_sech_mutated_fold_sign_fails(monkeypatch, check, args):
-    assert check(*args, CFG).passed
+    assert check(*args).passed
     monkeypatch.setattr(orthogonality, "_line_integral",
                         _fold(orthogonality._line_integral, "mutated"))
-    assert not check(*args, CFG).passed
+    assert not check(*args).passed
 
 
 def test_sech_narrow_strip_raises_before_evaluating(monkeypatch):
@@ -650,6 +664,6 @@ def test_sech_narrow_strip_raises_before_evaluating(monkeypatch):
     monkeypatch.setattr(orthogonality, "horner_level", recorder)
     t0 = time.perf_counter()
     with pytest.raises(QuadratureError):
-        pasternack_ortho_check(1, 1, 0.9999, CFG)
+        pasternack_ortho_check(1, 1, 0.9999)
     assert set(sizes) == {1}
     assert time.perf_counter() - t0 < 5.0

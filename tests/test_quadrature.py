@@ -5,12 +5,11 @@ import math
 
 import pytest
 
-from hahnlab.errors import DomainError, QuadratureError
-from hahnlab.quadrature import (_EPS, QuadratureConfig, _line_integral,
+from hahnlab.errors import QuadratureError
+from hahnlab import quadrature
+from hahnlab.quadrature import (_ABS_TOL, _EPS, _REL_TOL, _TAIL_TOL, _line_integral,
                                 integrate_interval, integrate_line,
                                 integrate_line_trapezoid, truncation_radius)
-
-CFG = QuadratureConfig()
 
 
 def _sech(u):
@@ -18,18 +17,11 @@ def _sech(u):
     return 2.0 * e / (1.0 + e * e)
 
 
-def test_config_validation():
-    with pytest.raises(DomainError):
-        QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadratureConfig(max_subdivisions=0)
-
-
 @pytest.mark.parametrize("a", [math.pi / 2, math.pi, 2 * math.pi])
 def test_sech_squared_family(a):
     # antiderivative of sech^2(ax) is tanh(ax)/a, so the line integral is 2/a
     res = integrate_line(lambda x: _sech(a * x) ** 2,
-                         lambda x: 4.0 * math.exp(-2.0 * a * abs(x)), CFG)
+                         lambda x: 4.0 * math.exp(-2.0 * a * abs(x)))
     assert abs(res.value - 2.0 / a) <= 1e-10 * (2.0 / a)
 
 
@@ -38,32 +30,32 @@ def test_moment_sech_squared_family(a):
     # int u^2 sech^2(u) du = pi^2/6 over the line, rescaled by a^3
     expected = math.pi ** 2 / (6.0 * a ** 3)
     res = integrate_line(lambda x: x * x * _sech(a * x) ** 2,
-                         lambda x: 4.0 * x * x * math.exp(-2.0 * a * abs(x)), CFG)
+                         lambda x: 4.0 * x * x * math.exp(-2.0 * a * abs(x)))
     assert abs(res.value - expected) <= 1e-10 * expected
 
 
 def test_odd_integrand_vanishes():
     res = integrate_line(lambda x: x * _sech(x) ** 2,
-                         lambda x: 4.0 * abs(x) * math.exp(-2.0 * abs(x)), CFG)
-    assert abs(res.value) <= CFG.abs_tol * 10
+                         lambda x: 4.0 * abs(x) * math.exp(-2.0 * abs(x)))
+    assert abs(res.value) <= _ABS_TOL * 10
 
 
 def test_complex_integrand():
     res = integrate_line(lambda x: complex(_sech(x) ** 2, x * _sech(x) ** 2),
-                         lambda x: 8.0 * (1 + abs(x)) * math.exp(-2.0 * abs(x)), CFG)
+                         lambda x: 8.0 * (1 + abs(x)) * math.exp(-2.0 * abs(x)))
     assert abs(res.value.real - 2.0) <= 2e-10
     assert abs(res.value.imag) <= 1e-12
 
 
 def test_diagnostics_populated():
     res = integrate_line(lambda x: _sech(x) ** 2,
-                         lambda x: 4.0 * math.exp(-2.0 * abs(x)), CFG)
+                         lambda x: 4.0 * math.exp(-2.0 * abs(x)))
     assert res.evaluations % 15 == 0 and res.evaluations > 0
     assert res.error_estimate >= 0.0
 
 
 def test_interval_gaussian():
-    res = integrate_interval(lambda x: math.exp(-x * x), -8.0, 8.0, CFG)
+    res = integrate_interval(lambda x: math.exp(-x * x), -8.0, 8.0)
     assert abs(res.value - math.sqrt(math.pi)) <= 1e-12
 
 
@@ -72,39 +64,38 @@ def test_oscillatory_panel_width():
     w = 9.0
     expected = math.pi * w / math.sinh(math.pi * w / 2.0)
     res = integrate_line(lambda x: complex(math.cos(w * x), math.sin(w * x)) * _sech(x) ** 2,
-                         lambda x: 4.0 * math.exp(-2.0 * abs(x)), CFG,
+                         lambda x: 4.0 * math.exp(-2.0 * abs(x)),
                          max_panel_width=math.pi / w)
     assert abs(res.value - expected) <= 1e-10 * max(expected, 1.0)
 
 
 def test_truncation_radius_monotone_envelope():
-    z = truncation_radius(lambda x: math.exp(-x), CFG)
-    target = CFG.abs_tol * 10.0 ** (-CFG.truncation_margin)
-    assert math.exp(-z) < target
+    z = truncation_radius(lambda x: math.exp(-x))
+    assert math.exp(-z) < _TAIL_TOL
 
 
 def test_truncation_failure_raises():
     with pytest.raises(QuadratureError):
-        truncation_radius(lambda x: 1.0, CFG)
+        truncation_radius(lambda x: 1.0)
 
 
-def test_non_convergence_raises():
+def test_non_convergence_raises(monkeypatch):
     # needle the adaptive loop cannot resolve within its budget
-    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=4)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
     with pytest.raises(QuadratureError):
-        integrate_interval(lambda x: 1.0 / math.sqrt(abs(x) + 1e-300), -1.0, 1.0, cfg)
+        integrate_interval(lambda x: 1.0 / math.sqrt(abs(x) + 1e-300), -1.0, 1.0)
 
 
 def test_deterministic_repeat():
     runs = [integrate_line(lambda x: _sech(x) ** 2 / (1.0 + x * x),
-                           lambda x: 4.0 * math.exp(-2.0 * abs(x)), CFG)
+                           lambda x: 4.0 * math.exp(-2.0 * abs(x)))
             for _ in range(2)]
     assert runs[0].value == runs[1].value
     assert runs[0].evaluations == runs[1].evaluations
 
 
 def _relative(values):
-    return [max(CFG.abs_tol, CFG.rel_tol * abs(v)) for v in values]
+    return [max(_ABS_TOL, _REL_TOL * abs(v)) for v in values]
 
 
 def test_trapezoid_vector_sech_squared_and_moment():
@@ -119,7 +110,7 @@ def test_trapezoid_vector_sech_squared_and_moment():
         return [sum(2.0 * s for s in s2),
                 sum(2.0 * x * x * s for x, s in zip(zs, s2))]
 
-    res = integrate_line_trapezoid(g, 40.0, 0.5, _relative, CFG)
+    res = integrate_line_trapezoid(g, 40.0, 0.5, _relative)
     assert abs(res.values[0] - 2.0) <= 1e-14
     assert abs(res.values[1] - math.pi ** 2 / 6.0) <= 1e-13
     # nested and folded: every node z >= 0 of the final grid evaluated
@@ -139,7 +130,7 @@ def test_trapezoid_calls_f_once_per_level():
         levels.append(zs)
         return [sum(2.0 * _sech(x) ** 2 for x in zs)]
 
-    res = integrate_line_trapezoid(g, 40.0, 0.5, _relative, CFG)
+    res = integrate_line_trapezoid(g, 40.0, 0.5, _relative)
     assert levels[0] == [0.0]
     assert levels[1] == [0.5 * k for k in range(1, 81)]
     for j, level in enumerate(levels[2:], 1):
@@ -155,16 +146,16 @@ def test_trapezoid_even_part_cancels_odd_part():
         return [sum((1.0 + x) * _sech(x) ** 2 + (1.0 - x) * _sech(-x) ** 2
                     for x in zs)]
 
-    res = integrate_line_trapezoid(g, 40.0, 0.5, _relative, CFG)
+    res = integrate_line_trapezoid(g, 40.0, 0.5, _relative)
     assert abs(res.values[0] - 2.0) <= 1e-14
 
 
-def test_trapezoid_node_budget_raises_before_evaluating():
-    cfg = QuadratureConfig(max_subdivisions=10)
+def test_trapezoid_node_budget_raises_before_evaluating(monkeypatch):
+    monkeypatch.setattr(quadrature, "_NODE_BUDGET", 150)
     calls = []
     with pytest.raises(QuadratureError):
         integrate_line_trapezoid(lambda zs: calls.extend(zs) or [2.0 * len(zs)],
-                                 100.0, 0.5, _relative, cfg)
+                                 100.0, 0.5, _relative)
     assert calls == [0.0]  # the centre node only; the 401-node grid never ran
 
 
@@ -184,7 +175,7 @@ def test_trapezoid_stops_a_level_before_the_change_only_rule():
         return [sum(2.0 * s for s in s2),
                 sum(2.0 * x * x * s for x, s in zip(zs, s2))]
 
-    res = integrate_line_trapezoid(g, 40.0, 1.0, _relative, CFG)
+    res = integrate_line_trapezoid(g, 40.0, 1.0, _relative)
     h = 0.5
     while not all(abs(u - v) <= t for u, v, t in
                   zip(_trapezoid(g, 40.0, h), _trapezoid(g, 40.0, 2 * h),
@@ -222,7 +213,7 @@ def test_trapezoid_zero_previous_change_makes_no_prediction():
     late = [1.0, 1.0, 2.0, 2.0, 2.0]
     early = [0.0, 1.0, 1.0, 1.0, 1.0]
     res = integrate_line_trapezoid(_sequence(zero, late, early), 1.0, 0.5,
-                                   _absolute(1e-6), CFG)
+                                   _absolute(1e-6))
     assert res.step == 0.5 / 8  # not 1/8, where `late` moved by 1
     assert res.values == [0.0, 2.0, 1.0]
     assert res.changes == [0.0, 0.0, 0.0]
@@ -236,9 +227,9 @@ def test_trapezoid_non_contracting_changes_never_predict(ratio):
     f = _sequence(values)
     if ratio >= 1.0:
         with pytest.raises(QuadratureError):
-            integrate_line_trapezoid(f, 1.0, 0.5, _absolute(1e-2), CFG)
+            integrate_line_trapezoid(f, 1.0, 0.5, _absolute(1e-2))
         return
-    res = integrate_line_trapezoid(f, 1.0, 0.5, _absolute(1e-2), CFG)
+    res = integrate_line_trapezoid(f, 1.0, 0.5, _absolute(1e-2))
     j = next(j for j in range(1, 14) if ratio ** j <= 1e-2)
     assert res.step == 0.5 / 2 ** j
     assert res.changes[0] == pytest.approx(ratio ** j, rel=1e-12)
@@ -249,7 +240,7 @@ def test_trapezoid_prediction_is_the_richardson_tail():
     # is exactly the error 4^-j, which passes 1e-4 at j = 7, one level
     # before the change 3 * 4^-j does
     values = [1.0 + 4.0 ** -j for j in range(12)]
-    res = integrate_line_trapezoid(_sequence(values), 1.0, 0.5, _absolute(1e-4), CFG)
+    res = integrate_line_trapezoid(_sequence(values), 1.0, 0.5, _absolute(1e-4))
     assert res.step == 0.5 / 2 ** 7  # 4^-7 < 1e-4 < 4^-6
     assert res.changes[0] == pytest.approx(res.values[0] - 1.0, rel=1e-9)
 
@@ -258,7 +249,7 @@ def test_trapezoid_unconverged_raises():
     # a kink at 0 converges only algebraically in h
     with pytest.raises(QuadratureError):
         integrate_line_trapezoid(lambda zs: [sum(2.0 * math.exp(-x) for x in zs)],
-                                 40.0, 0.5, _relative, CFG)
+                                 40.0, 0.5, _relative)
 
 
 def test_line_integral_folds_and_reports_the_mass():
@@ -275,11 +266,11 @@ def test_line_integral_folds_and_reports_the_mass():
         return 4.0 * math.exp(-2.0 * abs(x))
 
     strip = min(math.pi / 2.0, math.pi / w)
-    folded = _line_integral(f, env, strip, CFG, 1)
-    unfolded = _line_integral(f, env, strip, CFG)
+    folded = _line_integral(f, env, strip, 1)
+    unfolded = _line_integral(f, env, strip)
     for res in (folded, unfolded):
         assert abs(res.value - expected) <= 1e-13
         assert abs(res.mass - 2.0) <= 1e-13
-        assert res.error_estimate <= CFG.rel_tol * abs(expected)
+        assert res.error_estimate <= _REL_TOL * abs(expected)
     assert abs(folded.value - unfolded.value) <= 8 * _EPS * folded.mass
     assert folded.evaluations == unfolded.evaluations

@@ -1,4 +1,4 @@
-"""The suite table: names, order, and which rows take config and tol."""
+"""The suite table: names, order, and which rows take a tolerance."""
 
 import ast
 from fractions import Fraction as F
@@ -6,10 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from hahnlab import suites
+from hahnlab import quadrature, suites
 from hahnlab.exact import GaussianRational
 from hahnlab.orthogonality import chahn_gram
-from hahnlab.quadrature import QuadratureConfig
 from hahnlab.suites import SUITES, run_suites
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -68,19 +67,24 @@ def test_suite_keys_match_the_benchmark_span_names():
 
 
 @pytest.mark.parametrize("name", QUADRATURE_SUITES)
-def test_quadrature_suites_receive_the_config(name):
-    """One subdivision is too few for every quadrature row; the suite must
-    stop with a structured error, not run on the default config."""
-    reports = run_suites(name, config=QuadratureConfig(max_subdivisions=1))
+def test_quadrature_suites_receive_the_config(name, monkeypatch):
+    """The quadrature's fixed settings reach every quadrature row: over a
+    node budget of 15, too few for any row, the suite stops with one
+    structured error row, not a partial result."""
+    monkeypatch.setattr(quadrature, "_NODE_BUDGET", 15)
+    reports = run_suites(name)
     assert [(r.name, r.status) for r in reports] == [(f"suite:{name}", "error")]
 
 
 @pytest.mark.parametrize("name", EXACT_SUITES)
-def test_exact_suites_ignore_config_and_tolerance(name):
-    default = _dicts(SUITES[name](suites.DEFAULT_CONFIG, None))
+def test_exact_suites_ignore_config_and_tolerance(name, monkeypatch):
+    """Neither the quadrature's node budget nor the tolerance moves an
+    exact row."""
+    default = _dicts(SUITES[name](None))
     assert default and all(d["status"] == "pass" for d in default)
-    assert _dicts(SUITES[name](QuadratureConfig(max_subdivisions=1), None)) == default
-    assert _dicts(SUITES[name](suites.DEFAULT_CONFIG, 1e-30)) == default
+    assert _dicts(SUITES[name](1e-30)) == default
+    monkeypatch.setattr(quadrature, "_NODE_BUDGET", 15)
+    assert _dicts(SUITES[name](None)) == default
 
 
 def test_rows_call_the_check_bound_in_the_module(monkeypatch):
@@ -92,13 +96,12 @@ def test_rows_call_the_check_bound_in_the_module(monkeypatch):
 
     monkeypatch.setattr(suites, "pasternack_reflection_check", double)
     monkeypatch.setattr(suites, "barnes_check", double)
-    assert SUITES["reflection"](suites.DEFAULT_CONFIG, None) == ["report"] * 48
+    assert SUITES["reflection"](None) == ["report"] * 48
     assert all(kwargs == {} for _, kwargs in calls)
     calls.clear()
-    config = QuadratureConfig(rel_tol=1e-9)
-    assert SUITES["barnes"](config, None) == ["report"] * 4
+    assert SUITES["barnes"](None) == ["report"] * 4
     # no tolerance given: the check keeps its own default
-    assert all(kwargs == {"config": config} for _, kwargs in calls)
+    assert all(kwargs == {} for _, kwargs in calls)
     calls.clear()
-    SUITES["barnes"](config, 1e-6)
-    assert all(kwargs == {"config": config, "tol": 1e-6} for _, kwargs in calls)
+    SUITES["barnes"](1e-6)
+    assert all(kwargs == {"tol": 1e-6} for _, kwargs in calls)

@@ -10,14 +10,13 @@ import pytest
 from hahnlab import quadrature
 from hahnlab.errors import DomainError
 from hahnlab.numerics import beta as beta_fn
-from hahnlab.quadrature import _EPS, IntegralResult, QuadratureConfig
+from hahnlab.quadrature import _EPS, IntegralResult
 from hahnlab.transforms import (fourier_pair_check, mellin_pair_check,
                                 parseval_check, tanh_weight, tanh_weight_logs,
                                 _parseval_right, _weighted_jacobi_transform)
 
 F = Fraction
 HALF = F(1, 2)
-CFG = QuadratureConfig()
 
 
 def test_tanh_weight_logs_match_naive():
@@ -35,9 +34,9 @@ def test_tanh_weight_no_underflow_far_out():
 def test_fourier_n0_z0_is_beta_value():
     # both sides reduce to 2^{alpha+beta-1} B(alpha, beta)
     for al, be in ((HALF, HALF), (F(3, 5), F(11, 10))):
-        r = fourier_pair_check(0, al, be, 0, 0, 0.0, CFG)
+        r = fourier_pair_check(0, al, be, 0, 0, 0.0)
         assert r.passed
-        lhs = _weighted_jacobi_transform(0, al, be, 0, 0, 0.0, CFG).value
+        lhs = _weighted_jacobi_transform(0, al, be, 0, 0, 0.0).value
         expected = 2.0 ** (float(al + be) - 1) * beta_fn(float(al), float(be))
         assert abs(lhs - expected) <= 1e-10 * abs(expected)
 
@@ -45,15 +44,15 @@ def test_fourier_n0_z0_is_beta_value():
 def test_fourier_n0_sech_self_reciprocity():
     # alpha = beta = 1/2: int e^{-ixz} sech x dx = pi sech(pi z / 2)
     for z in (0.0, 0.8, 2.0):
-        lhs = _weighted_jacobi_transform(0, HALF, HALF, 0, 0, z, CFG).value
+        lhs = _weighted_jacobi_transform(0, HALF, HALF, 0, 0, z).value
         expected = math.pi / math.cosh(math.pi * z / 2.0)
         assert abs(lhs - expected) <= 1e-10 * expected
-        assert fourier_pair_check(0, HALF, HALF, 0, 0, z, CFG).passed
+        assert fourier_pair_check(0, HALF, HALF, 0, 0, z).passed
 
 
 def test_fourier_degree_one_grid():
     for z in (0.0, 1.0, 2.0):
-        r = fourier_pair_check(1, HALF, HALF, 0, 0, z, CFG)
+        r = fourier_pair_check(1, HALF, HALF, 0, 0, z)
         # z = 0 makes the closed form exactly zero (odd integrand); the
         # relative error is then taken against the |f| mass
         assert r.passed
@@ -71,27 +70,27 @@ def test_fourier_zero_of_closed_form_judged_by_mass(monkeypatch, n):
     assert exact(n, HALF, HALF, 0, 0, 0.0) == 0.0
     monkeypatch.setattr(transforms, "_fourier_closed_form",
                         lambda *args: exact(*args) + 1e-16)
-    r = fourier_pair_check(n, HALF, HALF, 0, 0, 0.0, CFG, tol_abs=0.0)
+    r = fourier_pair_check(n, HALF, HALF, 0, 0, 0.0, tol_abs=0.0)
     assert r.passed and r.max_rel_err <= 1e-15
 
 
 def test_fourier_complex_conjugate_parameters():
     al = complex(0.5, 0.25)
-    r = fourier_pair_check(2, al, al.conjugate(), F(1, 4), F(1, 4), 1.0, CFG)
+    r = fourier_pair_check(2, al, al.conjugate(), F(1, 4), F(1, 4), 1.0)
     assert r.passed
 
 
 def test_fourier_rejects_bad_weight():
     with pytest.raises(DomainError):
-        fourier_pair_check(1, -0.5, 0.5, 0, 0, 1.0, CFG)
+        fourier_pair_check(1, -0.5, 0.5, 0, 0, 1.0)
 
 
 def test_fourier_linearity():
     """Transform of a sum of two weighted Jacobi terms is the sum of
     transforms."""
     al, be, z = F(3, 5), F(11, 10), 1.3
-    t2 = _weighted_jacobi_transform(2, al, be, F(1, 4), F(4, 5), z, CFG).value
-    t5 = _weighted_jacobi_transform(5, al, be, F(1, 4), F(4, 5), z, CFG).value
+    t2 = _weighted_jacobi_transform(2, al, be, F(1, 4), F(4, 5), z).value
+    t5 = _weighted_jacobi_transform(5, al, be, F(1, 4), F(4, 5), z).value
 
     from hahnlab.polynomials import JacobiParams, horner, jacobi_coeffs_complex
     from hahnlab.quadrature import integrate_line
@@ -111,19 +110,19 @@ def test_fourier_linearity():
         return bound * max(math.exp(alc * l1 + bec * l2),
                            math.exp(alc * l2 + bec * l1))
 
-    combined = integrate_line(f, env, CFG, max_panel_width=math.pi / z).value
+    combined = integrate_line(f, env, max_panel_width=math.pi / z).value
     assert abs(combined - (t2 + t5)) <= 1e-10 * max(1.0, abs(t2 + t5))
 
 
 def test_mellin_n0_lambda0_beta_value():
-    r = mellin_pair_check(0, HALF, HALF, 0, 0, 0.0, CFG)
+    r = mellin_pair_check(0, HALF, HALF, 0, 0, 0.0)
     assert r.passed
-    lhs = 2.0 ** (1 - 1.0) * _weighted_jacobi_transform(0, HALF, HALF, 0, 0, 0.0, CFG).value
+    lhs = 2.0 ** (1 - 1.0) * _weighted_jacobi_transform(0, HALF, HALF, 0, 0, 0.0).value
     assert abs(lhs - math.pi) <= 1e-9 * math.pi  # B(1/2, 1/2) = pi
 
 
 def test_mellin_sign_convention_finding():
-    r = mellin_pair_check(2, F(3, 5), F(11, 10), F(1, 4), F(4, 5), 0.7, CFG)
+    r = mellin_pair_check(2, F(3, 5), F(11, 10), F(1, 4), F(4, 5), 0.7)
     assert r.passed
     assert "Gamma(beta + i*lambda) convention matches" in r.details
 
@@ -143,21 +142,41 @@ def test_mellin_fails_when_only_quoted_form_matches(monkeypatch):
     scale = cmath.exp((1 - al - be) * math.log(2.0))
     monkeypatch.setattr(transforms, "_weighted_jacobi_transform",
                         lambda *args: IntegralResult(quoted / scale, 0.0, 0))
-    r = mellin_pair_check(n, al, be, ga, de, lam, CFG)
+    r = mellin_pair_check(n, al, be, ga, de, lam)
     assert not r.passed
     assert "convention does not match" in r.details
 
 
 def test_mellin_lambda0_degenerate():
-    r = mellin_pair_check(1, F(3, 5), F(11, 10), F(1, 4), F(4, 5), 0.0, CFG)
+    r = mellin_pair_check(1, F(3, 5), F(11, 10), F(1, 4), F(4, 5), 0.0)
     assert r.passed
     assert "coincide" in r.details
+
+
+_MELLIN_ZEROS = [(3, 0.6, 0.6, 0.3, 0.3), (1, 0.6, 0.6, 0.3, 0.3),
+                 (3, F(3, 5), F(3, 5), F(1, 4), F(1, 4)),
+                 (1, HALF, HALF, F(1, 3), F(1, 3)), (3, HALF, HALF, F(1, 3), F(1, 3))]
+
+
+@pytest.mark.parametrize("args", _MELLIN_ZEROS)
+def test_mellin_zero_of_closed_form_reports_error_against_mass(args):
+    """Odd n at lambda = 0 with alpha = beta and gamma = delta: the closed
+    form is 0 up to rounding, against which the relative error read 1.0,
+    and 1.5e285 for the first case."""
+    r = mellin_pair_check(*args, 0.0)
+    assert r.passed and r.max_rel_err <= 1e-13
+
+
+def test_mellin_zero_case_passes_on_tol_abs_alone():
+    r = mellin_pair_check(*_MELLIN_ZEROS[0], 0.0, tol_abs=1e-20)
+    assert r.max_rel_err <= 1e-8 and r.max_abs_err > 1e-20
+    assert not r.passed
 
 
 def test_parseval_all_halves_frozen_value():
     # both sides equal 4 pi: left is 2 pi int sech^2 = 4 pi; right is
     # int (pi / cosh(pi z / 2))^2 dz = 4 pi
-    r = parseval_check(0, 0, HALF, HALF, HALF, HALF, 0, 0, 0, 0, CFG)
+    r = parseval_check(0, 0, HALF, HALF, HALF, HALF, 0, 0, 0, 0)
     assert r.passed
     lhs = 2.0 * math.pi * 2.0
     assert abs(lhs - 4.0 * math.pi) == 0.0
@@ -165,14 +184,14 @@ def test_parseval_all_halves_frozen_value():
 
 def test_parseval_general_parameters():
     r = parseval_check(2, 1, F(3, 4), HALF, F(1, 4), 1, F(1, 3), F(2, 5),
-                       F(1, 5), F(3, 5), CFG)
+                       F(1, 5), F(3, 5))
     assert r.passed and r.max_rel_err <= 1e-8
 
 
 def test_parseval_orthogonality_specialization_zero():
     # gamma = c = alpha + a - 1, delta = d = beta + b - 1 and n != m:
     # the left side is a Jacobi orthogonality integral, hence zero
-    r = parseval_check(2, 1, F(3, 4), HALF, F(3, 4), 1, HALF, HALF, HALF, HALF, CFG)
+    r = parseval_check(2, 1, F(3, 4), HALF, F(3, 4), 1, HALF, HALF, HALF, HALF)
     assert r.passed
     assert r.max_abs_err <= 1e-10
 
@@ -182,7 +201,7 @@ def test_parseval_pasternack_specialization_zero():
     m = F(1, 3)
     al = (1 + m) / 2
     av = (1 - m) / 2
-    r = parseval_check(3, 1, al, al, av, av, 0, 0, 0, 0, CFG)
+    r = parseval_check(3, 1, al, al, av, av, 0, 0, 0, 0)
     assert r.passed
     assert r.max_abs_err <= 1e-10
 
@@ -208,7 +227,7 @@ def _mp_fourier(n, al, be, ga, de, z):
     (2, (complex(0.5, 0.25), complex(0.5, -0.25), F(1, 4), F(1, 4))),
 ])
 def test_fourier_integral_at_z5_against_mpmath(n, params):
-    res = _weighted_jacobi_transform(n, *params, 5.0, CFG)
+    res = _weighted_jacobi_transform(n, *params, 5.0)
     want = _mp_fourier(n, *params, 5.0)
     assert abs(res.value - want) <= 1e-13 * max(abs(want), 1.0)
 
@@ -218,13 +237,13 @@ def test_fourier_estimate_covers_one_more_halving(monkeypatch):
     the |f| mass) bounds how far one forced extra halving moves the value."""
     seen, trapezoid = [], quadrature.integrate_line_trapezoid
 
-    def spy(f, radius, step, tolerances, config):
-        res = trapezoid(f, radius, step, tolerances, config)
+    def spy(f, radius, step, tolerances):
+        res = trapezoid(f, radius, step, tolerances)
         seen.append((f, radius, res))
         return res
 
     monkeypatch.setattr(quadrature, "integrate_line_trapezoid", spy)
-    report = fourier_pair_check(1, F(3, 5), F(11, 10), F(1, 4), F(4, 5), 5.0, CFG)
+    report = fourier_pair_check(1, F(3, 5), F(11, 10), F(1, 4), F(4, 5), 5.0)
     assert report.passed
     [(f, radius, res)] = seen
     h = 0.5 * res.step
@@ -264,7 +283,7 @@ PARSEVAL_COMPLEX = (2, 1, complex(0.5, 0.25), complex(0.75, -0.25), complex(0.5,
 @pytest.mark.parametrize("args", [PARSEVAL_REAL, PARSEVAL_COMPLEX],
                          ids=["real-folded", "complex-both-sides"])
 def test_parseval_right_integral_against_mpmath(args):
-    res = _parseval_right(*args[:2], *map(complex, args[2:]), CFG)
+    res = _parseval_right(*args[:2], *map(complex, args[2:]))
     want = _mp_parseval_right(*args)
     assert abs(res.value - want) <= 1e-13 * max(abs(want), 1.0)
 
@@ -272,7 +291,7 @@ def test_parseval_right_integral_against_mpmath(args):
 def test_parseval_zero_case_reports_error_against_mass():
     # both sides are about 1e-17: against max(|lhs|, |rhs|) the relative
     # error read 1.1
-    r = parseval_check(2, 1, F(3, 4), HALF, F(3, 4), 1, *(HALF,) * 4, CFG)
+    r = parseval_check(2, 1, F(3, 4), HALF, F(3, 4), 1, *(HALF,) * 4)
     assert r.passed and r.max_rel_err <= 1e-13
 
 
@@ -283,7 +302,7 @@ def test_parseval_zero_case_passes_on_tol_abs_alone(monkeypatch):
     monkeypatch.setattr(transforms, "_tanh_product_integral",
                         lambda *a, **k: IntegralResult(1e-9 / (2 * math.pi), 0.0, 1,
                                                        1.0 / (2 * math.pi)))
-    r = parseval_check(2, 1, F(3, 4), HALF, F(3, 4), 1, *(HALF,) * 4, CFG)
+    r = parseval_check(2, 1, F(3, 4), HALF, F(3, 4), 1, *(HALF,) * 4)
     assert r.max_rel_err <= 1e-8 and r.max_abs_err >= 1e-9 * (1 - 1e-6)
     assert not r.passed
 
@@ -291,17 +310,17 @@ def test_parseval_zero_case_passes_on_tol_abs_alone(monkeypatch):
 def _fold(real, mode):
     """_line_integral without its reflection fold ("none") or with
     v - conj v where v + conj v belongs ("mutated")."""
-    def run(f, env, strip, config, reflection=None):
+    def run(f, env, strip, reflection=None):
         if mode == "none":
-            return real(f, env, strip, config)
-        return real(f, env, strip, config, -1 if reflection == 1 else reflection)
+            return real(f, env, strip)
+        return real(f, env, strip, -1 if reflection == 1 else reflection)
     return run
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (0, 0)])
 def test_parseval_fold_agrees_with_both_sides(monkeypatch, n, m):
     from hahnlab import transforms
-    args = (n, m, *map(complex, PARSEVAL_REAL[2:]), CFG)
+    args = (n, m, *map(complex, PARSEVAL_REAL[2:]))
     folded = _parseval_right(*args)
     monkeypatch.setattr(transforms, "_line_integral", _fold(transforms._line_integral, "none"))
     both = _parseval_right(*args)
@@ -311,7 +330,7 @@ def test_parseval_fold_agrees_with_both_sides(monkeypatch, n, m):
 
 def test_parseval_mutated_fold_sign_fails(monkeypatch):
     from hahnlab import transforms
-    args = (0, 0, *(HALF,) * 4, 0, 0, 0, 0, CFG)
+    args = (0, 0, *(HALF,) * 4, 0, 0, 0, 0)
     assert parseval_check(*args).passed
     monkeypatch.setattr(transforms, "_line_integral",
                         _fold(transforms._line_integral, "mutated"))
