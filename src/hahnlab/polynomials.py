@@ -24,13 +24,18 @@ rejected rather than silently coerced.
 
 Everything that does not depend on x is built once per process: the memo
 _built holds one entry per (route, family, n, parameters), with the
-ExactPoly on the exact route or the float plan (prefactor, terms, linear
-factors) on the float route, plus the complex coefficient vector derived
-from either.  The rule is: dispatch on exactness, then look up.  The route
-comes from the parameters' types before the lookup, because equal
-parameters of different exactness (1 and 1.0) hash alike and must still
-take different routes.  Errors are raised on every call, never stored;
-cached values are immutable, and *_coeffs_complex returns a fresh list.
+ExactPoly on the exact route or the float plan on the float route, plus
+the complex coefficient vector derived from either.  The plan is the
+prefactor, the slope and one (offset_k, t_{k+1}) pair per linear factor,
+in the order the running sum walks them; the nested product reads the
+same pairs backwards.  The rule is: dispatch on exactness, then look up.
+A JacobiParams or HahnParams decides its exactness, and the hash of its
+field tuple, once, when it is made; each call reads the route from it and
+looks the parameters up in the memo.  The route is needed before the
+lookup, because equal parameters of different exactness (1 and 1.0) hash
+alike and must still take different routes.  Errors are raised on every
+call, never stored, and so is a value that is not finite; cached values
+are immutable, and *_coeffs_complex returns a fresh list.
 
 Conventions, fixed once here and used everywhere downstream:
 
@@ -45,6 +50,7 @@ Conventions, fixed once here and used everywhere downstream:
 
 from __future__ import annotations
 
+from cmath import isfinite
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -53,7 +59,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import NamedTuple
 
-from .errors import DomainError, ExactInputError, PoleError
+from .errors import DomainError, ExactInputError, PoleError, RangeOverflowError
 from .exact import (ExactPoly, GaussianRational, _multiply, _OverQ, _poly, _rational, _scalar,
                     _vectors, gr)
 from .reports import VerificationReport, residual_report
@@ -92,24 +98,40 @@ def _check_poch(value, n: int, name: str):
         raise PoleError(f"({name})_k vanishes for k <= {n}")
 
 
+class _Params:
+    """A parameter tuple that decides its exactness and the hash of its
+    fields once, when made, not on every evaluation and memo lookup."""
+
+    def __post_init__(self):
+        values = tuple(vars(self).values())  # the fields, set by __init__ in order
+        object.__setattr__(self, "_exact", all(map(_is_exact, values)))
+        object.__setattr__(self, "_hash", hash(values))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def is_exact(self) -> bool:
+        return self._exact
+
+
 @dataclass(frozen=True)
-class JacobiParams:
+class JacobiParams(_Params):
     gamma: object
     delta: object
 
-    def is_exact(self) -> bool:
-        return _is_exact(self.gamma) and _is_exact(self.delta)
+    # in the class itself: a frozen dataclass without its own __hash__ gets
+    # one that hashes the fields on every call
+    __hash__ = _Params.__hash__
 
 
 @dataclass(frozen=True)
-class HahnParams:
+class HahnParams(_Params):
     a: object
     b: object
     c: object
     d: object
 
-    def is_exact(self) -> bool:
-        return all(_is_exact(v) for v in (self.a, self.b, self.c, self.d))
+    __hash__ = _Params.__hash__
 
 
 def _to_complex(value) -> complex:
@@ -263,30 +285,30 @@ def _pasternack_sum(n: int, m, field: _Field) -> _Sum:
 
 
 class _Plan(NamedTuple):
-    """p_n with x left open: prefactor * sum_{k<=n} terms[k] prod_{j<k} L_j(x),
-    L_j(x) = offsets[j] + slope x.  Nothing in it depends on x."""
+    """p_n with x left open: prefactor * (1 + sum_{k<n} t_{k+1} prod_{j<=k} L_j(x)),
+    L_j(x) = offset_j + slope x, with pairs[k] = (offset_k, t_{k+1}) in the
+    order the running sum walks them (t_0 = 1).  Nothing in it depends on x."""
 
     prefactor: object
-    terms: tuple
-    offsets: tuple
+    pairs: tuple
     slope: object
 
 
 def _plan(s: _Sum) -> _Plan:
     """The float terms and linear factors of a sum with complex parameters."""
     terms = _hypergeometric_terms((-s.n, *s.upper), s.lower, s.n)
-    return _Plan(s.prefactor, tuple(terms), tuple(s.shift + j * s.step for j in range(s.n)),
+    return _Plan(s.prefactor, tuple((s.shift + j * s.step, terms[j + 1]) for j in range(s.n)),
                  s.slope)
 
 
 def _coefficients(plan: _Plan) -> list:
     """Monomial coefficients by the nested (Newton-form) product
-    t_0 + L_0(x) (t_1 + L_1(x) (... + L_{n-1}(x) t_n))."""
-    t, slope = plan.terms, plan.slope
+    t_0 + L_0(x) (t_1 + L_1(x) (... + L_{n-1}(x) t_n)), the pairs read backwards."""
+    t = (1.0, *(term for _, term in plan.pairs))  # t_0 .. t_n
+    slope = plan.slope
     acc = [t[-1]]
-    for k in range(len(plan.offsets) - 1, -1, -1):
-        c0 = plan.offsets[k]
-        nxt = [c0 * acc[0] + t[k]]
+    for (c0, _), tk in zip(reversed(plan.pairs), reversed(t[:-1])):
+        nxt = [c0 * acc[0] + tk]
         nxt.extend(c0 * acc[j] + slope * acc[j - 1] for j in range(1, len(acc)))
         nxt.append(slope * acc[-1])
         acc = nxt
@@ -335,7 +357,7 @@ def _value(plan: _Plan, x: complex) -> complex:
     (nesting it like _coefficients moves exact cancellations off zero)."""
     sx = plan.slope * x
     power = total = 1 + 0j
-    for offset, term in zip(plan.offsets, plan.terms[1:]):
+    for offset, term in plan.pairs:
         power *= offset + sx
         total += term * power
     return plan.prefactor * total
@@ -405,10 +427,17 @@ def _built(exact: bool, family, n: int, params) -> _Built:
 def _eval(n: int, params, x, exact: bool, family) -> complex:
     """Exact parameters go through the exact coefficient vector and a single
     Horner pass: the unit-argument terminating series loses digits to term
-    cancellation at large n, the exact route does not."""
+    cancellation at large n, the exact route does not.  A value that is not
+    finite (the float sum overflowing at large n or |x|) raises."""
+    if type(x) is not complex:
+        x = _to_complex(x)
     if exact and n <= EXACT_DEGREE_CAP:
-        return horner(_built(True, family, n, params).coeffs(), _to_complex(x))
-    return _value(_built(False, family, n, params).plan, _to_complex(x))
+        value = horner(_built(True, family, n, params).coeffs(), x)
+    else:
+        value = _value(_built(False, family, n, params).plan, x)
+    if not isfinite(value):
+        raise RangeOverflowError(f"degree {n} value at x = {x} is not finite")
+    return value
 
 
 def _coeffs_exact(n: int, params, exact: bool, family, names: str) -> ExactPoly:

@@ -1,13 +1,16 @@
 """Polynomial evaluation and exact coefficient construction."""
 
+import copy
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hahnlab.errors import DomainError, ExactInputError, PoleError
+from hahnlab.errors import DomainError, ExactInputError, PoleError, RangeOverflowError
 from hahnlab.exact import GR_I, ExactPoly, GaussianRational, gr
 from hahnlab.numerics import pochhammer
 from hahnlab.series import hypergeometric_series
@@ -20,8 +23,9 @@ from hahnlab.polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams,
                                  pasternack_hahn_params,
                                  pasternack_reflection_check,
                                  _EXACT, _EXACT_TYPES, _FLOAT, _built, _chahn_sum,
-                                 _exact_poly, _is_exact, _jacobi_sum,
-                                 _pasternack_sum, _plan, _to_complex, _value)
+                                 _coefficients, _exact_poly, _hypergeometric_terms,
+                                 _is_exact, _jacobi_sum, _pasternack_sum, _plan,
+                                 _to_complex, _value)
 
 F = Fraction
 HALF = F(1, 2)
@@ -580,3 +584,123 @@ def test_memo_gram_reuses_smaller_degrees(monkeypatch):
     built.clear()
     chahn_gram(16, *params)
     assert sorted(built) == list(range(8, 16))
+
+
+# --- parameters settled once, the float plan, the per-call work --------------
+
+_FLOAT_CASES = [
+    (jacobi_eval, _jacobi_sum, JacobiParams(0.3, 0.7)),
+    (jacobi_eval, _jacobi_sum, JacobiParams(0.3 + 0.2j, 0.7 - 0.1j)),
+    (chahn_eval, _chahn_sum, HahnParams(0.5, 0.75, 0.625, 0.875)),
+    (chahn_eval, _chahn_sum, HahnParams(0.5 + 0.25j, 0.75 - 0.25j, 0.5 - 0.25j, 0.75 + 0.25j)),
+    (pasternack_eval, _pasternack_sum, 0.25),
+    (pasternack_eval, _pasternack_sum, 0.25 - 0.5j),
+]
+
+
+def _bits(z: complex) -> tuple:
+    """The two doubles of z, signed zeros told apart."""
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("feval, family, params", _FLOAT_CASES,
+                         ids=["jacobi-float", "jacobi-complex", "chahn-float",
+                              "chahn-complex", "pasternack-float", "pasternack-complex"])
+def test_float_values_are_the_plan_sum_bit_for_bit(feval, family, params):
+    """Every float value, cold or warm, is the running sum over a freshly
+    built plan, to the last bit, at int, float, Fraction and complex x."""
+    xs = [0, -3, 0.4, -2.5, F(1, 3), F(-7, 5), 0.3 + 0.7j, complex(-0.0, 3.0), 3 - 1j]
+    _built.cache_clear()
+    for n in range(13):
+        plan = _plan(family(n, params, _FLOAT))
+        for _ in range(2):
+            for x in xs:
+                assert _bits(feval(n, params, x)) == _bits(_value(plan, x)), (n, x)
+
+
+def test_plan_pairs_walk_offsets_and_terms():
+    """pairs[k] = (offset_k, t_{k+1}), and the coefficients built from them
+    evaluate back to the running sum."""
+    s = _chahn_sum(5, HahnParams(0.5, 0.75, 0.625, 0.875), _FLOAT)
+    plan = _plan(s)
+    terms = _hypergeometric_terms((-5, *s.upper), s.lower, 5)
+    assert plan.pairs == tuple((s.shift + k * s.step, terms[k + 1]) for k in range(5))
+    x = 0.3 + 0.7j
+    assert abs(horner(_coefficients(plan), x) - _value(plan, x)) < 1e-12 * abs(_value(plan, x))
+
+
+_PARAMS = [JacobiParams(F(1, 3), 2), JacobiParams(0.3, 0.7 + 0.1j),
+           HahnParams(HALF, GaussianRational(HALF, 1), 1, F(3, 4)),
+           HahnParams(0.5, 0.75, 0.625, 0.875j), HahnParams(1, 0.5, 1, 1)]
+
+
+@pytest.mark.parametrize("params", _PARAMS, ids=["jacobi-exact", "jacobi-float", "chahn-exact",
+                                                 "chahn-float", "chahn-mixed"])
+def test_settled_parameters_survive_copies(params):
+    """Pickling, copying and dataclasses.replace keep equality, the hash of
+    the field tuple and the exactness verdict."""
+    values = dataclasses.astuple(params)
+    exact = all(map(_is_exact, values))
+    copies = [pickle.loads(pickle.dumps(params)), copy.copy(params), copy.deepcopy(params),
+              dataclasses.replace(params)]
+    for other in [params, *copies]:
+        assert other == params and hash(other) == hash(values)
+        assert other.is_exact() is exact
+    first = dataclasses.fields(params)[0].name
+    for value, verdict in ((0.5, False), (F(1, 2), exact)):
+        other = dataclasses.replace(params, **{first: value})
+        assert hash(other) == hash((value, *values[1:])) and other.is_exact() is verdict
+
+
+@pytest.mark.parametrize("params", [HahnParams(1, 0.5, 1, 1), HahnParams(HALF, HALF, HALF, 0.5j),
+                                    JacobiParams(1, 0.5), JacobiParams(0.5, F(1, 2))],
+                         ids=["chahn-b", "chahn-d", "jacobi-delta", "jacobi-gamma"])
+def test_mixed_parameter_tuples_are_not_exact(params):
+    assert not params.is_exact()
+    build = chahn_coeffs_exact if isinstance(params, HahnParams) else jacobi_coeffs_exact
+    with pytest.raises(ExactInputError):
+        build(3, params)
+
+
+@pytest.mark.parametrize("feval, params", [
+    (jacobi_eval, JacobiParams(0.3 + 0.2j, 0.7 - 0.1j)),
+    (chahn_eval, HahnParams(0.5 + 0.25j, 0.75 - 0.25j, 0.5 - 0.25j, 0.75 + 0.25j)),
+    (pasternack_eval, 0.25 - 0.5j),
+], ids=["jacobi", "chahn", "pasternack"])
+def test_warm_float_call_settles_nothing_again(monkeypatch, feval, params):
+    """A warm call with parameter objects decides no exactness, converts no
+    complex x and makes exactly one memo lookup, a hit."""
+    from hahnlab import polynomials
+    calls = []
+
+    def spy(fn):
+        def counted(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return counted
+
+    x = 0.3 + 0.7j
+    want = feval(4, params, x)
+    monkeypatch.setattr(polynomials, "_is_exact", spy(_is_exact))
+    monkeypatch.setattr(polynomials, "_to_complex", spy(_to_complex))
+    before = _built.cache_info()
+    assert feval(4, params, x) == want
+    after = _built.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    # Pasternack's m is a bare scalar: its one exactness test is the call's own
+    assert calls == (["_is_exact"] if feval is pasternack_eval else [])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: chahn_eval(200, HahnParams(0.5, 0.5, 0.5, 0.5), 3 + 1j),
+    lambda: jacobi_eval(400, JacobiParams(0.5, 0.5), 30 + 1j),
+    lambda: pasternack_eval(300, 0.5, 40 + 1j),
+    lambda: chahn_eval(200, HahnParams(HALF, HALF, HALF, HALF), 3 + 1j),
+    lambda: pasternack_eval(300, HALF, 40 + 1j),
+], ids=["chahn", "jacobi", "pasternack", "chahn-exact-above-cap", "pasternack-exact-above-cap"])
+def test_non_finite_values_raise(call):
+    """A float sum that overflows to a non-finite value raises, naming the
+    degree and x, on the float route and on the exact parameters above
+    EXACT_DEGREE_CAP that fall back to it."""
+    with pytest.raises(RangeOverflowError, match=r"degree \d+ value at x = \(\d+\+1j\)"):
+        call()

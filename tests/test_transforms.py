@@ -74,6 +74,21 @@ def test_fourier_zero_of_closed_form_judged_by_mass(monkeypatch, n):
     assert r.passed and r.max_rel_err <= 1e-15
 
 
+@pytest.mark.parametrize("params", [(HALF, HALF, 0, 0), (F(3, 5), F(11, 10), F(1, 4), F(4, 5))])
+def test_fourier_relative_error_is_against_the_closed_form(params):
+    """Where the closed form does not vanish, the relative error is taken
+    against |rhs| alone, however small |rhs| is beside the |f| mass: at
+    n = 0, z = 12 the closed form is about 4e-8 of the mass."""
+    from hahnlab import transforms
+
+    rhs = transforms._fourier_closed_form(0, *params, 12.0)
+    lhs = _weighted_jacobi_transform(0, *params, 12.0)
+    assert abs(rhs) < 1e-6 * lhs.mass
+    r = fourier_pair_check(0, *params, 12.0)
+    assert r.max_abs_err == abs(lhs.value - rhs)
+    assert r.max_rel_err == r.max_abs_err / abs(rhs)
+
+
 def test_fourier_complex_conjugate_parameters():
     al = complex(0.5, 0.25)
     r = fourier_pair_check(2, al, al.conjugate(), F(1, 4), F(1, 4), 1.0)
