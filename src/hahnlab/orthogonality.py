@@ -14,7 +14,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from operator import add, mul
+from itertools import repeat
+from operator import add, mul, sub, truediv
 
 from .errors import DomainError
 from .numerics import _hahn_weight_log_of, gamma_product, pochhammer
@@ -110,6 +111,47 @@ def chahn_norm_rhs(n: int, alpha, beta, a, b) -> complex:
     return value / math.factorial(n)
 
 
+def _gram_recurrence(N: int, alpha, beta, a, b) -> list:
+    """(A_n, B_n, C_n) for n < N - 1, with x p_n = A_n p_{n+1} + B_n p_n + C_n p_{n-1}
+    (derive_recurrence's convention), of the Gram's p_n(x; alpha, b, a, beta),
+    in complex floats.  In the letters (a, b, c, d) = (alpha, b, a, beta) of
+    Koekoek, Lesky and Swarttouw (2010) (9.4.3), with s = a+b+c+d and the 3F2
+    p~_n = p_n / (i^n (a+c)_n (a+d)_n / n!),
+
+        (a + ix) p~_n = K_n p~_{n+1} - (K_n + L_n) p~_n + L_n p~_{n-1},
+        K_n = -(n+s-1)(n+a+c)(n+a+d) / ((2n+s-1)(2n+s)),
+        L_n = n (n+b+c-1)(n+b+d-1) / ((2n+s-2)(2n+s-1)),
+
+    so that A_n = (n+1)(n+s-1) / ((2n+s-1)(2n+s)), B_n = i (a + K_n + L_n)
+    and C_n = L_n (n+a+c-1)(n+a+d-1) / n."""
+    ka, kb, kc, kd = alpha, b, a, beta  # (a, b, c, d) of the docstring
+    s = ka + kb + kc + kd
+    out = []
+    for n in range(N - 1):
+        # K_n = -(n+a+c)(n+a+d) k; (n+s-1)/(2n+s-1) is 1 at n = 0, so s = 1
+        # (a removable 0/0 there) works, as in chahn_norm_rhs
+        k = ((n + s - 1) / (2 * n + s - 1) if n else 1.0) / (2 * n + s)
+        # L_n = n m
+        m = (n + kb + kc - 1) * (n + kb + kd - 1) / ((2 * n + s - 2) * (2 * n + s - 1)) \
+            if n else 0j
+        out.append(((n + 1) * k, 1j * (ka + n * m - (n + ka + kc) * (n + ka + kd) * k),
+                    m * (n + ka + kc - 1) * (n + ka + kd - 1)))
+    return out
+
+
+def _gram_columns(recurrence: list, zs: list) -> list:
+    """[p_0(zs), ..., p_{N-1}(zs)] by the forward recurrence
+    p_{n+1} = ((z - B_n) p_n - C_n p_{n-1}) / A_n: one pass over the level per
+    operation, O(N) passes in all."""
+    prev, cur = [0j] * len(zs), [1 + 0j] * len(zs)
+    columns = [cur]
+    for a_n, b_n, c_n in recurrence:
+        nxt = map(sub, map(mul, map(sub, zs, repeat(b_n)), cur), map(mul, prev, repeat(c_n)))
+        prev, cur = cur, list(map(truediv, nxt, repeat(a_n)))
+        columns.append(cur)
+    return columns
+
+
 def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     """N x N Gram matrix (1/2pi) int w(z) p_n(z) p_m(z) dz.
 
@@ -124,8 +166,9 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     estimate (its predicted tail or its last change) is within
     max(1e-14, 1e-10 sqrt|G_nn G_mm|).  Each node costs
     one weight and N polynomial values, shared by all entries; they come a
-    level of new nodes at a time, as one weight list and N Horner passes
-    over the level, and each entry is one dot product over it.  The rule
+    level of new nodes at a time, as one weight list and the polynomials by
+    their three-term recurrence, a few passes over the level per degree,
+    and each entry is one dot product over it.  The rule
     takes the even part on z >= 0: with real parameters w(-z) = conj w(z)
     and p_n(-z) = (-1)^n conj p_n(z), so one node serves z and -z.  The
     cut-off Z is relative to the norms: the tail of entry (n, m) stays
@@ -139,6 +182,7 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     # coefficient construction sees the original (possibly exact) parameters
     params = HahnParams(alpha, b, a, beta)
     polys = [chahn_coeffs_complex(n, params) for n in range(N)]
+    recurrence = _gram_recurrence(N, al, be, av, bv)
     # entries (n, m), m >= n, in row order; parity zeros are left out
     stride = 2 if al == be == av == bv else 1
     real = not (al.imag or be.imag or av.imag or bv.imag)
@@ -152,7 +196,7 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
         moments |w| |z|^q, q < 2N - 1, that bound the rounding of the
         polynomial values: one loop over the level per quantity."""
         w = [cmath.exp(log_weight(z)) / two_pi for z in zs]
-        p = [horner_level(cs, zs) for cs in polys]
+        p = _gram_columns(recurrence, zs)
         out = []
         for n in range(N):
             wp = list(map(mul, w, p[n]))
@@ -211,8 +255,11 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     max_diag = max(abs(matrix[n][n] - expected[n]) / abs(expected[n])
                    for n in range(N))
     # error estimate, norm-scaled: each entry's trapezoid estimate, floored by
-    # rounding.  Horner's error at z is about eps sum_k |c_k| |z|^k; by
-    # Cauchy-Schwarz it moves entry (n, m) by eps (kappa_n + kappa_m), with
+    # rounding.  The floor keeps Horner's error model, about eps sum_k |c_k| |z|^k
+    # at z, as a conservative bound on the recurrence's rounding where kappa is
+    # large: the columns' |w|-weighted error measured at most 0.62 of it for
+    # n >= 5 (up to 3x at n <= 3, where kappa is small).  By Cauchy-Schwarz it
+    # moves entry (n, m) by eps (kappa_n + kappa_m), with
     # kappa_n^2 = int |w| (sum_k |c_k| |z|^k)^2 / |G_nn| from the moments.
     moments = [u.real for u in res.values[len(entries):]]
     kappa = []

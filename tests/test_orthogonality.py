@@ -18,9 +18,10 @@ from hahnlab.orthogonality import (GramResult, barnes_check,
                                    chahn_norm_rhs, gram_check, jacobi_ortho_check,
                                    pasternack_biortho_check,
                                    pasternack_ortho_check, pi_m_over_sin_pi_m)
-from hahnlab.polynomials import (HahnParams, JacobiParams, chahn_coeffs_complex,
-                                 horner, horner_level, jacobi_coeffs_complex,
-                                 pasternack_coeffs_complex)
+from hahnlab.operator_calculus import derive_recurrence
+from hahnlab.polynomials import (HahnParams, JacobiParams, _to_complex, chahn_coeffs_complex,
+                                 chahn_coeffs_exact, horner, horner_level,
+                                 jacobi_coeffs_complex, pasternack_coeffs_complex)
 from hahnlab.quadrature import _EPS, IntegralResult, truncation_radius
 from hahnlab.transforms import _tanh_product_integral
 
@@ -494,13 +495,77 @@ def test_gram_error_estimate_covers_error_against_mpmath(params, N):
     assert g.estimated_error >= _norm_scaled_error(g, norms)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "float parameters: the kappa floor counts Horner rounding but not the "
-    "error of the float coefficients (ROADMAP direction 1)"))
 def test_gram_error_estimate_covers_error_float_parameters():
     g = chahn_gram(8, 0.5, 0.5, 0.5, 0.5)
     norms = _mp_norms(8, (HALF,) * 4, digits=50)
     assert g.estimated_error >= _norm_scaled_error(g, norms)
+
+
+FLOAT_TUPLES = [(0.5,) * 4, (0.3, 0.45, 0.6, 0.35),
+                (0.5 + 0.25j, 0.75 - 0.25j, 0.5 - 0.25j, 0.75 + 0.25j)]
+FLOAT_IDS = ["all-0.5", "0.3-0.45-0.6-0.35", "conjugate-pair"]
+
+
+@pytest.mark.parametrize("params", FLOAT_TUPLES, ids=FLOAT_IDS)
+def test_gram_16_float_parameters(params):
+    """Float parameters at N = 16: the recurrence's columns keep the
+    norm-scaled off-diagonal at rounding level (Horner on the float-route
+    coefficients left 1.2e-7 to 7.7e-7), and the estimate bounds the achieved
+    error against closed-form norms at 50 digits, taken at the doubles'
+    exact values."""
+    g = chahn_gram(16, *params)
+    assert g.max_offdiag_scaled <= 1e-13
+    norms = _mp_norms(16, [F(p) if isinstance(p, float) else p for p in params], digits=50)
+    assert g.estimated_error >= _norm_scaled_error(g, norms)
+
+
+# --- the recurrence behind the Gram's columns -------------------------------
+
+# all 1/4 has s = 1, where A_0 is a removable 0/0
+RECURRENCE_TUPLES = [(HALF,) * 4, (F(1), HALF, F(3, 4), F(5, 4)), CONJ_PAIR, (F(1, 4),) * 4]
+RECURRENCE_IDS = ["all-1/2", "1-1/2-3/4-5/4", "conjugate-pair", "all-1/4"]
+
+
+@pytest.mark.parametrize("params", RECURRENCE_TUPLES, ids=RECURRENCE_IDS)
+def test_gram_recurrence_matches_exact_derivation(params):
+    """The float (A_n, B_n, C_n) against derive_recurrence on the Gram's
+    HahnParams(alpha, b, a, beta), n = 1 .. 14, relative to the largest of
+    the exact three (B_n is exactly 0 for equal parameters); (A_0, B_0) from
+    p_1 = (x - B_0) / A_0, which holds at s = 1 too."""
+    alpha, beta, a, b = params
+    hahn = HahnParams(alpha, b, a, beta)
+    recurrence = orthogonality._gram_recurrence(16, *map(_to_complex, params))
+    assert len(recurrence) == 15
+    for n in range(1, 15):
+        exact = [_to_complex(v) for v in derive_recurrence(n, hahn)]
+        scale = max(map(abs, exact))
+        for got, want in zip(recurrence[n], exact):
+            assert abs(got - want) <= 1e-14 * scale, (n, got, want)
+    c0, c1 = (v.to_complex() for v in chahn_coeffs_exact(1, hahn).coeffs)
+    a_0, b_0, c_0 = recurrence[0]
+    assert abs(a_0 - 1 / c1) <= 1e-15 * abs(1 / c1)
+    assert abs(b_0 + c0 / c1) <= 1e-15 * max(abs(c0 / c1), abs(1 / c1))
+    assert c_0 == 0
+
+
+@pytest.mark.parametrize("params", RECURRENCE_TUPLES, ids=RECURRENCE_IDS)
+def test_gram_columns_match_the_exact_polynomial(params):
+    """Columns p_0 .. p_15 on the nodes k/16, |k| <= 304, of an N = 16 Gram,
+    against the exact polynomial at each node's dyadic value, rounded once.
+    Relative error is undefined at an exact zero (odd n at z = 0 for equal
+    parameters), so those nodes are left out."""
+    alpha, beta, a, b = params
+    hahn = HahnParams(alpha, b, a, beta)
+    zs = [k / 16 for k in range(-304, 305)]
+    columns = orthogonality._gram_columns(
+        orthogonality._gram_recurrence(16, *map(_to_complex, params)), zs)
+    assert len(columns) == 16
+    for n, column in enumerate(columns):
+        poly = chahn_coeffs_exact(n, hahn)
+        for z, got in zip(zs, column):
+            want = poly(F(z)).to_complex()
+            if want:
+                assert abs(got - want) <= 1e-12 * abs(want), (n, z, got, want)
 
 
 # --- the sech and tanh integrals on the nested trapezoid ------------------------

@@ -629,6 +629,26 @@ def test_plan_pairs_walk_offsets_and_terms():
     assert abs(horner(_coefficients(plan), x) - _value(plan, x)) < 1e-12 * abs(_value(plan, x))
 
 
+@pytest.mark.parametrize("family, params", [case[1:] for case in _FLOAT_CASES],
+                         ids=["jacobi-float", "jacobi-complex", "chahn-float",
+                              "chahn-complex", "pasternack-float", "pasternack-complex"])
+def test_value_rounding_order_is_the_documented_running_sum(family, params):
+    """_value, bit for bit, is sx = slope*x, then per pair power *= offset + sx
+    and total += term*power, then the prefactor times the total.  The same
+    complex operations on both sides, so fused multiply-add cannot split
+    them; a reordered rounding (power = power*offset + power*sx) can."""
+    xs = [0.4, -2.5, 0.3 + 0.7j, complex(-0.0, 3.0), 3 - 1j, 1.7 - 2.9j]
+    for n in range(9):
+        plan = _plan(family(n, params, _FLOAT))
+        for x in map(complex, xs):
+            sx = plan.slope * x
+            power = total = 1 + 0j
+            for offset, term in plan.pairs:
+                power = power * (offset + sx)
+                total = total + term * power
+            assert _bits(_value(plan, x)) == _bits(plan.prefactor * total), (n, x)
+
+
 _PARAMS = [JacobiParams(F(1, 3), 2), JacobiParams(0.3, 0.7 + 0.1j),
            HahnParams(HALF, GaussianRational(HALF, 1), 1, F(3, 4)),
            HahnParams(0.5, 0.75, 0.625, 0.875j), HahnParams(1, 0.5, 1, 1)]
