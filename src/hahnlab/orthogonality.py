@@ -394,7 +394,7 @@ def pasternack_ortho_check(n: int, p: int, m,
         details = ""
     return _sech_family_check(
         f"pasternack-ortho[n={n}, p={p}, m={m}]",
-        pasternack_coeffs_complex(n, mc), pasternack_coeffs_complex(p, mc),
+        pasternack_coeffs_complex(n, m), pasternack_coeffs_complex(p, m),
         lambda x: 1.0 / (cos_pim + math.cosh(math.pi * x)), 1.0 - abs(mc.real),
         expected, tol, tol_abs, details)
 
@@ -426,7 +426,7 @@ def pasternack_biortho_check(n: int, p: int, m,
         expected = 0j
     return _sech_family_check(
         f"pasternack-biortho[n={n}, p={p}, m={m}]",
-        pasternack_coeffs_complex(n, mc), pasternack_coeffs_complex(p, -mc),
+        pasternack_coeffs_complex(n, m), pasternack_coeffs_complex(p, -m),
         lambda x: 1.0 / (cos_pim + math.cosh(math.pi * x)), 1.0 - abs(mc.real),
         expected, tol, tol_abs, BIORTHO_NOTE)
 
@@ -443,8 +443,8 @@ def jacobi_ortho_check(n: int, m: int, alpha, beta,
     if al.real <= -1.0 or be.real <= -1.0:
         raise DomainError("Re(alpha), Re(beta) must exceed -1")
     name = f"jacobi-ortho[n={n}, m={m}, alpha={alpha}, beta={beta}]"
-    pn = jacobi_coeffs_complex(n, JacobiParams(al, be))
-    pm = jacobi_coeffs_complex(m, JacobiParams(al, be))
+    pn = jacobi_coeffs_complex(n, JacobiParams(alpha, beta))
+    pm = jacobi_coeffs_complex(m, JacobiParams(alpha, beta))
     res = _tanh_product_integral(pn, pm, al + 1, be + 1)
     if n == m:
         expected = cmath.exp((al + be + 1) * math.log(2.0)) \

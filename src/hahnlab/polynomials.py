@@ -6,35 +6,30 @@ Every family is one terminating hypergeometric sum
     t_{k+1} / t_k = (k-n) prod (u+k) / ((k+1) prod (l+k)),
 
 written down as a few lines of data (_jacobi_sum, _chahn_sum,
-_pasternack_sum) and built from the term ratio: in complex floats for
-float parameters (_hypergeometric_terms), and for exact ones in Gaussian
-integers over one positive integer denominator (_gaussian_terms), never
-gamma quotients, which would reintroduce the very poles the termination
-avoids.  The exact data are formed over one q too: the parameters go to
-Gaussian integers over their common denominator (_OverQ) before the
-family adds anything to them.  Monomial coefficients come from the nested
-(Newton-form) product of the terms; exact builds run it in integers too
-(_exact_poly) and hand the integer vectors straight to ExactPoly's storage,
-so no build goes through Fraction arithmetic.  Float point values keep a
-forward running sum, term by
-term: nesting the value as well moves exact cancellations off zero (an
-odd p_n at 0 for symmetric parameters, which the Fourier pair check at
-z = 0 relies on).  Exactness is honest in the sense that float inputs are
-rejected rather than silently coerced.
+_pasternack_sum) and built on one route, exactly: the parameters go to
+Gaussian integers over their common denominator q (_OverQ) before the
+family adds anything to them, the terms come from the term ratio in
+Gaussian integers over one positive integer denominator (_gaussian_terms),
+never from gamma quotients, which would reintroduce the very poles the
+termination avoids, and the monomial coefficients from the nested
+(Newton-form) product of the terms, in integers too (_exact_poly), handed
+straight to ExactPoly's storage.  A float or complex parameter is built at
+the exact value it stores: a float is the dyadic rational m 2^e that
+Fraction(x) gives, a complex number a pair of them.  That conversion
+happens inside the build, so the parameter objects keep their exactness
+verdict, and *_coeffs_exact, like every exact API, still rejects float
+inputs rather than silently coercing them.  A value at a point is one
+Horner pass over the exact coefficients rounded once to complex; a value
+that is not finite raises.  Degrees above EXACT_DEGREE_CAP raise
+DomainError, for float parameters as for exact ones.
 
 Everything that does not depend on x is built once per process: the memo
-_built holds one entry per (route, family, n, parameters), with the
-ExactPoly on the exact route or the float plan on the float route, plus
-the complex coefficient vector derived from either.  The plan is the
-prefactor, the slope and one (offset_k, t_{k+1}) pair per linear factor,
-in the order the running sum walks them; the nested product reads the
-same pairs backwards.  The rule is: dispatch on exactness, then look up.
-A JacobiParams or HahnParams decides its exactness, and the hash of its
-field tuple, once, when it is made; each call reads the route from it and
-looks the parameters up in the memo.  The route is needed before the
-lookup, because equal parameters of different exactness (1 and 1.0) hash
-alike and must still take different routes.  Errors are raised on every
-call, never stored, and so is a value that is not finite; cached values
+_built holds one entry per (family, n, parameters), the ExactPoly plus the
+complex coefficient vector rounded from it.  Equal parameters of either
+kind (1 and 1.0, 1/2 and 0.5) are one key and one polynomial.  A
+JacobiParams or HahnParams decides its exactness, and the hash of its
+field tuple, once, when it is made, so a warm call is one lookup and one
+Horner pass.  Errors are raised on every call, never stored; cached values
 are immutable, and *_coeffs_complex returns a fresh list.
 
 Conventions, fixed once here and used everywhere downstream:
@@ -75,32 +70,15 @@ def _is_exact(value) -> bool:
     return not isinstance(value, (float, complex)) and isinstance(value, _EXACT_TYPES)
 
 
-def _check_exact_degree(n: int):
-    if n < 0:
-        raise DomainError("polynomial degree must be nonnegative")
-    if n > EXACT_DEGREE_CAP:
-        raise DomainError(f"exact construction is capped at degree {EXACT_DEGREE_CAP}")
-
-
-def _poch_has_zero(value, n: int) -> bool:
-    """True when (value)_k = 0 for some k <= n."""
-    if isinstance(value, _OverQ):
-        return not value.im and not value.re % value.q and -(n - 1) <= value.re // value.q <= 0
-    z = complex(value)
-    if abs(z.imag) > 1e-12:
-        return False
-    r = round(z.real)
-    return abs(z.real - r) < 1e-12 and -(n - 1) <= r <= 0
-
-
-def _check_poch(value, n: int, name: str):
-    if _poch_has_zero(value, n):
+def _check_poch(value: _OverQ, n: int, name: str):
+    """PoleError when (value)_k = 0 for some k <= n."""
+    if not value.im and not value.re % value.q and -(n - 1) <= value.re // value.q <= 0:
         raise PoleError(f"({name})_k vanishes for k <= {n}")
 
 
 class _Params:
     """A parameter tuple that decides its exactness and the hash of its
-    fields once, when made, not on every evaluation and memo lookup."""
+    fields once, when made, not on every memo lookup."""
 
     def __post_init__(self):
         values = tuple(vars(self).values())  # the fields, set by __init__ in order
@@ -145,26 +123,26 @@ def _to_complex(value) -> complex:
     return complex(value)
 
 
+def _stored(value):
+    """A parameter as the exact value it stores: a float is the dyadic
+    rational Fraction(x), a complex number a pair of them."""
+    if isinstance(value, (float, complex)):
+        if not isfinite(value):
+            raise DomainError(f"parameter {value!r} is not finite")
+        return GaussianRational(Fraction(value.real), Fraction(value.imag))
+    return value
+
+
 def _over_one_q(*values) -> list:
-    """Exact scalars as _OverQ over their common denominator."""
-    re, im, q = _vectors(values)
+    """Parameters as _OverQ over their common denominator, each at the
+    exact value it stores."""
+    re, im, q = _vectors(map(_stored, values))
     return [_OverQ(r, m, q) for r, m in zip(re, im or repeat(0))]
-
-
-class _Field(NamedTuple):
-    """The scalars a family's data is formed in: exact Q(i) over one q, or
-    complex floats."""
-
-    of: object  # conversion of the parameters, all at once
-    one: object
-    half: object
-    i_powers: tuple  # i^0 .. i^3
-    poch: object  # (values, n) -> prod (v)_n / n!
 
 
 class _Sum(NamedTuple):
     """p_n as data: prefactor * sum_{k<=n} t_k prod_{j<k} (shift + j step + slope x),
-    with t_k the terms of _hypergeometric_terms((-n, *upper), lower, n)."""
+    with t_k the terms of _gaussian_terms((-n, *upper), lower, n)."""
 
     n: int
     prefactor: object
@@ -179,32 +157,12 @@ class _Sum(NamedTuple):
 # the builder: term loops, the families as data, nested products
 # ---------------------------------------------------------------------------
 
-def _hypergeometric_terms(upper, lower, count: int) -> list:
-    """t_0 = 1, ..., t_count with t_{k+1}/t_k = prod (u+k) / ((k+1) prod (l+k)),
-    in complex floats (never gamma quotients, which would reintroduce the
-    very poles the termination avoids)."""
-    term = 1.0
-    terms = [term]
-    for k in range(count):
-        num = 1
-        for u in upper:
-            num = num * (u + k)
-        den = k + 1
-        for v in lower:
-            factor = v + k
-            if not factor:
-                raise PoleError(f"hypergeometric denominator ({v})_k hits zero at k={k + 1}")
-            den = den * factor
-        term = term * num / den
-        terms.append(term)
-    return terms
-
-
 def _gaussian_terms(upper, lower, count: int) -> list:
-    """The terms of _hypergeometric_terms for exact parameters, fraction-free:
-    t_k = (re + i im) / den as reduced integer triples.  With every parameter
-    over one q, u + k = (u_re + kq + i u_im) / q; dividing by a lower factor
-    multiplies by its conjugate and divides by its norm, so den stays an integer."""
+    """t_0 = 1, ..., t_count with t_{k+1}/t_k = prod (u+k) / ((k+1) prod (l+k))
+    for exact parameters, fraction-free: t_k = (re + i im) / den as reduced
+    integer triples.  With every parameter over one q, u + k = (u_re + kq +
+    i u_im) / q; dividing by a lower factor multiplies by its conjugate and
+    divides by its norm, so den stays an integer."""
     re, im, q = _vectors((*upper, *lower))
     pairs = list(zip(re, im or repeat(0)))
     ups, lows = pairs[:len(upper)], pairs[len(upper):]
@@ -231,8 +189,8 @@ def _gaussian_terms(upper, lower, count: int) -> list:
 
 
 def _term_vectors(upper, lower, count: int) -> tuple:
-    """The terms of _hypergeometric_terms for exact scalars, as integer vectors
-    over their common denominator (re, im, den)."""
+    """The terms of _gaussian_terms as integer vectors over their common
+    denominator (re, im, den)."""
     terms = _gaussian_terms(upper, lower, count)
     den = lcm(*(d for _, _, d in terms))
     return [r * (den // d) for r, _, d in terms], [m * (den // d) for _, m, d in terms], den
@@ -249,76 +207,46 @@ def _pochhammer(a, n: int) -> GaussianRational:
     return _rational(re, im, q ** n)
 
 
-_EXACT = _Field(_over_one_q, 1, _OverQ(1, 0, 2), tuple(_OverQ(*p, 1) for p in
-                                                      ((1, 0), (0, 1), (-1, 0), (0, -1))),
-                lambda values, n: _OverQ(*_gaussian_terms(values, (), n)[n]))
-# one factor at a time, so floats never overflow n!
-_FLOAT = _Field(lambda *values: [_to_complex(v) for v in values], 1.0, 0.5,
-                tuple(1j ** k for k in range(4)),
-                lambda values, n: _hypergeometric_terms(values, (), n)[n])
+_HALF = _OverQ(1, 0, 2)
+_I_POWERS = tuple(_OverQ(*p, 1) for p in ((1, 0), (0, 1), (-1, 0), (0, -1)))  # i^0 .. i^3
 
 
-def _jacobi_sum(n: int, params: JacobiParams, field: _Field) -> _Sum:
+def _poch(values, n: int) -> _OverQ:
+    """prod (v)_n / n!"""
+    return _OverQ(*_gaussian_terms(values, (), n)[n])
+
+
+def _jacobi_sum(n: int, params: JacobiParams) -> _Sum:
     # ((gamma+1)_n / n!) 2F1(-n, n+gamma+delta+1; gamma+1; (1-x)/2)
-    g, d = field.of(params.gamma, params.delta)
+    g, d = _over_one_q(params.gamma, params.delta)
     g1 = g + 1
     _check_poch(g1, n, "gamma+1")
-    return _Sum(n, field.poch((g1,), n), (n + g + d + 1,), (g1,), field.half, 0, -field.half)
+    return _Sum(n, _poch((g1,), n), (n + g + d + 1,), (g1,), _HALF, 0, -_HALF)
 
 
-def _chahn_sum(n: int, params: HahnParams, field: _Field) -> _Sum:
+def _chahn_sum(n: int, params: HahnParams) -> _Sum:
     # i^n ((a+c)_n (a+d)_n / n!) 3F2(-n, n+a+b+c+d-1, a+ix; a+c, a+d; 1)
-    a, b, c, d = field.of(params.a, params.b, params.c, params.d)
+    a, b, c, d = _over_one_q(params.a, params.b, params.c, params.d)
     lower = (a + c, a + d)
     _check_poch(lower[0], n, "a+c")
     _check_poch(lower[1], n, "a+d")
-    return _Sum(n, field.i_powers[n % 4] * field.poch(lower, n), (n + a + b + c + d - 1,),
-                lower, a, 1, field.i_powers[1])
+    return _Sum(n, _I_POWERS[n % 4] * _poch(lower, n), (n + a + b + c + d - 1,),
+                lower, a, 1, _I_POWERS[1])
 
 
-def _pasternack_sum(n: int, m, field: _Field) -> _Sum:
+def _pasternack_sum(n: int, m) -> _Sum:
     # 3F2(-n, n+1, (1+m+x)/2; 1, m+1; 1)
-    mv, = field.of(m)
+    mv, = _over_one_q(m)
     m1 = mv + 1
     _check_poch(m1, n, "m+1")
-    return _Sum(n, field.one, (n + 1,), (1, m1), m1 * field.half, 1, field.half)
-
-
-class _Plan(NamedTuple):
-    """p_n with x left open: prefactor * (1 + sum_{k<n} t_{k+1} prod_{j<=k} L_j(x)),
-    L_j(x) = offset_j + slope x, with pairs[k] = (offset_k, t_{k+1}) in the
-    order the running sum walks them (t_0 = 1).  Nothing in it depends on x."""
-
-    prefactor: object
-    pairs: tuple
-    slope: object
-
-
-def _plan(s: _Sum) -> _Plan:
-    """The float terms and linear factors of a sum with complex parameters."""
-    terms = _hypergeometric_terms((-s.n, *s.upper), s.lower, s.n)
-    return _Plan(s.prefactor, tuple((s.shift + j * s.step, terms[j + 1]) for j in range(s.n)),
-                 s.slope)
-
-
-def _coefficients(plan: _Plan) -> list:
-    """Monomial coefficients by the nested (Newton-form) product
-    t_0 + L_0(x) (t_1 + L_1(x) (... + L_{n-1}(x) t_n)), the pairs read backwards."""
-    t = (1.0, *(term for _, term in plan.pairs))  # t_0 .. t_n
-    slope = plan.slope
-    acc = [t[-1]]
-    for (c0, _), tk in zip(reversed(plan.pairs), reversed(t[:-1])):
-        nxt = [c0 * acc[0] + tk]
-        nxt.extend(c0 * acc[j] + slope * acc[j - 1] for j in range(1, len(acc)))
-        nxt.append(slope * acc[-1])
-        acc = nxt
-    return [plan.prefactor * c for c in acc]
+    return _Sum(n, 1, (n + 1,), (1, m1), m1 * _HALF, 1, _HALF)
 
 
 def _exact_poly(s: _Sum) -> ExactPoly:
-    """The monomial coefficients of a sum with exact parameters, by the same
-    nested product run fraction-free.  The terms go over their lcm D (t_k =
-    T_k / D) and the linear factors over one q (L_k(x) = (O_k + S x) / q), so
+    """The monomial coefficients of a sum by the nested (Newton-form) product
+    t_0 + L_0(x) (t_1 + L_1(x) (... + L_{n-1}(x) t_n)), run fraction-free.
+    The terms go over their lcm D (t_k = T_k / D) and the linear factors
+    over one q (L_k(x) = (O_k + S x) / q), so
 
         A_n = T_n,  A_k = q^(n-k) T_k + (O_k + S x) A_{k+1},
         p_n = prefactor * A_0 / (D q^n)
@@ -352,17 +280,6 @@ def _exact_poly(s: _Sum) -> ExactPoly:
                  p_den * lcm_den * q ** n)
 
 
-def _value(plan: _Plan, x: complex) -> complex:
-    """The sum at a point in floats, as a forward running sum, term by term
-    (nesting it like _coefficients moves exact cancellations off zero)."""
-    sx = plan.slope * x
-    power = total = 1 + 0j
-    for offset, term in plan.pairs:
-        power *= offset + sx
-        total += term * power
-    return plan.prefactor * total
-
-
 def horner(coeffs, x: complex) -> complex:
     acc = 0j
     for c in reversed(coeffs):
@@ -387,85 +304,68 @@ _MEMO_SIZE = 1024
 
 
 class _Built:
-    """One polynomial on one route: the ExactPoly (exact route) or the float
-    _Plan (float route), and the complex coefficient vector derived from
-    either the first time it is asked for."""
+    """One polynomial: its ExactPoly, and the coefficients rounded once to
+    complex, formed the first time they are asked for."""
 
-    __slots__ = ("poly", "plan", "_coeffs")
+    __slots__ = ("poly", "_coeffs")
 
-    def __init__(self, poly=None, plan=None):
-        self.poly, self.plan, self._coeffs = poly, plan, None
+    def __init__(self, poly: ExactPoly):
+        self.poly, self._coeffs = poly, None
 
     def coeffs(self) -> tuple:
         if self._coeffs is None:
-            self._coeffs = tuple(_coefficients(self.plan) if self.poly is None
-                                 else self.poly.complex_coeffs())
+            self._coeffs = tuple(self.poly.complex_coeffs())
         return self._coeffs
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _built(exact: bool, family, n: int, params) -> _Built:
-    """p_n of `family` on the exact route (exact=True) or the float one.
-
-    Callers choose the route before the lookup: JacobiParams(1, 0) and
-    JacobiParams(1.0, 0.0) are equal and hash alike, and only the route
-    flag keeps them apart.  Errors propagate and are not stored."""
+def _built(family, n: int, params) -> _Built:
+    """p_n of `family` at the exact value of every parameter.  Errors
+    propagate and are not stored."""
     if n < 0:
         raise DomainError("polynomial degree must be nonnegative")
-    if not exact:
-        return _Built(plan=_plan(family(n, params, _FLOAT)))
-    poly = _exact_poly(family(n, params, _EXACT))
+    if n > EXACT_DEGREE_CAP:
+        raise DomainError(f"exact construction is capped at degree {EXACT_DEGREE_CAP}")
+    poly = _exact_poly(family(n, params))
     if poly.degree != n:
         raise PoleError(f"degenerate parameters: degree {poly.degree} != {n}")
-    return _Built(poly=poly)
+    return _Built(poly)
 
 
 # ---------------------------------------------------------------------------
 # the nine public routines: one family each, three uses of the memo
 # ---------------------------------------------------------------------------
 
-def _eval(n: int, params, x, exact: bool, family) -> complex:
-    """Exact parameters go through the exact coefficient vector and a single
-    Horner pass: the unit-argument terminating series loses digits to term
-    cancellation at large n, the exact route does not.  A value that is not
-    finite (the float sum overflowing at large n or |x|) raises."""
+def _eval(n: int, params, x, family) -> complex:
+    """One Horner pass over the once-rounded exact coefficients.  A value
+    that is not finite (overflow at large |x|) raises."""
     if type(x) is not complex:
         x = _to_complex(x)
-    if exact and n <= EXACT_DEGREE_CAP:
-        value = horner(_built(True, family, n, params).coeffs(), x)
-    else:
-        value = _value(_built(False, family, n, params).plan, x)
+    value = horner(_built(family, n, params).coeffs(), x)
     if not isfinite(value):
         raise RangeOverflowError(f"degree {n} value at x = {x} is not finite")
     return value
 
 
 def _coeffs_exact(n: int, params, exact: bool, family, names: str) -> ExactPoly:
-    _check_exact_degree(n)
     if not exact:
         raise ExactInputError(f"exact mode requires {names}")
-    return _built(True, family, n, params).poly
-
-
-def _coeffs_complex(n: int, params, exact: bool, family) -> list:
-    # exact parameters route through the exact builder: float coefficients
-    # lose digits to cancellation at large n
-    return list(_built(exact and n <= EXACT_DEGREE_CAP, family, n, params).coeffs())
+    return _built(family, n, params).poly
 
 
 def jacobi_eval(n: int, params: JacobiParams, x: complex) -> complex:
     """P_n at x: ((gamma+1)_n / n!) * 2F1(-n, n+gamma+delta+1; gamma+1; (1-x)/2)."""
-    return _eval(n, params, x, params.is_exact(), _jacobi_sum)
+    return _eval(n, params, x, _jacobi_sum)
 
 
 def chahn_eval(n: int, params: HahnParams, x: complex) -> complex:
     """p_n at x: i^n ((a+c)_n (a+d)_n / n!) * terminating 3F2 at unit argument."""
-    return _eval(n, params, x, params.is_exact(), _chahn_sum)
+    return _eval(n, params, x, _chahn_sum)
 
 
 def pasternack_eval(n: int, m: complex, x: complex) -> complex:
     """F_n at x: 3F2(-n, n+1, (1+m+x)/2; 1, m+1; 1); m = 0 is Bateman's F_n."""
-    return _eval(n, m, x, _is_exact(m), _pasternack_sum)
+    return _eval(n, m, x, _pasternack_sum)
 
 
 def jacobi_coeffs_exact(n: int, params: JacobiParams) -> ExactPoly:
@@ -484,15 +384,15 @@ def pasternack_coeffs_exact(n: int, m) -> ExactPoly:
 
 
 def jacobi_coeffs_complex(n: int, params: JacobiParams) -> list:
-    return _coeffs_complex(n, params, params.is_exact(), _jacobi_sum)
+    return list(_built(_jacobi_sum, n, params).coeffs())
 
 
 def chahn_coeffs_complex(n: int, params: HahnParams) -> list:
-    return _coeffs_complex(n, params, params.is_exact(), _chahn_sum)
+    return list(_built(_chahn_sum, n, params).coeffs())
 
 
 def pasternack_coeffs_complex(n: int, m) -> list:
-    return _coeffs_complex(n, m, _is_exact(m), _pasternack_sum)
+    return list(_built(_pasternack_sum, n, m).coeffs())
 
 
 def pasternack_hahn_params(m) -> HahnParams:

@@ -14,7 +14,7 @@ from operator import mul
 
 from .errors import DomainError
 from .numerics import _hahn_weight_log_of, gamma_product, log_gamma_complex
-from .polynomials import (HahnParams, JacobiParams, _to_complex, chahn_eval,
+from .polynomials import (HahnParams, JacobiParams, _is_exact, _to_complex, chahn_eval,
                           chahn_coeffs_complex, horner_level, jacobi_coeffs_complex)
 from .quadrature import IntegralResult, _line_integral
 from .reports import (QuadDiagnostics, VerificationReport, integral_report,
@@ -79,6 +79,16 @@ def _require_positive_re(**named):
             raise DomainError(f"Re({name}) must be positive")
 
 
+def _hahn_of_jacobi(alpha, beta, gamma, delta) -> HahnParams:
+    """(alpha, delta - beta + 1, gamma - alpha + 1, beta), the continuous Hahn
+    parameters of the Fourier pair, formed in the caller's own scalars so
+    that exact ones stay exact; exact mixed with float ones, in complex."""
+    values = (alpha, beta, gamma, delta)
+    if not all(map(_is_exact, values)):
+        alpha, beta, gamma, delta = map(_to_complex, values)
+    return HahnParams(alpha, delta - beta + 1, gamma - alpha + 1, beta)
+
+
 def _weighted_jacobi_transform(n, alpha, beta, gamma, delta, z) -> IntegralResult:
     """Quadrature side of the Fourier pair at frequency z."""
     coeffs = jacobi_coeffs_complex(n, JacobiParams(gamma, delta))
@@ -88,8 +98,7 @@ def _weighted_jacobi_transform(n, alpha, beta, gamma, delta, z) -> IntegralResul
 
 def _fourier_closed_form(n, alpha, beta, gamma, delta, z) -> complex:
     al, be = _to_complex(alpha), _to_complex(beta)
-    ga, de = _to_complex(gamma), _to_complex(delta)
-    hp = HahnParams(al, de - be + 1, ga - al + 1, be)
+    hp = _hahn_of_jacobi(alpha, beta, gamma, delta)
     return cmath.exp((al + be - 1) * _LOG_2) \
         * gamma_product([al + 0.5j * z, be - 0.5j * z], [al + be + n]) \
         * (-1j) ** (n % 4) * chahn_eval(n, hp, 0.5 * z)
@@ -125,12 +134,11 @@ def mellin_pair_check(n: int, alpha, beta, gamma, delta, lam: float,
     _require_positive_re(alpha=alpha, beta=beta)
     name = f"mellin-pair[n={n}, lambda={lam}]"
     al, be = _to_complex(alpha), _to_complex(beta)
-    ga, de = _to_complex(gamma), _to_complex(delta)
     scale = cmath.exp((1 - al - be) * _LOG_2)
     lhs = _weighted_jacobi_transform(n, alpha, beta, gamma, delta, -2.0 * lam)
     lhs_value = scale * lhs.value
 
-    hp = HahnParams(al, de - be + 1, ga - al + 1, be)
+    hp = _hahn_of_jacobi(alpha, beta, gamma, delta)
     pol = (-1j) ** (n % 4) * chahn_eval(n, hp, -lam)
     rhs_quoted = gamma_product([al - 1j * lam, be - 1j * lam], [al + be + n]) * pol
     rhs_corrected = gamma_product([al - 1j * lam, be + 1j * lam], [al + be + n]) * pol
@@ -155,24 +163,21 @@ def mellin_pair_check(n: int, alpha, beta, gamma, delta, lam: float,
                            which + "; " + MELLIN_SIGN_NOTE, diag)
 
 
-def _parseval_right(n: int, m: int, al: complex, be: complex, av: complex,
-                    bv: complex, ga: complex, de: complex, cv: complex,
-                    dv: complex) -> IntegralResult:
+def _parseval_right(n: int, m: int, alpha, beta, a, b, gamma, delta, c,
+                    d) -> IntegralResult:
     """The line integral on the right of the Parseval identity:
     int w(z/2) p_n(z/2) conj q_m(z/2) dz / (Gamma(al+be+n) Gamma(av+bv+m)),
-    w the four-gamma weight on (al, be, av, bv) and p_n, q_m the continuous
-    Hahn transforms of the two Jacobi factors.
+    w the four-gamma weight on (al, be, av, bv) = (alpha, beta, a, b) and
+    p_n, q_m the continuous Hahn transforms of the two Jacobi factors,
+    built from the parameters as the caller passed them.
 
     w(z/2) is analytic in |Im z| < 2 min Re(al, be, av, bv).  For real
     parameters w(-z) = conj w(z) and p_n(-x) = (-1)^n conj p_n(x), so the
     integrand at -z is (-1)^(n+m) times the conjugate of the one at z."""
-    hp_n = HahnParams(al, de - be + 1, ga - al + 1, be)
-    hp_m_conj = HahnParams(av.conjugate(),
-                           dv.conjugate() - bv.conjugate() + 1,
-                           cv.conjugate() - av.conjugate() + 1,
-                           bv.conjugate())
-    cn = chahn_coeffs_complex(n, hp_n)
-    cm = chahn_coeffs_complex(m, hp_m_conj)
+    cn = chahn_coeffs_complex(n, _hahn_of_jacobi(alpha, beta, gamma, delta))
+    cm = chahn_coeffs_complex(m, _hahn_of_jacobi(*(v.conjugate() for v in (a, b, c, d))))
+    values = list(map(_to_complex, (alpha, beta, a, b, gamma, delta, c, d)))
+    al, be, av, bv = values[:4]
     log_norm = -(log_gamma_complex(al + be + n) + log_gamma_complex(av + bv + m))
     log_weight = _hahn_weight_log_of(al, be, av, bv)
 
@@ -193,7 +198,7 @@ def _parseval_right(n: int, m: int, al: complex, be: complex, av: complex,
             * sum(abs(u) * r ** k for k, u in enumerate(cm))
         return math.exp(g) * pb
 
-    real = not any(v.imag for v in (al, be, av, bv, ga, de, cv, dv))
+    real = not any(v.imag for v in values)
     return _line_integral(f, env, 2.0 * min(al.real, be.real, av.real, bv.real),
                           (-1) ** (n + m) if real else None)
 
@@ -206,17 +211,15 @@ def parseval_check(n: int, m: int, alpha, beta, a, b, gamma, delta, c, d,
     name = f"parseval[n={n}, m={m}]"
     al, be = _to_complex(alpha), _to_complex(beta)
     av, bv = _to_complex(a), _to_complex(b)
-    ga, de = _to_complex(gamma), _to_complex(delta)
-    cv, dv = _to_complex(c), _to_complex(d)
 
     # left: 2 pi * integral of the tanh-substituted beta-type integrand
-    pn = jacobi_coeffs_complex(n, JacobiParams(ga, de))
-    pm = jacobi_coeffs_complex(m, JacobiParams(cv, dv))
+    pn = jacobi_coeffs_complex(n, JacobiParams(gamma, delta))
+    pm = jacobi_coeffs_complex(m, JacobiParams(c, d))
     left = _tanh_product_integral(pn, pm, al + av, be + bv)
     lhs_value = 2.0 * math.pi * left.value
 
     # right: gamma-weighted line integral over the transforms
-    right = _parseval_right(n, m, al, be, av, bv, ga, de, cv, dv)
+    right = _parseval_right(n, m, alpha, beta, a, b, gamma, delta, c, d)
     factor = (1j ** ((m - n) % 4)) * cmath.exp((al + av + be + bv - 2) * _LOG_2)
     rhs_value = factor * right.value
 

@@ -519,6 +519,16 @@ def test_gram_16_float_parameters(params):
     assert g.estimated_error >= _norm_scaled_error(g, norms)
 
 
+def test_gram_float_parameters_build_as_their_fractions():
+    """Float parameters are built at the dyadic rationals they store, so the
+    coefficients behind the cut-off envelope and the rounding floor are
+    those of the Fractions: the same matrix, estimate, radius and nodes."""
+    floats = (0.3, 0.45, 0.6, 0.35)
+    g, h = chahn_gram(16, *floats), chahn_gram(16, *map(F, floats))
+    assert (g.matrix, g.estimated_error, g.truncation_radius, g.evaluations) == \
+        (h.matrix, h.estimated_error, h.truncation_radius, h.evaluations)
+
+
 # --- the recurrence behind the Gram's columns -------------------------------
 
 # all 1/4 has s = 1, where A_0 is a removable 0/0

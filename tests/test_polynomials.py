@@ -22,13 +22,16 @@ from hahnlab.polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams,
                                  pasternack_coeffs_exact, pasternack_eval,
                                  pasternack_hahn_params,
                                  pasternack_reflection_check,
-                                 _EXACT, _EXACT_TYPES, _FLOAT, _built, _chahn_sum,
-                                 _coefficients, _exact_poly, _hypergeometric_terms,
-                                 _is_exact, _jacobi_sum, _pasternack_sum, _plan,
-                                 _to_complex, _value)
+                                 _EXACT_TYPES, _built, _chahn_sum, _exact_poly,
+                                 _is_exact, _jacobi_sum, _pasternack_sum, _to_complex)
 
 F = Fraction
 HALF = F(1, 2)
+
+
+def _bits(z: complex) -> tuple:
+    """The two doubles of z, signed zeros told apart."""
+    return z.real.hex(), z.imag.hex()
 
 
 def _poch(a, n: int) -> GaussianRational:
@@ -208,8 +211,8 @@ def test_float_exact_agreement():
 
 
 def test_float_parameter_path_matches_exact():
-    """Float parameters run the float term sum; the same values as exact
-    parameters give the oracle.  Complex x with |Im x| in [1/4, 1] keeps
+    """Float parameters are built at the values they store; the same values
+    as exact parameters give the oracle.  Complex x with |Im x| in [1/4, 1] keeps
     clear of the real zeros; n <= 6, 1e-10 relative."""
     G = GaussianRational
     cases = [
@@ -244,8 +247,8 @@ def test_complex_coeff_builders_exact_dispatch():
 
 
 def test_complex_coeff_builders_float_path():
-    """Term-accumulated coefficients for float parameters are accurate at
-    the moderate degrees the quadrature checks use."""
+    """Coefficients for float parameters, built at the doubles' exact values
+    and rounded once, are those of the nearby rationals to rounding."""
     hp_float = HahnParams(0.5, 2.0 / 3.0, 0.75, 0.8)
     hp_exact = HahnParams(F(1, 2), F(2, 3), F(3, 4), F(4, 5))
     for n in (0, 1, 4, 8):
@@ -475,33 +478,24 @@ def test_exact_build_errors(build, error, message):
 
 # --- the memo ----------------------------------------------------------------
 
-def test_memo_keeps_exact_and_float_routes_apart():
-    """Equal parameters of different exactness hash alike; each still takes
-    its own route, in either call order."""
+def test_memo_shares_one_build_for_equal_exact_and_float_parameters():
+    """Equal parameters of either kind are one memo key and one polynomial,
+    so their values agree bit for bit in either call order; the exact API
+    still rejects the floats."""
     x = 0.3 + 0.7j
     exact, floats = JacobiParams(1, 0), JacobiParams(1.0, 0.0)
     assert exact == floats and hash(exact) == hash(floats)
-    want_exact = horner(_exact_poly(_jacobi_sum(5, exact, _EXACT)).complex_coeffs(), x)
-    want_float = _value(_plan(_jacobi_sum(5, floats, _FLOAT)), x)
-    assert want_exact != want_float
     for order in ((exact, floats), (floats, exact)):
         _built.cache_clear()
-        for params in order:
-            want = want_exact if params.is_exact() else want_float
-            assert jacobi_eval(5, params, x) == want
+        assert len({_bits(jacobi_eval(5, params, x)) for params in order}) == 1
+        assert _built.cache_info().misses == 1
     with pytest.raises(ExactInputError):
         jacobi_coeffs_exact(5, floats)
 
     half_exact, half_float = HahnParams(HALF, HALF, HALF, HALF), HahnParams(0.5, 0.5, 0.5, 0.5)
-    assert half_exact == half_float and hash(half_exact) == hash(half_float)
-    want_exact = horner(chahn_coeffs_exact(7, half_exact).complex_coeffs(), x)
-    want_float = _value(_plan(_chahn_sum(7, half_float, _FLOAT)), x)
-    assert want_exact != want_float
-    for order in ((half_exact, half_float), (half_float, half_exact)):
-        _built.cache_clear()
-        for params in order:
-            want = want_exact if params.is_exact() else want_float
-            assert chahn_eval(7, params, x) == want
+    _built.cache_clear()
+    want = horner(chahn_coeffs_exact(7, half_exact).complex_coeffs(), x)
+    assert chahn_eval(7, half_float, x) == want and _built.cache_info().misses == 1
     with pytest.raises(ExactInputError):
         chahn_coeffs_exact(7, half_float)
 
@@ -532,16 +526,18 @@ def test_to_complex_values(x):
 
 
 def test_memo_float_eval_is_the_uncached_sum():
-    """Cached float values equal a fresh build's forward sum bit for bit."""
+    """Cached float values equal Horner's sum over a fresh, uncached build
+    of the same family, bit for bit."""
     cases = [(jacobi_eval, _jacobi_sum, JacobiParams(0.3, 0.7)),
              (chahn_eval, _chahn_sum, HahnParams(0.6, 0.7 + 0.1j, 0.8, 0.9 - 0.1j)),
              (pasternack_eval, _pasternack_sum, -0.25)]
     xs = [0.0, 0.4, -2.5, 0.3 + 0.7j, 3 - 1j]
     for feval, family, params in cases:
         for n in (0, 1, 4, 9):
+            coeffs = _exact_poly(family(n, params)).complex_coeffs()
             for _ in range(2):
                 for x in xs:
-                    assert feval(n, params, x) == _value(_plan(family(n, params, _FLOAT)), x)
+                    assert _bits(feval(n, params, x)) == _bits(horner(coeffs, complex(x)))
 
 
 def test_memo_does_not_store_errors():
@@ -586,7 +582,7 @@ def test_memo_gram_reuses_smaller_degrees(monkeypatch):
     assert sorted(built) == list(range(8, 16))
 
 
-# --- parameters settled once, the float plan, the per-call work --------------
+# --- parameters settled once, built at their stored values, the per-call work -
 
 _FLOAT_CASES = [
     (jacobi_eval, _jacobi_sum, JacobiParams(0.3, 0.7)),
@@ -598,55 +594,58 @@ _FLOAT_CASES = [
 ]
 
 
-def _bits(z: complex) -> tuple:
-    """The two doubles of z, signed zeros told apart."""
-    return z.real.hex(), z.imag.hex()
+def _dyadic(value):
+    """The exact value a float or complex parameter stores."""
+    if isinstance(value, complex):
+        return GaussianRational(F(value.real), F(value.imag))
+    return F(value)
 
 
-@pytest.mark.parametrize("feval, family, params", _FLOAT_CASES,
-                         ids=["jacobi-float", "jacobi-complex", "chahn-float",
-                              "chahn-complex", "pasternack-float", "pasternack-complex"])
+_FLOAT_IDS = ["jacobi-float", "jacobi-complex", "chahn-float", "chahn-complex",
+              "pasternack-float", "pasternack-complex"]
+
+
+@pytest.mark.parametrize("feval, family, params", _FLOAT_CASES, ids=_FLOAT_IDS)
 def test_float_values_are_the_plan_sum_bit_for_bit(feval, family, params):
-    """Every float value, cold or warm, is the running sum over a freshly
-    built plan, to the last bit, at int, float, Fraction and complex x."""
+    """Every float value, cold or warm, at int, float, Fraction and complex
+    x, is to the last bit Horner's sum over the coefficients of the exact
+    build at the dyadic rationals the parameters store, rounded once; the
+    polynomial behind it is that exact build.  The reference is built
+    outside the memo, where the float parameters and their equal dyadic
+    ones are one key."""
+    make = {jacobi_eval: JacobiParams, chahn_eval: HahnParams, pasternack_eval: lambda m: m}
+    values = dataclasses.astuple(params) if dataclasses.is_dataclass(params) else (params,)
+    dyadic = make[feval](*map(_dyadic, values))
     xs = [0, -3, 0.4, -2.5, F(1, 3), F(-7, 5), 0.3 + 0.7j, complex(-0.0, 3.0), 3 - 1j]
     _built.cache_clear()
     for n in range(13):
-        plan = _plan(family(n, params, _FLOAT))
+        poly = _exact_poly(family(n, dyadic))
+        coeffs = poly.complex_coeffs()
         for _ in range(2):
             for x in xs:
-                assert _bits(feval(n, params, x)) == _bits(_value(plan, x)), (n, x)
+                want = horner(coeffs, _to_complex(x))
+                assert _bits(feval(n, params, x)) == _bits(want), (n, x)
+        assert _built(family, n, params).poly == poly
 
 
-def test_plan_pairs_walk_offsets_and_terms():
-    """pairs[k] = (offset_k, t_{k+1}), and the coefficients built from them
-    evaluate back to the running sum."""
-    s = _chahn_sum(5, HahnParams(0.5, 0.75, 0.625, 0.875), _FLOAT)
-    plan = _plan(s)
-    terms = _hypergeometric_terms((-5, *s.upper), s.lower, 5)
-    assert plan.pairs == tuple((s.shift + k * s.step, terms[k + 1]) for k in range(5))
-    x = 0.3 + 0.7j
-    assert abs(horner(_coefficients(plan), x) - _value(plan, x)) < 1e-12 * abs(_value(plan, x))
-
-
-@pytest.mark.parametrize("family, params", [case[1:] for case in _FLOAT_CASES],
-                         ids=["jacobi-float", "jacobi-complex", "chahn-float",
-                              "chahn-complex", "pasternack-float", "pasternack-complex"])
+@pytest.mark.parametrize("family, params", [case[1:] for case in _FLOAT_CASES], ids=_FLOAT_IDS)
 def test_value_rounding_order_is_the_documented_running_sum(family, params):
-    """_value, bit for bit, is sx = slope*x, then per pair power *= offset + sx
-    and total += term*power, then the prefactor times the total.  The same
-    complex operations on both sides, so fused multiply-add cannot split
-    them; a reordered rounding (power = power*offset + power*sx) can."""
+    """A float value, bit for bit, is Horner's running value acc = acc*x + c
+    from acc = 0 and the top coefficient down, over the build's coefficients
+    rounded once.  The same complex operations on both sides, so fused
+    multiply-add cannot split them; another order, such as summing the
+    terms c_k x^k one by one, can."""
+    feval = {_jacobi_sum: jacobi_eval, _chahn_sum: chahn_eval,
+             _pasternack_sum: pasternack_eval}[family]
     xs = [0.4, -2.5, 0.3 + 0.7j, complex(-0.0, 3.0), 3 - 1j, 1.7 - 2.9j]
     for n in range(9):
-        plan = _plan(family(n, params, _FLOAT))
+        coeffs = _built(family, n, params).coeffs()
+        assert len(coeffs) == n + 1 and all(type(c) is complex for c in coeffs)
         for x in map(complex, xs):
-            sx = plan.slope * x
-            power = total = 1 + 0j
-            for offset, term in plan.pairs:
-                power = power * (offset + sx)
-                total = total + term * power
-            assert _bits(_value(plan, x)) == _bits(plan.prefactor * total), (n, x)
+            acc = 0j
+            for c in reversed(coeffs):
+                acc = acc * x + c
+            assert _bits(feval(n, params, x)) == _bits(acc), (n, x)
 
 
 _PARAMS = [JacobiParams(F(1, 3), 2), JacobiParams(0.3, 0.7 + 0.1j),
@@ -688,8 +687,9 @@ def test_mixed_parameter_tuples_are_not_exact(params):
     (pasternack_eval, 0.25 - 0.5j),
 ], ids=["jacobi", "chahn", "pasternack"])
 def test_warm_float_call_settles_nothing_again(monkeypatch, feval, params):
-    """A warm call with parameter objects decides no exactness, converts no
-    complex x and makes exactly one memo lookup, a hit."""
+    """A warm call decides no exactness, converts no complex x and makes
+    exactly one memo lookup, a hit; Pasternack's bare m is not tested for
+    exactness either."""
     from hahnlab import polynomials
     calls = []
 
@@ -707,20 +707,90 @@ def test_warm_float_call_settles_nothing_again(monkeypatch, feval, params):
     assert feval(4, params, x) == want
     after = _built.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
-    # Pasternack's m is a bare scalar: its one exactness test is the call's own
-    assert calls == (["_is_exact"] if feval is pasternack_eval else [])
+    assert calls == []
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: chahn_eval(EXACT_DEGREE_CAP, HahnParams(0.5, 0.5, 0.5, 0.5), 1e300 + 1j),
+     RangeOverflowError, r"degree 64 value at x = \(1e\+300\+1j\) is not finite"),
+    (lambda: jacobi_eval(EXACT_DEGREE_CAP, JacobiParams(0.5, 0.5), 1e200 + 1j),
+     RangeOverflowError, r"degree 64 value at x = \(1e\+200\+1j\) is not finite"),
+    (lambda: pasternack_eval(EXACT_DEGREE_CAP, 0.5, 1e300 + 1j),
+     RangeOverflowError, r"degree 64 value at x = \(1e\+300\+1j\) is not finite"),
+    (lambda: chahn_eval(200, HahnParams(HALF, HALF, HALF, HALF), 3 + 1j),
+     DomainError, f"capped at degree {EXACT_DEGREE_CAP}"),
+    (lambda: pasternack_eval(300, HALF, 40 + 1j),
+     DomainError, f"capped at degree {EXACT_DEGREE_CAP}"),
+], ids=["chahn", "jacobi", "pasternack", "chahn-exact-above-cap", "pasternack-exact-above-cap"])
+def test_non_finite_values_raise(call, error, match):
+    """A value that overflows to a non-finite one raises, naming the degree
+    and x.  Above EXACT_DEGREE_CAP, where the float sum used to overflow
+    (or, worse, stay finite and wrong), the call raises DomainError naming
+    the cap before any value is formed."""
+    with pytest.raises(error, match=match):
+        call()
 
 
 @pytest.mark.parametrize("call", [
-    lambda: chahn_eval(200, HahnParams(0.5, 0.5, 0.5, 0.5), 3 + 1j),
-    lambda: jacobi_eval(400, JacobiParams(0.5, 0.5), 30 + 1j),
-    lambda: pasternack_eval(300, 0.5, 40 + 1j),
-    lambda: chahn_eval(200, HahnParams(HALF, HALF, HALF, HALF), 3 + 1j),
-    lambda: pasternack_eval(300, HALF, 40 + 1j),
-], ids=["chahn", "jacobi", "pasternack", "chahn-exact-above-cap", "pasternack-exact-above-cap"])
-def test_non_finite_values_raise(call):
-    """A float sum that overflows to a non-finite value raises, naming the
-    degree and x, on the float route and on the exact parameters above
-    EXACT_DEGREE_CAP that fall back to it."""
-    with pytest.raises(RangeOverflowError, match=r"degree \d+ value at x = \(\d+\+1j\)"):
+    lambda: jacobi_eval(EXACT_DEGREE_CAP + 1, JacobiParams(0.3, 0.7), 0.4),
+    lambda: chahn_eval(EXACT_DEGREE_CAP + 1, HahnParams(0.6, 0.7, 0.8, 0.9), 1.3),
+    lambda: pasternack_eval(EXACT_DEGREE_CAP + 1, 0.25 - 0.5j, 0.4),
+    lambda: jacobi_coeffs_complex(EXACT_DEGREE_CAP + 1, JacobiParams(F(3, 10), F(7, 10))),
+    lambda: chahn_coeffs_complex(EXACT_DEGREE_CAP + 1, HahnParams(0.5, 0.5, 0.5, 0.5)),
+    lambda: pasternack_coeffs_complex(EXACT_DEGREE_CAP + 1, 0.5),
+], ids=["jacobi-eval", "chahn-eval", "pasternack-eval", "jacobi-coeffs", "chahn-coeffs",
+        "pasternack-coeffs"])
+def test_above_the_cap_every_route_raises(call):
+    """Float and exact parameters alike: above EXACT_DEGREE_CAP values and
+    coefficient vectors raise DomainError with the exact builders' message."""
+    with pytest.raises(DomainError) as caught:
         call()
+    assert str(caught.value) == f"exact construction is capped at degree {EXACT_DEGREE_CAP}"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.5, -math.inf),
+                                   complex(math.nan, 0.0)])
+def test_non_finite_parameters_raise(value):
+    """A non-finite parameter stores no rational: DomainError, on every call."""
+    for _ in range(2):
+        with pytest.raises(DomainError, match="is not finite"):
+            jacobi_eval(3, JacobiParams(value, 0.5), 0.4)
+        with pytest.raises(DomainError, match="is not finite"):
+            pasternack_coeffs_complex(3, value)
+
+
+# --- float parameters against mpmath at 50 digits ------------------------------
+
+def _mp_chahn(n: int, params: tuple, x: complex):
+    """p_n(x) by its defining 3F2 at the doubles' exact values, 50 digits."""
+    import mpmath
+    with mpmath.workdps(50):
+        a, b, c, d = map(mpmath.mpmathify, params)
+        x = mpmath.mpmathify(x)
+        scale = mpmath.mpc(0, 1) ** n * mpmath.rf(a + c, n) * mpmath.rf(a + d, n) \
+            / mpmath.factorial(n)
+        return complex(scale * mpmath.hyp3f2(-n, n + a + b + c + d - 1, a + 1j * x,
+                                             a + c, a + d, 1))
+
+
+def _mp_jacobi(n: int, params: tuple, x: complex):
+    import mpmath
+    with mpmath.workdps(50):
+        return complex(mpmath.jacobi(n, *map(mpmath.mpmathify, params), mpmath.mpmathify(x)))
+
+
+@pytest.mark.parametrize("n", [30, 64])
+@pytest.mark.parametrize("feval, make, oracle, params, x, bound", [
+    (chahn_eval, HahnParams, _mp_chahn, (0.6, 0.7, 0.8, 0.9), 1.3, 1e-12),
+    (chahn_eval, HahnParams, _mp_chahn, (0.6, 0.7, 0.8, 0.9), 2 + 0.5j, 1e-12),
+    (jacobi_eval, JacobiParams, _mp_jacobi, (0.3, 0.7), 0.4 + 0.3j, 1e-11),
+], ids=["chahn-real-x", "chahn-complex-x", "jacobi"])
+def test_float_parameters_against_mpmath(feval, make, oracle, params, x, bound, n):
+    """Float parameters at n = 30 and 64: relative error within the bound.
+    The float term-ratio loop this replaced was off by 1e5 (Hahn) and 1e-7
+    (Jacobi) at n = 30, and by 9e30 and 2e5 at n = 64."""
+    want = oracle(n, params, x)
+    got = feval(n, make(*params), x)
+    assert abs(got - want) <= bound * abs(want)
+
+

@@ -183,9 +183,14 @@ def test_mellin_zero_of_closed_form_reports_error_against_mass(args):
 
 
 def test_mellin_zero_case_passes_on_tol_abs_alone():
-    r = mellin_pair_check(*_MELLIN_ZEROS[0], 0.0, tol_abs=1e-20)
-    assert r.max_rel_err <= 1e-8 and r.max_abs_err > 1e-20
-    assert not r.passed
+    """The polynomials are built exactly, float parameters at the values
+    they store, so the odd P_n and p_n have exactly zero even coefficients:
+    p_n(0) is 0 and the quadrature's terms cancel in pairs.  Every zero
+    case reports an error of exactly 0 and passes at tol_abs = 1e-20."""
+    for args in _MELLIN_ZEROS:
+        r = mellin_pair_check(*args, 0.0, tol_abs=1e-20)
+        assert (r.max_abs_err, r.max_rel_err) == (0.0, 0.0), args
+        assert r.passed
 
 
 def test_parseval_all_halves_frozen_value():
@@ -350,3 +355,29 @@ def test_parseval_mutated_fold_sign_fails(monkeypatch):
     monkeypatch.setattr(transforms, "_line_integral",
                         _fold(transforms._line_integral, "mutated"))
     assert not parseval_check(*args).passed
+
+
+def test_exact_parameters_reach_the_builders_exact(monkeypatch):
+    """The transform and orthogonality checks hand the caller's exact
+    parameters to the polynomial builders: no float reaches a build, so
+    1/3 is built as 1/3 and not as the double nearest it."""
+    from hahnlab import polynomials
+    from hahnlab.orthogonality import (jacobi_ortho_check, pasternack_biortho_check,
+                                       pasternack_ortho_check)
+    stored = []
+
+    def spy(value):
+        stored.append(value)
+        return real_stored(value)
+
+    real_stored = polynomials._stored
+    monkeypatch.setattr(polynomials, "_stored", spy)
+    polynomials._built.cache_clear()
+    assert fourier_pair_check(3, HALF, F(3, 4), F(1, 3), F(1, 5), 1.0).passed
+    assert mellin_pair_check(2, F(3, 5), F(11, 10), F(1, 4), F(4, 5), 0.7).passed
+    assert parseval_check(2, 1, F(3, 4), HALF, F(1, 4), 1, F(1, 3), F(2, 5),
+                          F(1, 5), F(3, 5)).passed
+    assert jacobi_ortho_check(3, 1, F(1, 3), F(3, 4)).passed
+    assert pasternack_ortho_check(2, 1, F(1, 3)).passed
+    assert pasternack_biortho_check(2, 1, F(1, 3)).passed
+    assert stored and not any(isinstance(v, (float, complex)) for v in stored)
