@@ -9,6 +9,11 @@ The log-gamma itself is a Lanczos rational approximation with g = 607/128
 and 15 coefficients (Godfrey's set), good to a few ulp of double precision
 on Re(z) >= 1/2, extended to the left half-plane with the reflection
 formula Gamma(z) Gamma(1-z) = pi / sin(pi z).
+
+The four-gamma line weight is one memo per process (_weight_memo): each
+node z of a parameter tuple is computed at most once, however many Grams,
+Parseval integrals, cut-off scans and public calls ask for it, and at most
+8 tuples of at most 30,000 nodes each are kept.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, PoleError, RangeOverflowError
 
@@ -153,21 +159,45 @@ def gamma_product(factors, inverse_factors=()) -> complex:
 
 
 def _hahn_weight_log_of(alpha: complex, beta_: complex, a: complex, b: complex):
-    """z -> hahn_weight_log(z, alpha, beta_, a, b): the parameters are checked
-    and converted once, so a caller with many nodes pays that once per tuple."""
+    """z -> hahn_weight_log(z, alpha, beta_, a, b), the tuple's memo: the
+    parameters are checked on every call, so a DomainError is never stored."""
     params = [complex(p) for p in (alpha, beta_, a, b)]
     for name, p in zip(("alpha", "beta", "a", "b"), params):
         if p.real <= 0.0:
             raise DomainError(f"hahn weight requires Re({name}) > 0")
-    al, be, av, bv = params
+    return _weight_memo(*params)
+
+
+_WEIGHT_TUPLES = 8  # `gram` keeps 4 tuples live, `verify --suite all` 6
+_WEIGHT_NODES = 30_000  # per tuple: quadrature._NODE_BUDGET, one full run
+
+
+@lru_cache(maxsize=_WEIGHT_TUPLES)
+def _weight_memo(al: complex, be: complex, av: complex, bv: complex):
+    """z -> log w(z) for one checked tuple, each node computed at most once.
+
+    The key is the complex tuple, so Fraction, float and complex parameters
+    of equal value share one memo.  A miss runs the operations of a fresh
+    computation in the same order, so every value is the unmemoized one, bit
+    for bit (0.0 and -0.0 are one node: their values are the same bits).
+    Past _WEIGHT_NODES stored nodes a miss is computed and not stored.  A node
+    costs about 100 bytes (float key, complex value, dict slot), so a full
+    tuple holds about 3 MB and the whole memo at most about 24 MB."""
     shifts = (al, be.conjugate(), av.conjugate(), bv)
     distinct = set(shifts)
+    nodes = {}
 
     def log_weight(z: float) -> complex:
-        iz = 1j * float(z)  # the conjugate identity needs real z
-        logs = {p: log_gamma_complex(p + iz) for p in distinct}
-        ga, gb, gc, gd = (logs[p] for p in shifts)
-        return ga + gb.conjugate() + gc.conjugate() + gd
+        z = float(z)  # the conjugate identity needs real z
+        value = nodes.get(z)
+        if value is None:
+            iz = 1j * z
+            logs = {p: log_gamma_complex(p + iz) for p in distinct}
+            ga, gb, gc, gd = (logs[p] for p in shifts)
+            value = ga + gb.conjugate() + gc.conjugate() + gd
+            if len(nodes) < _WEIGHT_NODES:
+                nodes[z] = value
+        return value
     return log_weight
 
 
@@ -178,7 +208,8 @@ def hahn_weight_log(z: float, alpha: complex, beta_: complex,
     For real z, log Gamma(p - iz) = conj log Gamma(conj p + iz), so the
     four shifts share their log-gammas where they coincide in that form:
     all 1/2 takes one call, a conjugate pair (a = conj alpha, b = conj
-    beta) two.  The terms are summed in the order above either way.
+    beta) two, at a node the tuple's memo does not hold yet (_weight_memo).
+    The terms are summed in the order above either way.
     """
     return _hahn_weight_log_of(alpha, beta_, a, b)(z)
 

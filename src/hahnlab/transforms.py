@@ -14,7 +14,7 @@ from operator import mul
 
 from .errors import DomainError
 from .numerics import _hahn_weight_log_of, gamma_product, log_gamma_complex
-from .polynomials import (HahnParams, JacobiParams, _is_exact, _to_complex, chahn_eval,
+from .polynomials import (HahnParams, JacobiParams, _stored, _to_complex, chahn_eval,
                           chahn_coeffs_complex, horner_level, jacobi_coeffs_complex)
 from .quadrature import IntegralResult, _line_integral
 from .reports import (QuadDiagnostics, VerificationReport, integral_report,
@@ -81,11 +81,10 @@ def _require_positive_re(**named):
 
 def _hahn_of_jacobi(alpha, beta, gamma, delta) -> HahnParams:
     """(alpha, delta - beta + 1, gamma - alpha + 1, beta), the continuous Hahn
-    parameters of the Fourier pair, formed in the caller's own scalars so
-    that exact ones stay exact; exact mixed with float ones, in complex."""
-    values = (alpha, beta, gamma, delta)
-    if not all(map(_is_exact, values)):
-        alpha, beta, gamma, delta = map(_to_complex, values)
+    parameters of the Fourier pair, formed exactly: a float or complex
+    parameter enters at the dyadic rational it stores (_stored), so 1/3 with
+    0.5 gives the shift 2/3, not the double nearest it."""
+    alpha, beta, gamma, delta = map(_stored, (alpha, beta, gamma, delta))
     return HahnParams(alpha, delta - beta + 1, gamma - alpha + 1, beta)
 
 

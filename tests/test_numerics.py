@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -172,7 +173,9 @@ def test_hahn_weight_log_shares_shifts_bitwise(monkeypatch, params, calls):
     """For real z, log Gamma(p - iz) = conj log Gamma(conj p + iz): the
     shared form equals the four-term sum bit for bit, on both sides of the
     real line and on the reflection branch (Re p < 1/2), and it makes one
-    log-gamma call per distinct shift."""
+    log-gamma call per distinct shift (at nodes the memo does not hold yet,
+    so it starts empty)."""
+    numerics._weight_memo.cache_clear()
     al, be, a, b = params
     made = []
 
@@ -218,20 +221,36 @@ def _per_call_weight_log(z, alpha, beta_, a, b):
     return ga + gb.conjugate() + gc.conjugate() + gd
 
 
-@pytest.mark.parametrize("params", [
-    (0.5, 0.5, 0.5, 0.5),
-    (1.0, 0.5, 0.75, 1.25),
-    (0.5 + 0.25j, 0.75 - 0.25j, 0.5 - 0.25j, 0.75 + 0.25j),
-], ids=["all-1/2", "1-1/2-3/4-5/4", "conjugate-pair"])
-def test_weight_factory_matches_the_per_call_route_bitwise(params):
-    """The weight bound once per parameter tuple (what chahn_gram evaluates)
-    equals the per-call route bit for bit, on both sides of the real line."""
-    log_weight = _hahn_weight_log_of(*params)
-    for k in range(-160, 161):
-        z = 0.0625 * k
-        want = _per_call_weight_log(z, *params)
-        for got in (log_weight(z), hahn_weight_log(z, *params)):
-            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+@pytest.mark.parametrize("params, calls", [
+    ((0.5, 0.5, 0.5, 0.5), 1),
+    ((1.0, 0.5, 0.75, 1.25), 4),
+    ((0.5 + 0.25j, 0.75 - 0.25j, 0.5 - 0.25j, 0.75 + 0.25j), 2),
+    ((0.3 + 0.25j, 0.2, 0.3 - 0.25j, 1.4 + 0.5j), 3),
+], ids=["all-1/2", "1-1/2-3/4-5/4", "conjugate-pair", "re-below-1/2"])
+def test_weight_factory_matches_the_per_call_route_bitwise(monkeypatch, params, calls):
+    """The weight bound once per parameter tuple (what chahn_gram evaluates),
+    a memo, equals the per-call route bit for bit when a node is computed
+    (cold) and when it is read back (warm), at +z, -z, 0.0 and -0.0 (one
+    key) and on the reflection branch; a node is computed once, so the warm
+    pass makes no log-gamma call."""
+    numerics._weight_memo.cache_clear()
+    zs = [0.0, -0.0] + [s * 0.0625 * k for k in range(1, 161) for s in (1, -1)]
+    made = []
+
+    def counted(w):
+        made.append(w)
+        return log_gamma_complex(w)
+
+    # _per_call_weight_log calls this module's own log_gamma_complex, uncounted
+    monkeypatch.setattr(numerics, "log_gamma_complex", counted)
+    for warm in (False, True):
+        made.clear()
+        log_weight = _hahn_weight_log_of(*params)
+        for z in zs:
+            want = _per_call_weight_log(z, *params)
+            for got in (log_weight(z), hahn_weight_log(z, *params)):
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+        assert len(made) == (0 if warm else calls * (len(zs) - 1))
 
 
 @pytest.mark.parametrize("params, name", [
@@ -242,16 +261,62 @@ def test_weight_factory_matches_the_per_call_route_bitwise(params):
 ])
 def test_weight_domain_error_before_any_node(monkeypatch, params, name):
     """Re <= 0 raises DomainError when the weight is bound, before a single
-    log-gamma (node) is evaluated; the Gram matrix refuses as early."""
+    log-gamma (node) is evaluated, on every call: the error never reaches
+    the weight memo.  The Gram matrix refuses as early."""
+    numerics._weight_memo.cache_clear()
     calls = []
     monkeypatch.setattr(numerics, "log_gamma_complex", calls.append)
-    with pytest.raises(DomainError, match=f"Re\\({name}\\) > 0"):
-        _hahn_weight_log_of(*params)
-    with pytest.raises(DomainError, match=f"Re\\({name}\\) > 0"):
-        hahn_weight_log(0.0, *params)
-    with pytest.raises(DomainError):
-        chahn_gram(4, *params)
+    for _ in range(2):
+        with pytest.raises(DomainError, match=f"Re\\({name}\\) > 0"):
+            _hahn_weight_log_of(*params)
+        with pytest.raises(DomainError, match=f"Re\\({name}\\) > 0"):
+            hahn_weight_log(0.0, *params)
+        with pytest.raises(DomainError):
+            chahn_gram(4, *params)
     assert calls == []
+    info = numerics._weight_memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+def test_weight_memo_is_one_entry_per_complex_tuple():
+    """Fraction, float and complex parameters of equal value share one memo;
+    a different value is another entry."""
+    numerics._weight_memo.cache_clear()
+    half = Fraction(1, 2)
+    first = _hahn_weight_log_of(half, half, half, half)
+    assert _hahn_weight_log_of(0.5, 0.5, 0.5, 0.5) is first
+    assert _hahn_weight_log_of(0.5 + 0j, half, 0.5, 0.5 + 0j) is first
+    assert _hahn_weight_log_of(0.5, 0.5, 0.5, 0.75) is not first
+    assert numerics._weight_memo.cache_info().currsize == 2
+
+
+def test_weight_memo_is_bounded(monkeypatch):
+    """At most _WEIGHT_TUPLES tuples, least recently used first out, and at
+    most _WEIGHT_NODES nodes a tuple; a node past the cap is computed on
+    every call, and equals the per-call route all the same."""
+    numerics._weight_memo.cache_clear()
+    for k in range(numerics._WEIGHT_TUPLES + 3):
+        _hahn_weight_log_of(0.5, 0.5, 0.5, 1.0 + k)
+    assert numerics._weight_memo.cache_info().currsize == numerics._WEIGHT_TUPLES
+
+    monkeypatch.setattr(numerics, "_WEIGHT_NODES", 3)
+    made = []
+
+    def counted(w):
+        made.append(w)
+        return log_gamma_complex(w)
+
+    monkeypatch.setattr(numerics, "log_gamma_complex", counted)
+    params = (0.6, 0.7, 0.8, 0.9)
+    log_weight = _hahn_weight_log_of(*params)
+    zs = [0.5 * k for k in range(1, 6)]
+    for _ in range(2):
+        for z in zs:
+            want = _per_call_weight_log(z, *params)
+            got = log_weight(z)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    # 5 nodes cold, then the 2 past the cap again: four shifts each
+    assert len(made) == 4 * (5 + 2)
 
 
 def test_hahn_weight_overflow_is_structured():

@@ -9,10 +9,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from hahnlab import orthogonality
+from hahnlab import numerics, orthogonality
 from hahnlab.errors import DomainError, QuadratureError
 from hahnlab.exact import GaussianRational
-from hahnlab.numerics import _hahn_weight_log_of, hahn_weight_log
+from hahnlab.numerics import _hahn_weight_log_of, hahn_weight_log, log_gamma_complex
 from hahnlab.orthogonality import (GramResult, barnes_check,
                                    bateman_ortho_check, chahn_gram,
                                    chahn_norm_rhs, gram_check, jacobi_ortho_check,
@@ -456,6 +456,50 @@ def test_gram_envelope_bounds_both_tails(monkeypatch, params, N):
             w = abs(cmath.exp(hahn_weight_log(x, al, be, a, b)))
             worst = max(w * abs(horner(cs, x)) ** 2 / s for cs, s in zip(polys, scales))
             assert envelope(z) >= worst
+
+
+def _gram_fields(g: GramResult) -> tuple:
+    return (g.matrix, g.estimated_error, g.truncation_radius, g.evaluations, g.step)
+
+
+def test_gram_16_after_8_computes_only_the_new_nodes(monkeypatch):
+    """The N = 8 and N = 16 Grams of a tuple share one node grid in the
+    weight memo: N = 16 after N = 8 calls log_gamma_complex, once each, only
+    at nodes beyond the N = 8 cut-off (4 shifts a node), plus the real
+    arguments of its own closed-form norms."""
+    params = (F(1), HALF, F(3, 4), F(5, 4))
+    numerics._weight_memo.cache_clear()
+    g8 = chahn_gram(8, *params)
+    made = []
+
+    def counted(w):
+        made.append(w)
+        return log_gamma_complex(w)
+
+    monkeypatch.setattr(numerics, "log_gamma_complex", counted)
+    for n in range(16):
+        chahn_norm_rhs(n, *params)
+    norm_calls = len(made)
+    made.clear()
+    g16 = chahn_gram(16, *params)
+    assert g16.step == g8.step and g16.truncation_radius > g8.truncation_radius
+    nodes = [w for w in made if w.imag]
+    assert len(made) - len(nodes) == norm_calls
+    assert nodes and len(set(nodes)) == len(nodes) and len(nodes) % 4 == 0
+    # the cut-off scan looks one step of 1/2 past the radius it returns
+    assert all(g8.truncation_radius < w.imag <= g16.truncation_radius + 0.5 for w in nodes)
+
+
+def test_gram_is_the_same_cold_and_warm():
+    """chahn_gram(16, t) after barnes_check and chahn_gram(8, t) on the same
+    tuple reads its nodes from the memo, and equals the cold call."""
+    for params in ((F(1), HALF, F(3, 4), F(5, 4)), CONJ_PAIR):
+        numerics._weight_memo.cache_clear()
+        cold = _gram_fields(chahn_gram(16, *params))
+        numerics._weight_memo.cache_clear()
+        barnes_check(*params)
+        chahn_gram(8, *params)
+        assert _gram_fields(chahn_gram(16, *params)) == cold
 
 
 def test_gram_cutoff_is_relative_to_the_norms():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hahnlab import quadrature, suites
+from hahnlab import numerics, quadrature, suites
 from hahnlab.exact import GaussianRational
 from hahnlab.orthogonality import chahn_gram
 from hahnlab.suites import SUITES, run_suites
@@ -32,6 +32,14 @@ def test_all_check_names_in_report_order(all_reports):
     expected = (BENCH / "verify_all_checks.txt").read_text(encoding="utf-8").split("\n")
     assert [r.name for r in all_reports] == [line for line in expected if line]
     assert all(r.passed for r in all_reports)
+
+
+def test_all_suites_cold_and_warm_are_equal():
+    """A second run in the same process reads the weight memo warm, and the
+    polynomial memo, and reports the same to the last bit."""
+    numerics._weight_memo.cache_clear()
+    cold = _dicts(run_suites("all"))
+    assert _dicts(run_suites("all")) == cold
 
 
 def test_all_suites_node_budget(all_reports):

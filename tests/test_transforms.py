@@ -9,11 +9,14 @@ import pytest
 
 from hahnlab import quadrature
 from hahnlab.errors import DomainError
+from hahnlab.exact import GaussianRational
 from hahnlab.numerics import beta as beta_fn
+from hahnlab.polynomials import HahnParams, chahn_eval
 from hahnlab.quadrature import _EPS, IntegralResult
 from hahnlab.transforms import (fourier_pair_check, mellin_pair_check,
                                 parseval_check, tanh_weight, tanh_weight_logs,
-                                _parseval_right, _weighted_jacobi_transform)
+                                _hahn_of_jacobi, _parseval_right,
+                                _weighted_jacobi_transform)
 
 F = Fraction
 HALF = F(1, 2)
@@ -147,7 +150,6 @@ def test_mellin_fails_when_only_quoted_form_matches(monkeypatch):
     must fail the check, whose criterion is the substitution-consistent form."""
     from hahnlab import transforms
     from hahnlab.numerics import gamma_product
-    from hahnlab.polynomials import HahnParams, chahn_eval
     from hahnlab.quadrature import IntegralResult
 
     n, al, be, ga, de, lam = 2, 0.6, 1.1, 0.25, 0.8, 0.7
@@ -381,3 +383,22 @@ def test_exact_parameters_reach_the_builders_exact(monkeypatch):
     assert pasternack_ortho_check(2, 1, F(1, 3)).passed
     assert pasternack_biortho_check(2, 1, F(1, 3)).passed
     assert stored and not any(isinstance(v, (float, complex)) for v in stored)
+
+
+@pytest.mark.parametrize("mixed, exact", [
+    ((F(1, 3), 0.5, 0, 0), (F(1, 3), HALF, 0, 0)),  # (1/3, 1/2, 2/3, 1/2)
+    ((0.1, 0.2 + 0.5j, F(1, 3), 0.7), (F(0.1), GaussianRational(F(0.2), HALF), F(1, 3), F(0.7))),
+], ids=["fraction-and-float", "float-complex-fraction"])
+def test_hahn_of_jacobi_shifts_exactly(mixed, exact):
+    """The Fourier pair's continuous Hahn tuple is formed at the exact value
+    each parameter stores: 1/3 with 0.5 gives the shift 2/3, so the mixed
+    tuple is the exact one, with the same chahn_eval values and the same
+    fourier report."""
+    hp = _hahn_of_jacobi(*mixed)
+    assert hp == _hahn_of_jacobi(*exact)
+    for n in (1, 4, 9):
+        for x in (0.3, -1.25, 2.0 + 0.5j):
+            got, want = chahn_eval(n, hp, x), chahn_eval(n, _hahn_of_jacobi(*exact), x)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    assert fourier_pair_check(3, *mixed, 1.0).to_dict() == \
+        fourier_pair_check(3, *exact, 1.0).to_dict()
