@@ -101,9 +101,12 @@ def log_gamma_complex(z: complex) -> complex:
 
     The imaginary part is consistent under summation of several values but
     is not reduced; use log_gamma() for the principal-phase form.
-    Raises PoleError at z in {0, -1, -2, ...}.
+    Raises PoleError at z in {0, -1, -2, ...} and DomainError at a z that
+    is not finite.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"log-gamma argument {z!r} is not finite")
     if _is_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z = {z.real:g}")
     if z.real >= 0.5:
@@ -160,9 +163,13 @@ def gamma_product(factors, inverse_factors=()) -> complex:
 
 def _hahn_weight_log_of(alpha: complex, beta_: complex, a: complex, b: complex):
     """z -> hahn_weight_log(z, alpha, beta_, a, b), the tuple's memo: the
-    parameters are checked on every call, so a DomainError is never stored."""
+    parameters are checked on every call, before the memo is looked up, so a
+    DomainError is never stored and a NaN (never equal to itself) never
+    becomes a key."""
     params = [complex(p) for p in (alpha, beta_, a, b)]
     for name, p in zip(("alpha", "beta", "a", "b"), params):
+        if not cmath.isfinite(p):
+            raise DomainError(f"hahn weight parameter {name} = {p!r} is not finite")
         if p.real <= 0.0:
             raise DomainError(f"hahn weight requires Re({name}) > 0")
     return _weight_memo(*params)
@@ -191,6 +198,8 @@ def _weight_memo(al: complex, be: complex, av: complex, bv: complex):
         z = float(z)  # the conjugate identity needs real z
         value = nodes.get(z)
         if value is None:
+            if not math.isfinite(z):  # checked on a miss only: a stored z is finite
+                raise DomainError(f"hahn weight needs a finite z, not {z!r}")
             iz = 1j * z
             logs = {p: log_gamma_complex(p + iz) for p in distinct}
             ga, gb, gc, gd = (logs[p] for p in shifts)

@@ -19,8 +19,7 @@ from operator import add, mul, sub, truediv
 
 from .errors import DomainError
 from .numerics import _hahn_weight_log_of, gamma_product, pochhammer
-from .polynomials import (HahnParams, JacobiParams, _to_complex,
-                          chahn_coeffs_complex, horner, horner_level,
+from .polynomials import (JacobiParams, _to_complex, horner, horner_level,
                           jacobi_coeffs_complex, pasternack_coeffs_complex)
 from .quadrature import (_ABS_TOL, _EPS, _REL_TOL, IntegralResult, _line_integral,
                          integrate_line_trapezoid, truncation_radius)
@@ -152,6 +151,23 @@ def _gram_columns(recurrence: list, zs: list) -> list:
     return columns
 
 
+def _gram_coeffs(recurrence: list) -> list:
+    """The monomial coefficients of p_0, ..., p_{N-1}, lowest first, by the
+    step of _gram_columns on coefficient lists: x p_n is p_n shifted up one
+    place.  O(N^2) float operations in all, no exact build."""
+    prev, cur = [], [1 + 0j]
+    coeffs = [cur]
+    for a_n, b_n, c_n in recurrence:
+        nxt = [0j, *cur]
+        for k, u in enumerate(cur):
+            nxt[k] -= b_n * u
+        for k, u in enumerate(prev):
+            nxt[k] -= c_n * u
+        prev, cur = cur, [u / a_n for u in nxt]
+        coeffs.append(cur)
+    return coeffs
+
+
 def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     """N x N Gram matrix (1/2pi) int w(z) p_n(z) p_m(z) dz.
 
@@ -173,15 +189,19 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     and p_n(-z) = (-1)^n conj p_n(z), so one node serves z and -z.  The
     cut-off Z is relative to the norms: the tail of entry (n, m) stays
     below 1e-16 max(1, sqrt|h_n h_m|), far below its tolerance.
+
+    No exact polynomial is built: the cut-off envelope and the rounding
+    floor read the magnitudes of coefficient vectors formed by the same
+    recurrence (_gram_coeffs).  The parameters are used only as complex
+    floats, so a float and the Fraction it stores give the same Gram; Re > 0
+    keeps (alpha+a)_n, (alpha+beta)_n and every A_n away from zero.
     """
     if not 1 <= N <= GRAM_SIZE_CAP:
         raise DomainError(f"Gram size must be in 1..{GRAM_SIZE_CAP}")
     al, be = _to_complex(alpha), _to_complex(beta)
     av, bv = _to_complex(a), _to_complex(b)
+    log_weight = _hahn_weight_log_of(al, be, av, bv)  # checks the parameters
     expected = [chahn_norm_rhs(n, al, be, av, bv) for n in range(N)]
-    # coefficient construction sees the original (possibly exact) parameters
-    params = HahnParams(alpha, b, a, beta)
-    polys = [chahn_coeffs_complex(n, params) for n in range(N)]
     recurrence = _gram_recurrence(N, al, be, av, bv)
     # entries (n, m), m >= n, in row order; parity zeros are left out
     stride = 2 if al == be == av == bv else 1
@@ -189,7 +209,6 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     entries = [(n, m) for n in range(N) for m in range(n, N, stride)]
     diagonal_index = [entries.index((n, n)) for n in range(N)]
     two_pi = 2.0 * math.pi
-    log_weight = _hahn_weight_log_of(al, be, av, bv)
 
     def side(zs: list) -> list:
         """The entries' integrands summed over the nodes zs, then the
@@ -223,8 +242,10 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
                 for n, m in entries] + [math.inf] * (2 * N - 1)
 
     # one cut-off for the whole matrix, from the largest diagonal envelope over
-    # max(|h_n|, 1); |p_n(z)| <= sum_k |c_k| |z|^k, the Horner magnitude
-    mags = [[abs(u) for u in cs] for cs in polys]
+    # max(|h_n|, 1); |p_n(z)| <= sum_k |c_k| |z|^k, the Horner magnitude, with
+    # the c_k of the recurrence's coefficient vectors (within about 1e-15
+    # max_k |c_k| of the exact ones, far inside the envelope's own slack)
+    mags = [[abs(u) for u in cs] for cs in _gram_coeffs(recurrence)]
 
     def envelope(z: float) -> float:
         g = log_weight(z).real
@@ -260,7 +281,8 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     # large: the columns' |w|-weighted error measured at most 0.62 of it for
     # n >= 5 (up to 3x at n <= 3, where kappa is small).  By Cauchy-Schwarz it
     # moves entry (n, m) by eps (kappa_n + kappa_m), with
-    # kappa_n^2 = int |w| (sum_k |c_k| |z|^k)^2 / |G_nn| from the moments.
+    # kappa_n^2 = int |w| (sum_k |c_k| |z|^k)^2 / |G_nn| from the moments, with
+    # the same recurrence magnitudes as the envelope.
     moments = [u.real for u in res.values[len(entries):]]
     kappa = []
     for n, mag in enumerate(mags):

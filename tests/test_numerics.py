@@ -319,6 +319,60 @@ def test_weight_memo_is_bounded(monkeypatch):
     assert len(made) == 4 * (5 + 2)
 
 
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda: log_gamma_complex(_NAN),
+    lambda: log_gamma_complex(complex(0.5, -_INF)),
+    lambda: gamma(_NAN),
+    lambda: hahn_weight_log(0.0, _NAN, 1, 1, 1),
+    lambda: hahn_weight_log(0.0, 0.5, 0.5, complex(0.5, _INF), 0.5),
+    lambda: hahn_weight_log(_INF, 0.5, 0.5, 0.5, 0.5),
+    lambda: hahn_weight_log(_NAN, 0.5, 0.5, 0.5, 0.5),
+    lambda: hahn_weight(-_INF, 1, 1, 1, 1),
+    lambda: chahn_gram(4, _NAN, 1, 1, 1),
+], ids=["log-gamma-nan", "log-gamma-inf", "gamma-nan", "weight-nan-alpha",
+        "weight-inf-a", "weight-inf-z", "weight-nan-z", "weight-minus-inf-z", "gram-nan-alpha"])
+def test_non_finite_raises_and_leaves_the_weight_memo_alone(call):
+    """A parameter or argument that is not finite raises DomainError, not
+    NaN; the Gram names the parameter.  A NaN is never equal to itself, so
+    as a memo key it would be a new tuple at every call, and nine calls
+    would push all 1/2 out of the 8-tuple memo: the memo keeps its size and
+    its entries."""
+    numerics._weight_memo.cache_clear()
+    for params in ((0.5,) * 4, (1, 1, 1, 1)):
+        hahn_weight_log(0.25, *params)
+    before = numerics._weight_memo.cache_info()
+    for _ in range(numerics._WEIGHT_TUPLES + 1):
+        with pytest.raises(DomainError, match="not finite|finite z"):
+            call()
+    after = numerics._weight_memo.cache_info()
+    assert after.currsize == before.currsize and after.misses == before.misses
+    _hahn_weight_log_of(0.5, 0.5, 0.5, 0.5)
+    assert numerics._weight_memo.cache_info().misses == before.misses
+
+
+def test_non_finite_z_is_not_stored(monkeypatch):
+    """z is checked on a memo miss, before a node is computed, so a NaN z
+    (a new key at every call) takes no node slot."""
+    numerics._weight_memo.cache_clear()
+    monkeypatch.setattr(numerics, "_WEIGHT_NODES", 1)
+    log_weight = _hahn_weight_log_of(0.6, 0.7, 0.8, 0.9)
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            log_weight(_NAN)
+    made = []
+
+    def counted(w):
+        made.append(w)
+        return log_gamma_complex(w)
+
+    monkeypatch.setattr(numerics, "log_gamma_complex", counted)
+    first = log_weight(0.5)
+    assert log_weight(0.5) == first and len(made) == 4
+
+
 def test_hahn_weight_overflow_is_structured():
     with pytest.raises(RangeOverflowError):
         hahn_weight(0.0, 200.0, 200.0, 200.0, 200.0)

@@ -564,9 +564,10 @@ def test_gram_16_float_parameters(params):
 
 
 def test_gram_float_parameters_build_as_their_fractions():
-    """Float parameters are built at the dyadic rationals they store, so the
-    coefficients behind the cut-off envelope and the rounding floor are
-    those of the Fractions: the same matrix, estimate, radius and nodes."""
+    """The Gram reads its parameters only as complex floats, and a float is
+    the dyadic rational it stores, so the recurrence coefficients behind the
+    columns, the cut-off envelope and the rounding floor are those of the
+    Fractions: the same matrix, estimate, radius and nodes."""
     floats = (0.3, 0.45, 0.6, 0.35)
     g, h = chahn_gram(16, *floats), chahn_gram(16, *map(F, floats))
     assert (g.matrix, g.estimated_error, g.truncation_radius, g.evaluations) == \
@@ -620,6 +621,42 @@ def test_gram_columns_match_the_exact_polynomial(params):
             want = poly(F(z)).to_complex()
             if want:
                 assert abs(got - want) <= 1e-12 * abs(want), (n, z, got, want)
+
+
+@pytest.mark.parametrize("params", RECURRENCE_TUPLES, ids=RECURRENCE_IDS)
+def test_gram_coefficient_vectors_match_the_exact_ones(params):
+    """The coefficient vectors of p_0 .. p_15 formed by the recurrence (the
+    magnitudes behind the cut-off envelope and the rounding floor) against
+    the exact coefficients rounded once, within 1e-13 max_k |c_k|."""
+    alpha, beta, a, b = params
+    hahn = HahnParams(alpha, b, a, beta)
+    vectors = orthogonality._gram_coeffs(
+        orthogonality._gram_recurrence(16, *map(_to_complex, params)))
+    assert len(vectors) == 16
+    for n, got in enumerate(vectors):
+        want = chahn_coeffs_complex(n, hahn)
+        assert len(got) == len(want) == n + 1
+        scale = max(map(abs, want))
+        for k, (u, v) in enumerate(zip(got, want)):
+            assert abs(u - v) <= 1e-13 * scale, (n, k, u, v)
+
+
+def test_gram_cold_log_gamma_count(monkeypatch):
+    """The finite checks of the weight and the log-gamma add no call: a cold
+    16 x 16 Gram (its norms, cut-off scan and nodes) makes as many
+    log_gamma_complex calls as before they were added."""
+    made = []
+
+    def counted(w):
+        made.append(w)
+        return log_gamma_complex(w)
+
+    monkeypatch.setattr(numerics, "log_gamma_complex", counted)
+    for params, calls in (((HALF,) * 4, 370), ((F(1), HALF, F(3, 4), F(5, 4)), 1272)):
+        numerics._weight_memo.cache_clear()
+        made.clear()
+        chahn_gram(16, *params)
+        assert len(made) == calls
 
 
 # --- the sech and tanh integrals on the nested trapezoid ------------------------

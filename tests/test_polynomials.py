@@ -561,9 +561,10 @@ def test_memo_returns_fresh_coefficient_lists():
         assert chahn_coeffs_complex(4, params) == want
 
 
-def test_memo_gram_reuses_smaller_degrees(monkeypatch):
-    """A 16 x 16 Gram after an 8 x 8 one on the same exact parameters
-    builds only degrees 8 to 15."""
+def test_gram_makes_no_exact_build(monkeypatch):
+    """The Gram's cut-off and rounding floor read coefficients from its own
+    three-term recurrence: an 8 x 8 and then a 16 x 16 Gram on exact
+    parameters build no exact polynomial and look nothing up in the memo."""
     from hahnlab import polynomials
     from hahnlab.orthogonality import chahn_gram
     built = []
@@ -576,10 +577,10 @@ def test_memo_gram_reuses_smaller_degrees(monkeypatch):
     _built.cache_clear()
     params = (F(1), HALF, F(3, 4), F(5, 4))
     chahn_gram(8, *params)
-    assert sorted(built) == list(range(8))
-    built.clear()
     chahn_gram(16, *params)
-    assert sorted(built) == list(range(8, 16))
+    assert built == []
+    info = _built.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
 
 
 # --- parameters settled once, built at their stored values, the per-call work -
