@@ -10,7 +10,7 @@ from .polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
                           chahn_eval, jacobi_coeffs_exact, jacobi_eval,
                           pasternack_coeffs_exact, pasternack_eval,
                           pasternack_reflection_check)
-from .quadrature import IntegralResult, integrate_line
+from .quadrature import IntegralResult
 from .reports import QuadDiagnostics, VerificationReport
 
 __version__ = "0.1.0"
@@ -23,7 +23,7 @@ __all__ = [
     "HahnParams", "JacobiParams", "chahn_coeffs_exact", "chahn_eval",
     "jacobi_coeffs_exact", "jacobi_eval", "pasternack_coeffs_exact",
     "pasternack_eval", "pasternack_reflection_check",
-    "IntegralResult", "integrate_line",
+    "IntegralResult",
     "QuadDiagnostics", "VerificationReport",
     "__version__",
 ]

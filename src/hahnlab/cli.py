@@ -22,7 +22,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import HahnlabError, QuadratureError
@@ -134,11 +133,7 @@ def cmd_verify(args) -> int:
 
 def cmd_gram(args) -> int:
     params = {k: parse_scalar(getattr(args, k)) for k in ("alpha", "beta", "a", "b")}
-    # exact parameters keep the coefficients exact: float-built ones fail
-    # the Gram check from N = 12 on
-    values = {k: (Fraction(v.re) if v.is_real() else v) for k, v in params.items()}
-    result = chahn_gram(args.size, values["alpha"], values["beta"],
-                        values["a"], values["b"])
+    result = chahn_gram(args.size, *params.values())
     out_csv = Path(args.out)
     out_csv.write_text(result.to_csv_text(), encoding="utf-8")
     summary = result.to_summary_dict()

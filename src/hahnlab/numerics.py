@@ -83,7 +83,11 @@ def _lanczos_log_gamma(z: complex) -> complex:
 
 
 def _log_sin_pi(z: complex) -> complex:
-    """log sin(pi z) without overflow for large |Im z|."""
+    """log sin(pi z) without overflow for large |Im z|.
+
+    sin(pi z) has period 2 in Re z, and fmod reduces Re z exactly, so pi z
+    is formed from |Re z| < 2 and keeps its phase at any Re z."""
+    z = complex(math.fmod(z.real, 2.0), z.imag)
     if z.imag < 0.0:
         return _log_sin_pi(z.conjugate()).conjugate()
     if z.imag < 20.0:

@@ -42,14 +42,6 @@ class WeightedTanhFunction:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "beta", Fraction(self.beta))
 
-    def scaled(self, c) -> "WeightedTanhFunction":
-        return WeightedTanhFunction(self.alpha, self.beta, gr(c) * self.poly)
-
-    def plus(self, other: "WeightedTanhFunction") -> "WeightedTanhFunction":
-        if (self.alpha, self.beta) != (other.alpha, other.beta):
-            raise DomainError("cannot add functions with different weights")
-        return WeightedTanhFunction(self.alpha, self.beta, self.poly + other.poly)
-
 
 def weight_function(alpha, beta) -> WeightedTanhFunction:
     return WeightedTanhFunction(Fraction(alpha), Fraction(beta), ExactPoly.one())

@@ -98,8 +98,8 @@ def chahn_norm_rhs(n: int, alpha, beta, a, b) -> complex:
     al, be = _to_complex(alpha), _to_complex(beta)
     av, bv = _to_complex(a), _to_complex(b)
     for name, v in (("alpha", al), ("beta", be), ("a", av), ("b", bv)):
-        if v.real <= 0.0:
-            raise DomainError(f"Re({name}) must be positive")
+        if not cmath.isfinite(v) or v.real <= 0.0:
+            raise DomainError(f"{name} must be finite with Re({name}) positive")
     s = al + be + av + bv
     value = gamma_product([al + be + n, av + bv + n, al + av + n, be + bv + n],
                           [s + n])

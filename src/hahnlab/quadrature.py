@@ -1,4 +1,4 @@
-"""Line quadrature: a nested trapezoidal rule and adaptive Gauss-Kronrod.
+"""Line quadrature: a nested trapezoidal rule.
 
 Every integral the package verifies (Gram matrices, Barnes' lemma, the
 sech and tanh weighted orthogonality relations, the Fourier, Mellin and
@@ -13,8 +13,7 @@ once per node.  Geometric convergence also sets the stop: once two
 consecutive changes shrink by a ratio r <= 1/2, the tail d r / (1 - r) of
 the last change d predicts the error of the current value (Trefethen and
 Weideman, SIAM Review 56 (2014)), so the rule does not compute one more
-level only to confirm it.  Adaptive Gauss-Kronrod (integrate_line,
-integrate_interval) remains as a public routine that no check calls.
+level only to confirm it.
 
 The targets are fixed constants, a value converging within
 max(1e-10 |value|, 1e-14): the step comes from the strip and the stop
@@ -26,11 +25,6 @@ outside a core interval.  Z is the smallest scanned radius at which both
 the envelope value and a one-sided tail estimate fall below 1e-16; the
 Gram matrix divides its envelope by the closed-form norms, which makes
 its cut-off relative.
-
-Gauss-Kronrod panels are refined by bisecting the panel with the largest
-|K15 - G7| discrepancy; ties break on the leftmost panel and the final
-sum runs in left-to-right panel order, so results are bit-for-bit
-deterministic.
 """
 
 from __future__ import annotations
@@ -42,6 +36,8 @@ from typing import Callable
 
 from .errors import DomainError, QuadratureError
 
+# The K15/G7 panel (_gk15) and its tables have no caller: the benchmark's
+# tracer rebinds _gk15 (bench/spans.py:198), and they go once it stops.
 # 15-point Kronrod extension of 7-point Gauss (positive half; symmetric).
 _XGK = (
     0.991455371120813,
@@ -74,16 +70,15 @@ _WG = (
 _REL_TOL = 1e-10
 _ABS_TOL = 1e-14
 _TAIL_TOL = _ABS_TOL / 100  # the truncation target, well below _ABS_TOL
-# over these, QuadratureError rather than an unconverged value
+# over this, QuadratureError rather than an unconverged value
 _NODE_BUDGET = 30_000  # trapezoid nodes, both signs counted
-_MAX_PANELS = 2000  # Gauss-Kronrod panels
 
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """mass is the integral of |f| (the trapezoid sum of |f|, or the panels'
-    K15 sums of |f|), the scale against which a value near zero is judged;
-    evaluations counts trapezoid nodes or Gauss-Kronrod points."""
+    """mass is the integral of |f| (the trapezoid sum of |f|), the scale
+    against which a value near zero is judged; evaluations counts trapezoid
+    nodes."""
 
     value: complex
     error_estimate: float
@@ -135,69 +130,6 @@ def _gk15(f: Callable[[float], complex], a: float, b: float):
     return resk * half, err, resabs
 
 
-def integrate_interval(f: Callable[[float], complex], a: float, b: float,
-                       max_panel_width: float | None = None) -> IntegralResult:
-    """Adaptive integral of f over the finite interval [a, b]."""
-    if not b > a:
-        raise DomainError("integration interval is empty")
-    width = b - a
-    w0 = width
-    if max_panel_width is not None and max_panel_width > 0.0:
-        w0 = min(w0, max_panel_width)
-    n0 = max(1, math.ceil(width / w0))
-    panels = []
-    evaluations = 0
-    for i in range(n0):
-        left = a + width * i / n0
-        right = a + width * (i + 1) / n0
-        value, err, resabs = _gk15(f, left, right)
-        evaluations += 15
-        panels.append([left, right, value, err, resabs])
-
-    min_width = width * 1e-13
-    while True:
-        total = 0j
-        total_err = 0.0
-        total_resabs = 0.0
-        worst = None
-        worst_key = (-1.0, 0.0)
-        for p in panels:
-            total += p[2]
-            total_err += p[3]
-            total_resabs += p[4]
-            if p[1] - p[0] > min_width:
-                key = (p[3], -p[0])
-                if key > worst_key:
-                    worst_key = key
-                    worst = p
-        if total_err <= max(_ABS_TOL, _REL_TOL * abs(total)):
-            break
-        # request below attainable rounding precision: accept best effort
-        if total_err <= 100.0 * _EPS * total_resabs:
-            break
-        if worst is None or len(panels) >= _MAX_PANELS:
-            raise QuadratureError(
-                f"no convergence with {len(panels)} panels; "
-                f"error estimate {total_err:.3g} for value {abs(total):.3g}")
-        left, right = worst[0], worst[1]
-        mid = 0.5 * (left + right)
-        v1, e1, r1 = _gk15(f, left, mid)
-        v2, e2, r2 = _gk15(f, mid, right)
-        evaluations += 30
-        worst[1], worst[2], worst[3], worst[4] = mid, v1, e1, r1
-        panels.append([mid, right, v2, e2, r2])
-
-    panels.sort(key=lambda p: p[0])
-    total = 0j
-    total_err = 0.0
-    total_resabs = 0.0
-    for p in panels:
-        total += p[2]
-        total_err += p[3]
-        total_resabs += p[4]
-    return IntegralResult(total, total_err, evaluations, total_resabs)
-
-
 def truncation_radius(envelope: Callable[[float], float]) -> float:
     """Smallest Z, scanned from 2 in steps of 1/2, where envelope and tail
     fall below _TAIL_TOL."""
@@ -217,20 +149,6 @@ def truncation_radius(envelope: Callable[[float], float]) -> float:
                     return z
         z += step
     raise QuadratureError("envelope never decays below the truncation target")
-
-
-def integrate_line(f: Callable[[float], complex],
-                   envelope: Callable[[float], float],
-                   max_panel_width: float | None = None) -> IntegralResult:
-    """Integral of f over the whole line, truncated via the envelope.
-
-    envelope(x) must bound |f(+-x)| from above for x >= 2 and eventually
-    decay; oscillatory integrands should pass max_panel_width of about
-    pi / frequency so a panel never spans more than half a period.
-    """
-    z = truncation_radius(envelope)
-    width = min(2.0, max_panel_width) if max_panel_width else 2.0
-    return integrate_interval(f, -z, z, max_panel_width=width)
 
 
 @dataclass(frozen=True)
@@ -309,9 +227,9 @@ def _line_integral(f: Callable[[list], tuple], envelope: Callable[[float], float
     strip being the half-width of the integrand's strip of analyticity
     (or less, for an oscillatory one), and the rule stops once the value's
     estimate (integrate_line_trapezoid) is within max(_ABS_TOL,
-    _REL_TOL |value|) or the rounding of the |F| mass, the targets of
-    integrate_interval.  The error estimate is that estimate, floored at
-    eps times the mass: a predicted tail below rounding is not an error.
+    _REL_TOL |value|) or the rounding of the |F| mass.  The error estimate
+    is that estimate, floored at eps times the mass: a predicted tail below
+    rounding is not an error.
     """
 
     def even_part(zs: list) -> list:

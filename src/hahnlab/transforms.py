@@ -172,13 +172,15 @@ def _parseval_right(n: int, m: int, alpha, beta, a, b, gamma, delta, c,
 
     w(z/2) is analytic in |Im z| < 2 min Re(al, be, av, bv).  For real
     parameters w(-z) = conj w(z) and p_n(-x) = (-1)^n conj p_n(x), so the
-    integrand at -z is (-1)^(n+m) times the conjugate of the one at z."""
+    integrand at -z is (-1)^(n+m) times the conjugate of the one at z;
+    otherwise |w(-z/2)| != |w(z/2)|, and the envelope bounds both tails."""
     cn = chahn_coeffs_complex(n, _hahn_of_jacobi(alpha, beta, gamma, delta))
     cm = chahn_coeffs_complex(m, _hahn_of_jacobi(*(v.conjugate() for v in (a, b, c, d))))
     values = list(map(_to_complex, (alpha, beta, a, b, gamma, delta, c, d)))
     al, be, av, bv = values[:4]
     log_norm = -(log_gamma_complex(al + be + n) + log_gamma_complex(av + bv + m))
     log_weight = _hahn_weight_log_of(al, be, av, bv)
+    real = not any(v.imag for v in values)
 
     def gamma_sum_log(z: float) -> complex:
         return log_weight(0.5 * z) + log_norm
@@ -192,12 +194,13 @@ def _parseval_right(n: int, m: int, alpha, beta, a, b, gamma, delta, c,
 
     def env(z: float) -> float:
         g = gamma_sum_log(z).real
+        if not real:
+            g = max(g, gamma_sum_log(-z).real)
         r = 0.5 * abs(z)
         pb = sum(abs(u) * r ** k for k, u in enumerate(cn)) \
             * sum(abs(u) * r ** k for k, u in enumerate(cm))
         return math.exp(g) * pb
 
-    real = not any(v.imag for v in values)
     return _line_integral(f, env, 2.0 * min(al.real, be.real, av.real, bv.real),
                           (-1) ** (n + m) if real else None)
 

@@ -78,6 +78,22 @@ def test_log_gamma_reflection_large_imaginary():
         assert abs(dphi) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("z", [complex(-1e17, 0.5), complex(-1e10, 0.5),
+                               complex(-1e10, -0.5), complex(-1e10, 25.0),
+                               complex(-1e17, 25.0), complex(-1e10, -25.0)])
+def test_log_gamma_phase_at_large_negative_real_part(z):
+    """Both branches of log sin(pi z) (|Im z| below and past 20): pi z formed
+    before Re z is reduced rounds the phase by about ulp(pi Re z), 2.09 rad
+    at -1e17 + 0.5i and 2.4e-6 at -1e10 + 0.5i."""
+    with mp.workdps(50):
+        ref = mp.loggamma(mp.mpc(z.real, z.imag))
+        phase = float(ref.imag - 2 * mp.pi * mp.nint(ref.imag / (2 * mp.pi)))
+        log_modulus = float(ref.real)
+    got = log_gamma(z)
+    assert abs(math.remainder(got.phase - phase, 2.0 * math.pi)) <= 1e-12
+    assert abs(got.log_modulus - log_modulus) <= 1e-13 * abs(log_modulus)
+
+
 def test_log_gamma_phase_is_principal():
     for z in (0.5 + 9j, 3 - 7j, 0.25 + 2j, -0.3 + 4j):
         lg = log_gamma(z)

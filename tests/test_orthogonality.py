@@ -67,6 +67,15 @@ def test_norm_rhs_rejects_nonpositive():
         chahn_norm_rhs(0, 0.0, 1, 1, 1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1, math.nan)],
+                         ids=["nan", "inf", "complex-nan"])
+def test_norm_rhs_rejects_non_finite_naming_the_parameter(bad):
+    with pytest.raises(DomainError, match=r"^alpha must be finite"):
+        chahn_norm_rhs(0, bad, 1, 1, 1)
+    with pytest.raises(DomainError, match=r"^b must be finite"):
+        chahn_norm_rhs(3, 1, 1, 1, bad)
+
+
 # --- Barnes' first lemma -----------------------------------------------------
 
 def test_barnes_all_halves_is_one():
@@ -191,14 +200,13 @@ def test_biortho_diagonal_and_offdiag():
 def test_biortho_consistent_with_ortho_via_reflection():
     """(1+m)_n F_n^m = (1-m)_n F_n^{-m} ties the biortho diagonal to the
     ortho diagonal by the factor (1+m)_n / (1-m)_n; both sides measured
-    by direct quadrature here."""
+    here by mpmath's quadrature, a route independent of the package's."""
     from hahnlab.numerics import pochhammer
     from hahnlab.polynomials import horner, pasternack_coeffs_complex
-    from hahnlab.quadrature import integrate_line
 
     m = F(1, 3)
     cos_pim = math.cos(math.pi / 3)
-    env = lambda x: 400.0 * math.exp(-math.pi * abs(x))
+    line = [-mpmath.inf, 0, mpmath.inf]
     for n in (1, 2, 3):
         f_plus = pasternack_coeffs_complex(n, m)
         f_minus = pasternack_coeffs_complex(n, -m)
@@ -207,11 +215,11 @@ def test_biortho_consistent_with_ortho_via_reflection():
             def f(x):
                 ix = 1j * x
                 return horner(f_plus, ix) * horner(coeffs2, ix) \
-                    / (cos_pim + math.cosh(math.pi * x))
+                    / (cos_pim + mpmath.cosh(mpmath.pi * x))
             return f
 
-        v_ortho = integrate_line(integrand(f_plus), env).value
-        v_bio = integrate_line(integrand(f_minus), env).value
+        v_ortho = complex(mpmath.quad(integrand(f_plus), line))
+        v_bio = complex(mpmath.quad(integrand(f_minus), line))
         factor = pochhammer(1 + float(m), n) / pochhammer(1 - float(m), n)
         assert abs(v_bio - factor * v_ortho) <= 1e-9 * max(abs(v_bio), 1.0)
 

@@ -1,4 +1,4 @@
-"""Line quadrature: adaptive Gauss-Kronrod and the nested trapezoidal rule."""
+"""Line quadrature: the nested trapezoidal rule and its line integral."""
 
 import cmath
 import math
@@ -8,7 +8,6 @@ import pytest
 from hahnlab.errors import QuadratureError
 from hahnlab import quadrature
 from hahnlab.quadrature import (_ABS_TOL, _EPS, _REL_TOL, _TAIL_TOL, _line_integral,
-                                integrate_interval, integrate_line,
                                 integrate_line_trapezoid, truncation_radius)
 
 
@@ -17,11 +16,25 @@ def _sech(u):
     return 2.0 * e / (1.0 + e * e)
 
 
+def _level(F):
+    """A scalar integrand F as _line_integral's level integrand: the sums of
+    F and of |F| over the nodes."""
+    def f(zs):
+        terms = [F(z) for z in zs]
+        return sum(terms), sum(map(abs, terms))
+    return f
+
+
+def _relative(values):
+    return [max(_ABS_TOL, _REL_TOL * abs(v)) for v in values]
+
+
 @pytest.mark.parametrize("a", [math.pi / 2, math.pi, 2 * math.pi])
 def test_sech_squared_family(a):
-    # antiderivative of sech^2(ax) is tanh(ax)/a, so the line integral is 2/a
-    res = integrate_line(lambda x: _sech(a * x) ** 2,
-                         lambda x: 4.0 * math.exp(-2.0 * a * abs(x)))
+    # antiderivative of sech^2(ax) is tanh(ax)/a, so the line integral is
+    # 2/a; the strip is |Im x| < pi / (2a)
+    res = _line_integral(_level(lambda x: _sech(a * x) ** 2),
+                         lambda x: 4.0 * math.exp(-2.0 * a * abs(x)), math.pi / (2.0 * a))
     assert abs(res.value - 2.0 / a) <= 1e-10 * (2.0 / a)
 
 
@@ -29,43 +42,49 @@ def test_sech_squared_family(a):
 def test_moment_sech_squared_family(a):
     # int u^2 sech^2(u) du = pi^2/6 over the line, rescaled by a^3
     expected = math.pi ** 2 / (6.0 * a ** 3)
-    res = integrate_line(lambda x: x * x * _sech(a * x) ** 2,
-                         lambda x: 4.0 * x * x * math.exp(-2.0 * a * abs(x)))
+    res = _line_integral(_level(lambda x: x * x * _sech(a * x) ** 2),
+                         lambda x: 4.0 * x * x * math.exp(-2.0 * a * abs(x)),
+                         math.pi / (2.0 * a))
     assert abs(res.value - expected) <= 1e-10 * expected
 
 
 def test_odd_integrand_vanishes():
-    res = integrate_line(lambda x: x * _sech(x) ** 2,
-                         lambda x: 4.0 * abs(x) * math.exp(-2.0 * abs(x)))
+    res = _line_integral(_level(lambda x: x * _sech(x) ** 2),
+                         lambda x: 4.0 * abs(x) * math.exp(-2.0 * abs(x)), math.pi / 2.0)
     assert abs(res.value) <= _ABS_TOL * 10
 
 
 def test_complex_integrand():
-    res = integrate_line(lambda x: complex(_sech(x) ** 2, x * _sech(x) ** 2),
-                         lambda x: 8.0 * (1 + abs(x)) * math.exp(-2.0 * abs(x)))
+    res = _line_integral(_level(lambda x: complex(_sech(x) ** 2, x * _sech(x) ** 2)),
+                         lambda x: 8.0 * (1 + abs(x)) * math.exp(-2.0 * abs(x)),
+                         math.pi / 2.0)
     assert abs(res.value.real - 2.0) <= 2e-10
     assert abs(res.value.imag) <= 1e-12
 
 
 def test_diagnostics_populated():
-    res = integrate_line(lambda x: _sech(x) ** 2,
-                         lambda x: 4.0 * math.exp(-2.0 * abs(x)))
-    assert res.evaluations % 15 == 0 and res.evaluations > 0
+    res = _line_integral(_level(lambda x: _sech(x) ** 2),
+                         lambda x: 4.0 * math.exp(-2.0 * abs(x)), math.pi / 2.0)
+    # the centre node and the same count on each side
+    assert res.evaluations % 2 == 1 and res.evaluations > 0
     assert res.error_estimate >= 0.0
 
 
 def test_interval_gaussian():
-    res = integrate_interval(lambda x: math.exp(-x * x), -8.0, 8.0)
-    assert abs(res.value - math.sqrt(math.pi)) <= 1e-12
+    # e^{-x^2} is entire: the trapezoid sums on [-8, 8] reach sqrt(pi)
+    res = integrate_line_trapezoid(
+        lambda zs: [sum(2.0 * math.exp(-x * x) for x in zs)], 8.0, 0.5, _relative)
+    assert abs(res.values[0] - math.sqrt(math.pi)) <= 1e-12
 
 
 def test_oscillatory_panel_width():
-    # e^{i w x} sech^2 x has closed form pi w / sinh(pi w / 2)
+    # e^{i w x} sech^2 x has closed form pi w / sinh(pi w / 2); the first
+    # step comes from the half period pi / w, not the strip pi / 2
     w = 9.0
     expected = math.pi * w / math.sinh(math.pi * w / 2.0)
-    res = integrate_line(lambda x: complex(math.cos(w * x), math.sin(w * x)) * _sech(x) ** 2,
-                         lambda x: 4.0 * math.exp(-2.0 * abs(x)),
-                         max_panel_width=math.pi / w)
+    res = _line_integral(
+        _level(lambda x: complex(math.cos(w * x), math.sin(w * x)) * _sech(x) ** 2),
+        lambda x: 4.0 * math.exp(-2.0 * abs(x)), math.pi / w)
     assert abs(res.value - expected) <= 1e-10 * max(expected, 1.0)
 
 
@@ -79,23 +98,13 @@ def test_truncation_failure_raises():
         truncation_radius(lambda x: 1.0)
 
 
-def test_non_convergence_raises(monkeypatch):
-    # needle the adaptive loop cannot resolve within its budget
-    monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
-    with pytest.raises(QuadratureError):
-        integrate_interval(lambda x: 1.0 / math.sqrt(abs(x) + 1e-300), -1.0, 1.0)
-
-
 def test_deterministic_repeat():
-    runs = [integrate_line(lambda x: _sech(x) ** 2 / (1.0 + x * x),
-                           lambda x: 4.0 * math.exp(-2.0 * abs(x)))
+    # poles at +-i (1 / (1 + x^2)) and +-i pi / 2 (sech^2): strip 1
+    runs = [_line_integral(_level(lambda x: _sech(x) ** 2 / (1.0 + x * x)),
+                           lambda x: 4.0 * math.exp(-2.0 * abs(x)), 1.0)
             for _ in range(2)]
     assert runs[0].value == runs[1].value
     assert runs[0].evaluations == runs[1].evaluations
-
-
-def _relative(values):
-    return [max(_ABS_TOL, _REL_TOL * abs(v)) for v in values]
 
 
 def test_trapezoid_vector_sech_squared_and_moment():

@@ -111,24 +111,19 @@ def test_fourier_linearity():
     t5 = _weighted_jacobi_transform(5, al, be, F(1, 4), F(4, 5), z).value
 
     from hahnlab.polynomials import JacobiParams, horner, jacobi_coeffs_complex
-    from hahnlab.quadrature import integrate_line
     c2 = jacobi_coeffs_complex(2, JacobiParams(F(1, 4), F(4, 5)))
     c5 = jacobi_coeffs_complex(5, JacobiParams(F(1, 4), F(4, 5)))
     alc, bec = float(al), float(be)
-    bound = sum(abs(c) for c in c2) + sum(abs(c) for c in c5)
 
     def f(x):
+        x = float(x)
         l1, l2 = tanh_weight_logs(x)
         t = math.tanh(x)
         return cmath.exp(-1j * z * x + alc * l1 + bec * l2) \
             * (horner(c2, t) + horner(c5, t))
 
-    def env(x):
-        l1, l2 = tanh_weight_logs(abs(x))
-        return bound * max(math.exp(alc * l1 + bec * l2),
-                           math.exp(alc * l2 + bec * l1))
-
-    combined = integrate_line(f, env, max_panel_width=math.pi / z).value
+    # the independent route: mpmath's quadrature of the summed integrand
+    combined = complex(mpmath.quad(f, [-mpmath.inf, 0, mpmath.inf]))
     assert abs(combined - (t2 + t5)) <= 1e-10 * max(1.0, abs(t2 + t5))
 
 
@@ -308,6 +303,26 @@ def test_parseval_right_integral_against_mpmath(args):
     res = _parseval_right(*args[:2], *map(complex, args[2:]))
     want = _mp_parseval_right(*args)
     assert abs(res.value - want) <= 1e-13 * max(abs(want), 1.0)
+
+
+@pytest.mark.parametrize("args", [PARSEVAL_REAL, PARSEVAL_COMPLEX],
+                         ids=["real-folded", "complex-both-sides"])
+def test_parseval_envelope_bounds_both_tails(monkeypatch, args):
+    """The cut-off's envelope at z bounds the integrand at z and at -z.
+    With complex parameters |w(-z/2)| != |w(z/2)|: an envelope read at z
+    alone falls 3.4 times under |F(-2)| and 18.7 times under |F(-15.5)|."""
+    from hahnlab import transforms
+    seen = []
+
+    def capture(f, env, strip, reflection=None):
+        seen.append((f, env))
+        return IntegralResult(0j, 0.0, 1)
+
+    monkeypatch.setattr(transforms, "_line_integral", capture)
+    _parseval_right(*args[:2], *map(complex, args[2:]))
+    (f, env), = seen
+    for z in (2.0 + 0.5 * k for k in range(37)):
+        assert env(z) >= max(abs(f([z])[0]), abs(f([-z])[0])), z
 
 
 def test_parseval_zero_case_reports_error_against_mass():
