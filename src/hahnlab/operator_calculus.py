@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .errors import DomainError, HahnlabError, StructureError
 from .exact import GR_I, I_POWERS, ExactPoly, GaussianRational, _poly, gr
+from .orthogonality import _gram_recurrence
 from .polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
                           jacobi_coeffs_exact, _pochhammer, _term_vectors)
 from .reports import VerificationReport, residual_report
@@ -143,15 +144,22 @@ def derive_recurrence(n: int, params: HahnParams):
 
 
 def recurrence_check(label: str, params: HahnParams, n: int) -> VerificationReport:
-    """A_n of derive_recurrence against the leading-coefficient ratio
-    lc(p_n) / lc(p_{n+1}), exactly; a failed derivation is a failed check."""
+    """(A_n, B_n, C_n) of derive_recurrence against the Gram's closed-form
+    recurrence (orthogonality._gram_recurrence on the same polynomials), and
+    A_n against the leading-coefficient ratio lc(p_n) / lc(p_{n+1}), all
+    exactly; a failed derivation is a failed check."""
     name = f"recurrence[{label}, n={n}]"
     try:
-        a_n, _, _ = derive_recurrence(n, params)
+        derived = derive_recurrence(n, params)
+        closed = _gram_recurrence(n + 2, *map(gr, (params.a, params.d, params.c,
+                                                   params.b)))[n]
         lc_ratio = chahn_coeffs_exact(n, params).leading_coefficient \
             / chahn_coeffs_exact(n + 1, params).leading_coefficient
     except HahnlabError as exc:
         return VerificationReport(name, "fail", float("inf"), float("inf"), str(exc))
-    ok = a_n == lc_ratio
+    ok = derived == closed and derived[0] == lc_ratio
+    details = f"A_n={derived[0]}"
+    if derived != closed:
+        details += "; closed form (A_n, B_n, C_n) = ({}, {}, {})".format(*closed)
     return VerificationReport(name, "pass" if ok else "fail",
-                              0.0 if ok else float("nan"), 0.0, f"A_n={a_n}")
+                              0.0 if ok else float("nan"), 0.0, details)

@@ -2,8 +2,10 @@
 
 Gram matrices for the continuous Hahn family against the four-gamma line
 weight, the sech-weighted Bateman and Pasternack relations (orthogonality
-and biorthogonality), classical Jacobi orthogonality on [-1, 1], and
-Barnes' first lemma as the degree-zero case.
+and biorthogonality) on one weight, scale / (cos(pi m) + cosh(pi x)), of
+which Bateman's sech^2(pi x / 2) is the case m = 0 at scale 2, classical
+Jacobi orthogonality on [-1, 1], and Barnes' first lemma as the
+degree-zero case.
 
 Expected diagonals always come from the closed-form right-hand sides,
 never from quadrature.
@@ -18,6 +20,7 @@ from itertools import repeat
 from operator import add, mul, sub, truediv
 
 from .errors import DomainError
+from .exact import GR_I, GaussianRational
 from .numerics import _hahn_weight_log_of, gamma_product, pochhammer
 from .polynomials import (JacobiParams, _to_complex, horner, horner_level,
                           jacobi_coeffs_complex, pasternack_coeffs_complex)
@@ -113,7 +116,9 @@ def chahn_norm_rhs(n: int, alpha, beta, a, b) -> complex:
 def _gram_recurrence(N: int, alpha, beta, a, b) -> list:
     """(A_n, B_n, C_n) for n < N - 1, with x p_n = A_n p_{n+1} + B_n p_n + C_n p_{n-1}
     (derive_recurrence's convention), of the Gram's p_n(x; alpha, b, a, beta),
-    in complex floats.  In the letters (a, b, c, d) = (alpha, b, a, beta) of
+    in the parameters' own scalars: complex floats for the Gram, exact
+    GaussianRationals for recurrence_check, which compares the two sides
+    exactly.  In the letters (a, b, c, d) = (alpha, b, a, beta) of
     Koekoek, Lesky and Swarttouw (2010) (9.4.3), with s = a+b+c+d and the 3F2
     p~_n = p_n / (i^n (a+c)_n (a+d)_n / n!),
 
@@ -125,15 +130,16 @@ def _gram_recurrence(N: int, alpha, beta, a, b) -> list:
     and C_n = L_n (n+a+c-1)(n+a+d-1) / n."""
     ka, kb, kc, kd = alpha, b, a, beta  # (a, b, c, d) of the docstring
     s = ka + kb + kc + kd
+    i = GR_I if isinstance(s, GaussianRational) else 1j
     out = []
     for n in range(N - 1):
         # K_n = -(n+a+c)(n+a+d) k; (n+s-1)/(2n+s-1) is 1 at n = 0, so s = 1
         # (a removable 0/0 there) works, as in chahn_norm_rhs
-        k = ((n + s - 1) / (2 * n + s - 1) if n else 1.0) / (2 * n + s)
+        k = ((n + s - 1) / (2 * n + s - 1) if n else 1) / (2 * n + s)
         # L_n = n m
         m = (n + kb + kc - 1) * (n + kb + kd - 1) / ((2 * n + s - 2) * (2 * n + s - 1)) \
-            if n else 0j
-        out.append(((n + 1) * k, 1j * (ka + n * m - (n + ka + kc) * (n + ka + kd) * k),
+            if n else 0
+        out.append(((n + 1) * k, i * (ka + n * m - (n + ka + kc) * (n + ka + kd) * k),
                     m * (n + ka + kc - 1) * (n + ka + kd - 1)))
     return out
 
@@ -324,11 +330,6 @@ def barnes_check(alpha, beta, a, b, tol: float = 1e-9) -> VerificationReport:
                              g.diagnostics())
 
 
-def _sech(u: float) -> float:
-    e = math.exp(-abs(u))
-    return 2.0 * e / (1.0 + e * e)
-
-
 def pi_m_over_sin_pi_m(m) -> complex:
     """m*pi / sin(pi*m) with the removable singularity at m = 0 filled in."""
     mc = _to_complex(m)
@@ -339,56 +340,54 @@ def pi_m_over_sin_pi_m(m) -> complex:
     return u / cmath.sin(u)
 
 
-def _sech_integral(fn_coeffs, fp_coeffs, weight, strip: float) -> IntegralResult:
-    """int fn(ix) fp(ix) weight(x) dx for a real even weight, analytic in
-    |Im x| < strip and at most 4 e^{-pi |x|} for |x| >= 2.  With real
-    coefficients the integrand at -x is the conjugate of the one at x, so
-    one node serves both signs."""
-    bn = sum(abs(u) for u in fn_coeffs)
-    bp = sum(abs(u) for u in fp_coeffs)
-    dn, dp = len(fn_coeffs) - 1, len(fp_coeffs) - 1
-    real = not any(u.imag for u in (*fn_coeffs, *fp_coeffs))
+def _measured_report(name: str, res: IntegralResult, expected: complex, tol: float,
+                     tol_abs: float, details: str = "") -> VerificationReport:
+    """integral_report of a quadrature value against its closed form."""
+    text = f"measured={res.value!r} expected={expected!r}"
+    return integral_report(name, abs(res.value - expected), abs(expected), res.mass, tol,
+                           tol_abs, f"{text}; {details}" if details else text,
+                           QuadDiagnostics(res.evaluations, res.error_estimate))
+
+
+def _sech_integral(n: int, p: int, m, m2, scale: float) -> IntegralResult:
+    """int F_n^m(ix) F_p^m2(ix) scale / (cos(pi m) + cosh(pi x)) dx on the one
+    weight of the sech families: Pasternack's at scale 1, and Bateman's
+    sech^2(pi x / 2) = 2 / (1 + cosh(pi x)) at m = 0 and scale 2.  For real
+    or imaginary m the weight is real and even, analytic in
+    |Im x| < 1 - |Re m|; with real coefficients the integrand at -x is the
+    conjugate of the one at x, so one node serves both signs."""
+    fn, fp = pasternack_coeffs_complex(n, m), pasternack_coeffs_complex(p, m2)
+    bound = sum(map(abs, fn)) * sum(map(abs, fp))
+    real = not any(u.imag for u in (*fn, *fp))
+    mc = _to_complex(m)
+    cos_pim = cmath.cos(math.pi * mc)
 
     def f(xs: list) -> tuple:
         ixs = [1j * x for x in xs]
-        terms = list(map(mul, map(mul, horner_level(fn_coeffs, ixs),
-                                  horner_level(fp_coeffs, ixs)), map(weight, xs)))
+        weights = [scale / (cos_pim + math.cosh(math.pi * x)) for x in xs]
+        terms = list(map(mul, map(mul, horner_level(fn, ixs), horner_level(fp, ixs)),
+                         weights))
         return sum(terms), sum(map(abs, terms))
 
-    # both weights are at most 4 e^{-pi|x|}: sech^2(pi x / 2) everywhere, and
-    # 1 / (cosh(pi x) + cos(pi m)) since cosh(pi x) + cos(pi m) >= e^{pi|x|}/2 - 1
-    # >= e^{pi|x|}/4 for |x| >= 0.45 (the truncation scan starts at 2)
+    # the weight is at most 4 e^{-pi|x|} in both uses: 2 / (1 + cosh(pi x))
+    # everywhere, and 1 / (cosh(pi x) + cos(pi m)) since cosh(pi x) + cos(pi m)
+    # >= e^{pi|x|}/2 - 1 >= e^{pi|x|}/4 for |x| >= 0.45 (the scan starts at 2)
     def env(x: float) -> float:
-        r = max(1.0, abs(x))
-        return bn * bp * r ** (dn + dp) * (4.0 * math.exp(-math.pi * abs(x)))
+        return bound * max(1.0, abs(x)) ** (n + p) * (4.0 * math.exp(-math.pi * abs(x)))
 
-    return _line_integral(f, env, strip, 1 if real else None)
-
-
-def _sech_family_check(name: str, fn_coeffs, fp_coeffs, weight, strip: float,
-                       expected: complex, tol: float, tol_abs: float,
-                       details: str = "") -> VerificationReport:
-    res = _sech_integral(fn_coeffs, fp_coeffs, weight, strip)
-    diag = QuadDiagnostics(res.evaluations, res.error_estimate)
-    text = f"measured={res.value!r} expected={expected!r}"
-    if details:
-        text += "; " + details
-    return integral_report(name, abs(res.value - expected), abs(expected), res.mass,
-                           tol, tol_abs, text, diag)
+    return _line_integral(f, env, 1.0 - abs(mc.real), 1 if real else None)
 
 
 def bateman_ortho_check(n: int, m: int,
                         tol: float = 1e-8, tol_abs: float = 1e-10) -> VerificationReport:
     """int F_n(ix) F_m(ix) / cosh^2(pi x / 2) dx
-    = delta_{n,m} 4 (-1)^n / (pi (2n+1))."""
+    = delta_{n,m} 4 (-1)^n / (pi (2n+1)): the Pasternack weight at m = 0,
+    doubled."""
     if not (0 <= n <= 12 and 0 <= m <= 12):
         raise DomainError("degrees capped at 12")
     expected = complex(4.0 * (-1.0) ** n / (math.pi * (2 * n + 1))) if n == m else 0j
-    return _sech_family_check(
-        f"bateman-ortho[n={n}, m={m}]",
-        pasternack_coeffs_complex(n, 0), pasternack_coeffs_complex(m, 0),
-        lambda x: _sech(math.pi * x / 2.0) ** 2, 1.0,
-        expected, tol, tol_abs)
+    return _measured_report(f"bateman-ortho[n={n}, m={m}]", _sech_integral(n, m, 0, 0, 2.0),
+                            expected, tol, tol_abs)
 
 
 def pasternack_ortho_check(n: int, p: int, m,
@@ -403,22 +402,15 @@ def pasternack_ortho_check(n: int, p: int, m,
         raise DomainError("real m must satisfy -1 < m < 1")
     if abs(mc.imag) >= 1e-14 and abs(mc.real) > 1e-14:
         raise DomainError("complex m must be purely imaginary")
-    cos_pim = cmath.cos(math.pi * mc)
-
+    expected, details = 0j, ""
     if n == p:
         expected = ((-1.0) ** n / (2 * n + 1)) * (2.0 / math.pi) \
             * (pochhammer(1 - mc, n) / pochhammer(1 + mc, n)) \
             * pi_m_over_sin_pi_m(mc)
         ratio_33 = _pasternack_vs_hahn_norm_ratio(n, mc, expected)
         details = f"specialized-norm ratio vs gamma form: {ratio_33:.16g}"
-    else:
-        expected = 0j
-        details = ""
-    return _sech_family_check(
-        f"pasternack-ortho[n={n}, p={p}, m={m}]",
-        pasternack_coeffs_complex(n, m), pasternack_coeffs_complex(p, m),
-        lambda x: 1.0 / (cos_pim + math.cosh(math.pi * x)), 1.0 - abs(mc.real),
-        expected, tol, tol_abs, details)
+    return _measured_report(f"pasternack-ortho[n={n}, p={p}, m={m}]",
+                            _sech_integral(n, p, m, m, 1.0), expected, tol, tol_abs, details)
 
 
 def _pasternack_vs_hahn_norm_ratio(n: int, mc: complex, expected: complex) -> float:
@@ -441,16 +433,11 @@ def pasternack_biortho_check(n: int, p: int, m,
     mc = _to_complex(m)
     if not -1.0 < mc.real < 1.0 or abs(mc.imag) > 1e-14:
         raise DomainError("biorthogonality requires real -1 < m < 1")
-    cos_pim = cmath.cos(math.pi * mc)
-    if n == p:
-        expected = (2.0 * (-1.0) ** n / (math.pi * (2 * n + 1))) * pi_m_over_sin_pi_m(mc)
-    else:
-        expected = 0j
-    return _sech_family_check(
-        f"pasternack-biortho[n={n}, p={p}, m={m}]",
-        pasternack_coeffs_complex(n, m), pasternack_coeffs_complex(p, -m),
-        lambda x: 1.0 / (cos_pim + math.cosh(math.pi * x)), 1.0 - abs(mc.real),
-        expected, tol, tol_abs, BIORTHO_NOTE)
+    expected = (2.0 * (-1.0) ** n / (math.pi * (2 * n + 1))) * pi_m_over_sin_pi_m(mc) \
+        if n == p else 0j
+    return _measured_report(f"pasternack-biortho[n={n}, p={p}, m={m}]",
+                            _sech_integral(n, p, m, -m, 1.0), expected, tol, tol_abs,
+                            BIORTHO_NOTE)
 
 
 def jacobi_ortho_check(n: int, m: int, alpha, beta,
@@ -474,7 +461,4 @@ def jacobi_ortho_check(n: int, m: int, alpha, beta,
             / (math.factorial(n) * (2 * n + al + be + 1))
     else:
         expected = 0j
-    diag = QuadDiagnostics(res.evaluations, res.error_estimate)
-    return integral_report(name, abs(res.value - expected), abs(expected), res.mass,
-                           tol, tol_abs, f"measured={res.value!r} expected={expected!r}",
-                           diag)
+    return _measured_report(name, res, expected, tol, tol_abs)

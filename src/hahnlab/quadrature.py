@@ -2,8 +2,10 @@
 
 Every integral the package verifies (Gram matrices, Barnes' lemma, the
 sech and tanh weighted orthogonality relations, the Fourier, Mellin and
-Parseval pairs) uses the nested trapezoidal rule: each integrand is
-analytic in a strip around the real line, where the rule converges
+Parseval pairs) uses the nested trapezoidal rule, the package's one
+quadrature rule (_gk15 is only the name of a deleted Gauss-Kronrod panel,
+a stub that raises, which the benchmark's tracer rebinds): each integrand
+is analytic in a strip around the real line, where the rule converges
 geometrically in 1/h, so the first step comes from the strip's
 half-width.  The rule takes the integrand's even part f(z) + f(-z) on
 z >= 0, so a caller with a reflection symmetry evaluates each node pair
@@ -36,37 +38,6 @@ from typing import Callable
 
 from .errors import DomainError, QuadratureError
 
-# The K15/G7 panel (_gk15) and its tables have no caller: the benchmark's
-# tracer rebinds _gk15 (bench/spans.py:198), and they go once it stops.
-# 15-point Kronrod extension of 7-point Gauss (positive half; symmetric).
-_XGK = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
-    0.0,
-)
-_WGK = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
-)
-# Gauss weights attach to the odd-indexed Kronrod nodes.
-_WG = (
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
-)
-
 _REL_TOL = 1e-10
 _ABS_TOL = 1e-14
 _TAIL_TOL = _ABS_TOL / 100  # the truncation target, well below _ABS_TOL
@@ -89,45 +60,9 @@ class IntegralResult:
 _EPS = 2.220446049250313e-16
 
 
-def _gk15(f: Callable[[float], complex], a: float, b: float):
-    """One K15/G7 panel: (integral, error estimate, integral of |f|).
-
-    The error model follows QUADPACK dqk15: the raw |K15 - G7| gap is
-    sharpened through the resasc scaling and floored at the rounding
-    level of the panel's |f| mass.
-    """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    values = []
-    for x in _XGK:
-        if x == 0.0:
-            values.append((f(mid),))
-        else:
-            values.append((f(mid + half * x), f(mid - half * x)))
-    resk = 0j
-    resg = 0j
-    resabs = 0.0
-    gauss_idx = 0
-    for i, vs in enumerate(values):
-        pair = sum(vs)
-        resk += _WGK[i] * pair
-        resabs += _WGK[i] * sum(abs(v) for v in vs)
-        if len(vs) == 1:
-            resg += _WG[3] * pair
-        elif i % 2 == 1:
-            resg += _WG[gauss_idx] * pair
-            gauss_idx += 1
-    reskh = resk * 0.5
-    resasc = 0.0
-    for i, vs in enumerate(values):
-        resasc += _WGK[i] * sum(abs(v - reskh) for v in vs)
-    err = abs(resk - resg) * half
-    resabs *= half
-    resasc *= half
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
-    return resk * half, err, resabs
+def _gk15(*args):
+    """The deleted Gauss-Kronrod panel: a name that bench/spans.py rebinds."""
+    raise NotImplementedError("the Gauss-Kronrod panel was removed")
 
 
 def truncation_radius(envelope: Callable[[float], float]) -> float:

@@ -4,6 +4,8 @@ Each check computes one side of a transform identity by the nested
 trapezoidal rule and the other side in closed form from gamma functions and a
 continuous Hahn value, then reports the discrepancy.  The Fourier
 convention is F(f)(z) = int e^{-ixz} f(x) dx with Parseval constant 2*pi.
+The Mellin pair is the Fourier pair after x = e^{-2u}: both of its sides
+are the Fourier pair's at z = -2 lambda, scaled by 2^{1-alpha-beta}.
 """
 
 from __future__ import annotations
@@ -37,20 +39,6 @@ def tanh_weight_logs(x: float) -> tuple[float, float]:
     return (lo, hi) if x >= 0.0 else (hi, lo)
 
 
-def tanh_weight(x: float, alpha: complex, beta: complex) -> complex:
-    """(1 - tanh x)^alpha (1 + tanh x)^beta, complex exponents allowed."""
-    l1, l2 = tanh_weight_logs(x)
-    return cmath.exp(alpha * l1 + beta * l2)
-
-
-def _weighted_jacobi_envelope(coeff_bound: float, re_alpha: float, re_beta: float):
-    def env(x: float) -> float:
-        l1, l2 = tanh_weight_logs(abs(x))
-        return coeff_bound * max(math.exp(re_alpha * l1 + re_beta * l2),
-                                 math.exp(re_alpha * l2 + re_beta * l1))
-    return env
-
-
 def _tanh_product_integral(pn, pm, wa: complex, wb: complex,
                            z: float = 0.0) -> IntegralResult:
     """int e^{-ixz} (1 - tanh x)^wa (1 + tanh x)^wb pn(tanh x) pm(tanh x) dx
@@ -69,14 +57,20 @@ def _tanh_product_integral(pn, pm, wa: complex, wb: complex,
         terms = list(map(mul, map(mul, w, horner_level(pn, ts)), horner_level(pm, ts)))
         return sum(terms), sum(map(abs, terms))
 
-    env = _weighted_jacobi_envelope(bound, wa.real, wb.real)
+    def env(x: float) -> float:
+        l1, l2 = tanh_weight_logs(abs(x))
+        return bound * max(math.exp(wa.real * l1 + wb.real * l2),
+                           math.exp(wa.real * l2 + wb.real * l1))
+
     return _line_integral(f, env, math.pi / max(2.0, abs(z)))
 
 
 def _require_positive_re(**named):
     for name, value in named.items():
-        if _to_complex(value).real <= 0.0:
-            raise DomainError(f"Re({name}) must be positive")
+        v = _to_complex(value)
+        if not cmath.isfinite(v) or v.real <= 0.0:
+            raise DomainError(f"{name} must be finite with Re({name}) positive, "
+                              f"got {value!r}")
 
 
 def _hahn_of_jacobi(alpha, beta, gamma, delta) -> HahnParams:
@@ -109,6 +103,8 @@ def fourier_pair_check(n: int, alpha, beta, gamma, delta, z: float,
     against 2^{alpha+beta-1} Gamma(alpha+iz/2) Gamma(beta-iz/2) /
     Gamma(alpha+beta+n) * i^{-n} p_n(z/2)."""
     _require_positive_re(alpha=alpha, beta=beta)
+    if not cmath.isfinite(_to_complex(z)):
+        raise DomainError(f"z must be finite, got {z!r}")
     name = f"fourier-pair[n={n}, z={z}]"
     lhs = _weighted_jacobi_transform(n, alpha, beta, gamma, delta, z)
     rhs = _fourier_closed_form(n, alpha, beta, gamma, delta, z)
@@ -126,26 +122,26 @@ def fourier_pair_check(n: int, alpha, beta, gamma, delta, z: float,
 def mellin_pair_check(n: int, alpha, beta, gamma, delta, lam: float,
                       tol: float = 1e-8, tol_abs: float = 1e-12) -> VerificationReport:
     """Mellin transform of x^alpha (1+x)^{-alpha-beta} P_n((1-x)/(1+x)) at
-    s = -i*lambda, computed through the x = exp(-2u) reduction to the
-    Fourier pair.  Pass or fail rests on the substitution-consistent
-    Gamma(beta + i*lambda) form alone; the error of the often-quoted
-    Gamma(beta - i*lambda) form is recorded in the details."""
+    s = -i*lambda: by x = exp(-2u), both sides are the Fourier pair's at
+    z = -2*lambda times 2^{1-alpha-beta}.  Pass or fail rests on that
+    substitution-consistent Gamma(beta + i*lambda) form alone; the error of
+    the often-quoted Gamma(beta - i*lambda) form is in the details."""
     _require_positive_re(alpha=alpha, beta=beta)
+    if not cmath.isfinite(_to_complex(lam)):
+        raise DomainError(f"lambda must be finite, got {lam!r}")
     name = f"mellin-pair[n={n}, lambda={lam}]"
-    al, be = _to_complex(alpha), _to_complex(beta)
-    scale = cmath.exp((1 - al - be) * _LOG_2)
+    be = _to_complex(beta)
+    scale = cmath.exp((1 - _to_complex(alpha) - be) * _LOG_2)
     lhs = _weighted_jacobi_transform(n, alpha, beta, gamma, delta, -2.0 * lam)
     lhs_value = scale * lhs.value
-
-    hp = _hahn_of_jacobi(alpha, beta, gamma, delta)
-    pol = (-1j) ** (n % 4) * chahn_eval(n, hp, -lam)
-    rhs_quoted = gamma_product([al - 1j * lam, be - 1j * lam], [al + be + n]) * pol
-    rhs_corrected = gamma_product([al - 1j * lam, be + 1j * lam], [al + be + n]) * pol
+    rhs_corrected = scale * _fourier_closed_form(n, alpha, beta, gamma, delta, -2.0 * lam)
 
     err_corrected = abs(lhs_value - rhs_corrected)
     if lam == 0.0:
         which = "conventions coincide at lambda = 0"
     else:
+        # the quoted form has Gamma(beta - i lambda) for Gamma(beta + i lambda)
+        rhs_quoted = rhs_corrected * gamma_product([be - 1j * lam], [be + 1j * lam])
         rel_quoted = abs(lhs_value - rhs_quoted) / max(abs(rhs_quoted), 1e-300)
         rel_corrected = err_corrected / max(abs(rhs_corrected), 1e-300)
         matches = rel_corrected <= tol or err_corrected <= tol_abs

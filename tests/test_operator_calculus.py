@@ -16,6 +16,7 @@ from hahnlab.operator_calculus import (SIGN_NOTE, WeightedTanhFunction, d_dx,
                                        shifted_operator_identity_check,
                                        weight_function)
 from hahnlab.polynomials import HahnParams, chahn_coeffs_exact
+from hahnlab.suites import run_suites
 
 F = Fraction
 HALF = F(1, 2)
@@ -150,6 +151,37 @@ def test_recurrence_check_reports_a_failed_derivation(monkeypatch):
     assert report.status == "fail"
     assert report.max_abs_err == report.max_rel_err == float("inf")
     assert "nonzero coefficients" in report.details
+
+
+def test_recurrence_check_compares_all_three_coefficients():
+    """B_n and C_n are compared too, exactly: the details carry A_n alone on
+    a pass."""
+    conjugate = HahnParams(GaussianRational(HALF, F(1, 4)), GaussianRational(F(3, 4), F(-1, 4)),
+                           GaussianRational(HALF, F(-1, 4)), GaussianRational(F(3, 4), F(1, 4)))
+    for params in (HahnParams(F(3, 4), F(2, 3), HALF, F(2, 5)), conjugate):
+        for n in range(1, 7):
+            report = recurrence_check("case", params, n)
+            assert report.passed and report.details.startswith("A_n=")
+
+
+@pytest.mark.parametrize("index", [1, 2], ids=["C_1", "C_2"])
+def test_recurrence_suite_fails_on_a_negated_c(monkeypatch, index):
+    """The Gram's recurrence with the sign of C_1 or C_2 flipped fails the
+    recurrence suite (C_2 reaches no N = 3 Gram of verify --suite all)."""
+    real = operator_calculus._gram_recurrence
+
+    def mutated(N, *params):
+        out = real(N, *params)
+        if len(out) > index:
+            a_n, b_n, c_n = out[index]
+            out[index] = (a_n, b_n, -c_n)
+        return out
+
+    assert all(r.passed for r in run_suites("recurrence"))
+    monkeypatch.setattr(operator_calculus, "_gram_recurrence", mutated)
+    failed = [r.name for r in run_suites("recurrence") if not r.passed]
+    assert failed == [f"recurrence[{label}, n={index}]"
+                      for label in ("all 1/2", "conjugate pair")]
 
 
 def test_recurrence_symmetric_halves():

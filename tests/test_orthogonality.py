@@ -21,7 +21,7 @@ from hahnlab.orthogonality import (GramResult, barnes_check,
 from hahnlab.operator_calculus import derive_recurrence
 from hahnlab.polynomials import (HahnParams, JacobiParams, _to_complex, chahn_coeffs_complex,
                                  chahn_coeffs_exact, horner, horner_level,
-                                 jacobi_coeffs_complex, pasternack_coeffs_complex)
+                                 jacobi_coeffs_complex)
 from hahnlab.quadrature import _EPS, IntegralResult, truncation_radius
 from hahnlab.transforms import _tanh_product_integral
 
@@ -680,14 +680,12 @@ def _mp(v):
 
 
 def _sech_case(kind, m):
-    """(float weight, mpmath weight, strip) of the sech families at m."""
+    """(_sech_integral's scale, mpmath weight) of the sech families at m:
+    Bateman's reference is sech^2(pi x / 2) itself, not the doubled
+    Pasternack weight at m = 0 that the package integrates."""
     if kind == "bateman":
-        return (lambda x: orthogonality._sech(math.pi * x / 2.0) ** 2,
-                lambda x: mpmath.sech(mpmath.pi * x / 2) ** 2, 1.0)
-    c = cmath.cos(math.pi * complex(m))
-    return (lambda x: 1.0 / (c + math.cosh(math.pi * x)),
-            lambda x: 1 / (mpmath.cos(mpmath.pi * _mp(m)) + mpmath.cosh(mpmath.pi * x)),
-            1.0 - abs(complex(m).real))
+        return 2.0, lambda x: mpmath.sech(mpmath.pi * x / 2) ** 2
+    return 1.0, lambda x: 1 / (mpmath.cos(mpmath.pi * _mp(m)) + mpmath.cosh(mpmath.pi * x))
 
 
 @pytest.mark.parametrize("kind, n, p, m, m2", [
@@ -699,10 +697,8 @@ def _sech_case(kind, m):
 def test_sech_integral_against_mpmath(kind, n, p, m, m2):
     """int F_n^m(ix) F_p^m2(ix) w(x) dx against mpmath.quad at 20 digits,
     with F from mpmath's 3F2."""
-    weight, mp_weight, strip = _sech_case(kind, m)
-    res = orthogonality._sech_integral(pasternack_coeffs_complex(n, m),
-                                       pasternack_coeffs_complex(p, m2),
-                                       weight, strip)
+    scale, mp_weight = _sech_case(kind, m)
+    res = orthogonality._sech_integral(n, p, m, m2, scale)
     mpm, mpm2 = _mp(m), _mp(m2)
     with mpmath.workdps(20):
         want = complex(mpmath.quad(
@@ -794,9 +790,8 @@ def _fold(real, mode):
 def test_sech_fold_agrees_with_both_sides(monkeypatch, n, p, m):
     """Real coefficients: the folded level sums equal the ones that evaluate
     both signs, to rounding, on the same grid."""
-    weight, _, strip = _sech_case("bateman" if m == 0 else "pasternack", m)
-    args = (pasternack_coeffs_complex(n, m), pasternack_coeffs_complex(p, m),
-            weight, strip)
+    scale, _ = _sech_case("bateman" if m == 0 else "pasternack", m)
+    args = (n, p, m, m, scale)
     folded = orthogonality._sech_integral(*args)
     monkeypatch.setattr(orthogonality, "_line_integral",
                         _fold(orthogonality._line_integral, "none"))

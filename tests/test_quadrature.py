@@ -2,6 +2,10 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -283,3 +287,17 @@ def test_line_integral_folds_and_reports_the_mass():
         assert res.error_estimate <= _REL_TOL * abs(expected)
     assert abs(folded.value - unfolded.value) <= 8 * _EPS * folded.mass
     assert folded.evaluations == unfolded.evaluations
+
+
+def test_benchmark_tracer_installs():
+    """bench/spans.py patches the package from outside, private names such
+    as quadrature._gk15 included; a deletion that breaks it fails here, not
+    only in a benchmark run."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; sys.path.insert(0, 'bench'); "
+            "from spans import Tracer; Tracer().install()")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

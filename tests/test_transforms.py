@@ -14,7 +14,7 @@ from hahnlab.numerics import beta as beta_fn
 from hahnlab.polynomials import HahnParams, chahn_eval
 from hahnlab.quadrature import _EPS, IntegralResult
 from hahnlab.transforms import (fourier_pair_check, mellin_pair_check,
-                                parseval_check, tanh_weight, tanh_weight_logs,
+                                parseval_check, tanh_weight_logs,
                                 _hahn_of_jacobi, _parseval_right,
                                 _weighted_jacobi_transform)
 
@@ -30,7 +30,8 @@ def test_tanh_weight_logs_match_naive():
 
 
 def test_tanh_weight_no_underflow_far_out():
-    w = tanh_weight(300.0, 0.5, 0.5)
+    l1, l2 = tanh_weight_logs(300.0)
+    w = cmath.exp(0.5 * l1 + 0.5 * l2)
     assert w.real > 0.0 and math.isfinite(w.real)
 
 
@@ -101,6 +102,32 @@ def test_fourier_complex_conjugate_parameters():
 def test_fourier_rejects_bad_weight():
     with pytest.raises(DomainError):
         fourier_pair_check(1, -0.5, 0.5, 0, 0, 1.0)
+
+
+@pytest.mark.parametrize("check, args, named", [
+    (fourier_pair_check, (1, math.nan, 0.5, 0, 0, 1.0), "alpha"),
+    (fourier_pair_check, (1, 0.5, complex(0.5, math.inf), 0, 0, 1.0), "beta"),
+    (fourier_pair_check, (1, 0.5, 0.5, 0, 0, math.nan), "z"),
+    (fourier_pair_check, (1, 0.5, 0.5, 0, 0, math.inf), "z"),
+    (fourier_pair_check, (1, 0.5, 0.5, 0, 0, complex(0.5, math.nan)), "z"),
+    (mellin_pair_check, (1, 0.5, 0.5, 0, 0, math.nan), "lambda"),
+    (mellin_pair_check, (1, 0.5, 0.5, 0, 0, -math.inf), "lambda"),
+    (parseval_check, (1, 1, 0.5, 0.5, math.nan, 0.5, 0, 0, 0, 0), "a"),
+], ids=["fourier-alpha", "fourier-beta", "fourier-z-nan", "fourier-z-inf", "fourier-z-complex",
+        "mellin-nan", "mellin-inf", "parseval-a"])
+def test_non_finite_inputs_raise_a_domain_error_naming_them(check, args, named):
+    """Checked before any quadrature: a NaN otherwise read as an envelope
+    that never decays or a grid over the node budget, and an infinite z as
+    a zero trapezoid step."""
+    with pytest.raises(DomainError, match=rf"^{named} must be finite"):
+        check(*args)
+
+
+def test_complex_frequencies_stay_accepted():
+    """Inside the strip a complex z (or lambda) is a valid input: the finite
+    checks take complex values."""
+    assert fourier_pair_check(1, HALF, HALF, 0, 0, 1 + 0.2j).passed
+    assert mellin_pair_check(1, HALF, HALF, 0, 0, 0.1j).passed
 
 
 def test_fourier_linearity():
