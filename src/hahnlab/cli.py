@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -47,18 +47,19 @@ def _format_complex(value: complex) -> str:
     return f"{value.real!r}{sign}{abs(value.imag)!r}i"
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(namedtuple("RunManifest", "command parameters seed_independent outputs")):
     """Record written alongside every file-producing run.
 
     Reruns with identical command and parameters produce byte-identical
     outputs; the timestamp lives only here and is outside that guarantee.
     """
 
-    command: str
-    parameters: dict
-    seed_independent: bool = True
-    outputs: list = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(cls, command: str, parameters: dict, seed_independent: bool = True,
+                outputs: list | None = None):
+        return super().__new__(cls, command, parameters, seed_independent,
+                               [] if outputs is None else outputs)
 
     def to_dict(self) -> dict:
         return {

@@ -23,15 +23,13 @@ the polynomial families form their data in.
 from __future__ import annotations
 
 import re as _re
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Iterable, Union
 
 from .errors import DomainError, ExactInputError
-
-ExactScalar = Union[int, Fraction, "GaussianRational"]
 
 
 def _as_fraction(value) -> Fraction:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import DomainError, PoleError, RangeOverflowError
@@ -51,13 +51,11 @@ _LOG_2 = 0.69314718055994530941723212145818
 _MAX_EXP_ARG = 709.0
 
 
-@dataclass(frozen=True)
-class LogGammaValue:
+class LogGammaValue(namedtuple("LogGammaValue", "log_modulus phase")):
     """Stable carrier for Gamma(z): log|Gamma(z)| plus the phase of the
     value, reduced to the principal interval (-pi, pi]."""
 
-    log_modulus: float
-    phase: float
+    __slots__ = ()
 
     def exp(self) -> complex:
         """The plain value Gamma(z); raises if it is not a finite double."""

@@ -16,7 +16,7 @@ form is used throughout and the discrepancy is flagged in report details.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, HahnlabError, StructureError
@@ -31,17 +31,14 @@ SIGN_NOTE = ("log-derivative factor used as (beta-alpha)-(alpha+beta)t; "
              "d/dx sech = -sech tanh")
 
 
-@dataclass(frozen=True)
-class WeightedTanhFunction:
-    """x |-> (1 - tanh x)^alpha (1 + tanh x)^beta * poly(tanh x)."""
+class WeightedTanhFunction(namedtuple("WeightedTanhFunction", "alpha beta poly")):
+    """x |-> (1 - tanh x)^alpha (1 + tanh x)^beta * poly(tanh x), with
+    alpha and beta Fractions."""
 
-    alpha: Fraction
-    beta: Fraction
-    poly: ExactPoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
+    def __new__(cls, alpha, beta, poly: ExactPoly):
+        return super().__new__(cls, Fraction(alpha), Fraction(beta), poly)
 
 
 def weight_function(alpha, beta) -> WeightedTanhFunction:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 from operator import add, mul, sub, truediv
 
@@ -36,8 +36,10 @@ BIORTHO_NOTE = ("diagonal constant taken from the corrected closed form; "
                 "any residual constant discrepancy is reported, not hidden")
 
 
-@dataclass(frozen=True)
-class GramResult:
+class GramResult(namedtuple(
+        "GramResult", "matrix expected_diagonal max_offdiag_abs max_diag_rel_err"
+        " max_offdiag_scaled evaluations step truncation_radius estimated_error",
+        defaults=(0.0, 0, 0.0, 0.0, 0.0))):
     """Pairwise inner products against the expected closed-form diagonal.
 
     max_offdiag_abs is the raw off-diagonal magnitude; max_offdiag_scaled
@@ -55,15 +57,7 @@ class GramResult:
     N = 1).
     """
 
-    matrix: list
-    expected_diagonal: list
-    max_offdiag_abs: float
-    max_diag_rel_err: float
-    max_offdiag_scaled: float = 0.0
-    evaluations: int = 0
-    step: float = 0.0
-    truncation_radius: float = 0.0
-    estimated_error: float = 0.0
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -398,6 +392,8 @@ def pasternack_ortho_check(n: int, p: int, m,
     if not (0 <= n <= 10 and 0 <= p <= 10):
         raise DomainError("degrees capped at 10")
     mc = _to_complex(m)
+    if not cmath.isfinite(mc):
+        raise DomainError(f"m must be finite, not {m!r}")
     if abs(mc.imag) < 1e-14 and not -1.0 < mc.real < 1.0:
         raise DomainError("real m must satisfy -1 < m < 1")
     if abs(mc.imag) >= 1e-14 and abs(mc.real) > 1e-14:
@@ -431,6 +427,8 @@ def pasternack_biortho_check(n: int, p: int, m,
     if not (0 <= n <= 10 and 0 <= p <= 10):
         raise DomainError("degrees capped at 10")
     mc = _to_complex(m)
+    if not cmath.isfinite(mc):
+        raise DomainError(f"m must be finite, not {m!r}")
     if not -1.0 < mc.real < 1.0 or abs(mc.imag) > 1e-14:
         raise DomainError("biorthogonality requires real -1 < m < 1")
     expected = (2.0 * (-1.0) ** n / (math.pi * (2 * n + 1))) * pi_m_over_sin_pi_m(mc) \

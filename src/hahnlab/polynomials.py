@@ -46,13 +46,12 @@ Conventions, fixed once here and used everywhere downstream:
 from __future__ import annotations
 
 from cmath import isfinite
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
-from typing import NamedTuple
 
 from .errors import DomainError, ExactInputError, PoleError, RangeOverflowError
 from .exact import (ExactPoly, GaussianRational, _multiply, _OverQ, _poly, _rational, _scalar,
@@ -77,39 +76,64 @@ def _check_poch(value: _OverQ, n: int, name: str):
 
 
 class _Params:
-    """A parameter tuple that decides its exactness and the hash of its
-    fields once, when made, not on every memo lookup."""
+    """A read-only parameter tuple that decides its exactness and the hash
+    of its fields once, when made, not on every memo lookup.  _fields names
+    the fields in order and _replace copies with some replaced, as on a
+    namedtuple."""
 
-    def __post_init__(self):
-        values = tuple(vars(self).values())  # the fields, set by __init__ in order
+    __slots__ = ("_exact", "_hash")
+    _fields: tuple = ()
+
+    def _settle(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "_exact", all(map(_is_exact, values)))
         object.__setattr__(self, "_hash", hash(values))
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: __setattr__ refuses slot state
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def _replace(self, **changes):
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
 
     def is_exact(self) -> bool:
         return self._exact
 
 
-@dataclass(frozen=True)
 class JacobiParams(_Params):
-    gamma: object
-    delta: object
+    _fields = __slots__ = ("gamma", "delta")
 
-    # in the class itself: a frozen dataclass without its own __hash__ gets
-    # one that hashes the fields on every call
-    __hash__ = _Params.__hash__
+    def __init__(self, gamma, delta):
+        self._settle(gamma, delta)
 
 
-@dataclass(frozen=True)
 class HahnParams(_Params):
-    a: object
-    b: object
-    c: object
-    d: object
+    _fields = __slots__ = ("a", "b", "c", "d")
 
-    __hash__ = _Params.__hash__
+    def __init__(self, a, b, c, d):
+        self._settle(a, b, c, d)
 
 
 def _to_complex(value) -> complex:
@@ -140,17 +164,12 @@ def _over_one_q(*values) -> list:
     return [_OverQ(r, m, q) for r, m in zip(re, im or repeat(0))]
 
 
-class _Sum(NamedTuple):
+class _Sum(namedtuple("_Sum", "n prefactor upper lower shift step slope")):
     """p_n as data: prefactor * sum_{k<=n} t_k prod_{j<k} (shift + j step + slope x),
-    with t_k the terms of _gaussian_terms((-n, *upper), lower, n)."""
+    with t_k the terms of _gaussian_terms((-n, *upper), lower, n); n and step
+    are ints, upper and lower tuples."""
 
-    n: int
-    prefactor: object
-    upper: tuple
-    lower: tuple
-    shift: object
-    step: int
-    slope: object
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,9 @@ its cut-off relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from operator import add
-from typing import Callable
 
 from .errors import DomainError, QuadratureError
 
@@ -45,16 +45,13 @@ _TAIL_TOL = _ABS_TOL / 100  # the truncation target, well below _ABS_TOL
 _NODE_BUDGET = 30_000  # trapezoid nodes, both signs counted
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(namedtuple("IntegralResult", "value error_estimate evaluations mass",
+                                 defaults=(0.0,))):
     """mass is the integral of |f| (the trapezoid sum of |f|), the scale
     against which a value near zero is judged; evaluations counts trapezoid
     nodes."""
 
-    value: complex
-    error_estimate: float
-    evaluations: int
-    mass: float = 0.0
+    __slots__ = ()
 
 
 _EPS = 2.220446049250313e-16
@@ -86,16 +83,12 @@ def truncation_radius(envelope: Callable[[float], float]) -> float:
     raise QuadratureError("envelope never decays below the truncation target")
 
 
-@dataclass(frozen=True)
-class TrapezoidResult:
+class TrapezoidResult(namedtuple("TrapezoidResult", "values changes step nodes")):
     """Vector trapezoid sums on the final step h and each component's error
     estimate: the predicted tail of its changes where they contract, else
     its last change, between 2h and h."""
 
-    values: list
-    changes: list
-    step: float
-    nodes: int
+    __slots__ = ()
 
 
 def integrate_line_trapezoid(f: Callable[[list], list], radius: float,

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class QuadDiagnostics:
+class QuadDiagnostics(namedtuple("QuadDiagnostics", "evaluations estimated_error")):
     """What a quadrature check cost: evaluations is the number of nested
     trapezoid nodes, both signs counted, summed over the check's integrals
     (every quadrature check runs on the trapezoidal rule); estimated_error
@@ -14,29 +13,24 @@ class QuadDiagnostics:
     changes, else its last change) floored at rounding, summed over the
     integrals (norm-scaled for a Gram matrix)."""
 
-    evaluations: int
-    estimated_error: float
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {"evaluations": self.evaluations,
-                "estimated_error": self.estimated_error}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple(
+        "VerificationReport", "name status max_abs_err max_rel_err details quad_diagnostics",
+        defaults=("", None))):
     """Outcome of one named check.
 
     status is "pass" exactly when the measured errors are within the
     tolerance the caller asked for; "error" marks checks that could not
-    run to completion.
+    run to completion (status: pass | fail | error).  quad_diagnostics is a
+    QuadDiagnostics or None.
     """
 
-    name: str
-    status: str  # pass | fail | error
-    max_abs_err: float
-    max_rel_err: float
-    details: str = ""
-    quad_diagnostics: QuadDiagnostics | None = None
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

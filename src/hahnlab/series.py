@@ -12,8 +12,8 @@ run on the integer vectors too.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from itertools import repeat
-from typing import Iterable, Sequence
 
 from .errors import DomainError
 from .exact import ExactPoly, _multiply, _poly, _scaled_sum, _vectors, gr

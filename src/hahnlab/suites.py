@@ -16,8 +16,8 @@ acceptance runs live in the test suite.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .errors import HahnlabError
 from .exact import GaussianRational

@@ -257,28 +257,77 @@ def test_gram_parse_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_console_script_installed():
-    # the child imports the same hahnlab as this process, installed or not
+def _child_env() -> dict:
+    """The environment of a child that imports the same hahnlab as this
+    process, installed or not."""
     src = os.path.dirname(os.path.dirname(hahnlab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "hahnlab.cli", "eval", "chahn",
                            "--n", "1", "--a", "1/2", "--b", "1/2", "--c", "1/2",
                            "--d", "1/2", "--x", "1", "--mode", "exact"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"
 
 
 def test_runtime_is_stdlib_only():
     """Importing every hahnlab module loads no numpy, scipy or mpmath."""
-    src = os.path.dirname(os.path.dirname(hahnlab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import importlib, pkgutil, sys, hahnlab\n"
             "for info in pkgutil.iter_modules(hahnlab.__path__):\n"
             "    importlib.import_module('hahnlab.' + info.name)\n"
             "print(' '.join(m for m in ('numpy', 'scipy', 'mpmath') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+_LOADS_ONLY_WHAT_IT_USES = """
+import sys
+import hahnlab
+assert [m for m in sys.modules if m.startswith("hahnlab.")] == [], "eager submodule"
+import hahnlab.polynomials
+loaded = [m for m in ("dataclasses", "inspect", "hahnlab.numerics", "hahnlab.quadrature",
+                      "hahnlab.orthogonality") if m in sys.modules]
+assert not loaded, loaded
+assert hahnlab.numerics is sys.modules["hahnlab.numerics"]
+assert hahnlab.numerics.log_gamma(1).log_modulus == 0.0
+try:
+    hahnlab.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown name resolved")
+import hahnlab.cli
+assert "dataclasses" not in sys.modules
+star = {}
+exec("from hahnlab import *", star)
+del star["__builtins__"]
+assert sorted(star) == sorted(hahnlab.__all__), sorted(star)
+for name in hahnlab.__all__:
+    if name != "__version__":
+        obj = getattr(hahnlab, name)
+        assert obj.__module__.startswith("hahnlab."), name
+        assert obj is getattr(sys.modules[obj.__module__], name) is star[name], name
+assert set(hahnlab.__all__) <= set(dir(hahnlab))
+import pkgutil
+for info in pkgutil.iter_modules(hahnlab.__path__):
+    assert getattr(hahnlab, info.name) is sys.modules["hahnlab." + info.name], info.name
+print("ok")
+"""
+
+
+def test_each_import_loads_only_what_it_uses():
+    """import hahnlab loads no submodule; hahnlab.polynomials loads no
+    dataclasses or inspect and none of the quadrature modules; hahnlab.cli
+    loads no dataclasses.  The package namespace serves each exported name
+    as its home module's object, also by a star import, and each submodule
+    as an attribute; an unknown name raises AttributeError."""
+    proc = subprocess.run([sys.executable, "-c", _LOADS_ONLY_WHAT_IT_USES],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

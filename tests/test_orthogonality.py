@@ -175,6 +175,22 @@ def test_pasternack_domain_checks():
         pasternack_ortho_check(0, 0, complex(0.3, 0.4))
 
 
+_NON_FINITE_M = [math.nan, math.inf, complex(math.nan, 0), complex(0, math.nan),
+                 complex(math.inf, 0), complex(0, math.inf), complex(0, -math.inf)]
+_NON_FINITE_M_IDS = ["nan", "inf", "nan-real", "nan-imag", "inf-real", "inf-imag", "-inf-imag"]
+
+
+@pytest.mark.parametrize("m", _NON_FINITE_M, ids=_NON_FINITE_M_IDS)
+@pytest.mark.parametrize("check", [pasternack_ortho_check, pasternack_biortho_check],
+                         ids=["ortho", "biortho"])
+def test_sech_checks_reject_non_finite_m_naming_it(check, m):
+    """A NaN or infinite part of m is refused up front, not passed on to a
+    Pochhammer symbol that overflows or to a check that blames another name."""
+    for n, p in ((1, 1), (2, 0)):
+        with pytest.raises(DomainError, match=r"^m must be finite"):
+            check(n, p, m)
+
+
 def test_pi_m_over_sin_small_m_series():
     assert pi_m_over_sin_pi_m(0) == 1.0
     m = 1e-8

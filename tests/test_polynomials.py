@@ -1,7 +1,6 @@
 """Polynomial evaluation and exact coefficient construction."""
 
 import copy
-import dataclasses
 import math
 import pickle
 from fractions import Fraction
@@ -615,7 +614,8 @@ def test_float_values_are_the_plan_sum_bit_for_bit(feval, family, params):
     outside the memo, where the float parameters and their equal dyadic
     ones are one key."""
     make = {jacobi_eval: JacobiParams, chahn_eval: HahnParams, pasternack_eval: lambda m: m}
-    values = dataclasses.astuple(params) if dataclasses.is_dataclass(params) else (params,)
+    values = (tuple(getattr(params, name) for name in params._fields)
+              if hasattr(params, "_fields") else (params,))
     dyadic = make[feval](*map(_dyadic, values))
     xs = [0, -3, 0.4, -2.5, F(1, 3), F(-7, 5), 0.3 + 0.7j, complex(-0.0, 3.0), 3 - 1j]
     _built.cache_clear()
@@ -657,18 +657,18 @@ _PARAMS = [JacobiParams(F(1, 3), 2), JacobiParams(0.3, 0.7 + 0.1j),
 @pytest.mark.parametrize("params", _PARAMS, ids=["jacobi-exact", "jacobi-float", "chahn-exact",
                                                  "chahn-float", "chahn-mixed"])
 def test_settled_parameters_survive_copies(params):
-    """Pickling, copying and dataclasses.replace keep equality, the hash of
-    the field tuple and the exactness verdict."""
-    values = dataclasses.astuple(params)
+    """Pickling, copying and _replace keep equality, the hash of the field
+    tuple and the exactness verdict."""
+    values = tuple(getattr(params, name) for name in params._fields)
     exact = all(map(_is_exact, values))
     copies = [pickle.loads(pickle.dumps(params)), copy.copy(params), copy.deepcopy(params),
-              dataclasses.replace(params)]
+              params._replace()]
     for other in [params, *copies]:
         assert other == params and hash(other) == hash(values)
         assert other.is_exact() is exact
-    first = dataclasses.fields(params)[0].name
+    first = params._fields[0]
     for value, verdict in ((0.5, False), (F(1, 2), exact)):
-        other = dataclasses.replace(params, **{first: value})
+        other = params._replace(**{first: value})
         assert hash(other) == hash((value, *values[1:])) and other.is_exact() is verdict
 
 
