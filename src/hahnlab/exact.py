@@ -1,23 +1,23 @@
-"""Exact arithmetic over Q(i).
+"""Exact arithmetic over Q(i), in one canonical integer form.
 
-GaussianRational is a pair of arbitrary-precision rationals (re, im), the
-scalar API.  ExactPoly is a dense univariate polynomial over Q(i), lowest
-degree first, stored in one canonical integer form: Gaussian-integer
-numerators over one positive denominator,
+Every exact value is Gaussian-integer numerators over one positive
+denominator with no common factor (Knuth, TAOCP vol. 2, 4.5.1).  A
+GaussianRational is one such triple, (re + i im) / den; an ExactPoly, a dense
+univariate polynomial over Q(i) lowest degree first, is a vector of them,
 
     c_k = (re[k] + i im[k]) / den,   gcd(*re, *im, den) = 1,
 
 with the trailing coefficient nonzero and im empty when every coefficient
-is real, so real work is plain int arithmetic.  Equal polynomials have
-equal vectors, so equality and hashing compare integer tuples; equality is
+is real, so real work is plain int arithmetic.  Equal values have equal
+integers, so equality and hashing compare integer tuples; equality is
 decidable and exact, which is what every zero-residual identity check in
-this package rests on.  The ring operations, the product (one fraction-free
-kernel, _multiply), evaluation, derivative and argument scaling read and
-write the vectors directly; .coeffs, the tuple of GaussianRational, is built
-on first access and cached.  FormalSeries (series.py) is the same storage
-truncated at an order.  _vectors takes exact scalars to the integer form
-and _rational takes one coefficient back; _OverQ is the unreduced scalar
-the polynomial families form their data in.
+this package rests on.  The scalar operators, the polynomial ring
+operations, the product (one fraction-free kernel, _multiply), evaluation,
+derivative and argument scaling all run on the integers; .coeffs, the tuple
+of GaussianRational, is built on first access and cached.  FormalSeries
+(series.py) is the same storage truncated at an order.  _scalar reads a
+scalar's triple, _vectors takes scalars to the polynomial form, and
+_rational, the one reducing constructor, takes a triple back.
 """
 
 from __future__ import annotations
@@ -39,22 +39,32 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):  # junk text, or a zero denominator
+            pass
     raise ExactInputError(f"not an exact rational: {value!r}")
 
 
 class GaussianRational:
-    """An element of Q(i) with exact field arithmetic.
+    """An element of Q(i) with exact field arithmetic, stored as the
+    canonical triple (_re, _im, _den) of the module docstring; re and im
+    are its parts as Fractions.
 
     A real value equals the int or Fraction re and hashes as hash(re), so
     the two are one key in a set, a dict or a memo.  The hash is computed
     on first use and kept in the _hash slot."""
 
-    __slots__ = ("re", "im", "_hash")
+    __slots__ = ("_re", "_im", "_den", "_hash")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        re, im = _as_fraction(re), _as_fraction(im)
+        # two reduced fractions over the lcm of their denominators share no factor
+        den = lcm(re.denominator, im.denominator)
+        setattr_ = object.__setattr__
+        setattr_(self, "_re", re.numerator * (den // re.denominator))
+        setattr_(self, "_im", im.numerator * (den // im.denominator))
+        setattr_(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -63,6 +73,14 @@ class GaussianRational:
         # pickle and copy rebuild through __init__: __setattr__ refuses slot state
         return GaussianRational, (self.re, self.im)
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._re, self._den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._im, self._den)
+
     # -- coercion ---------------------------------------------------------
 
     @staticmethod
@@ -70,7 +88,7 @@ class GaussianRational:
         """Coerce an exact scalar; floats raise ExactInputError."""
         if isinstance(value, GaussianRational):
             return value
-        return GaussianRational(_as_fraction(value))
+        return GaussianRational(value)
 
     _NUM = r"[+-]?(?:\d+/\d+|\d+\.\d+|\.\d+|\d+)"
     _RE_REAL = _re.compile(rf"^({_NUM})$")
@@ -79,84 +97,78 @@ class GaussianRational:
 
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
-        """Parse 'p/q', 'a+bi', 'a-bi', 'bi', 'i'; decimals allowed."""
+        """Parse 'p/q', 'a+bi', 'a-bi', 'bi', 'i'; decimals allowed.  Other
+        text, and a zero denominator in either part, raise ExactInputError."""
         s = text.strip().replace(" ", "")
 
-        def unit(sign_or_num: str) -> Fraction:
-            if sign_or_num in ("", "+"):
-                return Fraction(1)
-            if sign_or_num == "-":
-                return Fraction(-1)
-            return Fraction(sign_or_num)
+        def unit(sign_or_num: str) -> str:
+            return sign_or_num + "1" if sign_or_num in ("", "+", "-") else sign_or_num
 
         m = cls._RE_REAL.match(s)
         if m:
-            return cls(Fraction(m.group(1)))
+            return cls(m.group(1))
         m = cls._RE_IMAG.match(s)
         if m:
-            return cls(Fraction(0), unit(m.group(1)))
+            return cls(0, unit(m.group(1)))
         m = cls._RE_BOTH.match(s)
         if m:
-            return cls(Fraction(m.group(1)), unit(m.group(2)[:-1]))
+            return cls(m.group(1), unit(m.group(2)[:-1]))
         raise ExactInputError(f"cannot parse exact scalar: {text!r}")
 
     # -- arithmetic -------------------------------------------------------
-    # a real operand (int or Fraction) meets re and im alone, so mixed
-    # operations skip the zero imaginary part; products and quotients of two
-    # GaussianRationals run on Gaussian integers (_scalar), one Fraction pair
-    # at the end
+    # every operand (GaussianRational, int or Fraction) is read as its
+    # integer triple (_scalar); each result is reduced once (_rational)
 
     def __add__(self, other):
-        if isinstance(other, GaussianRational):
-            return _pair(self.re + other.re, self.im + other.im)
-        if isinstance(other, (int, Fraction)):
-            return _pair(self.re + other, self.im)
-        return NotImplemented
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        c, e, f = _scalar(other)
+        d = self._den
+        return _rational(self._re * f + c * d, self._im * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, GaussianRational):
-            return _pair(self.re - other.re, self.im - other.im)
-        if isinstance(other, (int, Fraction)):
-            return _pair(self.re - other, self.im)
-        return NotImplemented
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        c, e, f = _scalar(other)
+        d = self._den
+        return _rational(self._re * f - c * d, self._im * f - e * d, d * f)
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _pair(other - self.re, -self.im)
-        return NotImplemented
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        c, e, f = _scalar(other)
+        d = self._den
+        return _rational(c * d - self._re * f, e * d - self._im * f, d * f)
 
     def __mul__(self, other):
-        if isinstance(other, GaussianRational):
-            (a, b, d), (c, e, f) = _scalar(self), _scalar(other)
-            return _rational(a * c - b * e, a * e + b * c, d * f)
-        if isinstance(other, (int, Fraction)):
-            return _pair(self.re * other, self.im * other)
-        return NotImplemented
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        c, e, f = _scalar(other)
+        a, b = self._re, self._im
+        return _rational(a * c - b * e, a * e + b * c, self._den * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, GaussianRational):
-            (a, b, d), (c, e, f) = _scalar(self), _scalar(other)
-            norm = c * c + e * e
-            if norm:
-                return _rational(f * (a * c + b * e), f * (b * c - a * e), d * norm)
-        elif isinstance(other, (int, Fraction)):
-            if other:
-                return _pair(self.re / other, self.im / other)
-        else:
+        # times the conjugate, over the norm
+        if not isinstance(other, _SCALARS):
             return NotImplemented
-        raise ZeroDivisionError("division by zero in Q(i)")
+        c, e, f = _scalar(other)
+        norm = c * c + e * e
+        if not norm:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        a, b = self._re, self._im
+        return _rational(f * (a * c + b * e), f * (b * c - a * e), self._den * norm)
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other) / self
-        return NotImplemented
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        return _rational(*_scalar(other)) / self
 
     def __neg__(self):
-        return _pair(-self.re, -self.im)
+        return _rational(-self._re, -self._im, self._den)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -172,42 +184,42 @@ class GaussianRational:
         return result
 
     def conjugate(self) -> "GaussianRational":
-        return _pair(self.re, -self.im)
+        return _rational(self._re, -self._im, self._den)
 
     # -- predicates / conversions -----------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return not self.im and self.re == other
-        return NotImplemented
+        # canonical triples: equal values have equal integers
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        return (self._re, self._im, self._den) == _scalar(other)
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:  # first use: no constructor sets the slot
-            value = hash((self.re, self.im)) if self.im else hash(self.re)
+            value = hash((self.re, self.im)) if self._im else hash(self.re)
             object.__setattr__(self, "_hash", value)
             return value
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._re or self._im)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._im
 
     def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+        # an int divided by an int is correctly rounded, as float(Fraction) is
+        return complex(self._re / self._den, self._im / self._den)
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        im_txt = f"{abs(self.im)}i"
-        sign = "+" if self.im > 0 else "-"
-        if self.re == 0:
-            return f"{im_txt}" if self.im > 0 else f"-{im_txt}"
-        return f"{self.re}{sign}{im_txt}"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        im_txt = f"{abs(im)}i"
+        if not re:
+            return im_txt if im > 0 else f"-{im_txt}"
+        return f"{re}{'+' if im > 0 else '-'}{im_txt}"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -220,16 +232,36 @@ class GaussianRational:
         return cls(Fraction(obj["re"]), Fraction(obj["im"]))
 
 
-def _pair(re: Fraction, im: Fraction) -> GaussianRational:
-    """A GaussianRational from two Fractions, unchecked: arithmetic results."""
+# the plain classes first: isinstance against Fraction's ABC metaclass is slow on a miss
+_SCALARS = (GaussianRational, int, Fraction)
+
+
+def _scalar(value) -> tuple:
+    """An exact scalar as its canonical triple (re, im, den): value = (re +
+    i im) / den."""
+    if isinstance(value, GaussianRational):
+        return value._re, value._im, value._den
+    if isinstance(value, int):
+        return value, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    return _scalar(gr(value))  # a string; floats raise ExactInputError
+
+
+def _rational(re: int, im: int, den: int) -> GaussianRational:
+    """(re + i im) / den for integers with den > 0, reduced to the canonical
+    triple: the one constructor of arithmetic results."""
+    g = gcd(re, im, den)
+    if g != 1:
+        re, im, den = re // g, im // g, den // g
     value = object.__new__(GaussianRational)
-    object.__setattr__(value, "re", re)
-    object.__setattr__(value, "im", im)
+    setattr_ = object.__setattr__
+    setattr_(value, "_re", re)
+    setattr_(value, "_im", im)
+    setattr_(value, "_den", den)
     return value
 
 
-# the plain classes first: isinstance against Fraction's ABC metaclass is slow on a miss
-_SCALARS = (GaussianRational, int, Fraction)
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
@@ -241,54 +273,6 @@ def gr(value) -> GaussianRational:
     return GaussianRational.from_value(value)
 
 
-class _OverQ:
-    """(re + i im) / q with integer re, im and q > 0, left unreduced: the exact
-    scalars the polynomial families form their data in.  Values over the same
-    q add without touching q, so data formed from parameters over one q stay
-    over it."""
-
-    __slots__ = ("re", "im", "q")
-
-    def __init__(self, re: int, im: int, q: int):
-        self.re, self.im, self.q = re, im, q
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            return _OverQ(self.re + other * self.q, self.im, self.q)
-        if other.q == self.q:
-            return _OverQ(self.re + other.re, self.im + other.im, self.q)
-        return _OverQ(self.re * other.q + other.re * self.q,
-                      self.im * other.q + other.im * self.q, self.q * other.q)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _OverQ(-self.re, -self.im, self.q)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, other):
-        return _OverQ(self.re * other.re - self.im * other.im,
-                      self.re * other.im + self.im * other.re, self.q * other.q)
-
-
-def _scalar(value) -> tuple:
-    """An exact scalar (an _OverQ too) as a Gaussian integer over a positive
-    denominator: (re, im, den) with value = (re + i im) / den."""
-    if isinstance(value, GaussianRational):
-        re, im = value.re, value.im
-        den = lcm(re.denominator, im.denominator)
-        return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
-    if isinstance(value, int):
-        return value, 0, 1
-    if isinstance(value, _OverQ):
-        return value.re, value.im, value.q
-    if isinstance(value, Fraction):
-        return value.numerator, 0, value.denominator
-    return _scalar(gr(value))  # a string; floats raise ExactInputError
-
-
 def _vectors(values) -> tuple:
     """Exact scalars as integer vectors over one positive denominator: (re, im,
     den) with value_k = (re[k] + i im[k]) / den, im empty when all are real."""
@@ -297,10 +281,6 @@ def _vectors(values) -> tuple:
     re = [r * (den // d) for r, _, d in triples]
     im = [m * (den // d) for _, m, d in triples]
     return re, im if any(im) else [], den
-
-
-def _rational(re: int, im: int, den: int) -> GaussianRational:
-    return _pair(Fraction(re, den), Fraction(im, den))
 
 
 def _canonical(re, im, den: int, size: int | None = None) -> tuple:

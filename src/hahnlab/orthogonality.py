@@ -23,7 +23,8 @@ from .errors import DomainError
 from .exact import GR_I, GaussianRational
 from .numerics import _hahn_weight_log_of, gamma_product, pochhammer
 from .polynomials import (JacobiParams, _to_complex, horner, horner_level,
-                          jacobi_coeffs_complex, pasternack_coeffs_complex)
+                          jacobi_coeffs_complex, pasternack_coeffs_complex,
+                          pasternack_hahn_params)
 from .quadrature import (_ABS_TOL, _EPS, _REL_TOL, IntegralResult, _line_integral,
                          integrate_line_trapezoid, truncation_radius)
 from .reports import (QuadDiagnostics, VerificationReport, integral_report,
@@ -412,9 +413,8 @@ def pasternack_ortho_check(n: int, p: int, m,
 def _pasternack_vs_hahn_norm_ratio(n: int, mc: complex, expected: complex) -> float:
     """Eq-level consistency: the sech-weight diagonal against the gamma-weight
     norm carried through the z = x/2 change of variables."""
-    half = 0.5
-    hn = chahn_norm_rhs(n, (1 + mc) * half, (1 + mc) * half,
-                        (1 - mc) * half, (1 - mc) * half)
+    h = pasternack_hahn_params(mc)
+    hn = chahn_norm_rhs(n, h.a, h.d, h.c, h.b)
     poch = pochhammer(1 + mc, n)
     from_33 = 2.0 * hn / (math.pi * (-1.0) ** n * poch * poch)
     return abs(expected / from_33)

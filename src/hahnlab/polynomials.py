@@ -6,22 +6,20 @@ Every family is one terminating hypergeometric sum
     t_{k+1} / t_k = (k-n) prod (u+k) / ((k+1) prod (l+k)),
 
 written down as a few lines of data (_jacobi_sum, _chahn_sum,
-_pasternack_sum) and built on one route, exactly: the parameters go to
-Gaussian integers over their common denominator q (_OverQ) before the
-family adds anything to them, the terms come from the term ratio in
-Gaussian integers over one positive integer denominator (_gaussian_terms),
-never from gamma quotients, which would reintroduce the very poles the
-termination avoids, and the monomial coefficients from the nested
-(Newton-form) product of the terms, in integers too (_exact_poly), handed
-straight to ExactPoly's storage.  A float or complex parameter is built at
-the exact value it stores: a float is the dyadic rational m 2^e that
-Fraction(x) gives, a complex number a pair of them.  That conversion
-happens inside the build, so the parameter objects keep their exactness
-verdict, and *_coeffs_exact, like every exact API, still rejects float
-inputs rather than silently coercing them.  A value at a point is one
-Horner pass over the exact coefficients rounded once to complex; a value
-that is not finite raises.  Degrees above EXACT_DEGREE_CAP raise
-DomainError, for float parameters as for exact ones.
+_pasternack_sum) in GaussianRationals, and built on one route, exactly: the
+terms come from the term ratio in Gaussian integers over one positive
+integer denominator (_gaussian_terms), never from gamma quotients, which
+would reintroduce the very poles the termination avoids, and the monomial
+coefficients from the nested (Newton-form) product of the terms, in
+integers too (_exact_poly), handed straight to ExactPoly's storage.  A
+float or complex parameter is built at the exact value it stores: a float
+is the dyadic rational m 2^e that Fraction(x) gives, a complex number a
+pair of them.  That conversion happens inside the build, so the parameter
+objects keep their exactness verdict, and *_coeffs_exact, like every exact
+API, still rejects float inputs rather than silently coercing them.  A
+value at a point is one Horner pass over the exact coefficients rounded
+once to complex; a value that is not finite raises.  Degrees above
+EXACT_DEGREE_CAP raise DomainError, for float parameters as for exact ones.
 
 Everything that does not depend on x is built once per process: the memo
 _built holds one entry per (family, n, parameters), the ExactPoly plus the
@@ -50,12 +48,12 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import add, mul
 
 from .errors import DomainError, ExactInputError, PoleError, RangeOverflowError
-from .exact import (ExactPoly, GaussianRational, _multiply, _OverQ, _poly, _rational, _scalar,
-                    _vectors, gr)
+from .exact import (I_POWERS, ExactPoly, GaussianRational, _multiply, _poly, _rational, _vectors,
+                    gr)
 from .reports import VerificationReport, residual_report
 
 # coefficient growth is unbounded; cap keeps exact runs tractable
@@ -69,9 +67,9 @@ def _is_exact(value) -> bool:
     return not isinstance(value, (float, complex)) and isinstance(value, _EXACT_TYPES)
 
 
-def _check_poch(value: _OverQ, n: int, name: str):
+def _check_poch(value: GaussianRational, n: int, name: str):
     """PoleError when (value)_k = 0 for some k <= n."""
-    if not value.im and not value.re % value.q and -(n - 1) <= value.re // value.q <= 0:
+    if value._den == 1 and not value._im and -(n - 1) <= value._re <= 0:
         raise PoleError(f"({name})_k vanishes for k <= {n}")
 
 
@@ -157,13 +155,6 @@ def _stored(value):
     return value
 
 
-def _over_one_q(*values) -> list:
-    """Parameters as _OverQ over their common denominator, each at the
-    exact value it stores."""
-    re, im, q = _vectors(map(_stored, values))
-    return [_OverQ(r, m, q) for r, m in zip(re, im or repeat(0))]
-
-
 class _Sum(namedtuple("_Sum", "n prefactor upper lower shift step slope")):
     """p_n as data: prefactor * sum_{k<=n} t_k prod_{j<k} (shift + j step + slope x),
     with t_k the terms of _gaussian_terms((-n, *upper), lower, n); n and step
@@ -215,29 +206,22 @@ def _term_vectors(upper, lower, count: int) -> tuple:
     return [r * (den // d) for r, _, d in terms], [m * (den // d) for _, m, d in terms], den
 
 
-def _pochhammer(a, n: int) -> GaussianRational:
-    """(a)_n = prod_{k<n} (a + k) over Q(i): with a = (A + iB) / q, the
-    Gaussian-integer product of A + kq + iB over q^n."""
-    a_re, a_im, q = _scalar(a)
-    re, im = 1, 0
-    for k in range(n):
-        u = a_re + k * q
-        re, im = re * u - im * a_im, re * a_im + im * u
-    return _rational(re, im, q ** n)
+_HALF = _rational(1, 0, 2)
 
 
-_HALF = _OverQ(1, 0, 2)
-_I_POWERS = tuple(_OverQ(*p, 1) for p in ((1, 0), (0, 1), (-1, 0), (0, -1)))  # i^0 .. i^3
-
-
-def _poch(values, n: int) -> _OverQ:
+def _poch(values, n: int) -> GaussianRational:
     """prod (v)_n / n!"""
-    return _OverQ(*_gaussian_terms(values, (), n)[n])
+    return _rational(*_gaussian_terms(values, (), n)[n])
+
+
+def _pochhammer(a, n: int) -> GaussianRational:
+    """(a)_n = prod_{k<n} (a + k) over Q(i)."""
+    return _poch((a,), n) * factorial(n)
 
 
 def _jacobi_sum(n: int, params: JacobiParams) -> _Sum:
     # ((gamma+1)_n / n!) 2F1(-n, n+gamma+delta+1; gamma+1; (1-x)/2)
-    g, d = _over_one_q(params.gamma, params.delta)
+    g, d = gr(_stored(params.gamma)), gr(_stored(params.delta))
     g1 = g + 1
     _check_poch(g1, n, "gamma+1")
     return _Sum(n, _poch((g1,), n), (n + g + d + 1,), (g1,), _HALF, 0, -_HALF)
@@ -245,18 +229,17 @@ def _jacobi_sum(n: int, params: JacobiParams) -> _Sum:
 
 def _chahn_sum(n: int, params: HahnParams) -> _Sum:
     # i^n ((a+c)_n (a+d)_n / n!) 3F2(-n, n+a+b+c+d-1, a+ix; a+c, a+d; 1)
-    a, b, c, d = _over_one_q(params.a, params.b, params.c, params.d)
+    a, b, c, d = (gr(_stored(v)) for v in (params.a, params.b, params.c, params.d))
     lower = (a + c, a + d)
     _check_poch(lower[0], n, "a+c")
     _check_poch(lower[1], n, "a+d")
-    return _Sum(n, _I_POWERS[n % 4] * _poch(lower, n), (n + a + b + c + d - 1,),
-                lower, a, 1, _I_POWERS[1])
+    return _Sum(n, I_POWERS[n % 4] * _poch(lower, n), (n + a + b + c + d - 1,),
+                lower, a, 1, I_POWERS[1])
 
 
 def _pasternack_sum(n: int, m) -> _Sum:
     # 3F2(-n, n+1, (1+m+x)/2; 1, m+1; 1)
-    mv, = _over_one_q(m)
-    m1 = mv + 1
+    m1 = gr(_stored(m)) + 1
     _check_poch(m1, n, "m+1")
     return _Sum(n, 1, (n + 1,), (1, m1), m1 * _HALF, 1, _HALF)
 

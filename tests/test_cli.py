@@ -257,6 +257,20 @@ def test_gram_parse_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "jacobi", "--n", "2", "--x", "1/0", "--gamma", "0", "--delta", "0"],
+    ["eval", "jacobi", "--n", "2", "--x", "1+1/0i", "--gamma", "0", "--delta", "0"],
+    ["gram", "--size", "4", "--alpha", "1/0", "--beta", "1", "--a", "1", "--b", "1"],
+], ids=["eval-real", "eval-imaginary", "gram"])
+def test_zero_denominator_is_a_usage_error(argv, tmp_path, capsys):
+    """A zero denominator on the command line is a usage error naming the
+    text, not a traceback."""
+    code, _, err = run_cli([*argv, *(["--out", str(tmp_path / "z.csv")] if argv[0] == "gram"
+                                     else [])], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "1/0" in err
+
+
 def _child_env() -> dict:
     """The environment of a child that imports the same hahnlab as this
     process, installed or not."""

@@ -85,6 +85,26 @@ def test_parse_rejects_junk():
             GaussianRational.parse(bad)
 
 
+@pytest.mark.parametrize("make", [
+    lambda text: GaussianRational.parse(text),
+    lambda text: GaussianRational(text),
+    lambda text: GaussianRational(0, text),
+    lambda text: gr(text),
+], ids=["parse", "re", "im", "gr"])
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0", "zebra"])
+def test_bad_text_is_an_input_error(make, text):
+    """A zero denominator or junk text raises ExactInputError naming the
+    text, never ZeroDivisionError or ValueError."""
+    with pytest.raises(ExactInputError, match=text):
+        make(text)
+
+
+@pytest.mark.parametrize("text", ["1/0i", "2-1/0i", "1/0+i", "1/0-2i"])
+def test_parse_zero_denominator_in_either_part(text):
+    with pytest.raises(ExactInputError, match="/0"):
+        GaussianRational.parse(text)
+
+
 def test_str_parse_round_trip():
     for a in (GaussianRational(F(3, 7), F(-2, 5)), gr(0), GR_I, gr(F(-5, 3))):
         assert GaussianRational.parse(str(a)) == a
@@ -382,3 +402,76 @@ def test_complex_coefficients_round_like_fractions(coeffs, order):
         want = [c.to_complex() for c in p.coeffs]
         assert _bits(p.complex_coeffs()) == _bits(want)
         assert p.max_abs_coefficient().hex() == max(map(abs, want), default=0.0).hex()
+
+
+# --- the scalar's canonical triple against a Fraction-pair oracle -------------
+
+def _oracle(op, x, y):
+    """x op y on pairs of Fractions (re, im)."""
+    (a, b), (c, d) = x, y
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    norm = c * c + d * d
+    return (a * c + b * d) / norm, (b * c - a * d) / norm
+
+
+def _assert_canonical(value, pair):
+    """value is the oracle's pair, stored as the canonical triple, with the
+    hash and repr of every other object equal to it."""
+    re, im = pair
+    den = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+    assert type(value) is GaussianRational
+    assert (value._re, value._im, value._den) == (
+        re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den)
+    assert value._den > 0 and gcd(value._re, value._im, value._den) == 1
+    assert (value.re, value.im) == pair
+    twin = GaussianRational(re, im)
+    assert value == twin and hash(value) == hash(twin) and repr(value) == repr(twin)
+    if not im:
+        assert value == re and hash(value) == hash(re)
+
+
+# (operand, its Fraction pair): GaussianRational, int and Fraction
+operands = st.one_of(
+    st.tuples(rationals, rationals).map(lambda p: (GaussianRational(*p), p)),
+    st.integers(-30, 30).map(lambda n: (n, (F(n), F(0)))),
+    rationals.map(lambda q: (q, (q, F(0)))))
+_OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+        "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+
+
+@given(operands, operands, st.sampled_from(sorted(_OPS)))
+@settings(max_examples=300, deadline=None)
+def test_operators_match_fraction_pairs(x, y, op):
+    """Every operator, with every operand kind on either side, gives the
+    oracle's value in canonical form."""
+    (x, x_pair), (y, y_pair) = x, y
+    if not isinstance(x, GaussianRational) and not isinstance(y, GaussianRational):
+        x = GaussianRational(x)
+    if op == "/" and not any(y_pair):
+        with pytest.raises(ZeroDivisionError):
+            _OPS[op](x, y)
+        return
+    _assert_canonical(_OPS[op](x, y), _oracle(op, x_pair, y_pair))
+
+
+@given(st.tuples(rationals, rationals), st.integers(-6, 6))
+@settings(max_examples=150, deadline=None)
+def test_powers_match_fraction_pairs(pair, k):
+    x = GaussianRational(*pair)
+    if k < 0 and not any(pair):
+        with pytest.raises(ZeroDivisionError):
+            x ** k
+        return
+    want = (F(1), F(0))
+    for _ in range(abs(k)):
+        want = _oracle("*", want, pair)
+    if k < 0:
+        want = _oracle("/", (F(1), F(0)), want)
+    _assert_canonical(x ** k, want)
+    _assert_canonical(-x, (-pair[0], -pair[1]))
+    _assert_canonical(x.conjugate(), (pair[0], -pair[1]))
