@@ -28,6 +28,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul, sub
+from sys import hash_info
 
 from .errors import DomainError, ExactInputError
 
@@ -44,6 +45,22 @@ def _as_fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError):  # junk text, or a zero denominator
             pass
     raise ExactInputError(f"not an exact rational: {value!r}")
+
+
+def _hash_part(num: int, den: int) -> int:
+    """hash(Fraction(num, den)) without making the Fraction: CPython's numeric
+    hash, |num| / den modulo the prime sys.hash_info.modulus, signed as num;
+    -1 where the Fraction has -2, which hash() and tuple hashing both map to."""
+    if den == 1:
+        return hash(num)
+    try:
+        value = abs(num) * pow(den, -1, hash_info.modulus) % hash_info.modulus
+    except ValueError:  # the modulus divides den: reduce, as Fraction does; if still, inf
+        g = gcd(num, den)
+        if g > 1:
+            return _hash_part(num // g, den // g)
+        value = hash_info.inf
+    return value if num >= 0 else -value
 
 
 class GaussianRational:
@@ -198,7 +215,8 @@ class GaussianRational:
         try:
             return self._hash
         except AttributeError:  # first use: no constructor sets the slot
-            value = hash((self.re, self.im)) if self._im else hash(self.re)
+            re = _hash_part(self._re, self._den)
+            value = hash((re, _hash_part(self._im, self._den))) if self._im else re
             object.__setattr__(self, "_hash", value)
             return value
 

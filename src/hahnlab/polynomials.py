@@ -22,13 +22,13 @@ once to complex; a value that is not finite raises.  Degrees above
 EXACT_DEGREE_CAP raise DomainError, for float parameters as for exact ones.
 
 Everything that does not depend on x is built once per process: the memo
-_built holds one entry per (family, n, parameters), the ExactPoly plus the
-complex coefficient vector rounded from it.  Equal parameters of either
-kind (1 and 1.0, 1/2 and 0.5) are one key and one polynomial.  A
-JacobiParams or HahnParams decides its exactness, and the hash of its
-field tuple, once, when it is made, so a warm call is one lookup and one
-Horner pass.  Errors are raised on every call, never stored; cached values
-are immutable, and *_coeffs_complex returns a fresh list.
+_built holds one entry per (family, n, parameters), the ExactPoly plus,
+from the first float use on, its coefficients rounded to complex, highest
+degree first.  Equal parameters of either kind (1 and 1.0, 1/2 and 0.5)
+are one key and one polynomial.  JacobiParams and HahnParams settle their
+exactness and hash when made, so a warm call is one memo hit and one inline
+Horner pass (_eval) over that tuple.  Errors are raised on every call, never
+stored; cached values are immutable and *_coeffs_complex gives a fresh list.
 
 Conventions, fixed once here and used everywhere downstream:
 
@@ -306,18 +306,20 @@ _MEMO_SIZE = 1024
 
 
 class _Built:
-    """One polynomial: its ExactPoly, and the coefficients rounded once to
-    complex, formed the first time they are asked for."""
+    """One polynomial: its ExactPoly, and its coefficients rounded once to complex,
+    highest degree first as Horner reads them; None until the first float use."""
 
-    __slots__ = ("poly", "_coeffs")
+    __slots__ = ("poly", "rounded")
 
     def __init__(self, poly: ExactPoly):
-        self.poly, self._coeffs = poly, None
+        self.poly, self.rounded = poly, None
 
-    def coeffs(self) -> tuple:
-        if self._coeffs is None:
-            self._coeffs = tuple(self.poly.complex_coeffs())
-        return self._coeffs
+    def round(self) -> tuple:
+        self.rounded = tuple(reversed(self.poly.complex_coeffs()))
+        return self.rounded
+
+    def coeffs(self) -> list:  # a fresh list, lowest degree first
+        return list(reversed(self.rounded or self.round()))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -339,11 +341,15 @@ def _built(family, n: int, params) -> _Built:
 # ---------------------------------------------------------------------------
 
 def _eval(n: int, params, x, family) -> complex:
-    """One Horner pass over the once-rounded exact coefficients.  A value
-    that is not finite (overflow at large |x|) raises."""
+    """One memo hit and one inline Horner pass over the once-rounded exact
+    coefficients, highest degree first.  A value that is not finite
+    (overflow at large |x|) raises."""
     if type(x) is not complex:
         x = _to_complex(x)
-    value = horner(_built(family, n, params).coeffs(), x)
+    built = _built(family, n, params)
+    value = 0j
+    for c in built.rounded or built.round():
+        value = value * x + c
     if not isfinite(value):
         raise RangeOverflowError(f"degree {n} value at x = {x} is not finite")
     return value
@@ -386,15 +392,15 @@ def pasternack_coeffs_exact(n: int, m) -> ExactPoly:
 
 
 def jacobi_coeffs_complex(n: int, params: JacobiParams) -> list:
-    return list(_built(_jacobi_sum, n, params).coeffs())
+    return _built(_jacobi_sum, n, params).coeffs()
 
 
 def chahn_coeffs_complex(n: int, params: HahnParams) -> list:
-    return list(_built(_chahn_sum, n, params).coeffs())
+    return _built(_chahn_sum, n, params).coeffs()
 
 
 def pasternack_coeffs_complex(n: int, m) -> list:
-    return list(_built(_pasternack_sum, n, m).coeffs())
+    return _built(_pasternack_sum, n, m).coeffs()
 
 
 def pasternack_hahn_params(m) -> HahnParams:

@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -194,6 +195,29 @@ def test_non_real_hash_is_stable(re, im):
     assert g != re and len({g, same, F(re)}) == 2
     for y in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
         assert y == g and hash(y) == hash(g)
+
+
+_P = sys.hash_info.modulus
+# integers and signs; denominators that are multiples of P in lowest terms
+# (hash inf) or only over the shared denominator; -(P + 3)/3, whose hash
+# would be -1 and is -2
+_HASH_GRID = [0, 1, -1, -7, 2 ** 70, -2 ** 70, _P, -_P, F(_P, 3), F(1, 2), F(-22, 7),
+              F(3, 10 ** 20), F(1, _P), F(-1, _P), F(_P + 1, 5 * _P), F(1, 3 * _P * _P),
+              F(-(_P + 3), 3), F(_P + 3, 3)]
+
+
+def test_hash_is_the_fraction_hash_on_the_grid():
+    """Every real value hashes as its Fraction and every other as the tuple
+    of its two Fractions, for each pair of grid values as parts."""
+    for re in _HASH_GRID:
+        for im in _HASH_GRID:
+            g = GaussianRational(re, im)
+            want = hash((F(re), F(im))) if im else hash(F(re))
+            assert hash(g) == want, (re, im)
+    # the grid reaches each special case of the numeric hash
+    assert {sys.hash_info.inf, -sys.hash_info.inf, -2} <= {hash(F(v)) for v in _HASH_GRID}
+    assert any(GaussianRational(re, im)._den % _P == 0 and F(re).denominator % _P
+               for re in _HASH_GRID for im in _HASH_GRID)
 
 
 def _schoolbook(a, b, limit=None):

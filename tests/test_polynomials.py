@@ -711,6 +711,42 @@ def test_warm_float_call_settles_nothing_again(monkeypatch, feval, params):
     assert calls == []
 
 
+def test_warm_float_call_is_one_memo_hit_and_an_inline_horner_pass(monkeypatch):
+    """An exact-only build rounds nothing; the first float call stores the
+    n + 1 rounded coefficients highest degree first, the exact build's own
+    complex_coeffs reversed, bit for bit.  A warm float call then makes one
+    memo hit and calls neither horner nor _Built.coeffs."""
+    from hahnlab import polynomials
+    params, x = HahnParams(HALF, F(3, 4), F(2, 3), 1), 0.3 + 0.7j
+    _built.cache_clear()
+    poly = chahn_coeffs_exact(5, params)
+    entry = _built(_chahn_sum, 5, params)
+    assert entry.rounded is None
+    chahn_eval(5, params, x)
+    assert len(entry.rounded) == 6 and all(type(c) is complex for c in entry.rounded)
+    assert list(map(_bits, entry.rounded)) == list(map(_bits, reversed(poly.complex_coeffs())))
+
+    calls = []
+
+    def spy(fn):
+        def counted(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return counted
+
+    cases = [(chahn_eval, params), (jacobi_eval, JacobiParams(0.3, 0.7)),
+             (pasternack_eval, 0.25 - 0.5j)]
+    wants = [feval(4, p, x) for feval, p in cases]
+    monkeypatch.setattr(polynomials, "horner", spy(horner))
+    monkeypatch.setattr(polynomials._Built, "coeffs", spy(polynomials._Built.coeffs))
+    for (feval, p), want in zip(cases, wants):
+        before = _built.cache_info()
+        assert feval(4, p, x) == want
+        after = _built.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    assert calls == []
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda: chahn_eval(EXACT_DEGREE_CAP, HahnParams(0.5, 0.5, 0.5, 0.5), 1e300 + 1j),
      RangeOverflowError, r"degree 64 value at x = \(1e\+300\+1j\) is not finite"),
