@@ -230,6 +230,8 @@ class GaussianRational:
         # an int divided by an int is correctly rounded, as float(Fraction) is
         return complex(self._re / self._den, self._im / self._den)
 
+    __complex__ = to_complex
+
     def __str__(self):
         re, im = self.re, self.im
         if not im:

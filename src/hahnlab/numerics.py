@@ -168,13 +168,21 @@ def _hahn_weight_log_of(alpha: complex, beta_: complex, a: complex, b: complex):
     parameters are checked on every call, before the memo is looked up, so a
     DomainError is never stored and a NaN (never equal to itself) never
     becomes a key."""
-    params = [complex(p) for p in (alpha, beta_, a, b)]
-    for name, p in zip(("alpha", "beta", "a", "b"), params):
-        if not cmath.isfinite(p):
-            raise DomainError(f"hahn weight parameter {name} = {p!r} is not finite")
-        if p.real <= 0.0:
-            raise DomainError(f"hahn weight requires Re({name}) > 0")
-    return _weight_memo(*params)
+    return _weight_memo(*_require_positive_re(alpha=alpha, beta=beta_, a=a, b=b))
+
+
+def _require_positive_re(**named) -> list:
+    """The values as complex, each finite with a positive real part, or a
+    DomainError naming the first that is not."""
+    values = []
+    for name, value in named.items():
+        v = complex(value)
+        if not cmath.isfinite(v):
+            raise DomainError(f"{name} must be finite with Re({name}) > 0; {value!r} is not finite")
+        if v.real <= 0.0:
+            raise DomainError(f"{name} must be finite with Re({name}) > 0, got {value!r}")
+        values.append(v)
+    return values
 
 
 _WEIGHT_TUPLES = 8  # `gram` keeps 4 tuples live, `verify --suite all` 6

@@ -21,7 +21,7 @@ from operator import add, mul, sub, truediv
 
 from .errors import DomainError
 from .exact import GR_I, GaussianRational
-from .numerics import _hahn_weight_log_of, gamma_product, pochhammer
+from .numerics import _hahn_weight_log_of, _require_positive_re, gamma_product, pochhammer
 from .polynomials import (JacobiParams, _to_complex, horner, horner_level,
                           jacobi_coeffs_complex, pasternack_coeffs_complex,
                           pasternack_hahn_params)
@@ -93,11 +93,7 @@ class GramResult(namedtuple(
 def chahn_norm_rhs(n: int, alpha, beta, a, b) -> complex:
     """Squared norm of p_n: Gamma(alpha+beta+n) Gamma(a+b+n) Gamma(n+alpha+a)
     Gamma(n+beta+b) / (n! (2n+alpha+beta+a+b-1) Gamma(n+alpha+beta+a+b-1))."""
-    al, be = _to_complex(alpha), _to_complex(beta)
-    av, bv = _to_complex(a), _to_complex(b)
-    for name, v in (("alpha", al), ("beta", be), ("a", av), ("b", bv)):
-        if not cmath.isfinite(v) or v.real <= 0.0:
-            raise DomainError(f"{name} must be finite with Re({name}) positive")
+    al, be, av, bv = _require_positive_re(alpha=alpha, beta=beta, a=a, b=b)
     s = al + be + av + bv
     value = gamma_product([al + be + n, av + bv + n, al + av + n, be + bv + n],
                           [s + n])

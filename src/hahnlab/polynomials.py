@@ -25,10 +25,11 @@ Everything that does not depend on x is built once per process: the memo
 _built holds one entry per (family, n, parameters), the ExactPoly plus,
 from the first float use on, its coefficients rounded to complex, highest
 degree first.  Equal parameters of either kind (1 and 1.0, 1/2 and 0.5)
-are one key and one polynomial.  JacobiParams and HahnParams settle their
-exactness and hash when made, so a warm call is one memo hit and one inline
-Horner pass (_eval) over that tuple.  Errors are raised on every call, never
-stored; cached values are immutable and *_coeffs_complex gives a fresh list.
+are one key and one polynomial.  JacobiParams and HahnParams are
+namedtuples, so the memo hashes and compares them as tuples, in C, and a
+warm call is one memo hit and one inline Horner pass (_eval) over that
+tuple.  Errors are raised on every call, never stored; cached values are
+immutable and *_coeffs_complex gives a fresh list.
 
 Conventions, fixed once here and used everywhere downstream:
 
@@ -73,76 +74,21 @@ def _check_poch(value: GaussianRational, n: int, name: str):
         raise PoleError(f"({name})_k vanishes for k <= {n}")
 
 
-class _Params:
-    """A read-only parameter tuple that decides its exactness and the hash
-    of its fields once, when made, not on every memo lookup.  _fields names
-    the fields in order and _replace copies with some replaced, as on a
-    namedtuple."""
-
-    __slots__ = ("_exact", "_hash")
-    _fields: tuple = ()
-
-    def _settle(self, *values):
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_exact", all(map(_is_exact, values)))
-        object.__setattr__(self, "_hash", hash(values))
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__: __setattr__ refuses slot state
-        return type(self), self._values()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-    def _replace(self, **changes):
-        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+class JacobiParams(namedtuple("JacobiParams", "gamma delta")):
+    __slots__ = ()
 
     def is_exact(self) -> bool:
-        return self._exact
+        return all(map(_is_exact, self))
 
 
-class JacobiParams(_Params):
-    _fields = __slots__ = ("gamma", "delta")
-
-    def __init__(self, gamma, delta):
-        self._settle(gamma, delta)
+class HahnParams(namedtuple("HahnParams", "a b c d")):
+    __slots__ = ()
+    is_exact = JacobiParams.is_exact
 
 
-class HahnParams(_Params):
-    _fields = __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        self._settle(a, b, c, d)
-
-
-def _to_complex(value) -> complex:
-    # the plain numbers first: isinstance against Fraction's ABC is slow on a miss
-    if isinstance(value, (complex, float, int)):
-        return complex(value)
-    if isinstance(value, GaussianRational):
-        return value.to_complex()
-    if isinstance(value, Fraction):
-        return complex(float(value))
-    return complex(value)
+# a GaussianRational or a Fraction converts through its __complex__, each part
+# rounded once
+_to_complex = complex
 
 
 def _stored(value):
@@ -221,7 +167,7 @@ def _pochhammer(a, n: int) -> GaussianRational:
 
 def _jacobi_sum(n: int, params: JacobiParams) -> _Sum:
     # ((gamma+1)_n / n!) 2F1(-n, n+gamma+delta+1; gamma+1; (1-x)/2)
-    g, d = gr(_stored(params.gamma)), gr(_stored(params.delta))
+    g, d = (gr(_stored(v)) for v in params)
     g1 = g + 1
     _check_poch(g1, n, "gamma+1")
     return _Sum(n, _poch((g1,), n), (n + g + d + 1,), (g1,), _HALF, 0, -_HALF)
@@ -229,7 +175,7 @@ def _jacobi_sum(n: int, params: JacobiParams) -> _Sum:
 
 def _chahn_sum(n: int, params: HahnParams) -> _Sum:
     # i^n ((a+c)_n (a+d)_n / n!) 3F2(-n, n+a+b+c+d-1, a+ix; a+c, a+d; 1)
-    a, b, c, d = (gr(_stored(v)) for v in (params.a, params.b, params.c, params.d))
+    a, b, c, d = (gr(_stored(v)) for v in params)
     lower = (a + c, a + d)
     _check_poch(lower[0], n, "a+c")
     _check_poch(lower[1], n, "a+d")

@@ -15,7 +15,7 @@ import math
 from operator import mul
 
 from .errors import DomainError
-from .numerics import _hahn_weight_log_of, gamma_product, log_gamma_complex
+from .numerics import _hahn_weight_log_of, _require_positive_re, gamma_product, log_gamma_complex
 from .polynomials import (HahnParams, JacobiParams, _stored, _to_complex, chahn_eval,
                           chahn_coeffs_complex, horner_level, jacobi_coeffs_complex)
 from .quadrature import IntegralResult, _line_integral
@@ -63,14 +63,6 @@ def _tanh_product_integral(pn, pm, wa: complex, wb: complex,
                            math.exp(wa.real * l2 + wb.real * l1))
 
     return _line_integral(f, env, math.pi / max(2.0, abs(z)))
-
-
-def _require_positive_re(**named):
-    for name, value in named.items():
-        v = _to_complex(value)
-        if not cmath.isfinite(v) or v.real <= 0.0:
-            raise DomainError(f"{name} must be finite with Re({name}) positive, "
-                              f"got {value!r}")
 
 
 def _hahn_of_jacobi(alpha, beta, gamma, delta) -> HahnParams:
@@ -126,12 +118,11 @@ def mellin_pair_check(n: int, alpha, beta, gamma, delta, lam: float,
     z = -2*lambda times 2^{1-alpha-beta}.  Pass or fail rests on that
     substitution-consistent Gamma(beta + i*lambda) form alone; the error of
     the often-quoted Gamma(beta - i*lambda) form is in the details."""
-    _require_positive_re(alpha=alpha, beta=beta)
+    al, be = _require_positive_re(alpha=alpha, beta=beta)
     if not cmath.isfinite(_to_complex(lam)):
         raise DomainError(f"lambda must be finite, got {lam!r}")
     name = f"mellin-pair[n={n}, lambda={lam}]"
-    be = _to_complex(beta)
-    scale = cmath.exp((1 - _to_complex(alpha) - be) * _LOG_2)
+    scale = cmath.exp((1 - al - be) * _LOG_2)
     lhs = _weighted_jacobi_transform(n, alpha, beta, gamma, delta, -2.0 * lam)
     lhs_value = scale * lhs.value
     rhs_corrected = scale * _fourier_closed_form(n, alpha, beta, gamma, delta, -2.0 * lam)
@@ -205,10 +196,8 @@ def parseval_check(n: int, m: int, alpha, beta, a, b, gamma, delta, c, d,
                    tol: float = 1e-8, tol_abs: float = 1e-10) -> VerificationReport:
     """Both sides of the Parseval identity for two weighted Jacobi factors,
     for general parameters (no orthogonality specialization imposed)."""
-    _require_positive_re(alpha=alpha, beta=beta, a=a, b=b)
+    al, be, av, bv = _require_positive_re(alpha=alpha, beta=beta, a=a, b=b)
     name = f"parseval[n={n}, m={m}]"
-    al, be = _to_complex(alpha), _to_complex(beta)
-    av, bv = _to_complex(a), _to_complex(b)
 
     # left: 2 pi * integral of the tanh-substituted beta-type integrand
     pn = jacobi_coeffs_complex(n, JacobiParams(gamma, delta))

@@ -10,6 +10,7 @@ import pytest
 
 from hahnlab import numerics
 from hahnlab.errors import DomainError, PoleError, RangeOverflowError
+from hahnlab.exact import GaussianRational
 from hahnlab.numerics import (_hahn_weight_log_of, beta, gamma, hahn_weight,
                               hahn_weight_log, log_gamma, log_gamma_complex, pochhammer)
 from hahnlab.orthogonality import chahn_gram
@@ -333,6 +334,19 @@ def test_weight_memo_is_bounded(monkeypatch):
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
     # 5 nodes cold, then the 2 past the cap again: four shifts each
     assert len(made) == 4 * (5 + 2)
+
+
+@pytest.mark.parametrize("weight", [hahn_weight_log, hahn_weight])
+def test_weight_takes_the_package_scalar(weight):
+    """A GaussianRational, a Fraction and a float of one value give the same
+    bits; a GaussianRational with Re <= 0 raises DomainError naming it."""
+    values = [Fraction(1, 2), Fraction(3, 4), Fraction(5, 8), Fraction(1)]
+    got = {(w.real.hex(), w.imag.hex()) for w in (
+        weight(0.25, *map(kind, values)) for kind in (GaussianRational, Fraction, float))}
+    assert len(got) == 1
+    for bad in (GaussianRational(0, 1), GaussianRational(Fraction(-1, 2), 1)):
+        with pytest.raises(DomainError, match=r"^b must be finite with Re\(b\) > 0, got G"):
+            weight(0.25, *values[:3], bad)
 
 
 _NAN, _INF = math.nan, math.inf

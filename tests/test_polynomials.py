@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -657,8 +658,9 @@ _PARAMS = [JacobiParams(F(1, 3), 2), JacobiParams(0.3, 0.7 + 0.1j),
 @pytest.mark.parametrize("params", _PARAMS, ids=["jacobi-exact", "jacobi-float", "chahn-exact",
                                                  "chahn-float", "chahn-mixed"])
 def test_settled_parameters_survive_copies(params):
-    """Pickling, copying and _replace keep equality, the hash of the field
-    tuple and the exactness verdict."""
+    """Pickling, copying and _replace keep equality, the hash (that of the
+    field tuple, as on any tuple) and the exactness verdict, which is
+    decided from the fields on each call."""
     values = tuple(getattr(params, name) for name in params._fields)
     exact = all(map(_is_exact, values))
     copies = [pickle.loads(pickle.dumps(params)), copy.copy(params), copy.deepcopy(params),
@@ -688,9 +690,9 @@ def test_mixed_parameter_tuples_are_not_exact(params):
     (pasternack_eval, 0.25 - 0.5j),
 ], ids=["jacobi", "chahn", "pasternack"])
 def test_warm_float_call_settles_nothing_again(monkeypatch, feval, params):
-    """A warm call decides no exactness, converts no complex x and makes
-    exactly one memo lookup, a hit; Pasternack's bare m is not tested for
-    exactness either."""
+    """A warm call decides no exactness (only the exact routines ask
+    is_exact()), converts no complex x and makes exactly one memo lookup, a
+    hit; Pasternack's bare m is not tested for exactness either."""
     from hahnlab import polynomials
     calls = []
 
@@ -745,6 +747,33 @@ def test_warm_float_call_is_one_memo_hit_and_an_inline_horner_pass(monkeypatch):
         after = _built.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
     assert calls == []
+
+
+@pytest.mark.parametrize("feval, make", [
+    (chahn_eval, lambda: HahnParams(*(v / 8 for v in (5, 3, 7, 9)))),
+    (jacobi_eval, lambda: JacobiParams(*(v / 10 for v in (3, 7)))),
+], ids=["chahn", "jacobi"])
+def test_warm_call_with_an_equal_parameter_object_runs_no_key_frame(feval, make):
+    """The parameter records are tuples: the memo hashes and compares them
+    in C, so a warm call with a freshly made equal object (fields equal, not
+    the same objects) runs no Python frame but the public routine and _eval."""
+    x = 0.3 + 0.7j
+    want = feval(4, make(), x)
+    params = make()
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            frames.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        got = feval(4, params, x)
+    finally:
+        sys.setprofile(None)
+    assert frames == [feval.__name__, "_eval"]
+    assert _bits(got) == _bits(want)
+    assert type(params).__hash__ is tuple.__hash__ and type(params).__eq__ is tuple.__eq__
 
 
 @pytest.mark.parametrize("call, error, match", [
