@@ -7,8 +7,11 @@ which Bateman's sech^2(pi x / 2) is the case m = 0 at scale 2, classical
 Jacobi orthogonality on [-1, 1], and Barnes' first lemma as the
 degree-zero case.
 
-Expected diagonals always come from the closed-form right-hand sides,
-never from quadrature.
+The sech and Jacobi checks have list forms (bateman_ortho_checks,
+pasternack_ortho_checks, pasternack_biortho_checks, jacobi_ortho_checks)
+that integrate every (n, p) pair on one weight in one trapezoid pass; the
+scalar checks are their one-pair case.  Expected diagonals always come
+from the closed-form right-hand sides, never from quadrature.
 """
 
 from __future__ import annotations
@@ -340,33 +343,50 @@ def _measured_report(name: str, res: IntegralResult, expected: complex, tol: flo
                            QuadDiagnostics(res.evaluations, res.error_estimate))
 
 
-def _sech_integral(n: int, p: int, m, m2, scale: float) -> IntegralResult:
-    """int F_n^m(ix) F_p^m2(ix) scale / (cos(pi m) + cosh(pi x)) dx on the one
-    weight of the sech families: Pasternack's at scale 1, and Bateman's
-    sech^2(pi x / 2) = 2 / (1 + cosh(pi x)) at m = 0 and scale 2.  For real
-    or imaginary m the weight is real and even, analytic in
-    |Im x| < 1 - |Re m|; with real coefficients the integrand at -x is the
-    conjugate of the one at x, so one node serves both signs."""
-    fn, fp = pasternack_coeffs_complex(n, m), pasternack_coeffs_complex(p, m2)
-    bound = sum(map(abs, fn)) * sum(map(abs, fp))
-    real = not any(u.imag for u in (*fn, *fp))
+def _sech_integral(pairs: list, m, m2, scale: float) -> list[IntegralResult]:
+    """int F_n^m(ix) F_p^m2(ix) scale / (cos(pi m) + cosh(pi x)) dx for each
+    (n, p) of pairs, in one pass on the one weight of the sech families:
+    Pasternack's at scale 1, and Bateman's sech^2(pi x / 2) =
+    2 / (1 + cosh(pi x)) at m = 0 and scale 2.  Each node computes the
+    weight once and each distinct polynomial once.  For real or imaginary m
+    the weight is real and even, analytic in |Im x| < 1 - |Re m|; with real
+    coefficients the integrand at -x is the conjugate of the one at x, so
+    one node serves both signs."""
+    keys = [(tuple(pasternack_coeffs_complex(n, m)), tuple(pasternack_coeffs_complex(p, m2)))
+            for n, p in pairs]
+    polys = dict.fromkeys(c for key in keys for c in key)
+    bounds = [(sum(map(abs, fn)) * sum(map(abs, fp)), n + p)
+              for (fn, fp), (n, p) in zip(keys, pairs)]
+    real = not any(u.imag for c in polys for u in c)
     mc = _to_complex(m)
     cos_pim = cmath.cos(math.pi * mc)
 
-    def f(xs: list) -> tuple:
+    def f(xs: list) -> list:
         ixs = [1j * x for x in xs]
         weights = [scale / (cos_pim + math.cosh(math.pi * x)) for x in xs]
-        terms = list(map(mul, map(mul, horner_level(fn, ixs), horner_level(fp, ixs)),
-                         weights))
-        return sum(terms), sum(map(abs, terms))
+        values = {c: horner_level(c, ixs) for c in polys}
+        return [list(map(mul, map(mul, values[fn], values[fp]), weights)) for fn, fp in keys]
 
     # the weight is at most 4 e^{-pi|x|} in both uses: 2 / (1 + cosh(pi x))
     # everywhere, and 1 / (cosh(pi x) + cos(pi m)) since cosh(pi x) + cos(pi m)
     # >= e^{pi|x|}/2 - 1 >= e^{pi|x|}/4 for |x| >= 0.45 (the scan starts at 2)
     def env(x: float) -> float:
-        return bound * max(1.0, abs(x)) ** (n + p) * (4.0 * math.exp(-math.pi * abs(x)))
+        return max(bound * max(1.0, abs(x)) ** degree for bound, degree in bounds) \
+            * (4.0 * math.exp(-math.pi * abs(x)))
 
     return _line_integral(f, env, 1.0 - abs(mc.real), 1 if real else None)
+
+
+def bateman_ortho_checks(pairs: list, tol: float = 1e-8,
+                         tol_abs: float = 1e-10) -> list[VerificationReport]:
+    """bateman_ortho_check(n, m) for each (n, m) of pairs, in order, from
+    one trapezoid pass on the weight."""
+    if not all(0 <= n <= 12 and 0 <= m <= 12 for n, m in pairs):
+        raise DomainError("degrees capped at 12")
+    return [_measured_report(
+        f"bateman-ortho[n={n}, m={m}]", res,
+        complex(4.0 * (-1.0) ** n / (math.pi * (2 * n + 1))) if n == m else 0j, tol, tol_abs)
+        for (n, m), res in zip(pairs, _sech_integral(pairs, 0, 0, 2.0))]
 
 
 def bateman_ortho_check(n: int, m: int,
@@ -374,19 +394,14 @@ def bateman_ortho_check(n: int, m: int,
     """int F_n(ix) F_m(ix) / cosh^2(pi x / 2) dx
     = delta_{n,m} 4 (-1)^n / (pi (2n+1)): the Pasternack weight at m = 0,
     doubled."""
-    if not (0 <= n <= 12 and 0 <= m <= 12):
-        raise DomainError("degrees capped at 12")
-    expected = complex(4.0 * (-1.0) ** n / (math.pi * (2 * n + 1))) if n == m else 0j
-    return _measured_report(f"bateman-ortho[n={n}, m={m}]", _sech_integral(n, m, 0, 0, 2.0),
-                            expected, tol, tol_abs)
+    return bateman_ortho_checks([(n, m)], tol, tol_abs)[0]
 
 
-def pasternack_ortho_check(n: int, p: int, m,
-                           tol: float = 1e-8, tol_abs: float = 1e-10) -> VerificationReport:
-    """int F_n^m(ix) F_p^m(ix) / (cos(pi m) + cosh(pi x)) dx against
-    delta_{n,p} ((-1)^n / (2n+1)) (2/pi) ((1-m)_n / (1+m)_n) (m pi / sin(pi m)),
-    the m -> 0 limit of the last factor being 1."""
-    if not (0 <= n <= 10 and 0 <= p <= 10):
+def pasternack_ortho_checks(m, pairs: list, tol: float = 1e-8,
+                            tol_abs: float = 1e-10) -> list[VerificationReport]:
+    """pasternack_ortho_check(n, p, m) for each (n, p) of pairs, in order,
+    from one trapezoid pass on the weight of m."""
+    if not all(0 <= n <= 10 and 0 <= p <= 10 for n, p in pairs):
         raise DomainError("degrees capped at 10")
     mc = _to_complex(m)
     if not cmath.isfinite(mc):
@@ -395,15 +410,26 @@ def pasternack_ortho_check(n: int, p: int, m,
         raise DomainError("real m must satisfy -1 < m < 1")
     if abs(mc.imag) >= 1e-14 and abs(mc.real) > 1e-14:
         raise DomainError("complex m must be purely imaginary")
-    expected, details = 0j, ""
-    if n == p:
-        expected = ((-1.0) ** n / (2 * n + 1)) * (2.0 / math.pi) \
-            * (pochhammer(1 - mc, n) / pochhammer(1 + mc, n)) \
-            * pi_m_over_sin_pi_m(mc)
-        ratio_33 = _pasternack_vs_hahn_norm_ratio(n, mc, expected)
-        details = f"specialized-norm ratio vs gamma form: {ratio_33:.16g}"
-    return _measured_report(f"pasternack-ortho[n={n}, p={p}, m={m}]",
-                            _sech_integral(n, p, m, m, 1.0), expected, tol, tol_abs, details)
+    reports = []
+    for (n, p), res in zip(pairs, _sech_integral(pairs, m, m, 1.0)):
+        expected, details = 0j, ""
+        if n == p:
+            expected = ((-1.0) ** n / (2 * n + 1)) * (2.0 / math.pi) \
+                * (pochhammer(1 - mc, n) / pochhammer(1 + mc, n)) \
+                * pi_m_over_sin_pi_m(mc)
+            ratio_33 = _pasternack_vs_hahn_norm_ratio(n, mc, expected)
+            details = f"specialized-norm ratio vs gamma form: {ratio_33:.16g}"
+        reports.append(_measured_report(f"pasternack-ortho[n={n}, p={p}, m={m}]", res,
+                                        expected, tol, tol_abs, details))
+    return reports
+
+
+def pasternack_ortho_check(n: int, p: int, m,
+                           tol: float = 1e-8, tol_abs: float = 1e-10) -> VerificationReport:
+    """int F_n^m(ix) F_p^m(ix) / (cos(pi m) + cosh(pi x)) dx against
+    delta_{n,p} ((-1)^n / (2n+1)) (2/pi) ((1-m)_n / (1+m)_n) (m pi / sin(pi m)),
+    the m -> 0 limit of the last factor being 1."""
+    return pasternack_ortho_checks(m, [(n, p)], tol, tol_abs)[0]
 
 
 def _pasternack_vs_hahn_norm_ratio(n: int, mc: complex, expected: complex) -> float:
@@ -416,22 +442,56 @@ def _pasternack_vs_hahn_norm_ratio(n: int, mc: complex, expected: complex) -> fl
     return abs(expected / from_33)
 
 
-def pasternack_biortho_check(n: int, p: int, m,
-                             tol: float = 1e-8, tol_abs: float = 1e-10) -> VerificationReport:
-    """int F_n^m(ix) F_p^{-m}(ix) / (cosh(pi x) + cos(m pi)) dx against
-    delta_{n,p} (2 (-1)^n / (pi (2n+1))) (m pi / sin(pi m))."""
-    if not (0 <= n <= 10 and 0 <= p <= 10):
+def pasternack_biortho_checks(m, pairs: list, tol: float = 1e-8,
+                              tol_abs: float = 1e-10) -> list[VerificationReport]:
+    """pasternack_biortho_check(n, p, m) for each (n, p) of pairs, in order,
+    from one trapezoid pass on the weight of m."""
+    if not all(0 <= n <= 10 and 0 <= p <= 10 for n, p in pairs):
         raise DomainError("degrees capped at 10")
     mc = _to_complex(m)
     if not cmath.isfinite(mc):
         raise DomainError(f"m must be finite, not {m!r}")
     if not -1.0 < mc.real < 1.0 or abs(mc.imag) > 1e-14:
         raise DomainError("biorthogonality requires real -1 < m < 1")
-    expected = (2.0 * (-1.0) ** n / (math.pi * (2 * n + 1))) * pi_m_over_sin_pi_m(mc) \
-        if n == p else 0j
-    return _measured_report(f"pasternack-biortho[n={n}, p={p}, m={m}]",
-                            _sech_integral(n, p, m, -m, 1.0), expected, tol, tol_abs,
-                            BIORTHO_NOTE)
+    return [_measured_report(
+        f"pasternack-biortho[n={n}, p={p}, m={m}]", res,
+        (2.0 * (-1.0) ** n / (math.pi * (2 * n + 1))) * pi_m_over_sin_pi_m(mc)
+        if n == p else 0j, tol, tol_abs, BIORTHO_NOTE)
+        for (n, p), res in zip(pairs, _sech_integral(pairs, m, -m, 1.0))]
+
+
+def pasternack_biortho_check(n: int, p: int, m,
+                             tol: float = 1e-8, tol_abs: float = 1e-10) -> VerificationReport:
+    """int F_n^m(ix) F_p^{-m}(ix) / (cosh(pi x) + cos(m pi)) dx against
+    delta_{n,p} (2 (-1)^n / (pi (2n+1))) (m pi / sin(pi m))."""
+    return pasternack_biortho_checks(m, [(n, p)], tol, tol_abs)[0]
+
+
+def jacobi_ortho_checks(alpha, beta, pairs: list, tol: float = 1e-9,
+                        tol_abs: float = 1e-11) -> list[VerificationReport]:
+    """jacobi_ortho_check(n, m, alpha, beta) for each (n, m) of pairs, in
+    order, from one trapezoid pass on the weight (alpha, beta)."""
+    al, be = _to_complex(alpha), _to_complex(beta)
+    if al.real <= -1.0 or be.real <= -1.0:
+        raise DomainError("Re(alpha), Re(beta) must exceed -1")
+    params = JacobiParams(alpha, beta)
+    results = _tanh_product_integral(
+        [(jacobi_coeffs_complex(n, params), jacobi_coeffs_complex(m, params), 0.0)
+         for n, m in pairs], al + 1, be + 1)
+    reports = []
+    for (n, m), res in zip(pairs, results):
+        expected = 0j
+        if n == m:
+            power = cmath.exp((al + be + 1) * math.log(2.0))
+            # Gamma(n+al+be+1) (2n+al+be+1) is 0 * inf at n = 0 when
+            # al + be = -1; Gamma(al+be+2) is its removable value there
+            expected = power * gamma_product([n + al + 1, n + be + 1], [n + al + be + 1]) \
+                / (math.factorial(n) * (2 * n + al + be + 1)) if n \
+                else power * gamma_product([al + 1, be + 1], [al + be + 2])
+        reports.append(_measured_report(
+            f"jacobi-ortho[n={n}, m={m}, alpha={alpha}, beta={beta}]", res, expected,
+            tol, tol_abs))
+    return reports
 
 
 def jacobi_ortho_check(n: int, m: int, alpha, beta,
@@ -442,17 +502,4 @@ def jacobi_ortho_check(n: int, m: int, alpha, beta,
     The endpoint singularities for -1 < Re < 0 are removed by the x = tanh u
     substitution, which maps the integral onto a smooth line integral.
     """
-    al, be = _to_complex(alpha), _to_complex(beta)
-    if al.real <= -1.0 or be.real <= -1.0:
-        raise DomainError("Re(alpha), Re(beta) must exceed -1")
-    name = f"jacobi-ortho[n={n}, m={m}, alpha={alpha}, beta={beta}]"
-    pn = jacobi_coeffs_complex(n, JacobiParams(alpha, beta))
-    pm = jacobi_coeffs_complex(m, JacobiParams(alpha, beta))
-    res = _tanh_product_integral(pn, pm, al + 1, be + 1)
-    if n == m:
-        expected = cmath.exp((al + be + 1) * math.log(2.0)) \
-            * gamma_product([n + al + 1, n + be + 1], [n + al + be + 1]) \
-            / (math.factorial(n) * (2 * n + al + be + 1))
-    else:
-        expected = 0j
-    return _measured_report(name, res, expected, tol, tol_abs)
+    return jacobi_ortho_checks(alpha, beta, [(n, m)], tol, tol_abs)[0]

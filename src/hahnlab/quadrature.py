@@ -11,11 +11,15 @@ half-width.  The rule takes the integrand's even part f(z) + f(-z) on
 z >= 0, so a caller with a reflection symmetry evaluates each node pair
 once, and it hands the integrand one whole level of new nodes at a time,
 so a vector integrand runs each of its loops over the level instead of
-once per node.  Geometric convergence also sets the stop: once two
-consecutive changes shrink by a ratio r <= 1/2, the tail d r / (1 - r) of
-the last change d predicts the error of the current value (Trefethen and
-Weideman, SIAM Review 56 (2014)), so the rule does not compute one more
-level only to confirm it.
+once per node.  Integrals on one weight are one vector integrand: the
+Gram's entries, and the K components of _line_integral, which the
+Fourier, Mellin, sech and Jacobi checks fill with every row of a weight,
+so the weight and each polynomial are computed once per node for all of
+them, and each component still stops on its own target.  Geometric
+convergence also sets the stop: once two consecutive changes shrink by a
+ratio r <= 1/2, the tail d r / (1 - r) of the last change d predicts the
+error of the current value (Trefethen and Weideman, SIAM Review 56
+(2014)), so the rule does not compute one more level only to confirm it.
 
 The targets are fixed constants, a value converging within
 max(1e-10 |value|, 1e-14): the step comes from the strip and the stop
@@ -142,38 +146,48 @@ def integrate_line_trapezoid(f: Callable[[list], list], radius: float,
         h *= 0.5
 
 
-def _line_integral(f: Callable[[list], tuple], envelope: Callable[[float], float],
-                   strip: float, reflection: int | None = None) -> IntegralResult:
-    """Integral over the line of a scalar integrand F by the nested
-    trapezoidal rule.
+def _line_integral(f: Callable[[list], list], envelope: Callable[[float], float],
+                   strip: float, reflection: int | None = None) -> list[IntegralResult]:
+    """Integrals over the line of K integrands F_1, ..., F_K, one nested
+    trapezoidal pass for all of them.
 
-    f(zs) returns (sum F(z), sum |F(z)|) over a list of nodes of either
-    sign.  With reflection = s (+1 or -1) the caller promises
-    F(-z) = s conj F(z), and the even part at z >= 0 is v + s conj v from
-    one call; with None, f is called on -zs as well.  The cut-off comes
-    from envelope (truncation_radius), the first step is min(1/2, strip),
-    strip being the half-width of the integrand's strip of analyticity
-    (or less, for an oscillatory one), and the rule stops once the value's
-    estimate (integrate_line_trapezoid) is within max(_ABS_TOL,
-    _REL_TOL |value|) or the rounding of the |F| mass.  The error estimate
-    is that estimate, floored at eps times the mass: a predicted tail below
-    rounding is not an error.
+    f(zs) returns K lists, the values F_k(z) at a list of nodes of either
+    sign; the rule sums each list and its |F_k| mass.  With reflection = s
+    (+1 or -1) the caller promises F_k(-z) = s conj F_k(z) for every k, and
+    the even part at z >= 0 is v + s conj v from one call; with None, f is
+    called on -zs as well.  The cut-off comes from envelope
+    (truncation_radius), a bound on every |F_k|, and the first step is
+    min(1/2, strip), strip being the half-width of the strip where every
+    F_k is analytic (or less, for an oscillatory one).  The rule stops once
+    every value's estimate (integrate_line_trapezoid) is within
+    max(_ABS_TOL, _REL_TOL |value|) or the rounding of its |F_k| mass, so
+    each component meets the target it would meet alone.  Each result's
+    error estimate is its own estimate, floored at eps times its mass (a
+    predicted tail below rounding is not an error); evaluations is the
+    pass's node count, the same for every component.  K = 1 is the scalar
+    integral, to the bit.
     """
 
+    def sums(zs: list) -> tuple:
+        terms = f(zs)
+        return [sum(t) for t in terms], [sum(map(abs, t)) for t in terms]
+
     def even_part(zs: list) -> list:
-        v, mass = f(zs)
+        values, masses = sums(zs)
         if reflection is None:
-            u, mass_minus = f([-z for z in zs])
-            return [v + u, mass + mass_minus]
-        return [v + v.conjugate() if reflection > 0 else v - v.conjugate(),
-                2.0 * mass]
+            minus, masses_minus = sums([-z for z in zs])
+            return [*map(add, values, minus), *map(add, masses, masses_minus)]
+        fold = [v + v.conjugate() for v in values] if reflection > 0 \
+            else [v - v.conjugate() for v in values]
+        return [*fold, *(2.0 * mass for mass in masses)]
 
     def tolerances(values: list) -> list:
-        value, mass = values
-        return [max(_ABS_TOL, _REL_TOL * abs(value), 100.0 * _EPS * mass),
-                math.inf]
+        k = len(values) // 2
+        return [max(_ABS_TOL, _REL_TOL * abs(value), 100.0 * _EPS * mass)
+                for value, mass in zip(values[:k], values[k:])] + [math.inf] * k
 
     radius = truncation_radius(envelope)
     res = integrate_line_trapezoid(even_part, radius, min(0.5, strip), tolerances)
-    value, mass = res.values
-    return IntegralResult(value, max(res.changes[0], _EPS * mass), res.nodes, mass)
+    k = len(res.values) // 2
+    return [IntegralResult(value, max(change, _EPS * mass), res.nodes, mass)
+            for value, mass, change in zip(res.values[:k], res.values[k:], res.changes)]

@@ -6,12 +6,15 @@ The suites are one table.  Each row is
      argument tuples in report order)
 
 and one driver turns a row into the suite callable tol -> list of
-VerificationReport: it calls the check once per argument tuple.  A
-quadrature check also gets tol=tol unless tol is None, which leaves the
-check's own default tolerance; an exact check takes no tolerance.  The
-quadrature itself has fixed targets (hahnlab.quadrature), so tol moves
-only the verdict.  Suites are sized to run in seconds; the full-size
-acceptance runs live in the test suite.
+VerificationReport: it calls the check once per argument tuple.  The
+integrals of a row that share a weight share one trapezoid pass: such a
+row's check is a list form (fourier_pair_checks, jacobi_ortho_checks,
+...), its argument tuples are one group per weight, and each call returns
+the group's reports in order.  A quadrature check also gets tol=tol
+unless tol is None, which leaves the check's own default tolerance; an
+exact check takes no tolerance.  The quadrature itself has fixed targets
+(hahnlab.quadrature), so tol moves only the verdict.  Suites are sized
+to run in seconds; the full-size acceptance runs live in the test suite.
 """
 
 from __future__ import annotations
@@ -25,12 +28,12 @@ from .identities import (contiguous_check, genfun_chahn_check,
                          genfun_jacobi_check, jacobi_classical_check)
 from .operator_calculus import (hahn_operator_identity_check, recurrence_check,
                                 shifted_operator_identity_check)
-from .orthogonality import (barnes_check, bateman_ortho_check, gram_check,
-                            jacobi_ortho_check, pasternack_biortho_check,
-                            pasternack_ortho_check)
+from .orthogonality import (barnes_check, bateman_ortho_checks, gram_check,
+                            jacobi_ortho_checks, pasternack_biortho_checks,
+                            pasternack_ortho_checks)
 from .polynomials import HahnParams, pasternack_reflection_check
 from .reports import VerificationReport
-from .transforms import fourier_pair_check, mellin_pair_check, parseval_check
+from .transforms import fourier_pair_checks, mellin_pair_checks, parseval_check
 
 F = Fraction
 _HALF = F(1, 2)
@@ -47,24 +50,24 @@ _TABLE = [
         _ALL_HALF, (1, _HALF, F(3, 4), F(5, 4)), (2, F(1, 3), F(3, 2), F(3, 4)),
         (complex(0.5, 0.25), complex(0.75, -0.25), complex(0.5, -0.25),
          complex(0.75, 0.25))]),
-    ("bateman", bateman_ortho_check, True,
-     [(n, m) for n in range(5) for m in range(n + 1)]),
-    ("pasternack", pasternack_ortho_check, True,
-     [(n, p, m) for m in (F(1, 3), _HALF, 0) for n in range(4) for p in range(n + 1)]),
-    ("biortho", pasternack_biortho_check, True,
-     [(n, p, F(1, 3)) for n in range(4) for p in range(4)]),
-    ("jacobi-ortho", jacobi_ortho_check, True, [
-        (0, 0, 0, 0), (1, 1, 0, 0), (3, 1, F(1, 3), F(3, 4)),
-        (2, 2, complex(0.5, 1.0), complex(0.5, -1.0)),
-        (3, 2, complex(0.5, 1.0), complex(0.5, -1.0))]),
+    ("bateman", bateman_ortho_checks, True,
+     [([(n, m) for n in range(5) for m in range(n + 1)],)]),
+    ("pasternack", pasternack_ortho_checks, True,
+     [(m, [(n, p) for n in range(4) for p in range(n + 1)]) for m in (F(1, 3), _HALF, 0)]),
+    ("biortho", pasternack_biortho_checks, True,
+     [(F(1, 3), [(n, p) for n in range(4) for p in range(4)])]),
+    ("jacobi-ortho", jacobi_ortho_checks, True, [
+        (0, 0, [(0, 0), (1, 1)]), (F(1, 3), F(3, 4), [(3, 1)]),
+        (complex(0.5, 1.0), complex(0.5, -1.0), [(2, 2), (3, 2)])]),
     ("chahn-gram", gram_check, True, [
         ("chahn-gram[all 1/2]", *_ALL_HALF, 3),
         ("chahn-gram[1, 1/2, 3/4, 5/4]", 1, _HALF, F(3, 4), F(5, 4), 3)]),
-    ("fourier", fourier_pair_check, True,
-     [(n, *p, z) for p in ((_HALF, _HALF, 0, 0), _MELLIN_TUPLE)
-      for n in (0, 1, 3) for z in (0.0, 1.0, 5.0)]),
-    ("mellin", mellin_pair_check, True,
-     [(n, *_MELLIN_TUPLE, lam) for n in (0, 2) for lam in (0.0, 0.7)]),
+    ("fourier", fourier_pair_checks, True,
+     [(al, be, [(n, ga, de, z) for n in (0, 1, 3) for z in (0.0, 1.0, 5.0)])
+      for al, be, ga, de in ((_HALF, _HALF, 0, 0), _MELLIN_TUPLE)]),
+    ("mellin", mellin_pair_checks, True,
+     [(*_MELLIN_TUPLE[:2],
+       [(n, *_MELLIN_TUPLE[2:], lam) for n in (0, 2) for lam in (0.0, 0.7)])]),
     ("parseval", parseval_check, True, [
         (0, 0, *_ALL_HALF, 0, 0, 0, 0),
         (2, 1, F(3, 4), _HALF, F(1, 4), 1, F(1, 3), F(2, 5), F(1, 5), F(3, 5)),
@@ -103,9 +106,15 @@ def _suite(check: Callable, quadrature: bool, cases: list) -> Callable:
         # looked up by name at call time, so a rebinding of this module's
         # name (a test double, a tracing wrapper) is what runs
         fn = globals()[check.__name__]
-        if not quadrature or tol is None:
-            return [fn(*args) for args in cases]
-        return [fn(*args, tol=tol) for args in cases]
+        kwargs = {} if not quadrature or tol is None else {"tol": tol}
+        reports = []
+        for args in cases:
+            out = fn(*args, **kwargs)
+            if isinstance(out, list):  # a list form: its group's reports
+                reports.extend(out)
+            else:
+                reports.append(out)
+        return reports
     return run
 
 

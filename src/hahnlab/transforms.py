@@ -2,8 +2,12 @@
 
 Each check computes one side of a transform identity by the nested
 trapezoidal rule and the other side in closed form from gamma functions and a
-continuous Hahn value, then reports the discrepancy.  The Fourier
-convention is F(f)(z) = int e^{-ixz} f(x) dx with Parseval constant 2*pi.
+continuous Hahn value, then reports the discrepancy.  The Fourier and
+Mellin checks have list forms (fourier_pair_checks, mellin_pair_checks)
+that take every row on one weight (alpha, beta) and integrate them in one
+pass, the tanh logs once per node and the weight once per frequency; the
+scalar checks are their one-row case.  The Fourier convention is
+F(f)(z) = int e^{-ixz} f(x) dx with Parseval constant 2*pi.
 The Mellin pair is the Fourier pair after x = e^{-2u}: both of its sides
 are the Fourier pair's at z = -2 lambda, scaled by 2^{1-alpha-beta}.
 """
@@ -39,30 +43,37 @@ def tanh_weight_logs(x: float) -> tuple[float, float]:
     return (lo, hi) if x >= 0.0 else (hi, lo)
 
 
-def _tanh_product_integral(pn, pm, wa: complex, wb: complex,
-                           z: float = 0.0) -> IntegralResult:
+def _tanh_product_integral(entries: list, wa: complex, wb: complex) -> list[IntegralResult]:
     """int e^{-ixz} (1 - tanh x)^wa (1 + tanh x)^wb pn(tanh x) pm(tanh x) dx
-    over the line, for coefficient lists pn and pm: the beta-type integral
-    over [-1, 1] in the variable t = tanh x, and its Fourier transform.
+    over the line for each entry (pn, pm, z) of entries, pn and pm
+    coefficient lists: the beta-type integral over [-1, 1] in the variable
+    t = tanh x, and its Fourier transform, all on one weight in one pass.
 
-    The integrand is analytic in |Im x| < pi/2 and has no reflection
-    symmetry, so each level is evaluated at both signs; the first step is
-    at most pi/|z|, half a period of the oscillation."""
-    bound = sum(abs(u) for u in pn) * sum(abs(u) for u in pm)
+    Each node computes tanh x and the weight's logs once, the weight once
+    per distinct z and each distinct polynomial once; an entry's terms are
+    then its own products, in the order a lone entry forms them.  The
+    integrand is analytic in |Im x| < pi/2 and has no reflection symmetry,
+    so each level is evaluated at both signs; the first step is at most
+    pi/|z|, half a period of the fastest oscillation."""
+    keys = [(tuple(pn), tuple(pm), z) for pn, pm, z in entries]
+    polys = dict.fromkeys(p for pn, pm, _ in keys for p in (pn, pm))
+    freqs = dict.fromkeys(z for *_, z in keys)
+    bound = max(sum(map(abs, pn)) * sum(map(abs, pm)) for pn, pm, _ in keys)
 
-    def f(xs: list) -> tuple:
-        w = [cmath.exp(-1j * z * x + wa * l1 + wb * l2)
-             for x, (l1, l2) in zip(xs, map(tanh_weight_logs, xs))]
+    def f(xs: list) -> list:
+        logs = list(map(tanh_weight_logs, xs))
         ts = list(map(math.tanh, xs))
-        terms = list(map(mul, map(mul, w, horner_level(pn, ts)), horner_level(pm, ts)))
-        return sum(terms), sum(map(abs, terms))
+        w = {z: [cmath.exp(-1j * z * x + wa * l1 + wb * l2) for x, (l1, l2) in zip(xs, logs)]
+             for z in freqs}
+        p = {c: horner_level(c, ts) for c in polys}
+        return [list(map(mul, map(mul, w[z], p[pn]), p[pm])) for pn, pm, z in keys]
 
     def env(x: float) -> float:
         l1, l2 = tanh_weight_logs(abs(x))
         return bound * max(math.exp(wa.real * l1 + wb.real * l2),
                            math.exp(wa.real * l2 + wb.real * l1))
 
-    return _line_integral(f, env, math.pi / max(2.0, abs(z)))
+    return _line_integral(f, env, math.pi / max(2.0, *map(abs, freqs)))
 
 
 def _hahn_of_jacobi(alpha, beta, gamma, delta) -> HahnParams:
@@ -74,11 +85,12 @@ def _hahn_of_jacobi(alpha, beta, gamma, delta) -> HahnParams:
     return HahnParams(alpha, delta - beta + 1, gamma - alpha + 1, beta)
 
 
-def _weighted_jacobi_transform(n, alpha, beta, gamma, delta, z) -> IntegralResult:
-    """Quadrature side of the Fourier pair at frequency z."""
-    coeffs = jacobi_coeffs_complex(n, JacobiParams(gamma, delta))
-    return _tanh_product_integral(coeffs, [1.0], _to_complex(alpha),
-                                  _to_complex(beta), z)
+def _weighted_jacobi_transform(alpha, beta, cases: list) -> list[IntegralResult]:
+    """Quadrature side of the Fourier pair for each (n, gamma, delta, z) of
+    cases, on the one weight (alpha, beta): one trapezoid pass."""
+    entries = [(jacobi_coeffs_complex(n, JacobiParams(gamma, delta)), [1.0], z)
+               for n, gamma, delta, z in cases]
+    return _tanh_product_integral(entries, _to_complex(alpha), _to_complex(beta))
 
 
 def _fourier_closed_form(n, alpha, beta, gamma, delta, z) -> complex:
@@ -89,26 +101,77 @@ def _fourier_closed_form(n, alpha, beta, gamma, delta, z) -> complex:
         * (-1j) ** (n % 4) * chahn_eval(n, hp, 0.5 * z)
 
 
+def fourier_pair_checks(alpha, beta, cases: list, tol: float = 1e-8,
+                        tol_abs: float = 1e-12) -> list[VerificationReport]:
+    """fourier_pair_check(n, alpha, beta, gamma, delta, z) for each
+    (n, gamma, delta, z) of cases, in order, with every quadrature side
+    from one trapezoid pass on the weight (alpha, beta)."""
+    _require_positive_re(alpha=alpha, beta=beta)
+    for *_, z in cases:
+        if not cmath.isfinite(_to_complex(z)):
+            raise DomainError(f"z must be finite, got {z!r}")
+    reports = []
+    for (n, gamma, delta, z), lhs in zip(cases, _weighted_jacobi_transform(alpha, beta, cases)):
+        rhs = _fourier_closed_form(n, alpha, beta, gamma, delta, z)
+        abs_err = abs(lhs.value - rhs)
+        # at z = 0, alpha = beta and gamma = delta the integrand is an even
+        # weight times the odd P_n for odd n: the closed form is 0 up to
+        # rounding, and the |f| mass scales the error in place of |rhs|
+        vanishes = n % 2 == 1 and z == 0.0 and alpha == beta and gamma == delta
+        rel_err = abs_err / max(lhs.mass if vanishes else abs(rhs), 1e-300)
+        diag = QuadDiagnostics(lhs.evaluations, lhs.error_estimate)
+        reports.append(toleranced_report(f"fourier-pair[n={n}, z={z}]", abs_err, rel_err,
+                                         tol, tol_abs, f"lhs={lhs.value!r} rhs={rhs!r}",
+                                         diag))
+    return reports
+
+
 def fourier_pair_check(n: int, alpha, beta, gamma, delta, z: float,
                        tol: float = 1e-8, tol_abs: float = 1e-12) -> VerificationReport:
     """Quadrature of e^{-ixz} (1-tanh x)^alpha (1+tanh x)^beta P_n(tanh x)
     against 2^{alpha+beta-1} Gamma(alpha+iz/2) Gamma(beta-iz/2) /
     Gamma(alpha+beta+n) * i^{-n} p_n(z/2)."""
-    _require_positive_re(alpha=alpha, beta=beta)
-    if not cmath.isfinite(_to_complex(z)):
-        raise DomainError(f"z must be finite, got {z!r}")
-    name = f"fourier-pair[n={n}, z={z}]"
-    lhs = _weighted_jacobi_transform(n, alpha, beta, gamma, delta, z)
-    rhs = _fourier_closed_form(n, alpha, beta, gamma, delta, z)
-    abs_err = abs(lhs.value - rhs)
-    # at z = 0, alpha = beta and gamma = delta the integrand is an even
-    # weight times the odd P_n for odd n: the closed form is 0 up to rounding,
-    # and the |f| mass scales the error in place of |rhs|
-    vanishes = n % 2 == 1 and z == 0.0 and alpha == beta and gamma == delta
-    rel_err = abs_err / max(lhs.mass if vanishes else abs(rhs), 1e-300)
-    diag = QuadDiagnostics(lhs.evaluations, lhs.error_estimate)
-    return toleranced_report(name, abs_err, rel_err, tol, tol_abs,
-                             f"lhs={lhs.value!r} rhs={rhs!r}", diag)
+    return fourier_pair_checks(alpha, beta, [(n, gamma, delta, z)], tol, tol_abs)[0]
+
+
+def mellin_pair_checks(alpha, beta, cases: list, tol: float = 1e-8,
+                       tol_abs: float = 1e-12) -> list[VerificationReport]:
+    """mellin_pair_check(n, alpha, beta, gamma, delta, lam) for each
+    (n, gamma, delta, lam) of cases, in order, with every quadrature side
+    from one trapezoid pass on the weight (alpha, beta)."""
+    al, be = _require_positive_re(alpha=alpha, beta=beta)
+    for *_, lam in cases:
+        if not cmath.isfinite(_to_complex(lam)):
+            raise DomainError(f"lambda must be finite, got {lam!r}")
+    scale = cmath.exp((1 - al - be) * _LOG_2)
+    lhs_all = _weighted_jacobi_transform(
+        alpha, beta, [(n, gamma, delta, -2.0 * lam) for n, gamma, delta, lam in cases])
+    reports = []
+    for (n, gamma, delta, lam), lhs in zip(cases, lhs_all):
+        lhs_value = scale * lhs.value
+        rhs_corrected = scale * _fourier_closed_form(n, alpha, beta, gamma, delta, -2.0 * lam)
+        err_corrected = abs(lhs_value - rhs_corrected)
+        if lam == 0.0:
+            which = "conventions coincide at lambda = 0"
+        else:
+            # the quoted form has Gamma(beta - i lambda) for Gamma(beta + i lambda)
+            rhs_quoted = rhs_corrected * gamma_product([be - 1j * lam], [be + 1j * lam])
+            rel_quoted = abs(lhs_value - rhs_quoted) / max(abs(rhs_quoted), 1e-300)
+            rel_corrected = err_corrected / max(abs(rhs_corrected), 1e-300)
+            matches = rel_corrected <= tol or err_corrected <= tol_abs
+            which = (f"Gamma(beta + i*lambda) convention "
+                     f"{'matches' if matches else 'does not match'} "
+                     f"(rel {rel_corrected:.3e}); quoted Gamma(beta - i*lambda) "
+                     f"convention off by rel {rel_quoted:.3e}")
+        # at lambda = 0, alpha = beta and gamma = delta the integrand is an even
+        # weight times the odd P_n for odd n: the closed form is 0 up to rounding
+        vanishes = n % 2 == 1 and lam == 0.0 and alpha == beta and gamma == delta
+        diag = QuadDiagnostics(lhs.evaluations, lhs.error_estimate)
+        reports.append(integral_report(
+            f"mellin-pair[n={n}, lambda={lam}]", err_corrected,
+            0.0 if vanishes else abs(rhs_corrected), abs(scale) * lhs.mass, tol, tol_abs,
+            which + "; " + MELLIN_SIGN_NOTE, diag))
+    return reports
 
 
 def mellin_pair_check(n: int, alpha, beta, gamma, delta, lam: float,
@@ -118,35 +181,7 @@ def mellin_pair_check(n: int, alpha, beta, gamma, delta, lam: float,
     z = -2*lambda times 2^{1-alpha-beta}.  Pass or fail rests on that
     substitution-consistent Gamma(beta + i*lambda) form alone; the error of
     the often-quoted Gamma(beta - i*lambda) form is in the details."""
-    al, be = _require_positive_re(alpha=alpha, beta=beta)
-    if not cmath.isfinite(_to_complex(lam)):
-        raise DomainError(f"lambda must be finite, got {lam!r}")
-    name = f"mellin-pair[n={n}, lambda={lam}]"
-    scale = cmath.exp((1 - al - be) * _LOG_2)
-    lhs = _weighted_jacobi_transform(n, alpha, beta, gamma, delta, -2.0 * lam)
-    lhs_value = scale * lhs.value
-    rhs_corrected = scale * _fourier_closed_form(n, alpha, beta, gamma, delta, -2.0 * lam)
-
-    err_corrected = abs(lhs_value - rhs_corrected)
-    if lam == 0.0:
-        which = "conventions coincide at lambda = 0"
-    else:
-        # the quoted form has Gamma(beta - i lambda) for Gamma(beta + i lambda)
-        rhs_quoted = rhs_corrected * gamma_product([be - 1j * lam], [be + 1j * lam])
-        rel_quoted = abs(lhs_value - rhs_quoted) / max(abs(rhs_quoted), 1e-300)
-        rel_corrected = err_corrected / max(abs(rhs_corrected), 1e-300)
-        matches = rel_corrected <= tol or err_corrected <= tol_abs
-        which = (f"Gamma(beta + i*lambda) convention "
-                 f"{'matches' if matches else 'does not match'} "
-                 f"(rel {rel_corrected:.3e}); quoted Gamma(beta - i*lambda) "
-                 f"convention off by rel {rel_quoted:.3e}")
-    # at lambda = 0, alpha = beta and gamma = delta the integrand is an even
-    # weight times the odd P_n for odd n: the closed form is 0 up to rounding
-    vanishes = n % 2 == 1 and lam == 0.0 and alpha == beta and gamma == delta
-    diag = QuadDiagnostics(lhs.evaluations, lhs.error_estimate)
-    return integral_report(name, err_corrected, 0.0 if vanishes else abs(rhs_corrected),
-                           abs(scale) * lhs.mass, tol, tol_abs,
-                           which + "; " + MELLIN_SIGN_NOTE, diag)
+    return mellin_pair_checks(alpha, beta, [(n, gamma, delta, lam)], tol, tol_abs)[0]
 
 
 def _parseval_right(n: int, m: int, alpha, beta, a, b, gamma, delta, c,
@@ -172,12 +207,11 @@ def _parseval_right(n: int, m: int, alpha, beta, a, b, gamma, delta, c,
     def gamma_sum_log(z: float) -> complex:
         return log_weight(0.5 * z) + log_norm
 
-    def f(zs: list) -> tuple:
+    def f(zs: list) -> list:
         halves = [0.5 * z for z in zs]
         w = [cmath.exp(gamma_sum_log(z)) for z in zs]
-        terms = list(map(mul, map(mul, w, horner_level(cn, halves)),
-                         [u.conjugate() for u in horner_level(cm, halves)]))
-        return sum(terms), sum(map(abs, terms))
+        return [list(map(mul, map(mul, w, horner_level(cn, halves)),
+                         [u.conjugate() for u in horner_level(cm, halves)]))]
 
     def env(z: float) -> float:
         g = gamma_sum_log(z).real
@@ -188,8 +222,9 @@ def _parseval_right(n: int, m: int, alpha, beta, a, b, gamma, delta, c,
             * sum(abs(u) * r ** k for k, u in enumerate(cm))
         return math.exp(g) * pb
 
-    return _line_integral(f, env, 2.0 * min(al.real, be.real, av.real, bv.real),
-                          (-1) ** (n + m) if real else None)
+    [res] = _line_integral(f, env, 2.0 * min(al.real, be.real, av.real, bv.real),
+                           (-1) ** (n + m) if real else None)
+    return res
 
 
 def parseval_check(n: int, m: int, alpha, beta, a, b, gamma, delta, c, d,
@@ -202,7 +237,7 @@ def parseval_check(n: int, m: int, alpha, beta, a, b, gamma, delta, c, d,
     # left: 2 pi * integral of the tanh-substituted beta-type integrand
     pn = jacobi_coeffs_complex(n, JacobiParams(gamma, delta))
     pm = jacobi_coeffs_complex(m, JacobiParams(c, d))
-    left = _tanh_product_integral(pn, pm, al + av, be + bv)
+    [left] = _tanh_product_integral([(pn, pm, 0.0)], al + av, be + bv)
     lhs_value = 2.0 * math.pi * left.value
 
     # right: gamma-weighted line integral over the transforms

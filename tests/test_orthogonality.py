@@ -265,6 +265,26 @@ def test_jacobi_ortho_complex_parameters():
     assert r.passed and r.max_rel_err <= 1e-9
 
 
+@pytest.mark.parametrize("alpha, beta, h0", [
+    (F(-3, 4), F(-1, 4), math.pi * math.sqrt(2)),
+    (-0.5, -0.5, math.pi),
+], ids=["-3/4,-1/4", "-1/2,-1/2"])
+def test_jacobi_ortho_n0_where_alpha_plus_beta_is_minus_one(alpha, beta, h0):
+    """alpha + beta = -1 makes Gamma(n+alpha+beta+1)(2n+alpha+beta+1) 0 * inf
+    at n = 0 (a PoleError once); h_0 = 2^{alpha+beta+1} Gamma(alpha+1)
+    Gamma(beta+1) / Gamma(alpha+beta+2) is finite, pi sqrt 2 and pi here.
+    Both sides of the check are within rounding of mpmath's beta function."""
+    r = jacobi_ortho_check(0, 0, alpha, beta)
+    with mpmath.workdps(30):
+        a, b = _mp(alpha), _mp(beta)
+        want = 2 ** (a + b + 1) * mpmath.beta(a + 1, b + 1)
+        assert abs(want - h0) <= 1e-15 * h0
+    measured, expected = (complex(part.split("=")[1]) for part in r.details.split())
+    assert r.passed
+    assert abs(expected - complex(want)) <= 2e-15 * h0
+    assert abs(measured - complex(want)) <= 2e-15 * h0
+
+
 def test_jacobi_ortho_domain():
     with pytest.raises(DomainError):
         jacobi_ortho_check(0, 0, -1.0, 0)
@@ -714,7 +734,7 @@ def test_sech_integral_against_mpmath(kind, n, p, m, m2):
     """int F_n^m(ix) F_p^m2(ix) w(x) dx against mpmath.quad at 20 digits,
     with F from mpmath's 3F2."""
     scale, mp_weight = _sech_case(kind, m)
-    res = orthogonality._sech_integral(n, p, m, m2, scale)
+    [res] = orthogonality._sech_integral([(n, p)], m, m2, scale)
     mpm, mpm2 = _mp(m), _mp(m2)
     with mpmath.workdps(20):
         want = complex(mpmath.quad(
@@ -738,7 +758,7 @@ def test_sech_estimate_covers_error_against_mpmath(monkeypatch, check):
 
     monkeypatch.setattr(orthogonality, "_line_integral", spy)
     report = check(0, 0, F(1, 3))
-    [res] = seen
+    [[res]] = seen
     with mpmath.workdps(30):
         c = mpmath.cos(mpmath.pi / 3)
         want = mpmath.quad(lambda x: 1 / (c + mpmath.cosh(mpmath.pi * x)),
@@ -754,9 +774,9 @@ def test_tanh_jacobi_integral_complex_parameters_against_mpmath(n, m):
     """The x = tanh u route of jacobi_ortho_check against the integral over
     [-1, 1] itself, with mpmath's Jacobi polynomials."""
     al, be = complex(0.5, 1.0), complex(0.5, -1.0)
-    res = _tanh_product_integral(jacobi_coeffs_complex(n, JacobiParams(al, be)),
-                                 jacobi_coeffs_complex(m, JacobiParams(al, be)),
-                                 al + 1, be + 1)
+    [res] = _tanh_product_integral([(jacobi_coeffs_complex(n, JacobiParams(al, be)),
+                                     jacobi_coeffs_complex(m, JacobiParams(al, be)), 0.0)],
+                                   al + 1, be + 1)
     a, b = mpmath.mpc(al), mpmath.mpc(be)
     with mpmath.workdps(20):
         want = complex(mpmath.quad(lambda t: (1 - t) ** a * (1 + t) ** b
@@ -786,7 +806,7 @@ def test_zero_expected_entry_passes_on_tol_abs_alone(monkeypatch, check, args, t
     """An off-diagonal value of 1e-9 over a mass of 1 is 1e-9 relative, inside
     the relative tolerance 1e-8, but ten times tol_abs: it must fail."""
     monkeypatch.setattr(orthogonality, target,
-                        lambda *a, **k: IntegralResult(1e-9, 0.0, 1, 1.0))
+                        lambda *a, **k: [IntegralResult(1e-9, 0.0, 1, 1.0)])
     r = check(*args)
     assert r.max_rel_err == pytest.approx(1e-9)
     assert not r.passed
@@ -807,11 +827,11 @@ def test_sech_fold_agrees_with_both_sides(monkeypatch, n, p, m):
     """Real coefficients: the folded level sums equal the ones that evaluate
     both signs, to rounding, on the same grid."""
     scale, _ = _sech_case("bateman" if m == 0 else "pasternack", m)
-    args = (n, p, m, m, scale)
-    folded = orthogonality._sech_integral(*args)
+    args = ([(n, p)], m, m, scale)
+    [folded] = orthogonality._sech_integral(*args)
     monkeypatch.setattr(orthogonality, "_line_integral",
                         _fold(orthogonality._line_integral, "none"))
-    both = orthogonality._sech_integral(*args)
+    [both] = orthogonality._sech_integral(*args)
     assert abs(folded.value - both.value) <= 8 * _EPS * folded.mass
     assert folded.evaluations == both.evaluations
 
@@ -825,6 +845,29 @@ def test_sech_mutated_fold_sign_fails(monkeypatch, check, args):
     monkeypatch.setattr(orthogonality, "_line_integral",
                         _fold(orthogonality._line_integral, "mutated"))
     assert not check(*args).passed
+
+
+@pytest.mark.parametrize("m, m2, distinct", [(0, 0, 5), (F(1, 3), F(-1, 3), 9)])
+def test_sech_group_evaluates_each_polynomial_once_per_level(monkeypatch, m, m2, distinct):
+    """Fifteen (n, p) pairs, n, p < 5, on one weight: one pass, and per level
+    one Horner sweep per distinct polynomial (F_0 = 1 for both m and -m);
+    each value is the pair's lone integral to within its estimate."""
+    pairs = [(n, p) for n in range(5) for p in range(n + 1)]
+    swept = []  # the node lists, kept alive so that their ids stay distinct
+
+    def recorder(coeffs, xs):
+        swept.append(xs)
+        return horner_level(coeffs, xs)
+
+    monkeypatch.setattr(orthogonality, "horner_level", recorder)
+    group = orthogonality._sech_integral(pairs, m, m2, 1.0)
+    assert {sum(x is xs for x in swept) for xs in swept} == {distinct}
+    assert len({res.evaluations for res in group}) == 1
+    monkeypatch.undo()
+    for pair, res in zip(pairs, group):
+        [alone] = orthogonality._sech_integral([pair], m, m2, 1.0)
+        assert res.evaluations >= alone.evaluations
+        assert abs(res.value - alone.value) <= alone.error_estimate
 
 
 def test_sech_narrow_strip_raises_before_evaluating(monkeypatch):

@@ -20,13 +20,10 @@ def _sech(u):
     return 2.0 * e / (1.0 + e * e)
 
 
-def _level(F):
-    """A scalar integrand F as _line_integral's level integrand: the sums of
-    F and of |F| over the nodes."""
-    def f(zs):
-        terms = [F(z) for z in zs]
-        return sum(terms), sum(map(abs, terms))
-    return f
+def _level(*Fs):
+    """Integrands F_1, ..., F_K as _line_integral's level integrand: each
+    F_k at every node."""
+    return lambda zs: [[F(z) for z in zs] for F in Fs]
 
 
 def _relative(values):
@@ -37,7 +34,7 @@ def _relative(values):
 def test_sech_squared_family(a):
     # antiderivative of sech^2(ax) is tanh(ax)/a, so the line integral is
     # 2/a; the strip is |Im x| < pi / (2a)
-    res = _line_integral(_level(lambda x: _sech(a * x) ** 2),
+    [res] = _line_integral(_level(lambda x: _sech(a * x) ** 2),
                          lambda x: 4.0 * math.exp(-2.0 * a * abs(x)), math.pi / (2.0 * a))
     assert abs(res.value - 2.0 / a) <= 1e-10 * (2.0 / a)
 
@@ -46,20 +43,20 @@ def test_sech_squared_family(a):
 def test_moment_sech_squared_family(a):
     # int u^2 sech^2(u) du = pi^2/6 over the line, rescaled by a^3
     expected = math.pi ** 2 / (6.0 * a ** 3)
-    res = _line_integral(_level(lambda x: x * x * _sech(a * x) ** 2),
+    [res] = _line_integral(_level(lambda x: x * x * _sech(a * x) ** 2),
                          lambda x: 4.0 * x * x * math.exp(-2.0 * a * abs(x)),
                          math.pi / (2.0 * a))
     assert abs(res.value - expected) <= 1e-10 * expected
 
 
 def test_odd_integrand_vanishes():
-    res = _line_integral(_level(lambda x: x * _sech(x) ** 2),
+    [res] = _line_integral(_level(lambda x: x * _sech(x) ** 2),
                          lambda x: 4.0 * abs(x) * math.exp(-2.0 * abs(x)), math.pi / 2.0)
     assert abs(res.value) <= _ABS_TOL * 10
 
 
 def test_complex_integrand():
-    res = _line_integral(_level(lambda x: complex(_sech(x) ** 2, x * _sech(x) ** 2)),
+    [res] = _line_integral(_level(lambda x: complex(_sech(x) ** 2, x * _sech(x) ** 2)),
                          lambda x: 8.0 * (1 + abs(x)) * math.exp(-2.0 * abs(x)),
                          math.pi / 2.0)
     assert abs(res.value.real - 2.0) <= 2e-10
@@ -67,7 +64,7 @@ def test_complex_integrand():
 
 
 def test_diagnostics_populated():
-    res = _line_integral(_level(lambda x: _sech(x) ** 2),
+    [res] = _line_integral(_level(lambda x: _sech(x) ** 2),
                          lambda x: 4.0 * math.exp(-2.0 * abs(x)), math.pi / 2.0)
     # the centre node and the same count on each side
     assert res.evaluations % 2 == 1 and res.evaluations > 0
@@ -86,7 +83,7 @@ def test_oscillatory_panel_width():
     # step comes from the half period pi / w, not the strip pi / 2
     w = 9.0
     expected = math.pi * w / math.sinh(math.pi * w / 2.0)
-    res = _line_integral(
+    [res] = _line_integral(
         _level(lambda x: complex(math.cos(w * x), math.sin(w * x)) * _sech(x) ** 2),
         lambda x: 4.0 * math.exp(-2.0 * abs(x)), math.pi / w)
     assert abs(res.value - expected) <= 1e-10 * max(expected, 1.0)
@@ -105,7 +102,7 @@ def test_truncation_failure_raises():
 def test_deterministic_repeat():
     # poles at +-i (1 / (1 + x^2)) and +-i pi / 2 (sech^2): strip 1
     runs = [_line_integral(_level(lambda x: _sech(x) ** 2 / (1.0 + x * x)),
-                           lambda x: 4.0 * math.exp(-2.0 * abs(x)), 1.0)
+                           lambda x: 4.0 * math.exp(-2.0 * abs(x)), 1.0)[0]
             for _ in range(2)]
     assert runs[0].value == runs[1].value
     assert runs[0].evaluations == runs[1].evaluations
@@ -271,22 +268,39 @@ def test_line_integral_folds_and_reports_the_mass():
     w = 3.0
     expected = math.pi * w / math.sinh(math.pi * w / 2.0)
 
-    def f(xs):
-        terms = [cmath.exp(1j * w * x) * _sech(x) ** 2 for x in xs]
-        return sum(terms), sum(map(abs, terms))
+    f = _level(lambda x: cmath.exp(1j * w * x) * _sech(x) ** 2)
 
     def env(x):
         return 4.0 * math.exp(-2.0 * abs(x))
 
     strip = min(math.pi / 2.0, math.pi / w)
-    folded = _line_integral(f, env, strip, 1)
-    unfolded = _line_integral(f, env, strip)
+    [folded] = _line_integral(f, env, strip, 1)
+    [unfolded] = _line_integral(f, env, strip)
     for res in (folded, unfolded):
         assert abs(res.value - expected) <= 1e-13
         assert abs(res.mass - 2.0) <= 1e-13
         assert res.error_estimate <= _REL_TOL * abs(expected)
     assert abs(folded.value - unfolded.value) <= 8 * _EPS * folded.mass
     assert folded.evaluations == unfolded.evaluations
+
+
+def test_line_integral_components_share_one_pass():
+    """e^{-x^2} converges at fewer nodes alone than sech^2 x / (1 + x^2)
+    (poles at +-i): in one pass both report the slower one's node count, the
+    slower component is its lone integral to the bit, and the faster one
+    stays within its own estimate of its lone value."""
+    fast, slow = (lambda x: math.exp(-x * x)), (lambda x: _sech(x) ** 2 / (1.0 + x * x))
+
+    def env(x):
+        return 4.0 * math.exp(-2.0 * abs(x))
+
+    alone = [_line_integral(_level(F), env, 1.0)[0] for F in (fast, slow)]
+    pair = _line_integral(_level(fast, slow), env, 1.0)
+    assert alone[0].evaluations < alone[1].evaluations
+    assert [r.evaluations for r in pair] == [alone[1].evaluations] * 2
+    assert pair[1] == alone[1]
+    assert abs(pair[0].value - alone[0].value) <= alone[0].error_estimate
+    assert abs(pair[0].value - math.sqrt(math.pi)) <= 1e-14
 
 
 def test_benchmark_tracer_installs():

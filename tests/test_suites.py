@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from hahnlab import numerics, quadrature, suites
+from hahnlab import numerics, orthogonality, quadrature, suites
 from hahnlab.exact import GaussianRational
-from hahnlab.orthogonality import chahn_gram
+from hahnlab.orthogonality import (bateman_ortho_check, chahn_gram, jacobi_ortho_check,
+                                   pasternack_biortho_check, pasternack_ortho_check)
 from hahnlab.suites import SUITES, run_suites
+from hahnlab.transforms import fourier_pair_check, mellin_pair_check
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -42,14 +44,71 @@ def test_all_suites_cold_and_warm_are_equal():
     assert _dicts(run_suites("all")) == cold
 
 
-def test_all_suites_node_budget(all_reports):
-    """Trapezoid nodes over every quadrature row.  The rule stops on the
-    predicted tail of its changes, one level before the change itself would
-    pass (43,784 nodes when it waited for the change); a rule that confirms
-    the last level again fails here."""
-    total = sum(r.quad_diagnostics.evaluations for r in all_reports
-                if r.quad_diagnostics is not None)
-    assert total <= 33_600
+# trapezoid passes per quadrature suite: one per weight where rows share one
+PASSES = {"barnes": 4, "bateman": 1, "pasternack": 3, "biortho": 1, "jacobi-ortho": 3,
+          "chahn-gram": 2, "fourier": 2, "mellin": 1, "parseval": 6}
+
+
+def test_all_suites_node_budget(monkeypatch):
+    """Trapezoid nodes over every pass of every quadrature suite, each pass
+    counted once: the rows of one weight share a pass and each reports its
+    node count, so a sum over the rows' evaluations would count a shared
+    pass once per row.  The rule stops on the predicted tail of its changes,
+    one level before the change itself would pass (13,691 nodes when it
+    waited for the change; 33,520 in 100 passes when each row had its own);
+    a rule that confirms the last level again, or a suite that splits a
+    weight's pass again, fails here."""
+    nodes, trapezoid = [], quadrature.integrate_line_trapezoid
+
+    def counting(*args):
+        res = trapezoid(*args)
+        nodes.append(res.nodes)
+        return res
+
+    # both modules that bind the rule: _line_integral's and the Gram's
+    monkeypatch.setattr(quadrature, "integrate_line_trapezoid", counting)
+    monkeypatch.setattr(orthogonality, "integrate_line_trapezoid", counting)
+    passes = {}
+    for name in QUADRATURE_SUITES:
+        start = len(nodes)
+        assert all(r.passed for r in SUITES[name](None))
+        passes[name] = len(nodes) - start
+    assert passes == PASSES
+    assert sum(nodes) <= 8_450
+
+
+# each regrouped suite's scalar check; a group is (*weight, cases), and a
+# case becomes the scalar arguments with the weight after n (the transform
+# pairs) or after the degrees (the orthogonality relations)
+SCALAR_FORMS = {"bateman": bateman_ortho_check, "pasternack": pasternack_ortho_check,
+                "biortho": pasternack_biortho_check, "jacobi-ortho": jacobi_ortho_check,
+                "fourier": fourier_pair_check, "mellin": mellin_pair_check}
+
+
+def _measured(report):
+    """The quadrature value the details name (lhs= or measured=), else None."""
+    for part in report.details.replace(";", " ").split():
+        if part.startswith(("lhs=", "measured=")):
+            return complex(part.split("=")[1])
+    return None
+
+
+@pytest.mark.parametrize("name", SCALAR_FORMS)
+def test_grouped_rows_agree_with_the_scalar_checks(name):
+    """Each row of a suite whose rows share a weight's pass, against its
+    public scalar check called alone: the same name and verdict, in the same
+    place, and the same integral to 1e-13 (the grouped pass may run further
+    and wider than the row's own)."""
+    [cases] = [row[3] for row in suites._TABLE if row[0] == name]
+    alone = [SCALAR_FORMS[name](*((case[0], *weight, *case[1:])
+                                  if name in ("fourier", "mellin") else (*case, *weight)))
+             for *weight, group in cases for case in group]
+    grouped = SUITES[name](None)
+    assert [(r.name, r.status) for r in grouped] == [(r.name, r.status) for r in alone]
+    for g, a in zip(grouped, alone):
+        assert abs(g.max_abs_err - a.max_abs_err) <= 1e-13, g.name
+        if _measured(a) is not None:
+            assert abs(_measured(g) - _measured(a)) <= 1e-13, g.name
 
 
 @pytest.mark.parametrize("params", [
@@ -113,3 +172,19 @@ def test_rows_call_the_check_bound_in_the_module(monkeypatch):
     calls.clear()
     SUITES["barnes"](1e-6)
     assert all(kwargs == {"tol": 1e-6} for _, kwargs in calls)
+
+
+def test_grouped_rows_call_the_list_form_bound_in_the_module(monkeypatch):
+    """A row of groups calls the list form once per weight, as bound in the
+    module at call time, and the group's reports are spliced in order."""
+    calls = []
+
+    def double(alpha, beta, cases, **kwargs):
+        calls.append(kwargs)
+        return [(alpha, beta, case) for case in cases]
+
+    monkeypatch.setattr(suites, "fourier_pair_checks", double)
+    reports = SUITES["fourier"](1e-6)
+    assert calls == [{"tol": 1e-6}] * 2
+    assert [(n, z) for *_, (n, _, _, z) in reports] == \
+        [(n, z) for _ in range(2) for n in (0, 1, 3) for z in (0.0, 1.0, 5.0)]

@@ -11,7 +11,7 @@ from hahnlab import quadrature
 from hahnlab.errors import DomainError
 from hahnlab.exact import GaussianRational
 from hahnlab.numerics import beta as beta_fn
-from hahnlab.polynomials import HahnParams, chahn_eval
+from hahnlab.polynomials import HahnParams, chahn_eval, horner_level
 from hahnlab.quadrature import _EPS, IntegralResult
 from hahnlab.transforms import (fourier_pair_check, mellin_pair_check,
                                 parseval_check, tanh_weight_logs,
@@ -20,6 +20,12 @@ from hahnlab.transforms import (fourier_pair_check, mellin_pair_check,
 
 F = Fraction
 HALF = F(1, 2)
+
+
+def _transform(n, alpha, beta, gamma, delta, z):
+    """The quadrature side of one Fourier row: a group of one case."""
+    [res] = _weighted_jacobi_transform(alpha, beta, [(n, gamma, delta, z)])
+    return res
 
 
 def test_tanh_weight_logs_match_naive():
@@ -40,7 +46,7 @@ def test_fourier_n0_z0_is_beta_value():
     for al, be in ((HALF, HALF), (F(3, 5), F(11, 10))):
         r = fourier_pair_check(0, al, be, 0, 0, 0.0)
         assert r.passed
-        lhs = _weighted_jacobi_transform(0, al, be, 0, 0, 0.0).value
+        lhs = _transform(0, al, be, 0, 0, 0.0).value
         expected = 2.0 ** (float(al + be) - 1) * beta_fn(float(al), float(be))
         assert abs(lhs - expected) <= 1e-10 * abs(expected)
 
@@ -48,7 +54,7 @@ def test_fourier_n0_z0_is_beta_value():
 def test_fourier_n0_sech_self_reciprocity():
     # alpha = beta = 1/2: int e^{-ixz} sech x dx = pi sech(pi z / 2)
     for z in (0.0, 0.8, 2.0):
-        lhs = _weighted_jacobi_transform(0, HALF, HALF, 0, 0, z).value
+        lhs = _transform(0, HALF, HALF, 0, 0, z).value
         expected = math.pi / math.cosh(math.pi * z / 2.0)
         assert abs(lhs - expected) <= 1e-10 * expected
         assert fourier_pair_check(0, HALF, HALF, 0, 0, z).passed
@@ -86,7 +92,7 @@ def test_fourier_relative_error_is_against_the_closed_form(params):
     from hahnlab import transforms
 
     rhs = transforms._fourier_closed_form(0, *params, 12.0)
-    lhs = _weighted_jacobi_transform(0, *params, 12.0)
+    lhs = _transform(0, *params, 12.0)
     assert abs(rhs) < 1e-6 * lhs.mass
     r = fourier_pair_check(0, *params, 12.0)
     assert r.max_abs_err == abs(lhs.value - rhs)
@@ -134,8 +140,8 @@ def test_fourier_linearity():
     """Transform of a sum of two weighted Jacobi terms is the sum of
     transforms."""
     al, be, z = F(3, 5), F(11, 10), 1.3
-    t2 = _weighted_jacobi_transform(2, al, be, F(1, 4), F(4, 5), z).value
-    t5 = _weighted_jacobi_transform(5, al, be, F(1, 4), F(4, 5), z).value
+    t2 = _transform(2, al, be, F(1, 4), F(4, 5), z).value
+    t5 = _transform(5, al, be, F(1, 4), F(4, 5), z).value
 
     from hahnlab.polynomials import JacobiParams, horner, jacobi_coeffs_complex
     c2 = jacobi_coeffs_complex(2, JacobiParams(F(1, 4), F(4, 5)))
@@ -157,7 +163,7 @@ def test_fourier_linearity():
 def test_mellin_n0_lambda0_beta_value():
     r = mellin_pair_check(0, HALF, HALF, 0, 0, 0.0)
     assert r.passed
-    lhs = 2.0 ** (1 - 1.0) * _weighted_jacobi_transform(0, HALF, HALF, 0, 0, 0.0).value
+    lhs = 2.0 ** (1 - 1.0) * _transform(0, HALF, HALF, 0, 0, 0.0).value
     assert abs(lhs - math.pi) <= 1e-9 * math.pi  # B(1/2, 1/2) = pi
 
 
@@ -180,7 +186,7 @@ def test_mellin_fails_when_only_quoted_form_matches(monkeypatch):
         * (-1j) ** n * chahn_eval(n, hp, -lam)
     scale = cmath.exp((1 - al - be) * math.log(2.0))
     monkeypatch.setattr(transforms, "_weighted_jacobi_transform",
-                        lambda *args: IntegralResult(quoted / scale, 0.0, 0))
+                        lambda *args: [IntegralResult(quoted / scale, 0.0, 0)])
     r = mellin_pair_check(n, al, be, ga, de, lam)
     assert not r.passed
     assert "convention does not match" in r.details
@@ -271,9 +277,34 @@ def _mp_fourier(n, al, be, ga, de, z):
     (2, (complex(0.5, 0.25), complex(0.5, -0.25), F(1, 4), F(1, 4))),
 ])
 def test_fourier_integral_at_z5_against_mpmath(n, params):
-    res = _weighted_jacobi_transform(n, *params, 5.0)
+    res = _transform(n, *params, 5.0)
     want = _mp_fourier(n, *params, 5.0)
     assert abs(res.value - want) <= 1e-13 * max(abs(want), 1.0)
+
+
+def test_fourier_group_evaluates_each_polynomial_once_per_level(monkeypatch):
+    """Nine Fourier rows on one weight, n in (0, 1, 3) and z in (0, 1, 5):
+    one pass, and per level one Horner sweep per distinct polynomial
+    (P_0 is the constant 1 the transform multiplies by); each value is its
+    row's lone integral to within that row's estimate."""
+    from hahnlab import transforms
+    al, be, ga, de = F(3, 5), F(11, 10), F(1, 4), F(4, 5)
+    cases = [(n, ga, de, z) for n in (0, 1, 3) for z in (0.0, 1.0, 5.0)]
+    swept = []  # the node lists, kept alive so that their ids stay distinct
+
+    def recorder(coeffs, xs):
+        swept.append(xs)
+        return horner_level(coeffs, xs)
+
+    monkeypatch.setattr(transforms, "horner_level", recorder)
+    group = _weighted_jacobi_transform(al, be, cases)
+    assert {sum(x is xs for x in swept) for xs in swept} == {3}
+    assert len({res.evaluations for res in group}) == 1
+    monkeypatch.undo()
+    for (n, ga, de, z), res in zip(cases, group):
+        alone = _transform(n, al, be, ga, de, z)
+        assert res.evaluations >= alone.evaluations
+        assert abs(res.value - alone.value) <= alone.error_estimate
 
 
 def test_fourier_estimate_covers_one_more_halving(monkeypatch):
@@ -343,13 +374,13 @@ def test_parseval_envelope_bounds_both_tails(monkeypatch, args):
 
     def capture(f, env, strip, reflection=None):
         seen.append((f, env))
-        return IntegralResult(0j, 0.0, 1)
+        return [IntegralResult(0j, 0.0, 1)]
 
     monkeypatch.setattr(transforms, "_line_integral", capture)
     _parseval_right(*args[:2], *map(complex, args[2:]))
     (f, env), = seen
     for z in (2.0 + 0.5 * k for k in range(37)):
-        assert env(z) >= max(abs(f([z])[0]), abs(f([-z])[0])), z
+        assert env(z) >= max(abs(f([z])[0][0]), abs(f([-z])[0][0])), z
 
 
 def test_parseval_zero_case_reports_error_against_mass():
@@ -364,8 +395,8 @@ def test_parseval_zero_case_passes_on_tol_abs_alone(monkeypatch):
     tolerance but ten times tol_abs: the check must fail."""
     from hahnlab import transforms
     monkeypatch.setattr(transforms, "_tanh_product_integral",
-                        lambda *a, **k: IntegralResult(1e-9 / (2 * math.pi), 0.0, 1,
-                                                       1.0 / (2 * math.pi)))
+                        lambda *a, **k: [IntegralResult(1e-9 / (2 * math.pi), 0.0, 1,
+                                                        1.0 / (2 * math.pi))])
     r = parseval_check(2, 1, F(3, 4), HALF, F(3, 4), 1, *(HALF,) * 4)
     assert r.max_rel_err <= 1e-8 and r.max_abs_err >= 1e-9 * (1 - 1e-6)
     assert not r.passed
