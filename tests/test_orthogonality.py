@@ -10,7 +10,7 @@ import mpmath
 import pytest
 
 from hahnlab import numerics, orthogonality
-from hahnlab.errors import DomainError, QuadratureError
+from hahnlab.errors import DomainError, QuadratureError, RangeOverflowError
 from hahnlab.exact import GaussianRational
 from hahnlab.numerics import _hahn_weight_log_of, hahn_weight_log, log_gamma_complex
 from hahnlab.orthogonality import (GramResult, barnes_check,
@@ -342,9 +342,9 @@ def test_gram_check_passes_all_halves():
 def test_gram_check_fails_on_a_wrong_norm(monkeypatch):
     """Closed-form norms off by 1e-6 move the diagonal error far past the
     1e-8 tolerance: the check must fail, not pass on the quadrature alone."""
-    right = orthogonality.chahn_norm_rhs
-    monkeypatch.setattr(orthogonality, "chahn_norm_rhs",
-                        lambda *args: (1 + 1e-6) * right(*args))
+    right = orthogonality._chahn_norms
+    monkeypatch.setattr(orthogonality, "_chahn_norms",
+                        lambda *args: [(1 + 1e-6) * h for h in right(*args)])
     r = gram_check("g", HALF, HALF, HALF, HALF, 3)
     assert r.max_rel_err == pytest.approx(1e-6, rel=1e-3)
     assert not r.passed
@@ -431,6 +431,53 @@ def test_gram_narrow_strip_raises_promptly():
 
 CONJ_PAIR = (GaussianRational(HALF, F(1, 4)), GaussianRational(F(3, 4), F(-1, 4)),
              GaussianRational(HALF, F(-1, 4)), GaussianRational(F(3, 4), F(1, 4)))
+NORM_TUPLES = {"all-1/2": (HALF,) * 4, "1,1/2,3/4,5/4": (F(1), HALF, F(3, 4), F(5, 4)),
+               "conjugate-pair": CONJ_PAIR, "5/8,11/8,3/8,7/8": (F(5, 8), F(11, 8), F(3, 8), F(7, 8))}
+
+
+@pytest.mark.parametrize("params", NORM_TUPLES.values(), ids=NORM_TUPLES.keys())
+def test_norms_within_2e_15_of_mpmath(params):
+    """h_n for n <= 15, from chahn_norm_rhs and as the N = 16 Gram's expected
+    diagonal, within 2e-15 (relative) of 50-digit mpmath: h_0 is one gamma
+    product and the rest exact ratios; exp(sum log Gamma) of each h_n would
+    be off by up to 2.4e-14 on these tuples."""
+    floats = [p.to_complex() if isinstance(p, GaussianRational) else p for p in params]
+    want = _mp_norms(16, floats, digits=50)
+    expected = chahn_gram(16, *params).expected_diagonal
+    for n, h in enumerate(want):
+        assert abs(chahn_norm_rhs(n, *params) - h) <= 2e-15 * abs(h), n
+        assert abs(expected[n] - h) <= 2e-15 * abs(h), n
+
+
+@pytest.mark.parametrize("args", [(300, 1, 1, 1, 1), (200, 100, 100, 100, 100)],
+                         ids=["ratios-overflow", "h0-overflows"])
+def test_norm_rhs_overflow_raises(args):
+    with pytest.raises(RangeOverflowError):
+        chahn_norm_rhs(*args)
+
+
+# (N, truncation radius, step, nodes) of each Gram of the `gram` benchmark
+# workload at seed 1 (bench/workloads.py): the cut-off scan reads float
+# magnitudes, and none of these may move
+GRAM_GRIDS = [
+    ((HALF,) * 4, 8, 12.5, 0.0625, 401),
+    ((HALF,) * 4, 12, 15.0, 0.0625, 481),
+    ((HALF,) * 4, 16, 18.0, 0.0625, 577),
+    ((F(1), HALF, F(3, 4), F(5, 4)), 8, 13.0, 0.0625, 417),
+    ((F(1), HALF, F(3, 4), F(5, 4)), 12, 15.5, 0.0625, 497),
+    ((F(1), HALF, F(3, 4), F(5, 4)), 16, 18.5, 0.0625, 593),
+    (CONJ_PAIR, 8, 13.0, 0.0625, 417),
+    (CONJ_PAIR, 12, 15.5, 0.0625, 497),
+    (CONJ_PAIR, 16, 18.5, 0.0625, 593),
+    ((0.5,) * 4, 8, 12.5, 0.0625, 401),
+    ((F(5, 8), F(11, 8), F(3, 8), F(7, 8)), 8, 12.5, 0.046875, 533),
+]
+
+
+@pytest.mark.parametrize("params, N, radius, step, nodes", GRAM_GRIDS)
+def test_gram_grid_is_pinned(params, N, radius, step, nodes):
+    g = chahn_gram(N, *params)
+    assert (g.truncation_radius, g.step, g.evaluations) == (radius, step, nodes)
 
 
 @pytest.mark.parametrize("params, folded", [
@@ -509,8 +556,8 @@ def _gram_fields(g: GramResult) -> tuple:
 def test_gram_16_after_8_computes_only_the_new_nodes(monkeypatch):
     """The N = 8 and N = 16 Grams of a tuple share one node grid in the
     weight memo: N = 16 after N = 8 calls log_gamma_complex, once each, only
-    at nodes beyond the N = 8 cut-off (4 shifts a node), plus the real
-    arguments of its own closed-form norms."""
+    at nodes beyond the N = 8 cut-off (4 shifts a node), plus the 5 real
+    arguments of h_0 (the other norms are exact ratios of it)."""
     params = (F(1), HALF, F(3, 4), F(5, 4))
     numerics._weight_memo.cache_clear()
     g8 = chahn_gram(8, *params)
@@ -521,14 +568,10 @@ def test_gram_16_after_8_computes_only_the_new_nodes(monkeypatch):
         return log_gamma_complex(w)
 
     monkeypatch.setattr(numerics, "log_gamma_complex", counted)
-    for n in range(16):
-        chahn_norm_rhs(n, *params)
-    norm_calls = len(made)
-    made.clear()
     g16 = chahn_gram(16, *params)
     assert g16.step == g8.step and g16.truncation_radius > g8.truncation_radius
     nodes = [w for w in made if w.imag]
-    assert len(made) - len(nodes) == norm_calls
+    assert len(made) - len(nodes) == 5
     assert nodes and len(set(nodes)) == len(nodes) and len(nodes) % 4 == 0
     # the cut-off scan looks one step of 1/2 past the radius it returns
     assert all(g8.truncation_radius < w.imag <= g16.truncation_radius + 0.5 for w in nodes)
@@ -686,9 +729,9 @@ def test_gram_coefficient_vectors_match_the_exact_ones(params):
 
 
 def test_gram_cold_log_gamma_count(monkeypatch):
-    """The finite checks of the weight and the log-gamma add no call: a cold
-    16 x 16 Gram (its norms, cut-off scan and nodes) makes as many
-    log_gamma_complex calls as before they were added."""
+    """A cold 16 x 16 Gram makes 5 log_gamma_complex calls for its norms (h_0;
+    the rest are exact ratios) and one per distinct shift at each node of
+    its cut-off scan and grid; the finite checks add none."""
     made = []
 
     def counted(w):
@@ -696,7 +739,7 @@ def test_gram_cold_log_gamma_count(monkeypatch):
         return log_gamma_complex(w)
 
     monkeypatch.setattr(numerics, "log_gamma_complex", counted)
-    for params, calls in (((HALF,) * 4, 370), ((F(1), HALF, F(3, 4), F(5, 4)), 1272)):
+    for params, calls in (((HALF,) * 4, 295), ((F(1), HALF, F(3, 4), F(5, 4)), 1197)):
         numerics._weight_memo.cache_clear()
         made.clear()
         chahn_gram(16, *params)
