@@ -18,18 +18,21 @@ pair of them.  That conversion happens inside the build, so the parameter
 objects keep their exactness verdict, and *_coeffs_exact, like every exact
 API, still rejects float inputs rather than silently coercing them.  A
 value at a point is one Horner pass over the exact coefficients rounded
-once to complex; a value that is not finite raises.  Degrees above
-EXACT_DEGREE_CAP raise DomainError, for float parameters as for exact ones.
+once to complex; a non-finite x raises DomainError, an overflow to a value
+that is not finite RangeOverflowError.  Degrees above EXACT_DEGREE_CAP
+raise DomainError, for float parameters as for exact ones.
 
 Everything that does not depend on x is built once per process: the memo
 _built holds one entry per (family, n, parameters), the ExactPoly plus,
 from the first float use on, its coefficients rounded to complex, highest
 degree first.  Equal parameters of either kind (1 and 1.0, 1/2 and 0.5)
 are one key and one polynomial.  JacobiParams and HahnParams are
-namedtuples, so the memo hashes and compares them as tuples, in C, and a
-warm call is one memo hit and one inline Horner pass (_eval) over that
-tuple.  Errors are raised on every call, never stored; cached values are
-immutable and *_coeffs_complex gives a fresh list.
+namedtuples, so the memo hashes and compares them as tuples, in C.  A float
+value (_eval) is one Horner pass over that tuple, read from a record of the
+last memo lookup when the family and parameter objects (`is`) and the
+degree repeat it, else found by one more lookup.  Errors are raised on
+every call, never stored; cached values are immutable and *_coeffs_complex
+gives a fresh list.
 
 Conventions, fixed once here and used everywhere downstream:
 
@@ -249,6 +252,7 @@ def horner_level(coeffs, xs: list) -> list:
 # ---------------------------------------------------------------------------
 
 _MEMO_SIZE = 1024
+_last = (None, None, None, None)  # (family, n, params, rounded) of _eval's last lookup
 
 
 class _Built:
@@ -287,16 +291,25 @@ def _built(family, n: int, params) -> _Built:
 # ---------------------------------------------------------------------------
 
 def _eval(n: int, params, x, family) -> complex:
-    """One memo hit and one inline Horner pass over the once-rounded exact
-    coefficients, highest degree first.  A value that is not finite
-    (overflow at large |x|) raises."""
+    """One inline Horner pass over the once-rounded exact coefficients, highest
+    degree first: from _last when family and params are its objects and n is
+    equal, else from one memo lookup, which replaces _last in one assignment.
+    A value that is not finite raises: DomainError if x is not (the 0j start
+    makes every such value NaN), else RangeOverflowError."""
+    global _last
     if type(x) is not complex:
         x = _to_complex(x)
-    built = _built(family, n, params)
+    last_family, last_n, last_params, rounded = _last
+    if last_family is not family or last_params is not params or last_n != n:
+        built = _built(family, n, params)
+        rounded = built.rounded or built.round()
+        _last = (family, n, params, rounded)
     value = 0j
-    for c in built.rounded or built.round():
+    for c in rounded:
         value = value * x + c
     if not isfinite(value):
+        if not isfinite(x):
+            raise DomainError(f"x = {x} is not finite")
         raise RangeOverflowError(f"degree {n} value at x = {x} is not finite")
     return value
 

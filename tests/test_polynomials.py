@@ -684,6 +684,14 @@ def test_mixed_parameter_tuples_are_not_exact(params):
         build(3, params)
 
 
+def _lookups(call) -> tuple:
+    """call()'s value and the memo's (hits, misses) during it."""
+    before = _built.cache_info()
+    value = call()
+    after = _built.cache_info()
+    return value, (after.hits - before.hits, after.misses - before.misses)
+
+
 @pytest.mark.parametrize("feval, params", [
     (jacobi_eval, JacobiParams(0.3 + 0.2j, 0.7 - 0.1j)),
     (chahn_eval, HahnParams(0.5 + 0.25j, 0.75 - 0.25j, 0.5 - 0.25j, 0.75 + 0.25j)),
@@ -691,8 +699,10 @@ def test_mixed_parameter_tuples_are_not_exact(params):
 ], ids=["jacobi", "chahn", "pasternack"])
 def test_warm_float_call_settles_nothing_again(monkeypatch, feval, params):
     """A warm call decides no exactness (only the exact routines ask
-    is_exact()), converts no complex x and makes exactly one memo lookup, a
-    hit; Pasternack's bare m is not tested for exactness either."""
+    is_exact()) and converts no complex x; Pasternack's bare m is not tested
+    for exactness either.  A call that repeats the previous call's family,
+    parameter object and degree makes no memo lookup; one that follows
+    another polynomial makes exactly one, a hit."""
     from hahnlab import polynomials
     calls = []
 
@@ -703,13 +713,11 @@ def test_warm_float_call_settles_nothing_again(monkeypatch, feval, params):
         return counted
 
     x = 0.3 + 0.7j
-    want = feval(4, params, x)
+    want, other = feval(4, params, x), feval(3, params, x)
     monkeypatch.setattr(polynomials, "_is_exact", spy(_is_exact))
     monkeypatch.setattr(polynomials, "_to_complex", spy(_to_complex))
-    before = _built.cache_info()
-    assert feval(4, params, x) == want
-    after = _built.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    for n, value, lookups in ((4, want, (1, 0)), (4, want, (0, 0)), (3, other, (1, 0))):
+        assert _lookups(lambda: feval(n, params, x)) == (value, lookups), n
     assert calls == []
 
 
@@ -776,6 +784,87 @@ def test_warm_call_with_an_equal_parameter_object_runs_no_key_frame(feval, make)
     assert type(params).__hash__ is tuple.__hash__ and type(params).__eq__ is tuple.__eq__
 
 
+def test_record_stores_no_error():
+    """A parameter object with a non-finite field, and an object asked for
+    above the cap right after a value at degree 4, raise on every call; the
+    record still holds that degree-4 polynomial, so its next value makes no
+    memo lookup."""
+    x = 0.3 + 0.7j
+    for feval, bad in ((jacobi_eval, JacobiParams(math.nan, 0.5)),
+                       (chahn_eval, HahnParams(0.5, math.inf, 0.5, 0.5)),
+                       (pasternack_eval, complex(0.25, math.nan))):
+        for _ in range(2):
+            with pytest.raises(DomainError, match="is not finite"):
+                feval(4, bad, x)
+    params = JacobiParams(0.3, 0.7)
+    want = jacobi_eval(4, params, x)
+    for _ in range(2):
+        with pytest.raises(DomainError, match=f"capped at degree {EXACT_DEGREE_CAP}"):
+            jacobi_eval(EXACT_DEGREE_CAP + 1, params, x)
+    assert _lookups(lambda: jacobi_eval(4, params, x)) == (want, (0, 0))
+
+
+def test_equal_new_parameter_record_goes_through_the_memo():
+    """A record equal to the previous call's but not the same object is one
+    memo hit, and gives the same bits."""
+    x = 0.3 + 0.7j
+    params = JacobiParams(0.3, 0.7)
+    want = jacobi_eval(4, params, x)
+    again = JacobiParams(0.3, 0.7)
+    assert again is not params
+    got, lookups = _lookups(lambda: jacobi_eval(4, again, x))
+    assert lookups == (1, 0) and _bits(got) == _bits(want)
+
+
+def test_new_parameter_record_sees_a_patched_build(monkeypatch):
+    """With _exact_poly patched and the memo cleared, a new parameter record
+    gets the patched build; the object of the call before still reads the
+    record, which the memo's cache_clear does not reach."""
+    from hahnlab import polynomials
+    x = 0.3 + 0.7j
+    params = JacobiParams(0.3, 0.7)
+    want = jacobi_eval(4, params, x)
+    monkeypatch.setattr(polynomials, "_exact_poly", lambda s: _exact_poly(s) * 2)
+    _built.cache_clear()
+    try:
+        assert jacobi_eval(4, params, x) == want
+        assert jacobi_eval(4, JacobiParams(0.3, 0.7), x) == 2 * want
+    finally:
+        _built.cache_clear()
+
+
+# each (family, n) at 0.3 + 0.7j and 1.5 - 2.25j, as one memo lookup per value gave it
+_INTERLEAVED_BITS = {
+    ("jacobi", 4): [("0x1.10c8808999e3dp+2", "-0x1.31adc42f6f594p+2"),
+                    ("-0x1.0a87877e9e1b1p+8", "0x1.335f1c989374cp+8")],
+    ("jacobi", 5): [("0x1.44d4ebc8846b5p+3", "0x1.58bac2cd0a178p+2"),
+                    ("0x1.2b00302b65300p+9", "0x1.e8445fe168404p+10")],
+    ("chahn", 4): [("0x1.aa9683634ac08p+6", "-0x1.1bdf332d0624ep+6"),
+                   ("-0x1.536d2f24b4000p+11", "0x1.2061ed3910000p+12")],
+    ("chahn", 5): [("0x1.ce02b6fadb04ep+8", "0x1.2e8c9e2896937p+9"),
+                   ("0x1.f0b310e461040p+14", "0x1.61df36af5e790p+15")],
+    ("pasternack", 3): [("0x1.5d66a279fd73ep-3", "-0x1.45bf34d17f0b2p-3"),
+                        ("0x1.d6e89d66dabc5p+0", "0x1.03cfddf347862p+2")],
+    ("pasternack", 4): [("-0x1.400d17ada6055p-3", "0x1.2d63367ada470p-5"),
+                        ("-0x1.ee4f78ad7ac9fp+1", "-0x1.658fc3444cb2ep+1")],
+}
+
+
+def test_interleaved_calls_on_fixed_objects_keep_the_bits():
+    """Calls that switch family, degree or both on fixed parameter objects,
+    each at two points (the second one from the record), give the bits of
+    evaluation with one memo lookup per value."""
+    fevals = {"jacobi": (jacobi_eval, JacobiParams(0.3 + 0.2j, 0.7 - 0.1j)),
+              "chahn": (chahn_eval, HahnParams(0.5, 0.75 - 0.25j, 0.625, 0.875 + 0.25j)),
+              "pasternack": (pasternack_eval, 0.25 - 0.5j)}
+    sequence = [("jacobi", 4), ("chahn", 4), ("pasternack", 4), ("jacobi", 4), ("jacobi", 5),
+                ("chahn", 5), ("chahn", 4), ("pasternack", 3), ("jacobi", 4), ("jacobi", 4)]
+    for name, n in sequence:
+        feval, params = fevals[name]
+        got = [_bits(feval(n, params, x)) for x in (0.3 + 0.7j, 1.5 - 2.25j)]
+        assert got == _INTERLEAVED_BITS[name, n], (name, n)
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda: chahn_eval(EXACT_DEGREE_CAP, HahnParams(0.5, 0.5, 0.5, 0.5), 1e300 + 1j),
      RangeOverflowError, r"degree 64 value at x = \(1e\+300\+1j\) is not finite"),
@@ -795,6 +884,21 @@ def test_non_finite_values_raise(call, error, match):
     the cap before any value is formed."""
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("x", [math.nan, math.inf, complex(0.5, math.nan)],
+                         ids=["nan", "inf", "complex-nan"])
+def test_non_finite_x_raises_domain_error(x, n):
+    """A non-finite x is a bad input, not an overflow: every family raises
+    DomainError naming x, at degree 0 as at degree 3."""
+    calls = [lambda: jacobi_eval(n, JacobiParams(0.5, 0.5), x),
+             lambda: chahn_eval(n, HahnParams(0.5, 0.5, 0.5, 0.5), x),
+             lambda: pasternack_eval(n, 0.25, x)]
+    for call in calls:
+        with pytest.raises(DomainError) as caught:
+            call()
+        assert str(caught.value) == f"x = {complex(x)} is not finite"
 
 
 @pytest.mark.parametrize("call", [
