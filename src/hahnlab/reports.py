@@ -68,26 +68,19 @@ def residual_report(name: str, residual, note: str = "") -> VerificationReport:
     return exact_report(name, residual.max_abs_coefficient(), detail)
 
 
-def toleranced_report(name: str, abs_err: float, rel_err: float,
-                      tol_rel: float, tol_abs: float, details: str = "",
-                      diagnostics: QuadDiagnostics | None = None) -> VerificationReport:
-    ok = rel_err <= tol_rel or abs_err <= tol_abs
-    return VerificationReport(name, "pass" if ok else "fail",
-                              abs_err, rel_err, details, diagnostics)
-
-
 def integral_report(name: str, abs_err: float, scale: float, mass: float,
                     tol_rel: float, tol_abs: float, details: str = "",
                     diagnostics: QuadDiagnostics | None = None) -> VerificationReport:
-    """toleranced_report of an integral whose error abs_err has the scale
-    |expected|.  A scale of exactly 0 (an off-diagonal entry, a relation
-    whose value is known to vanish) gives a relative error no meaning: it
-    is then taken against the integrand's |f| mass, and the entry passes
-    on tol_abs alone, so the mass scales the figure reported but never the
-    verdict."""
+    """Report of an integral whose error abs_err has the scale |expected|:
+    it passes when abs_err / scale is within tol_rel or abs_err within
+    tol_abs.  A scale of exactly 0 (an off-diagonal entry, a relation whose
+    value is known to vanish) gives a relative error no meaning: it is then
+    taken against the integrand's |f| mass, and the entry passes on tol_abs
+    alone, so the mass scales the figure reported but never the verdict."""
     if scale == 0.0:
-        return VerificationReport(name, "pass" if abs_err <= tol_abs else "fail",
-                                  abs_err, abs_err / max(mass, 1e-300), details,
-                                  diagnostics)
-    return toleranced_report(name, abs_err, abs_err / scale, tol_rel, tol_abs,
-                             details, diagnostics)
+        rel_err, ok = abs_err / max(mass, 1e-300), abs_err <= tol_abs
+    else:
+        rel_err = abs_err / scale
+        ok = rel_err <= tol_rel or abs_err <= tol_abs
+    return VerificationReport(name, "pass" if ok else "fail",
+                              abs_err, rel_err, details, diagnostics)

@@ -23,8 +23,7 @@ from .numerics import _hahn_weight_log_of, _require_positive_re, gamma_product, 
 from .polynomials import (HahnParams, JacobiParams, _stored, _to_complex, chahn_eval,
                           chahn_coeffs_complex, horner_level, jacobi_coeffs_complex)
 from .quadrature import IntegralResult, _line_integral
-from .reports import (QuadDiagnostics, VerificationReport, integral_report,
-                      toleranced_report)
+from .reports import QuadDiagnostics, VerificationReport, integral_report
 
 _LOG_2 = math.log(2.0)
 
@@ -113,16 +112,14 @@ def fourier_pair_checks(alpha, beta, cases: list, tol: float = 1e-8,
     reports = []
     for (n, gamma, delta, z), lhs in zip(cases, _weighted_jacobi_transform(alpha, beta, cases)):
         rhs = _fourier_closed_form(n, alpha, beta, gamma, delta, z)
-        abs_err = abs(lhs.value - rhs)
         # at z = 0, alpha = beta and gamma = delta the integrand is an even
-        # weight times the odd P_n for odd n: the closed form is 0 up to
-        # rounding, and the |f| mass scales the error in place of |rhs|
+        # weight times the odd P_n for odd n: the closed form is 0 up to rounding
         vanishes = n % 2 == 1 and z == 0.0 and alpha == beta and gamma == delta
-        rel_err = abs_err / max(lhs.mass if vanishes else abs(rhs), 1e-300)
         diag = QuadDiagnostics(lhs.evaluations, lhs.error_estimate)
-        reports.append(toleranced_report(f"fourier-pair[n={n}, z={z}]", abs_err, rel_err,
-                                         tol, tol_abs, f"lhs={lhs.value!r} rhs={rhs!r}",
-                                         diag))
+        reports.append(integral_report(
+            f"fourier-pair[n={n}, z={z}]", abs(lhs.value - rhs),
+            0.0 if vanishes else abs(rhs), lhs.mass, tol, tol_abs,
+            f"lhs={lhs.value!r} rhs={rhs!r}", diag))
     return reports
 
 

@@ -488,7 +488,8 @@ def test_gram_grid_is_pinned(params, N, radius, step, nodes):
 def test_gram_folds_the_reflection_for_real_parameters(monkeypatch, params, folded):
     """Real parameters: the node at -z is the conjugate of the one at z up to
     the sign (-1)^(n+m), so the weight is never evaluated at z < 0; other
-    parameters still evaluate both grid sides (and both envelope sides)."""
+    parameters still evaluate both grid sides (and both envelope sides): the
+    weight is read at every negative node of the final grid and nowhere else."""
     seen, scan = [], []
 
     def recorder(*args):
@@ -514,7 +515,7 @@ def test_gram_folds_the_reflection_for_real_parameters(monkeypatch, params, fold
     if folded:
         assert not negative and min(scan) > 0.0
     else:
-        assert len(negative) == half_grid
+        assert set(negative) == {-k * g.step for k in range(1, half_grid + 1)}
 
 
 @pytest.mark.parametrize("N", [1, 8, 16])
@@ -710,22 +711,37 @@ def test_gram_columns_match_the_exact_polynomial(params):
                 assert abs(got - want) <= 1e-12 * abs(want), (n, z, got, want)
 
 
-@pytest.mark.parametrize("params", RECURRENCE_TUPLES, ids=RECURRENCE_IDS)
-def test_gram_coefficient_vectors_match_the_exact_ones(params):
-    """The coefficient vectors of p_0 .. p_15 formed by the recurrence (the
-    magnitudes behind the cut-off envelope and the rounding floor) against
-    the exact coefficients rounded once, within 1e-13 max_k |c_k|."""
+@pytest.mark.parametrize("params", [*RECURRENCE_TUPLES, (F(2), F(1, 3), F(3, 2), F(3, 4))],
+                         ids=[*RECURRENCE_IDS, "2-1/3-3/2-3/4"])
+def test_gram_magnitude_recurrence_bounds_the_exact_coefficients(monkeypatch, params):
+    """M_0 .. M_15, the recurrence on magnitudes that a 16 x 16 Gram hands
+    _gram_columns for its cut-off envelope and rounding floor, at
+    r = 0, 1/2, ..., 20: never below sum_k |c_k| r^k of the exact
+    coefficients, and for real parameters equal to it to rounding, which
+    keeps the grids where Horner's magnitudes put them.  The sum is exactly
+    0 at r = 0 for odd n with equal parameters, where the float B_n are
+    rounding-level rather than 0, so the upper check leaves those points out."""
     alpha, beta, a, b = params
     hahn = HahnParams(alpha, b, a, beta)
-    vectors = orthogonality._gram_coeffs(
-        orthogonality._gram_recurrence(16, *map(_to_complex, params)))
-    assert len(vectors) == 16
-    for n, got in enumerate(vectors):
-        want = chahn_coeffs_complex(n, hahn)
-        assert len(got) == len(want) == n + 1
-        scale = max(map(abs, want))
-        for k, (u, v) in enumerate(zip(got, want)):
-            assert abs(u - v) <= 1e-13 * scale, (n, k, u, v)
+    columns, magnitudes = orthogonality._gram_columns, []
+
+    def spy(recurrence, zs):
+        if isinstance(recurrence[0][0], float):  # |A_n|: the magnitudes
+            magnitudes.append(recurrence)
+        return columns(recurrence, zs)
+
+    monkeypatch.setattr(orthogonality, "_gram_columns", spy)
+    chahn_gram(16, *params)
+    rs = [k / 2 for k in range(41)]
+    bounds = columns(magnitudes[0], rs)
+    real = not any(_to_complex(p).imag for p in params)
+    for n, column in enumerate(bounds):
+        mags = [abs(c.to_complex()) for c in chahn_coeffs_exact(n, hahn).coeffs]
+        for r, got in zip(rs, column):
+            want = sum(c * r ** k for k, c in enumerate(mags))
+            assert got.real >= (1 - 1e-14) * want, (n, r, got, want)
+            if real and want:
+                assert got.real <= (1 + 1e-14) * want, (n, r, got, want)
 
 
 def test_gram_cold_log_gamma_count(monkeypatch):

@@ -73,7 +73,8 @@ def test_fourier_degree_one_grid():
 def test_fourier_zero_of_closed_form_judged_by_mass(monkeypatch, n):
     """Odd n at z = 0 with symmetric parameters: the closed form vanishes.
     One nudged by 1e-16 is still right to rounding; against |rhs| alone its
-    relative error would read about 1, against the |f| mass it is tiny."""
+    relative error would read about 1, against the |f| mass it is tiny.  The
+    mass scales that figure only: the row passes on the default tol_abs."""
     from hahnlab import transforms
 
     exact = transforms._fourier_closed_form
@@ -81,7 +82,22 @@ def test_fourier_zero_of_closed_form_judged_by_mass(monkeypatch, n):
     monkeypatch.setattr(transforms, "_fourier_closed_form",
                         lambda *args: exact(*args) + 1e-16)
     r = fourier_pair_check(n, HALF, HALF, 0, 0, 0.0, tol_abs=0.0)
-    assert r.passed and r.max_rel_err <= 1e-15
+    assert r.max_rel_err <= 1e-15
+    assert fourier_pair_check(n, HALF, HALF, 0, 0, 0.0).passed
+
+
+@pytest.mark.parametrize("check", [fourier_pair_check, mellin_pair_check],
+                         ids=["fourier", "mellin"])
+def test_vanishing_transform_passes_on_tol_abs_alone(monkeypatch, check):
+    """Odd n at z = lambda = 0 with symmetric parameters: a quadrature side
+    of 1e-9 over a mass of 1 is 1e-9 relative, inside the relative tolerance
+    1e-8, but a thousand times tol_abs: it must fail."""
+    from hahnlab import transforms
+    monkeypatch.setattr(transforms, "_weighted_jacobi_transform",
+                        lambda *a, **k: [IntegralResult(1e-9, 0.0, 1, 1.0)])
+    r = check(1, HALF, HALF, 0, 0, 0.0)
+    assert r.max_rel_err == pytest.approx(1e-9)
+    assert not r.passed
 
 
 @pytest.mark.parametrize("params", [(HALF, HALF, 0, 0), (F(3, 5), F(11, 10), F(1, 4), F(4, 5))])
