@@ -1,4 +1,7 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the one gate on
+parameter values (_require), which raises DomainError naming the parameter."""
+
+import cmath
 
 
 class HahnlabError(Exception):
@@ -28,3 +31,33 @@ class ExactInputError(HahnlabError):
 class StructureError(HahnlabError):
     """An exact structural assertion failed (e.g. a recurrence expansion
     produced nonzero coefficients where the three-term form requires zeros)."""
+
+
+# rule: (test of the finite complex value, phrase of its message); m is real
+# when |Im m| < 1e-14 and purely imaginary when |Re m| <= 1e-14
+_RULES = {
+    "finite": (lambda v: True, ""),
+    "Re > 0": (lambda v: v.real > 0.0, " with Re({name}) > 0"),
+    "Re > -1": (lambda v: v.real > -1.0, " with Re({name}) > -1"),
+    "real in (-1, 1)": (lambda v: -1.0 < v.real < 1.0 and abs(v.imag) <= 1e-14,
+                        " and real in (-1, 1)"),
+    "real in (-1, 1) or imaginary": (
+        lambda v: -1.0 < v.real < 1.0 if abs(v.imag) < 1e-14 else abs(v.real) <= 1e-14,
+        " and real in (-1, 1) or purely imaginary"),
+}
+
+
+def _require(rule: str, **named) -> list:
+    """The values as complex, each finite and satisfying _RULES[rule], or a
+    DomainError naming the first that is not."""
+    test, phrase = _RULES[rule]
+    values = []
+    for name, value in named.items():
+        v = complex(value)
+        finite = cmath.isfinite(v)
+        if not (finite and test(v)):
+            must = f"{name} must be finite{phrase.format(name=name)}"
+            raise DomainError(f"{must}, got {value!r}" if finite
+                              else f"{must}; {value!r} is not finite")
+        values.append(v)
+    return values

@@ -285,6 +285,7 @@ def _rational(re: int, im: int, den: int) -> GaussianRational:
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
+GR_HALF = GaussianRational(Fraction(1, 2))
 I_POWERS = (GR_ONE, GR_I, GaussianRational(-1), GaussianRational(0, -1))  # i^(k % 4)
 
 

@@ -10,10 +10,8 @@ are compared as exact polynomials.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DomainError
-from .exact import GR_I, GR_ONE, ExactPoly, GaussianRational, gr
+from .exact import GR_HALF, GR_I, GR_ONE, ExactPoly, gr
 from .polynomials import HahnParams, JacobiParams, chahn_coeffs_exact, jacobi_coeffs_exact
 from .reports import VerificationReport, exact_report, residual_report
 from .series import FormalSeries, _hadamard, hypergeometric_series, one_minus_t_power
@@ -45,7 +43,8 @@ def _series_report(name: str, lhs: FormalSeries, rhs: FormalSeries,
 
 
 def genfun_jacobi_check(which: int, gamma, delta, x, order: int) -> VerificationReport:
-    """Jacobi generating functions at a fixed rational sample point x.
+    """Jacobi generating functions at a fixed sample point x, with gamma,
+    delta and x in Q(i); a float raises ExactInputError.
 
     which=1: (1-t)^(-gamma-delta-1) 2F1(.; 2(x-1)t/(1-t)^2)
              = sum (gamma+delta+1)_n / (gamma+1)_n P_n(x) t^n
@@ -54,23 +53,21 @@ def genfun_jacobi_check(which: int, gamma, delta, x, order: int) -> Verification
     """
     if which not in (1, 2):
         raise DomainError("which must be 1 or 2")
-    g, d, xv = Fraction(gamma), Fraction(delta), Fraction(x)
+    g, d, xv = gr(gamma), gr(delta), gr(x)
     name = f"genfun-jacobi-{which}[gamma={g}, delta={d}, x={xv}, order={order}]"
     values = [jacobi_coeffs_exact(n, JacobiParams(g, d))(xv) for n in range(order + 1)]
     t = FormalSeries.identity(order)
 
     if which == 1:
-        inner = gr(2 * (xv - 1)) * t * one_minus_t_power(-2, order)
+        inner = 2 * (xv - 1) * t * one_minus_t_power(-2, order)
         hyper = hypergeometric_series(
-            [Fraction(g + d + 1, 2), Fraction(g + d + 2, 2)], [g + 1], order)
+            [(g + d + 1) * GR_HALF, (g + d + 2) * GR_HALF], [g + 1], order)
         lhs = one_minus_t_power(-(g + d + 1), order) * hyper.compose(inner)
         # (gamma+delta+1)_n (1)_n / ((gamma+1)_n n!) = (gamma+delta+1)_n / (gamma+1)_n
         weights = hypergeometric_series([g + d + 1, 1], [g + 1], order)
     else:
-        s1 = hypergeometric_series([], [g + 1], order).compose(
-            gr(Fraction(xv - 1, 2)) * t)
-        s2 = hypergeometric_series([], [d + 1], order).compose(
-            gr(Fraction(xv + 1, 2)) * t)
+        s1 = hypergeometric_series([], [g + 1], order).compose((xv - 1) * GR_HALF * t)
+        s2 = hypergeometric_series([], [d + 1], order).compose((xv + 1) * GR_HALF * t)
         lhs = s1 * s2
         weights = hypergeometric_series([1], [g + 1, d + 1], order)
     return _series_report(name, lhs, _hadamard(weights, FormalSeries(values, order)))
@@ -97,12 +94,10 @@ def genfun_chahn_check(which: int, alpha, beta, gamma, delta, z,
     params = HahnParams(al, de, ga, be)
     p_series = FormalSeries([chahn_coeffs_exact(n, params)(zv) for n in range(order + 1)],
                             order)
-    half = GaussianRational(Fraction(1, 2))
-
     if which == 1:
         inner = gr(-4) * FormalSeries.identity(order) * one_minus_t_power(-2, order)
         hyper = hypergeometric_series(
-            [(s_total - 1) * half, s_total * half, a_iz],
+            [(s_total - 1) * GR_HALF, s_total * GR_HALF, a_iz],
             [ga + al, al + be], order)
         lhs = one_minus_t_power(GR_ONE - s_total, order) * hyper.compose(inner)
         # (S-1)_n (1)_n / ((alpha+beta)_n (alpha+gamma)_n n!), and (t/i)^n as t -> -it
@@ -162,26 +157,27 @@ def contiguous_check(which: int, n: int, alpha, beta, gamma, delta) -> Verificat
 
 
 def jacobi_classical_check(which: str, n: int, gamma, delta) -> VerificationReport:
-    """Classical Jacobi identities as exact polynomial statements.
+    """Classical Jacobi identities as exact polynomial statements, with gamma
+    and delta in Q(i); a float raises ExactInputError.
 
     which="derivative": d/dx P_n = (n+gamma+delta+1)/2 * P_{n-1}^{(gamma+1,delta+1)}
     which="eq454":      (n+gamma+1) P_n - (n+1) P_{n+1}
                         = (2n+gamma+delta+2)/2 * (1-x) P_n^{(gamma+1,delta)}
     """
-    g, d = Fraction(gamma), Fraction(delta)
+    g, d = gr(gamma), gr(delta)
     name = f"jacobi-classical-{which}[n={n}, gamma={g}, delta={d}]"
     if which == "derivative":
         lhs = jacobi_coeffs_exact(n, JacobiParams(g, d)).derivative()
         if n == 0:
             rhs = ExactPoly.zero()
         else:
-            rhs = gr(Fraction(1, 2)) * gr(n + g + d + 1) \
+            rhs = (n + g + d + 1) * GR_HALF \
                 * jacobi_coeffs_exact(n - 1, JacobiParams(g + 1, d + 1))
     elif which == "eq454":
         pn = jacobi_coeffs_exact(n, JacobiParams(g, d))
         pn1 = jacobi_coeffs_exact(n + 1, JacobiParams(g, d))
-        lhs = gr(n + g + 1) * pn - gr(n + 1) * pn1
-        rhs = gr(Fraction(1, 2)) * gr(2 * n + g + d + 2) \
+        lhs = (n + g + 1) * pn - (n + 1) * pn1
+        rhs = (2 * n + g + d + 2) * GR_HALF \
             * (ExactPoly([GR_ONE, -GR_ONE]) * jacobi_coeffs_exact(n, JacobiParams(g + 1, d)))
     else:
         raise DomainError("which must be 'derivative' or 'eq454'")

@@ -23,7 +23,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import DomainError, PoleError, RangeOverflowError
+from .errors import DomainError, PoleError, RangeOverflowError, _require
 
 _LANCZOS_G = 607.0 / 128.0
 _LANCZOS_COEFFS = (
@@ -136,7 +136,7 @@ def pochhammer(a: complex, k: int) -> complex:
     if k < 0:
         raise DomainError("pochhammer order must be nonnegative")
     result = complex(1.0)
-    a = complex(a)
+    [a] = _require("finite", a=a)
     for j in range(k):
         result *= a + j
     if not (math.isfinite(result.real) and math.isfinite(result.imag)):
@@ -146,9 +146,7 @@ def pochhammer(a: complex, k: int) -> complex:
 
 def beta(alpha: complex, beta_: complex) -> complex:
     """Gamma(alpha) Gamma(beta) / Gamma(alpha + beta), Re parts > 0."""
-    alpha, beta_ = complex(alpha), complex(beta_)
-    if alpha.real <= 0.0 or beta_.real <= 0.0:
-        raise DomainError("beta requires positive real parts")
+    alpha, beta_ = _require("Re > 0", alpha=alpha, beta=beta_)
     w = log_gamma_complex(alpha) + log_gamma_complex(beta_) \
         - log_gamma_complex(alpha + beta_)
     return _exp_checked(w, "beta")
@@ -169,21 +167,7 @@ def _hahn_weight_log_of(alpha: complex, beta_: complex, a: complex, b: complex):
     parameters are checked on every call, before the memo is looked up, so a
     DomainError is never stored and a NaN (never equal to itself) never
     becomes a key."""
-    return _weight_memo(*_require_positive_re(alpha=alpha, beta=beta_, a=a, b=b))
-
-
-def _require_positive_re(**named) -> list:
-    """The values as complex, each finite with a positive real part, or a
-    DomainError naming the first that is not."""
-    values = []
-    for name, value in named.items():
-        v = complex(value)
-        if not cmath.isfinite(v):
-            raise DomainError(f"{name} must be finite with Re({name}) > 0; {value!r} is not finite")
-        if v.real <= 0.0:
-            raise DomainError(f"{name} must be finite with Re({name}) > 0, got {value!r}")
-        values.append(v)
-    return values
+    return _weight_memo(*_require("Re > 0", alpha=alpha, beta=beta_, a=a, b=b))
 
 
 _WEIGHT_TUPLES = 8  # `gram` keeps 4 tuples live, `verify --suite all` 6

@@ -17,10 +17,9 @@ form is used throughout and the discrepancy is flagged in report details.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
-from .errors import DomainError, HahnlabError, StructureError
-from .exact import GR_I, I_POWERS, ExactPoly, GaussianRational, _poly, gr
+from .errors import DomainError, HahnlabError, StructureError, _require
+from .exact import GR_HALF, GR_I, I_POWERS, ExactPoly, GaussianRational, _poly, gr
 from .orthogonality import _gram_recurrence
 from .polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
                           jacobi_coeffs_exact, _pochhammer, _term_vectors)
@@ -32,17 +31,17 @@ SIGN_NOTE = ("log-derivative factor used as (beta-alpha)-(alpha+beta)t; "
 
 
 class WeightedTanhFunction(namedtuple("WeightedTanhFunction", "alpha beta poly")):
-    """x |-> (1 - tanh x)^alpha (1 + tanh x)^beta * poly(tanh x), with
-    alpha and beta Fractions."""
+    """x |-> (1 - tanh x)^alpha (1 + tanh x)^beta * poly(tanh x), alpha and beta
+    in Q(i) as GaussianRationals (coerced by gr: a float raises ExactInputError)."""
 
     __slots__ = ()
 
     def __new__(cls, alpha, beta, poly: ExactPoly):
-        return super().__new__(cls, Fraction(alpha), Fraction(beta), poly)
+        return super().__new__(cls, gr(alpha), gr(beta), poly)
 
 
 def weight_function(alpha, beta) -> WeightedTanhFunction:
-    return WeightedTanhFunction(Fraction(alpha), Fraction(beta), ExactPoly.one())
+    return WeightedTanhFunction(alpha, beta, ExactPoly.one())
 
 
 _ONE_MINUS_T2 = ExactPoly([1, 0, -1])
@@ -55,10 +54,10 @@ def d_dx(f: WeightedTanhFunction) -> WeightedTanhFunction:
 
 
 def shifted_operator_identity_check(alpha, beta, r: int) -> VerificationReport:
-    """(alpha + d/dx / 2)_r w = 2^-r (1-t)^r (alpha+beta)_r w, exactly."""
+    """(alpha + d/dx / 2)_r w = 2^-r (1-t)^r (alpha+beta)_r w, exactly in Q(i)."""
     if r < 0 or r > 32:
         raise DomainError("shift order r must be in 0..32")
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = gr(alpha), gr(beta)
     name = f"shifted-operator[alpha={alpha}, beta={beta}, r={r}]"
     f = weight_function(alpha, beta)
     for j in range(r):
@@ -66,10 +65,10 @@ def shifted_operator_identity_check(alpha, beta, r: int) -> VerificationReport:
         df = d_dx(f)
         f = WeightedTanhFunction(
             f.alpha, f.beta,
-            gr(alpha + j) * f.poly + GaussianRational(Fraction(1, 2)) * df.poly)
+            (alpha + j) * f.poly + GR_HALF * df.poly)
     # (1-t)^r = sum_k (-r)_k / k! t^k
     expected = _pochhammer(alpha + beta, r) \
-        * GaussianRational(Fraction(1, 2 ** r)) \
+        * GR_HALF ** r \
         * _poly(ExactPoly, *_term_vectors((-r,), (), r))
     return residual_report(name, f.poly - expected, SIGN_NOTE)
 
@@ -94,16 +93,14 @@ def apply_operator_polynomial(op_poly: ExactPoly, scale: GaussianRational,
 
 def hahn_operator_identity_check(n: int, alpha, beta, gamma, delta) -> VerificationReport:
     """p_n(-i/2 d/dx; alpha, delta-beta+1, gamma-alpha+1, beta) w
-    = i^n (alpha+beta)_n w P_n(tanh x), exactly."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    gamma, delta = Fraction(gamma), Fraction(delta)
-    if alpha <= 0 or beta <= 0:
-        raise DomainError("weight exponents must be positive")
+    = i^n (alpha+beta)_n w P_n(tanh x), exactly in Q(i), Re(alpha), Re(beta) > 0."""
+    alpha, beta, gamma, delta = map(gr, (alpha, beta, gamma, delta))
+    _require("Re > 0", alpha=alpha, beta=beta)
     name = f"hahn-operator[n={n}, alpha={alpha}, beta={beta}, gamma={gamma}, delta={delta}]"
     hp = HahnParams(alpha, delta - beta + 1, gamma - alpha + 1, beta)
     op_poly = chahn_coeffs_exact(n, hp)
     lhs = apply_operator_polynomial(
-        op_poly, -GR_I * GaussianRational(Fraction(1, 2)),
+        op_poly, -GR_I * GR_HALF,
         weight_function(alpha, beta))
     rhs_poly = I_POWERS[n % 4] * _pochhammer(alpha + beta, n) \
         * jacobi_coeffs_exact(n, JacobiParams(gamma, delta))

@@ -22,9 +22,9 @@ from collections import namedtuple
 from itertools import repeat
 from operator import add, mul, sub, truediv
 
-from .errors import DomainError, RangeOverflowError
+from .errors import DomainError, RangeOverflowError, _require
 from .exact import GR_I, GaussianRational
-from .numerics import _hahn_weight_log_of, _require_positive_re, gamma_product, pochhammer
+from .numerics import _hahn_weight_log_of, gamma_product, pochhammer
 from .polynomials import (JacobiParams, _to_complex, horner_level,
                           jacobi_coeffs_complex, pasternack_coeffs_complex,
                           pasternack_hahn_params)
@@ -99,7 +99,7 @@ def _chahn_norms(N: int, alpha, beta, a, b) -> list:
     s = alpha+beta+a+b; (2n+s-1)/(n+s-1) is 1 at n = 0, so s = 1 (a removable 0/0) works.
     Against 50-digit mpmath every h_n, n < 16, of the four tuples of
     tests/test_orthogonality.py is within 1.5e-15; exp(sum log Gamma) per h_n leaves 2.4e-14."""
-    al, be, av, bv = _require_positive_re(alpha=alpha, beta=beta, a=a, b=b)
+    al, be, av, bv = _require("Re > 0", alpha=alpha, beta=beta, a=a, b=b)
     s = al + be + av + bv
     norms = [gamma_product([al + be, av + bv, al + av, be + bv], [s])]
     for n in range(N - 1):
@@ -326,6 +326,13 @@ def pi_m_over_sin_pi_m(m) -> complex:
     return u / cmath.sin(u)
 
 
+def _require_degrees(pairs: list, cap: int):
+    """DomainError naming the first pair of pairs that is not two ints in 0..cap."""
+    for pair in pairs:
+        if not all(isinstance(n, int) and 0 <= n <= cap for n in pair):
+            raise DomainError(f"degree pair {pair!r} is not two ints in 0..{cap}")
+
+
 def _measured_report(name: str, res: IntegralResult, expected: complex, tol: float,
                      tol_abs: float, details: str = "") -> VerificationReport:
     """integral_report of a quadrature value against its closed form."""
@@ -373,8 +380,7 @@ def bateman_ortho_checks(pairs: list, tol: float = 1e-8,
                          tol_abs: float = 1e-10) -> list[VerificationReport]:
     """bateman_ortho_check(n, m) for each (n, m) of pairs, in order, from
     one trapezoid pass on the weight."""
-    if not all(0 <= n <= 12 and 0 <= m <= 12 for n, m in pairs):
-        raise DomainError("degrees capped at 12")
+    _require_degrees(pairs, 12)
     return [_measured_report(
         f"bateman-ortho[n={n}, m={m}]", res,
         complex(4.0 * (-1.0) ** n / (math.pi * (2 * n + 1))) if n == m else 0j, tol, tol_abs)
@@ -393,15 +399,8 @@ def pasternack_ortho_checks(m, pairs: list, tol: float = 1e-8,
                             tol_abs: float = 1e-10) -> list[VerificationReport]:
     """pasternack_ortho_check(n, p, m) for each (n, p) of pairs, in order,
     from one trapezoid pass on the weight of m."""
-    if not all(0 <= n <= 10 and 0 <= p <= 10 for n, p in pairs):
-        raise DomainError("degrees capped at 10")
-    mc = _to_complex(m)
-    if not cmath.isfinite(mc):
-        raise DomainError(f"m must be finite, not {m!r}")
-    if abs(mc.imag) < 1e-14 and not -1.0 < mc.real < 1.0:
-        raise DomainError("real m must satisfy -1 < m < 1")
-    if abs(mc.imag) >= 1e-14 and abs(mc.real) > 1e-14:
-        raise DomainError("complex m must be purely imaginary")
+    _require_degrees(pairs, 10)
+    [mc] = _require("real in (-1, 1) or imaginary", m=m)
     reports = []
     for (n, p), res in zip(pairs, _sech_integral(pairs, m, m, 1.0)):
         expected, details = 0j, ""
@@ -438,13 +437,8 @@ def pasternack_biortho_checks(m, pairs: list, tol: float = 1e-8,
                               tol_abs: float = 1e-10) -> list[VerificationReport]:
     """pasternack_biortho_check(n, p, m) for each (n, p) of pairs, in order,
     from one trapezoid pass on the weight of m."""
-    if not all(0 <= n <= 10 and 0 <= p <= 10 for n, p in pairs):
-        raise DomainError("degrees capped at 10")
-    mc = _to_complex(m)
-    if not cmath.isfinite(mc):
-        raise DomainError(f"m must be finite, not {m!r}")
-    if not -1.0 < mc.real < 1.0 or abs(mc.imag) > 1e-14:
-        raise DomainError("biorthogonality requires real -1 < m < 1")
+    _require_degrees(pairs, 10)
+    [mc] = _require("real in (-1, 1)", m=m)
     return [_measured_report(
         f"pasternack-biortho[n={n}, p={p}, m={m}]", res,
         (2.0 * (-1.0) ** n / (math.pi * (2 * n + 1))) * pi_m_over_sin_pi_m(mc)
@@ -463,9 +457,7 @@ def jacobi_ortho_checks(alpha, beta, pairs: list, tol: float = 1e-9,
                         tol_abs: float = 1e-11) -> list[VerificationReport]:
     """jacobi_ortho_check(n, m, alpha, beta) for each (n, m) of pairs, in
     order, from one trapezoid pass on the weight (alpha, beta)."""
-    al, be = _to_complex(alpha), _to_complex(beta)
-    if al.real <= -1.0 or be.real <= -1.0:
-        raise DomainError("Re(alpha), Re(beta) must exceed -1")
+    al, be = _require("Re > -1", alpha=alpha, beta=beta)
     params = JacobiParams(alpha, beta)
     results = _tanh_product_integral(
         [(jacobi_coeffs_complex(n, params), jacobi_coeffs_complex(m, params), 0.0)

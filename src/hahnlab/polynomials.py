@@ -55,9 +55,9 @@ from itertools import repeat
 from math import factorial, gcd, lcm
 from operator import add, mul
 
-from .errors import DomainError, ExactInputError, PoleError, RangeOverflowError
-from .exact import (I_POWERS, ExactPoly, GaussianRational, _multiply, _poly, _rational, _vectors,
-                    gr)
+from .errors import DomainError, ExactInputError, PoleError, RangeOverflowError, _require
+from .exact import (GR_HALF, I_POWERS, ExactPoly, GaussianRational, _multiply, _poly, _rational,
+                    _vectors, gr)
 from .reports import VerificationReport, residual_report
 
 # coefficient growth is unbounded; cap keeps exact runs tractable
@@ -98,8 +98,7 @@ def _stored(value):
     """A parameter as the exact value it stores: a float is the dyadic
     rational Fraction(x), a complex number a pair of them."""
     if isinstance(value, (float, complex)):
-        if not isfinite(value):
-            raise DomainError(f"parameter {value!r} is not finite")
+        [value] = _require("finite", parameter=value)
         return GaussianRational(Fraction(value.real), Fraction(value.imag))
     return value
 
@@ -155,9 +154,6 @@ def _term_vectors(upper, lower, count: int) -> tuple:
     return [r * (den // d) for r, _, d in terms], [m * (den // d) for _, m, d in terms], den
 
 
-_HALF = _rational(1, 0, 2)
-
-
 def _poch(values, n: int) -> GaussianRational:
     """prod (v)_n / n!"""
     return _rational(*_gaussian_terms(values, (), n)[n])
@@ -173,7 +169,7 @@ def _jacobi_sum(n: int, params: JacobiParams) -> _Sum:
     g, d = (gr(_stored(v)) for v in params)
     g1 = g + 1
     _check_poch(g1, n, "gamma+1")
-    return _Sum(n, _poch((g1,), n), (n + g + d + 1,), (g1,), _HALF, 0, -_HALF)
+    return _Sum(n, _poch((g1,), n), (n + g + d + 1,), (g1,), GR_HALF, 0, -GR_HALF)
 
 
 def _chahn_sum(n: int, params: HahnParams) -> _Sum:
@@ -190,7 +186,7 @@ def _pasternack_sum(n: int, m) -> _Sum:
     # 3F2(-n, n+1, (1+m+x)/2; 1, m+1; 1)
     m1 = gr(_stored(m)) + 1
     _check_poch(m1, n, "m+1")
-    return _Sum(n, 1, (n + 1,), (1, m1), m1 * _HALF, 1, _HALF)
+    return _Sum(n, 1, (n + 1,), (1, m1), m1 * GR_HALF, 1, GR_HALF)
 
 
 def _exact_poly(s: _Sum) -> ExactPoly:
@@ -363,11 +359,12 @@ def pasternack_coeffs_complex(n: int, m) -> list:
 
 
 def pasternack_hahn_params(m) -> HahnParams:
-    """The continuous Hahn parameter tuple behind F_n^m."""
+    """The continuous Hahn parameter tuple behind F_n^m; a float or complex m
+    that is not finite raises DomainError naming m."""
     if _is_exact(m):
-        mv, half = gr(m), GaussianRational(Fraction(1, 2))
+        mv, half = gr(m), GR_HALF
     else:
-        mv, half = _to_complex(m), 0.5
+        [mv], half = _require("finite", m=m), 0.5
     p, q = (1 + mv) * half, (1 - mv) * half
     return HahnParams(p, q, q, p)
 

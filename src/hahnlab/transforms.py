@@ -18,8 +18,8 @@ import cmath
 import math
 from operator import mul
 
-from .errors import DomainError
-from .numerics import _hahn_weight_log_of, _require_positive_re, gamma_product, log_gamma_complex
+from .errors import _require
+from .numerics import _hahn_weight_log_of, gamma_product, log_gamma_complex
 from .polynomials import (HahnParams, JacobiParams, _stored, _to_complex, chahn_eval,
                           chahn_coeffs_complex, horner_level, jacobi_coeffs_complex)
 from .quadrature import IntegralResult, _line_integral
@@ -105,10 +105,9 @@ def fourier_pair_checks(alpha, beta, cases: list, tol: float = 1e-8,
     """fourier_pair_check(n, alpha, beta, gamma, delta, z) for each
     (n, gamma, delta, z) of cases, in order, with every quadrature side
     from one trapezoid pass on the weight (alpha, beta)."""
-    _require_positive_re(alpha=alpha, beta=beta)
-    for *_, z in cases:
-        if not cmath.isfinite(_to_complex(z)):
-            raise DomainError(f"z must be finite, got {z!r}")
+    _require("Re > 0", alpha=alpha, beta=beta)
+    for _, gamma, delta, z in cases:
+        _require("finite", gamma=gamma, delta=delta, z=z)
     reports = []
     for (n, gamma, delta, z), lhs in zip(cases, _weighted_jacobi_transform(alpha, beta, cases)):
         rhs = _fourier_closed_form(n, alpha, beta, gamma, delta, z)
@@ -136,10 +135,9 @@ def mellin_pair_checks(alpha, beta, cases: list, tol: float = 1e-8,
     """mellin_pair_check(n, alpha, beta, gamma, delta, lam) for each
     (n, gamma, delta, lam) of cases, in order, with every quadrature side
     from one trapezoid pass on the weight (alpha, beta)."""
-    al, be = _require_positive_re(alpha=alpha, beta=beta)
-    for *_, lam in cases:
-        if not cmath.isfinite(_to_complex(lam)):
-            raise DomainError(f"lambda must be finite, got {lam!r}")
+    al, be = _require("Re > 0", alpha=alpha, beta=beta)
+    for _, gamma, delta, lam in cases:
+        _require("finite", gamma=gamma, delta=delta, **{"lambda": lam})
     scale = cmath.exp((1 - al - be) * _LOG_2)
     lhs_all = _weighted_jacobi_transform(
         alpha, beta, [(n, gamma, delta, -2.0 * lam) for n, gamma, delta, lam in cases])
@@ -228,7 +226,8 @@ def parseval_check(n: int, m: int, alpha, beta, a, b, gamma, delta, c, d,
                    tol: float = 1e-8, tol_abs: float = 1e-10) -> VerificationReport:
     """Both sides of the Parseval identity for two weighted Jacobi factors,
     for general parameters (no orthogonality specialization imposed)."""
-    al, be, av, bv = _require_positive_re(alpha=alpha, beta=beta, a=a, b=b)
+    al, be, av, bv = _require("Re > 0", alpha=alpha, beta=beta, a=a, b=b)
+    _require("finite", gamma=gamma, delta=delta, c=c, d=d)
     name = f"parseval[n={n}, m={m}]"
 
     # left: 2 pi * integral of the tanh-substituted beta-type integrand

@@ -1,0 +1,281 @@
+"""A seeded sweep of every public check over its declared domain.
+
+Each row names a check and the rule of each of its parameters, taken from
+the gate's table (errors._RULES).  Points inside the domain (seeded
+small-denominator rationals, floats for the quadrature checks, conjugate
+pairs where the check allows them, and points within 1/100 of each
+boundary) must pass, or raise one of the HahnlabErrors the row lists.  For
+each parameter of a quadrature check, NaN, +-inf and a point just outside
+must raise a DomainError whose message starts with that parameter's name.
+The exact checks read their parameters with gr: a float, NaN and inf among
+them, raises ExactInputError, and a point just outside a rule raises
+DomainError naming the parameter.
+"""
+
+import math
+import random
+import re
+from fractions import Fraction
+
+import pytest
+
+from hahnlab.errors import (_RULES, DomainError, ExactInputError, HahnlabError, PoleError,
+                            QuadratureError)
+from hahnlab.exact import GaussianRational
+from hahnlab.identities import (contiguous_check, genfun_chahn_check, genfun_jacobi_check,
+                                jacobi_classical_check)
+from hahnlab.operator_calculus import (hahn_operator_identity_check, recurrence_check,
+                                       shifted_operator_identity_check)
+from hahnlab.numerics import pochhammer
+from hahnlab.orthogonality import (barnes_check, bateman_ortho_check, bateman_ortho_checks,
+                                   gram_check, jacobi_ortho_check, pasternack_biortho_check,
+                                   pasternack_biortho_checks, pasternack_ortho_check,
+                                   pasternack_ortho_checks)
+from hahnlab.polynomials import HahnParams, pasternack_hahn_params, pasternack_reflection_check
+from hahnlab.reports import VerificationReport
+from hahnlab.transforms import fourier_pair_check, mellin_pair_check, parseval_check
+
+F = Fraction
+FIN, POS, GT_M1 = "finite", "Re > 0", "Re > -1"
+REAL, REAL_OR_IMAG = "real in (-1, 1)", "real in (-1, 1) or imaginary"
+
+# per rule: the open interval of the real part drawn inside, whether a draw
+# may be complex (and then purely imaginary only), the points within 1/100
+# of a boundary, and the points just outside
+_DRAW = {
+    FIN: ((-2, 2), True, [], []),
+    POS: ((0, 2), True, [F(1, 100), GaussianRational(F(1, 100), F(1, 3))],
+          [0, F(-1, 100), GaussianRational(F(-1, 100), 1)]),
+    GT_M1: ((-1, 1), True, [F(-99, 100), GaussianRational(F(-99, 100), F(-1, 4))],
+            [-1, F(-101, 100), GaussianRational(F(-101, 100), F(1, 2))]),
+    REAL: ((-1, 1), False, [F(99, 100), F(-99, 100)],
+           [1, -1, F(101, 100), GaussianRational(F(1, 2), F(1, 100))]),
+    REAL_OR_IMAG: ((-1, 1), "imaginary", [F(99, 100), F(-99, 100)],
+                   [1, -1, F(-101, 100), GaussianRational(F(1, 100), F(1, 2))]),
+}
+assert set(_DRAW) == set(_RULES)
+
+
+class Row:
+    """One public check: call(**values) runs it with the other arguments
+    fixed, rules maps each parameter to its rule, allowed lists the errors a
+    point inside may raise, real the parameters drawn real only, pairs the
+    parameters drawn as the conjugate of another, names the parameter's
+    name in messages where it is not the keyword, and refused the details of
+    a failed report that stands for a listed error (recurrence_check reports
+    a refused input as a failed row)."""
+
+    def __init__(self, check, call, rules, allowed=(), real=(), pairs=(), names=None,
+                 refused=None):
+        self.check, self.call, self.rules, self.allowed = check, call, rules, allowed
+        self.real, self.pairs, self.names = set(real), dict(pairs), names or {}
+        self.refused = refused
+
+    def __repr__(self):
+        return f"{self.check.__name__}[{','.join(self.rules)}]"
+
+
+_GAMMA4 = dict.fromkeys(("alpha", "beta", "a", "b"), POS)
+_HAHN4 = dict.fromkeys(("alpha", "beta", "gamma", "delta"), FIN)
+_JACOBI3 = dict.fromkeys(("gamma", "delta", "x"), FIN)
+
+_QUADRATURE = [
+    Row(fourier_pair_check, lambda **v: fourier_pair_check(2, z=F(3, 4), **v),
+        {"alpha": POS, "beta": POS, "gamma": FIN, "delta": FIN}, (QuadratureError, PoleError)),
+    Row(fourier_pair_check, lambda **v: fourier_pair_check(1, 1, F(1, 2), 0, 0, **v),
+        {"z": FIN}, (QuadratureError,), real=("z",)),
+    Row(mellin_pair_check, lambda **v: mellin_pair_check(1, F(3, 4), F(1, 2), F(1, 3), 0, **v),
+        {"lam": FIN}, (QuadratureError,), real=("lam",), names={"lam": "lambda"}),
+    Row(parseval_check, lambda **v: parseval_check(1, 1, **v),
+        _GAMMA4 | dict.fromkeys(("gamma", "delta", "c", "d"), FIN), (QuadratureError, PoleError),
+        pairs={"a": "alpha", "b": "beta"}),
+    Row(gram_check, lambda **v: gram_check("sweep", N=2, **v), _GAMMA4, (QuadratureError,),
+        pairs={"a": "alpha", "b": "beta"}),
+    Row(barnes_check, barnes_check, _GAMMA4, (QuadratureError,),
+        pairs={"a": "alpha", "b": "beta"}),
+    Row(bateman_ortho_check, lambda: bateman_ortho_check(2, 2), {}),
+    Row(pasternack_ortho_check, lambda **v: pasternack_ortho_check(2, 2, **v),
+        {"m": REAL_OR_IMAG}, (QuadratureError,)),
+    Row(pasternack_biortho_check, lambda **v: pasternack_biortho_check(1, 1, **v),
+        {"m": REAL}, (QuadratureError,)),
+    Row(jacobi_ortho_check, lambda **v: jacobi_ortho_check(2, 2, **v),
+        {"alpha": GT_M1, "beta": GT_M1}, (QuadratureError,)),
+]
+
+_EXACT = [
+    Row(hahn_operator_identity_check, lambda **v: hahn_operator_identity_check(2, **v),
+        {"alpha": POS, "beta": POS, "gamma": FIN, "delta": FIN}, (PoleError,),
+        pairs={"beta": "alpha", "delta": "gamma"}),
+    Row(shifted_operator_identity_check,
+        lambda **v: shifted_operator_identity_check(r=3, **v), {"alpha": FIN, "beta": FIN},
+        pairs={"beta": "alpha"}),
+    Row(genfun_jacobi_check, lambda **v: genfun_jacobi_check(1, order=4, **v), _JACOBI3,
+        (PoleError,), pairs={"delta": "gamma"}),
+    Row(genfun_jacobi_check, lambda **v: genfun_jacobi_check(2, order=4, **v), _JACOBI3,
+        (PoleError,)),
+    Row(genfun_chahn_check, lambda **v: genfun_chahn_check(1, order=3, **v),
+        _HAHN4 | {"z": FIN}, (PoleError,), pairs={"beta": "alpha", "delta": "gamma"}),
+    Row(genfun_chahn_check, lambda **v: genfun_chahn_check(2, order=3, **v),
+        _HAHN4 | {"z": FIN}, (PoleError,)),
+    Row(contiguous_check, lambda **v: contiguous_check(1, 2, **v), _HAHN4, (PoleError,)),
+    Row(contiguous_check, lambda **v: contiguous_check(2, 2, **v), _HAHN4, (PoleError,)),
+    Row(jacobi_classical_check, lambda **v: jacobi_classical_check("derivative", 2, **v),
+        {"gamma": FIN, "delta": FIN}, (PoleError,)),
+    Row(jacobi_classical_check, lambda **v: jacobi_classical_check("eq454", 2, **v),
+        {"gamma": FIN, "delta": FIN}, (PoleError,)),
+    Row(pasternack_reflection_check, lambda **v: pasternack_reflection_check(3, **v),
+        {"m": FIN}, (PoleError,)),
+    Row(recurrence_check, lambda **v: recurrence_check("sweep", HahnParams(**v), 2),
+        dict.fromkeys("abcd", FIN), pairs={"d": "a"},
+        refused=r"^\((a\+c|a\+d)\)_k vanishes|^degenerate parameters"),
+]
+
+
+def _rational(rng, lo, hi) -> Fraction:
+    """p/q strictly inside (lo, hi), q <= 6."""
+    q = rng.randint(1, 6)
+    return F(rng.randint(lo * q + 1, hi * q - 1), q)
+
+
+def _draw(rng, rule: str, kind: str, real: bool):
+    """One point inside the rule: a rational, or for a complex kind a
+    Gaussian rational (purely imaginary where the rule asks)."""
+    (lo, hi), complex_ok, _, _ = _DRAW[rule]
+    value = _rational(rng, lo, hi)
+    if kind.startswith("complex") and complex_ok and not real:
+        im = _rational(rng, -1, 1) or F(1, 2)
+        value = GaussianRational(0 if complex_ok == "imaginary" else value, im)
+    return value
+
+
+def _as(value, floats: bool):
+    """value, or as a float or complex when floats."""
+    if not floats:
+        return value
+    return complex(value) if isinstance(value, GaussianRational) else float(value)
+
+
+def _sweep(row: Row, rng, kinds, count: int):
+    """Runs count seeded draws, cycling through kinds, then each parameter at
+    one of its rule's boundary points (in turn) with the others at the first
+    draw that passed."""
+    base = None
+    for k in range(count):
+        kind = kinds[k % len(kinds)]
+        values = {p: _draw(rng, rule, kind, p in row.real) for p, rule in row.rules.items()}
+        if kind.startswith("complex"):
+            for p, q in row.pairs.items():
+                values[p] = values[q].conjugate()
+        if _inside(row, values, kind.endswith("float")) and base is None:
+            base = values
+    assert base is not None or not row.rules, f"{row}: no draw passed"
+    for k, (p, rule) in enumerate(row.rules.items()):
+        edges = _DRAW[rule][2]
+        if edges:
+            _inside(row, {**base, p: edges[k % len(edges)]}, False)
+
+
+def _inside(row: Row, values: dict, floats: bool) -> bool:
+    """Runs one inside point: it passes (True), or raises an error the row
+    lists (False)."""
+    args = {p: _as(v, floats) for p, v in values.items()}
+    try:
+        reports = row.call(**args)
+    except row.allowed:
+        return False
+    for report in reports if isinstance(reports, list) else [reports]:
+        assert isinstance(report, VerificationReport)
+        if not report.passed:
+            assert row.refused and re.match(row.refused, report.details), (row, args, report)
+            return False
+    return True
+
+
+@pytest.mark.parametrize("row", _QUADRATURE, ids=repr)
+def test_quadrature_checks_over_their_domain(row):
+    # barnes_check is the N = 1 Gram: its row draws the Gram row's points, so
+    # the weight memo computes each node of their slow edge points once
+    seed = repr(row).replace("barnes_check", "gram_check")
+    _sweep(row, random.Random(f"quadrature {seed}"),
+           ("rational", "float", "complex", "complex float"), 4)
+    if not row.rules:
+        return
+    base = {p: F(1, 2) for p in row.rules}
+    for p, rule in row.rules.items():
+        name = row.names.get(p, p)
+        bad = [math.nan, math.inf, -math.inf, complex(0.5, math.nan),
+               *map(complex, _DRAW[rule][3])]
+        for value in bad:
+            with pytest.raises(DomainError, match=rf"^{name} must be finite") as caught:
+                row.call(**{**base, p: value})
+            assert repr(value) in str(caught.value)
+
+
+@pytest.mark.parametrize("row", _EXACT, ids=repr)
+def test_exact_checks_over_their_domain(row):
+    _sweep(row, random.Random(f"exact {row!r}"), ("rational", "complex"), 8)
+    base = {p: F(1, 2) for p in row.rules}
+    for p, rule in row.rules.items():
+        for value in (0.5, math.nan, math.inf, -math.inf, 0.5 + 0.25j):
+            args = {**base, p: value}
+            if row.check is recurrence_check:  # a refused input is a failed row
+                report = row.call(**args)
+                assert report.status == "fail" and "exact" in report.details
+                continue
+            with pytest.raises(ExactInputError):
+                row.call(**args)
+        for value in _DRAW[rule][3]:
+            with pytest.raises(DomainError, match=rf"^{p} must be finite{_phrase(p, rule)}, got"):
+                row.call(**{**base, p: value})
+
+
+def _phrase(name: str, rule: str) -> str:
+    return re.escape(_RULES[rule][1].format(name=name))
+
+
+def test_rows_cover_every_public_check():
+    """The 9 quadrature checks and the 8 exact ones, each with a row."""
+    assert len({row.check for row in _QUADRATURE}) == 9
+    assert len({row.check for row in _EXACT}) == 8
+
+
+@pytest.mark.parametrize("pairs, cap", [([(-1, 0)], 12), ([(1.5, 0)], 12), ([(13, 0)], 12),
+                                        ([(2, 2), (0, 11)], 10), ([(2.0, 1)], 10)])
+def test_sech_degree_pairs_outside_the_cap_are_named(pairs, cap):
+    """A negative, non-integer or too large degree raises DomainError naming
+    the pair and the range, in each list form."""
+    forms = [lambda: bateman_ortho_checks(pairs)] if cap == 12 else \
+        [lambda: pasternack_ortho_checks(F(1, 3), pairs),
+         lambda: pasternack_biortho_checks(F(1, 3), pairs)]
+    bad = next(p for p in pairs if not all(isinstance(n, int) and 0 <= n <= cap for n in p))
+    for form in forms:
+        message = rf"^degree pair {re.escape(repr(bad))} is not two ints in 0\.\.{cap}$"
+        with pytest.raises(DomainError, match=message):
+            form()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: pasternack_hahn_params(math.nan), "m"),
+    (lambda: pasternack_hahn_params(complex(0.5, math.inf)), "m"),
+    (lambda: pochhammer(math.nan, 2), "a"),
+    (lambda: pochhammer(complex(math.inf, 1), 0), "a"),
+], ids=["hahn-params-nan", "hahn-params-inf", "pochhammer-nan", "pochhammer-inf"])
+def test_float_helpers_refuse_non_finite_input(call, name):
+    """pasternack_hahn_params and pochhammer take their input through the
+    gate: DomainError naming it, never a record of NaNs or an overflow."""
+    with pytest.raises(DomainError, match=rf"^{name} must be finite; .* is not finite"):
+        call()
+
+
+def test_no_swept_check_escapes_the_error_hierarchy():
+    """Inputs outside the rules, or at poles, of every type a parameter takes
+    (z and lambda are real), raise only HahnlabErrors."""
+    for row in _QUADRATURE + _EXACT:
+        for p in row.rules:
+            for value in (math.nan, math.inf, -0.1, F(-7, 3), 7) if p in row.real else \
+                    (math.nan, math.inf, -0.1, complex(-0.1, 0.2), F(-7, 3),
+                     GaussianRational(F(-7, 3), F(1, 9))):
+                try:
+                    row.call(**{**{q: F(1, 2) for q in row.rules}, p: value})
+                except HahnlabError:
+                    pass

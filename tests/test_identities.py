@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hahnlab.errors import DomainError
+from hahnlab.errors import DomainError, ExactInputError
 from hahnlab.exact import GR_I, ExactPoly, GaussianRational, gr
 from hahnlab.identities import (contiguous_check, genfun_chahn_check,
                                 genfun_jacobi_check, jacobi_classical_check)
@@ -158,3 +158,34 @@ def test_jacobi_identities_grid():
 def test_jacobi_classical_rejects_unknown():
     with pytest.raises(DomainError):
         jacobi_classical_check("unknown", 1, 0, 0)
+
+
+# --- parameters over Q(i) ----------------------------------------------------
+
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("x", [F(1, 3), GaussianRational(0, HALF)], ids=["x=1/3", "x=i/2"])
+def test_genfun_jacobi_over_gaussian_rationals(which, x):
+    """gamma and x in Q(i): the series identity holds exactly."""
+    report = genfun_jacobi_check(which, GaussianRational(F(1, 3), F(1, 4)), HALF, x, 6)
+    assert report.passed and report.max_abs_err == 0.0
+    assert "gamma=1/3+1/4i" in report.name
+
+
+@pytest.mark.parametrize("which", ["derivative", "eq454"])
+@pytest.mark.parametrize("n", range(4))
+def test_jacobi_classical_over_gaussian_rationals(which, n):
+    report = jacobi_classical_check(which, n, GaussianRational(F(1, 3), 1), HALF)
+    assert report.passed and report.max_abs_err == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: genfun_jacobi_check(2, 0.1, 0.3, 0.7, 6),
+    lambda: genfun_jacobi_check(1, F(1, 3), HALF, 0.5, 4),
+    lambda: jacobi_classical_check("eq454", 1, 0.5, 0),
+    lambda: jacobi_classical_check("derivative", 2, HALF, math.nan),
+], ids=["genfun-jacobi-gamma", "genfun-jacobi-x", "classical-gamma", "classical-delta-nan"])
+def test_jacobi_checks_refuse_floats(call):
+    """A float is refused, never taken at its binary value (0.1 would have
+    passed as 3602879701896397/36028797018963968); NaN too."""
+    with pytest.raises(ExactInputError):
+        call()

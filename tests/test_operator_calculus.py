@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hahnlab import operator_calculus
-from hahnlab.errors import DomainError, StructureError
+from hahnlab.errors import DomainError, ExactInputError, StructureError
 from hahnlab.exact import ExactPoly, GaussianRational, gr
 from hahnlab.operator_calculus import (SIGN_NOTE, WeightedTanhFunction, d_dx,
                                        derive_recurrence,
@@ -220,3 +220,40 @@ def test_recurrence_three_terms_conjugate_pairs():
 def test_recurrence_needs_positive_degree():
     with pytest.raises(DomainError):
         derive_recurrence(0, HahnParams(HALF, HALF, HALF, HALF))
+
+
+# --- parameters over Q(i) ----------------------------------------------------
+
+_CONJ = (GaussianRational(HALF, F(1, 3)), GaussianRational(HALF, F(-1, 3)),
+         GaussianRational(F(1, 4), F(1, 5)), GaussianRational(F(1, 4), F(-1, 5)))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_hahn_operator_identity_over_gaussian_rationals(n):
+    """The identity is algebraic in all four parameters: it holds exactly at
+    a conjugate-pair tuple of Q(i), and the name prints the exact values."""
+    report = hahn_operator_identity_check(n, *_CONJ)
+    assert report.passed and report.max_abs_err == 0.0
+    assert "alpha=1/2+1/3i, beta=1/2-1/3i, gamma=1/4+1/5i, delta=1/4-1/5i" in report.name
+
+
+@pytest.mark.parametrize("r", [0, 1, 4, 8])
+def test_shifted_operator_identity_over_gaussian_rationals(r):
+    report = shifted_operator_identity_check(_CONJ[0], _CONJ[1], r)
+    assert report.passed and report.max_abs_err == 0.0
+
+
+@pytest.mark.parametrize("check, args", [
+    (hahn_operator_identity_check, (1, 0.5, HALF, 0, 0)),
+    (hahn_operator_identity_check, (1, HALF, HALF, 0.25, 0)),
+    (shifted_operator_identity_check, (HALF, 0.5, 2)),
+], ids=["hahn-operator-alpha", "hahn-operator-gamma", "shifted-operator-beta"])
+def test_operator_checks_refuse_floats(check, args):
+    """A float is not taken at its binary value: ExactInputError."""
+    with pytest.raises(ExactInputError):
+        check(*args)
+
+
+def test_hahn_operator_names_the_parameter_outside_re_positive():
+    with pytest.raises(DomainError, match=r"^beta must be finite with Re\(beta\) > 0, got"):
+        hahn_operator_identity_check(1, HALF, GaussianRational(0, 1), 0, 0)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hahnlab.cli import RunManifest
+from hahnlab.errors import ExactInputError
 from hahnlab.exact import ExactPoly, GaussianRational
 from hahnlab.numerics import LogGammaValue
 from hahnlab.operator_calculus import WeightedTanhFunction
@@ -44,8 +45,9 @@ _CASES = [
      " truncation_radius=0.0, estimated_error=0.0)", False),
     (WeightedTanhFunction(1, F(1, 2), ExactPoly([1, 2])),
      WeightedTanhFunction(1, F(1, 2), ExactPoly([1, 3])),
-     "WeightedTanhFunction(alpha=Fraction(1, 1), beta=Fraction(1, 2),"
-     " poly=ExactPoly(['1', '2']))", True),
+     "WeightedTanhFunction(alpha=GaussianRational(Fraction(1, 1), Fraction(0, 1)),"
+     " beta=GaussianRational(Fraction(1, 2), Fraction(0, 1)), poly=ExactPoly(['1', '2']))",
+     True),
     (RunManifest("gram", {"size": 8}), RunManifest("gram", {"size": 8}, False),
      "RunManifest(command='gram', parameters={'size': 8}, seed_independent=True,"
      " outputs=[])", False),
@@ -87,6 +89,14 @@ def test_record_defaults():
 
 
 def test_weighted_tanh_function_holds_fractions():
-    f = WeightedTanhFunction(1, 0.5, ExactPoly.one())
-    assert type(f.alpha) is F and type(f.beta) is F and (f.alpha, f.beta) == (1, F(1, 2))
+    """alpha and beta are coerced by gr: GaussianRationals over Q(i), equal to
+    the int or Fraction given; a float is refused, never taken at its binary
+    value."""
+    f = WeightedTanhFunction(1, F(1, 2), ExactPoly.one())
+    assert type(f.alpha) is GaussianRational and type(f.beta) is GaussianRational
+    assert (f.alpha, f.beta) == (1, F(1, 2))
     assert pickle.loads(pickle.dumps(f)) == f
+    g = WeightedTanhFunction(GaussianRational(F(1, 2), F(1, 3)), 2, ExactPoly.one())
+    assert g.alpha == GaussianRational(F(1, 2), F(1, 3)) and pickle.loads(pickle.dumps(g)) == g
+    with pytest.raises(ExactInputError):
+        WeightedTanhFunction(1, 0.5, ExactPoly.one())
