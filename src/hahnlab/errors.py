@@ -1,5 +1,6 @@
 """Exception taxonomy shared across the package, and the one gate on
-parameter values (_require), which raises DomainError naming the parameter."""
+parameter values (_require), which raises DomainError naming the parameter,
+or RangeOverflowError for an exact value past the double range (_complex)."""
 
 import cmath
 
@@ -47,13 +48,26 @@ _RULES = {
 }
 
 
+def _complex(name: str, value) -> complex:
+    """complex(value), or DomainError for text, None or another non-number and
+    RangeOverflowError for an exact value past the double range, naming it."""
+    if not isinstance(value, str):  # complex() would parse text
+        try:
+            return complex(value)
+        except OverflowError:
+            raise RangeOverflowError(f"{name} is past the double range") from None
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{name} must be a number, got {value!r}")
+
+
 def _require(rule: str, **named) -> list:
     """The values as complex, each finite and satisfying _RULES[rule], or a
-    DomainError naming the first that is not."""
+    DomainError naming the first that is not (or is not a number, _complex)."""
     test, phrase = _RULES[rule]
     values = []
     for name, value in named.items():
-        v = complex(value)
+        v = _complex(name, value)
         finite = cmath.isfinite(v)
         if not (finite and test(v)):
             must = f"{name} must be finite{phrase.format(name=name)}"

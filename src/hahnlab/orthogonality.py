@@ -58,7 +58,8 @@ class GramResult(namedtuple(
     largest norm-scaled estimate of an entry (integrate_line_trapezoid: the
     predicted tail of its changes, else its change between steps 2h and h),
     floored by the rounding of the polynomial values, eps M_n(|z|) each, M_n
-    the recurrence run on magnitudes (a relative error for N = 1).
+    the recurrence run on magnitudes in floats (_gram_magnitudes; a relative
+    error for N = 1).
     """
 
     __slots__ = ()
@@ -152,7 +153,7 @@ def _gram_recurrence(N: int, alpha, beta, a, b) -> list:
 
 
 def _gram_columns(recurrence: list, zs: list) -> list:
-    """[p_0(zs), ..., p_{N-1}(zs)] by the forward recurrence
+    """[p_0(zs), ..., p_{N-1}(zs)] at complex nodes zs by the forward recurrence
     p_{n+1} = ((z - B_n) p_n - C_n p_{n-1}) / A_n: one pass over the level per
     operation, O(N) passes in all."""
     prev, cur = [0j] * len(zs), [1 + 0j] * len(zs)
@@ -162,6 +163,17 @@ def _gram_columns(recurrence: list, zs: list) -> list:
         prev, cur = cur, list(map(truediv, nxt, repeat(a_n)))
         columns.append(cur)
     return columns
+
+
+def _gram_magnitudes(magnitudes: list, r: float) -> list:
+    """[M_0(r), ..., M_{N-1}(r)]: _gram_columns' step on one point, in floats,
+    which are its real parts bit for bit (up to the sign of a zero)."""
+    prev, cur = 0.0, 1.0
+    out = [cur]
+    for a_n, b_n, c_n in magnitudes:
+        prev, cur = cur, ((r - b_n) * cur - prev * c_n) / a_n
+        out.append(cur)
+    return out
 
 
 def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
@@ -189,15 +201,17 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     The norms cost 5 log-gammas (_chahn_norms).  No exact polynomial is
     built: the cut-off envelope and the rounding floor bound |p_n(z)| by
     M_n(|z|), the same recurrence run on the magnitudes of its
-    coefficients (_gram_columns).  The parameters are used only as complex
+    coefficients, in floats on one point at a time (_gram_magnitudes, the
+    one routine for both); _gram_columns runs it on a level's nodes as
+    complex numbers, which a float node would be converted to at each
+    subtraction.  The parameters are used only as complex
     floats, so a float and the Fraction it stores give the same Gram; Re > 0
     keeps (alpha+a)_n, (alpha+beta)_n and every A_n away from zero.
     """
     if not 1 <= N <= GRAM_SIZE_CAP:
         raise DomainError(f"Gram size must be in 1..{GRAM_SIZE_CAP}")
-    al, be = _to_complex(alpha), _to_complex(beta)
-    av, bv = _to_complex(a), _to_complex(b)
-    log_weight = _hahn_weight_log_of(al, be, av, bv)  # checks the parameters
+    al, be, av, bv = _require("Re > 0", alpha=alpha, beta=beta, a=a, b=b)
+    log_weight = _hahn_weight_log_of(al, be, av, bv)
     expected = _chahn_norms(N, al, be, av, bv)
     recurrence = _gram_recurrence(N, al, be, av, bv)
     # entries (n, m), m >= n, in row order; parity zeros are left out
@@ -211,7 +225,7 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
         """The entries' integrands summed over the nodes zs: one loop over
         the level per quantity."""
         w = [cmath.exp(log_weight(z)) / two_pi for z in zs]
-        p = _gram_columns(recurrence, zs)
+        p = _gram_columns(recurrence, list(map(complex, zs)))
         out = []
         for n in range(N):
             wp = list(map(mul, w, p[n]))
@@ -246,8 +260,8 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
         g = log_weight(z).real
         if not real:  # then |w(-z)| != |w(z)|; bound both tails
             g = max(g, log_weight(-z).real)
-        peak = max(abs(col[0]) ** 2 / floor
-                   for col, floor in zip(_gram_columns(magnitudes, [abs(z)]), floors))
+        peak = max(abs(m) ** 2 / floor
+                   for m, floor in zip(_gram_magnitudes(magnitudes, abs(z)), floors))
         return math.exp(g) * peak / two_pi
 
     radius = truncation_radius(envelope)
@@ -280,9 +294,10 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     minus = w if real else [math.exp(log_weight(-z).real) for z in zs]
     w = list(map(add, w, minus))
     w[0] *= 0.5  # the centre node weighs half
+    columns = zip(*[_gram_magnitudes(magnitudes, z) for z in zs])  # M_n at every node
     kappa = [math.sqrt(step * sum(u * abs(v) ** 2 for u, v in zip(w, column))
                        / (two_pi * abs(matrix[n][n])))
-             for n, column in enumerate(_gram_columns(magnitudes, zs))]
+             for n, column in enumerate(columns)]
     estimate = max(max(c / (scale[n] * scale[m]), _EPS * (kappa[n] + kappa[m]))
                    for (n, m), c in zip(entries, res.changes))
     return GramResult(matrix, expected, max_off, max_diag, max_off_scaled,

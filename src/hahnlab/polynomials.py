@@ -55,7 +55,8 @@ from itertools import repeat
 from math import factorial, gcd, lcm
 from operator import add, mul
 
-from .errors import DomainError, ExactInputError, PoleError, RangeOverflowError, _require
+from .errors import (DomainError, ExactInputError, PoleError, RangeOverflowError, _complex,
+                     _require)
 from .exact import (GR_HALF, I_POWERS, ExactPoly, GaussianRational, _multiply, _poly, _rational,
                     _vectors, gr)
 from .reports import VerificationReport, residual_report
@@ -261,7 +262,11 @@ class _Built:
         self.poly, self.rounded = poly, None
 
     def round(self) -> tuple:
-        self.rounded = tuple(reversed(self.poly.complex_coeffs()))
+        try:
+            self.rounded = tuple(reversed(self.poly.complex_coeffs()))
+        except OverflowError:
+            raise RangeOverflowError(
+                f"p_{self.poly.degree} has a coefficient past the double range") from None
         return self.rounded
 
     def coeffs(self) -> list:  # a fresh list, lowest degree first
@@ -294,7 +299,10 @@ def _eval(n: int, params, x, family) -> complex:
     makes every such value NaN), else RangeOverflowError."""
     global _last
     if type(x) is not complex:
-        x = _to_complex(x)
+        try:
+            x = _to_complex(x)
+        except (TypeError, ValueError, OverflowError):
+            x = _complex("x", x)  # raises the HahnlabError naming x
     last_family, last_n, last_params, rounded = _last
     if last_family is not family or last_params is not params or last_n != n:
         built = _built(family, n, params)

@@ -104,16 +104,18 @@ def fourier_pair_checks(alpha, beta, cases: list, tol: float = 1e-8,
                         tol_abs: float = 1e-12) -> list[VerificationReport]:
     """fourier_pair_check(n, alpha, beta, gamma, delta, z) for each
     (n, gamma, delta, z) of cases, in order, with every quadrature side
-    from one trapezoid pass on the weight (alpha, beta)."""
+    from one trapezoid pass on the weight (alpha, beta).  They compute with
+    z as the gate's complex value; report names print z as passed."""
     _require("Re > 0", alpha=alpha, beta=beta)
-    for _, gamma, delta, z in cases:
-        _require("finite", gamma=gamma, delta=delta, z=z)
+    zs = [_require("finite", gamma=gamma, delta=delta, z=z)[2] for _, gamma, delta, z in cases]
+    computed = [(n, gamma, delta, zc) for (n, gamma, delta, _), zc in zip(cases, zs)]
     reports = []
-    for (n, gamma, delta, z), lhs in zip(cases, _weighted_jacobi_transform(alpha, beta, cases)):
-        rhs = _fourier_closed_form(n, alpha, beta, gamma, delta, z)
+    for (n, gamma, delta, z), zc, lhs in zip(
+            cases, zs, _weighted_jacobi_transform(alpha, beta, computed)):
+        rhs = _fourier_closed_form(n, alpha, beta, gamma, delta, zc)
         # at z = 0, alpha = beta and gamma = delta the integrand is an even
         # weight times the odd P_n for odd n: the closed form is 0 up to rounding
-        vanishes = n % 2 == 1 and z == 0.0 and alpha == beta and gamma == delta
+        vanishes = n % 2 == 1 and zc == 0.0 and alpha == beta and gamma == delta
         diag = QuadDiagnostics(lhs.evaluations, lhs.error_estimate)
         reports.append(integral_report(
             f"fourier-pair[n={n}, z={z}]", abs(lhs.value - rhs),
@@ -134,23 +136,24 @@ def mellin_pair_checks(alpha, beta, cases: list, tol: float = 1e-8,
                        tol_abs: float = 1e-12) -> list[VerificationReport]:
     """mellin_pair_check(n, alpha, beta, gamma, delta, lam) for each
     (n, gamma, delta, lam) of cases, in order, with every quadrature side
-    from one trapezoid pass on the weight (alpha, beta)."""
+    from one trapezoid pass on the weight (alpha, beta).  They compute with
+    lambda as the gate's complex value; report names print it as passed."""
     al, be = _require("Re > 0", alpha=alpha, beta=beta)
-    for _, gamma, delta, lam in cases:
-        _require("finite", gamma=gamma, delta=delta, **{"lambda": lam})
+    lams = [_require("finite", gamma=gamma, delta=delta, **{"lambda": lam})[2]
+            for _, gamma, delta, lam in cases]
     scale = cmath.exp((1 - al - be) * _LOG_2)
-    lhs_all = _weighted_jacobi_transform(
-        alpha, beta, [(n, gamma, delta, -2.0 * lam) for n, gamma, delta, lam in cases])
+    lhs_all = _weighted_jacobi_transform(alpha, beta, [
+        (n, gamma, delta, -2.0 * lc) for (n, gamma, delta, _), lc in zip(cases, lams)])
     reports = []
-    for (n, gamma, delta, lam), lhs in zip(cases, lhs_all):
+    for (n, gamma, delta, lam), lc, lhs in zip(cases, lams, lhs_all):
         lhs_value = scale * lhs.value
-        rhs_corrected = scale * _fourier_closed_form(n, alpha, beta, gamma, delta, -2.0 * lam)
+        rhs_corrected = scale * _fourier_closed_form(n, alpha, beta, gamma, delta, -2.0 * lc)
         err_corrected = abs(lhs_value - rhs_corrected)
-        if lam == 0.0:
+        if lc == 0.0:
             which = "conventions coincide at lambda = 0"
         else:
             # the quoted form has Gamma(beta - i lambda) for Gamma(beta + i lambda)
-            rhs_quoted = rhs_corrected * gamma_product([be - 1j * lam], [be + 1j * lam])
+            rhs_quoted = rhs_corrected * gamma_product([be - 1j * lc], [be + 1j * lc])
             rel_quoted = abs(lhs_value - rhs_quoted) / max(abs(rhs_quoted), 1e-300)
             rel_corrected = err_corrected / max(abs(rhs_corrected), 1e-300)
             matches = rel_corrected <= tol or err_corrected <= tol_abs
@@ -160,7 +163,7 @@ def mellin_pair_checks(alpha, beta, cases: list, tol: float = 1e-8,
                      f"convention off by rel {rel_quoted:.3e}")
         # at lambda = 0, alpha = beta and gamma = delta the integrand is an even
         # weight times the odd P_n for odd n: the closed form is 0 up to rounding
-        vanishes = n % 2 == 1 and lam == 0.0 and alpha == beta and gamma == delta
+        vanishes = n % 2 == 1 and lc == 0.0 and alpha == beta and gamma == delta
         diag = QuadDiagnostics(lhs.evaluations, lhs.error_estimate)
         reports.append(integral_report(
             f"mellin-pair[n={n}, lambda={lam}]", err_corrected,

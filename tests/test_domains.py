@@ -20,18 +20,19 @@ from fractions import Fraction
 import pytest
 
 from hahnlab.errors import (_RULES, DomainError, ExactInputError, HahnlabError, PoleError,
-                            QuadratureError)
+                            QuadratureError, RangeOverflowError)
 from hahnlab.exact import GaussianRational
 from hahnlab.identities import (contiguous_check, genfun_chahn_check, genfun_jacobi_check,
                                 jacobi_classical_check)
 from hahnlab.operator_calculus import (hahn_operator_identity_check, recurrence_check,
                                        shifted_operator_identity_check)
-from hahnlab.numerics import pochhammer
+from hahnlab.numerics import log_gamma_complex, pochhammer
 from hahnlab.orthogonality import (barnes_check, bateman_ortho_check, bateman_ortho_checks,
                                    gram_check, jacobi_ortho_check, pasternack_biortho_check,
                                    pasternack_biortho_checks, pasternack_ortho_check,
                                    pasternack_ortho_checks)
-from hahnlab.polynomials import HahnParams, pasternack_hahn_params, pasternack_reflection_check
+from hahnlab.polynomials import (HahnParams, JacobiParams, chahn_eval, jacobi_eval,
+                                 pasternack_hahn_params, pasternack_reflection_check)
 from hahnlab.reports import VerificationReport
 from hahnlab.transforms import fourier_pair_check, mellin_pair_check, parseval_check
 
@@ -139,10 +140,13 @@ def _rational(rng, lo, hi) -> Fraction:
 
 def _draw(rng, rule: str, kind: str, real: bool):
     """One point inside the rule: a rational, or for a complex kind a
-    Gaussian rational (purely imaginary where the rule asks)."""
+    Gaussian rational (purely imaginary where the rule asks, real for a
+    parameter drawn real only)."""
     (lo, hi), complex_ok, _, _ = _DRAW[rule]
     value = _rational(rng, lo, hi)
-    if kind.startswith("complex") and complex_ok and not real:
+    if kind.startswith("complex") and complex_ok and real:
+        value = GaussianRational(value)
+    elif kind.startswith("complex") and complex_ok:
         im = _rational(rng, -1, 1) or F(1, 2)
         value = GaussianRational(0 if complex_ok == "imaginary" else value, im)
     return value
@@ -268,14 +272,47 @@ def test_float_helpers_refuse_non_finite_input(call, name):
 
 
 def test_no_swept_check_escapes_the_error_hierarchy():
-    """Inputs outside the rules, or at poles, of every type a parameter takes
-    (z and lambda are real), raise only HahnlabErrors."""
+    """Inputs outside the rules, or at poles, of every type a parameter takes,
+    raise only HahnlabErrors; z and lambda, drawn real in the sweep, take
+    Gaussian rationals off the real line too."""
     for row in _QUADRATURE + _EXACT:
         for p in row.rules:
-            for value in (math.nan, math.inf, -0.1, F(-7, 3), 7) if p in row.real else \
-                    (math.nan, math.inf, -0.1, complex(-0.1, 0.2), F(-7, 3),
-                     GaussianRational(F(-7, 3), F(1, 9))):
+            for value in (math.nan, math.inf, -0.1, 7, complex(-0.1, 0.2), F(-7, 3),
+                          GaussianRational(F(-7, 3)), GaussianRational(F(-7, 3), F(1, 9))):
                 try:
                     row.call(**{**{q: F(1, 2) for q in row.rules}, p: value})
                 except HahnlabError:
                     pass
+
+
+_HUGE = F(10**400)  # exact, and past the double range
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: gram_check("x", "a", 1, 1, 1, 2), DomainError, r"^alpha must be a number, got 'a'$"),
+    (lambda: barnes_check(1, None, 1, 1), DomainError, r"^beta must be a number, got None$"),
+    (lambda: parseval_check(1, 1, 1, 1, 1, 1, "1", 0, 0, 0), DomainError,
+     r"^gamma must be a number, got '1'$"),
+    (lambda: gram_check("x", _HUGE, 1, 1, 1, 2), RangeOverflowError,
+     r"^alpha is past the double range$"),
+    (lambda: hahn_operator_identity_check(1, _HUGE, 1, 0, 0), RangeOverflowError,
+     r"^alpha is past the double range$"),
+    (lambda: jacobi_eval(2, JacobiParams(0.3, 0.7), "a"), DomainError,
+     r"^x must be a number, got 'a'$"),
+    (lambda: jacobi_eval(2, JacobiParams(0.3, 0.7), None), DomainError,
+     r"^x must be a number, got None$"),
+    (lambda: jacobi_eval(2, JacobiParams(0.3, 0.7), _HUGE), RangeOverflowError,
+     r"^x is past the double range$"),
+    (lambda: log_gamma_complex(_HUGE), RangeOverflowError,
+     r"^log-gamma argument is past the double range$"),
+    (lambda: chahn_eval(2, HahnParams(_HUGE, 1, 1, 1), 0.1), RangeOverflowError,
+     r"^p_2 has a coefficient past the double range$"),
+], ids=["gate-text", "gate-none", "gate-numeric-text", "gate-huge", "exact-gate-huge",
+        "eval-x-text", "eval-x-none", "eval-x-huge", "log-gamma-huge", "rounded-coeffs-huge"])
+def test_junk_and_out_of_range_inputs_raise_hahnlab_errors(call, error, message):
+    """Text or None where a number goes raises DomainError naming it (the
+    gate refuses text that parses as a number too), and an exact value whose
+    double overflows raises RangeOverflowError: never TypeError, ValueError
+    or OverflowError."""
+    with pytest.raises(error, match=message):
+        call()

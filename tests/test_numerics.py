@@ -78,6 +78,11 @@ LOG_GAMMA_BITS = [
     (0.125 - 4j, "-0x1.788e26d4c7adbp+2", "-0x1.e5db5430d42aep-1"),
     (-3.75 - 20j, "-0x1.5a147484d435fp+5", "-0x1.389b10fac09c9p+5"),
     (0.3 + 30j, "-0x1.7714daceccfc4p+5", "0x1.1ee3d2f606231p+6"),
+    # on the Gram weight's lines p + iz, Re p in {1/3, 1/2, 13/8}
+    (1 / 3 + 7.5j, "-0x1.6653e4f9e42f3p+3", "0x1.d6a2b218ffd6cp+2"),
+    (0.5 - 18j, "-0x1.b5afb30898cc6p+4", "-0x1.103b67f4bd7c0p+5"),
+    (1.625 + 12.25j, "-0x1.f01b4ccb337d7p+3", "0x1.4296062ace764p+4"),
+    (1 / 3 - 16.5j, "-0x1.977664fc7a21bp+4", "-0x1.d7ecdfe17e1cap+4"),
 ]
 
 

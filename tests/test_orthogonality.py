@@ -711,11 +711,14 @@ def test_gram_columns_match_the_exact_polynomial(params):
                 assert abs(got - want) <= 1e-12 * abs(want), (n, z, got, want)
 
 
-@pytest.mark.parametrize("params", [*RECURRENCE_TUPLES, (F(2), F(1, 3), F(3, 2), F(3, 4))],
-                         ids=[*RECURRENCE_IDS, "2-1/3-3/2-3/4"])
+MAGNITUDE_TUPLES = [*RECURRENCE_TUPLES, (F(2), F(1, 3), F(3, 2), F(3, 4))]
+MAGNITUDE_IDS = [*RECURRENCE_IDS, "2-1/3-3/2-3/4"]
+
+
+@pytest.mark.parametrize("params", MAGNITUDE_TUPLES, ids=MAGNITUDE_IDS)
 def test_gram_magnitude_recurrence_bounds_the_exact_coefficients(monkeypatch, params):
     """M_0 .. M_15, the recurrence on magnitudes that a 16 x 16 Gram hands
-    _gram_columns for its cut-off envelope and rounding floor, at
+    _gram_magnitudes for its cut-off envelope and rounding floor, at
     r = 0, 1/2, ..., 20: never below sum_k |c_k| r^k of the exact
     coefficients, and for real parameters equal to it to rounding, which
     keeps the grids where Horner's magnitudes put them.  The sum is exactly
@@ -723,25 +726,40 @@ def test_gram_magnitude_recurrence_bounds_the_exact_coefficients(monkeypatch, pa
     rounding-level rather than 0, so the upper check leaves those points out."""
     alpha, beta, a, b = params
     hahn = HahnParams(alpha, b, a, beta)
-    columns, magnitudes = orthogonality._gram_columns, []
+    run, magnitudes = orthogonality._gram_magnitudes, []
 
-    def spy(recurrence, zs):
-        if isinstance(recurrence[0][0], float):  # |A_n|: the magnitudes
-            magnitudes.append(recurrence)
-        return columns(recurrence, zs)
+    def spy(recurrence, r):
+        magnitudes.append(recurrence)
+        return run(recurrence, r)
 
-    monkeypatch.setattr(orthogonality, "_gram_columns", spy)
+    monkeypatch.setattr(orthogonality, "_gram_magnitudes", spy)
     chahn_gram(16, *params)
+    assert all(m is magnitudes[0] for m in magnitudes)
     rs = [k / 2 for k in range(41)]
-    bounds = columns(magnitudes[0], rs)
+    bounds = zip(*[run(magnitudes[0], r) for r in rs])
     real = not any(_to_complex(p).imag for p in params)
     for n, column in enumerate(bounds):
         mags = [abs(c.to_complex()) for c in chahn_coeffs_exact(n, hahn).coeffs]
         for r, got in zip(rs, column):
             want = sum(c * r ** k for k, c in enumerate(mags))
-            assert got.real >= (1 - 1e-14) * want, (n, r, got, want)
+            assert got >= (1 - 1e-14) * want, (n, r, got, want)
             if real and want:
-                assert got.real <= (1 + 1e-14) * want, (n, r, got, want)
+                assert got <= (1 + 1e-14) * want, (n, r, got, want)
+    assert n == 15
+
+
+@pytest.mark.parametrize("params", MAGNITUDE_TUPLES, ids=MAGNITUDE_IDS)
+def test_gram_magnitudes_are_the_columns_real_parts(params):
+    """_gram_magnitudes(m, r) is the real part of _gram_columns(m, [r]), the
+    step it runs in floats, bit for bit at r = 0, 1/2, ..., 20 on the
+    magnitudes of an N = 16 Gram's recurrence."""
+    recurrence = orthogonality._gram_recurrence(16, *map(_to_complex, params))
+    magnitudes = [(abs(a_n), -abs(b_n), -abs(c_n)) for a_n, b_n, c_n in recurrence]
+    for r in [k / 2 for k in range(41)]:
+        got = orthogonality._gram_magnitudes(magnitudes, r)
+        want = [column[0].real for column in orthogonality._gram_columns(magnitudes, [r])]
+        assert len(got) == 16
+        assert [v.hex() for v in got] == [v.hex() for v in want], r
 
 
 def test_gram_cold_log_gamma_count(monkeypatch):

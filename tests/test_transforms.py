@@ -152,6 +152,23 @@ def test_complex_frequencies_stay_accepted():
     assert mellin_pair_check(1, HALF, HALF, 0, 0, 0.1j).passed
 
 
+@pytest.mark.parametrize("check, args, exact, value", [
+    (fourier_pair_check, (1, 1, HALF, 0, 0), GaussianRational(F(1, 3)), 1 / 3),
+    (fourier_pair_check, (2, HALF, F(3, 4), F(1, 3), 0), GaussianRational(F(-7, 3), F(1, 9)),
+     complex(-7 / 3, 1 / 9)),
+    (mellin_pair_check, (1, F(3, 4), HALF, F(1, 3), 0), GaussianRational(F(1, 3)), 1 / 3),
+    (mellin_pair_check, (1, F(3, 4), HALF, F(1, 3), 0), GaussianRational(F(-1, 4), F(1, 8)),
+     complex(-0.25, 0.125)),
+], ids=["fourier-real", "fourier-complex", "mellin-real", "mellin-complex"])
+def test_exact_frequencies_compute_with_their_double(check, args, exact, value):
+    """A Gaussian rational z (or lambda) is computed with as the double it
+    rounds to: the report is the one of that double but for its name, which
+    prints the value as passed."""
+    got, want = check(*args, exact), check(*args, value)
+    assert got.passed and got.name.endswith(f"={exact}]")
+    assert got._replace(name=want.name) == want
+
+
 def test_fourier_linearity():
     """Transform of a sum of two weighted Jacobi terms is the sum of
     transforms."""
