@@ -24,7 +24,7 @@ from operator import add, mul, sub, truediv
 
 from .errors import DomainError, RangeOverflowError, _require
 from .exact import GR_I, GaussianRational
-from .numerics import _hahn_weight_log_of, gamma_product, pochhammer
+from .numerics import _weight_memo, gamma_product, pochhammer
 from .polynomials import (JacobiParams, _to_complex, horner_level,
                           jacobi_coeffs_complex, pasternack_coeffs_complex,
                           pasternack_hahn_params)
@@ -59,7 +59,8 @@ class GramResult(namedtuple(
     predicted tail of its changes, else its change between steps 2h and h),
     floored by the rounding of the polynomial values, eps M_n(|z|) each, M_n
     the recurrence run on magnitudes in floats (_gram_magnitudes; a relative
-    error for N = 1).
+    error for N = 1).  matrix is complex; for a positive weight (chahn_gram)
+    its entries are real sums, and every imaginary part is exactly 0.0.
     """
 
     __slots__ = ()
@@ -153,10 +154,13 @@ def _gram_recurrence(N: int, alpha, beta, a, b) -> list:
 
 
 def _gram_columns(recurrence: list, zs: list) -> list:
-    """[p_0(zs), ..., p_{N-1}(zs)] at complex nodes zs by the forward recurrence
-    p_{n+1} = ((z - B_n) p_n - C_n p_{n-1}) / A_n: one pass over the level per
-    operation, O(N) passes in all."""
-    prev, cur = [0j] * len(zs), [1 + 0j] * len(zs)
+    """[p_0(zs), ..., p_{N-1}(zs)] at the nodes zs (non-empty) by the forward
+    recurrence p_{n+1} = ((z - B_n) p_n - C_n p_{n-1}) / A_n: one pass over the
+    level per operation, O(N) passes in all.  Scalar-generic: the starts 0 and
+    1 take the nodes' type, so float nodes and real triples (a positive
+    weight, chahn_gram) give real columns, complex ones complex columns."""
+    scalar = type(zs[0])
+    prev, cur = [scalar(0)] * len(zs), [scalar(1)] * len(zs)
     columns = [cur]
     for a_n, b_n, c_n in recurrence:
         nxt = map(sub, map(mul, map(sub, zs, repeat(b_n)), cur), map(mul, prev, repeat(c_n)))
@@ -202,21 +206,29 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     built: the cut-off envelope and the rounding floor bound |p_n(z)| by
     M_n(|z|), the same recurrence run on the magnitudes of its
     coefficients, in floats on one point at a time (_gram_magnitudes, the
-    one routine for both); _gram_columns runs it on a level's nodes as
-    complex numbers, which a float node would be converted to at each
-    subtraction.  The parameters are used only as complex
+    one routine for both); _gram_columns runs it on a level's nodes, in
+    floats when the weight is positive: a = conj alpha and b = conj beta
+    make w(z) = |Gamma(alpha+iz) Gamma(beta-iz)|^2 and every p_n real on the
+    line (Koekoek, Lesky and Swarttouw (2010) 9.4), so the weights are
+    exp(Re log w), the triples their real parts, each entry a float dot
+    product and the matrix's imaginary parts exactly 0.0.  Other tuples run
+    in complex arithmetic.  The parameters are used only as complex
     floats, so a float and the Fraction it stores give the same Gram; Re > 0
     keeps (alpha+a)_n, (alpha+beta)_n and every A_n away from zero.
     """
     if not 1 <= N <= GRAM_SIZE_CAP:
         raise DomainError(f"Gram size must be in 1..{GRAM_SIZE_CAP}")
     al, be, av, bv = _require("Re > 0", alpha=alpha, beta=beta, a=a, b=b)
-    log_weight = _hahn_weight_log_of(al, be, av, bv)
+    log_weight = _weight_memo(al, be, av, bv)
     expected = _chahn_norms(N, al, be, av, bv)
     recurrence = _gram_recurrence(N, al, be, av, bv)
     # entries (n, m), m >= n, in row order; parity zeros are left out
     stride = 2 if al == be == av == bv else 1
     real = not (al.imag or be.imag or av.imag or bv.imag)
+    positive = av == al.conjugate() and bv == be.conjugate()
+    scalar = float if positive else complex
+    triples = [(a_n.real, b_n.real, c_n.real) for a_n, b_n, c_n in recurrence] \
+        if positive else recurrence
     entries = [(n, m) for n in range(N) for m in range(n, N, stride)]
     diagonal_index = [entries.index((n, n)) for n in range(N)]
     two_pi = 2.0 * math.pi
@@ -224,8 +236,11 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     def side(zs: list) -> list:
         """The entries' integrands summed over the nodes zs: one loop over
         the level per quantity."""
-        w = [cmath.exp(log_weight(z)) / two_pi for z in zs]
-        p = _gram_columns(recurrence, list(map(complex, zs)))
+        if positive:
+            w = [math.exp(log_weight(z).real) / two_pi for z in zs]
+        else:
+            w = [cmath.exp(log_weight(z)) / two_pi for z in zs]
+        p = _gram_columns(triples, list(map(scalar, zs)))
         out = []
         for n in range(N):
             wp = list(map(mul, w, p[n]))
@@ -271,8 +286,7 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
 
     matrix = [[0j] * N for _ in range(N)]
     for (n, m), value in zip(entries, res.values):
-        matrix[n][m] = value
-        matrix[m][n] = value
+        matrix[n][m] = matrix[m][n] = complex(value)
     scale = [math.sqrt(abs(h)) for h in expected]
     off = [(abs(c), scale[n] * scale[m]) for (n, m), c in zip(entries, res.values) if n != m]
     max_off = max((v for v, _ in off), default=0.0)  # parity zeros: the default 0

@@ -19,8 +19,9 @@ objects keep their exactness verdict, and *_coeffs_exact, like every exact
 API, still rejects float inputs rather than silently coercing them.  A
 value at a point is one Horner pass over the exact coefficients rounded
 once to complex; a non-finite x raises DomainError, an overflow to a value
-that is not finite RangeOverflowError.  Degrees above EXACT_DEGREE_CAP
-raise DomainError, for float parameters as for exact ones.
+that is not finite RangeOverflowError.  A degree that is not an int, or
+is above EXACT_DEGREE_CAP, raises DomainError, for float parameters as for
+exact ones.
 
 Everything that does not depend on x is built once per process: the memo
 _built holds one entry per (family, n, parameters), the ExactPoly plus,
@@ -29,8 +30,8 @@ degree first.  Equal parameters of either kind (1 and 1.0, 1/2 and 0.5)
 are one key and one polynomial.  JacobiParams and HahnParams are
 namedtuples, so the memo hashes and compares them as tuples, in C.  A float
 value (_eval) is one Horner pass over that tuple, read from a record of the
-last memo lookup when the family and parameter objects (`is`) and the
-degree repeat it, else found by one more lookup.  Errors are raised on
+last memo lookup when the family, parameter and degree objects (`is`)
+repeat it, else found by one more lookup.  Errors are raised on
 every call, never stored; cached values are immutable and *_coeffs_complex
 gives a fresh list.
 
@@ -287,14 +288,24 @@ def _built(family, n: int, params) -> _Built:
     return _Built(poly)
 
 
+def _lookup(family, n: int, params) -> _Built:
+    """_built(family, n, params) for an int degree n.  Another degree raises
+    DomainError here, before the memo, where an equal float (2.0 == 2) would
+    find the int's entry."""
+    if not isinstance(n, int):
+        raise DomainError(f"polynomial degree must be an int, got {n!r}")
+    return _built(family, n, params)
+
+
 # ---------------------------------------------------------------------------
 # the nine public routines: one family each, three uses of the memo
 # ---------------------------------------------------------------------------
 
 def _eval(n: int, params, x, family) -> complex:
     """One inline Horner pass over the once-rounded exact coefficients, highest
-    degree first: from _last when family and params are its objects and n is
-    equal, else from one memo lookup, which replaces _last in one assignment.
+    degree first: from _last when family, params and n are its objects (an
+    equal int that is another object takes the lookup, to the same entry),
+    else from one memo lookup, which replaces _last in one assignment.
     A value that is not finite raises: DomainError if x is not (the 0j start
     makes every such value NaN), else RangeOverflowError."""
     global _last
@@ -304,7 +315,9 @@ def _eval(n: int, params, x, family) -> complex:
         except (TypeError, ValueError, OverflowError):
             x = _complex("x", x)  # raises the HahnlabError naming x
     last_family, last_n, last_params, rounded = _last
-    if last_family is not family or last_params is not params or last_n != n:
+    if last_family is not family or last_params is not params or last_n is not n:
+        if not isinstance(n, int):  # _lookup's check, inline: no frame on a miss
+            raise DomainError(f"polynomial degree must be an int, got {n!r}")
         built = _built(family, n, params)
         rounded = built.rounded or built.round()
         _last = (family, n, params, rounded)
@@ -321,7 +334,7 @@ def _eval(n: int, params, x, family) -> complex:
 def _coeffs_exact(n: int, params, exact: bool, family, names: str) -> ExactPoly:
     if not exact:
         raise ExactInputError(f"exact mode requires {names}")
-    return _built(family, n, params).poly
+    return _lookup(family, n, params).poly
 
 
 def jacobi_eval(n: int, params: JacobiParams, x: complex) -> complex:
@@ -355,15 +368,15 @@ def pasternack_coeffs_exact(n: int, m) -> ExactPoly:
 
 
 def jacobi_coeffs_complex(n: int, params: JacobiParams) -> list:
-    return _built(_jacobi_sum, n, params).coeffs()
+    return _lookup(_jacobi_sum, n, params).coeffs()
 
 
 def chahn_coeffs_complex(n: int, params: HahnParams) -> list:
-    return _built(_chahn_sum, n, params).coeffs()
+    return _lookup(_chahn_sum, n, params).coeffs()
 
 
 def pasternack_coeffs_complex(n: int, m) -> list:
-    return _built(_pasternack_sum, n, m).coeffs()
+    return _lookup(_pasternack_sum, n, m).coeffs()
 
 
 def pasternack_hahn_params(m) -> HahnParams:

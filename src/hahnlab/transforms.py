@@ -19,7 +19,7 @@ import math
 from operator import mul
 
 from .errors import _require
-from .numerics import _hahn_weight_log_of, gamma_product, log_gamma_complex
+from .numerics import _weight_memo, gamma_product, log_gamma_complex
 from .polynomials import (HahnParams, JacobiParams, _stored, _to_complex, chahn_eval,
                           chahn_coeffs_complex, horner_level, jacobi_coeffs_complex)
 from .quadrature import IntegralResult, _line_integral
@@ -188,7 +188,8 @@ def _parseval_right(n: int, m: int, alpha, beta, a, b, gamma, delta, c,
     int w(z/2) p_n(z/2) conj q_m(z/2) dz / (Gamma(al+be+n) Gamma(av+bv+m)),
     w the four-gamma weight on (al, be, av, bv) = (alpha, beta, a, b) and
     p_n, q_m the continuous Hahn transforms of the two Jacobi factors,
-    built from the parameters as the caller passed them.
+    built from the parameters as the caller passed them.  parseval_check has
+    gated the weight's parameters, so their memo is looked up directly.
 
     w(z/2) is analytic in |Im z| < 2 min Re(al, be, av, bv).  For real
     parameters w(-z) = conj w(z) and p_n(-x) = (-1)^n conj p_n(x), so the
@@ -199,7 +200,7 @@ def _parseval_right(n: int, m: int, alpha, beta, a, b, gamma, delta, c,
     values = list(map(_to_complex, (alpha, beta, a, b, gamma, delta, c, d)))
     al, be, av, bv = values[:4]
     log_norm = -(log_gamma_complex(al + be + n) + log_gamma_complex(av + bv + m))
-    log_weight = _hahn_weight_log_of(al, be, av, bv)
+    log_weight = _weight_memo(al, be, av, bv)
     real = not any(v.imag for v in values)
 
     def gamma_sum_log(z: float) -> complex:

@@ -2,8 +2,10 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +215,20 @@ def test_gram_conjugate_pair_cli(tmp_path, capsys):
     for re_part, im_part in summary["measured_diagonal"]:
         assert re_part > 0.0
         assert abs(im_part) <= 1e-10
+
+
+def test_readme_conjugate_pair_gram_writes_real_entries(tmp_path, capsys):
+    """The conjugate pair's weight is positive, so the README's gram line for
+    it computes in real arithmetic: every CSV entry's imaginary part is 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [line] = [line for line in readme.splitlines()
+              if line.startswith("hahnlab gram ") and line.endswith("--out conj.csv")]
+    argv = shlex.split(line)[1:]
+    out = tmp_path / argv[argv.index("--out") + 1]
+    argv[argv.index("--out") + 1] = str(out)
+    assert run_cli(argv, capsys)[0] == 0
+    cells = [cell for row in out.read_text().splitlines()[1:] for cell in row.split(",")[1:]]
+    assert len(cells) == 16 and all(cell.endswith("+0j") for cell in cells)
 
 
 def test_gram_rerun_byte_identical(tmp_path, capsys):

@@ -12,8 +12,8 @@ import pytest
 from hahnlab import numerics, orthogonality
 from hahnlab.errors import DomainError, QuadratureError, RangeOverflowError
 from hahnlab.exact import GaussianRational
-from hahnlab.numerics import _hahn_weight_log_of, hahn_weight_log, log_gamma_complex
-from hahnlab.orthogonality import (GramResult, barnes_check,
+from hahnlab.numerics import hahn_weight_log, log_gamma_complex
+from hahnlab.orthogonality import (GramResult, _gram_columns, barnes_check,
                                    bateman_ortho_check, chahn_gram,
                                    chahn_norm_rhs, gram_check, jacobi_ortho_check,
                                    pasternack_biortho_check,
@@ -321,11 +321,10 @@ def test_gram_conjugate_pair_real_symmetric_positive():
     al = GaussianRational(F(1, 2), F(1, 4))
     be = GaussianRational(F(3, 4), F(-1, 4))
     g = chahn_gram(4, al, be, al.conjugate(), be.conjugate())
-    scale = [math.sqrt(abs(h)) for h in g.expected_diagonal]
     for i in range(4):
         assert g.matrix[i][i].real > 0.0
         for j in range(4):
-            assert abs(g.matrix[i][j].imag) <= 1e-10 * scale[i] * scale[j]
+            assert g.matrix[i][j].imag == 0.0
             assert abs(g.matrix[i][j] - g.matrix[j][i]) == 0.0
 
 
@@ -493,7 +492,7 @@ def test_gram_folds_the_reflection_for_real_parameters(monkeypatch, params, fold
     seen, scan = [], []
 
     def recorder(*args):
-        log_weight = _hahn_weight_log_of(*args)
+        log_weight = numerics._weight_memo(*args)
 
         def recorded(z):
             seen.append(z)
@@ -506,7 +505,7 @@ def test_gram_folds_the_reflection_for_real_parameters(monkeypatch, params, fold
         seen.clear()
         return z
 
-    monkeypatch.setattr(orthogonality, "_hahn_weight_log_of", recorder)
+    monkeypatch.setattr(orthogonality, "_weight_memo", recorder)
     monkeypatch.setattr(orthogonality, "truncation_radius", radius)
     g = chahn_gram(8, *params)
     negative = [z for z in seen if z < 0.0]
@@ -516,6 +515,39 @@ def test_gram_folds_the_reflection_for_real_parameters(monkeypatch, params, fold
         assert not negative and min(scan) > 0.0
     else:
         assert set(negative) == {-k * g.step for k in range(1, half_grid + 1)}
+
+
+_THIRD_FIFTH_PAIR = (GaussianRational(HALF, F(1, 3)), GaussianRational(F(1, 4), F(1, 5)),
+                     GaussianRational(HALF, F(-1, 3)), GaussianRational(F(1, 4), F(-1, 5)))
+
+
+@pytest.mark.parametrize("params, positive", [
+    ((HALF,) * 4, True),
+    ((0.5,) * 4, True),
+    (CONJ_PAIR, True),
+    (_THIRD_FIFTH_PAIR, True),
+    ((HALF, F(3, 4), HALF, F(3, 4)), True),
+    ((1, HALF, F(3, 4), F(5, 4)), False),
+    ((2, F(1, 3), F(3, 2), F(3, 4)), False),
+    ((0.5 + 0.25j, 0.75 - 0.25j, complex(0.5, -0.25 + 1e-9), 0.75 + 0.25j), False),
+], ids=["all-1/2", "float-0.5", "conjugate-pair", "third-fifth-pair", "1/2,3/4,1/2,3/4",
+        "1,1/2,3/4,5/4", "2,1/3,3/2,3/4", "pair-off-by-1e-9"])
+def test_gram_columns_are_real_exactly_for_a_positive_weight(monkeypatch, params, positive):
+    """a = conj alpha and b = conj beta make the weight positive: the columns
+    get float nodes and real triples, and the matrix's imaginary parts are 0.0.
+    Every other tuple, one off by 1e-9 in one imaginary part included, gets
+    complex ones; both pass gram_check."""
+    seen = []
+
+    def spy(recurrence, zs):
+        seen.append({type(v) for v in zs} | {type(v) for t in recurrence for v in t})
+        return _gram_columns(recurrence, zs)
+
+    monkeypatch.setattr(orthogonality, "_gram_columns", spy)
+    assert gram_check("spy", *params, 8).status == "pass"
+    assert seen and all(types == ({float} if positive else {complex}) for types in seen)
+    if positive:
+        assert all(v.imag == 0.0 for row in chahn_gram(8, *params).matrix for v in row)
 
 
 @pytest.mark.parametrize("N", [1, 8, 16])

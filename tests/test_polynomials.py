@@ -512,6 +512,35 @@ def test_memo_builds_once_for_equal_exact_parameters_of_either_type():
     assert _built.cache_info().misses == 1
 
 
+# one parameter object per family, so a warm call repeats _eval's record
+_JACOBI_FLOAT, _JACOBI_EXACT = JacobiParams(0.3, 0.71), JacobiParams(F(3, 10), F(71, 100))
+_CHAHN = HahnParams(1, 1, 1, 1)
+_DEGREE_CALLS = {
+    "jacobi_eval": lambda n: jacobi_eval(n, _JACOBI_FLOAT, 0.4),
+    "chahn_eval": lambda n: chahn_eval(n, _CHAHN, 0.4),
+    "pasternack_eval": lambda n: pasternack_eval(n, HALF, 0.4),
+    "jacobi_coeffs_exact": lambda n: jacobi_coeffs_exact(n, _JACOBI_EXACT),
+    "chahn_coeffs_exact": lambda n: chahn_coeffs_exact(n, _CHAHN),
+    "pasternack_coeffs_exact": lambda n: pasternack_coeffs_exact(n, HALF),
+    "jacobi_coeffs_complex": lambda n: jacobi_coeffs_complex(n, _JACOBI_FLOAT),
+    "chahn_coeffs_complex": lambda n: chahn_coeffs_complex(n, _CHAHN),
+    "pasternack_coeffs_complex": lambda n: pasternack_coeffs_complex(n, HALF),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("call", _DEGREE_CALLS.values(), ids=_DEGREE_CALLS.keys())
+def test_float_degree_raises_domain_error(call, warm):
+    """A float degree raises DomainError naming it, on a cold memo and after
+    an int call of the same degree filled the memo and _eval's record, where
+    2.0 == 2 would find degree 2's entry."""
+    _built.cache_clear()
+    if warm:
+        call(2)
+    with pytest.raises(DomainError, match=r"polynomial degree must be an int, got 2\.0"):
+        call(2.0)
+
+
 @pytest.mark.parametrize("x", [0, -3, 2 ** 80, True, 0.1, -0.0, 1e308, 2.5 - 0.0j,
                                complex(-0.0, 3.0), F(1, 3), GaussianRational(F(1, 3), -2)])
 def test_to_complex_values(x):
