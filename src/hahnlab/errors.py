@@ -63,13 +63,15 @@ def _complex(name: str, value) -> complex:
 
 def _require(rule: str, **named) -> list:
     """The values as complex, each finite and satisfying _RULES[rule], or a
-    DomainError naming the first that is not (or is not a number, _complex)."""
+    DomainError naming the first that is not (or is not a number, _complex).
+    The rule judges a float or complex as it is and any other value (int,
+    Fraction, GaussianRational) exactly, not its rounded complex."""
     test, phrase = _RULES[rule]
     values = []
     for name, value in named.items():
         v = _complex(name, value)
         finite = cmath.isfinite(v)
-        if not (finite and test(v)):
+        if not (finite and test(v if isinstance(value, (float, complex)) else value)):
             must = f"{name} must be finite{phrase.format(name=name)}"
             raise DomainError(f"{must}, got {value!r}" if finite
                               else f"{must}; {value!r} is not finite")

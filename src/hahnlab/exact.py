@@ -98,6 +98,8 @@ class GaussianRational:
     def im(self) -> Fraction:
         return Fraction(self._im, self._den)
 
+    real, imag = re, im  # as int, Fraction and complex name their parts
+
     # -- coercion ---------------------------------------------------------
 
     @staticmethod
@@ -378,7 +380,7 @@ class ExactPoly:
         self._store(*_vectors(coeffs), None)
 
     def _store(self, re, im, den: int, order: int | None):
-        if order is not None and order < 0:
+        if order is not None and not (isinstance(order, int) and order >= 0):
             raise DomainError("series order must be nonnegative")
         re, im, den = _canonical(re, im, den, None if order is None else order + 1)
         setattr_ = object.__setattr__

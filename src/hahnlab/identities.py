@@ -55,8 +55,8 @@ def genfun_jacobi_check(which: int, gamma, delta, x, order: int) -> Verification
         raise DomainError("which must be 1 or 2")
     g, d, xv = gr(gamma), gr(delta), gr(x)
     name = f"genfun-jacobi-{which}[gamma={g}, delta={d}, x={xv}, order={order}]"
+    t = FormalSeries.identity(order)  # refuses an order that is not an int first
     values = [jacobi_coeffs_exact(n, JacobiParams(g, d))(xv) for n in range(order + 1)]
-    t = FormalSeries.identity(order)
 
     if which == 1:
         inner = 2 * (xv - 1) * t * one_minus_t_power(-2, order)
@@ -92,10 +92,11 @@ def genfun_chahn_check(which: int, alpha, beta, gamma, delta, z,
     a_iz = al + GR_I * zv
     b_iz = be - GR_I * zv
     params = HahnParams(al, de, ga, be)
+    t = FormalSeries.identity(order)  # refuses an order that is not an int first
     p_series = FormalSeries([chahn_coeffs_exact(n, params)(zv) for n in range(order + 1)],
                             order)
     if which == 1:
-        inner = gr(-4) * FormalSeries.identity(order) * one_minus_t_power(-2, order)
+        inner = gr(-4) * t * one_minus_t_power(-2, order)
         hyper = hypergeometric_series(
             [(s_total - 1) * GR_HALF, s_total * GR_HALF, a_iz],
             [ga + al, al + be], order)

@@ -131,7 +131,7 @@ def gamma(z: complex) -> complex:
 
 def pochhammer(a: complex, k: int) -> complex:
     """Rising factorial a (a+1) ... (a+k-1); the empty product is 1."""
-    if k < 0:
+    if not (isinstance(k, int) and k >= 0):
         raise DomainError("pochhammer order must be nonnegative")
     result = complex(1.0)
     [a] = _require("finite", a=a)

@@ -55,7 +55,7 @@ def d_dx(f: WeightedTanhFunction) -> WeightedTanhFunction:
 
 def shifted_operator_identity_check(alpha, beta, r: int) -> VerificationReport:
     """(alpha + d/dx / 2)_r w = 2^-r (1-t)^r (alpha+beta)_r w, exactly in Q(i)."""
-    if r < 0 or r > 32:
+    if not (isinstance(r, int) and 0 <= r <= 32):
         raise DomainError("shift order r must be in 0..32")
     alpha, beta = gr(alpha), gr(beta)
     name = f"shifted-operator[alpha={alpha}, beta={beta}, r={r}]"
@@ -118,7 +118,7 @@ def derive_recurrence(n: int, params: HahnParams):
     basis coefficient below index n-1 falsifies the three-term structure
     and raises StructureError.
     """
-    if n < 1:
+    if not (isinstance(n, int) and n >= 1):
         raise DomainError("recurrence derivation needs n >= 1")
     basis = [chahn_coeffs_exact(k, params) for k in range(n + 2)]
     residual = basis[n].shift_up(1)

@@ -28,8 +28,7 @@ from .numerics import _weight_memo, gamma_product, pochhammer
 from .polynomials import (JacobiParams, _to_complex, horner_level,
                           jacobi_coeffs_complex, pasternack_coeffs_complex,
                           pasternack_hahn_params)
-from .quadrature import (_ABS_TOL, _EPS, _REL_TOL, IntegralResult, _line_integral,
-                         integrate_line_trapezoid, truncation_radius)
+from .quadrature import _ABS_TOL, _EPS, _REL_TOL, IntegralResult, _line_integral, integrate_line
 from .reports import QuadDiagnostics, VerificationReport, integral_report
 from .transforms import _tanh_product_integral
 
@@ -55,8 +54,8 @@ class GramResult(namedtuple(
     (each one weight and N polynomial values, computed a trapezoid level
     at a time; each entry is one dot product per level), step the final
     h, truncation_radius the cut-off Z of the grid, and estimated_error the
-    largest norm-scaled estimate of an entry (integrate_line_trapezoid: the
-    predicted tail of its changes, else its change between steps 2h and h),
+    largest norm-scaled estimate of an entry (integrate_line: the predicted
+    tail of its changes, else its change between steps 2h and h),
     floored by the rounding of the polynomial values, eps M_n(|z|) each, M_n
     the recurrence run on magnitudes in floats (_gram_magnitudes; a relative
     error for N = 1).  matrix is complex; for a positive weight (chahn_gram)
@@ -188,7 +187,7 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     replacement argument.  For all-equal parameters odd/even entries
     vanish by parity and are set to zero without quadrature.
 
-    Every entry comes from one nested trapezoidal pass: the integrand is
+    Every entry comes from one pass of integrate_line: the integrand is
     analytic in the strip |Im z| < d = min Re(alpha, beta, a, b), so the
     rule starts from a step set by d and halves it until every entry's
     estimate (its predicted tail or its last change) is within
@@ -198,7 +197,8 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     their three-term recurrence, a few passes over the level per degree,
     and each entry is one dot product over it.  The rule
     takes the even part on z >= 0: with real parameters w(-z) = conj w(z)
-    and p_n(-z) = (-1)^n conj p_n(z), so one node serves z and -z.  The
+    and p_n(-z) = (-1)^n conj p_n(z), so entry (n, m) has the sign
+    (-1)^(n+m) and one node serves z and -z.  The
     cut-off Z is relative to the norms: the tail of entry (n, m) stays
     below 1e-16 max(1, sqrt|h_n h_m|), far below its tolerance.
 
@@ -216,7 +216,7 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     floats, so a float and the Fraction it stores give the same Gram; Re > 0
     keeps (alpha+a)_n, (alpha+beta)_n and every A_n away from zero.
     """
-    if not 1 <= N <= GRAM_SIZE_CAP:
+    if not (isinstance(N, int) and 1 <= N <= GRAM_SIZE_CAP):
         raise DomainError(f"Gram size must be in 1..{GRAM_SIZE_CAP}")
     al, be, av, bv = _require("Re > 0", alpha=alpha, beta=beta, a=a, b=b)
     log_weight = _weight_memo(al, be, av, bv)
@@ -247,16 +247,6 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
             out.extend([sum(map(mul, wp, v)) for v in p[n::stride]])
         return out
 
-    # real parameters: entry (n, m) at -z is (-1)^(n+m) conj of that at z;
-    # the fold is linear, so it applies to the level's sum
-    odd = [(n + m) % 2 for n, m in entries]
-
-    def even_part(zs: list) -> list:
-        if not real:
-            return list(map(add, side(zs), side([-z for z in zs])))
-        return [v - v.conjugate() if o else v + v.conjugate()
-                for v, o in zip(side(zs), odd)]
-
     def tolerances(values: list) -> list:
         diag = [abs(values[i]) for i in diagonal_index]
         return [max(_ABS_TOL, _REL_TOL * math.sqrt(diag[n] * diag[m]))
@@ -279,10 +269,9 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
                    for m, floor in zip(_gram_magnitudes(magnitudes, abs(z)), floors))
         return math.exp(g) * peak / two_pi
 
-    radius = truncation_radius(envelope)
-    strip = min(al.real, be.real, av.real, bv.real)
-    step = min(strip, 0.5)
-    res = integrate_line_trapezoid(even_part, radius, step, tolerances)
+    # real parameters: entry (n, m) at -z is (-1)^(n+m) conj of that at z
+    res = integrate_line(side, envelope, min(al.real, be.real, av.real, bv.real), tolerances,
+                         [(-1) ** (n + m) for n, m in entries] if real else None)
 
     matrix = [[0j] * N for _ in range(N)]
     for (n, m), value in zip(entries, res.values):
@@ -303,7 +292,8 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     # kappa_n^2 = int |w| M_n(|z|)^2 / (2 pi |G_nn|) on the first level's
     # nodes, out to the cut-off: every weight there is a memo hit, and
     # |w(-z)| = |w(z)| where the fold applies.
-    zs = [k * step for k in range(int(radius / step) + 1)]
+    step = res.first_step
+    zs = [k * step for k in range(int(res.radius / step) + 1)]
     w = [math.exp(log_weight(z).real) for z in zs]
     minus = w if real else [math.exp(log_weight(-z).real) for z in zs]
     w = list(map(add, w, minus))
@@ -315,7 +305,7 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     estimate = max(max(c / (scale[n] * scale[m]), _EPS * (kappa[n] + kappa[m]))
                    for (n, m), c in zip(entries, res.changes))
     return GramResult(matrix, expected, max_off, max_diag, max_off_scaled,
-                      res.nodes, res.step, radius, estimate)
+                      res.nodes, res.step, res.radius, estimate)
 
 
 _GRAM_OFFDIAG_TOL = 1e-10
@@ -402,7 +392,7 @@ def _sech_integral(pairs: list, m, m2, scale: float) -> list[IntegralResult]:
         return max(bound * max(1.0, abs(x)) ** degree for bound, degree in bounds) \
             * (4.0 * math.exp(-math.pi * abs(x)))
 
-    return _line_integral(f, env, 1.0 - abs(mc.real), 1 if real else None)
+    return _line_integral(f, env, 1.0 - abs(mc.real), [1] * len(keys) if real else None)
 
 
 def bateman_ortho_checks(pairs: list, tol: float = 1e-8,

@@ -394,6 +394,6 @@ def pasternack_reflection_check(n: int, m) -> VerificationReport:
     """Exact identity (1+m)_n F_n^m(x) = (1-m)_n F_n^{-m}(x)."""
     name = f"pasternack-reflection[n={n}, m={m}]"
     mg = gr(m)
-    lhs = _pochhammer(1 + mg, n) * pasternack_coeffs_exact(n, mg)
-    rhs = _pochhammer(1 - mg, n) * pasternack_coeffs_exact(n, -mg)
+    lhs = pasternack_coeffs_exact(n, mg) * _pochhammer(1 + mg, n)  # _lookup checks n
+    rhs = pasternack_coeffs_exact(n, -mg) * _pochhammer(1 - mg, n)
     return residual_report(name, lhs - rhs)

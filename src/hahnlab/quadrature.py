@@ -2,24 +2,25 @@
 
 Every integral the package verifies (Gram matrices, Barnes' lemma, the
 sech and tanh weighted orthogonality relations, the Fourier, Mellin and
-Parseval pairs) uses the nested trapezoidal rule, the package's one
+Parseval pairs) is one call of integrate_line, the package's one
 quadrature rule (_gk15 is only the name of a deleted Gauss-Kronrod panel,
-a stub that raises, which the benchmark's tracer rebinds): each integrand
-is analytic in a strip around the real line, where the rule converges
-geometrically in 1/h, so the first step comes from the strip's
-half-width.  The rule takes the integrand's even part f(z) + f(-z) on
-z >= 0, so a caller with a reflection symmetry evaluates each node pair
-once, and it hands the integrand one whole level of new nodes at a time,
-so a vector integrand runs each of its loops over the level instead of
-once per node.  Integrals on one weight are one vector integrand: the
-Gram's entries, and the K components of _line_integral, which the
-Fourier, Mellin, sech and Jacobi checks fill with every row of a weight,
-so the weight and each polynomial are computed once per node for all of
-them, and each component still stops on its own target.  Geometric
-convergence also sets the stop: once two consecutive changes shrink by a
-ratio r <= 1/2, the tail d r / (1 - r) of the last change d predicts the
-error of the current value (Trefethen and Weideman, SIAM Review 56
-(2014)), so the rule does not compute one more level only to confirm it.
+a stub that raises, which the benchmark's tracer rebinds).  The driver
+owns what they share: the cut-off, the first step and the even part
+f(z) + f(-z) on z >= 0, folded from one call where the caller declares a
+reflection symmetry.  Each integrand is analytic in a strip around the
+real line, where the rule converges geometrically in 1/h, so the first
+step comes from the strip's half-width.  The integrand gets one whole
+level of new nodes at a time, so a vector integrand runs each of its
+loops over the level instead of once per node.  Integrals on one weight
+are one vector integrand: the Gram's entries, and the K components of
+_line_integral, which the Fourier, Mellin, sech and Jacobi checks fill
+with every row of a weight, so the weight and each polynomial are
+computed once per node for all of them, and each component still stops
+on its own target.  Geometric convergence also sets the stop: once two
+consecutive changes shrink by a ratio r <= 1/2, the tail d r / (1 - r)
+of the last change d predicts the error of the current value (Trefethen
+and Weideman, SIAM Review 56 (2014)), so the rule does not compute one
+more level only to confirm it.
 
 The targets are fixed constants, a value converging within
 max(1e-10 |value|, 1e-14): the step comes from the strip and the stop
@@ -87,39 +88,53 @@ def truncation_radius(envelope: Callable[[float], float]) -> float:
     raise QuadratureError("envelope never decays below the truncation target")
 
 
-class TrapezoidResult(namedtuple("TrapezoidResult", "values changes step nodes")):
+class TrapezoidResult(namedtuple("TrapezoidResult",
+                                  "values changes step nodes radius first_step")):
     """Vector trapezoid sums on the final step h and each component's error
     estimate: the predicted tail of its changes where they contract, else
-    its last change, between 2h and h."""
+    its last change, between 2h and h; radius is the cut-off Z and
+    first_step the step of the first level."""
 
     __slots__ = ()
 
 
-def integrate_line_trapezoid(f: Callable[[list], list], radius: float,
-                             step: float,
-                             tolerances: Callable[[list], list]
-                             ) -> TrapezoidResult:
-    """Nested trapezoidal rule for a vector integrand on [-radius, radius].
+def integrate_line(f: Callable[[list], list], envelope: Callable[[float], float],
+                   strip: float, tolerances: Callable[[list], list],
+                   signs: list | None = None) -> TrapezoidResult:
+    """Nested trapezoidal rule for a vector integrand F over the line.
 
-    f(zs) is called once per level with the level's new nodes, a non-empty
-    list of z >= 0, and returns the sum over them of the even part
-    F(z) + F(-z) of the integrand F, one complex value per component.
-    The first call is f([0.0]), the centre node, which weighs half; nodes
-    counts both sides, for the budget.  The step starts at `step` and is
-    halved, each halving evaluating only the new odd nodes, until every
-    component's estimate is within tolerances(values).  A component's
-    estimate is its change d between 2h and h or, when the change p between
-    4h and 2h is positive and r = d / p <= 1/2, the geometric tail
-    d r / (1 - r) = d^2 / (p - d), which is at most d: the rule never
-    evaluates more levels than a stop on the changes alone, and an h^2 rule
-    (a kink, r = 1/4) gets the Richardson tail d / 3.  A level that would
-    take the nodes past _NODE_BUDGET raises QuadratureError before it is
-    evaluated, so an unconverged result is never returned.
+    f(zs) gets a level's new nodes, a non-empty list of z >= 0, and returns
+    the sum over them of each component F_k.  The rule sums the even part
+    F(z) + F(-z): signs[k] = s (+1 or -1) promises F_k(-z) = s conj F_k(z),
+    so a level's sum v folds to v + s conj v from one call; with None, f is
+    called on -zs as well.  The cut-off Z is truncation_radius(envelope),
+    envelope a bound on every |F_k|, and the first step min(1/2, strip),
+    strip the half-width of the strip where every F_k is analytic (or
+    less, for an oscillatory one).  The first level is the centre node 0.0,
+    which weighs half; nodes counts both sides, for the budget.  Each
+    halving of the step evaluates only the new odd nodes, until every
+    component's estimate is within tolerances(values): its change d
+    between 2h and h or, when the change p between 4h and 2h is positive
+    and r = d / p <= 1/2, the geometric tail d r / (1 - r) = d^2 / (p - d),
+    which is at most d: the rule never evaluates more levels than a stop on
+    the changes alone, and an h^2 rule (a kink, r = 1/4) gets the
+    Richardson tail d / 3.  A level that would take the nodes past
+    _NODE_BUDGET raises QuadratureError before it is evaluated, so an
+    unconverged result is never returned.
     """
-    if not (radius > 0.0 and step > 0.0):
-        raise DomainError("trapezoid radius and step must be positive")
-    h = step
-    sums = [0.5 * v for v in f([0.0])]
+    if not strip > 0.0:
+        raise DomainError(f"trapezoid strip must be positive, got {strip!r}")
+    radius = truncation_radius(envelope)
+    h = first_step = min(0.5, strip)
+
+    def even_part(zs: list) -> list:
+        values = f(zs)
+        if signs is None:
+            return list(map(add, values, f([-z for z in zs])))
+        return [v + v.conjugate() if s > 0 else v - v.conjugate()
+                for v, s in zip(values, signs)]
+
+    sums = [0.5 * v for v in even_part([0.0])]
     nodes = 1
     values = deltas = None
     while True:
@@ -132,7 +147,7 @@ def integrate_line_trapezoid(f: Callable[[list], list], radius: float,
                 f"trapezoid step {h:.3g} on [-{radius:.3g}, {radius:.3g}] "
                 f"needs {nodes} nodes, over the budget of {_NODE_BUDGET}")
         if new:
-            sums = list(map(add, sums, f([k * h for k in new])))
+            sums = list(map(add, sums, even_part([k * h for k in new])))
         previous, values = values, [h * s for s in sums]
         if previous is not None:
             changes = [abs(u - v) for u, v in zip(values, previous)]
@@ -141,53 +156,37 @@ def integrate_line_trapezoid(f: Callable[[list], list], radius: float,
                 d * d / (p - d) if 0.0 < p and d + d <= p else d
                 for d, p in zip(changes, deltas)]
             if all(e <= t for e, t in zip(estimates, tolerances(values))):
-                return TrapezoidResult(values, estimates, h, nodes)
+                return TrapezoidResult(values, estimates, h, nodes, radius, first_step)
             deltas = changes
         h *= 0.5
 
 
 def _line_integral(f: Callable[[list], list], envelope: Callable[[float], float],
-                   strip: float, reflection: int | None = None) -> list[IntegralResult]:
-    """Integrals over the line of K integrands F_1, ..., F_K, one nested
-    trapezoidal pass for all of them.
+                   strip: float, signs: list | None = None) -> list[IntegralResult]:
+    """Integrals over the line of K integrands F_1, ..., F_K, one pass of
+    integrate_line for all of them, which signs, envelope and strip go to.
 
-    f(zs) returns K lists, the values F_k(z) at a list of nodes of either
-    sign; the rule sums each list and its |F_k| mass.  With reflection = s
-    (+1 or -1) the caller promises F_k(-z) = s conj F_k(z) for every k, and
-    the even part at z >= 0 is v + s conj v from one call; with None, f is
-    called on -zs as well.  The cut-off comes from envelope
-    (truncation_radius), a bound on every |F_k|, and the first step is
-    min(1/2, strip), strip being the half-width of the strip where every
-    F_k is analytic (or less, for an oscillatory one).  The rule stops once
-    every value's estimate (integrate_line_trapezoid) is within
-    max(_ABS_TOL, _REL_TOL |value|) or the rounding of its |F_k| mass, so
-    each component meets the target it would meet alone.  Each result's
-    error estimate is its own estimate, floored at eps times its mass (a
-    predicted tail below rounding is not an error); evaluations is the
-    pass's node count, the same for every component.  K = 1 is the scalar
-    integral, to the bit.
+    f(zs) returns K lists, the values F_k(z) at a list of nodes; the rule
+    sums each list and its |F_k| mass, which folds with +1.  It stops once
+    every value's estimate is within max(_ABS_TOL, _REL_TOL |value|) or the
+    rounding of its |F_k| mass, so each component meets the target it would
+    meet alone.  Each result's error estimate is its own estimate, floored
+    at eps times its mass (a predicted tail below rounding is not an
+    error); evaluations is the pass's node count, the same for every
+    component.  K = 1 is the scalar integral, to the bit.
     """
 
-    def sums(zs: list) -> tuple:
+    def sums(zs: list) -> list:
         terms = f(zs)
-        return [sum(t) for t in terms], [sum(map(abs, t)) for t in terms]
-
-    def even_part(zs: list) -> list:
-        values, masses = sums(zs)
-        if reflection is None:
-            minus, masses_minus = sums([-z for z in zs])
-            return [*map(add, values, minus), *map(add, masses, masses_minus)]
-        fold = [v + v.conjugate() for v in values] if reflection > 0 \
-            else [v - v.conjugate() for v in values]
-        return [*fold, *(2.0 * mass for mass in masses)]
+        return [*map(sum, terms), *(sum(map(abs, t)) for t in terms)]
 
     def tolerances(values: list) -> list:
         k = len(values) // 2
         return [max(_ABS_TOL, _REL_TOL * abs(value), 100.0 * _EPS * mass)
                 for value, mass in zip(values[:k], values[k:])] + [math.inf] * k
 
-    radius = truncation_radius(envelope)
-    res = integrate_line_trapezoid(even_part, radius, min(0.5, strip), tolerances)
+    res = integrate_line(sums, envelope, strip, tolerances,
+                         None if signs is None else signs + [1] * len(signs))
     k = len(res.values) // 2
     return [IntegralResult(value, max(change, _EPS * mass), res.nodes, mass)
             for value, mass, change in zip(res.values[:k], res.values[k:], res.changes)]

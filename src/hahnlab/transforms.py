@@ -222,7 +222,7 @@ def _parseval_right(n: int, m: int, alpha, beta, a, b, gamma, delta, c,
         return math.exp(g) * pb
 
     [res] = _line_integral(f, env, 2.0 * min(al.real, be.real, av.real, bv.real),
-                           (-1) ** (n + m) if real else None)
+                           [(-1) ** (n + m)] if real else None)
     return res
 
 

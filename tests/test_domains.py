@@ -24,16 +24,17 @@ from hahnlab.errors import (_RULES, DomainError, ExactInputError, HahnlabError, 
 from hahnlab.exact import GaussianRational
 from hahnlab.identities import (contiguous_check, genfun_chahn_check, genfun_jacobi_check,
                                 jacobi_classical_check)
-from hahnlab.operator_calculus import (hahn_operator_identity_check, recurrence_check,
-                                       shifted_operator_identity_check)
+from hahnlab.operator_calculus import (derive_recurrence, hahn_operator_identity_check,
+                                       recurrence_check, shifted_operator_identity_check)
 from hahnlab.numerics import log_gamma_complex, pochhammer
 from hahnlab.orthogonality import (barnes_check, bateman_ortho_check, bateman_ortho_checks,
-                                   gram_check, jacobi_ortho_check, pasternack_biortho_check,
+                                   chahn_gram, gram_check, jacobi_ortho_check, pasternack_biortho_check,
                                    pasternack_biortho_checks, pasternack_ortho_check,
                                    pasternack_ortho_checks)
 from hahnlab.polynomials import (HahnParams, JacobiParams, chahn_eval, jacobi_eval,
                                  pasternack_hahn_params, pasternack_reflection_check)
 from hahnlab.reports import VerificationReport
+from hahnlab.series import FormalSeries
 from hahnlab.transforms import fourier_pair_check, mellin_pair_check, parseval_check
 
 F = Fraction
@@ -315,4 +316,64 @@ def test_junk_and_out_of_range_inputs_raise_hahnlab_errors(call, error, message)
     double overflows raises RangeOverflowError: never TypeError, ValueError
     or OverflowError."""
     with pytest.raises(error, match=message):
+        call()
+
+
+_H = F(1, 2)
+_HAHN_HALF = HahnParams(_H, _H, _H, _H)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: chahn_gram(2.0, 1, 1, 1, 1), r"^Gram size must be in 1\.\.16$"),
+    (lambda: gram_check("x", 1, 1, 1, 1, 2.0), r"^Gram size must be in 1\.\.16$"),
+    (lambda: shifted_operator_identity_check(_H, _H, 2.0), r"^shift order r must be in 0\.\.32$"),
+    (lambda: shifted_operator_identity_check(_H, _H, "2"), r"^shift order r must be in 0\.\.32$"),
+    (lambda: pochhammer(0.5, 2.0), r"^pochhammer order must be nonnegative$"),
+    (lambda: genfun_jacobi_check(1, _H, _H, F(1, 3), 2.0),
+     r"^series order must be nonnegative$"),
+    (lambda: genfun_chahn_check(1, _H, _H, _H, _H, F(1, 3), 2.0),
+     r"^series order must be nonnegative$"),
+    (lambda: derive_recurrence(1.0, _HAHN_HALF), r"^recurrence derivation needs n >= 1$"),
+    (lambda: pasternack_reflection_check(1.0, F(1, 3)),
+     r"^polynomial degree must be an int, got 1\.0$"),
+    (lambda: FormalSeries([1, 2], 2.0), r"^series order must be nonnegative$"),
+    (lambda: FormalSeries.identity(2.0), r"^series order must be nonnegative$"),
+], ids=["gram-N", "gram-check-N", "shifted-r-float", "shifted-r-text", "pochhammer-k",
+        "genfun-jacobi-order", "genfun-chahn-order", "derive-recurrence-n", "reflection-n",
+        "series-order", "series-identity-order"])
+def test_integer_arguments_that_are_not_ints_raise_domain_error(call, message):
+    """An integer argument given as a float (2.0) or as text raises the
+    DomainError of the routine's own range check, never TypeError."""
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_recurrence_check_with_a_float_degree_is_a_failed_check():
+    report = recurrence_check("x", _HAHN_HALF, 1.0)
+    assert report.status == "fail" and report.details == "recurrence derivation needs n >= 1"
+
+
+_TINY = F(1, 10**400)  # positive, but its double is 0.0
+
+
+def test_the_gate_judges_exact_values_exactly():
+    """The gate applies its rule to an exact value itself, not to its
+    rounded complex: alpha = 10^-400 has Re > 0, -10^-400 does not."""
+    assert hahn_operator_identity_check(1, _TINY, 1, 0, 0).passed
+    assert hahn_operator_identity_check(1, GaussianRational(_TINY, 1), 1, 0, 0).passed
+    with pytest.raises(DomainError, match=r"^alpha must be finite with Re\(alpha\) > 0, got"):
+        hahn_operator_identity_check(1, -_TINY, 1, 0, 0)
+    assert (GaussianRational(_H, 3).real, GaussianRational(_H, 3).imag) == (_H, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: chahn_gram(2, _TINY, 1, 1, 1),
+    lambda: barnes_check(1, 1, _TINY, 1),
+    lambda: parseval_check(0, 0, _TINY, 1, 1, 1, 0, 0, 0, 0),
+], ids=["gram", "barnes", "parseval"])
+def test_float_paths_refuse_an_exact_value_that_rounds_to_zero(call):
+    """An exact alpha that passes the gate but rounds to 0.0 raises a
+    HahnlabError on the float paths (a pole, or the driver's non-positive
+    strip), never a number."""
+    with pytest.raises(HahnlabError):
         call()

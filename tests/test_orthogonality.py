@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from hahnlab import numerics, orthogonality
+from hahnlab import numerics, orthogonality, quadrature
 from hahnlab.errors import DomainError, QuadratureError, RangeOverflowError
 from hahnlab.exact import GaussianRational
 from hahnlab.numerics import hahn_weight_log, log_gamma_complex
@@ -506,7 +506,7 @@ def test_gram_folds_the_reflection_for_real_parameters(monkeypatch, params, fold
         return z
 
     monkeypatch.setattr(orthogonality, "_weight_memo", recorder)
-    monkeypatch.setattr(orthogonality, "truncation_radius", radius)
+    monkeypatch.setattr(quadrature, "truncation_radius", radius)
     g = chahn_gram(8, *params)
     negative = [z for z in seen if z < 0.0]
     half_grid = int(g.truncation_radius / g.step)
@@ -566,7 +566,7 @@ def test_gram_envelope_bounds_both_tails(monkeypatch, params, N):
         captured.append((envelope, z))
         return z
 
-    monkeypatch.setattr(orthogonality, "truncation_radius", radius)
+    monkeypatch.setattr(quadrature, "truncation_radius", radius)
     chahn_gram(N, *params)
     (envelope, radius_z), = captured
     al, be, a, b = (p.to_complex() if isinstance(p, GaussianRational) else complex(p)
@@ -921,13 +921,15 @@ def test_zero_expected_entry_passes_on_tol_abs_alone(monkeypatch, check, args, t
     assert not r.passed
 
 
-def _fold(real, mode):
-    """_line_integral without its reflection fold ("none") or with
+def _fold(mode):
+    """integrate_line without its reflection fold ("none") or with
     v - conj v where v + conj v belongs ("mutated")."""
-    def run(f, env, strip, reflection=None):
-        if mode == "none":
-            return real(f, env, strip)
-        return real(f, env, strip, -1 if reflection == 1 else reflection)
+    real = quadrature.integrate_line
+
+    def run(f, envelope, strip, tolerances, signs=None):
+        if signs is not None:
+            signs = None if mode == "none" else [-1 if s == 1 else s for s in signs]
+        return real(f, envelope, strip, tolerances, signs)
     return run
 
 
@@ -938,8 +940,7 @@ def test_sech_fold_agrees_with_both_sides(monkeypatch, n, p, m):
     scale, _ = _sech_case("bateman" if m == 0 else "pasternack", m)
     args = ([(n, p)], m, m, scale)
     [folded] = orthogonality._sech_integral(*args)
-    monkeypatch.setattr(orthogonality, "_line_integral",
-                        _fold(orthogonality._line_integral, "none"))
+    monkeypatch.setattr(quadrature, "integrate_line", _fold("none"))
     [both] = orthogonality._sech_integral(*args)
     assert abs(folded.value - both.value) <= 8 * _EPS * folded.mass
     assert folded.evaluations == both.evaluations
@@ -951,9 +952,20 @@ def test_sech_fold_agrees_with_both_sides(monkeypatch, n, p, m):
 ])
 def test_sech_mutated_fold_sign_fails(monkeypatch, check, args):
     assert check(*args).passed
-    monkeypatch.setattr(orthogonality, "_line_integral",
-                        _fold(orthogonality._line_integral, "mutated"))
+    monkeypatch.setattr(quadrature, "integrate_line", _fold("mutated"))
     assert not check(*args).passed
+
+
+@pytest.mark.parametrize("params", [(1, HALF, F(3, 4), F(5, 4)), (HALF,) * 4])
+def test_gram_fold_agrees_with_both_sides(monkeypatch, params):
+    """Real parameters: the Gram's folded entries equal the ones that
+    evaluate both signs, to rounding, on the same grid."""
+    folded = chahn_gram(8, *params)
+    monkeypatch.setattr(orthogonality, "integrate_line", _fold("none"))
+    both = chahn_gram(8, *params)
+    assert (folded.evaluations, folded.step) == (both.evaluations, both.step)
+    for row, other, h in zip(folded.matrix, both.matrix, folded.expected_diagonal):
+        assert all(abs(u - v) <= 1e-13 * abs(h) for u, v in zip(row, other))
 
 
 @pytest.mark.parametrize("m, m2, distinct", [(0, 0, 5), (F(1, 3), F(-1, 3), 9)])

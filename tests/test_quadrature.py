@@ -1,4 +1,4 @@
-"""Line quadrature: the nested trapezoidal rule and its line integral."""
+"""Line quadrature: the nested trapezoidal driver and its line integral."""
 
 import cmath
 import math
@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from hahnlab.errors import QuadratureError
+from hahnlab.errors import DomainError, QuadratureError
 from hahnlab import quadrature
 from hahnlab.quadrature import (_ABS_TOL, _EPS, _REL_TOL, _TAIL_TOL, _line_integral,
-                                integrate_line_trapezoid, truncation_radius)
+                                integrate_line, truncation_radius)
 
 
 def _sech(u):
@@ -28,6 +28,18 @@ def _level(*Fs):
 
 def _relative(values):
     return [max(_ABS_TOL, _REL_TOL * abs(v)) for v in values]
+
+
+def _cut(radius):
+    """An envelope whose cut-off (truncation_radius) is radius, a multiple
+    of 1/2 from 2 on: positive inside, zero from radius on."""
+    return lambda z: 1.0 if abs(z) < radius else 0.0
+
+
+def _even(k):
+    """signs for k components that are even and real: the fold doubles each
+    level's sum, so f returns the sum of F itself."""
+    return [1] * k
 
 
 @pytest.mark.parametrize("a", [math.pi / 2, math.pi, 2 * math.pi])
@@ -73,8 +85,9 @@ def test_diagnostics_populated():
 
 def test_interval_gaussian():
     # e^{-x^2} is entire: the trapezoid sums on [-8, 8] reach sqrt(pi)
-    res = integrate_line_trapezoid(
-        lambda zs: [sum(2.0 * math.exp(-x * x) for x in zs)], 8.0, 0.5, _relative)
+    res = integrate_line(lambda zs: [sum(math.exp(-x * x) for x in zs)], _cut(8.0),
+                         math.inf, _relative, _even(1))
+    assert (res.radius, res.first_step) == (8.0, 0.5)
     assert abs(res.values[0] - math.sqrt(math.pi)) <= 1e-12
 
 
@@ -117,15 +130,14 @@ def test_trapezoid_vector_sech_squared_and_moment():
     def g(zs):
         calls.extend(zs)
         s2 = [_sech(x) ** 2 for x in zs]
-        return [sum(2.0 * s for s in s2),
-                sum(2.0 * x * x * s for x, s in zip(zs, s2))]
+        return [sum(s2), sum(x * x * s for x, s in zip(zs, s2))]
 
-    res = integrate_line_trapezoid(g, 40.0, 0.5, _relative)
+    res = integrate_line(g, _cut(40.0), math.pi / 2, _relative, _even(2))
     assert abs(res.values[0] - 2.0) <= 1e-14
     assert abs(res.values[1] - math.pi ** 2 / 6.0) <= 1e-13
     # nested and folded: every node z >= 0 of the final grid evaluated
     # exactly once, and nodes still counts both sides of the grid
-    assert min(calls) == 0.0
+    assert min(calls) == 0.0 and (res.radius, res.first_step) == (40.0, 0.5)
     assert len(calls) == len(set(calls)) == int(40.0 / res.step) + 1
     assert res.nodes == 2 * int(40.0 / res.step) + 1
     assert res.changes[0] <= 1e-10 * 2.0
@@ -138,9 +150,9 @@ def test_trapezoid_calls_f_once_per_level():
 
     def g(zs):
         levels.append(zs)
-        return [sum(2.0 * _sech(x) ** 2 for x in zs)]
+        return [sum(_sech(x) ** 2 for x in zs)]
 
-    res = integrate_line_trapezoid(g, 40.0, 0.5, _relative)
+    res = integrate_line(g, _cut(40.0), math.pi / 2, _relative, _even(1))
     assert levels[0] == [0.0]
     assert levels[1] == [0.5 * k for k in range(1, 81)]
     for j, level in enumerate(levels[2:], 1):
@@ -150,52 +162,84 @@ def test_trapezoid_calls_f_once_per_level():
 
 
 def test_trapezoid_even_part_cancels_odd_part():
-    # F(x) = (1 + x) sech^2 x: the odd part cancels in F(x) + F(-x), so
-    # the integral is that of sech^2 x alone
-    def g(zs):
-        return [sum((1.0 + x) * _sech(x) ** 2 + (1.0 - x) * _sech(-x) ** 2
-                    for x in zs)]
+    # F(x) = (1 + x) sech^2 x has no reflection symmetry: the driver calls f
+    # on zs and on -zs, and the odd part cancels in F(x) + F(-x), so the
+    # integral is that of sech^2 x alone
+    levels = []
 
-    res = integrate_line_trapezoid(g, 40.0, 0.5, _relative)
+    def g(zs):
+        levels.append(zs)
+        return [sum((1.0 + x) * _sech(x) ** 2 for x in zs)]
+
+    res = integrate_line(g, _cut(40.0), math.pi / 2, _relative)
     assert abs(res.values[0] - 2.0) <= 1e-14
+    # each level at its nodes, then at their negatives
+    assert levels[0] == [0.0] and levels[1] == [-0.0]
+    for plus, minus in zip(levels[2::2], levels[3::2]):
+        assert min(plus) > 0.0 and minus == [-z for z in plus]
+    assert len(levels) % 2 == 0
+
+
+def test_signs_fold_one_call_per_level():
+    """signs[k] = s promises F_k(-z) = s conj F_k(z): one call per level,
+    folded to v + conj v (s = +1) or v - conj v (s = -1).  F(x) =
+    e^{ix} sech^2 x is such a pair with s = +1, and i F with s = -1; the
+    folds match the unfolded integrals to rounding on the same grid."""
+    calls = []
+
+    def g(zs):
+        calls.append(zs)
+        v = sum(cmath.exp(1j * x) * _sech(x) ** 2 for x in zs)
+        return [v, 1j * v]
+
+    folded = integrate_line(g, _cut(40.0), 1.0, _relative, [1, -1])
+    assert all(min(zs) >= 0.0 for zs in calls)
+    levels = len(calls)
+    calls.clear()
+    both = integrate_line(g, _cut(40.0), 1.0, _relative)
+    assert len(calls) == 2 * levels
+    assert folded.step == both.step and folded.nodes == both.nodes
+    for u, v in zip(folded.values, both.values):
+        assert abs(u - v) <= 8 * _EPS * 2.0
+    assert folded.values[1] == pytest.approx(1j * folded.values[0], rel=1e-15)
 
 
 def test_trapezoid_node_budget_raises_before_evaluating(monkeypatch):
     monkeypatch.setattr(quadrature, "_NODE_BUDGET", 150)
     calls = []
     with pytest.raises(QuadratureError):
-        integrate_line_trapezoid(lambda zs: calls.extend(zs) or [2.0 * len(zs)],
-                                 100.0, 0.5, _relative)
+        integrate_line(lambda zs: calls.extend(zs) or [float(len(zs))], _cut(100.0),
+                       0.5, _relative, _even(1))
     assert calls == [0.0]  # the centre node only; the 401-node grid never ran
 
 
 def _trapezoid(g, radius, h):
-    """The plain (not nested) trapezoid sums of the even part g at step h."""
+    """The plain (not nested) trapezoid sums at step h of the even real
+    integrand whose per-side sums g returns."""
     centre, rest = g([0.0]), g([k * h for k in range(1, int(radius / h) + 1)])
-    return [h * (0.5 * c + r) for c, r in zip(centre, rest)]
+    return [h * (c + 2.0 * r) for c, r in zip(centre, rest)]
 
 
 def test_trapezoid_stops_a_level_before_the_change_only_rule():
-    # sech^2 x and x^2 sech^2 x converge like e^{-pi^2 / h}: from h = 1 the
-    # changes are about 4e-3 (1 -> 1/2) and 4e-7 (1/2 -> 1/4), so the
-    # predicted tail at 1/4 is about 4e-11, under the tolerance, while the
-    # change itself passes only at 1/8
+    # sech^2 2x and x^2 sech^2 2x converge like e^{-pi^2 / 2h}: from h = 1/2
+    # the changes are about 2e-3 (1/2 -> 1/4) and 2e-7 (1/4 -> 1/8), so the
+    # predicted tail at 1/8 is about 2e-11, under the tolerance, while the
+    # change itself passes only at 1/16
     def g(zs):
-        s2 = [_sech(x) ** 2 for x in zs]
-        return [sum(2.0 * s for s in s2),
-                sum(2.0 * x * x * s for x, s in zip(zs, s2))]
+        s2 = [_sech(2.0 * x) ** 2 for x in zs]
+        return [sum(s2), sum(x * x * s for x, s in zip(zs, s2))]
 
-    res = integrate_line_trapezoid(g, 40.0, 1.0, _relative)
-    h = 0.5
+    res = integrate_line(g, _cut(40.0), math.pi / 4, _relative, _even(2))
+    h = 0.25
     while not all(abs(u - v) <= t for u, v, t in
                   zip(_trapezoid(g, 40.0, h), _trapezoid(g, 40.0, 2 * h),
                       _relative(_trapezoid(g, 40.0, h)))):
         h *= 0.5
-    assert res.step == 2 * h == 0.25
-    assert abs(res.values[0] - 2.0) <= 1e-14
-    assert abs(res.values[1] - math.pi ** 2 / 6.0) <= 1e-14
+    assert res.step == 2 * h == 0.125
+    assert abs(res.values[0] - 1.0) <= 1e-14
+    assert abs(res.values[1] - math.pi ** 2 / 48.0) <= 1e-14
     # the reported estimate is the predicted tail, not the last change
-    last = [abs(u - v) for u, v in zip(res.values, _trapezoid(g, 40.0, 0.5))]
+    last = [abs(u - v) for u, v in zip(res.values, _trapezoid(g, 40.0, 0.25))]
     assert all(e < 1e-3 * c for e, c in zip(res.changes, last))
     assert all(e <= t for e, t in zip(res.changes, _relative(res.values)))
 
@@ -203,12 +247,18 @@ def test_trapezoid_stops_a_level_before_the_change_only_rule():
 def _sequence(*components, step=0.5):
     """A level integrand whose nested trapezoid values at the steps
     step / 2^j are given, one list per component: each call returns what
-    the sums need to move from one level's value to the next (the centre
-    node contributes nothing)."""
+    the sums need to move from one level's value to the next, halved for
+    the fold of signs [1, ...] (the centre node contributes nothing)."""
     levels = iter([[0.0] * len(components)]
-                  + [[v[j] * 2 ** j / step - (v[j - 1] * 2 ** (j - 1) / step if j else 0.0)
-                      for v in components] for j in range(len(components[0]))])
+                  + [[(v[j] * 2 ** j / step - (v[j - 1] * 2 ** (j - 1) / step if j else 0.0))
+                      / 2 for v in components] for j in range(len(components[0]))])
     return lambda zs: next(levels)
+
+
+def _driver(f, tol, k=1):
+    """integrate_line on the cut-off 2 from the first step 1/2, f's
+    components even and real."""
+    return integrate_line(f, _cut(2.0), 0.5, _absolute(tol), _even(k))
 
 
 def _absolute(tol):
@@ -222,8 +272,7 @@ def test_trapezoid_zero_previous_change_makes_no_prediction():
     zero = [0.0] * 5
     late = [1.0, 1.0, 2.0, 2.0, 2.0]
     early = [0.0, 1.0, 1.0, 1.0, 1.0]
-    res = integrate_line_trapezoid(_sequence(zero, late, early), 1.0, 0.5,
-                                   _absolute(1e-6))
+    res = _driver(_sequence(zero, late, early), 1e-6, 3)
     assert res.step == 0.5 / 8  # not 1/8, where `late` moved by 1
     assert res.values == [0.0, 2.0, 1.0]
     assert res.changes == [0.0, 0.0, 0.0]
@@ -237,9 +286,9 @@ def test_trapezoid_non_contracting_changes_never_predict(ratio):
     f = _sequence(values)
     if ratio >= 1.0:
         with pytest.raises(QuadratureError):
-            integrate_line_trapezoid(f, 1.0, 0.5, _absolute(1e-2))
+            _driver(f, 1e-2)
         return
-    res = integrate_line_trapezoid(f, 1.0, 0.5, _absolute(1e-2))
+    res = _driver(f, 1e-2)
     j = next(j for j in range(1, 14) if ratio ** j <= 1e-2)
     assert res.step == 0.5 / 2 ** j
     assert res.changes[0] == pytest.approx(ratio ** j, rel=1e-12)
@@ -250,7 +299,7 @@ def test_trapezoid_prediction_is_the_richardson_tail():
     # is exactly the error 4^-j, which passes 1e-4 at j = 7, one level
     # before the change 3 * 4^-j does
     values = [1.0 + 4.0 ** -j for j in range(12)]
-    res = integrate_line_trapezoid(_sequence(values), 1.0, 0.5, _absolute(1e-4))
+    res = _driver(_sequence(values), 1e-4)
     assert res.step == 0.5 / 2 ** 7  # 4^-7 < 1e-4 < 4^-6
     assert res.changes[0] == pytest.approx(res.values[0] - 1.0, rel=1e-9)
 
@@ -258,8 +307,16 @@ def test_trapezoid_prediction_is_the_richardson_tail():
 def test_trapezoid_unconverged_raises():
     # a kink at 0 converges only algebraically in h
     with pytest.raises(QuadratureError):
-        integrate_line_trapezoid(lambda zs: [sum(2.0 * math.exp(-x) for x in zs)],
-                                 40.0, 0.5, _relative)
+        integrate_line(lambda zs: [sum(math.exp(-x) for x in zs)], _cut(40.0), 0.5,
+                       _relative, _even(1))
+
+
+@pytest.mark.parametrize("strip", [0.0, -1.0, math.nan])
+def test_driver_refuses_a_strip_that_is_not_positive(strip):
+    calls = []
+    with pytest.raises(DomainError, match="strip must be positive"):
+        integrate_line(lambda zs: calls.append(zs) or [0.0], _cut(2.0), strip, _relative)
+    assert not calls
 
 
 def test_line_integral_folds_and_reports_the_mass():
@@ -274,7 +331,7 @@ def test_line_integral_folds_and_reports_the_mass():
         return 4.0 * math.exp(-2.0 * abs(x))
 
     strip = min(math.pi / 2.0, math.pi / w)
-    [folded] = _line_integral(f, env, strip, 1)
+    [folded] = _line_integral(f, env, strip, [1])
     [unfolded] = _line_integral(f, env, strip)
     for res in (folded, unfolded):
         assert abs(res.value - expected) <= 1e-13

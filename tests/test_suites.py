@@ -58,16 +58,16 @@ def test_all_suites_node_budget(monkeypatch):
     waited for the change; 33,520 in 100 passes when each row had its own);
     a rule that confirms the last level again, or a suite that splits a
     weight's pass again, fails here."""
-    nodes, trapezoid = [], quadrature.integrate_line_trapezoid
+    nodes, driver = [], quadrature.integrate_line
 
     def counting(*args):
-        res = trapezoid(*args)
+        res = driver(*args)
         nodes.append(res.nodes)
         return res
 
-    # both modules that bind the rule: _line_integral's and the Gram's
-    monkeypatch.setattr(quadrature, "integrate_line_trapezoid", counting)
-    monkeypatch.setattr(orthogonality, "integrate_line_trapezoid", counting)
+    # both modules that bind the driver: _line_integral's and the Gram's
+    monkeypatch.setattr(quadrature, "integrate_line", counting)
+    monkeypatch.setattr(orthogonality, "integrate_line", counting)
     passes = {}
     for name in QUADRATURE_SUITES:
         start = len(nodes)

@@ -343,20 +343,21 @@ def test_fourier_group_evaluates_each_polynomial_once_per_level(monkeypatch):
 def test_fourier_estimate_covers_one_more_halving(monkeypatch):
     """The row's estimate (the predicted tail, floored at the rounding of
     the |f| mass) bounds how far one forced extra halving moves the value."""
-    seen, trapezoid = [], quadrature.integrate_line_trapezoid
+    seen, driver = [], quadrature.integrate_line
 
-    def spy(f, radius, step, tolerances):
-        res = trapezoid(f, radius, step, tolerances)
-        seen.append((f, radius, res))
+    def spy(f, *args):
+        res = driver(f, *args)
+        seen.append((f, args, res))
         return res
 
-    monkeypatch.setattr(quadrature, "integrate_line_trapezoid", spy)
+    monkeypatch.setattr(quadrature, "integrate_line", spy)
     report = fourier_pair_check(1, F(3, 5), F(11, 10), F(1, 4), F(4, 5), 5.0)
     assert report.passed
-    [(f, radius, res)] = seen
+    [(f, (_, _, _, signs), res)] = seen
+    assert signs is None  # no reflection symmetry: the even part takes both signs
     h = 0.5 * res.step
-    value, _ = f([k * h for k in range(1, int(radius / h) + 1, 2)])
-    after = 0.5 * res.values[0] + h * value
+    zs = [k * h for k in range(1, int(res.radius / h) + 1, 2)]
+    after = 0.5 * res.values[0] + h * (f(zs)[0] + f([-z for z in zs])[0])
     assert abs(after - res.values[0]) <= report.quad_diagnostics.estimated_error
 
 
@@ -405,7 +406,7 @@ def test_parseval_envelope_bounds_both_tails(monkeypatch, args):
     from hahnlab import transforms
     seen = []
 
-    def capture(f, env, strip, reflection=None):
+    def capture(f, env, strip, signs=None):
         seen.append((f, env))
         return [IntegralResult(0j, 0.0, 1)]
 
@@ -435,33 +436,32 @@ def test_parseval_zero_case_passes_on_tol_abs_alone(monkeypatch):
     assert not r.passed
 
 
-def _fold(real, mode):
-    """_line_integral without its reflection fold ("none") or with
+def _fold(mode):
+    """integrate_line without its reflection fold ("none") or with
     v - conj v where v + conj v belongs ("mutated")."""
-    def run(f, env, strip, reflection=None):
-        if mode == "none":
-            return real(f, env, strip)
-        return real(f, env, strip, -1 if reflection == 1 else reflection)
+    real = quadrature.integrate_line
+
+    def run(f, envelope, strip, tolerances, signs=None):
+        if signs is not None:
+            signs = None if mode == "none" else [-1 if s == 1 else s for s in signs]
+        return real(f, envelope, strip, tolerances, signs)
     return run
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (0, 0)])
 def test_parseval_fold_agrees_with_both_sides(monkeypatch, n, m):
-    from hahnlab import transforms
     args = (n, m, *map(complex, PARSEVAL_REAL[2:]))
     folded = _parseval_right(*args)
-    monkeypatch.setattr(transforms, "_line_integral", _fold(transforms._line_integral, "none"))
+    monkeypatch.setattr(quadrature, "integrate_line", _fold("none"))
     both = _parseval_right(*args)
     assert abs(folded.value - both.value) <= 8 * _EPS * folded.mass
     assert folded.evaluations == both.evaluations
 
 
 def test_parseval_mutated_fold_sign_fails(monkeypatch):
-    from hahnlab import transforms
     args = (0, 0, *(HALF,) * 4, 0, 0, 0, 0)
     assert parseval_check(*args).passed
-    monkeypatch.setattr(transforms, "_line_integral",
-                        _fold(transforms._line_integral, "mutated"))
+    monkeypatch.setattr(quadrature, "integrate_line", _fold("mutated"))
     assert not parseval_check(*args).passed
 
 
