@@ -39,6 +39,7 @@ class StructureError(HahnlabError):
 _RULES = {
     "finite": (lambda v: True, ""),
     "Re > 0": (lambda v: v.real > 0.0, " with Re({name}) > 0"),
+    "Re > 0 as a double": (lambda v: complex(v).real > 0.0, " with Re({name}) > 0 as a double"),
     "Re > -1": (lambda v: v.real > -1.0, " with Re({name}) > -1"),
     "real in (-1, 1)": (lambda v: -1.0 < v.real < 1.0 and abs(v.imag) <= 1e-14,
                         " and real in (-1, 1)"),
@@ -65,7 +66,7 @@ def _require(rule: str, **named) -> list:
     """The values as complex, each finite and satisfying _RULES[rule], or a
     DomainError naming the first that is not (or is not a number, _complex).
     The rule judges a float or complex as it is and any other value (int,
-    Fraction, GaussianRational) exactly, not its rounded complex."""
+    Fraction, GaussianRational) exactly, unless it asks for the double."""
     test, phrase = _RULES[rule]
     values = []
     for name, value in named.items():

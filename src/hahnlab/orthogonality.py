@@ -94,13 +94,12 @@ class GramResult(namedtuple(
         return QuadDiagnostics(self.evaluations, self.estimated_error)
 
 
-def _chahn_norms(N: int, alpha, beta, a, b) -> list:
-    """[h_0, ..., h_{N-1}] of chahn_norm_rhs: h_0 one gamma product, then the exact
+def _chahn_norms(N: int, al, be, av, bv) -> list:
+    """chahn_norm_rhs's [h_0, ..., h_{N-1}] at gated values: h_0 one gamma product, then the exact
     h_{n+1}/h_n = (alpha+beta+n)(a+b+n)(alpha+a+n)(beta+b+n)(2n+s-1) / ((n+1)(n+s-1)(2n+s+1)),
     s = alpha+beta+a+b; (2n+s-1)/(n+s-1) is 1 at n = 0, so s = 1 (a removable 0/0) works.
     Against 50-digit mpmath every h_n, n < 16, of the four tuples of
     tests/test_orthogonality.py is within 1.5e-15; exp(sum log Gamma) per h_n leaves 2.4e-14."""
-    al, be, av, bv = _require("Re > 0", alpha=alpha, beta=beta, a=a, b=b)
     s = al + be + av + bv
     norms = [gamma_product([al + be, av + bv, al + av, be + bv], [s])]
     for n in range(N - 1):
@@ -118,7 +117,8 @@ def chahn_norm_rhs(n: int, alpha, beta, a, b) -> complex:
     """Squared norm of p_n: Gamma(alpha+beta+n) Gamma(a+b+n) Gamma(n+alpha+a)
     Gamma(n+beta+b) / (n! (2n+alpha+beta+a+b-1) Gamma(n+alpha+beta+a+b-1)),
     as h_0 and n exact ratios (_chahn_norms, which gives its accuracy)."""
-    return _chahn_norms(n + 1, alpha, beta, a, b)[-1]
+    gated = _require("Re > 0 as a double", alpha=alpha, beta=beta, a=a, b=b)
+    return _chahn_norms(n + 1, *gated)[-1]
 
 
 def _gram_recurrence(N: int, alpha, beta, a, b) -> list:
@@ -218,7 +218,7 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     """
     if not (isinstance(N, int) and 1 <= N <= GRAM_SIZE_CAP):
         raise DomainError(f"Gram size must be in 1..{GRAM_SIZE_CAP}")
-    al, be, av, bv = _require("Re > 0", alpha=alpha, beta=beta, a=a, b=b)
+    al, be, av, bv = _require("Re > 0 as a double", alpha=alpha, beta=beta, a=a, b=b)
     log_weight = _weight_memo(al, be, av, bv)
     expected = _chahn_norms(N, al, be, av, bv)
     recurrence = _gram_recurrence(N, al, be, av, bv)

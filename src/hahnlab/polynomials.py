@@ -29,11 +29,11 @@ from the first float use on, its coefficients rounded to complex, highest
 degree first.  Equal parameters of either kind (1 and 1.0, 1/2 and 0.5)
 are one key and one polynomial.  JacobiParams and HahnParams are
 namedtuples, so the memo hashes and compares them as tuples, in C.  A float
-value (_eval) is one Horner pass over that tuple, read from a record of the
-last memo lookup when the family, parameter and degree objects (`is`)
-repeat it, else found by one more lookup.  Errors are raised on
-every call, never stored; cached values are immutable and *_coeffs_complex
-gives a fresh list.
+value is one frame (_evaluator): Horner over that tuple from its leading
+coefficient, read from the family's record of its last memo lookup when the
+parameter and degree objects (`is`) repeat it, else from one more lookup.
+Errors are raised on every call, never stored; cached values are immutable
+and *_coeffs_complex gives a fresh list.
 
 Conventions, fixed once here and used everywhere downstream:
 
@@ -250,7 +250,6 @@ def horner_level(coeffs, xs: list) -> list:
 # ---------------------------------------------------------------------------
 
 _MEMO_SIZE = 1024
-_last = (None, None, None, None)  # (family, n, params, rounded) of _eval's last lookup
 
 
 class _Built:
@@ -301,34 +300,41 @@ def _lookup(family, n: int, params) -> _Built:
 # the nine public routines: one family each, three uses of the memo
 # ---------------------------------------------------------------------------
 
-def _eval(n: int, params, x, family) -> complex:
-    """One inline Horner pass over the once-rounded exact coefficients, highest
-    degree first: from _last when family, params and n are its objects (an
-    equal int that is another object takes the lookup, to the same entry),
-    else from one memo lookup, which replaces _last in one assignment.
-    A value that is not finite raises: DomainError if x is not (the 0j start
-    makes every such value NaN), else RangeOverflowError."""
-    global _last
-    if type(x) is not complex:
-        try:
-            x = _to_complex(x)
-        except (TypeError, ValueError, OverflowError):
-            x = _complex("x", x)  # raises the HahnlabError naming x
-    last_family, last_n, last_params, rounded = _last
-    if last_family is not family or last_params is not params or last_n is not n:
-        if not isinstance(n, int):  # _lookup's check, inline: no frame on a miss
-            raise DomainError(f"polynomial degree must be an int, got {n!r}")
-        built = _built(family, n, params)
-        rounded = built.rounded or built.round()
-        _last = (family, n, params, rounded)
-    value = 0j
-    for c in rounded:
-        value = value * x + c
-    if not isfinite(value):
-        if not isfinite(x):
-            raise DomainError(f"x = {x} is not finite")
-        raise RangeOverflowError(f"degree {n} value at x = {x} is not finite")
-    return value
+def _evaluator(family, name: str, doc: str):
+    """The public float routine of one family, one frame per value: Horner from
+    the leading rounded coefficient (0j * x + lead is lead, bit for bit, at a
+    finite x) over the family's record (n, params, lead, tail) of its last memo
+    lookup when n and params are its objects, else over a new one, stored in one
+    assignment.  Non-finite x raises DomainError, another non-finite value RangeOverflowError."""
+    record = (None, None, None, None)
+
+    def evaluate(n, params, x):
+        nonlocal record
+        if type(x) is not complex:
+            try:
+                x = _to_complex(x)
+            except (TypeError, ValueError, OverflowError):
+                x = _complex("x", x)  # raises the HahnlabError naming x
+        last_n, last_params, value, tail = record
+        if last_params is not params or last_n is not n:
+            if not isinstance(n, int):  # _lookup's check, inline: no frame on a miss
+                raise DomainError(f"polynomial degree must be an int, got {n!r}")
+            built = _built(family, n, params)
+            rounded = built.rounded or built.round()
+            value, tail = rounded[0], rounded[1:]
+            record = (n, params, value, tail)
+        for c in tail:
+            value = value * x + c
+        if not (isfinite(value) and (tail or isfinite(x))):
+            if not isfinite(x):
+                raise DomainError(f"x = {x} is not finite")
+            raise RangeOverflowError(f"degree {n} value at x = {x} is not finite")
+        return value
+
+    evaluate.__name__ = evaluate.__qualname__ = name
+    evaluate.__code__ = evaluate.__code__.replace(co_name=name)  # profiles tell them apart
+    evaluate.__doc__ = doc
+    return evaluate
 
 
 def _coeffs_exact(n: int, params, exact: bool, family, names: str) -> ExactPoly:
@@ -337,19 +343,12 @@ def _coeffs_exact(n: int, params, exact: bool, family, names: str) -> ExactPoly:
     return _lookup(family, n, params).poly
 
 
-def jacobi_eval(n: int, params: JacobiParams, x: complex) -> complex:
-    """P_n at x: ((gamma+1)_n / n!) * 2F1(-n, n+gamma+delta+1; gamma+1; (1-x)/2)."""
-    return _eval(n, params, x, _jacobi_sum)
-
-
-def chahn_eval(n: int, params: HahnParams, x: complex) -> complex:
-    """p_n at x: i^n ((a+c)_n (a+d)_n / n!) * terminating 3F2 at unit argument."""
-    return _eval(n, params, x, _chahn_sum)
-
-
-def pasternack_eval(n: int, m: complex, x: complex) -> complex:
-    """F_n at x: 3F2(-n, n+1, (1+m+x)/2; 1, m+1; 1); m = 0 is Bateman's F_n."""
-    return _eval(n, m, x, _pasternack_sum)
+jacobi_eval = _evaluator(_jacobi_sum, "jacobi_eval", "P_n at x: ((gamma+1)_n / n!)"
+                         " * 2F1(-n, n+gamma+delta+1; gamma+1; (1-x)/2).")
+chahn_eval = _evaluator(_chahn_sum, "chahn_eval", "p_n at x: i^n ((a+c)_n (a+d)_n / n!)"
+                        " * terminating 3F2 at unit argument.")
+pasternack_eval = _evaluator(_pasternack_sum, "pasternack_eval", "F_n at x: 3F2(-n, n+1, "
+                             "(1+m+x)/2; 1, m+1; 1); m = 0 is Bateman's F_n.")
 
 
 def jacobi_coeffs_exact(n: int, params: JacobiParams) -> ExactPoly:

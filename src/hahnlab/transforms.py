@@ -106,7 +106,7 @@ def fourier_pair_checks(alpha, beta, cases: list, tol: float = 1e-8,
     (n, gamma, delta, z) of cases, in order, with every quadrature side
     from one trapezoid pass on the weight (alpha, beta).  They compute with
     z as the gate's complex value; report names print z as passed."""
-    _require("Re > 0", alpha=alpha, beta=beta)
+    _require("Re > 0 as a double", alpha=alpha, beta=beta)
     zs = [_require("finite", gamma=gamma, delta=delta, z=z)[2] for _, gamma, delta, z in cases]
     computed = [(n, gamma, delta, zc) for (n, gamma, delta, _), zc in zip(cases, zs)]
     reports = []
@@ -138,7 +138,7 @@ def mellin_pair_checks(alpha, beta, cases: list, tol: float = 1e-8,
     (n, gamma, delta, lam) of cases, in order, with every quadrature side
     from one trapezoid pass on the weight (alpha, beta).  They compute with
     lambda as the gate's complex value; report names print it as passed."""
-    al, be = _require("Re > 0", alpha=alpha, beta=beta)
+    al, be = _require("Re > 0 as a double", alpha=alpha, beta=beta)
     lams = [_require("finite", gamma=gamma, delta=delta, **{"lambda": lam})[2]
             for _, gamma, delta, lam in cases]
     scale = cmath.exp((1 - al - be) * _LOG_2)
@@ -230,7 +230,7 @@ def parseval_check(n: int, m: int, alpha, beta, a, b, gamma, delta, c, d,
                    tol: float = 1e-8, tol_abs: float = 1e-10) -> VerificationReport:
     """Both sides of the Parseval identity for two weighted Jacobi factors,
     for general parameters (no orthogonality specialization imposed)."""
-    al, be, av, bv = _require("Re > 0", alpha=alpha, beta=beta, a=a, b=b)
+    al, be, av, bv = _require("Re > 0 as a double", alpha=alpha, beta=beta, a=a, b=b)
     _require("finite", gamma=gamma, delta=delta, c=c, d=d)
     name = f"parseval[n={n}, m={m}]"
 

@@ -28,9 +28,9 @@ from hahnlab.operator_calculus import (derive_recurrence, hahn_operator_identity
                                        recurrence_check, shifted_operator_identity_check)
 from hahnlab.numerics import log_gamma_complex, pochhammer
 from hahnlab.orthogonality import (barnes_check, bateman_ortho_check, bateman_ortho_checks,
-                                   chahn_gram, gram_check, jacobi_ortho_check, pasternack_biortho_check,
-                                   pasternack_biortho_checks, pasternack_ortho_check,
-                                   pasternack_ortho_checks)
+                                   chahn_gram, chahn_norm_rhs, gram_check, jacobi_ortho_check,
+                                   pasternack_biortho_check, pasternack_biortho_checks,
+                                   pasternack_ortho_check, pasternack_ortho_checks)
 from hahnlab.polynomials import (HahnParams, JacobiParams, chahn_eval, jacobi_eval,
                                  pasternack_hahn_params, pasternack_reflection_check)
 from hahnlab.reports import VerificationReport
@@ -39,6 +39,7 @@ from hahnlab.transforms import fourier_pair_check, mellin_pair_check, parseval_c
 
 F = Fraction
 FIN, POS, GT_M1 = "finite", "Re > 0", "Re > -1"
+POS_DOUBLE = "Re > 0 as a double"
 REAL, REAL_OR_IMAG = "real in (-1, 1)", "real in (-1, 1) or imaginary"
 
 # per rule: the open interval of the real part drawn inside, whether a draw
@@ -48,6 +49,8 @@ _DRAW = {
     FIN: ((-2, 2), True, [], []),
     POS: ((0, 2), True, [F(1, 100), GaussianRational(F(1, 100), F(1, 3))],
           [0, F(-1, 100), GaussianRational(F(-1, 100), 1)]),
+    POS_DOUBLE: ((0, 2), True, [F(1, 100), GaussianRational(F(1, 100), F(1, 3))],
+                 [0, F(-1, 100), GaussianRational(F(-1, 100), 1), F(1, 10**400)]),
     GT_M1: ((-1, 1), True, [F(-99, 100), GaussianRational(F(-99, 100), F(-1, 4))],
             [-1, F(-101, 100), GaussianRational(F(-101, 100), F(1, 2))]),
     REAL: ((-1, 1), False, [F(99, 100), F(-99, 100)],
@@ -77,13 +80,15 @@ class Row:
         return f"{self.check.__name__}[{','.join(self.rules)}]"
 
 
-_GAMMA4 = dict.fromkeys(("alpha", "beta", "a", "b"), POS)
+# the Gram, Barnes, Parseval, Fourier and Mellin checks compute with the doubles
+_GAMMA4 = dict.fromkeys(("alpha", "beta", "a", "b"), POS_DOUBLE)
 _HAHN4 = dict.fromkeys(("alpha", "beta", "gamma", "delta"), FIN)
 _JACOBI3 = dict.fromkeys(("gamma", "delta", "x"), FIN)
 
 _QUADRATURE = [
     Row(fourier_pair_check, lambda **v: fourier_pair_check(2, z=F(3, 4), **v),
-        {"alpha": POS, "beta": POS, "gamma": FIN, "delta": FIN}, (QuadratureError, PoleError)),
+        {"alpha": POS_DOUBLE, "beta": POS_DOUBLE, "gamma": FIN, "delta": FIN},
+        (QuadratureError, PoleError)),
     Row(fourier_pair_check, lambda **v: fourier_pair_check(1, 1, F(1, 2), 0, 0, **v),
         {"z": FIN}, (QuadratureError,), real=("z",)),
     Row(mellin_pair_check, lambda **v: mellin_pair_check(1, F(3, 4), F(1, 2), F(1, 3), 0, **v),
@@ -366,14 +371,22 @@ def test_the_gate_judges_exact_values_exactly():
     assert (GaussianRational(_H, 3).real, GaussianRational(_H, 3).imag) == (_H, 3)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: chahn_gram(2, _TINY, 1, 1, 1),
-    lambda: barnes_check(1, 1, _TINY, 1),
-    lambda: parseval_check(0, 0, _TINY, 1, 1, 1, 0, 0, 0, 0),
-], ids=["gram", "barnes", "parseval"])
-def test_float_paths_refuse_an_exact_value_that_rounds_to_zero(call):
-    """An exact alpha that passes the gate but rounds to 0.0 raises a
-    HahnlabError on the float paths (a pole, or the driver's non-positive
-    strip), never a number."""
-    with pytest.raises(HahnlabError):
+@pytest.mark.parametrize("call, name, value", [
+    (lambda: chahn_gram(2, _TINY, 1, 1, 1), "alpha", _TINY),
+    (lambda: barnes_check(1, 1, _TINY, 1), "a", _TINY),
+    (lambda: parseval_check(0, 0, _TINY, 1, 1, 1, 0, 0, 0, 0), "alpha", _TINY),
+    (lambda: gram_check("x", 1, GaussianRational(_TINY, 1), 1, 1, 2), "beta",
+     GaussianRational(_TINY, 1)),
+    (lambda: parseval_check(1, 1, 1, 1, 1, _TINY, 0, 0, 0, 0), "b", _TINY),
+    (lambda: chahn_norm_rhs(1, 1, 1, 1, _TINY), "b", _TINY),
+    (lambda: fourier_pair_check(1, _TINY, 1, 0, 0, 0.5), "alpha", _TINY),
+    (lambda: mellin_pair_check(1, 1, _TINY, 0, 0, 0.5), "beta", _TINY),
+], ids=["gram", "barnes", "parseval", "gram-check", "parseval-b", "norm", "fourier", "mellin"])
+def test_float_paths_refuse_an_exact_value_that_rounds_to_zero(call, name, value):
+    """An exact parameter with Re > 0 whose double has Re = 0.0 is refused
+    once, by the gate of the float paths, with the DomainError that names
+    it and the value as passed; the exact operator check above takes it."""
+    with pytest.raises(DomainError) as caught:
         call()
+    assert str(caught.value) == f"{name} must be finite with Re({name}) > 0 as a double, " \
+        f"got {value!r}"

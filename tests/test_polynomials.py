@@ -1,9 +1,11 @@
 """Polynomial evaluation and exact coefficient construction."""
 
+import cmath
 import copy
 import math
 import pickle
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -512,7 +514,7 @@ def test_memo_builds_once_for_equal_exact_parameters_of_either_type():
     assert _built.cache_info().misses == 1
 
 
-# one parameter object per family, so a warm call repeats _eval's record
+# one parameter object per family, so a warm call repeats its family's record
 _JACOBI_FLOAT, _JACOBI_EXACT = JacobiParams(0.3, 0.71), JacobiParams(F(3, 10), F(71, 100))
 _CHAHN = HahnParams(1, 1, 1, 1)
 _DEGREE_CALLS = {
@@ -532,7 +534,7 @@ _DEGREE_CALLS = {
 @pytest.mark.parametrize("call", _DEGREE_CALLS.values(), ids=_DEGREE_CALLS.keys())
 def test_float_degree_raises_domain_error(call, warm):
     """A float degree raises DomainError naming it, on a cold memo and after
-    an int call of the same degree filled the memo and _eval's record, where
+    an int call of the same degree filled the memo and the family's record, where
     2.0 == 2 would find degree 2's entry."""
     _built.cache_clear()
     if warm:
@@ -750,11 +752,12 @@ def test_warm_float_call_settles_nothing_again(monkeypatch, feval, params):
     assert calls == []
 
 
-def test_warm_float_call_is_one_memo_hit_and_an_inline_horner_pass(monkeypatch):
+def test_warm_float_call_after_a_family_switch_makes_no_lookup_and_no_horner_call(monkeypatch):
     """An exact-only build rounds nothing; the first float call stores the
     n + 1 rounded coefficients highest degree first, the exact build's own
-    complex_coeffs reversed, bit for bit.  A warm float call then makes one
-    memo hit and calls neither horner nor _Built.coeffs."""
+    complex_coeffs reversed, bit for bit.  Each family keeps its own record,
+    so a warm float call that follows another family's makes no memo lookup
+    and calls neither horner nor _Built.coeffs."""
     from hahnlab import polynomials
     params, x = HahnParams(HALF, F(3, 4), F(2, 3), 1), 0.3 + 0.7j
     _built.cache_clear()
@@ -782,7 +785,7 @@ def test_warm_float_call_is_one_memo_hit_and_an_inline_horner_pass(monkeypatch):
         before = _built.cache_info()
         assert feval(4, p, x) == want
         after = _built.cache_info()
-        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+        assert (after.hits - before.hits, after.misses - before.misses) == (0, 0)
     assert calls == []
 
 
@@ -793,7 +796,7 @@ def test_warm_float_call_is_one_memo_hit_and_an_inline_horner_pass(monkeypatch):
 def test_warm_call_with_an_equal_parameter_object_runs_no_key_frame(feval, make):
     """The parameter records are tuples: the memo hashes and compares them
     in C, so a warm call with a freshly made equal object (fields equal, not
-    the same objects) runs no Python frame but the public routine and _eval."""
+    the same objects) runs no Python frame but the public routine itself."""
     x = 0.3 + 0.7j
     want = feval(4, make(), x)
     params = make()
@@ -808,7 +811,7 @@ def test_warm_call_with_an_equal_parameter_object_runs_no_key_frame(feval, make)
         got = feval(4, params, x)
     finally:
         sys.setprofile(None)
-    assert frames == [feval.__name__, "_eval"]
+    assert frames == [feval.__name__]
     assert _bits(got) == _bits(want)
     assert type(params).__hash__ is tuple.__hash__ and type(params).__eq__ is tuple.__eq__
 
@@ -892,6 +895,92 @@ def test_interleaved_calls_on_fixed_objects_keep_the_bits():
         feval, params = fevals[name]
         got = [_bits(feval(n, params, x)) for x in (0.3 + 0.7j, 1.5 - 2.25j)]
         assert got == _INTERLEAVED_BITS[name, n], (name, n)
+
+
+# one parameter object per family; each family's n = 1 coefficient of x is
+# above 1 in modulus, so x = 1.5e308 overflows from n = 1 on
+_RECORD_CASES = [(jacobi_eval, _jacobi_sum, JacobiParams(0.3 + 0.2j, 0.7 - 0.1j)),
+                 (chahn_eval, _chahn_sum, HahnParams(0.5, 0.75, 0.625, 0.875)),
+                 (pasternack_eval, _pasternack_sum, -0.5 + 0.25j)]
+_RECORD_IDS = ["jacobi", "chahn", "pasternack"]
+
+
+def _horner_from_zero(coeffs, x: complex) -> complex:
+    """The running value acc = acc*x + c from acc = 0j, top coefficient down."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def test_warm_alternating_families_make_no_memo_lookup():
+    """Each family keeps its own record, so once every family has evaluated
+    its polynomial, calls that alternate between the three families make no
+    memo lookup, and every value has the bits of the same call made alone."""
+    xs = [0.4, -2.5, 0.3 + 0.7j, complex(-0.0, 3.0), 3 - 1j]
+    alone = {}
+    for feval, _, params in _RECORD_CASES:
+        _built.cache_clear()
+        for x in xs:
+            alone[feval, x] = _bits(feval(4, params, x))
+    for feval, _, params in _RECORD_CASES:
+        feval(4, params, 0.5)
+    for x in xs:
+        for feval, _, params in _RECORD_CASES + _RECORD_CASES[::-1]:
+            value, lookups = _lookups(lambda: feval(4, params, x))
+            assert lookups == (0, 0) and _bits(value) == alone[feval, x], (feval.__name__, x)
+
+
+def test_threads_on_one_family_read_whole_records():
+    """Four threads share one family's record, each on its own degree or
+    parameter object, with the interpreter switching threads as often as it
+    can: every value has the bits of a single-threaded run, so no thread read
+    one polynomial's degree with another's coefficients."""
+    xs = [complex(k / 7, 1 - k / 5) for k in range(40)]
+    jobs = [(4, JacobiParams(0.3, 0.7)), (5, JacobiParams(0.3, 0.7)),
+            (4, JacobiParams(0.6, 0.2)), (5, JacobiParams(0.6, 0.2))]
+    want = [[_bits(jacobi_eval(n, params, x)) for x in xs] for n, params in jobs]
+    got = [[] for _ in jobs]
+
+    def run(n, params, out):
+        for _ in range(50):
+            out.append([_bits(jacobi_eval(n, params, x)) for x in xs])
+
+    threads = [threading.Thread(target=run, args=(*job, out)) for job, out in zip(jobs, got)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for runs, values in zip(got, want):
+        assert runs == [values] * 50
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+@pytest.mark.parametrize("feval, family, params", _RECORD_CASES, ids=_RECORD_IDS)
+def test_leading_coefficient_start_keeps_every_bit_and_error(feval, family, params, n):
+    """Horner starts from the leading coefficient, not from 0j: at signed
+    zeros and exact x the value has the bits of the running value from 0j; a
+    non-finite x raises DomainError at every degree, 0 included, where the
+    value is the constant coefficient whatever x is; an overflow raises
+    RangeOverflowError."""
+    coeffs = _built(family, n, params).coeffs()
+    for x in (0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), F(1, 3), F(-7, 5),
+              GaussianRational(F(-1, 3), F(2, 5))):
+        assert _bits(feval(n, params, x)) == _bits(_horner_from_zero(coeffs, _to_complex(x)))
+    for x in (math.inf, -math.inf, math.nan, complex(math.inf, 0), complex(0, math.nan)):
+        with pytest.raises(DomainError) as caught:
+            feval(n, params, x)
+        assert str(caught.value) == f"x = {complex(x)} is not finite"
+    if n:
+        assert not cmath.isfinite(_horner_from_zero(coeffs, 1.5e308 + 0j))
+        with pytest.raises(RangeOverflowError, match=rf"^degree {n} value at x = "):
+            feval(n, params, 1.5e308)
 
 
 @pytest.mark.parametrize("call, error, match", [
