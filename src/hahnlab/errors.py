@@ -1,6 +1,7 @@
-"""Exception taxonomy shared across the package, and the one gate on
-parameter values (_require), which raises DomainError naming the parameter,
-or RangeOverflowError for an exact value past the double range (_complex)."""
+"""Exception taxonomy shared across the package, and its gates, which raise
+DomainError naming the argument: _require on parameter values (or
+RangeOverflowError for an exact value past the double range, _complex),
+_require_int on degrees, sizes, orders and selectors, _require_tuple on items."""
 
 import cmath
 
@@ -78,3 +79,18 @@ def _require(rule: str, **named) -> list:
                               else f"{must}; {value!r} is not finite")
         values.append(v)
     return values
+
+
+def _require_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """value if it is an int (not an equal float, 2.0 == 2) in lo..hi, >= lo for hi None."""
+    if isinstance(value, int) and lo <= value and (hi is None or value <= hi):
+        return value
+    bounds = f">= {lo}" if hi is None else f"{lo}..{hi}"
+    raise DomainError(f"{name} must be an int in {bounds}, got {value!r}")
+
+
+def _require_tuple(name: str, item, size: int) -> tuple:
+    """item as a tuple when it is a tuple or list of size values, else DomainError naming it."""
+    if isinstance(item, (tuple, list)) and len(item) == size:
+        return tuple(item)
+    raise DomainError(f"{name} must be a {size}-tuple, got {item!r}")

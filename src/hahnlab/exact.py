@@ -30,7 +30,7 @@ from math import gcd, lcm
 from operator import add, mul, sub
 from sys import hash_info
 
-from .errors import DomainError, ExactInputError
+from .errors import ExactInputError, _require_int
 
 
 def _as_fraction(value) -> Fraction:
@@ -380,8 +380,6 @@ class ExactPoly:
         self._store(*_vectors(coeffs), None)
 
     def _store(self, re, im, den: int, order: int | None):
-        if order is not None and not (isinstance(order, int) and order >= 0):
-            raise DomainError("series order must be nonnegative")
         re, im, den = _canonical(re, im, den, None if order is None else order + 1)
         setattr_ = object.__setattr__
         setattr_(self, "_re", re)
@@ -522,9 +520,9 @@ class ExactPoly:
 
     def shift_up(self, k: int = 1) -> "ExactPoly":
         """Multiply by x**k."""
+        zeros = (0,) * _require_int("k", k, 0)
         if self.is_zero():
             return self
-        zeros = (0,) * k
         return _poly(type(self), zeros + self._re, zeros + self._im if self._im else (),
                      self._den, self._order)
 

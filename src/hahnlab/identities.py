@@ -10,9 +10,10 @@ are compared as exact polynomials.
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import DomainError, _require_int
 from .exact import GR_HALF, GR_I, GR_ONE, ExactPoly, gr
-from .polynomials import HahnParams, JacobiParams, chahn_coeffs_exact, jacobi_coeffs_exact
+from .polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams, chahn_coeffs_exact,
+                          jacobi_coeffs_exact)
 from .reports import VerificationReport, exact_report, residual_report
 from .series import FormalSeries, _hadamard, hypergeometric_series, one_minus_t_power
 
@@ -51,8 +52,7 @@ def genfun_jacobi_check(which: int, gamma, delta, x, order: int) -> Verification
     which=2: 0F1(; gamma+1; (x-1)t/2) 0F1(; delta+1; (x+1)t/2)
              = sum P_n(x) t^n / ((gamma+1)_n (delta+1)_n)
     """
-    if which not in (1, 2):
-        raise DomainError("which must be 1 or 2")
+    _require_int("which", which, 1, 2)
     g, d, xv = gr(gamma), gr(delta), gr(x)
     name = f"genfun-jacobi-{which}[gamma={g}, delta={d}, x={xv}, order={order}]"
     t = FormalSeries.identity(order)  # refuses an order that is not an int first
@@ -83,8 +83,7 @@ def genfun_chahn_check(which: int, alpha, beta, gamma, delta, z,
     which=2: sum (t/i)^n p_n(z) / ((gamma+alpha)_n (delta+beta)_n (alpha+beta)_n)
              = double series in (alpha+iz)_p (beta-iz)_k, truncated at p+k <= order
     """
-    if which not in (1, 2):
-        raise DomainError("which must be 1 or 2")
+    _require_int("which", which, 1, 2)
     al, be, ga, de = gr(alpha), gr(beta), gr(gamma), gr(delta)
     zv = gr(z)
     name = f"genfun-chahn-{which}[alpha={al}, beta={be}, gamma={ga}, delta={de}, z={zv}, order={order}]"
@@ -129,17 +128,15 @@ def contiguous_check(which: int, n: int, alpha, beta, gamma, delta) -> Verificat
         = (alpha+beta+n)(n+gamma+alpha) p_n(z; alpha,delta,gamma,beta)
         + i (n+1) p_{n+1}(z; alpha,delta,gamma,beta)
     """
-    if which not in (1, 2):
-        raise DomainError("which must be 1 or 2")
+    _require_int("which", which, 1, 2)
     al, be, ga, de = gr(alpha), gr(beta), gr(gamma), gr(delta)
     name = f"contiguous-{which}[n={n}, alpha={al}, beta={be}, gamma={ga}, delta={de}]"
     s_total = al + be + ga + de
+    _require_int("n", n, 2 - which, EXACT_DEGREE_CAP + 1 - which)  # builds p_{n-1} or p_{n+1}
     alpha_plus_iz = ExactPoly([al, GR_I])
     beta_minus_iz = ExactPoly([be, -GR_I])
 
     if which == 1:
-        if n < 1:
-            raise DomainError("which=1 needs n >= 1")
         p_n = chahn_coeffs_exact(n, HahnParams(al, de, ga, be))
         p_shift = chahn_coeffs_exact(n, HahnParams(al + 1, de, ga - 1, be))
         p_lower = chahn_coeffs_exact(n - 1, HahnParams(al + 1, de, ga, be + 1))

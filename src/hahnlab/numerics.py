@@ -27,7 +27,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import DomainError, PoleError, RangeOverflowError, _complex, _require
+from .errors import DomainError, PoleError, RangeOverflowError, _complex, _require, _require_int
 
 _LANCZOS_G = 607.0 / 128.0
 _LOG_SQRT_2PI = 0.91893853320467274178032973640562
@@ -131,8 +131,7 @@ def gamma(z: complex) -> complex:
 
 def pochhammer(a: complex, k: int) -> complex:
     """Rising factorial a (a+1) ... (a+k-1); the empty product is 1."""
-    if not (isinstance(k, int) and k >= 0):
-        raise DomainError("pochhammer order must be nonnegative")
+    _require_int("k", k, 0)
     result = complex(1.0)
     [a] = _require("finite", a=a)
     for j in range(k):
@@ -143,8 +142,8 @@ def pochhammer(a: complex, k: int) -> complex:
 
 
 def beta(alpha: complex, beta_: complex) -> complex:
-    """Gamma(alpha) Gamma(beta) / Gamma(alpha + beta), Re parts > 0."""
-    alpha, beta_ = _require("Re > 0", alpha=alpha, beta=beta_)
+    """Gamma(alpha) Gamma(beta) / Gamma(alpha + beta), Re parts > 0 as doubles."""
+    alpha, beta_ = _require("Re > 0 as a double", alpha=alpha, beta=beta_)
     w = log_gamma_complex(alpha) + log_gamma_complex(beta_) \
         - log_gamma_complex(alpha + beta_)
     return _exp_checked(w, "beta")
@@ -162,10 +161,10 @@ def gamma_product(factors, inverse_factors=()) -> complex:
 
 def _hahn_weight_log_of(alpha: complex, beta_: complex, a: complex, b: complex):
     """z -> hahn_weight_log(z, alpha, beta_, a, b), the tuple's memo: the
-    parameters are checked on every call, before the memo is looked up, so a
-    DomainError is never stored and a NaN (never equal to itself) never
-    becomes a key."""
-    return _weight_memo(*_require("Re > 0", alpha=alpha, beta=beta_, a=a, b=b))
+    parameters are checked on every call, as the doubles the memo computes
+    with, before the memo is looked up, so a DomainError is never stored and
+    a NaN (never equal to itself) never becomes a key."""
+    return _weight_memo(*_require("Re > 0 as a double", alpha=alpha, beta=beta_, a=a, b=b))
 
 
 _WEIGHT_TUPLES = 8  # `gram` keeps 4 tuples live, `verify --suite all` 6

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import DomainError, HahnlabError, StructureError, _require
+from .errors import HahnlabError, StructureError, _require, _require_int
 from .exact import GR_HALF, GR_I, I_POWERS, ExactPoly, GaussianRational, _poly, gr
-from .orthogonality import _gram_recurrence
-from .polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
-                          jacobi_coeffs_exact, _pochhammer, _term_vectors)
+from .polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams, _chahn_recurrence,
+                          _pochhammer, _term_vectors, chahn_coeffs_exact, jacobi_coeffs_exact)
 from .reports import VerificationReport, residual_report
 
 SIGN_NOTE = ("log-derivative factor used as (beta-alpha)-(alpha+beta)t; "
@@ -55,8 +54,7 @@ def d_dx(f: WeightedTanhFunction) -> WeightedTanhFunction:
 
 def shifted_operator_identity_check(alpha, beta, r: int) -> VerificationReport:
     """(alpha + d/dx / 2)_r w = 2^-r (1-t)^r (alpha+beta)_r w, exactly in Q(i)."""
-    if not (isinstance(r, int) and 0 <= r <= 32):
-        raise DomainError("shift order r must be in 0..32")
+    _require_int("r", r, 0, 32)
     alpha, beta = gr(alpha), gr(beta)
     name = f"shifted-operator[alpha={alpha}, beta={beta}, r={r}]"
     f = weight_function(alpha, beta)
@@ -116,10 +114,9 @@ def derive_recurrence(n: int, params: HahnParams):
 
     The expansion of x p_n in the p-basis is computed exactly; any nonzero
     basis coefficient below index n-1 falsifies the three-term structure
-    and raises StructureError.
+    and raises StructureError.  It builds p_{n+1}, so n is in 1..EXACT_DEGREE_CAP - 1.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError("recurrence derivation needs n >= 1")
+    _require_int("n", n, 1, EXACT_DEGREE_CAP - 1)
     basis = [chahn_coeffs_exact(k, params) for k in range(n + 2)]
     residual = basis[n].shift_up(1)
     coeffs = [gr(0)] * (n + 2)
@@ -139,14 +136,13 @@ def derive_recurrence(n: int, params: HahnParams):
 
 def recurrence_check(label: str, params: HahnParams, n: int) -> VerificationReport:
     """(A_n, B_n, C_n) of derive_recurrence against the Gram's closed-form
-    recurrence (orthogonality._gram_recurrence on the same polynomials), and
+    recurrence (polynomials._chahn_recurrence on the same polynomials), and
     A_n against the leading-coefficient ratio lc(p_n) / lc(p_{n+1}), all
     exactly; a failed derivation is a failed check."""
     name = f"recurrence[{label}, n={n}]"
     try:
         derived = derive_recurrence(n, params)
-        closed = _gram_recurrence(n + 2, *map(gr, (params.a, params.d, params.c,
-                                                   params.b)))[n]
+        closed = _chahn_recurrence(n + 2, *map(gr, params))[n]
         lc_ratio = chahn_coeffs_exact(n, params).leading_coefficient \
             / chahn_coeffs_exact(n + 1, params).leading_coefficient
     except HahnlabError as exc:

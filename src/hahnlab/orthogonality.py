@@ -22,11 +22,10 @@ from collections import namedtuple
 from itertools import repeat
 from operator import add, mul, sub, truediv
 
-from .errors import DomainError, RangeOverflowError, _require
-from .exact import GR_I, GaussianRational
+from .errors import RangeOverflowError, _require, _require_int, _require_tuple
 from .numerics import _weight_memo, gamma_product, pochhammer
-from .polynomials import (JacobiParams, _to_complex, horner_level,
-                          jacobi_coeffs_complex, pasternack_coeffs_complex,
+from .polynomials import (EXACT_DEGREE_CAP, JacobiParams, _chahn_recurrence, _to_complex,
+                          horner_level, jacobi_coeffs_complex, pasternack_coeffs_complex,
                           pasternack_hahn_params)
 from .quadrature import _ABS_TOL, _EPS, _REL_TOL, IntegralResult, _line_integral, integrate_line
 from .reports import QuadDiagnostics, VerificationReport, integral_report
@@ -118,38 +117,7 @@ def chahn_norm_rhs(n: int, alpha, beta, a, b) -> complex:
     Gamma(n+beta+b) / (n! (2n+alpha+beta+a+b-1) Gamma(n+alpha+beta+a+b-1)),
     as h_0 and n exact ratios (_chahn_norms, which gives its accuracy)."""
     gated = _require("Re > 0 as a double", alpha=alpha, beta=beta, a=a, b=b)
-    return _chahn_norms(n + 1, *gated)[-1]
-
-
-def _gram_recurrence(N: int, alpha, beta, a, b) -> list:
-    """(A_n, B_n, C_n) for n < N - 1, with x p_n = A_n p_{n+1} + B_n p_n + C_n p_{n-1}
-    (derive_recurrence's convention), of the Gram's p_n(x; alpha, b, a, beta),
-    in the parameters' own scalars: complex floats for the Gram, exact
-    GaussianRationals for recurrence_check, which compares the two sides
-    exactly.  In the letters (a, b, c, d) = (alpha, b, a, beta) of
-    Koekoek, Lesky and Swarttouw (2010) (9.4.3), with s = a+b+c+d and the 3F2
-    p~_n = p_n / (i^n (a+c)_n (a+d)_n / n!),
-
-        (a + ix) p~_n = K_n p~_{n+1} - (K_n + L_n) p~_n + L_n p~_{n-1},
-        K_n = -(n+s-1)(n+a+c)(n+a+d) / ((2n+s-1)(2n+s)),
-        L_n = n (n+b+c-1)(n+b+d-1) / ((2n+s-2)(2n+s-1)),
-
-    so that A_n = (n+1)(n+s-1) / ((2n+s-1)(2n+s)), B_n = i (a + K_n + L_n)
-    and C_n = L_n (n+a+c-1)(n+a+d-1) / n."""
-    ka, kb, kc, kd = alpha, b, a, beta  # (a, b, c, d) of the docstring
-    s = ka + kb + kc + kd
-    i = GR_I if isinstance(s, GaussianRational) else 1j
-    out = []
-    for n in range(N - 1):
-        # K_n = -(n+a+c)(n+a+d) k; (n+s-1)/(2n+s-1) is 1 at n = 0, so s = 1
-        # (a removable 0/0 there) works, as in _chahn_norms
-        k = ((n + s - 1) / (2 * n + s - 1) if n else 1) / (2 * n + s)
-        # L_n = n m
-        m = (n + kb + kc - 1) * (n + kb + kd - 1) / ((2 * n + s - 2) * (2 * n + s - 1)) \
-            if n else 0
-        out.append(((n + 1) * k, i * (ka + n * m - (n + ka + kc) * (n + ka + kd) * k),
-                    m * (n + ka + kc - 1) * (n + ka + kd - 1)))
-    return out
+    return _chahn_norms(_require_int("n", n, 0) + 1, *gated)[-1]
 
 
 def _gram_columns(recurrence: list, zs: list) -> list:
@@ -216,12 +184,11 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     floats, so a float and the Fraction it stores give the same Gram; Re > 0
     keeps (alpha+a)_n, (alpha+beta)_n and every A_n away from zero.
     """
-    if not (isinstance(N, int) and 1 <= N <= GRAM_SIZE_CAP):
-        raise DomainError(f"Gram size must be in 1..{GRAM_SIZE_CAP}")
+    _require_int("N", N, 1, GRAM_SIZE_CAP)
     al, be, av, bv = _require("Re > 0 as a double", alpha=alpha, beta=beta, a=a, b=b)
     log_weight = _weight_memo(al, be, av, bv)
     expected = _chahn_norms(N, al, be, av, bv)
-    recurrence = _gram_recurrence(N, al, be, av, bv)
+    recurrence = _chahn_recurrence(N, al, bv, av, be)  # p_n(x; alpha, b, a, beta)
     # entries (n, m), m >= n, in row order; parity zeros are left out
     stride = 2 if al == be == av == bv else 1
     real = not (al.imag or be.imag or av.imag or bv.imag)
@@ -262,12 +229,9 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     floors = [max(abs(h), 1.0) for h in expected]
 
     def envelope(z: float) -> float:
-        g = log_weight(z).real
-        if not real:  # then |w(-z)| != |w(z)|; bound both tails
-            g = max(g, log_weight(-z).real)
         peak = max(abs(m) ** 2 / floor
                    for m, floor in zip(_gram_magnitudes(magnitudes, abs(z)), floors))
-        return math.exp(g) * peak / two_pi
+        return math.exp(log_weight(z).real) * peak / two_pi
 
     # real parameters: entry (n, m) at -z is (-1)^(n+m) conj of that at z
     res = integrate_line(side, envelope, min(al.real, be.real, av.real, bv.real), tolerances,
@@ -345,11 +309,12 @@ def pi_m_over_sin_pi_m(m) -> complex:
     return u / cmath.sin(u)
 
 
-def _require_degrees(pairs: list, cap: int):
-    """DomainError naming the first pair of pairs that is not two ints in 0..cap."""
-    for pair in pairs:
-        if not all(isinstance(n, int) and 0 <= n <= cap for n in pair):
-            raise DomainError(f"degree pair {pair!r} is not two ints in 0..{cap}")
+def _degree_pairs(pairs: list, second: str, cap: int) -> list:
+    """pairs as (n, <second>) tuples of degrees in 0..cap: the DomainError of
+    the first item that is not a pair, or of a degree out of range, names it."""
+    return [(_require_int(f"n of {pair!r}", n, 0, cap),
+             _require_int(f"{second} of {pair!r}", p, 0, cap))
+            for pair in pairs for n, p in [_require_tuple("degree pair", pair, 2)]]
 
 
 def _measured_report(name: str, res: IntegralResult, expected: complex, tol: float,
@@ -399,7 +364,7 @@ def bateman_ortho_checks(pairs: list, tol: float = 1e-8,
                          tol_abs: float = 1e-10) -> list[VerificationReport]:
     """bateman_ortho_check(n, m) for each (n, m) of pairs, in order, from
     one trapezoid pass on the weight."""
-    _require_degrees(pairs, 12)
+    pairs = _degree_pairs(pairs, "m", 12)
     return [_measured_report(
         f"bateman-ortho[n={n}, m={m}]", res,
         complex(4.0 * (-1.0) ** n / (math.pi * (2 * n + 1))) if n == m else 0j, tol, tol_abs)
@@ -418,7 +383,7 @@ def pasternack_ortho_checks(m, pairs: list, tol: float = 1e-8,
                             tol_abs: float = 1e-10) -> list[VerificationReport]:
     """pasternack_ortho_check(n, p, m) for each (n, p) of pairs, in order,
     from one trapezoid pass on the weight of m."""
-    _require_degrees(pairs, 10)
+    pairs = _degree_pairs(pairs, "p", 10)
     [mc] = _require("real in (-1, 1) or imaginary", m=m)
     reports = []
     for (n, p), res in zip(pairs, _sech_integral(pairs, m, m, 1.0)):
@@ -456,7 +421,7 @@ def pasternack_biortho_checks(m, pairs: list, tol: float = 1e-8,
                               tol_abs: float = 1e-10) -> list[VerificationReport]:
     """pasternack_biortho_check(n, p, m) for each (n, p) of pairs, in order,
     from one trapezoid pass on the weight of m."""
-    _require_degrees(pairs, 10)
+    pairs = _degree_pairs(pairs, "p", 10)
     [mc] = _require("real in (-1, 1)", m=m)
     return [_measured_report(
         f"pasternack-biortho[n={n}, p={p}, m={m}]", res,
@@ -476,6 +441,7 @@ def jacobi_ortho_checks(alpha, beta, pairs: list, tol: float = 1e-9,
                         tol_abs: float = 1e-11) -> list[VerificationReport]:
     """jacobi_ortho_check(n, m, alpha, beta) for each (n, m) of pairs, in
     order, from one trapezoid pass on the weight (alpha, beta)."""
+    pairs = _degree_pairs(pairs, "m", EXACT_DEGREE_CAP)
     al, be = _require("Re > -1", alpha=alpha, beta=beta)
     params = JacobiParams(alpha, beta)
     results = _tanh_product_integral(

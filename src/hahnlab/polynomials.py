@@ -19,9 +19,9 @@ objects keep their exactness verdict, and *_coeffs_exact, like every exact
 API, still rejects float inputs rather than silently coercing them.  A
 value at a point is one Horner pass over the exact coefficients rounded
 once to complex; a non-finite x raises DomainError, an overflow to a value
-that is not finite RangeOverflowError.  A degree that is not an int, or
-is above EXACT_DEGREE_CAP, raises DomainError, for float parameters as for
-exact ones.
+that is not finite RangeOverflowError.  A degree n that is not an int in
+0..EXACT_DEGREE_CAP raises the DomainError of the integer gate
+(errors._require_int), for float parameters as for exact ones.
 
 Everything that does not depend on x is built once per process: the memo
 _built holds one entry per (family, n, parameters), the ExactPoly plus,
@@ -57,9 +57,9 @@ from math import factorial, gcd, lcm
 from operator import add, mul
 
 from .errors import (DomainError, ExactInputError, PoleError, RangeOverflowError, _complex,
-                     _require)
-from .exact import (GR_HALF, I_POWERS, ExactPoly, GaussianRational, _multiply, _poly, _rational,
-                    _vectors, gr)
+                     _require, _require_int)
+from .exact import (GR_HALF, GR_I, I_POWERS, ExactPoly, GaussianRational, _multiply, _poly,
+                    _rational, _vectors, gr)
 from .reports import VerificationReport, residual_report
 
 # coefficient growth is unbounded; cap keeps exact runs tractable
@@ -184,6 +184,34 @@ def _chahn_sum(n: int, params: HahnParams) -> _Sum:
                 lower, a, 1, I_POWERS[1])
 
 
+def _chahn_recurrence(N: int, a, b, c, d) -> list:
+    """(A_n, B_n, C_n) for n < N - 1, with x p_n = A_n p_{n+1} + B_n p_n + C_n p_{n-1},
+    of p_n(x; a, b, c, d), in the parameters' own scalars: complex floats for
+    the Gram, exact GaussianRationals for recurrence_check, which compares it
+    with derive_recurrence exactly.  By Koekoek, Lesky and Swarttouw (2010)
+    (9.4.3), with s = a+b+c+d and the 3F2 p~_n = p_n / (i^n (a+c)_n (a+d)_n / n!),
+
+        (a + ix) p~_n = K_n p~_{n+1} - (K_n + L_n) p~_n + L_n p~_{n-1},
+        K_n = -(n+s-1)(n+a+c)(n+a+d) / ((2n+s-1)(2n+s)),
+        L_n = n (n+b+c-1)(n+b+d-1) / ((2n+s-2)(2n+s-1)),
+
+    so that A_n = (n+1)(n+s-1) / ((2n+s-1)(2n+s)), B_n = i (a + K_n + L_n)
+    and C_n = L_n (n+a+c-1)(n+a+d-1) / n."""
+    s = a + b + c + d
+    i = GR_I if isinstance(s, GaussianRational) else 1j
+    out = []
+    for n in range(N - 1):
+        # K_n = -(n+a+c)(n+a+d) k; (n+s-1)/(2n+s-1) is 1 at n = 0, so s = 1
+        # (a removable 0/0 there) works, as in orthogonality._chahn_norms
+        k = ((n + s - 1) / (2 * n + s - 1) if n else 1) / (2 * n + s)
+        # L_n = n m
+        m = (n + b + c - 1) * (n + b + d - 1) / ((2 * n + s - 2) * (2 * n + s - 1)) \
+            if n else 0
+        out.append(((n + 1) * k, i * (a + n * m - (n + a + c) * (n + a + d) * k),
+                    m * (n + a + c - 1) * (n + a + d - 1)))
+    return out
+
+
 def _pasternack_sum(n: int, m) -> _Sum:
     # 3F2(-n, n+1, (1+m+x)/2; 1, m+1; 1)
     m1 = gr(_stored(m)) + 1
@@ -275,12 +303,8 @@ class _Built:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _built(family, n: int, params) -> _Built:
-    """p_n of `family` at the exact value of every parameter.  Errors
-    propagate and are not stored."""
-    if n < 0:
-        raise DomainError("polynomial degree must be nonnegative")
-    if n > EXACT_DEGREE_CAP:
-        raise DomainError(f"exact construction is capped at degree {EXACT_DEGREE_CAP}")
+    """p_n of `family` at the exact value of every parameter, for a gated n
+    (_lookup).  Errors propagate and are not stored."""
     poly = _exact_poly(family(n, params))
     if poly.degree != n:
         raise PoleError(f"degenerate parameters: degree {poly.degree} != {n}")
@@ -288,12 +312,8 @@ def _built(family, n: int, params) -> _Built:
 
 
 def _lookup(family, n: int, params) -> _Built:
-    """_built(family, n, params) for an int degree n.  Another degree raises
-    DomainError here, before the memo, where an equal float (2.0 == 2) would
-    find the int's entry."""
-    if not isinstance(n, int):
-        raise DomainError(f"polynomial degree must be an int, got {n!r}")
-    return _built(family, n, params)
+    """_built(family, n, params) for n gated before the memo."""
+    return _built(family, _require_int("n", n, 0, EXACT_DEGREE_CAP), params)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +337,8 @@ def _evaluator(family, name: str, doc: str):
                 x = _complex("x", x)  # raises the HahnlabError naming x
         last_n, last_params, value, tail = record
         if last_params is not params or last_n is not n:
-            if not isinstance(n, int):  # _lookup's check, inline: no frame on a miss
-                raise DomainError(f"polynomial degree must be an int, got {n!r}")
+            if not (isinstance(n, int) and 0 <= n <= EXACT_DEGREE_CAP):
+                _require_int("n", n, 0, EXACT_DEGREE_CAP)  # raises: _lookup's gate, no frame
             built = _built(family, n, params)
             rounded = built.rounded or built.round()
             value, tail = rounded[0], rounded[1:]

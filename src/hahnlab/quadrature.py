@@ -107,10 +107,11 @@ def integrate_line(f: Callable[[list], list], envelope: Callable[[float], float]
     the sum over them of each component F_k.  The rule sums the even part
     F(z) + F(-z): signs[k] = s (+1 or -1) promises F_k(-z) = s conj F_k(z),
     so a level's sum v folds to v + s conj v from one call; with None, f is
-    called on -zs as well.  The cut-off Z is truncation_radius(envelope),
-    envelope a bound on every |F_k|, and the first step min(1/2, strip),
-    strip the half-width of the strip where every F_k is analytic (or
-    less, for an oscillatory one).  The first level is the centre node 0.0,
+    called on -zs as well.  envelope(z) bounds every |F_k(z)|; the cut-off Z
+    is truncation_radius of it, with None of max(envelope(z), envelope(-z)),
+    which bounds both tails.  The first step is min(1/2, strip), strip the
+    half-width of the strip where every F_k is analytic (or less, for an
+    oscillatory one).  The first level is the centre node 0.0,
     which weighs half; nodes counts both sides, for the budget.  Each
     halving of the step evaluates only the new odd nodes, until every
     component's estimate is within tolerances(values): its change d
@@ -124,7 +125,8 @@ def integrate_line(f: Callable[[list], list], envelope: Callable[[float], float]
     """
     if not strip > 0.0:
         raise DomainError(f"trapezoid strip must be positive, got {strip!r}")
-    radius = truncation_radius(envelope)
+    radius = truncation_radius(envelope if signs is not None
+                               else lambda z: max(envelope(z), envelope(-z)))
     h = first_step = min(0.5, strip)
 
     def even_part(zs: list) -> list:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from itertools import repeat
 
-from .errors import DomainError
+from .errors import DomainError, _require_int
 from .exact import ExactPoly, _multiply, _poly, _scaled_sum, _vectors, gr
 from .polynomials import _term_vectors
 
@@ -25,7 +25,7 @@ class FormalSeries(ExactPoly):
 
     def __init__(self, coeffs: Iterable, order: int | None = None):
         re, im, den = _vectors(coeffs)
-        self._store(re, im, den, len(re) - 1 if order is None else order)
+        self._store(re, im, den, len(re) - 1 if order is None else _require_int("order", order, 0))
 
     @property
     def order(self) -> int:
@@ -33,12 +33,12 @@ class FormalSeries(ExactPoly):
 
     @classmethod
     def constant(cls, value, order: int) -> "FormalSeries":
-        return cls([value], order)
+        return cls([value], _require_int("order", order, 0))
 
     @classmethod
     def identity(cls, order: int) -> "FormalSeries":
         """The series t."""
-        return cls([0, 1], order)
+        return cls([0, 1], _require_int("order", order, 0))
 
     def valuation(self) -> int:
         """The index of the first nonzero coefficient; order + 1 for zero."""
@@ -73,9 +73,8 @@ class FormalSeries(ExactPoly):
         return _poly(FormalSeries, acc_re, acc_im, self._den * power // inner._den, n)
 
     def truncate(self, order: int) -> "FormalSeries":
-        if order > self._order:
-            raise DomainError("truncate cannot extend the order")
-        return _poly(FormalSeries, self._re, self._im, self._den, order)
+        return _poly(FormalSeries, self._re, self._im, self._den,
+                     _require_int("order", order, 0, self._order))
 
     def __str__(self):
         terms = [f"({c})t^{k}" for k, c in enumerate(self.coeffs) if c]
@@ -101,4 +100,5 @@ def one_minus_t_power(exponent, order: int) -> FormalSeries:
 def hypergeometric_series(numerators: Sequence, denominators: Sequence,
                           order: int) -> FormalSeries:
     """sum_k (prod (n_i)_k / prod (d_j)_k) u^k / k! as a series in u."""
+    order = _require_int("order", order, 0)
     return _poly(FormalSeries, *_term_vectors(numerators, denominators, order), order)

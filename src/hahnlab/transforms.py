@@ -18,7 +18,7 @@ import cmath
 import math
 from operator import mul
 
-from .errors import _require
+from .errors import _require, _require_tuple
 from .numerics import _weight_memo, gamma_product, log_gamma_complex
 from .polynomials import (HahnParams, JacobiParams, _stored, _to_complex, chahn_eval,
                           chahn_coeffs_complex, horner_level, jacobi_coeffs_complex)
@@ -68,9 +68,8 @@ def _tanh_product_integral(entries: list, wa: complex, wb: complex) -> list[Inte
         return [list(map(mul, map(mul, w[z], p[pn]), p[pm])) for pn, pm, z in keys]
 
     def env(x: float) -> float:
-        l1, l2 = tanh_weight_logs(abs(x))
-        return bound * max(math.exp(wa.real * l1 + wb.real * l2),
-                           math.exp(wa.real * l2 + wb.real * l1))
+        l1, l2 = tanh_weight_logs(x)
+        return bound * math.exp(wa.real * l1 + wb.real * l2)
 
     return _line_integral(f, env, math.pi / max(2.0, *map(abs, freqs)))
 
@@ -107,6 +106,7 @@ def fourier_pair_checks(alpha, beta, cases: list, tol: float = 1e-8,
     from one trapezoid pass on the weight (alpha, beta).  They compute with
     z as the gate's complex value; report names print z as passed."""
     _require("Re > 0 as a double", alpha=alpha, beta=beta)
+    cases = [_require_tuple("case", case, 4) for case in cases]
     zs = [_require("finite", gamma=gamma, delta=delta, z=z)[2] for _, gamma, delta, z in cases]
     computed = [(n, gamma, delta, zc) for (n, gamma, delta, _), zc in zip(cases, zs)]
     reports = []
@@ -139,6 +139,7 @@ def mellin_pair_checks(alpha, beta, cases: list, tol: float = 1e-8,
     from one trapezoid pass on the weight (alpha, beta).  They compute with
     lambda as the gate's complex value; report names print it as passed."""
     al, be = _require("Re > 0 as a double", alpha=alpha, beta=beta)
+    cases = [_require_tuple("case", case, 4) for case in cases]
     lams = [_require("finite", gamma=gamma, delta=delta, **{"lambda": lam})[2]
             for _, gamma, delta, lam in cases]
     scale = cmath.exp((1 - al - be) * _LOG_2)
@@ -194,7 +195,7 @@ def _parseval_right(n: int, m: int, alpha, beta, a, b, gamma, delta, c,
     w(z/2) is analytic in |Im z| < 2 min Re(al, be, av, bv).  For real
     parameters w(-z) = conj w(z) and p_n(-x) = (-1)^n conj p_n(x), so the
     integrand at -z is (-1)^(n+m) times the conjugate of the one at z;
-    otherwise |w(-z/2)| != |w(z/2)|, and the envelope bounds both tails."""
+    otherwise |w(-z/2)| != |w(z/2)|, and integrate_line bounds both tails."""
     cn = chahn_coeffs_complex(n, _hahn_of_jacobi(alpha, beta, gamma, delta))
     cm = chahn_coeffs_complex(m, _hahn_of_jacobi(*(v.conjugate() for v in (a, b, c, d))))
     values = list(map(_to_complex, (alpha, beta, a, b, gamma, delta, c, d)))
@@ -213,13 +214,10 @@ def _parseval_right(n: int, m: int, alpha, beta, a, b, gamma, delta, c,
                          [u.conjugate() for u in horner_level(cm, halves)]))]
 
     def env(z: float) -> float:
-        g = gamma_sum_log(z).real
-        if not real:
-            g = max(g, gamma_sum_log(-z).real)
         r = 0.5 * abs(z)
         pb = sum(abs(u) * r ** k for k, u in enumerate(cn)) \
             * sum(abs(u) * r ** k for k, u in enumerate(cm))
-        return math.exp(g) * pb
+        return math.exp(gamma_sum_log(z).real) * pb
 
     [res] = _line_integral(f, env, 2.0 * min(al.real, be.real, av.real, bv.real),
                            [(-1) ** (n + m)] if real else None)

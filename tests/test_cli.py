@@ -99,7 +99,7 @@ def test_eval_above_exact_cap_exit_2(argv, capsys):
     code, out, err = run_cli(["eval", *argv], capsys)
     assert code == 2
     assert out == ""
-    assert "capped at degree" in err
+    assert err == f"error: n must be an int in 0..64, got {argv[2]}\n"
 
 
 def test_verify_suite_writes_report_and_manifest(tmp_path, capsys):
@@ -361,3 +361,16 @@ def test_each_import_loads_only_what_it_uses():
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_operator_calculus_loads_no_quadrature_module():
+    """The recurrence check takes the closed-form recurrence from
+    polynomials, so hahnlab.operator_calculus, in a fresh interpreter, loads
+    none of the modules of the float and quadrature side."""
+    code = ("import sys, hahnlab.operator_calculus\n"
+            "print(' '.join(m for m in ('orthogonality', 'transforms', 'quadrature', 'numerics')\n"
+            "               if 'hahnlab.' + m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -9,7 +9,9 @@ each parameter of a quadrature check, NaN, +-inf and a point just outside
 must raise a DomainError whose message starts with that parameter's name.
 The exact checks read their parameters with gr: a float, NaN and inf among
 them, raises ExactInputError, and a point just outside a rule raises
-DomainError naming the parameter.
+DomainError naming the parameter.  Every integer argument of the public
+API (_INT_ARGUMENTS) is swept with floats, text, None and the ints just
+outside its range, which the integer gate (errors._require_int) refuses.
 """
 
 import math
@@ -21,7 +23,7 @@ import pytest
 
 from hahnlab.errors import (_RULES, DomainError, ExactInputError, HahnlabError, PoleError,
                             QuadratureError, RangeOverflowError)
-from hahnlab.exact import GaussianRational
+from hahnlab.exact import ExactPoly, GaussianRational
 from hahnlab.identities import (contiguous_check, genfun_chahn_check, genfun_jacobi_check,
                                 jacobi_classical_check)
 from hahnlab.operator_calculus import (derive_recurrence, hahn_operator_identity_check,
@@ -29,13 +31,20 @@ from hahnlab.operator_calculus import (derive_recurrence, hahn_operator_identity
 from hahnlab.numerics import log_gamma_complex, pochhammer
 from hahnlab.orthogonality import (barnes_check, bateman_ortho_check, bateman_ortho_checks,
                                    chahn_gram, chahn_norm_rhs, gram_check, jacobi_ortho_check,
-                                   pasternack_biortho_check, pasternack_biortho_checks,
-                                   pasternack_ortho_check, pasternack_ortho_checks)
-from hahnlab.polynomials import (HahnParams, JacobiParams, chahn_eval, jacobi_eval,
-                                 pasternack_hahn_params, pasternack_reflection_check)
+                                   jacobi_ortho_checks, pasternack_biortho_check,
+                                   pasternack_biortho_checks, pasternack_ortho_check,
+                                   pasternack_ortho_checks)
+from hahnlab.polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams,
+                                 chahn_coeffs_complex, chahn_coeffs_exact, chahn_eval,
+                                 jacobi_coeffs_complex, jacobi_coeffs_exact, jacobi_eval,
+                                 pasternack_coeffs_complex, pasternack_coeffs_exact,
+                                 pasternack_eval, pasternack_hahn_params,
+                                 pasternack_reflection_check)
+from hahnlab import quadrature
 from hahnlab.reports import VerificationReport
-from hahnlab.series import FormalSeries
-from hahnlab.transforms import fourier_pair_check, mellin_pair_check, parseval_check
+from hahnlab.series import FormalSeries, hypergeometric_series, one_minus_t_power
+from hahnlab.transforms import (fourier_pair_check, fourier_pair_checks, mellin_pair_check,
+                                mellin_pair_checks, parseval_check)
 
 F = Fraction
 FIN, POS, GT_M1 = "finite", "Re > 0", "Re > -1"
@@ -249,19 +258,48 @@ def test_rows_cover_every_public_check():
     assert len({row.check for row in _EXACT}) == 8
 
 
-@pytest.mark.parametrize("pairs, cap", [([(-1, 0)], 12), ([(1.5, 0)], 12), ([(13, 0)], 12),
-                                        ([(2, 2), (0, 11)], 10), ([(2.0, 1)], 10)])
-def test_sech_degree_pairs_outside_the_cap_are_named(pairs, cap):
-    """A negative, non-integer or too large degree raises DomainError naming
-    the pair and the range, in each list form."""
+@pytest.mark.parametrize("pairs, cap, named", [
+    ([(-1, 0)], 12, "n of (-1, 0) must be an int in 0..12, got -1"),
+    ([(1.5, 0)], 12, "n of (1.5, 0) must be an int in 0..12, got 1.5"),
+    ([(13, 0)], 12, "n of (13, 0) must be an int in 0..12, got 13"),
+    ([(2, 2), (0, 11)], 10, "p of (0, 11) must be an int in 0..10, got 11"),
+    ([(2.0, 1)], 10, "n of (2.0, 1) must be an int in 0..10, got 2.0")],
+    ids=["pairs0-12", "pairs1-12", "pairs2-12", "pairs3-10", "pairs4-10"])
+def test_sech_degree_pairs_outside_the_cap_are_named(pairs, cap, named):
+    """A negative, non-integer or too large degree raises the integer gate's
+    DomainError naming the degree, its pair and the range, in each list
+    form; the first bad pair of the list is the one named."""
     forms = [lambda: bateman_ortho_checks(pairs)] if cap == 12 else \
         [lambda: pasternack_ortho_checks(F(1, 3), pairs),
          lambda: pasternack_biortho_checks(F(1, 3), pairs)]
-    bad = next(p for p in pairs if not all(isinstance(n, int) and 0 <= n <= cap for n in p))
     for form in forms:
-        message = rf"^degree pair {re.escape(repr(bad))} is not two ints in 0\.\.{cap}$"
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(DomainError, match=rf"^{re.escape(named)}$"):
             form()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bateman_ortho_checks([(1,)]), "degree pair must be a 2-tuple, got (1,)"),
+    (lambda: bateman_ortho_checks([(0, 0), 5]), "degree pair must be a 2-tuple, got 5"),
+    (lambda: pasternack_ortho_checks(F(1, 3), [(0, 0), (1, 2, 3)]),
+     "degree pair must be a 2-tuple, got (1, 2, 3)"),
+    (lambda: pasternack_biortho_checks(F(1, 3), ["ab"]),
+     "degree pair must be a 2-tuple, got 'ab'"),
+    (lambda: jacobi_ortho_checks(0.5, 0.5, [(1,)]), "degree pair must be a 2-tuple, got (1,)"),
+    (lambda: fourier_pair_checks(0.5, 0.5, [(1, 0, 0)]), "case must be a 4-tuple, got (1, 0, 0)"),
+    (lambda: mellin_pair_checks(0.5, 0.5, [(1, 0, 0, 0.5), 5]), "case must be a 4-tuple, got 5"),
+], ids=["bateman-short", "bateman-int", "pasternack-long", "biortho-text", "jacobi-short",
+        "fourier-short", "mellin-int"])
+def test_list_forms_refuse_an_item_of_the_wrong_shape(monkeypatch, call, message):
+    """An item of a list form that is not a pair (a 4-tuple for the
+    transforms) raises DomainError naming it, before any quadrature runs:
+    never ValueError or TypeError from unpacking it."""
+    def no_quadrature(envelope):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(quadrature, "truncation_radius", no_quadrature)
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("call, name", [
@@ -328,34 +366,98 @@ _H = F(1, 2)
 _HAHN_HALF = HahnParams(_H, _H, _H, _H)
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: chahn_gram(2.0, 1, 1, 1, 1), r"^Gram size must be in 1\.\.16$"),
-    (lambda: gram_check("x", 1, 1, 1, 1, 2.0), r"^Gram size must be in 1\.\.16$"),
-    (lambda: shifted_operator_identity_check(_H, _H, 2.0), r"^shift order r must be in 0\.\.32$"),
-    (lambda: shifted_operator_identity_check(_H, _H, "2"), r"^shift order r must be in 0\.\.32$"),
-    (lambda: pochhammer(0.5, 2.0), r"^pochhammer order must be nonnegative$"),
-    (lambda: genfun_jacobi_check(1, _H, _H, F(1, 3), 2.0),
-     r"^series order must be nonnegative$"),
-    (lambda: genfun_chahn_check(1, _H, _H, _H, _H, F(1, 3), 2.0),
-     r"^series order must be nonnegative$"),
-    (lambda: derive_recurrence(1.0, _HAHN_HALF), r"^recurrence derivation needs n >= 1$"),
-    (lambda: pasternack_reflection_check(1.0, F(1, 3)),
-     r"^polynomial degree must be an int, got 1\.0$"),
-    (lambda: FormalSeries([1, 2], 2.0), r"^series order must be nonnegative$"),
-    (lambda: FormalSeries.identity(2.0), r"^series order must be nonnegative$"),
-], ids=["gram-N", "gram-check-N", "shifted-r-float", "shifted-r-text", "pochhammer-k",
-        "genfun-jacobi-order", "genfun-chahn-order", "derive-recurrence-n", "reflection-n",
-        "series-order", "series-identity-order"])
-def test_integer_arguments_that_are_not_ints_raise_domain_error(call, message):
-    """An integer argument given as a float (2.0) or as text raises the
-    DomainError of the routine's own range check, never TypeError."""
-    with pytest.raises(DomainError, match=message):
-        call()
+_SERIES = FormalSeries([1, 2, 3], 2)
+_CAP = EXACT_DEGREE_CAP
+
+
+def _refused(report: VerificationReport):
+    """The DomainError a failed report stands for (recurrence_check reports a
+    refused input as a failed row)."""
+    assert report.status == "fail"
+    raise DomainError(report.details)
+
+
+# every integer argument of the public API: (id, name, lo, hi, call, valid),
+# call(v) passing v as the argument, hi None for no upper bound and valid the
+# values of the sweep the argument takes (an omitted order is the default)
+_INT_ARGUMENTS = [
+    ("jacobi-eval-n", "n", 0, _CAP, lambda v: jacobi_eval(v, JacobiParams(0.3, 0.7), 0.4)),
+    ("chahn-eval-n", "n", 0, _CAP, lambda v: chahn_eval(v, HahnParams(*[0.5] * 4), 0.4)),
+    ("pasternack-eval-n", "n", 0, _CAP, lambda v: pasternack_eval(v, 0.3, 0.4)),
+    ("jacobi-exact-n", "n", 0, _CAP, lambda v: jacobi_coeffs_exact(v, JacobiParams(_H, _H))),
+    ("chahn-exact-n", "n", 0, _CAP, lambda v: chahn_coeffs_exact(v, _HAHN_HALF)),
+    ("pasternack-exact-n", "n", 0, _CAP, lambda v: pasternack_coeffs_exact(v, F(1, 3))),
+    ("jacobi-complex-n", "n", 0, _CAP,
+     lambda v: jacobi_coeffs_complex(v, JacobiParams(0.3, 0.7))),
+    ("chahn-complex-n", "n", 0, _CAP, lambda v: chahn_coeffs_complex(v, HahnParams(*[0.5] * 4))),
+    ("pasternack-complex-n", "n", 0, _CAP, lambda v: pasternack_coeffs_complex(v, 0.3)),
+    ("gram-N", "N", 1, 16, lambda v: chahn_gram(v, 1, 1, 1, 1)),
+    ("gram-check-N", "N", 1, 16, lambda v: gram_check("x", 1, 1, 1, 1, v)),
+    ("norm-n", "n", 0, None, lambda v: chahn_norm_rhs(v, 1, 1, 1, 1)),
+    ("bateman-n", "n", 0, 12, lambda v: bateman_ortho_checks([(v, 0)])),
+    ("bateman-m", "m", 0, 12, lambda v: bateman_ortho_checks([(0, v)])),
+    ("pasternack-n", "n", 0, 10, lambda v: pasternack_ortho_checks(F(1, 3), [(v, 0)])),
+    ("pasternack-p", "p", 0, 10, lambda v: pasternack_ortho_checks(F(1, 3), [(0, v)])),
+    ("biortho-n", "n", 0, 10, lambda v: pasternack_biortho_checks(F(1, 3), [(v, 0)])),
+    ("biortho-p", "p", 0, 10, lambda v: pasternack_biortho_checks(F(1, 3), [(0, v)])),
+    ("jacobi-ortho-n", "n", 0, _CAP, lambda v: jacobi_ortho_checks(0.5, 0.5, [(v, 0)])),
+    ("jacobi-ortho-m", "m", 0, _CAP, lambda v: jacobi_ortho_checks(0.5, 0.5, [(0, v)])),
+    ("shifted-r", "r", 0, 32, lambda v: shifted_operator_identity_check(_H, _H, v)),
+    ("pochhammer-k", "k", 0, None, lambda v: pochhammer(0.5, v)),
+    ("poly-shift-k", "k", 0, None, lambda v: ExactPoly([1, 2]).shift_up(v)),
+    ("series-order", "order", 0, None, lambda v: FormalSeries([1, 2], v), (None,)),
+    ("series-identity-order", "order", 0, None, FormalSeries.identity),
+    ("series-constant-order", "order", 0, None, lambda v: FormalSeries.constant(1, v)),
+    ("series-truncate-order", "order", 0, 2, _SERIES.truncate),
+    ("hypergeometric-order", "order", 0, None, lambda v: hypergeometric_series([1], [2], v)),
+    ("one-minus-t-order", "order", 0, None, lambda v: one_minus_t_power(2, v)),
+    ("genfun-jacobi-order", "order", 0, None,
+     lambda v: genfun_jacobi_check(1, _H, _H, F(1, 3), v)),
+    ("genfun-chahn-order", "order", 0, None,
+     lambda v: genfun_chahn_check(1, _H, _H, _H, _H, F(1, 3), v)),
+    ("derive-recurrence-n", "n", 1, _CAP - 1, lambda v: derive_recurrence(v, _HAHN_HALF)),
+    ("recurrence-check-n", "n", 1, _CAP - 1,
+     lambda v: _refused(recurrence_check("x", _HAHN_HALF, v))),
+    ("reflection-n", "n", 0, _CAP, lambda v: pasternack_reflection_check(v, F(1, 3))),
+    ("genfun-jacobi-which", "which", 1, 2, lambda v: genfun_jacobi_check(v, _H, _H, F(1, 3), 2)),
+    ("genfun-chahn-which", "which", 1, 2,
+     lambda v: genfun_chahn_check(v, _H, _H, _H, _H, F(1, 3), 2)),
+    ("contiguous-which", "which", 1, 2, lambda v: contiguous_check(v, 1, _H, _H, _H, _H)),
+    ("contiguous-1-n", "n", 1, _CAP, lambda v: contiguous_check(1, v, _H, _H, _H, _H)),
+    ("contiguous-2-n", "n", 0, _CAP - 1, lambda v: contiguous_check(2, v, _H, _H, _H, _H)),
+]
+
+
+@pytest.mark.parametrize("name, lo, hi, call, valid", [
+    pytest.param(*row[1:5], row[5] if len(row) > 5 else (), id=row[0])
+    for row in _INT_ARGUMENTS])
+def test_integer_arguments_that_are_not_ints_raise_domain_error(name, lo, hi, call, valid):
+    """An integer argument given as a float (1.0, 2.0), text or None, or as
+    an int just outside its range, raises the DomainError of the one gate
+    (errors._require_int) naming it, never TypeError; recurrence_check
+    reports it as a failed row.  A sech degree's name carries its pair."""
+    bounds = f">= {lo}" if hi is None else rf"{lo}\.\.{hi}"
+    for value in (1.0, 2.0, "2", None, lo - 1, *(() if hi is None else (hi + 1,))):
+        if value not in valid:
+            message = rf"^{name}( of .*)? must be an int in {bounds}, got {re.escape(repr(value))}$"
+            with pytest.raises(DomainError, match=message):
+                call(value)
+
+
+def test_integer_arguments_cover_the_public_api():
+    """The sweep's rows: the nine polynomial routines, both Gram sizes, the
+    norm, the four list forms' two degrees each, r, pochhammer's k,
+    ExactPoly.shift_up's k, six series orders, two generating-function
+    orders, three recurrence-side degrees, the three which selectors and
+    contiguous_check's n at which = 1 and 2."""
+    assert len(_INT_ARGUMENTS) == 9 + 2 + 1 + 8 + 1 + 1 + 1 + 6 + 2 + 3 + 3 + 2
+    assert len({row[0] for row in _INT_ARGUMENTS}) == len(_INT_ARGUMENTS)
 
 
 def test_recurrence_check_with_a_float_degree_is_a_failed_check():
     report = recurrence_check("x", _HAHN_HALF, 1.0)
-    assert report.status == "fail" and report.details == "recurrence derivation needs n >= 1"
+    assert report.status == "fail" and \
+        report.details == f"n must be an int in 1..{EXACT_DEGREE_CAP - 1}, got 1.0"
 
 
 _TINY = F(1, 10**400)  # positive, but its double is 0.0

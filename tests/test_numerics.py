@@ -372,8 +372,27 @@ def test_weight_takes_the_package_scalar(weight):
         weight(0.25, *map(kind, values)) for kind in (GaussianRational, Fraction, float))}
     assert len(got) == 1
     for bad in (GaussianRational(0, 1), GaussianRational(Fraction(-1, 2), 1)):
-        with pytest.raises(DomainError, match=r"^b must be finite with Re\(b\) > 0, got G"):
+        with pytest.raises(DomainError,
+                           match=r"^b must be finite with Re\(b\) > 0 as a double, got G"):
             weight(0.25, *values[:3], bad)
+
+
+_TINY = Fraction(1, 10**400)  # positive, but its double is 0.0
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: beta(_TINY, 1), "alpha"),
+    (lambda: hahn_weight_log(0.3, _TINY, 1, 1, 1), "alpha"),
+    (lambda: hahn_weight(0.3, 1, 1, 1, _TINY), "b"),
+], ids=["beta", "hahn-weight-log", "hahn-weight"])
+def test_weight_and_beta_judge_the_double_they_compute_with(call, name):
+    """An exact parameter with Re > 0 whose double is 0.0 is refused with the
+    DomainError naming it: never a gamma pole naming no parameter, nor the
+    weight at 0.0."""
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == \
+        f"{name} must be finite with Re({name}) > 0 as a double, got {_TINY!r}"
 
 
 _NAN, _INF = math.nan, math.inf

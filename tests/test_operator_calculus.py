@@ -168,7 +168,7 @@ def test_recurrence_check_compares_all_three_coefficients():
 def test_recurrence_suite_fails_on_a_negated_c(monkeypatch, index):
     """The Gram's recurrence with the sign of C_1 or C_2 flipped fails the
     recurrence suite (C_2 reaches no N = 3 Gram of verify --suite all)."""
-    real = operator_calculus._gram_recurrence
+    real = operator_calculus._chahn_recurrence
 
     def mutated(N, *params):
         out = real(N, *params)
@@ -178,7 +178,7 @@ def test_recurrence_suite_fails_on_a_negated_c(monkeypatch, index):
         return out
 
     assert all(r.passed for r in run_suites("recurrence"))
-    monkeypatch.setattr(operator_calculus, "_gram_recurrence", mutated)
+    monkeypatch.setattr(operator_calculus, "_chahn_recurrence", mutated)
     failed = [r.name for r in run_suites("recurrence") if not r.passed]
     assert failed == [f"recurrence[{label}, n={index}]"
                       for label in ("all 1/2", "conjugate pair")]

@@ -19,9 +19,9 @@ from hahnlab.orthogonality import (GramResult, _gram_columns, barnes_check,
                                    pasternack_biortho_check,
                                    pasternack_ortho_check, pi_m_over_sin_pi_m)
 from hahnlab.operator_calculus import derive_recurrence
-from hahnlab.polynomials import (HahnParams, JacobiParams, _to_complex, chahn_coeffs_complex,
-                                 chahn_coeffs_exact, horner, horner_level,
-                                 jacobi_coeffs_complex)
+from hahnlab.polynomials import (HahnParams, JacobiParams, _chahn_recurrence, _to_complex,
+                                 chahn_coeffs_complex, chahn_coeffs_exact, horner,
+                                 horner_level, jacobi_coeffs_complex)
 from hahnlab.quadrature import _EPS, IntegralResult, truncation_radius
 from hahnlab.transforms import _tanh_product_integral
 
@@ -709,7 +709,7 @@ def test_gram_recurrence_matches_exact_derivation(params):
     p_1 = (x - B_0) / A_0, which holds at s = 1 too."""
     alpha, beta, a, b = params
     hahn = HahnParams(alpha, b, a, beta)
-    recurrence = orthogonality._gram_recurrence(16, *map(_to_complex, params))
+    recurrence = _chahn_recurrence(16, *map(_to_complex, hahn))
     assert len(recurrence) == 15
     for n in range(1, 15):
         exact = [_to_complex(v) for v in derive_recurrence(n, hahn)]
@@ -732,8 +732,7 @@ def test_gram_columns_match_the_exact_polynomial(params):
     alpha, beta, a, b = params
     hahn = HahnParams(alpha, b, a, beta)
     zs = [k / 16 for k in range(-304, 305)]
-    columns = orthogonality._gram_columns(
-        orthogonality._gram_recurrence(16, *map(_to_complex, params)), zs)
+    columns = orthogonality._gram_columns(_chahn_recurrence(16, *map(_to_complex, hahn)), zs)
     assert len(columns) == 16
     for n, column in enumerate(columns):
         poly = chahn_coeffs_exact(n, hahn)
@@ -785,7 +784,8 @@ def test_gram_magnitudes_are_the_columns_real_parts(params):
     """_gram_magnitudes(m, r) is the real part of _gram_columns(m, [r]), the
     step it runs in floats, bit for bit at r = 0, 1/2, ..., 20 on the
     magnitudes of an N = 16 Gram's recurrence."""
-    recurrence = orthogonality._gram_recurrence(16, *map(_to_complex, params))
+    alpha, beta, a, b = params
+    recurrence = _chahn_recurrence(16, *map(_to_complex, (alpha, b, a, beta)))
     magnitudes = [(abs(a_n), -abs(b_n), -abs(c_n)) for a_n, b_n, c_n in recurrence]
     for r in [k / 2 for k in range(41)]:
         got = orthogonality._gram_magnitudes(magnitudes, r)

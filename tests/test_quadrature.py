@@ -91,6 +91,17 @@ def test_interval_gaussian():
     assert abs(res.values[0] - math.sqrt(math.pi)) <= 1e-12
 
 
+def test_one_sided_envelope_bounds_both_tails():
+    """Without signs integrate_line cuts off at max(envelope(z), envelope(-z)):
+    e^{-(x+10)^2}, its own envelope, is negligible on [0, 2] and all of its
+    mass lies at x < 0, which a scan of envelope(z) alone would cut at 2."""
+    envelope = lambda z: math.exp(-(z + 10.0) ** 2)
+    assert truncation_radius(envelope) == 2.0
+    res = integrate_line(lambda zs: [sum(map(envelope, zs))], envelope, math.inf, _relative)
+    assert res.radius == truncation_radius(lambda z: envelope(-z)) > 10.0
+    assert abs(res.values[0] - math.sqrt(math.pi)) <= 1e-12
+
+
 def test_oscillatory_panel_width():
     # e^{i w x} sech^2 x has closed form pi w / sinh(pi w / 2); the first
     # step comes from the half period pi / w, not the strip pi / 2

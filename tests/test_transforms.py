@@ -400,21 +400,35 @@ def test_parseval_right_integral_against_mpmath(args):
 @pytest.mark.parametrize("args", [PARSEVAL_REAL, PARSEVAL_COMPLEX],
                          ids=["real-folded", "complex-both-sides"])
 def test_parseval_envelope_bounds_both_tails(monkeypatch, args):
-    """The cut-off's envelope at z bounds the integrand at z and at -z.
-    With complex parameters |w(-z/2)| != |w(z/2)|: an envelope read at z
-    alone falls 3.4 times under |F(-2)| and 18.7 times under |F(-15.5)|."""
-    from hahnlab import transforms
-    seen = []
+    """The function integrate_line's cut-off scans bounds the integrand at z and
+    at -z.  With complex parameters |w(-z/2)| != |w(z/2)|: the envelope read
+    at z alone falls 3.4 times under |F(-2)| and 18.7 times under |F(-15.5)|,
+    so integrate_line scans max(envelope(z), envelope(-z))."""
+    from hahnlab import quadrature, transforms
+    seen = {}
+    line_integral = transforms._line_integral
 
-    def capture(f, env, strip, signs=None):
-        seen.append((f, env))
-        return [IntegralResult(0j, 0.0, 1)]
+    class Scanned(Exception):
+        pass
+
+    def capture(f, env, *rest):
+        seen.update(f=f, env=env)
+        return line_integral(f, env, *rest)
+
+    def scan(scanned):
+        seen["scanned"] = scanned
+        raise Scanned
 
     monkeypatch.setattr(transforms, "_line_integral", capture)
-    _parseval_right(*args[:2], *map(complex, args[2:]))
-    (f, env), = seen
+    monkeypatch.setattr(quadrature, "truncation_radius", scan)
+    with pytest.raises(Scanned):
+        _parseval_right(*args[:2], *map(complex, args[2:]))
+    f, env, scanned = seen["f"], seen["env"], seen["scanned"]
     for z in (2.0 + 0.5 * k for k in range(37)):
-        assert env(z) >= max(abs(f([z])[0][0]), abs(f([-z])[0][0])), z
+        assert scanned(z) >= max(abs(f([z])[0][0]), abs(f([-z])[0][0])), z
+    if args is PARSEVAL_COMPLEX:
+        assert env(2.0) * 3 < abs(f([-2.0])[0][0])
+        assert env(15.5) * 18 < abs(f([-15.5])[0][0])
 
 
 def test_parseval_zero_case_reports_error_against_mass():
