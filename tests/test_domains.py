@@ -377,9 +377,15 @@ def _refused(report: VerificationReport):
     raise DomainError(report.details)
 
 
-# every integer argument of the public API: (id, name, lo, hi, call, valid),
-# call(v) passing v as the argument, hi None for no upper bound and valid the
-# values of the sweep the argument takes (an omitted order is the default)
+def _shift_r(v):
+    return shifted_operator_identity_check(_H, _H, v)
+
+
+# every integer argument of the public API: (id, name, lo, hi, call, skip),
+# call(v) passing v as the argument, hi None for no upper bound and skip the
+# values of the sweep the row leaves out: those the argument takes (an
+# omitted order is the default), or, for r's two rows, its floats and ints
+# in one and its text and None in the other
 _INT_ARGUMENTS = [
     ("jacobi-eval-n", "n", 0, _CAP, lambda v: jacobi_eval(v, JacobiParams(0.3, 0.7), 0.4)),
     ("chahn-eval-n", "n", 0, _CAP, lambda v: chahn_eval(v, HahnParams(*[0.5] * 4), 0.4)),
@@ -402,7 +408,8 @@ _INT_ARGUMENTS = [
     ("biortho-p", "p", 0, 10, lambda v: pasternack_biortho_checks(F(1, 3), [(0, v)])),
     ("jacobi-ortho-n", "n", 0, _CAP, lambda v: jacobi_ortho_checks(0.5, 0.5, [(v, 0)])),
     ("jacobi-ortho-m", "m", 0, _CAP, lambda v: jacobi_ortho_checks(0.5, 0.5, [(0, v)])),
-    ("shifted-r", "r", 0, 32, lambda v: shifted_operator_identity_check(_H, _H, v)),
+    ("shifted-r-float", "r", 0, 32, _shift_r, ("2", None)),
+    ("shifted-r-text", "r", 0, 32, _shift_r, (1.0, 2.0, -1, 33)),
     ("pochhammer-k", "k", 0, None, lambda v: pochhammer(0.5, v)),
     ("poly-shift-k", "k", 0, None, lambda v: ExactPoly([1, 2]).shift_up(v)),
     ("series-order", "order", 0, None, lambda v: FormalSeries([1, 2], v), (None,)),
@@ -428,17 +435,17 @@ _INT_ARGUMENTS = [
 ]
 
 
-@pytest.mark.parametrize("name, lo, hi, call, valid", [
+@pytest.mark.parametrize("name, lo, hi, call, skip", [
     pytest.param(*row[1:5], row[5] if len(row) > 5 else (), id=row[0])
     for row in _INT_ARGUMENTS])
-def test_integer_arguments_that_are_not_ints_raise_domain_error(name, lo, hi, call, valid):
+def test_integer_arguments_that_are_not_ints_raise_domain_error(name, lo, hi, call, skip):
     """An integer argument given as a float (1.0, 2.0), text or None, or as
     an int just outside its range, raises the DomainError of the one gate
     (errors._require_int) naming it, never TypeError; recurrence_check
     reports it as a failed row.  A sech degree's name carries its pair."""
     bounds = f">= {lo}" if hi is None else rf"{lo}\.\.{hi}"
     for value in (1.0, 2.0, "2", None, lo - 1, *(() if hi is None else (hi + 1,))):
-        if value not in valid:
+        if value not in skip:
             message = rf"^{name}( of .*)? must be an int in {bounds}, got {re.escape(repr(value))}$"
             with pytest.raises(DomainError, match=message):
                 call(value)
@@ -446,12 +453,15 @@ def test_integer_arguments_that_are_not_ints_raise_domain_error(name, lo, hi, ca
 
 def test_integer_arguments_cover_the_public_api():
     """The sweep's rows: the nine polynomial routines, both Gram sizes, the
-    norm, the four list forms' two degrees each, r, pochhammer's k,
-    ExactPoly.shift_up's k, six series orders, two generating-function
-    orders, three recurrence-side degrees, the three which selectors and
-    contiguous_check's n at which = 1 and 2."""
-    assert len(_INT_ARGUMENTS) == 9 + 2 + 1 + 8 + 1 + 1 + 1 + 6 + 2 + 3 + 3 + 2
+    norm, the four list forms' two degrees each, r (in two rows that
+    together sweep every value), pochhammer's k, ExactPoly.shift_up's k, six
+    series orders, two generating-function orders, three recurrence-side
+    degrees, the three which selectors and contiguous_check's n at which = 1
+    and 2."""
+    assert len(_INT_ARGUMENTS) == 9 + 2 + 1 + 8 + 2 + 1 + 1 + 6 + 2 + 3 + 3 + 2
     assert len({row[0] for row in _INT_ARGUMENTS}) == len(_INT_ARGUMENTS)
+    r_rows = [row for row in _INT_ARGUMENTS if row[1] == "r"]
+    assert set(r_rows[0][5]).isdisjoint(r_rows[1][5])
 
 
 def test_recurrence_check_with_a_float_degree_is_a_failed_check():
