@@ -3,28 +3,28 @@
 Three subcommands: eval (single polynomial values, computed exactly and
 printed exactly or rounded once to float), verify (named check suites,
 JSON report array), gram (continuous Hahn Gram matrix to CSV plus JSON
-summary).  Exit codes: 0 pass, 1 any verification failure, 2 usage or
-domain error.
+summary).  Exit codes: 0 pass, 1 any verification failure (or a quadrature
+that does not converge), 2 usage or domain error, or an output file that
+cannot be written.
 
-Parameter grammar, used everywhere: rationals as p/q, decimals allowed,
-complex values as a+bi / a-bi.  File outputs are deterministic for
-identical inputs; each file-producing run writes a manifest alongside
-its outputs (the manifest's timestamp is outside the byte-identical
-guarantee).
+The library's gates decide what input is valid; a HahnlabError or an
+OSError is printed as one line "error: ...", never a traceback.  One table
+(_FAMILIES) gives eval its parameter options, their check and its build.
+Parameter grammar, used everywhere (GaussianRational.parse): rationals as
+p/q, decimals allowed, complex values as a+bi / a-bi.  File outputs are
+deterministic for identical inputs; each file-producing run writes a
+manifest alongside its outputs (its timestamp is outside that guarantee).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
-from collections import namedtuple
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import HahnlabError, QuadratureError
+from .errors import DomainError, HahnlabError, QuadratureError, _complex, _require_tolerance
 from .exact import GaussianRational
 from .polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
                           jacobi_coeffs_exact, pasternack_coeffs_exact)
@@ -35,9 +35,14 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 
-
-def parse_scalar(text: str) -> GaussianRational:
-    return GaussianRational.parse(text)
+# family: (its parameter options, in order, and its exact build from n and
+# their parsed values); m = 0 is the Bateman polynomial
+_FAMILIES = {
+    "jacobi": (JacobiParams._fields, lambda n, *p: jacobi_coeffs_exact(n, JacobiParams(*p))),
+    "chahn": (HahnParams._fields, lambda n, *p: chahn_coeffs_exact(n, HahnParams(*p))),
+    "bateman": ((), lambda n: pasternack_coeffs_exact(n, 0)),
+    "pasternack": (("m",), pasternack_coeffs_exact),
+}
 
 
 def _format_complex(value: complex) -> str:
@@ -47,82 +52,45 @@ def _format_complex(value: complex) -> str:
     return f"{value.real!r}{sign}{abs(value.imag)!r}i"
 
 
-class RunManifest(namedtuple("RunManifest", "command parameters seed_independent outputs")):
-    """Record written alongside every file-producing run.
-
-    Reruns with identical command and parameters produce byte-identical
-    outputs; the timestamp lives only here and is outside that guarantee.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, command: str, parameters: dict, seed_independent: bool = True,
-                outputs: list | None = None):
-        return super().__new__(cls, command, parameters, seed_independent,
-                               [] if outputs is None else outputs)
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": {k: str(v) for k, v in self.parameters.items()},
-            "seed_independent": self.seed_independent,
-            "outputs": [str(p) for p in self.outputs],
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-        }
+def _write_json(path: Path, obj):
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_manifest(command: str, parameters: dict, outputs: list[Path]):
-    base = outputs[0]
-    manifest_path = base.with_suffix(base.suffix + ".manifest.json")
-    manifest = RunManifest(command, parameters, outputs=list(outputs))
-    manifest_path.write_text(
-        json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    """The record of a file-producing run, beside its first output: the
+    timestamp lives only here, outside the byte-identical guarantee."""
+    _write_json(outputs[0].with_suffix(outputs[0].suffix + ".manifest.json"), {
+        "command": command,
+        "parameters": {k: str(v) for k, v in parameters.items()},
+        "seed_independent": True,
+        "outputs": [str(p) for p in outputs],
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    })
 
 
-def _tolerance(text: str, source: str = "tolerance") -> float:
-    """A verdict tolerance from outside the program: a finite float >= 0.
-    NaN fails every comparison and infinity passes every relative one, so
-    neither is a tolerance."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(
-            f"{source} must be a finite number >= 0, got {text!r}")
-    return value
-
-
-def _default_rel_tol() -> float | None:
-    raw = os.environ.get("HAHNLAB_TOL")
-    return _tolerance(raw, "HAHNLAB_TOL") if raw else None
+def _tolerance(text: str) -> float:
+    """A tolerance option by the library's rule, or a usage error before any work."""
+    try:
+        return _require_tolerance("tolerance", float(text))
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def cmd_eval(args) -> int:
     """Both modes evaluate the exact polynomial at the exact x; float mode
     rounds that value once."""
-    x = parse_scalar(args.x)
-    if args.family == "jacobi":
-        params = JacobiParams(parse_scalar(args.gamma), parse_scalar(args.delta))
-        poly = jacobi_coeffs_exact(args.n, params)
-    elif args.family == "chahn":
-        params = HahnParams(parse_scalar(args.a), parse_scalar(args.b),
-                            parse_scalar(args.c), parse_scalar(args.d))
-        poly = chahn_coeffs_exact(args.n, params)
-    else:  # bateman | pasternack
-        m = parse_scalar(args.m) if args.family == "pasternack" else GaussianRational(0)
-        poly = pasternack_coeffs_exact(args.n, m)
-    value = poly(x)
-    print(str(value) if args.mode == "exact" else _format_complex(value.to_complex()))
+    x = GaussianRational.parse(args.x)
+    names, build = _FAMILIES[args.family]
+    value = build(args.n, *(GaussianRational.parse(getattr(args, k)) for k in names))(x)
+    print(str(value) if args.mode == "exact" else _format_complex(_complex("value", value)))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    rel_tol = args.rel_tol if args.rel_tol is not None else _default_rel_tol()
-    reports = run_suites(args.suite, tol=rel_tol)
+    reports = run_suites(args.suite, tol=args.rel_tol)
     out_path = Path(args.out)
-    payload = [r.to_dict() for r in reports]
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-    _write_manifest("verify", {"suite": args.suite, "rel_tol": rel_tol,
+    _write_json(out_path, [r.to_dict() for r in reports])
+    _write_manifest("verify", {"suite": args.suite, "rel_tol": args.rel_tol,
                                "out": args.out}, [out_path])
     failed = [r for r in reports if not r.passed]
     for r in reports:
@@ -133,7 +101,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    params = {k: parse_scalar(getattr(args, k)) for k in ("alpha", "beta", "a", "b")}
+    params = {k: GaussianRational.parse(getattr(args, k)) for k in ("alpha", "beta", "a", "b")}
     result = chahn_gram(args.size, *params.values())
     out_csv = Path(args.out)
     out_csv.write_text(result.to_csv_text(), encoding="utf-8")
@@ -143,10 +111,9 @@ def cmd_gram(args) -> int:
           and result.max_offdiag_scaled <= args.offdiag_scaled_tol)
     summary["status"] = "pass" if ok else "fail"
     summary_path = out_csv.with_suffix(".summary.json")
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
-    _write_manifest("gram", {"size": args.size, **{k: str(v) for k, v in params.items()},
-                             "out": args.out}, [out_csv, summary_path])
+    _write_json(summary_path, summary)
+    _write_manifest("gram", {"size": args.size, **summary["parameters"], "out": args.out},
+                    [out_csv, summary_path])
     print(f"gram {args.size}x{args.size}: max offdiag {result.max_offdiag_abs:.3e}, "
           f"max diag rel err {result.max_diag_rel_err:.3e} -> {summary['status']}")
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
@@ -160,17 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one polynomial value")
-    p_eval.add_argument("family", choices=["jacobi", "chahn", "bateman", "pasternack"])
+    p_eval.add_argument("family", choices=list(_FAMILIES))
     p_eval.add_argument("--n", type=int, required=True)
     p_eval.add_argument("--x", required=True)
     p_eval.add_argument("--mode", choices=["float", "exact"], default="float")
-    p_eval.add_argument("--gamma", help="jacobi parameter")
-    p_eval.add_argument("--delta", help="jacobi parameter")
-    p_eval.add_argument("--a", help="continuous Hahn parameter")
-    p_eval.add_argument("--b", help="continuous Hahn parameter")
-    p_eval.add_argument("--c", help="continuous Hahn parameter")
-    p_eval.add_argument("--d", help="continuous Hahn parameter")
-    p_eval.add_argument("--m", help="pasternack parameter")
+    for family, (names, _) in _FAMILIES.items():
+        for name in names:
+            p_eval.add_argument(f"--{name}", help=f"{family} parameter")
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
@@ -178,17 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"'all' or a name filter over: {', '.join(sorted(SUITES))}")
     p_verify.add_argument("--out", default="verify_report.json")
     p_verify.add_argument("--rel-tol", type=_tolerance, default=None,
-                          help="relative tolerance of the verdicts (default from "
-                               "HAHNLAB_TOL, else each check's own); the quadrature's "
-                               "targets are fixed")
+                          help="relative tolerance of the verdicts (default each check's "
+                               "own); the quadrature's targets are fixed")
     p_verify.set_defaults(func=cmd_verify)
 
     p_gram = sub.add_parser("gram", help="continuous Hahn Gram matrix")
     p_gram.add_argument("--size", type=int, required=True, metavar="N")
-    p_gram.add_argument("--alpha", required=True)
-    p_gram.add_argument("--beta", required=True)
-    p_gram.add_argument("--a", required=True)
-    p_gram.add_argument("--b", required=True)
+    for name in ("alpha", "beta", "a", "b"):
+        p_gram.add_argument(f"--{name}", required=True)
     p_gram.add_argument("--out", default="gram.csv")
     p_gram.add_argument("--diag-rel-tol", type=_tolerance, default=1e-8)
     p_gram.add_argument("--offdiag-scaled-tol", type=_tolerance, default=1e-10,
@@ -197,26 +157,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_eval_args(args, parser):
-    needed = {"jacobi": ("gamma", "delta"), "chahn": ("a", "b", "c", "d"),
-              "pasternack": ("m",), "bateman": ()}
-    for name in needed[args.family]:
-        if getattr(args, name) is None:
-            parser.error(f"eval {args.family} requires --{name}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name in _FAMILIES[args.family][0] if args.command == "eval" else ():
+        if getattr(args, name) is None:
+            parser.error(f"eval {args.family} requires --{name}")
     try:
-        if args.command == "eval":
-            _validate_eval_args(args, parser)
         return args.func(args)
     except QuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
-    except (HahnlabError, KeyError, ValueError, OverflowError,
-            argparse.ArgumentTypeError) as exc:
+    except (HahnlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package, and its gates, which raise
 DomainError naming the argument: _require on parameter values (or
 RangeOverflowError for an exact value past the double range, _complex),
-_require_int on degrees, sizes, orders and selectors, _require_tuple on items."""
+_require_int on degrees, sizes, orders and selectors, _require_tuple on items
+and _require_tolerance on verdict tolerances."""
 
 import cmath
 
@@ -94,3 +95,13 @@ def _require_tuple(name: str, item, size: int) -> tuple:
     if isinstance(item, (tuple, list)) and len(item) == size:
         return tuple(item)
     raise DomainError(f"{name} must be a {size}-tuple, got {item!r}")
+
+
+def _require_tolerance(name: str, value) -> float:
+    """value as a float when it is a real number, finite and >= 0, else
+    DomainError naming it: NaN fails every comparison and infinity passes
+    every relative one, so neither is a tolerance."""
+    v = _complex(name, value)
+    if not v.imag and 0.0 <= v.real < cmath.inf:
+        return v.real
+    raise DomainError(f"{name} must be a finite number >= 0, got {value!r}")

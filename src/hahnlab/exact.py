@@ -30,7 +30,7 @@ from math import gcd, lcm
 from operator import add, mul, sub
 from sys import hash_info
 
-from .errors import ExactInputError, _require_int
+from .errors import DomainError, ExactInputError, RangeOverflowError, _complex, _require_int
 
 
 def _as_fraction(value) -> Fraction:
@@ -116,9 +116,9 @@ class GaussianRational:
 
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
-        """Parse 'p/q', 'a+bi', 'a-bi', 'bi', 'i'; decimals allowed.  Other
-        text, and a zero denominator in either part, raise ExactInputError."""
-        s = text.strip().replace(" ", "")
+        """Parse 'p/q', 'a+bi', 'a-bi', 'bi', 'i'; decimals allowed.  Anything else
+        (a zero denominator in either part, a value that is not text) raises ExactInputError."""
+        s = text.strip().replace(" ", "") if isinstance(text, str) else ""  # "" matches nothing
 
         def unit(sign_or_num: str) -> str:
             return sign_or_num + "1" if sign_or_num in ("", "+", "-") else sign_or_num
@@ -236,12 +236,15 @@ class GaussianRational:
 
     def __str__(self):
         re, im = self.re, self.im
-        if not im:
-            return str(re)
-        im_txt = f"{abs(im)}i"
-        if not re:
-            return im_txt if im > 0 else f"-{im_txt}"
-        return f"{re}{'+' if im > 0 else '-'}{im_txt}"
+        try:
+            if not im:
+                return str(re)
+            im_txt = f"{abs(im)}i"
+            if not re:
+                return im_txt if im > 0 else f"-{im_txt}"
+            return f"{re}{'+' if im > 0 else '-'}{im_txt}"
+        except ValueError as exc:  # a part past Python's int-to-text digit limit
+            raise RangeOverflowError(f"exact value too long to print: {exc}") from None
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -429,6 +432,9 @@ class ExactPoly:
         return not self._re
 
     def coeff(self, k: int) -> GaussianRational:
+        """c_k for any int k (0 outside 0..degree); another k raises DomainError."""
+        if not isinstance(k, int):
+            raise DomainError(f"k must be an int, got {k!r}")
         if not 0 <= k < len(self._re):
             return GR_ZERO
         return _rational(self._re[k], self._im[k] if self._im else 0, self._den)
@@ -491,7 +497,8 @@ class ExactPoly:
         return hash((self._re, self._im, self._den, self._order))
 
     def __call__(self, x):
-        """Horner evaluation: exact for exact x, complex otherwise.  Exact x =
+        """Horner evaluation: exact for exact x, complex otherwise (text or
+        another non-number raises DomainError, errors._complex).  Exact x =
         X / q runs on Gaussian integers: with c_k = C_k / den,
         p(x) = sum_k C_k X^k q^(n-k) / (den q^n)."""
         if isinstance(x, _SCALARS):
@@ -506,7 +513,7 @@ class ExactPoly:
                                   acc_re * x_im + acc_im * x_re + power * c_im)
                 power *= q
             return _rational(acc_re, acc_im, self._den * power // q)
-        xc = complex(x)
+        xc = _complex("x", x)
         acc_c = 0j
         for c in reversed(self.complex_coeffs()):
             acc_c = acc_c * xc + c

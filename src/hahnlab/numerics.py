@@ -98,14 +98,11 @@ def log_gamma_complex(z: complex) -> complex:
     The imaginary part is consistent under summation of several values but
     is not reduced; use log_gamma() for the principal-phase form.
     Raises PoleError at z in {0, -1, -2, ...}, DomainError at a z that
-    complex() cannot read or that is not finite, and RangeOverflowError at
+    is not a number (text included) or not finite, and RangeOverflowError at
     an exact z past the double range.
     """
     if type(z) is not complex:
-        try:
-            z = complex(z)
-        except (TypeError, ValueError, OverflowError):
-            z = _complex("log-gamma argument", z)  # raises the HahnlabError naming z
+        z = _complex("log-gamma argument", z)  # or the HahnlabError naming z
     if not cmath.isfinite(z):
         raise DomainError(f"log-gamma argument {z!r} is not finite")
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
@@ -190,9 +187,7 @@ def _weight_memo(al: complex, be: complex, av: complex, bv: complex):
     def log_weight(z: float) -> complex:
         z = float(z)  # the conjugate identity needs real z
         value = nodes.get(z)
-        if value is None:
-            if not math.isfinite(z):  # checked on a miss only: a stored z is finite
-                raise DomainError(f"hahn weight needs a finite z, not {z!r}")
+        if value is None:  # log_gamma_complex refuses a z that is not finite
             iz = 1j * z
             logs = [log_gamma_complex(p + iz) for p in distinct]
             value = logs[ia] + logs[ib].conjugate() + logs[ic].conjugate() + logs[id_]
@@ -210,9 +205,14 @@ def hahn_weight_log(z: float, alpha: complex, beta_: complex,
     four shifts share their log-gammas where they coincide in that form:
     all 1/2 takes one call, a conjugate pair (a = conj alpha, b = conj
     beta) two, at a node the tuple's memo does not hold yet (_weight_memo).
-    The terms are summed in the order above either way.
+    The terms are summed in the order above either way.  A z that is not a
+    finite real number raises DomainError naming it.
     """
-    return _hahn_weight_log_of(alpha, beta_, a, b)(z)
+    log_weight = _hahn_weight_log_of(alpha, beta_, a, b)
+    [zc] = _require("finite", z=z)
+    if zc.imag:
+        raise DomainError(f"z must be real, got {z!r}")
+    return log_weight(zc.real)
 
 
 def hahn_weight(z: float, alpha: complex, beta_: complex,

@@ -21,7 +21,8 @@ from collections import namedtuple
 from .errors import HahnlabError, StructureError, _require, _require_int
 from .exact import GR_HALF, GR_I, I_POWERS, ExactPoly, GaussianRational, _poly, gr
 from .polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams, _chahn_recurrence,
-                          _pochhammer, _term_vectors, chahn_coeffs_exact, jacobi_coeffs_exact)
+                          _hahn_of_jacobi, _pochhammer, _term_vectors, chahn_coeffs_exact,
+                          jacobi_coeffs_exact)
 from .reports import VerificationReport, residual_report
 
 SIGN_NOTE = ("log-derivative factor used as (beta-alpha)-(alpha+beta)t; "
@@ -95,8 +96,7 @@ def hahn_operator_identity_check(n: int, alpha, beta, gamma, delta) -> Verificat
     alpha, beta, gamma, delta = map(gr, (alpha, beta, gamma, delta))
     _require("Re > 0", alpha=alpha, beta=beta)
     name = f"hahn-operator[n={n}, alpha={alpha}, beta={beta}, gamma={gamma}, delta={delta}]"
-    hp = HahnParams(alpha, delta - beta + 1, gamma - alpha + 1, beta)
-    op_poly = chahn_coeffs_exact(n, hp)
+    op_poly = chahn_coeffs_exact(n, _hahn_of_jacobi(alpha, beta, gamma, delta))
     lhs = apply_operator_polynomial(
         op_poly, -GR_I * GR_HALF,
         weight_function(alpha, beta))

@@ -57,7 +57,7 @@ from math import factorial, gcd, lcm
 from operator import add, mul
 
 from .errors import (DomainError, ExactInputError, PoleError, RangeOverflowError, _complex,
-                     _require, _require_int)
+                     _require, _require_int, _require_tuple)
 from .exact import (GR_HALF, GR_I, I_POWERS, ExactPoly, GaussianRational, _multiply, _poly,
                     _rational, _vectors, gr)
 from .reports import VerificationReport, residual_report
@@ -168,7 +168,7 @@ def _pochhammer(a, n: int) -> GaussianRational:
 
 def _jacobi_sum(n: int, params: JacobiParams) -> _Sum:
     # ((gamma+1)_n / n!) 2F1(-n, n+gamma+delta+1; gamma+1; (1-x)/2)
-    g, d = (gr(_stored(v)) for v in params)
+    g, d = (gr(_stored(v)) for v in _require_tuple("params", params, 2))
     g1 = g + 1
     _check_poch(g1, n, "gamma+1")
     return _Sum(n, _poch((g1,), n), (n + g + d + 1,), (g1,), GR_HALF, 0, -GR_HALF)
@@ -176,7 +176,7 @@ def _jacobi_sum(n: int, params: JacobiParams) -> _Sum:
 
 def _chahn_sum(n: int, params: HahnParams) -> _Sum:
     # i^n ((a+c)_n (a+d)_n / n!) 3F2(-n, n+a+b+c+d-1, a+ix; a+c, a+d; 1)
-    a, b, c, d = (gr(_stored(v)) for v in params)
+    a, b, c, d = (gr(_stored(v)) for v in _require_tuple("params", params, 4))
     lower = (a + c, a + d)
     _check_poch(lower[0], n, "a+c")
     _check_poch(lower[1], n, "a+d")
@@ -331,10 +331,7 @@ def _evaluator(family, name: str, doc: str):
     def evaluate(n, params, x):
         nonlocal record
         if type(x) is not complex:
-            try:
-                x = _to_complex(x)
-            except (TypeError, ValueError, OverflowError):
-                x = _complex("x", x)  # raises the HahnlabError naming x
+            x = _complex("x", x)  # or the HahnlabError naming x
         last_n, last_params, value, tail = record
         if last_params is not params or last_n is not n:
             if not (isinstance(n, int) and 0 <= n <= EXACT_DEGREE_CAP):
@@ -357,8 +354,10 @@ def _evaluator(family, name: str, doc: str):
     return evaluate
 
 
-def _coeffs_exact(n: int, params, exact: bool, family, names: str) -> ExactPoly:
-    if not exact:
+def _coeffs_exact(n: int, params, size: int | None, family, names: str) -> ExactPoly:
+    """p_n for a record of size exact values (size None: one exact m)."""
+    values = (params,) if size is None else _require_tuple("params", params, size)
+    if not all(map(_is_exact, values)):
         raise ExactInputError(f"exact mode requires {names}")
     return _lookup(family, n, params).poly
 
@@ -373,17 +372,17 @@ pasternack_eval = _evaluator(_pasternack_sum, "pasternack_eval", "F_n at x: 3F2(
 
 def jacobi_coeffs_exact(n: int, params: JacobiParams) -> ExactPoly:
     """Exact coefficient vector of P_n for rational (or Q(i)) parameters."""
-    return _coeffs_exact(n, params, params.is_exact(), _jacobi_sum, "exact gamma, delta")
+    return _coeffs_exact(n, params, 2, _jacobi_sum, "exact gamma, delta")
 
 
 def chahn_coeffs_exact(n: int, params: HahnParams) -> ExactPoly:
     """Exact coefficients of p_n; leading coefficient (n+a+b+c+d-1)_n / n!."""
-    return _coeffs_exact(n, params, params.is_exact(), _chahn_sum, "exact a, b, c, d")
+    return _coeffs_exact(n, params, 4, _chahn_sum, "exact a, b, c, d")
 
 
 def pasternack_coeffs_exact(n: int, m) -> ExactPoly:
     """Exact coefficients of F_n for rational m (real coefficients)."""
-    return _coeffs_exact(n, m, _is_exact(m), _pasternack_sum, "rational m")
+    return _coeffs_exact(n, m, None, _pasternack_sum, "rational m")
 
 
 def jacobi_coeffs_complex(n: int, params: JacobiParams) -> list:
@@ -407,6 +406,16 @@ def pasternack_hahn_params(m) -> HahnParams:
         [mv], half = _require("finite", m=m), 0.5
     p, q = (1 + mv) * half, (1 - mv) * half
     return HahnParams(p, q, q, p)
+
+
+def _hahn_of_jacobi(alpha, beta, gamma, delta) -> HahnParams:
+    """(alpha, delta - beta + 1, gamma - alpha + 1, beta), the continuous Hahn
+    parameters of the Fourier pair and of the operator identity, formed
+    exactly: a float or complex parameter enters at the dyadic rational it
+    stores (_stored), so 1/3 with 0.5 gives the shift 2/3, not the double
+    nearest it."""
+    alpha, beta, gamma, delta = map(_stored, (alpha, beta, gamma, delta))
+    return HahnParams(alpha, delta - beta + 1, gamma - alpha + 1, beta)
 
 
 def pasternack_reflection_check(n: int, m) -> VerificationReport:

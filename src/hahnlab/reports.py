@@ -40,14 +40,9 @@ class VerificationReport(namedtuple(
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "status": self.status,
-            "max_abs_err": self.max_abs_err,
-            "max_rel_err": self.max_rel_err,
-            "details": self.details,
-        }
-        if self.quad_diagnostics is not None:
+        """The fields, without quad_diagnostics when it is None."""
+        out = self._asdict()
+        if out.pop("quad_diagnostics") is not None:
             out["quad_diagnostics"] = self.quad_diagnostics.to_dict()
         return out
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 
-from .errors import HahnlabError
+from .errors import DomainError, HahnlabError, _require_tolerance
 from .exact import GaussianRational
 from .identities import (contiguous_check, genfun_chahn_check,
                          genfun_jacobi_check, jacobi_classical_check)
@@ -122,12 +122,15 @@ SUITES: dict[str, Callable] = {name: _suite(*row) for name, *row in _TABLE}
 
 
 def run_suites(name_filter: str, tol: float | None = None) -> list[VerificationReport]:
-    """Run every suite whose name contains the filter ('all' runs everything)."""
-    selected = [k for k in SUITES
-                if name_filter == "all" or name_filter in k]
+    """Run every suite whose name contains the filter ('all' runs everything);
+    DomainError for a filter that matches none (or is not text) or a bad tol."""
+    selected = [k for k in SUITES if name_filter == "all"
+                or isinstance(name_filter, str) and name_filter in k]
     if not selected:
-        raise KeyError(f"no suite matches {name_filter!r}; "
-                       f"known: {', '.join(sorted(SUITES))}")
+        raise DomainError(f"no suite matches {name_filter!r}; "
+                          f"known: {', '.join(sorted(SUITES))}")
+    if tol is not None:
+        tol = _require_tolerance("tol", tol)
     reports: list[VerificationReport] = []
     for key in selected:
         try:

@@ -20,7 +20,7 @@ from operator import mul
 
 from .errors import _require, _require_tuple
 from .numerics import _weight_memo, gamma_product, log_gamma_complex
-from .polynomials import (HahnParams, JacobiParams, _stored, _to_complex, chahn_eval,
+from .polynomials import (JacobiParams, _hahn_of_jacobi, _to_complex, chahn_eval,
                           chahn_coeffs_complex, horner_level, jacobi_coeffs_complex)
 from .quadrature import IntegralResult, _line_integral
 from .reports import QuadDiagnostics, VerificationReport, integral_report
@@ -74,15 +74,6 @@ def _tanh_product_integral(entries: list, wa: complex, wb: complex) -> list[Inte
     return _line_integral(f, env, math.pi / max(2.0, *map(abs, freqs)))
 
 
-def _hahn_of_jacobi(alpha, beta, gamma, delta) -> HahnParams:
-    """(alpha, delta - beta + 1, gamma - alpha + 1, beta), the continuous Hahn
-    parameters of the Fourier pair, formed exactly: a float or complex
-    parameter enters at the dyadic rational it stores (_stored), so 1/3 with
-    0.5 gives the shift 2/3, not the double nearest it."""
-    alpha, beta, gamma, delta = map(_stored, (alpha, beta, gamma, delta))
-    return HahnParams(alpha, delta - beta + 1, gamma - alpha + 1, beta)
-
-
 def _weighted_jacobi_transform(alpha, beta, cases: list) -> list[IntegralResult]:
     """Quadrature side of the Fourier pair for each (n, gamma, delta, z) of
     cases, on the one weight (alpha, beta): one trapezoid pass."""
@@ -93,10 +84,9 @@ def _weighted_jacobi_transform(alpha, beta, cases: list) -> list[IntegralResult]
 
 def _fourier_closed_form(n, alpha, beta, gamma, delta, z) -> complex:
     al, be = _to_complex(alpha), _to_complex(beta)
-    hp = _hahn_of_jacobi(alpha, beta, gamma, delta)
     return cmath.exp((al + be - 1) * _LOG_2) \
         * gamma_product([al + 0.5j * z, be - 0.5j * z], [al + be + n]) \
-        * (-1j) ** (n % 4) * chahn_eval(n, hp, 0.5 * z)
+        * (-1j) ** (n % 4) * chahn_eval(n, _hahn_of_jacobi(alpha, beta, gamma, delta), 0.5 * z)
 
 
 def fourier_pair_checks(alpha, beta, cases: list, tol: float = 1e-8,

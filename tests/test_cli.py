@@ -10,19 +10,13 @@ from pathlib import Path
 import pytest
 
 import hahnlab
-from hahnlab.cli import main, parse_scalar
-from hahnlab.exact import GaussianRational
+from hahnlab.cli import main
 
 
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def test_parse_scalar_grammar():
-    assert parse_scalar("1/2") == GaussianRational.parse("1/2")
-    assert parse_scalar("1/2+1/4i").im == GaussianRational.parse("1/4").re
 
 
 def test_eval_jacobi_float(capsys):
@@ -127,9 +121,16 @@ def test_verify_reruns_byte_identical(tmp_path, capsys):
 
 
 def test_verify_unknown_suite_exit_2(tmp_path, capsys):
+    """run_suites' DomainError, printed as it reads: no quotes around it, as
+    a KeyError's str would add, and nothing written."""
     code, _, err = run_cli(["verify", "--suite", "no-such-suite",
                             "--out", str(tmp_path / "r.json")], capsys)
     assert code == 2
+    assert err == ("error: no suite matches 'no-such-suite'; known: barnes, bateman, biortho, "
+                   "chahn-gram, contiguous, fourier, genfun-chahn, genfun-jacobi, "
+                   "jacobi-classical, jacobi-ortho, mellin, operator, parseval, pasternack, "
+                   "recurrence, reflection, shifted-operator\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_verify_impossible_tolerance_exit_1(tmp_path, capsys):
@@ -139,15 +140,20 @@ def test_verify_impossible_tolerance_exit_1(tmp_path, capsys):
     assert "FAIL" in stdout
 
 
-def test_verify_env_tolerance(tmp_path, capsys, monkeypatch):
+def test_verify_reads_no_tolerance_from_the_environment(tmp_path, capsys, monkeypatch):
+    """--rel-tol is the one way to set the verdicts' tolerance."""
     monkeypatch.setenv("HAHNLAB_TOL", "1e-30")
-    code, _, _ = run_cli(["verify", "--suite", "barnes",
-                          "--out", str(tmp_path / "r.json")], capsys)
-    assert code == 1
-    monkeypatch.setenv("HAHNLAB_TOL", "1e-6")
-    code, _, _ = run_cli(["verify", "--suite", "barnes",
-                          "--out", str(tmp_path / "r2.json")], capsys)
-    assert code == 0
+    assert run_cli(["verify", "--suite", "barnes", "--out", str(tmp_path / "r.json")],
+                   capsys)[0] == 0
+
+
+def test_eval_value_past_the_double_range_exit_2(capsys):
+    """The exact value at a 401-digit x is computed; its rounding to float is
+    the gate's RangeOverflowError, not an OverflowError traceback."""
+    argv = ["eval", "jacobi", "--n", "2", "--gamma", "0", "--delta", "0", "--x", "1" + "0" * 400]
+    assert run_cli(argv, capsys) == (2, "", "error: value is past the double range\n")
+    code, out, _ = run_cli([*argv, "--mode", "exact"], capsys)
+    assert code == 0 and out == f"{3 * 10**800 - 1}/2\n"  # P_2 = (3x^2 - 1) / 2
 
 
 _INVALID_TOLERANCES = ["nan", "inf", "-inf", "-1e-8", "1e400"]
@@ -171,14 +177,24 @@ def test_invalid_tolerance_flag_exit_2(command, flag, value, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("value", _INVALID_TOLERANCES)
-def test_invalid_env_tolerance_exit_2(value, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HAHNLAB_TOL", value)
-    code, _, err = run_cli(["verify", "--suite", "barnes",
-                            "--out", str(tmp_path / "r.json")], capsys)
-    assert code == 2
-    assert "HAHNLAB_TOL" in err and "finite number >= 0" in err
-    assert not any(tmp_path.iterdir())
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python converts ints to text without a digit limit")
+def test_eval_exact_value_too_long_to_print_exit_2(capsys):
+    """An exact value past Python's int-to-text digit limit is an error line
+    and exit 2, not a ValueError traceback: x has half the limit's digits, so
+    P_2(x) = (3x^2 - 1) / 2 has more than the limit."""
+    zeros = "0" * (sys.get_int_max_str_digits() // 2 + 1)
+    code, out, err = run_cli(["eval", "jacobi", "--n", "2", "--gamma", "0", "--delta", "0",
+                              "--x", "1" + zeros, "--mode", "exact"], capsys)
+    assert (code, out) == (2, "") and err.startswith("error: exact value too long to print: ")
+
+
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    """An --out in a missing directory is an error line and exit 2, not a
+    traceback."""
+    out = tmp_path / "missing" / "g.csv"
+    assert run_cli([*_GRAM_4, "--out", str(out)], capsys) == \
+        (2, "", f"error: [Errno 2] No such file or directory: '{out}'\n")
 
 
 def test_zero_tolerance_is_accepted(tmp_path, capsys):

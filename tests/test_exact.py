@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hahnlab.errors import ExactInputError
+from hahnlab.errors import DomainError, ExactInputError, RangeOverflowError
 from hahnlab.exact import (GR_I, GR_ONE, I_POWERS, ExactPoly, GaussianRational,
                            _poly, gr)
 from hahnlab.polynomials import (HahnParams, JacobiParams, chahn_coeffs_exact,
@@ -98,6 +98,13 @@ def test_bad_text_is_an_input_error(make, text):
     text, never ZeroDivisionError or ValueError."""
     with pytest.raises(ExactInputError, match=text):
         make(text)
+
+
+@pytest.mark.parametrize("value", [1.5, 2, None, GaussianRational(1, 2)])
+def test_parse_of_a_value_that_is_not_text_is_an_input_error(value):
+    with pytest.raises(ExactInputError) as caught:
+        GaussianRational.parse(value)
+    assert str(caught.value) == f"cannot parse exact scalar: {value!r}"
 
 
 @pytest.mark.parametrize("text", ["1/0i", "2-1/0i", "1/0+i", "1/0-2i"])
@@ -499,3 +506,38 @@ def test_powers_match_fraction_pairs(pair, k):
     _assert_canonical(x ** k, want)
     _assert_canonical(-x, (-pair[0], -pair[1]))
     _assert_canonical(x.conjugate(), (pair[0], -pair[1]))
+
+
+def test_coeff_takes_any_int_and_refuses_anything_else():
+    """coeff(k) reads c_k for any int k, 0 outside 0..degree; a k that is not
+    an int (1.0 == 1 included) raises DomainError naming k."""
+    p = ExactPoly([1, GaussianRational(0, 2), F(-3, 4)])
+    assert [p.coeff(k) for k in (-1, 0, 1, 2, 3, 10**400)] == \
+        [0, 1, GaussianRational(0, 2), F(-3, 4), 0, 0]
+    for k in (1.0, F(1), "1", None):
+        with pytest.raises(DomainError) as caught:
+            p.coeff(k)
+        assert str(caught.value) == f"k must be an int, got {k!r}"
+
+
+@pytest.mark.parametrize("x", ["junk", "0.5", None, [1]])
+def test_call_at_a_value_that_is_not_a_number_raises_domain_error(x):
+    """p(x) for text (also text that reads as a number) or another non-number
+    raises the gate's DomainError naming x; floats and complex values still
+    evaluate in floats."""
+    p = ExactPoly([1, 2])
+    with pytest.raises(DomainError) as caught:
+        p(x)
+    assert str(caught.value) == f"x must be a number, got {x!r}"
+    assert p(0.5) == 2.0 and p(0.5j) == 1 + 1j
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python converts ints to text without a digit limit")
+def test_str_past_the_int_to_text_limit_is_a_range_error():
+    """A part with more digits than Python converts to text raises
+    RangeOverflowError, not ValueError; within the limit str is unchanged."""
+    digits = sys.get_int_max_str_digits()
+    assert str(GaussianRational(F(10**(digits - 1)), -1)) == f"1{'0' * (digits - 1)}-1i"
+    with pytest.raises(RangeOverflowError, match="^exact value too long to print: "):
+        str(GaussianRational(1, 10**digits))

@@ -241,7 +241,7 @@ def test_hahn_weight_log_shares_shifts_bitwise(monkeypatch, params, calls):
 
 def test_hahn_weight_log_rejects_complex_z():
     # the shared shifts hold for real z only
-    with pytest.raises(TypeError):
+    with pytest.raises(DomainError, match=r"^z must be real, got \(1\+0\.5j\)$"):
         hahn_weight_log(1.0 + 0.5j, 0.5, 0.5, 0.5, 0.5)
 
 

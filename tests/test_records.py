@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from hahnlab.cli import RunManifest
 from hahnlab.errors import ExactInputError
 from hahnlab.exact import ExactPoly, GaussianRational
 from hahnlab.numerics import LogGammaValue
@@ -50,9 +49,6 @@ _CASES = [
      "WeightedTanhFunction(alpha=GaussianRational(Fraction(1, 1), Fraction(0, 1)),"
      " beta=GaussianRational(Fraction(1, 2), Fraction(0, 1)), poly=ExactPoly(['1', '2']))",
      True),
-    (RunManifest("gram", {"size": 8}), RunManifest("gram", {"size": 8}, False),
-     "RunManifest(command='gram', parameters={'size': 8}, seed_independent=True,"
-     " outputs=[])", False),
 ]
 
 
@@ -84,10 +80,6 @@ def test_record_defaults():
     gram = GramResult([[1j]], [1j], 0.0, 0.0)
     assert (gram.max_offdiag_scaled, gram.evaluations, gram.step, gram.truncation_radius,
             gram.estimated_error) == (0.0, 0, 0.0, 0.0, 0.0)
-    first, second = RunManifest("gram", {}), RunManifest("gram", {})
-    assert first.seed_independent is True and first.outputs == []
-    first.outputs.append("gram.csv")
-    assert second.outputs == [] and RunManifest("gram", {}).outputs == []
 
 
 def test_weighted_tanh_function_holds_fractions():

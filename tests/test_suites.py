@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from hahnlab import numerics, orthogonality, quadrature, suites
+from hahnlab.errors import DomainError
 from hahnlab.exact import GaussianRational
 from hahnlab.orthogonality import (bateman_ortho_check, chahn_gram, jacobi_ortho_check,
                                    pasternack_biortho_check, pasternack_ortho_check)
@@ -188,3 +189,23 @@ def test_grouped_rows_call_the_list_form_bound_in_the_module(monkeypatch):
     assert calls == [{"tol": 1e-6}] * 2
     assert [(n, z) for *_, (n, _, _, z) in reports] == \
         [(n, z) for _ in range(2) for n in (0, 1, 3) for z in (0.0, 1.0, 5.0)]
+
+
+@pytest.mark.parametrize("name_filter", ["no-such-suite", 1.5, None])
+def test_a_filter_that_matches_no_suite_raises_domain_error(name_filter):
+    """A filter that is in no suite name, or is not text, raises DomainError
+    naming it and listing the suites, before any suite runs."""
+    with pytest.raises(DomainError) as caught:
+        run_suites(name_filter)
+    assert str(caught.value) == \
+        f"no suite matches {name_filter!r}; known: {', '.join(sorted(SUITES))}"
+
+
+@pytest.mark.parametrize("tol", [-1e-8, float("nan"), float("inf"), 1j, "1e-6"])
+def test_a_tolerance_that_is_not_a_finite_number_at_least_0_raises_domain_error(tol):
+    """The rule of the command line's tolerance options (errors._require_tolerance);
+    text is not a number, as at every gate."""
+    with pytest.raises(DomainError) as caught:
+        run_suites("reflection", tol)
+    must = "a number" if isinstance(tol, str) else "a finite number >= 0"
+    assert str(caught.value) == f"tol must be {must}, got {tol!r}"
