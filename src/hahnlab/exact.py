@@ -23,7 +23,7 @@ _rational, the one reducing constructor, takes a triple back.
 from __future__ import annotations
 
 import re as _re
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Set
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -309,6 +309,13 @@ def _vectors(values) -> tuple:
     return re, im if any(im) else [], den
 
 
+def _coeff_vectors(coeffs) -> tuple:
+    """_vectors(coeffs), refusing a non-iterable, text, a mapping or a set."""
+    if isinstance(coeffs, (str, bytes, Mapping, Set)) or not isinstance(coeffs, Iterable):
+        raise DomainError(f"coeffs must be an iterable of exact scalars, got {coeffs!r}")
+    return _vectors(coeffs)
+
+
 def _canonical(re, im, den: int, size: int | None = None) -> tuple:
     """Integer vectors (len(im) <= len(re), den != 0) in canonical form: at
     most size coefficients, trailing zeros trimmed, im empty when real, den > 0
@@ -380,7 +387,7 @@ class ExactPoly:
     __slots__ = ("_re", "_im", "_den", "_order", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
-        self._store(*_vectors(coeffs), None)
+        self._store(*_coeff_vectors(coeffs), None)
 
     def _store(self, re, im, den: int, order: int | None):
         re, im, den = _canonical(re, im, den, None if order is None else order + 1)

@@ -25,7 +25,7 @@ from operator import add, mul, sub, truediv
 from .errors import RangeOverflowError, _require, _require_int, _require_tuple
 from .numerics import _weight_memo, gamma_product, pochhammer
 from .polynomials import (EXACT_DEGREE_CAP, JacobiParams, _chahn_recurrence, _to_complex,
-                          horner_level, jacobi_coeffs_complex, pasternack_coeffs_complex,
+                          jacobi_coeffs_complex, pasternack_coeffs_complex,
                           pasternack_hahn_params)
 from .quadrature import _ABS_TOL, _EPS, _REL_TOL, IntegralResult, _line_integral, integrate_line
 from .reports import QuadDiagnostics, VerificationReport, integral_report
@@ -330,34 +330,23 @@ def _sech_integral(pairs: list, m, m2, scale: float) -> list[IntegralResult]:
     """int F_n^m(ix) F_p^m2(ix) scale / (cos(pi m) + cosh(pi x)) dx for each
     (n, p) of pairs, in one pass on the one weight of the sech families:
     Pasternack's at scale 1, and Bateman's sech^2(pi x / 2) =
-    2 / (1 + cosh(pi x)) at m = 0 and scale 2.  Each node computes the
-    weight once and each distinct polynomial once.  For real or imaginary m
+    2 / (1 + cosh(pi x)) at m = 0 and scale 2.  For real or imaginary m
     the weight is real and even, analytic in |Im x| < 1 - |Re m|; with real
     coefficients the integrand at -x is the conjugate of the one at x, so
     one node serves both signs."""
-    keys = [(tuple(pasternack_coeffs_complex(n, m)), tuple(pasternack_coeffs_complex(p, m2)))
-            for n, p in pairs]
-    polys = dict.fromkeys(c for key in keys for c in key)
-    bounds = [(sum(map(abs, fn)) * sum(map(abs, fp)), n + p)
-              for (fn, fp), (n, p) in zip(keys, pairs)]
-    real = not any(u.imag for c in polys for u in c)
+    products = [(pasternack_coeffs_complex(n, m), pasternack_coeffs_complex(p, m2), None)
+                for n, p in pairs]
+    real = not any(u.imag for fn, fp, _ in products for u in (*fn, *fp))
     mc = _to_complex(m)
     cos_pim = cmath.cos(math.pi * mc)
-
-    def f(xs: list) -> list:
-        ixs = [1j * x for x in xs]
-        weights = [scale / (cos_pim + math.cosh(math.pi * x)) for x in xs]
-        values = {c: horner_level(c, ixs) for c in polys}
-        return [list(map(mul, map(mul, values[fn], values[fp]), weights)) for fn, fp in keys]
-
     # the weight is at most 4 e^{-pi|x|} in both uses: 2 / (1 + cosh(pi x))
     # everywhere, and 1 / (cosh(pi x) + cos(pi m)) since cosh(pi x) + cos(pi m)
     # >= e^{pi|x|}/2 - 1 >= e^{pi|x|}/4 for |x| >= 0.45 (the scan starts at 2)
-    def env(x: float) -> float:
-        return max(bound * max(1.0, abs(x)) ** degree for bound, degree in bounds) \
-            * (4.0 * math.exp(-math.pi * abs(x)))
-
-    return _line_integral(f, env, 1.0 - abs(mc.real), [1] * len(keys) if real else None)
+    return _line_integral(
+        products, lambda x: 1j * x,
+        lambda xs: {None: [scale / (cos_pim + math.cosh(math.pi * x)) for x in xs]},
+        lambda x: 4.0 * math.exp(-math.pi * abs(x)), 1.0 - abs(mc.real),
+        [1] * len(products) if real else None)
 
 
 def bateman_ortho_checks(pairs: list, tol: float = 1e-8,

@@ -16,7 +16,7 @@ from collections.abc import Iterable, Sequence
 from itertools import repeat
 
 from .errors import DomainError, _require_int
-from .exact import ExactPoly, _multiply, _poly, _scaled_sum, _vectors, gr
+from .exact import ExactPoly, _coeff_vectors, _multiply, _poly, _scaled_sum, gr
 from .polynomials import _term_vectors
 
 
@@ -24,7 +24,7 @@ class FormalSeries(ExactPoly):
     __slots__ = ()
 
     def __init__(self, coeffs: Iterable, order: int | None = None):
-        re, im, den = _vectors(coeffs)
+        re, im, den = _coeff_vectors(coeffs)
         self._store(re, im, den, len(re) - 1 if order is None else _require_int("order", order, 0))
 
     @property

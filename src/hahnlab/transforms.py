@@ -6,22 +6,24 @@ continuous Hahn value, then reports the discrepancy.  The Fourier and
 Mellin checks have list forms (fourier_pair_checks, mellin_pair_checks)
 that take every row on one weight (alpha, beta) and integrate them in one
 pass, the tanh logs once per node and the weight once per frequency; the
-scalar checks are their one-row case.  The Fourier convention is
-F(f)(z) = int e^{-ixz} f(x) dx with Parseval constant 2*pi.
-The Mellin pair is the Fourier pair after x = e^{-2u}: both of its sides
-are the Fourier pair's at z = -2 lambda, scaled by 2^{1-alpha-beta}.
+scalar checks are their one-row case; each integral gives
+quadrature._line_integral only its weight.  The Fourier convention is
+F(f)(z) = int e^{-ixz} f(x) dx with Parseval constant 2*pi; a complex z
+converges for -2 Re beta < Im z < 2 Re alpha (outside, or near the edges,
+the cut-off scan raises QuadratureError).  The Mellin pair is the Fourier
+pair after x = e^{-2u}: both of its sides are the Fourier pair's at
+z = -2 lambda, scaled by 2^{1-alpha-beta}, where -Re alpha < Im lambda < Re beta.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from operator import mul
 
 from .errors import _require, _require_tuple
 from .numerics import _weight_memo, gamma_product, log_gamma_complex
 from .polynomials import (JacobiParams, _hahn_of_jacobi, _to_complex, chahn_eval,
-                          chahn_coeffs_complex, horner_level, jacobi_coeffs_complex)
+                          chahn_coeffs_complex, jacobi_coeffs_complex)
 from .quadrature import IntegralResult, _line_integral
 from .reports import QuadDiagnostics, VerificationReport, integral_report
 
@@ -48,30 +50,26 @@ def _tanh_product_integral(entries: list, wa: complex, wb: complex) -> list[Inte
     coefficient lists: the beta-type integral over [-1, 1] in the variable
     t = tanh x, and its Fourier transform, all on one weight in one pass.
 
-    Each node computes tanh x and the weight's logs once, the weight once
-    per distinct z and each distinct polynomial once; an entry's terms are
-    then its own products, in the order a lone entry forms them.  The
+    Each node computes the weight's logs once and the weight once per
+    distinct z, _line_integral's key; |e^{-ixz}| = e^{x Im z}, so the weight
+    bound takes the largest Im z at x > 0 and the smallest at x < 0.  The
     integrand is analytic in |Im x| < pi/2 and has no reflection symmetry,
     so each level is evaluated at both signs; the first step is at most
     pi/|z|, half a period of the fastest oscillation."""
-    keys = [(tuple(pn), tuple(pm), z) for pn, pm, z in entries]
-    polys = dict.fromkeys(p for pn, pm, _ in keys for p in (pn, pm))
-    freqs = dict.fromkeys(z for *_, z in keys)
-    bound = max(sum(map(abs, pn)) * sum(map(abs, pm)) for pn, pm, _ in keys)
+    freqs = dict.fromkeys(z for *_, z in entries)
+    hi, lo = max(z.imag for z in freqs), min(z.imag for z in freqs)
 
-    def f(xs: list) -> list:
+    def weights(xs: list) -> dict:
         logs = list(map(tanh_weight_logs, xs))
-        ts = list(map(math.tanh, xs))
-        w = {z: [cmath.exp(-1j * z * x + wa * l1 + wb * l2) for x, (l1, l2) in zip(xs, logs)]
-             for z in freqs}
-        p = {c: horner_level(c, ts) for c in polys}
-        return [list(map(mul, map(mul, w[z], p[pn]), p[pm])) for pn, pm, z in keys]
+        return {z: [cmath.exp(-1j * z * x + wa * l1 + wb * l2) for x, (l1, l2) in zip(xs, logs)]
+                for z in freqs}
 
-    def env(x: float) -> float:
+    def weight_bound(x: float) -> float:
         l1, l2 = tanh_weight_logs(x)
-        return bound * math.exp(wa.real * l1 + wb.real * l2)
+        return math.exp(wa.real * l1 + wb.real * l2 + x * (hi if x > 0.0 else lo))
 
-    return _line_integral(f, env, math.pi / max(2.0, *map(abs, freqs)))
+    return _line_integral(entries, math.tanh, weights, weight_bound,
+                          math.pi / max(2.0, *map(abs, freqs)))
 
 
 def _weighted_jacobi_transform(alpha, beta, cases: list) -> list[IntegralResult]:
@@ -185,7 +183,8 @@ def _parseval_right(n: int, m: int, alpha, beta, a, b, gamma, delta, c,
     w(z/2) is analytic in |Im z| < 2 min Re(al, be, av, bv).  For real
     parameters w(-z) = conj w(z) and p_n(-x) = (-1)^n conj p_n(x), so the
     integrand at -z is (-1)^(n+m) times the conjugate of the one at z;
-    otherwise |w(-z/2)| != |w(z/2)|, and integrate_line bounds both tails."""
+    otherwise |w(-z/2)| != |w(z/2)|, and integrate_line bounds both tails.
+    At real z, q_m's conjugated coefficients give conj q_m(z/2) bit for bit."""
     cn = chahn_coeffs_complex(n, _hahn_of_jacobi(alpha, beta, gamma, delta))
     cm = chahn_coeffs_complex(m, _hahn_of_jacobi(*(v.conjugate() for v in (a, b, c, d))))
     values = list(map(_to_complex, (alpha, beta, a, b, gamma, delta, c, d)))
@@ -194,24 +193,11 @@ def _parseval_right(n: int, m: int, alpha, beta, a, b, gamma, delta, c,
     log_weight = _weight_memo(al, be, av, bv)
     real = not any(v.imag for v in values)
 
-    def gamma_sum_log(z: float) -> complex:
-        return log_weight(0.5 * z) + log_norm
-
-    def f(zs: list) -> list:
-        halves = [0.5 * z for z in zs]
-        w = [cmath.exp(gamma_sum_log(z)) for z in zs]
-        return [list(map(mul, map(mul, w, horner_level(cn, halves)),
-                         [u.conjugate() for u in horner_level(cm, halves)]))]
-
-    def env(z: float) -> float:
-        r = 0.5 * abs(z)
-        pb = sum(abs(u) * r ** k for k, u in enumerate(cn)) \
-            * sum(abs(u) * r ** k for k, u in enumerate(cm))
-        return math.exp(gamma_sum_log(z).real) * pb
-
-    [res] = _line_integral(f, env, 2.0 * min(al.real, be.real, av.real, bv.real),
-                           [(-1) ** (n + m)] if real else None)
-    return res
+    return _line_integral(
+        [(cn, [u.conjugate() for u in cm], None)], lambda z: 0.5 * z,
+        lambda zs: {None: [cmath.exp(log_weight(0.5 * z) + log_norm) for z in zs]},
+        lambda z: math.exp((log_weight(0.5 * z) + log_norm).real),
+        2.0 * min(al.real, be.real, av.real, bv.real), [(-1) ** (n + m)] if real else None)[0]
 
 
 def parseval_check(n: int, m: int, alpha, beta, a, b, gamma, delta, c, d,

@@ -1,12 +1,14 @@
 """A bounded no-escape sweep of the public API.
 
-Each function of hahnlab.__all__, the ExactPoly methods coeff, __call__,
-shift_up and scale_argument, GaussianRational.parse, FormalSeries.truncate
-and suites.run_suites is called from a base of valid arguments with one
+Each function of hahnlab.__all__, the ExactPoly and FormalSeries
+constructors, the ExactPoly methods coeff, __call__, shift_up and
+scale_argument, GaussianRational.parse, FormalSeries.truncate and
+suites.run_suites is called from a base of valid arguments with one
 argument at a time replaced by each hostile value: 1.5, -1, the argument's
 cap + 1 where it has one, NaN, +-inf, complex(nan, 0), Fraction(10**400),
 Fraction(1, 10**400), a GaussianRational, junk text and None.  A parameter
-record (JacobiParams, HahnParams) is replaced whole and field by field.
+record (JacobiParams, HahnParams) is replaced whole, field by field, and
+by the list of its fields.
 Every call returns or raises a HahnlabError, never TypeError, ValueError,
 AttributeError, OverflowError or KeyError.  No value starts unbounded work:
 the ints are -1 and cap + 1, and the huge Fraction is a scalar, never an
@@ -27,7 +29,8 @@ from hahnlab.errors import HahnlabError
 from hahnlab.exact import ExactPoly, GaussianRational, gr
 from hahnlab.numerics import beta, gamma, hahn_weight, log_gamma, pochhammer
 from hahnlab.polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams,
-                                 chahn_coeffs_exact, chahn_eval, jacobi_coeffs_exact,
+                                 chahn_coeffs_complex, chahn_coeffs_exact, chahn_eval,
+                                 jacobi_coeffs_exact,
                                  jacobi_eval, pasternack_coeffs_exact, pasternack_eval,
                                  pasternack_reflection_check)
 from hahnlab.series import FormalSeries
@@ -51,6 +54,8 @@ _CALLS = {
     "log_gamma": (log_gamma, (_H,), {}),
     "pochhammer": (pochhammer, (_H, 3), {}),
     "gr": (gr, (_H,), {}),
+    "ExactPoly": (ExactPoly, ([1, GaussianRational(0, 2), F(-3, 4)],), {}),
+    "series.FormalSeries": (FormalSeries, ([1, 2, 3], 2), {}),
     "jacobi_eval": (jacobi_eval, (2, JacobiParams(_H, F(1, 3)), F(2, 5)), {0: _CAP}),
     "chahn_eval": (chahn_eval, (2, HahnParams(_H, _H, _H, _H), F(2, 5)), {0: _CAP}),
     "pasternack_eval": (pasternack_eval, (2, F(1, 3), F(2, 5)), {0: _CAP}),
@@ -78,20 +83,20 @@ _NOT_CALLED = {
                     "a result record: nothing reads its fields on the way in"),
     "GaussianRational": "a class: its constructor is gr's coercion (gr(v) is "
                         "GaussianRational(v) for a value that is not one), and parse is swept",
-    "ExactPoly": "a class: coeff, __call__, shift_up and scale_argument are swept; its "
-                 "constructor iterates its argument (a non-iterable raises Python's TypeError) "
-                 "and its operators return NotImplemented for a foreign operand",
     "__version__": "a string",
 }
 
 
 def _arguments(base: tuple, caps: dict):
     """(label, arguments) for each argument of base replaced in turn by each
-    hostile value (and cap + 1), and each field of a record argument."""
+    hostile value (and cap + 1), and each field of a record argument, and
+    a record argument by the list of its fields."""
     for i, arg in enumerate(base):
         extra = (caps[i] + 1,) if i in caps else ()
         for value in (*_HOSTILE, *extra):
             yield f"argument {i} = {value!r}", base[:i] + (value,) + base[i + 1:]
+        if hasattr(arg, "_fields"):
+            yield f"argument {i} = {list(arg)!r}", base[:i] + (list(arg),) + base[i + 1:]
         for field in getattr(arg, "_fields", ()):
             for value in _HOSTILE:
                 yield (f"argument {i}.{field} = {value!r}",
@@ -126,16 +131,36 @@ def test_hostile_arguments_raise_only_hahnlab_errors(name):
     (lambda: jacobi_coeffs_exact(2, _H), "params must be a 2-tuple, got Fraction(1, 2)"),
     (lambda: chahn_coeffs_exact(2, JacobiParams(_H, _H)),
      "params must be a 4-tuple, got JacobiParams(gamma=Fraction(1, 2), delta=Fraction(1, 2))"),
+    (lambda: jacobi_eval(2, [0.5, 0.5], 0.4),
+     "params must be a tuple or a number, got [0.5, 0.5]"),
+    (lambda: chahn_eval(2, [_H] * 4, 0.4),
+     "params must be a tuple or a number, got [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), "
+     "Fraction(1, 2)]"),
+    (lambda: pasternack_eval(2, [0.5], 0.4), "params must be a tuple or a number, got [0.5]"),
+    (lambda: jacobi_coeffs_exact(2, [_H, _H]),
+     "params must be a tuple or a number, got [Fraction(1, 2), Fraction(1, 2)]"),
+    (lambda: chahn_coeffs_complex(2, [0.5] * 4),
+     "params must be a tuple or a number, got [0.5, 0.5, 0.5, 0.5]"),
+    (lambda: ExactPoly(1.5), "coeffs must be an iterable of exact scalars, got 1.5"),
+    (lambda: ExactPoly("12"), "coeffs must be an iterable of exact scalars, got '12'"),
+    (lambda: ExactPoly({1: 5, 2: 7}),
+     "coeffs must be an iterable of exact scalars, got {1: 5, 2: 7}"),
+    (lambda: ExactPoly({1, 2}), "coeffs must be an iterable of exact scalars, got {1, 2}"),
+    (lambda: FormalSeries(None, 2), "coeffs must be an iterable of exact scalars, got None"),
     (lambda: hahn_weight("junk", 1, 1, 1, 1), "z must be a number, got 'junk'"),
     (lambda: hahn_weight(0.5j, 1, 1, 1, 1), "z must be real, got 0.5j"),
     (lambda: hahn_weight(complex(math.nan, 0), 1, 1, 1, 1),
      "z must be finite; (nan+0j) is not finite"),
 ], ids=["jacobi-eval-params", "chahn-eval-params", "jacobi-exact-params", "chahn-exact-params",
-        "weight-z-text", "weight-z-complex", "weight-z-nan"])
+        "jacobi-eval-list", "chahn-eval-list", "pasternack-eval-list", "jacobi-exact-list",
+        "chahn-complex-list", "poly-float", "poly-text", "poly-mapping", "poly-set",
+        "series-none", "weight-z-text", "weight-z-complex", "weight-z-nan"])
 def test_gates_the_sweep_found_missing(call, message):
-    """A parameter record that is not a tuple of the family's size, and a
-    weight argument z that is not a finite real number, raise DomainError
-    naming them."""
+    """A parameter record that is not a tuple of the family's size or is a
+    list (which the memo cannot hash), coefficients that are not an iterable
+    of scalars (text, a mapping or a set would read as other coefficients),
+    and a weight argument z that is not a finite real number, raise
+    DomainError naming them."""
     with pytest.raises(HahnlabError) as caught:
         call()
     assert type(caught.value).__name__ == "DomainError" and str(caught.value) == message

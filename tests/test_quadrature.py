@@ -20,10 +20,16 @@ def _sech(u):
     return 2.0 * e / (1.0 + e * e)
 
 
-def _level(*Fs):
-    """Integrands F_1, ..., F_K as _line_integral's level integrand: each
-    F_k at every node."""
-    return lambda zs: [[F(z) for z in zs] for F in Fs]
+def _weighted(*weights, p=(1.0,)):
+    """_line_integral's arguments for the products w_k(x) p(x) of weights
+    w_1, ..., w_K, one key each: (pairs, arg, weights)."""
+    return ([(p, (1.0,), k) for k in range(len(weights))], lambda x: x,
+            lambda xs: {k: list(map(w, xs)) for k, w in enumerate(weights)})
+
+
+def _sech_bound(a=1.0):
+    """A bound on sech^2(a x), 4 e^{-2a|x|}."""
+    return lambda x: 4.0 * math.exp(-2.0 * a * abs(x))
 
 
 def _relative(values):
@@ -46,8 +52,8 @@ def _even(k):
 def test_sech_squared_family(a):
     # antiderivative of sech^2(ax) is tanh(ax)/a, so the line integral is
     # 2/a; the strip is |Im x| < pi / (2a)
-    [res] = _line_integral(_level(lambda x: _sech(a * x) ** 2),
-                         lambda x: 4.0 * math.exp(-2.0 * a * abs(x)), math.pi / (2.0 * a))
+    [res] = _line_integral(*_weighted(lambda x: _sech(a * x) ** 2), _sech_bound(a),
+                           math.pi / (2.0 * a))
     assert abs(res.value - 2.0 / a) <= 1e-10 * (2.0 / a)
 
 
@@ -55,29 +61,27 @@ def test_sech_squared_family(a):
 def test_moment_sech_squared_family(a):
     # int u^2 sech^2(u) du = pi^2/6 over the line, rescaled by a^3
     expected = math.pi ** 2 / (6.0 * a ** 3)
-    [res] = _line_integral(_level(lambda x: x * x * _sech(a * x) ** 2),
-                         lambda x: 4.0 * x * x * math.exp(-2.0 * a * abs(x)),
-                         math.pi / (2.0 * a))
+    [res] = _line_integral(*_weighted(lambda x: _sech(a * x) ** 2, p=(0.0, 0.0, 1.0)),
+                           _sech_bound(a), math.pi / (2.0 * a))
     assert abs(res.value - expected) <= 1e-10 * expected
 
 
 def test_odd_integrand_vanishes():
-    [res] = _line_integral(_level(lambda x: x * _sech(x) ** 2),
-                         lambda x: 4.0 * abs(x) * math.exp(-2.0 * abs(x)), math.pi / 2.0)
+    [res] = _line_integral(*_weighted(lambda x: _sech(x) ** 2, p=(0.0, 1.0)), _sech_bound(),
+                           math.pi / 2.0)
     assert abs(res.value) <= _ABS_TOL * 10
 
 
 def test_complex_integrand():
-    [res] = _line_integral(_level(lambda x: complex(_sech(x) ** 2, x * _sech(x) ** 2)),
-                         lambda x: 8.0 * (1 + abs(x)) * math.exp(-2.0 * abs(x)),
-                         math.pi / 2.0)
+    # sech^2 x (1 + ix)
+    [res] = _line_integral(*_weighted(lambda x: _sech(x) ** 2, p=(1.0, 1j)), _sech_bound(),
+                           math.pi / 2.0)
     assert abs(res.value.real - 2.0) <= 2e-10
     assert abs(res.value.imag) <= 1e-12
 
 
 def test_diagnostics_populated():
-    [res] = _line_integral(_level(lambda x: _sech(x) ** 2),
-                         lambda x: 4.0 * math.exp(-2.0 * abs(x)), math.pi / 2.0)
+    [res] = _line_integral(*_weighted(lambda x: _sech(x) ** 2), _sech_bound(), math.pi / 2.0)
     # the centre node and the same count on each side
     assert res.evaluations % 2 == 1 and res.evaluations > 0
     assert res.error_estimate >= 0.0
@@ -108,8 +112,8 @@ def test_oscillatory_panel_width():
     w = 9.0
     expected = math.pi * w / math.sinh(math.pi * w / 2.0)
     [res] = _line_integral(
-        _level(lambda x: complex(math.cos(w * x), math.sin(w * x)) * _sech(x) ** 2),
-        lambda x: 4.0 * math.exp(-2.0 * abs(x)), math.pi / w)
+        *_weighted(lambda x: complex(math.cos(w * x), math.sin(w * x)) * _sech(x) ** 2),
+        _sech_bound(), math.pi / w)
     assert abs(res.value - expected) <= 1e-10 * max(expected, 1.0)
 
 
@@ -125,8 +129,8 @@ def test_truncation_failure_raises():
 
 def test_deterministic_repeat():
     # poles at +-i (1 / (1 + x^2)) and +-i pi / 2 (sech^2): strip 1
-    runs = [_line_integral(_level(lambda x: _sech(x) ** 2 / (1.0 + x * x)),
-                           lambda x: 4.0 * math.exp(-2.0 * abs(x)), 1.0)[0]
+    runs = [_line_integral(*_weighted(lambda x: _sech(x) ** 2 / (1.0 + x * x)),
+                           _sech_bound(), 1.0)[0]
             for _ in range(2)]
     assert runs[0].value == runs[1].value
     assert runs[0].evaluations == runs[1].evaluations
@@ -336,14 +340,10 @@ def test_line_integral_folds_and_reports_the_mass():
     w = 3.0
     expected = math.pi * w / math.sinh(math.pi * w / 2.0)
 
-    f = _level(lambda x: cmath.exp(1j * w * x) * _sech(x) ** 2)
-
-    def env(x):
-        return 4.0 * math.exp(-2.0 * abs(x))
-
-    strip = min(math.pi / 2.0, math.pi / w)
-    [folded] = _line_integral(f, env, strip, [1])
-    [unfolded] = _line_integral(f, env, strip)
+    args = (*_weighted(lambda x: cmath.exp(1j * w * x) * _sech(x) ** 2), _sech_bound(),
+            min(math.pi / 2.0, math.pi / w))
+    [folded] = _line_integral(*args, [1])
+    [unfolded] = _line_integral(*args)
     for res in (folded, unfolded):
         assert abs(res.value - expected) <= 1e-13
         assert abs(res.mass - 2.0) <= 1e-13
@@ -358,12 +358,8 @@ def test_line_integral_components_share_one_pass():
     slower component is its lone integral to the bit, and the faster one
     stays within its own estimate of its lone value."""
     fast, slow = (lambda x: math.exp(-x * x)), (lambda x: _sech(x) ** 2 / (1.0 + x * x))
-
-    def env(x):
-        return 4.0 * math.exp(-2.0 * abs(x))
-
-    alone = [_line_integral(_level(F), env, 1.0)[0] for F in (fast, slow)]
-    pair = _line_integral(_level(fast, slow), env, 1.0)
+    alone = [_line_integral(*_weighted(w), _sech_bound(), 1.0)[0] for w in (fast, slow)]
+    pair = _line_integral(*_weighted(fast, slow), _sech_bound(), 1.0)
     assert alone[0].evaluations < alone[1].evaluations
     assert [r.evaluations for r in pair] == [alone[1].evaluations] * 2
     assert pair[1] == alone[1]

@@ -11,6 +11,7 @@ from hahnlab import quadrature
 from hahnlab.errors import DomainError
 from hahnlab.exact import GaussianRational
 from hahnlab.numerics import beta as beta_fn
+from hahnlab.orthogonality import _sech_integral
 from hahnlab.polynomials import HahnParams, chahn_eval, horner_level
 from hahnlab.quadrature import _EPS, IntegralResult
 from hahnlab.transforms import (fourier_pair_check, mellin_pair_check,
@@ -315,6 +316,33 @@ def test_fourier_integral_at_z5_against_mpmath(n, params):
     assert abs(res.value - want) <= 1e-13 * max(abs(want), 1.0)
 
 
+def _mp_fourier_closed_form(n, al, be, ga, de, z):
+    """2^{al+be-1} Gamma(al+iz/2) Gamma(be-iz/2) / Gamma(al+be+n) i^{-n}
+    p_n(z/2) for Fraction parameters, in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        a, b, c, d = (mpmath.mpf(v.numerator) / v.denominator
+                      for v in _hahn_of_jacobi(al, be, ga, de))
+        x = mpmath.mpc(z) / 2
+        # _hahn_of_jacobi's a and d are alpha and beta
+        return complex(2 ** (a + d - 1) * mpmath.gamma(a + 1j * x) * mpmath.gamma(d - 1j * x)
+                       / mpmath.gamma(a + d + n) * (-1j) ** n * _mp_chahn(n, a, b, c, d, x))
+
+
+@pytest.mark.parametrize("z", [0.5j, 0.7j, -1.2j, 0.9j], ids=["0.5j", "0.7j", "-1.2j", "0.9j"])
+def test_complex_frequency_against_mpmath(z):
+    """|e^{-ixz}| = e^{x Im z}: a cut-off that leaves it out stops too early.
+    At 0.5j the value was off by 6.4e-9 relative with an estimate of 1.4e-13,
+    and 0.7j, -1.2j and 0.9j ran out of nodes.  Inside the strip
+    -2 Re beta < Im z < 2 Re alpha = 1 the value is within 1e-13 of the
+    closed form, relative, and so is the Mellin pair's at lambda = -z / 2."""
+    args = (HALF, F(3, 4), F(1, 3), F(1, 4))
+    res = _transform(2, *args, z)
+    want = _mp_fourier_closed_form(2, *args, z)
+    assert abs(res.value - want) <= 1e-13 * abs(want)
+    assert fourier_pair_check(2, *args, z).passed
+    assert mellin_pair_check(2, *args, -0.5 * z).max_rel_err <= 1e-13
+
+
 def test_fourier_group_evaluates_each_polynomial_once_per_level(monkeypatch):
     """Nine Fourier rows on one weight, n in (0, 1, 3) and z in (0, 1, 5):
     one pass, and per level one Horner sweep per distinct polynomial
@@ -329,7 +357,7 @@ def test_fourier_group_evaluates_each_polynomial_once_per_level(monkeypatch):
         swept.append(xs)
         return horner_level(coeffs, xs)
 
-    monkeypatch.setattr(transforms, "horner_level", recorder)
+    monkeypatch.setattr(quadrature, "horner_level", recorder)
     group = _weighted_jacobi_transform(al, be, cases)
     assert {sum(x is xs for x in swept) for xs in swept} == {3}
     assert len({res.evaluations for res in group}) == 1
@@ -397,38 +425,43 @@ def test_parseval_right_integral_against_mpmath(args):
     assert abs(res.value - want) <= 1e-13 * max(abs(want), 1.0)
 
 
-@pytest.mark.parametrize("args", [PARSEVAL_REAL, PARSEVAL_COMPLEX],
-                         ids=["real-folded", "complex-both-sides"])
-def test_parseval_envelope_bounds_both_tails(monkeypatch, args):
-    """The function integrate_line's cut-off scans bounds the integrand at z and
-    at -z.  With complex parameters |w(-z/2)| != |w(z/2)|: the envelope read
-    at z alone falls 3.4 times under |F(-2)| and 18.7 times under |F(-15.5)|,
-    so integrate_line scans max(envelope(z), envelope(-z))."""
-    from hahnlab import quadrature, transforms
-    seen = {}
-    line_integral = transforms._line_integral
+_ENVELOPE_CASES = {
+    "sech-m0": lambda: _sech_integral([(3, 3), (4, 2)], 0, 0, 2.0),
+    "sech-m1/3": lambda: _sech_integral([(2, 2), (4, 1)], F(1, 3), F(-1, 3), 1.0),
+    "sech-mi/2": lambda: _sech_integral([(2, 2), (3, 1)], 0.5j, 0.5j, 1.0),
+    "tanh-real-z": lambda: _weighted_jacobi_transform(
+        F(3, 5), F(11, 10), [(3, F(1, 4), F(4, 5), 5.0), (1, F(1, 4), F(4, 5), 0.0)]),
+    "tanh-complex-z": lambda: _weighted_jacobi_transform(
+        HALF, F(3, 4), [(2, F(1, 3), F(1, 4), 0.5j), (1, F(1, 3), F(1, 4), -0.5j)]),
+    "parseval-real-folded": lambda: _parseval_right(
+        *PARSEVAL_REAL[:2], *map(complex, PARSEVAL_REAL[2:])),
+    "parseval-complex-both-sides": lambda: _parseval_right(
+        *PARSEVAL_COMPLEX[:2], *map(complex, PARSEVAL_COMPLEX[2:])),
+}
 
-    class Scanned(Exception):
-        pass
 
-    def capture(f, env, *rest):
-        seen.update(f=f, env=env)
-        return line_integral(f, env, *rest)
+@pytest.mark.parametrize("case", _ENVELOPE_CASES)
+def test_envelope_bounds_both_tails(monkeypatch, case):
+    """The envelope each pass hands integrate_line is at least every |F_k|
+    at x and at -x, from the scan's start 2 to 8 past the cut-off, for the
+    three weights of _line_integral: sech (real, folded, and complex m),
+    tanh (a real and a complex frequency, whose |e^{-ixz}| = e^{x Im z}
+    grows on one side) and the four-gamma weight of Parseval (real,
+    folded, and complex, where |w(-z/2)| != |w(z/2)|)."""
+    seen, driver = [], quadrature.integrate_line
 
-    def scan(scanned):
-        seen["scanned"] = scanned
-        raise Scanned
+    def spy(f, envelope, *rest):
+        res = driver(f, envelope, *rest)
+        seen.append((f, envelope, res.radius))
+        return res
 
-    monkeypatch.setattr(transforms, "_line_integral", capture)
-    monkeypatch.setattr(quadrature, "truncation_radius", scan)
-    with pytest.raises(Scanned):
-        _parseval_right(*args[:2], *map(complex, args[2:]))
-    f, env, scanned = seen["f"], seen["env"], seen["scanned"]
-    for z in (2.0 + 0.5 * k for k in range(37)):
-        assert scanned(z) >= max(abs(f([z])[0][0]), abs(f([-z])[0][0])), z
-    if args is PARSEVAL_COMPLEX:
-        assert env(2.0) * 3 < abs(f([-2.0])[0][0])
-        assert env(15.5) * 18 < abs(f([-15.5])[0][0])
+    monkeypatch.setattr(quadrature, "integrate_line", spy)
+    _ENVELOPE_CASES[case]()
+    [(f, envelope, radius)] = seen
+    for x in (2.0 + 0.5 * k for k in range(int(2 * (radius + 6.0)) + 1)):
+        for z in (x, -x):
+            sums = f([z])  # one node: each F_k(z), then each |F_k(z)|
+            assert envelope(z) >= max(sums[len(sums) // 2:]), z
 
 
 def test_parseval_zero_case_reports_error_against_mass():
