@@ -310,8 +310,10 @@ def _vectors(values) -> tuple:
 
 
 def _coeff_vectors(coeffs) -> tuple:
-    """_vectors(coeffs), refusing a non-iterable, text, a mapping or a set."""
-    if isinstance(coeffs, (str, bytes, Mapping, Set)) or not isinstance(coeffs, Iterable):
+    """_vectors(coeffs), refusing a non-iterable, text, a mapping or a set; a
+    list or tuple skips the ABC checks, which cache a result per type checked."""
+    if type(coeffs) not in (list, tuple) and (
+            isinstance(coeffs, (str, bytes, Mapping, Set)) or not isinstance(coeffs, Iterable)):
         raise DomainError(f"coeffs must be an iterable of exact scalars, got {coeffs!r}")
     return _vectors(coeffs)
 

@@ -312,10 +312,18 @@ def _built(family, n: int, params) -> _Built:
 
 
 def _lookup(family, n: int, params) -> _Built:
-    """_built(family, n, params) for n and params (not a list) gated before the memo."""
-    if params.__hash__ is None:
-        raise DomainError(f"params must be a tuple or a number, got {params!r}")
-    return _built(family, _require_int("n", n, 0, EXACT_DEGREE_CAP), params)
+    """_built(family, n, params) for n gated before the memo; a record the memo
+    cannot hash (a list, or one holding a list) raises DomainError naming params."""
+    n = _require_int("n", n, 0, EXACT_DEGREE_CAP)
+    try:
+        return _built(family, n, params)
+    except TypeError:
+        try:  # on the failure path only: hashing exact parameters is not free
+            hash(params)
+        except TypeError:
+            raise DomainError(f"params must be a number or tuple of numbers, got {params!r}") \
+                from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +344,12 @@ def _evaluator(family, name: str, doc: str):
             x = _complex("x", x)  # or the HahnlabError naming x
         last_n, last_params, value, tail = record
         if last_params is not params or last_n is not n:
-            if not (isinstance(n, int) and 0 <= n <= EXACT_DEGREE_CAP and params.__hash__):
-                _lookup(family, n, params)  # raises: the gates before the memo, no frame
-            built = _built(family, n, params)
+            if not (isinstance(n, int) and 0 <= n <= EXACT_DEGREE_CAP):
+                _require_int("n", n, 0, EXACT_DEGREE_CAP)  # raises: _lookup's gate, no frame
+            try:
+                built = _built(family, n, params)
+            except TypeError:  # a record the memo cannot hash: _lookup's DomainError
+                built = _lookup(family, n, params)
             rounded = built.rounded or built.round()
             value, tail = rounded[0], rounded[1:]
             record = (n, params, value, tail)

@@ -16,11 +16,12 @@ are one vector integrand: the Gram's entries, and the K products w p q of
 _line_integral, which the sech, Jacobi, Fourier, Mellin and Parseval
 checks fill with every row of a weight and give only the weight: each
 polynomial is evaluated once per node and bounded for the cut-off there,
-and each component still stops on its own target.  Geometric convergence
-also sets the stop: once two consecutive changes shrink by a ratio r <= 1/2,
-the tail d r / (1 - r) of the last change d predicts the error of the
-current value (Trefethen and Weideman, SIAM Review 56 (2014)), so the rule
-does not compute one more level only to confirm it.
+and each component stops on its own target, its estimate counting the cut
+tails.  Geometric convergence also sets the stop: once two consecutive
+changes shrink by a ratio r <= 1/2, the tail d r / (1 - r) of the last
+change d predicts the error of the current value (Trefethen and Weideman,
+SIAM Review 56 (2014)), so the rule does not compute one more level only
+to confirm it.
 
 The targets are fixed constants, a value converging within
 max(1e-10 |value|, 1e-14): the step comes from the strip and the stop
@@ -171,11 +172,11 @@ def _line_integral(pairs: list, arg: Callable, weights: Callable, weight_bound: 
     of integrate_line, which signs and strip go to.  weights(xs) maps each key
     to its values on a level; each distinct polynomial is evaluated once per
     level, each term is (w p) q, and the envelope is weight_bound(x), a bound
-    on every |w_key(x)|, times the largest sum |p_j||t|^j sum |q_j||t|^j.  Each
-    component stops within max(_ABS_TOL, _REL_TOL |value|) or the rounding of
-    its |F| mass (folded with +1), the target it would meet alone; its error
-    estimate is floored at eps times its mass, and evaluations is the pass's
-    node count, the same for every component."""
+    on every |w_key(x)|, times the largest sum |p_j| r^j sum |q_j| r^j,
+    r = max(1, |t|).  Each component stops within max(_ABS_TOL, _REL_TOL
+    |value|) or the rounding of its |F| mass (folded with +1), the target it
+    would meet alone; its error estimate is at least eps times its mass and
+    the cut tails, and evaluations is the pass's node count."""
     polys = list(dict.fromkeys(tuple(c) for p, q, _ in pairs for c in (p, q)))
     pairs = [(polys.index(tuple(p)), polys.index(tuple(q)), key) for p, q, key in pairs]
     sizes = [[abs(u) for u in reversed(c)] for c in polys]  # once per pass
@@ -188,14 +189,19 @@ def _line_integral(pairs: list, arg: Callable, weights: Callable, weight_bound: 
         terms = [list(map(mul, map(mul, w[key], values[i]), values[j])) for i, j, key in pairs]
         return [*map(sum, terms), *(sum(map(abs, t)) for t in terms)]
 
+    last = [None, 0.0]  # r and the polynomials' bound at r, which x and -x share
+
     def envelope(x: float) -> float:
-        r, bound = abs(arg(x)), []
-        for size in sizes:
-            b = 0.0
-            for s in size:  # Horner: 3-4x faster at these degrees than a dot with r^j
-                b = b * r + s
-            bound.append(b)
-        return weight_bound(x) * max(bound[i] * bound[j] for i, j in products)
+        r = max(1.0, abs(arg(x)))  # 1 for tanh x: one bound per pass
+        if r != last[0]:
+            bound = []
+            for size in sizes:
+                b = 0.0
+                for s in size:  # Horner: 3-4x faster at these degrees than a dot with r^j
+                    b = b * r + s
+                bound.append(b)
+            last[:] = r, max(bound[i] * bound[j] for i, j in products)
+        return weight_bound(x) * last[1]
 
     def tolerances(values: list) -> list:
         k = len(values) // 2
@@ -204,6 +210,9 @@ def _line_integral(pairs: list, arg: Callable, weights: Callable, weight_bound: 
 
     res = integrate_line(sums, envelope, strip, tolerances,
                          None if signs is None else signs + [1] * len(signs))
+    # both cut tails, e0 / rate each, rate = log(e0 / e1) over truncation_radius's step 1/2
+    e0, e1 = (max(envelope(z), envelope(-z)) for z in (res.radius, res.radius + 0.5))
+    cut = e0 / math.log(e0 / e1) if 0.0 < e1 < e0 else e0
     k = len(res.values) // 2
-    return [IntegralResult(value, max(change, _EPS * mass), res.nodes, mass)
+    return [IntegralResult(value, max(change, _EPS * mass, cut), res.nodes, mass)
             for value, mass, change in zip(res.values[:k], res.values[k:], res.changes)]

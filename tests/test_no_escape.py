@@ -132,15 +132,18 @@ def test_hostile_arguments_raise_only_hahnlab_errors(name):
     (lambda: chahn_coeffs_exact(2, JacobiParams(_H, _H)),
      "params must be a 4-tuple, got JacobiParams(gamma=Fraction(1, 2), delta=Fraction(1, 2))"),
     (lambda: jacobi_eval(2, [0.5, 0.5], 0.4),
-     "params must be a tuple or a number, got [0.5, 0.5]"),
+     "params must be a number or tuple of numbers, got [0.5, 0.5]"),
     (lambda: chahn_eval(2, [_H] * 4, 0.4),
-     "params must be a tuple or a number, got [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), "
-     "Fraction(1, 2)]"),
-    (lambda: pasternack_eval(2, [0.5], 0.4), "params must be a tuple or a number, got [0.5]"),
+     "params must be a number or tuple of numbers, got [Fraction(1, 2), Fraction(1, 2), "
+     "Fraction(1, 2), Fraction(1, 2)]"),
+    (lambda: pasternack_eval(2, [0.5], 0.4),
+     "params must be a number or tuple of numbers, got [0.5]"),
     (lambda: jacobi_coeffs_exact(2, [_H, _H]),
-     "params must be a tuple or a number, got [Fraction(1, 2), Fraction(1, 2)]"),
+     "params must be a number or tuple of numbers, got [Fraction(1, 2), Fraction(1, 2)]"),
     (lambda: chahn_coeffs_complex(2, [0.5] * 4),
-     "params must be a tuple or a number, got [0.5, 0.5, 0.5, 0.5]"),
+     "params must be a number or tuple of numbers, got [0.5, 0.5, 0.5, 0.5]"),
+    (lambda: jacobi_eval(2, JacobiParams([0.5], 0.5), 0.4),
+     "params must be a number or tuple of numbers, got JacobiParams(gamma=[0.5], delta=0.5)"),
     (lambda: ExactPoly(1.5), "coeffs must be an iterable of exact scalars, got 1.5"),
     (lambda: ExactPoly("12"), "coeffs must be an iterable of exact scalars, got '12'"),
     (lambda: ExactPoly({1: 5, 2: 7}),
@@ -153,7 +156,8 @@ def test_hostile_arguments_raise_only_hahnlab_errors(name):
      "z must be finite; (nan+0j) is not finite"),
 ], ids=["jacobi-eval-params", "chahn-eval-params", "jacobi-exact-params", "chahn-exact-params",
         "jacobi-eval-list", "chahn-eval-list", "pasternack-eval-list", "jacobi-exact-list",
-        "chahn-complex-list", "poly-float", "poly-text", "poly-mapping", "poly-set",
+        "chahn-complex-list", "jacobi-eval-list-field",
+        "poly-float", "poly-text", "poly-mapping", "poly-set",
         "series-none", "weight-z-text", "weight-z-complex", "weight-z-nan"])
 def test_gates_the_sweep_found_missing(call, message):
     """A parameter record that is not a tuple of the family's size or is a

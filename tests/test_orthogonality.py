@@ -22,7 +22,7 @@ from hahnlab.operator_calculus import derive_recurrence
 from hahnlab.polynomials import (HahnParams, JacobiParams, _chahn_recurrence, _to_complex,
                                  chahn_coeffs_complex, chahn_coeffs_exact, horner,
                                  horner_level, jacobi_coeffs_complex)
-from hahnlab.quadrature import _EPS, _TAIL_TOL, IntegralResult, truncation_radius
+from hahnlab.quadrature import _EPS, IntegralResult, truncation_radius
 from hahnlab.transforms import _tanh_product_integral
 
 F = Fraction
@@ -972,12 +972,7 @@ def test_gram_fold_agrees_with_both_sides(monkeypatch, params):
 def test_sech_group_evaluates_each_polynomial_once_per_level(monkeypatch, m, m2, distinct):
     """Fifteen (n, p) pairs, n, p < 5, on one weight: one pass, and per level
     one Horner sweep per distinct polynomial (F_0 = 1 for both m and -m);
-    each value is the pair's lone integral to within its estimate and the
-    lone pass's two cut tails, each below _TAIL_TOL (the group's cut-off,
-    from the largest pair, lies further out).  The envelope bounds each
-    polynomial by sum |c_j| |x|^j, so a lone cut-off of a degree-4 pair sits
-    where its tails are a few 1e-17, above the eps-times-mass floor of a zero
-    entry: (4, 0) at m = 1/3 moves by 2.1e-17 against an estimate of 1.2e-17."""
+    each value is the pair's lone integral to within its estimate."""
     pairs = [(n, p) for n in range(5) for p in range(n + 1)]
     swept = []  # the node lists, kept alive so that their ids stay distinct
 
@@ -993,7 +988,7 @@ def test_sech_group_evaluates_each_polynomial_once_per_level(monkeypatch, m, m2,
     for pair, res in zip(pairs, group):
         [alone] = orthogonality._sech_integral([pair], m, m2, 1.0)
         assert res.evaluations >= alone.evaluations
-        assert abs(res.value - alone.value) <= alone.error_estimate + 2 * _TAIL_TOL
+        assert abs(res.value - alone.value) <= alone.error_estimate
 
 
 def test_sech_narrow_strip_raises_before_evaluating(monkeypatch):
