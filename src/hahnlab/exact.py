@@ -74,20 +74,16 @@ class GaussianRational:
 
     __slots__ = ("_re", "_im", "_den", "_hash")
 
-    def __init__(self, re=0, im=0):
+    def __new__(cls, re=0, im=0):
         re, im = _as_fraction(re), _as_fraction(im)
-        # two reduced fractions over the lcm of their denominators share no factor
-        den = lcm(re.denominator, im.denominator)
-        setattr_ = object.__setattr__
-        setattr_(self, "_re", re.numerator * (den // re.denominator))
-        setattr_(self, "_im", im.numerator * (den // im.denominator))
-        setattr_(self, "_den", den)
+        return _rational(re.numerator * im.denominator, im.numerator * re.denominator,
+                         re.denominator * im.denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
     def __reduce__(self):
-        # pickle and copy rebuild through __init__: __setattr__ refuses slot state
+        # pickle and copy rebuild through __new__: __setattr__ refuses slot state
         return GaussianRational, (self.re, self.im)
 
     @property
@@ -219,7 +215,7 @@ class GaussianRational:
         except AttributeError:  # first use: no constructor sets the slot
             re = _hash_part(self._re, self._den)
             value = hash((re, _hash_part(self._im, self._den))) if self._im else re
-            object.__setattr__(self, "_hash", value)
+            _GR_SETTERS[3](self, value)
             return value
 
     def __bool__(self):
@@ -259,6 +255,8 @@ class GaussianRational:
 
 # the plain classes first: isinstance against Fraction's ABC metaclass is slow on a miss
 _SCALARS = (GaussianRational, int, Fraction)
+# the slots' own setters: the classes' __setattr__ refuses every write
+_GR_SETTERS = tuple(getattr(GaussianRational, slot).__set__ for slot in GaussianRational.__slots__)
 
 
 def _scalar(value) -> tuple:
@@ -280,10 +278,10 @@ def _rational(re: int, im: int, den: int) -> GaussianRational:
     if g != 1:
         re, im, den = re // g, im // g, den // g
     value = object.__new__(GaussianRational)
-    setattr_ = object.__setattr__
-    setattr_(value, "_re", re)
-    setattr_(value, "_im", im)
-    setattr_(value, "_den", den)
+    set_re, set_im, set_den, _ = _GR_SETTERS
+    set_re(value, re)
+    set_im(value, im)
+    set_den(value, den)
     return value
 
 
@@ -370,10 +368,16 @@ def _multiply(a_re, a_im, b_re, b_im, size: int) -> tuple:
 
 
 def _poly(cls, re, im, den: int, order: int | None = None):
-    """The cls (ExactPoly or FormalSeries) with coefficients (re[k] + i im[k])
-    / den, made canonical; a series (order not None) keeps t^0 .. t^order."""
+    """The one constructor of ExactPoly and FormalSeries (cls): coefficients (re[k]
+    + i im[k]) / den made canonical; a series (order not None) keeps t^0 .. t^order."""
+    re, im, den = _canonical(re, im, den, None if order is None else order + 1)
     obj = object.__new__(cls)
-    obj._store(re, im, den, order)
+    set_re, set_im, set_den, set_order, set_coeffs = _POLY_SETTERS
+    set_re(obj, re)
+    set_im(obj, im)
+    set_den(obj, den)
+    set_order(obj, order)
+    set_coeffs(obj, None)
     return obj
 
 
@@ -388,17 +392,8 @@ class ExactPoly:
 
     __slots__ = ("_re", "_im", "_den", "_order", "_coeffs")
 
-    def __init__(self, coeffs: Iterable = ()):
-        self._store(*_coeff_vectors(coeffs), None)
-
-    def _store(self, re, im, den: int, order: int | None):
-        re, im, den = _canonical(re, im, den, None if order is None else order + 1)
-        setattr_ = object.__setattr__
-        setattr_(self, "_re", re)
-        setattr_(self, "_im", im)
-        setattr_(self, "_den", den)
-        setattr_(self, "_order", order)
-        setattr_(self, "_coeffs", None)
+    def __new__(cls, coeffs: Iterable = ()):
+        return _poly(cls, *_coeff_vectors(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -430,7 +425,7 @@ class ExactPoly:
         if self._coeffs is None:
             values = [_rational(r, m, self._den) for r, m in zip(self._re, self._im or repeat(0))]
             values += [GR_ZERO] * (self._size() - len(values))
-            object.__setattr__(self, "_coeffs", tuple(values))
+            _POLY_SETTERS[4](self, tuple(values))
         return self._coeffs
 
     @property
@@ -580,3 +575,6 @@ class ExactPoly:
     @classmethod
     def from_json(cls, data: list) -> "ExactPoly":
         return cls(GaussianRational.from_json_dict(obj) for obj in data)
+
+
+_POLY_SETTERS = tuple(getattr(ExactPoly, slot).__set__ for slot in ExactPoly.__slots__)

@@ -3,24 +3,22 @@
 Every family is one terminating hypergeometric sum
 
     prefactor * sum_{k=0}^{n} t_k prod_{j<k} (shift + j*step + slope*x),
-    t_{k+1} / t_k = (k-n) prod (u+k) / ((k+1) prod (l+k)),
+    t_k = (-n)_k prod (u)_k prod (l+k)_{n-k} / (k! n!),
 
 written down as a few lines of data (_jacobi_sum, _chahn_sum,
-_pasternack_sum) in GaussianRationals, and built on one route, exactly: the
-terms come from the term ratio in Gaussian integers over one positive
-integer denominator (_gaussian_terms), never from gamma quotients, which
-would reintroduce the very poles the termination avoids, and the monomial
-coefficients from the nested (Newton-form) product of the terms, in
-integers too (_exact_poly), handed straight to ExactPoly's storage.  A
-float or complex parameter is built at the exact value it stores: a float
-is the dyadic rational m 2^e that Fraction(x) gives, a complex number a
-pair of them.  That conversion happens inside the build, so the parameter
-objects keep their exactness verdict, and *_coeffs_exact, like every exact
-API, still rejects float inputs rather than silently coercing them.  A
-value at a point is one Horner pass over the exact coefficients rounded
-once to complex; a non-finite x raises DomainError, an overflow to a value
-that is not finite RangeOverflowError.  A degree n that is not an int in
-0..EXACT_DEGREE_CAP raises the DomainError of the integer gate
+_pasternack_sum) and built on one route, exactly.  Each term is a forward
+product times a backward suffix in Gaussian integers (_term_products), so no
+parameter divides: a lower one in {0, -1, ..., 1-n} is no pole of Jacobi or
+continuous Hahn, whose prefactors cancel (l)_k (DLMF 18.5(iii); Koekoek,
+Lesky and Swarttouw (2010) (9.4.1)), and Pasternack's 3F2 alone keeps its
+pole, (m+1)_n = 0.  The nested product of the terms gives the coefficients
+(_exact_poly).  A float or complex parameter is built at the exact value it
+stores (Fraction(x), or a pair of them), inside the build, so the parameter
+objects keep their exactness verdict and *_coeffs_exact, like every exact
+API, still rejects float inputs.  A value at a point is one Horner pass over
+the exact coefficients rounded once to complex; a non-finite x raises
+DomainError, a value that overflows RangeOverflowError.  A degree n that is
+not an int in 0..EXACT_DEGREE_CAP raises the integer gate's DomainError
 (errors._require_int), for float parameters as for exact ones.
 
 Everything that does not depend on x is built once per process: the memo
@@ -53,13 +51,13 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from operator import add, mul
 
 from .errors import (DomainError, ExactInputError, PoleError, RangeOverflowError, _complex,
                      _require, _require_int, _require_tuple)
 from .exact import (GR_HALF, GR_I, I_POWERS, ExactPoly, GaussianRational, _multiply, _poly,
-                    _rational, _vectors, gr)
+                    _rational, _scalar, _vectors, gr)
 from .reports import VerificationReport, residual_report
 
 # coefficient growth is unbounded; cap keeps exact runs tractable
@@ -71,12 +69,6 @@ _EXACT_TYPES = (GaussianRational, int, Fraction)
 def _is_exact(value) -> bool:
     # floats first: Fraction's ABC metaclass makes isinstance slow on them
     return not isinstance(value, (float, complex)) and isinstance(value, _EXACT_TYPES)
-
-
-def _check_poch(value: GaussianRational, n: int, name: str):
-    """PoleError when (value)_k = 0 for some k <= n."""
-    if value._den == 1 and not value._im and -(n - 1) <= value._re <= 0:
-        raise PoleError(f"({name})_k vanishes for k <= {n}")
 
 
 class JacobiParams(namedtuple("JacobiParams", "gamma delta")):
@@ -106,82 +98,88 @@ def _stored(value):
 
 
 class _Sum(namedtuple("_Sum", "n prefactor upper lower shift step slope")):
-    """p_n as data: prefactor * sum_{k<=n} t_k prod_{j<k} (shift + j step + slope x),
-    with t_k the terms of _gaussian_terms((-n, *upper), lower, n); n and step
-    are ints, upper and lower tuples."""
+    """p_n as data: prefactor * sum_{k<=n} t_k prod_{j<k} (shift + j step + slope x), t_k
+    from _term_products((-n, *upper), lower, n), or _term_vectors for a prefactor None."""
 
     __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
-# the builder: term loops, the families as data, nested products
+# the builder: term products, the families as data, nested products
 # ---------------------------------------------------------------------------
 
-def _gaussian_terms(upper, lower, count: int) -> list:
-    """t_0 = 1, ..., t_count with t_{k+1}/t_k = prod (u+k) / ((k+1) prod (l+k))
-    for exact parameters, fraction-free: t_k = (re + i im) / den as reduced
-    integer triples.  With every parameter over one q, u + k = (u_re + kq +
-    i u_im) / q; dividing by a lower factor multiplies by its conjugate and
-    divides by its norm, so den stays an integer."""
+def _run(ks, factors, whole, q: int, power: int):
+    """Running products over k in ks of prod (w + k), w in whole (ints), and of
+    power * prod (F + kq), F in factors ((re, im) ints): lists (ints, re, im)."""
+    i, re, im, out = 1, 1, 0, ([1], [1], [0])
+    for k in ks:
+        re, im = re * power, im * power
+        for f_re, f_im in factors:
+            f_re += k * q
+            re, im = re * f_re - im * f_im, re * f_im + im * f_re
+        for w in whole:
+            i *= w + k
+        out[0].append(i)
+        out[1].append(re)
+        out[2].append(im)
+    return out
+
+
+def _term_products(upper, lower, count: int) -> tuple:
+    """(re, im, den), im empty when real, with (re[k] + i im[k]) / den = prod (u)_k
+    prod (l+k)_{count-k} / (k! count!), k <= count: a forward product times a backward
+    suffix, no parameter a divisor.  Gaussian parameters go over their one q, integer
+    ones and the lower 1 of k! = (1)_k into an integer factor one gcd reduces; of a
+    Gaussian uppers and b lowers, the fewer multiply q^|a-b| into each step."""
     re, im, q = _vectors((*upper, *lower))
-    pairs = list(zip(re, im or repeat(0)))
-    ups, lows = pairs[:len(upper)], pairs[len(upper):]
-    q_up, q_low = q ** len(upper), q ** len(lower)
-    re, im, den = 1, 0, 1
-    terms = [(re, im, den)]
-    for k in range(count):
-        kq = k * q
-        re, im = re * q_low, im * q_low
-        for u_re, u_im in ups:
-            u_re += kq
-            re, im = re * u_re - im * u_im, re * u_im + im * u_re
-        den *= (k + 1) * q_up
-        for (l_re, l_im), v in zip(lows, lower):
-            l_re += kq
-            if not (l_re or l_im):
-                raise PoleError(f"hypergeometric denominator ({v})_k hits zero at k={k + 1}")
-            re, im = re * l_re + im * l_im, im * l_re - re * l_im
-            den *= l_re * l_re + l_im * l_im
-        g = gcd(re, im, den)
-        re, im, den = re // g, im // g, den // g
-        terms.append((re, im, den))
-    return terms
+    factors, whole = ([], []), ([], [1])  # (upper, lower) each
+    for j, (r, m) in enumerate(zip(re, im or repeat(0))):
+        if m or r % q:
+            factors[j >= len(upper)].append((r, m))
+        else:
+            whole[j >= len(upper)].append(r // q)
+    a, b = map(len, factors)
+    f_int, f_re, f_im = _run(range(count), factors[0], whole[0], q, q ** max(b - a, 0))
+    b_int, b_re, b_im = map(reversed, _run(
+        range(count - 1, -1, -1), factors[1], whole[1], q, q ** max(a - b, 0)))
+    ints = list(map(mul, f_int, b_int))
+    g = gcd(*ints, factorial(count) ** 2)
+    den = factorial(count) ** 2 // g * q ** (count * max(a, b))
+    if not im:
+        return [w // g * f * b for w, f, b in zip(ints, f_re, b_re)], [], den
+    rows = list(zip(ints, f_re, f_im, b_re, b_im))
+    im = [w // g * (fr * bm + fm * br) for w, fr, fm, br, bm in rows]
+    return [w // g * (fr * br - fm * bm) for w, fr, fm, br, bm in rows], im if any(im) else [], den
 
 
 def _term_vectors(upper, lower, count: int) -> tuple:
-    """The terms of _gaussian_terms as integer vectors over their common
-    denominator (re, im, den)."""
-    terms = _gaussian_terms(upper, lower, count)
-    den = lcm(*(d for _, _, d in terms))
-    return [r * (den // d) for r, _, d in terms], [m * (den // d) for _, m, d in terms], den
-
-
-def _poch(values, n: int) -> GaussianRational:
-    """prod (v)_n / n!"""
-    return _rational(*_gaussian_terms(values, (), n)[n])
+    """The series terms prod (u)_k / (k! prod (l)_k), k <= count, as vectors (re, im, den):
+    _term_products over its term 0, which a lower parameter in {0, ..., 1-count} zeroes."""
+    re, im, _ = _term_products(upper, lower, count)
+    r0, m0 = re[0], im[0] if im else 0
+    if not (r0 or m0):
+        k, v = next((k, v) for k in range(1, count + 1) for v in lower if not gr(v) + k - 1)
+        raise PoleError(f"hypergeometric denominator ({v})_k hits zero at k={k}")
+    return (*_multiply([r0], [-m0], re, im, count + 1), r0 * r0 + m0 * m0) if m0 else (re, im, r0)
 
 
 def _pochhammer(a, n: int) -> GaussianRational:
-    """(a)_n = prod_{k<n} (a + k) over Q(i)."""
-    return _poch((a,), n) * factorial(n)
+    """(a)_n = prod_{k<n} (a + k) over Q(i): the last forward run of _term_products."""
+    r, m, q = _scalar(a)
+    _, re, im = _run(range(n), [(r, m)], (), q, 1)
+    return _rational(re[-1], im[-1], q ** n)
 
 
 def _jacobi_sum(n: int, params: JacobiParams) -> _Sum:
-    # ((gamma+1)_n / n!) 2F1(-n, n+gamma+delta+1; gamma+1; (1-x)/2)
+    # ((gamma+1)_n / n!) 2F1(-n, n+gamma+delta+1; gamma+1; (1-x)/2), prefactor in the terms
     g, d = (gr(_stored(v)) for v in _require_tuple("params", params, 2))
-    g1 = g + 1
-    _check_poch(g1, n, "gamma+1")
-    return _Sum(n, _poch((g1,), n), (n + g + d + 1,), (g1,), GR_HALF, 0, -GR_HALF)
+    return _Sum(n, 1, (n + g + d + 1,), (g + 1,), GR_HALF, 0, -GR_HALF)
 
 
 def _chahn_sum(n: int, params: HahnParams) -> _Sum:
     # i^n ((a+c)_n (a+d)_n / n!) 3F2(-n, n+a+b+c+d-1, a+ix; a+c, a+d; 1)
     a, b, c, d = (gr(_stored(v)) for v in _require_tuple("params", params, 4))
-    lower = (a + c, a + d)
-    _check_poch(lower[0], n, "a+c")
-    _check_poch(lower[1], n, "a+d")
-    return _Sum(n, I_POWERS[n % 4] * _poch(lower, n), (n + a + b + c + d - 1,),
-                lower, a, 1, I_POWERS[1])
+    return _Sum(n, I_POWERS[n % 4], (n + a + b + c + d - 1,), (a + c, a + d), a, 1, GR_I)
 
 
 def _chahn_recurrence(N: int, a, b, c, d) -> list:
@@ -213,28 +211,27 @@ def _chahn_recurrence(N: int, a, b, c, d) -> list:
 
 
 def _pasternack_sum(n: int, m) -> _Sum:
-    # 3F2(-n, n+1, (1+m+x)/2; 1, m+1; 1)
+    # 3F2(-n, n+1, (1+m+x)/2; 1, m+1; 1) as it is (prefactor None): terms over term 0
     m1 = gr(_stored(m)) + 1
-    _check_poch(m1, n, "m+1")
-    return _Sum(n, 1, (n + 1,), (1, m1), m1 * GR_HALF, 1, GR_HALF)
+    if not m1._im and m1._den == 1 and -n < m1._re <= 0:  # (m+1)_n = 0: nothing cancels it
+        raise PoleError(f"(m+1)_k vanishes for k <= {n}")
+    return _Sum(n, None, (n + 1,), (1, m1), m1 * GR_HALF, 1, GR_HALF)
 
 
 def _exact_poly(s: _Sum) -> ExactPoly:
     """The monomial coefficients of a sum by the nested (Newton-form) product
-    t_0 + L_0(x) (t_1 + L_1(x) (... + L_{n-1}(x) t_n)), run fraction-free.
-    The terms go over their lcm D (t_k = T_k / D) and the linear factors
-    over one q (L_k(x) = (O_k + S x) / q), so
-
-        A_n = T_n,  A_k = q^(n-k) T_k + (O_k + S x) A_{k+1},
-        p_n = prefactor * A_0 / (D q^n)
-
-    in Gaussian integers, handed to ExactPoly's storage as they are."""
+    t_0 + L_0(x) (t_1 + L_1(x) (... + L_{n-1}(x) t_n)), fraction-free: with t_k =
+    T_k / D (_term_products; _term_vectors for a prefactor None) and L_k(x) = (O_k
+    + S x) / q, A_n = T_n, A_k = q^(n-k) T_k + (O_k + S x) A_{k+1} and p_n =
+    prefactor * A_0 / (D q^n), in Gaussian integers.  An imaginary S = i s with all
+    else real gives A_j = i^j B_j, B the real run with slope s."""
     n = s.n
-    terms = _gaussian_terms((-n, *s.upper), s.lower, n)
-    lcm_den = lcm(*(den for _, _, den in terms))
+    terms = _term_vectors if s.prefactor is None else _term_products
+    t_re, t_im, t_den = terms((-n, *s.upper), s.lower, n)
     (o_re, s_re), im, q = _vectors((s.shift, s.slope))
     o_im, s_im = im or (0, 0)
-    real = not (o_im or s_im or any(t_im for _, t_im, _ in terms))
+    turn = not (s_re or o_im or t_im)  # S = i s: the real run with slope s, turned after
+    real, s_re = turn or not (o_im or s_im or t_im), (s_im if turn else s_re)
     step = s.step * q
     acc_re, acc_im, power = [], [], 1  # A_{n+1} = 0, power = q^(n-k)
     for k in range(n, -1, -1):
@@ -246,15 +243,16 @@ def _exact_poly(s: _Sum) -> ExactPoly:
             rows = list(zip(acc_re + [0], acc_im + [0], [0] + acc_re, [0] + acc_im))
             acc_re = [ok_re * a - o_im * b + s_re * c - s_im * d for a, b, c, d in rows]
             acc_im = [ok_re * b + o_im * a + s_re * d + s_im * c for a, b, c, d in rows]
-        t_re, t_im, t_den = terms[k]
-        scale = power * (lcm_den // t_den)
-        acc_re[0] += scale * t_re
-        if t_im:
-            acc_im[0] += scale * t_im
+            acc_im[0] += power * t_im[k] if t_im else 0
+        acc_re[0] += power * t_re[k]
         power *= q
-    p_re, p_im, p_den = _vectors((s.prefactor,))
-    return _poly(ExactPoly, *_multiply(p_re, p_im, acc_re, acc_im, n + 1),
-                 p_den * lcm_den * q ** n)
+    if turn:
+        acc_re, acc_im = ([b * I_POWERS[j % 4]._re for j, b in enumerate(acc_re)],
+                          [b * I_POWERS[j % 4]._im for j, b in enumerate(acc_re)])
+    p_re, p_im, p_den = _scalar(s.prefactor or 1)
+    if (p_re, p_im, p_den) != (1, 0, 1):
+        acc_re, acc_im = _multiply([p_re], [p_im] if p_im else [], acc_re, acc_im, n + 1)
+    return _poly(ExactPoly, acc_re, acc_im, p_den * t_den * q ** n)
 
 
 def horner(coeffs, x: complex) -> complex:

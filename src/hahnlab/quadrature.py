@@ -176,7 +176,9 @@ def _line_integral(pairs: list, arg: Callable, weights: Callable, weight_bound: 
     r = max(1, |t|).  Each component stops within max(_ABS_TOL, _REL_TOL
     |value|) or the rounding of its |F| mass (folded with +1), the target it
     would meet alone; its error estimate is at least eps times its mass and
-    the cut tails, and evaluations is the pass's node count."""
+    the cut tails, and evaluations is the pass's node count.  No pairs, no pass."""
+    if not pairs:
+        return []
     polys = list(dict.fromkeys(tuple(c) for p, q, _ in pairs for c in (p, q)))
     pairs = [(polys.index(tuple(p)), polys.index(tuple(q)), key) for p, q, key in pairs]
     sizes = [[abs(u) for u in reversed(c)] for c in polys]  # once per pass

@@ -23,9 +23,10 @@ from .polynomials import _term_vectors
 class FormalSeries(ExactPoly):
     __slots__ = ()
 
-    def __init__(self, coeffs: Iterable, order: int | None = None):
+    def __new__(cls, coeffs: Iterable, order: int | None = None):
         re, im, den = _coeff_vectors(coeffs)
-        self._store(re, im, den, len(re) - 1 if order is None else _require_int("order", order, 0))
+        order = len(re) - 1 if order is None else _require_int("order", order, 0)
+        return _poly(cls, re, im, den, order)
 
     @property
     def order(self) -> int:

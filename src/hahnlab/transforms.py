@@ -56,8 +56,8 @@ def _tanh_product_integral(entries: list, wa: complex, wb: complex) -> list[Inte
     integrand is analytic in |Im x| < pi/2 and has no reflection symmetry,
     so each level is evaluated at both signs; the first step is at most
     pi/|z|, half a period of the fastest oscillation."""
-    freqs = dict.fromkeys(z for *_, z in entries)
-    hi, lo = max(z.imag for z in freqs), min(z.imag for z in freqs)
+    freqs = dict.fromkeys(z for *_, z in entries)  # none: _line_integral runs no pass
+    hi, lo = max((z.imag for z in freqs), default=0.0), min((z.imag for z in freqs), default=0.0)
 
     def weights(xs: list) -> dict:
         logs = list(map(tanh_weight_logs, xs))
@@ -69,7 +69,7 @@ def _tanh_product_integral(entries: list, wa: complex, wb: complex) -> list[Inte
         return math.exp(wa.real * l1 + wb.real * l2 + x * (hi if x > 0.0 else lo))
 
     return _line_integral(entries, math.tanh, weights, weight_bound,
-                          math.pi / max(2.0, *map(abs, freqs)))
+                          math.pi / max([2.0, *map(abs, freqs)]))
 
 
 def _weighted_jacobi_transform(alpha, beta, cases: list) -> list[IntegralResult]:

@@ -55,10 +55,20 @@ def test_eval_bateman(capsys):
 
 
 def test_eval_domain_error_exit_2(capsys):
-    code, _, err = run_cli(["eval", "jacobi", "--n", "2", "--gamma", "-1",
-                            "--delta", "0", "--x", "0", "--mode", "exact"], capsys)
+    # (m+1)_n = 0: Pasternack's 3F2 has a pole there that nothing cancels
+    code, _, err = run_cli(["eval", "pasternack", "--n", "2", "--m", "-2",
+                            "--x", "0", "--mode", "exact"], capsys)
     assert code == 2
-    assert "gamma" in err
+    assert err == "error: (m+1)_k vanishes for k <= 2\n"
+
+
+def test_eval_jacobi_at_a_removable_pole(capsys):
+    # (gamma+1)_k = 0 from k = 1 on, cancelled by the prefactor (gamma+1)_n / n!:
+    # P_2^(-1, 0)(x) = (x-1)(1+3x) / 4 (Szego (4.22.2))
+    code, out, _ = run_cli(["eval", "jacobi", "--n", "2", "--gamma", "-1",
+                            "--delta", "0", "--x", "0", "--mode", "exact"], capsys)
+    assert code == 0
+    assert out.strip() == "-1/4"
 
 
 def test_eval_missing_parameter_exit_2():

@@ -28,12 +28,15 @@ from hahnlab import suites
 from hahnlab.errors import HahnlabError
 from hahnlab.exact import ExactPoly, GaussianRational, gr
 from hahnlab.numerics import beta, gamma, hahn_weight, log_gamma, pochhammer
+from hahnlab.orthogonality import (bateman_ortho_checks, jacobi_ortho_checks,
+                                   pasternack_biortho_checks, pasternack_ortho_checks)
 from hahnlab.polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams,
                                  chahn_coeffs_complex, chahn_coeffs_exact, chahn_eval,
                                  jacobi_coeffs_exact,
                                  jacobi_eval, pasternack_coeffs_exact, pasternack_eval,
                                  pasternack_reflection_check)
 from hahnlab.series import FormalSeries
+from hahnlab.transforms import fourier_pair_checks, mellin_pair_checks
 
 F = Fraction
 _H = F(1, 2)
@@ -181,3 +184,27 @@ def test_text_that_reads_as_a_number_is_not_a_number(call, name):
     with pytest.raises(HahnlabError) as caught:
         call()
     assert str(caught.value) == f"{name} must be a number, got '0.5'"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bateman_ortho_checks([]),
+    lambda: pasternack_ortho_checks(0.5, []),
+    lambda: pasternack_biortho_checks(0.5, []),
+    lambda: jacobi_ortho_checks(0.5, 0.5, []),
+    lambda: fourier_pair_checks(0.5, 0.5, []),
+    lambda: mellin_pair_checks(0.5, 0.5, []),
+], ids=["bateman", "pasternack", "biortho", "jacobi", "fourier", "mellin"])
+def test_list_forms_of_no_cases_run_no_pass(call, monkeypatch):
+    """A list form given an empty list returns [] after its parameter gates,
+    and runs no quadrature pass (max() of nothing escaped before)."""
+    def no_pass(*args):
+        raise AssertionError("a quadrature pass ran")
+
+    monkeypatch.setattr(hahnlab.quadrature, "integrate_line", no_pass)
+    assert call() == []
+
+
+def test_list_form_gates_come_before_the_empty_list():
+    with pytest.raises(HahnlabError) as caught:
+        jacobi_ortho_checks(-2, 0.5, [])
+    assert type(caught.value).__name__ == "DomainError"

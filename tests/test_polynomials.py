@@ -67,8 +67,12 @@ def test_jacobi_degree_one_closed_form():
 
 
 def test_jacobi_pole_error():
-    with pytest.raises(PoleError):
-        jacobi_eval(3, JacobiParams(-2, 0), 0.5)
+    """(gamma+1)_k vanishes from k = 2 on at gamma = -2, and the prefactor
+    (gamma+1)_n / n! cancels that pole: by Szego (4.22.2), P_3^(-2, 0)(x) =
+    ((x-1)/2)^2 P_1^(2, 0)(x) = (x-1)^2 (1+2x) / 4."""
+    assert jacobi_eval(3, JacobiParams(-2, 0), 0.5) == 0.125
+    assert jacobi_coeffs_exact(3, JacobiParams(-2, 0)) == \
+        ExactPoly([F(1, 4), 0, F(-3, 4), F(1, 2)])
 
 
 def test_jacobi_coeffs_exact_basics():
@@ -159,8 +163,12 @@ def test_chahn_gram_order_coefficient_parity(alpha, beta, a, b):
 
 
 def test_chahn_pole_error():
-    with pytest.raises(PoleError):
-        chahn_eval(3, HahnParams(1, 1, -2, 1), 0.0)
+    """(a+c)_k vanishes from k = 2 on at a+c = -1, and the prefactor
+    (a+c)_n (a+d)_n / n! cancels that pole: the values are the limit c -> -2
+    (mpmath at 60 digits, c = -2 + 1e-30: 12i at x = 0, -11.13 + 8.76i at 3/10)."""
+    assert chahn_eval(3, HahnParams(1, 1, -2, 1), 0.0) == 12j
+    assert chahn_coeffs_exact(3, HahnParams(1, 1, -2, 1))(gr(F(3, 10))) == \
+        GaussianRational(F(-1113, 100), F(219, 25))
 
 
 def test_exact_mode_rejects_floats():
@@ -347,52 +355,45 @@ def _qshift(a, k):
 
 
 def _naive_sum(prefactor, upper, lower, n, z=(F(1), F(0))):
-    """prefactor * sum_{k<=n} (-n)_k prod (u)_k z^k / (k! prod (l)_k), each
-    Pochhammer symbol a running product of its factors; ZeroDivisionError
-    where a lower one vanishes."""
-    total, num, den, power = (F(0), F(0)), (F(1), F(0)), (F(1), F(0)), (F(1), F(0))
+    """prefactor * sum_{k<=n} (-n)_k prod (u)_k prod (l+k)_{n-k} z^k / (k! n!),
+    each Pochhammer symbol a running product of its factors: no parameter
+    divides, so a lower one in {0, -1, ..., 1-n} is no pole."""
+    total = (F(0), F(0))
     for k in range(n + 1):
-        if k:
-            num = _qmul(num, (F(k - 1 - n), F(0)))
-            for u in upper:
-                num = _qmul(num, _qshift(u, k - 1))
-            den = _qmul(den, (F(k), F(0)))
-            for v in lower:
-                den = _qmul(den, _qshift(v, k - 1))
-            power = _qmul(power, z)
-        term = _qdiv(_qmul(num, power), den)
+        term = (F(math.prod(range(-n, k - n)), math.factorial(k) * math.factorial(n)), F(0))
+        for j in range(n):
+            for u in upper if j < k else ():
+                term = _qmul(term, _qshift(u, j))
+            for v in lower if j >= k else ():
+                term = _qmul(term, _qshift(v, j))
+            if j < k:
+                term = _qmul(term, z)
         total = (total[0] + term[0], total[1] + term[1])
     return _qmul(prefactor, total)
 
 
-def _naive_poch_over_factorial(values, n):
-    out = (F(1), F(0))
-    for v in values:
-        for j in range(n):
-            out = _qmul(out, _qshift(v, j))
-    return _qdiv(out, (F(math.factorial(n)), F(0)))
-
-
 def _naive(family, n, p, x):
-    """The family's defining sum at x, or ZeroDivisionError at a pole."""
+    """The family's defining sum at x, or ZeroDivisionError at Pasternack's
+    pole, (m+1)_n = 0."""
     if family == "jacobi":
         g, d = p[0], p[1]
-        g1 = _qshift(g, 1)
         z = ((1 - x[0]) / 2, -x[1] / 2)
-        return _naive_sum(_naive_poch_over_factorial([g1], n),
-                          [_qshift((g[0] + d[0], g[1] + d[1]), n + 1)], [g1], n, z)
+        return _naive_sum((F(1), F(0)), [_qshift((g[0] + d[0], g[1] + d[1]), n + 1)],
+                          [_qshift(g, 1)], n, z)
     if family == "chahn":
         a, b, c, d = p
         ac, ad = (a[0] + c[0], a[1] + c[1]), (a[0] + d[0], a[1] + d[1])
         s = (a[0] + b[0] + c[0] + d[0], a[1] + b[1] + c[1] + d[1])
         a_ix = (a[0] - x[1], a[1] + x[0])
         unit = [(F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1))][n % 4]
-        return _naive_sum(_qmul(unit, _naive_poch_over_factorial([ac, ad], n)),
-                          [_qshift(s, n - 1), a_ix], [ac, ad], n)
-    m = p[0]
-    half = ((1 + m[0] + x[0]) / 2, (m[1] + x[1]) / 2)
-    return _naive_sum((F(1), F(0)), [(F(n + 1), F(0)), half],
-                      [(F(1), F(0)), _qshift(m, 1)], n)
+        return _naive_sum(unit, [_qshift(s, n - 1), a_ix], [ac, ad], n)
+    m1 = _qshift(p[0], 1)
+    half = ((m1[0] + x[0]) / 2, (m1[1] + x[1]) / 2)
+    poch = (F(1), F(0))
+    for j in range(n):
+        poch = _qmul(poch, _qshift(m1, j))
+    return _naive_sum(_qdiv((F(1), F(0)), poch), [(F(n + 1), F(0)), half],
+                      [(F(1), F(0)), m1], n)
 
 
 def _leading_pochhammer_vanishes(family, n, p):
@@ -420,8 +421,8 @@ _gaussians = st.tuples(_fractions, st.one_of(st.just(F(0)), _fractions))
 def _check_against_naive(family, n, p, x):
     try:
         want = _naive(family, n, p, x)
-    except ZeroDivisionError:
-        with pytest.raises(PoleError):
+    except ZeroDivisionError:  # Pasternack's genuine pole
+        with pytest.raises(PoleError, match=r"^\(m\+1\)_k vanishes"):
             _build(family, n, p)
         return
     if _leading_pochhammer_vanishes(family, n, p):
@@ -451,15 +452,20 @@ def test_exact_builds_match_naive_sum_at_the_cap(family, p):
     _check_against_naive(family, EXACT_DEGREE_CAP, p, (F(2, 5), F(1, 3)))
 
 
+@pytest.mark.parametrize("family, n, p", [
+    ("jacobi", EXACT_DEGREE_CAP, [(F(-5), F(0)), (F(1, 3), F(0))]),
+    ("jacobi", 9, [(F(-9), F(0)), (F(2, 3), F(1, 4))]),
+    ("chahn", 7, [(HALF, F(1, 3)), (F(2, 5), F(0)), (F(-7, 2), F(-1, 3)), (F(3, 4), F(1, 5))]),
+    ("chahn", 6, [(HALF, F(0)), (F(2, 5), F(0)), (F(-3, 2), F(0)), (F(-5, 2), F(0))]),
+], ids=["jacobi-cap", "jacobi-lowest", "chahn-a+c", "chahn-both"])
+def test_exact_builds_match_naive_sum_at_removable_poles(family, n, p):
+    """gamma+1, a+c or a+d in {0, -1, ..., 1-n}: the division-free sum is the oracle there."""
+    _check_against_naive(family, n, p, (F(2, 5), F(1, 3)))
+
+
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: jacobi_coeffs_exact(3, JacobiParams(-2, 0)), PoleError,
-     "(gamma+1)_k vanishes for k <= 3"),
     (lambda: jacobi_coeffs_exact(2, JacobiParams(0, -3)), PoleError,
      "degenerate parameters: degree 0 != 2"),
-    (lambda: chahn_coeffs_exact(3, HahnParams(1, 1, -2, 1)), PoleError,
-     "(a+c)_k vanishes for k <= 3"),
-    (lambda: chahn_coeffs_exact(3, HahnParams(1, 1, 1, -3)), PoleError,
-     "(a+d)_k vanishes for k <= 3"),
     (lambda: chahn_coeffs_exact(3, HahnParams(GaussianRational(HALF, F(1, 3)), F(-7, 2),
                                               GaussianRational(HALF, F(-1, 3)), HALF)),
      PoleError, "degenerate parameters: degree 0 != 3"),
@@ -478,6 +484,23 @@ def test_exact_build_errors(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize("build, want", [
+    pytest.param(lambda: jacobi_coeffs_exact(3, JacobiParams(-2, 0)),
+                 [F(1, 4), 0, F(-3, 4), F(1, 2)], id="gamma+1"),
+    pytest.param(lambda: chahn_coeffs_exact(3, HahnParams(1, 1, -2, 1)),
+                 [GaussianRational(0, 12), -38, GaussianRational(0, -36), 10], id="a+c"),
+    pytest.param(lambda: chahn_coeffs_exact(3, HahnParams(1, 1, 1, -3)),
+                 [GaussianRational(0, 24), -44, GaussianRational(0, -24), 4], id="a+d"),
+])
+def test_removable_pole_values(build, want):
+    """A lower parameter in {0, -1, ..., 1-n} is no pole of Jacobi or continuous
+    Hahn: the prefactor cancels (l)_k, and the polynomial is the limit at it.
+    P_3^(-2, 0) = (x-1)^2 (1+2x) / 4 (Szego (4.22.2)); the continuous Hahn
+    ones agree with mpmath's 3F2 at c or d moved by 1e-30, to 28 digits at
+    x = 0 and 3/10."""
+    assert build() == ExactPoly(want)
 
 
 # --- the memo ----------------------------------------------------------------
@@ -577,11 +600,12 @@ def test_memo_float_eval_is_the_uncached_sum():
 def test_memo_does_not_store_errors():
     for _ in range(2):
         with pytest.raises(PoleError):
-            jacobi_eval(3, JacobiParams(-2.0, 0.0), 0.5)
+            jacobi_eval(2, JacobiParams(0.0, -3.0), 0.5)
         with pytest.raises(PoleError):
-            jacobi_coeffs_exact(3, JacobiParams(-2, 0))
+            jacobi_coeffs_exact(2, JacobiParams(0, -3))
         with pytest.raises(PoleError):
-            chahn_coeffs_complex(3, HahnParams(1, 1, -2, 1))
+            chahn_coeffs_complex(3, HahnParams(GaussianRational(HALF, F(1, 3)), F(-7, 2),
+                                               GaussianRational(HALF, F(-1, 3)), HALF))
         with pytest.raises(PoleError):
             pasternack_eval(3, F(-2), 0.5)
 
@@ -1086,3 +1110,54 @@ def test_float_parameters_against_mpmath(feval, make, oracle, params, x, bound, 
     assert abs(got - want) <= bound * abs(want)
 
 
+
+
+# --- removable poles: a lower parameter in {0, -1, ..., 1-n} -------------------
+
+def _mp_at_pole(feval, n: int, params: tuple, moved: tuple, x: complex):
+    """The defining sum with the parameters at the indices moved shifted by 1e-30,
+    at 60 digits: its limit at a removable pole, to about 28 digits."""
+    import mpmath
+    with mpmath.workdps(60):
+        def mp(v):
+            if isinstance(v, GaussianRational):
+                return mpmath.mpc(mp(v.re), mp(v.im))
+            return mpmath.mpf(v.numerator) / v.denominator if isinstance(v, F) else \
+                mpmath.mpmathify(v)
+        values = [mp(v) for v in params]
+        for j in moved:
+            values[j] += mpmath.mpf("1e-30")
+        return (_mp_jacobi if feval is jacobi_eval else _mp_chahn)(n, values, x)
+
+
+def _pole_cases(kind: str):
+    """(feval, params, indices of the parameters to move) for every n <= 8 and
+    every pole l of a lower parameter: gamma+1 = l, a+c = l, a+d = l and both."""
+    i = GaussianRational(0, 1)
+    delta, (a, b, d) = ((F(2, 5), (HALF, F(2, 5), F(3, 4))) if kind != "complex" else
+                        (F(2, 5) + i / 3, (HALF + i / 3, F(2, 5) + i / 4, F(3, 4) - i / 5)))
+    for n in range(1, 9):
+        for pole in range(1 - n, 1):
+            c = pole - a
+            for feval, params, moved in (
+                    (jacobi_eval, JacobiParams(pole - 1, delta), (0,)),
+                    (chahn_eval, HahnParams(a, b, c, d), (2,)),
+                    (chahn_eval, HahnParams(a, b, d, c), (3,)),
+                    (chahn_eval, HahnParams(a, b, c, c), (2, 3))):
+                if kind == "float":
+                    params = type(params)(*map(float, params))
+                yield n, feval, params, moved
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "float"])
+def test_removable_poles_against_mpmath(kind):
+    """Jacobi and continuous Hahn build at every lower parameter in {0, -1, ...,
+    1-n}, n <= 8, and each build, evaluated exactly at three real x and one
+    complex x (their doubles), is within 1e-12 relative of mpmath's limit there."""
+    for n, feval, params, moved in _pole_cases(kind):
+        family = _jacobi_sum if feval is jacobi_eval else _chahn_sum
+        poly = _exact_poly(family(n, params))
+        for x in (0.3, -0.45, 0.8, 0.2 + 0.35j):
+            want = _mp_at_pole(feval, n, params, moved, x)
+            got = complex(poly(GaussianRational(F(x.real), F(x.imag))))
+            assert abs(got - want) <= 1e-12 * abs(want), (n, params, x, got, want)
