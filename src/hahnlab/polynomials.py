@@ -145,8 +145,6 @@ def _term_products(upper, lower, count: int) -> tuple:
     ints = list(map(mul, f_int, b_int))
     g = gcd(*ints, factorial(count) ** 2)
     den = factorial(count) ** 2 // g * q ** (count * max(a, b))
-    if not im:
-        return [w // g * f * b for w, f, b in zip(ints, f_re, b_re)], [], den
     rows = list(zip(ints, f_re, f_im, b_re, b_im))
     im = [w // g * (fr * bm + fm * br) for w, fr, fm, br, bm in rows]
     return [w // g * (fr * br - fm * bm) for w, fr, fm, br, bm in rows], im if any(im) else [], den
@@ -221,19 +219,18 @@ def _pasternack_sum(n: int, m) -> _Sum:
 def _exact_poly(s: _Sum) -> ExactPoly:
     """The monomial coefficients of a sum by the nested (Newton-form) product
     t_0 + L_0(x) (t_1 + L_1(x) (... + L_{n-1}(x) t_n)), fraction-free: with t_k =
-    T_k / D (_term_products; _term_vectors for a prefactor None) and L_k(x) = (O_k
-    + S x) / q, A_n = T_n, A_k = q^(n-k) T_k + (O_k + S x) A_{k+1} and p_n =
-    prefactor * A_0 / (D q^n), in Gaussian integers.  An imaginary S = i s with all
-    else real gives A_j = i^j B_j, B the real run with slope s."""
+    T_k / D (_term_products; _term_vectors for a prefactor None), L_k(x) = (O_k +
+    S x) / q and the prefactor W / d, A_n = W T_n, A_k = W q^(n-k) T_k + (O_k + S x)
+    A_{k+1} and p_n = A_0 / (d D q^n), in Gaussian integers."""
     n = s.n
     terms = _term_vectors if s.prefactor is None else _term_products
     t_re, t_im, t_den = terms((-n, *s.upper), s.lower, n)
     (o_re, s_re), im, q = _vectors((s.shift, s.slope))
     o_im, s_im = im or (0, 0)
-    turn = not (s_re or o_im or t_im)  # S = i s: the real run with slope s, turned after
-    real, s_re = turn or not (o_im or s_im or t_im), (s_im if turn else s_re)
+    w_re, w_im, w_den = _scalar(s.prefactor or 1)
+    real = not (o_im or s_im or t_im or w_im)
     step = s.step * q
-    acc_re, acc_im, power = [], [], 1  # A_{n+1} = 0, power = q^(n-k)
+    acc_re, acc_im = [], []  # A_{n+1} = 0; (w_re, w_im) is W q^(n-k)
     for k in range(n, -1, -1):
         ok_re = o_re + k * step
         # coefficient j of (O_k + S x) A is O_k A_j + S A_{j-1}
@@ -243,16 +240,12 @@ def _exact_poly(s: _Sum) -> ExactPoly:
             rows = list(zip(acc_re + [0], acc_im + [0], [0] + acc_re, [0] + acc_im))
             acc_re = [ok_re * a - o_im * b + s_re * c - s_im * d for a, b, c, d in rows]
             acc_im = [ok_re * b + o_im * a + s_re * d + s_im * c for a, b, c, d in rows]
-            acc_im[0] += power * t_im[k] if t_im else 0
-        acc_re[0] += power * t_re[k]
-        power *= q
-    if turn:
-        acc_re, acc_im = ([b * I_POWERS[j % 4]._re for j, b in enumerate(acc_re)],
-                          [b * I_POWERS[j % 4]._im for j, b in enumerate(acc_re)])
-    p_re, p_im, p_den = _scalar(s.prefactor or 1)
-    if (p_re, p_im, p_den) != (1, 0, 1):
-        acc_re, acc_im = _multiply([p_re], [p_im] if p_im else [], acc_re, acc_im, n + 1)
-    return _poly(ExactPoly, acc_re, acc_im, p_den * t_den * q ** n)
+            tm = t_im[k] if t_im else 0
+            acc_re[0] -= w_im * tm
+            acc_im[0] += w_re * tm + w_im * t_re[k]
+        acc_re[0] += w_re * t_re[k]
+        w_re, w_im = w_re * q, w_im * q
+    return _poly(ExactPoly, acc_re, acc_im, w_den * t_den * q ** n)
 
 
 def horner(coeffs, x: complex) -> complex:
