@@ -13,10 +13,11 @@ _EXPORTS = {
     "errors": ("DomainError", "ExactInputError", "HahnlabError", "PoleError",
                "QuadratureError", "RangeOverflowError", "StructureError"),
     "exact": ("ExactPoly", "GaussianRational", "gr"),
+    "identities": ("pasternack_reflection_check",),
     "numerics": ("LogGammaValue", "beta", "gamma", "hahn_weight", "log_gamma", "pochhammer"),
     "polynomials": ("HahnParams", "JacobiParams", "chahn_coeffs_exact", "chahn_eval",
                     "jacobi_coeffs_exact", "jacobi_eval", "pasternack_coeffs_exact",
-                    "pasternack_eval", "pasternack_reflection_check"),
+                    "pasternack_eval"),
     "quadrature": ("IntegralResult",),
     "reports": ("QuadDiagnostics", "VerificationReport"),
 }

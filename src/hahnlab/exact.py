@@ -14,14 +14,16 @@ decidable and exact, which is what every zero-residual identity check in
 this package rests on.  The scalar operators, the polynomial ring
 operations, the product (one fraction-free kernel, _multiply), evaluation,
 derivative and argument scaling all run on the integers; .coeffs, the tuple
-of GaussianRational, is built on first access and cached.  FormalSeries
-(series.py) is the same storage truncated at an order.  _scalar reads a
-scalar's triple, _vectors takes scalars to the polynomial form, and
-_rational, the one reducing constructor, takes a triple back.
+of GaussianRational, is built on each access.  FormalSeries (series.py) is
+the same storage truncated at an order.  _scalar reads a scalar's triple
+(text through GaussianRational.parse, the one grammar of exact text),
+_vectors takes scalars to the polynomial form, and _rational, the one
+reducing constructor, takes a triple back.
 """
 
 from __future__ import annotations
 
+import cmath
 import re as _re
 from collections.abc import Iterable, Mapping, Set
 from fractions import Fraction
@@ -31,20 +33,6 @@ from operator import add, mul, sub
 from sys import hash_info
 
 from .errors import DomainError, ExactInputError, RangeOverflowError, _complex, _require_int
-
-
-def _as_fraction(value) -> Fraction:
-    # int first: isinstance against Fraction's ABC metaclass is slow on a miss
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):  # junk text, or a zero denominator
-            pass
-    raise ExactInputError(f"not an exact rational: {value!r}")
 
 
 def _hash_part(num: int, den: int) -> int:
@@ -66,7 +54,9 @@ def _hash_part(num: int, den: int) -> int:
 class GaussianRational:
     """An element of Q(i) with exact field arithmetic, stored as the
     canonical triple (_re, _im, _den) of the module docstring; re and im
-    are its parts as Fractions.
+    are its parts as Fractions.  GaussianRational(re, im) is re + i im for
+    exact scalars re and im (text read by parse); a float raises
+    ExactInputError.
 
     A real value equals the int or Fraction re and hashes as hash(re), so
     the two are one key in a set, a dict or a memo.  The hash is computed
@@ -75,9 +65,9 @@ class GaussianRational:
     __slots__ = ("_re", "_im", "_den", "_hash")
 
     def __new__(cls, re=0, im=0):
-        re, im = _as_fraction(re), _as_fraction(im)
-        return _rational(re.numerator * im.denominator, im.numerator * re.denominator,
-                         re.denominator * im.denominator)
+        a, b, d = _scalar(re)
+        c, e, f = _scalar(im)
+        return _rational(a * f - e * d, b * f + c * d, d * f)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -96,14 +86,7 @@ class GaussianRational:
 
     real, imag = re, im  # as int, Fraction and complex name their parts
 
-    # -- coercion ---------------------------------------------------------
-
-    @staticmethod
-    def from_value(value) -> "GaussianRational":
-        """Coerce an exact scalar; floats raise ExactInputError."""
-        if isinstance(value, GaussianRational):
-            return value
-        return GaussianRational(value)
+    # -- text -------------------------------------------------------------
 
     _NUM = r"[+-]?(?:\d+/\d+|\d+\.\d+|\.\d+|\d+)"
     _RE_REAL = _re.compile(rf"^({_NUM})$")
@@ -113,22 +96,27 @@ class GaussianRational:
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
         """Parse 'p/q', 'a+bi', 'a-bi', 'bi', 'i'; decimals allowed.  Anything else
-        (a zero denominator in either part, a value that is not text) raises ExactInputError."""
+        (an exponent, an underscore, a zero denominator in either part, a value that is
+        not text) raises ExactInputError."""
         s = text.strip().replace(" ", "") if isinstance(text, str) else ""  # "" matches nothing
 
         def unit(sign_or_num: str) -> str:
             return sign_or_num + "1" if sign_or_num in ("", "+", "-") else sign_or_num
 
-        m = cls._RE_REAL.match(s)
-        if m:
-            return cls(m.group(1))
-        m = cls._RE_IMAG.match(s)
-        if m:
-            return cls(0, unit(m.group(1)))
-        m = cls._RE_BOTH.match(s)
-        if m:
-            return cls(m.group(1), unit(m.group(2)[:-1]))
-        raise ExactInputError(f"cannot parse exact scalar: {text!r}")
+        if m := cls._RE_REAL.match(s):
+            parts = m.group(1), "0"
+        elif m := cls._RE_IMAG.match(s):
+            parts = "0", unit(m.group(1))
+        elif m := cls._RE_BOTH.match(s):
+            parts = m.group(1), unit(m.group(2)[:-1])
+        else:
+            parts = ()
+        try:  # each part matched _NUM, which Fraction reads as it is
+            re, im = map(Fraction, parts)
+        except (ValueError, ZeroDivisionError):  # no form matched, or a zero denominator
+            raise ExactInputError(f"cannot parse exact scalar: {text!r}") from None
+        return _rational(re.numerator * im.denominator, im.numerator * re.denominator,
+                         re.denominator * im.denominator)
 
     # -- arithmetic -------------------------------------------------------
     # every operand (GaussianRational, int or Fraction) is read as its
@@ -250,7 +238,7 @@ class GaussianRational:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GaussianRational":
-        return cls(Fraction(obj["re"]), Fraction(obj["im"]))
+        return cls(obj["re"], obj["im"])
 
 
 # the plain classes first: isinstance against Fraction's ABC metaclass is slow on a miss
@@ -260,15 +248,18 @@ _GR_SETTERS = tuple(getattr(GaussianRational, slot).__set__ for slot in Gaussian
 
 
 def _scalar(value) -> tuple:
-    """An exact scalar as its canonical triple (re, im, den): value = (re +
-    i im) / den."""
+    """An exact scalar (GaussianRational, int, Fraction or text) as its canonical
+    triple (re, im, den): value = (re + i im) / den.  Anything else, a float
+    included, raises ExactInputError."""
     if isinstance(value, GaussianRational):
         return value._re, value._im, value._den
     if isinstance(value, int):
         return value, 0, 1
     if isinstance(value, Fraction):
         return value.numerator, 0, value.denominator
-    return _scalar(gr(value))  # a string; floats raise ExactInputError
+    if isinstance(value, str):
+        return _scalar(GaussianRational.parse(value))
+    raise ExactInputError(f"not an exact scalar: {value!r}")
 
 
 def _rational(re: int, im: int, den: int) -> GaussianRational:
@@ -293,8 +284,9 @@ I_POWERS = (GR_ONE, GR_I, GaussianRational(-1), GaussianRational(0, -1))  # i^(k
 
 
 def gr(value) -> GaussianRational:
-    """Shorthand exact coercion."""
-    return GaussianRational.from_value(value)
+    """Exact coercion: a GaussianRational as it is, another exact scalar through
+    the constructor; a float raises ExactInputError."""
+    return value if isinstance(value, GaussianRational) else GaussianRational(value)
 
 
 def _vectors(values) -> tuple:
@@ -372,12 +364,11 @@ def _poly(cls, re, im, den: int, order: int | None = None):
     + i im[k]) / den made canonical; a series (order not None) keeps t^0 .. t^order."""
     re, im, den = _canonical(re, im, den, None if order is None else order + 1)
     obj = object.__new__(cls)
-    set_re, set_im, set_den, set_order, set_coeffs = _POLY_SETTERS
+    set_re, set_im, set_den, set_order = _POLY_SETTERS
     set_re(obj, re)
     set_im(obj, im)
     set_den(obj, den)
     set_order(obj, order)
-    set_coeffs(obj, None)
     return obj
 
 
@@ -390,7 +381,7 @@ class ExactPoly:
     docstring.
     """
 
-    __slots__ = ("_re", "_im", "_den", "_order", "_coeffs")
+    __slots__ = ("_re", "_im", "_den", "_order")
 
     def __new__(cls, coeffs: Iterable = ()):
         return _poly(cls, *_coeff_vectors(coeffs))
@@ -420,13 +411,10 @@ class ExactPoly:
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as GaussianRationals, lowest degree first; built on
-        first access, then cached."""
-        if self._coeffs is None:
-            values = [_rational(r, m, self._den) for r, m in zip(self._re, self._im or repeat(0))]
-            values += [GR_ZERO] * (self._size() - len(values))
-            _POLY_SETTERS[4](self, tuple(values))
-        return self._coeffs
+        """The coefficients as GaussianRationals, lowest degree first, built on
+        each access."""
+        values = [_rational(r, m, self._den) for r, m in zip(self._re, self._im or repeat(0))]
+        return (*values, *[GR_ZERO] * (self._size() - len(values)))
 
     @property
     def degree(self) -> int:
@@ -502,7 +490,8 @@ class ExactPoly:
 
     def __call__(self, x):
         """Horner evaluation: exact for exact x, complex otherwise (text or
-        another non-number raises DomainError, errors._complex).  Exact x =
+        another non-number raises DomainError, errors._complex, and so does a
+        non-finite x, as in the float evaluators).  Exact x =
         X / q runs on Gaussian integers: with c_k = C_k / den,
         p(x) = sum_k C_k X^k q^(n-k) / (den q^n)."""
         if isinstance(x, _SCALARS):
@@ -518,6 +507,8 @@ class ExactPoly:
                 power *= q
             return _rational(acc_re, acc_im, self._den * power // q)
         xc = _complex("x", x)
+        if not cmath.isfinite(xc):
+            raise DomainError(f"x = {xc} is not finite")
         acc_c = 0j
         for c in reversed(self.complex_coeffs()):
             acc_c = acc_c * xc + c

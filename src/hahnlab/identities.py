@@ -1,19 +1,19 @@
-"""Exact verification of generating functions, contiguous relations and
-classical Jacobi identities.
+"""Exact verification of generating functions, contiguous relations,
+classical Jacobi identities and the Pasternack reflection.
 
 Generating functions are compared as truncated formal power series at
 fixed rational sample points of the second variable; with order at least
 degree + 2 this pins the polynomial coefficient identities while keeping
-the arithmetic inside Q(i).  Contiguous relations and Jacobi identities
-are compared as exact polynomials.
+the arithmetic inside Q(i).  Contiguous relations, Jacobi identities and
+the Pasternack reflection are compared as exact polynomials.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, _require_int
 from .exact import GR_HALF, GR_I, GR_ONE, ExactPoly, gr
-from .polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams, chahn_coeffs_exact,
-                          jacobi_coeffs_exact)
+from .polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams, _pochhammer,
+                          chahn_coeffs_exact, jacobi_coeffs_exact, pasternack_coeffs_exact)
 from .reports import VerificationReport, exact_report, residual_report
 from .series import FormalSeries, _hadamard, hypergeometric_series, one_minus_t_power
 
@@ -179,4 +179,13 @@ def jacobi_classical_check(which: str, n: int, gamma, delta) -> VerificationRepo
             * (ExactPoly([GR_ONE, -GR_ONE]) * jacobi_coeffs_exact(n, JacobiParams(g + 1, d)))
     else:
         raise DomainError("which must be 'derivative' or 'eq454'")
+    return residual_report(name, lhs - rhs)
+
+
+def pasternack_reflection_check(n: int, m) -> VerificationReport:
+    """Exact identity (1+m)_n F_n^m(x) = (1-m)_n F_n^{-m}(x)."""
+    name = f"pasternack-reflection[n={n}, m={m}]"
+    mg = gr(m)
+    lhs = pasternack_coeffs_exact(n, mg) * _pochhammer(1 + mg, n)  # _lookup checks n
+    rhs = pasternack_coeffs_exact(n, -mg) * _pochhammer(1 - mg, n)
     return residual_report(name, lhs - rhs)

@@ -99,7 +99,8 @@ def log_gamma_complex(z: complex) -> complex:
     is not reduced; use log_gamma() for the principal-phase form.
     Raises PoleError at z in {0, -1, -2, ...}, DomainError at a z that
     is not a number (text included) or not finite, and RangeOverflowError at
-    an exact z past the double range.
+    an exact z past the double range or a z whose log Gamma is not a finite
+    complex double (|z| near 1e305 and beyond).
     """
     if type(z) is not complex:
         z = _complex("log-gamma argument", z)  # or the HahnlabError naming z
@@ -107,9 +108,11 @@ def log_gamma_complex(z: complex) -> complex:
         raise DomainError(f"log-gamma argument {z!r} is not finite")
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
         raise PoleError(f"gamma pole at z = {z.real:g}")
-    if z.real >= 0.5:
-        return _lanczos_log_gamma(z)
-    return _LOG_PI - _log_sin_pi(z) - _lanczos_log_gamma(1.0 - z)
+    w = _lanczos_log_gamma(z) if z.real >= 0.5 else \
+        _LOG_PI - _log_sin_pi(z) - _lanczos_log_gamma(1.0 - z)
+    if cmath.isfinite(w):
+        return w
+    raise RangeOverflowError(f"log-gamma at z = {z!r} is past the double range")
 
 
 def log_gamma(z: complex) -> LogGammaValue:
@@ -141,8 +144,10 @@ def pochhammer(a: complex, k: int) -> complex:
 def beta(alpha: complex, beta_: complex) -> complex:
     """Gamma(alpha) Gamma(beta) / Gamma(alpha + beta), Re parts > 0 as doubles."""
     alpha, beta_ = _require("Re > 0 as a double", alpha=alpha, beta=beta_)
-    w = log_gamma_complex(alpha) + log_gamma_complex(beta_) \
-        - log_gamma_complex(alpha + beta_)
+    total = alpha + beta_
+    if not cmath.isfinite(total):
+        raise RangeOverflowError(f"beta: alpha + beta = {total!r} is past the double range")
+    w = log_gamma_complex(alpha) + log_gamma_complex(beta_) - log_gamma_complex(total)
     return _exp_checked(w, "beta")
 
 

@@ -21,9 +21,9 @@ from collections import namedtuple
 from .errors import HahnlabError, StructureError, _require, _require_int
 from .exact import GR_HALF, GR_I, I_POWERS, ExactPoly, GaussianRational, _poly, gr
 from .polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams, _chahn_recurrence,
-                          _hahn_of_jacobi, _pochhammer, _term_vectors, chahn_coeffs_exact,
-                          jacobi_coeffs_exact)
+                          _hahn_of_jacobi, _pochhammer, chahn_coeffs_exact, jacobi_coeffs_exact)
 from .reports import VerificationReport, residual_report
+from .series import _term_vectors
 
 SIGN_NOTE = ("log-derivative factor used as (beta-alpha)-(alpha+beta)t; "
              "the variant (alpha+beta+(alpha-beta)t) is inconsistent with "

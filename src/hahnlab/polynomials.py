@@ -56,9 +56,8 @@ from operator import add, mul
 
 from .errors import (DomainError, ExactInputError, PoleError, RangeOverflowError, _complex,
                      _require, _require_int, _require_tuple)
-from .exact import (GR_HALF, GR_I, I_POWERS, ExactPoly, GaussianRational, _multiply, _poly,
-                    _rational, _scalar, _vectors, gr)
-from .reports import VerificationReport, residual_report
+from .exact import (GR_HALF, GR_I, I_POWERS, ExactPoly, GaussianRational, _poly, _rational,
+                    _scalar, _vectors, gr)
 
 # coefficient growth is unbounded; cap keeps exact runs tractable
 EXACT_DEGREE_CAP = 64
@@ -99,7 +98,7 @@ def _stored(value):
 
 class _Sum(namedtuple("_Sum", "n prefactor upper lower shift step slope")):
     """p_n as data: prefactor * sum_{k<=n} t_k prod_{j<k} (shift + j step + slope x), t_k
-    from _term_products((-n, *upper), lower, n), or _term_vectors for a prefactor None."""
+    from _term_products((-n, *upper), lower, n)."""
 
     __slots__ = ()
 
@@ -150,17 +149,6 @@ def _term_products(upper, lower, count: int) -> tuple:
     return [w // g * (fr * br - fm * bm) for w, fr, fm, br, bm in rows], im if any(im) else [], den
 
 
-def _term_vectors(upper, lower, count: int) -> tuple:
-    """The series terms prod (u)_k / (k! prod (l)_k), k <= count, as vectors (re, im, den):
-    _term_products over its term 0, which a lower parameter in {0, ..., 1-count} zeroes."""
-    re, im, _ = _term_products(upper, lower, count)
-    r0, m0 = re[0], im[0] if im else 0
-    if not (r0 or m0):
-        k, v = next((k, v) for k in range(1, count + 1) for v in lower if not gr(v) + k - 1)
-        raise PoleError(f"hypergeometric denominator ({v})_k hits zero at k={k}")
-    return (*_multiply([r0], [-m0], re, im, count + 1), r0 * r0 + m0 * m0) if m0 else (re, im, r0)
-
-
 def _pochhammer(a, n: int) -> GaussianRational:
     """(a)_n = prod_{k<n} (a + k) over Q(i): the last forward run of _term_products."""
     r, m, q = _scalar(a)
@@ -209,25 +197,27 @@ def _chahn_recurrence(N: int, a, b, c, d) -> list:
 
 
 def _pasternack_sum(n: int, m) -> _Sum:
-    # 3F2(-n, n+1, (1+m+x)/2; 1, m+1; 1) as it is (prefactor None): terms over term 0
+    # 3F2(-n, n+1, (1+m+x)/2; 1, m+1; 1); (l)_k (l+k)_{n-k} = (l)_n, so each t_k is
+    # (1)_n (m+1)_n / n! = (m+1)_n times the 3F2's term: the prefactor is 1 / (m+1)_n
     m1 = gr(_stored(m)) + 1
     if not m1._im and m1._den == 1 and -n < m1._re <= 0:  # (m+1)_n = 0: nothing cancels it
         raise PoleError(f"(m+1)_k vanishes for k <= {n}")
-    return _Sum(n, None, (n + 1,), (1, m1), m1 * GR_HALF, 1, GR_HALF)
+    return _Sum(n, 1 / _pochhammer(m1, n), (n + 1,), (1, m1), m1 * GR_HALF, 1, GR_HALF)
 
 
 def _exact_poly(s: _Sum) -> ExactPoly:
     """The monomial coefficients of a sum by the nested (Newton-form) product
     t_0 + L_0(x) (t_1 + L_1(x) (... + L_{n-1}(x) t_n)), fraction-free: with t_k =
-    T_k / D (_term_products; _term_vectors for a prefactor None), L_k(x) = (O_k +
-    S x) / q and the prefactor W / d, A_n = W T_n, A_k = W q^(n-k) T_k + (O_k + S x)
-    A_{k+1} and p_n = A_0 / (d D q^n), in Gaussian integers."""
+    T_k / D (_term_products), L_k(x) = (O_k + S x) / q and the prefactor W / d,
+    A_n = W T_n, A_k = W q^(n-k) T_k + (O_k + S x) A_{k+1} and p_n = A_0 / (d D q^n),
+    in Gaussian integers."""
     n = s.n
-    terms = _term_vectors if s.prefactor is None else _term_products
-    t_re, t_im, t_den = terms((-n, *s.upper), s.lower, n)
+    t_re, t_im, t_den = _term_products((-n, *s.upper), s.lower, n)
     (o_re, s_re), im, q = _vectors((s.shift, s.slope))
     o_im, s_im = im or (0, 0)
-    w_re, w_im, w_den = _scalar(s.prefactor or 1)
+    w_re, w_im, w_den = _scalar(s.prefactor)
+    g = gcd(w_re, w_im, t_den)  # Pasternack's 1 / (m+1)_n carries the terms' q^n
+    w_re, w_im, t_den = w_re // g, w_im // g, t_den // g
     real = not (o_im or s_im or t_im or w_im)
     step = s.step * q
     acc_re, acc_im = [], []  # A_{n+1} = 0; (w_re, w_im) is W q^(n-k)
@@ -420,12 +410,3 @@ def _hahn_of_jacobi(alpha, beta, gamma, delta) -> HahnParams:
     nearest it."""
     alpha, beta, gamma, delta = map(_stored, (alpha, beta, gamma, delta))
     return HahnParams(alpha, delta - beta + 1, gamma - alpha + 1, beta)
-
-
-def pasternack_reflection_check(n: int, m) -> VerificationReport:
-    """Exact identity (1+m)_n F_n^m(x) = (1-m)_n F_n^{-m}(x)."""
-    name = f"pasternack-reflection[n={n}, m={m}]"
-    mg = gr(m)
-    lhs = pasternack_coeffs_exact(n, mg) * _pochhammer(1 + mg, n)  # _lookup checks n
-    rhs = pasternack_coeffs_exact(n, -mg) * _pochhammer(1 - mg, n)
-    return residual_report(name, lhs - rhs)

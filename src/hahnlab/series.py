@@ -15,9 +15,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from itertools import repeat
 
-from .errors import DomainError, _require_int
+from .errors import DomainError, PoleError, _require_int
 from .exact import ExactPoly, _coeff_vectors, _multiply, _poly, _scaled_sum, gr
-from .polynomials import _term_vectors
+from .polynomials import _term_products
 
 
 class FormalSeries(ExactPoly):
@@ -91,6 +91,17 @@ def _hadamard(a: FormalSeries, b: FormalSeries) -> FormalSeries:
     return _poly(FormalSeries, [ar * br - ai * bi for ar, ai, br, bi in rows],
                  [ar * bi + ai * br for ar, ai, br, bi in rows], a._den * b._den,
                  min(a._order, b._order))
+
+
+def _term_vectors(upper, lower, count: int) -> tuple:
+    """The series terms prod (u)_k / (k! prod (l)_k), k <= count, as vectors (re, im, den):
+    _term_products over its term 0, which a lower parameter in {0, ..., 1-count} zeroes."""
+    re, im, _ = _term_products(upper, lower, count)
+    r0, m0 = re[0], im[0] if im else 0
+    if not (r0 or m0):
+        k, v = next((k, v) for k in range(1, count + 1) for v in lower if not gr(v) + k - 1)
+        raise PoleError(f"hypergeometric denominator ({v})_k hits zero at k={k}")
+    return (*_multiply([r0], [-m0], re, im, count + 1), r0 * r0 + m0 * m0) if m0 else (re, im, r0)
 
 
 def one_minus_t_power(exponent, order: int) -> FormalSeries:

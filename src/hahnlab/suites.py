@@ -24,14 +24,14 @@ from fractions import Fraction
 
 from .errors import DomainError, HahnlabError, _require_tolerance
 from .exact import GaussianRational
-from .identities import (contiguous_check, genfun_chahn_check,
-                         genfun_jacobi_check, jacobi_classical_check)
+from .identities import (contiguous_check, genfun_chahn_check, genfun_jacobi_check,
+                         jacobi_classical_check, pasternack_reflection_check)
 from .operator_calculus import (hahn_operator_identity_check, recurrence_check,
                                 shifted_operator_identity_check)
 from .orthogonality import (barnes_check, bateman_ortho_checks, gram_check,
                             jacobi_ortho_checks, pasternack_biortho_checks,
                             pasternack_ortho_checks)
-from .polynomials import HahnParams, pasternack_reflection_check
+from .polynomials import HahnParams
 from .reports import VerificationReport
 from .transforms import fourier_pair_checks, mellin_pair_checks, parseval_check
 

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 from hahnlab.exact import GaussianRational
 from hahnlab.identities import (contiguous_check, genfun_chahn_check,
-                                genfun_jacobi_check, jacobi_classical_check)
+                                genfun_jacobi_check, jacobi_classical_check,
+                                pasternack_reflection_check)
 from hahnlab.numerics import pochhammer
 from hahnlab.operator_calculus import (derive_recurrence,
                                        hahn_operator_identity_check,
@@ -20,7 +21,7 @@ from hahnlab.orthogonality import (barnes_check, bateman_ortho_check,
                                    chahn_gram, jacobi_ortho_check,
                                    pasternack_biortho_check,
                                    pasternack_ortho_check, pi_m_over_sin_pi_m)
-from hahnlab.polynomials import HahnParams, pasternack_reflection_check
+from hahnlab.polynomials import HahnParams
 from hahnlab.transforms import fourier_pair_check, mellin_pair_check
 
 F = Fraction

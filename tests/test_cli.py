@@ -400,3 +400,18 @@ def test_operator_calculus_loads_no_quadrature_module():
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_polynomials_loads_only_the_exact_layer():
+    """The families need only the exact arithmetic and the error gates:
+    hahnlab.polynomials, in a fresh interpreter, loads exactly hahnlab,
+    hahnlab.errors, hahnlab.exact and itself, so no check or report module
+    is compiled on the way to a value."""
+    code = ("import sys, hahnlab.polynomials\n"
+            "print(' '.join(sorted(m for m in sys.modules\n"
+            "                      if m == 'hahnlab' or m.startswith('hahnlab.'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["hahnlab", "hahnlab.errors", "hahnlab.exact",
+                                   "hahnlab.polynomials"]

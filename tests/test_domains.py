@@ -25,7 +25,7 @@ from hahnlab.errors import (_RULES, DomainError, ExactInputError, HahnlabError, 
                             QuadratureError, RangeOverflowError)
 from hahnlab.exact import ExactPoly, GaussianRational
 from hahnlab.identities import (contiguous_check, genfun_chahn_check, genfun_jacobi_check,
-                                jacobi_classical_check)
+                                jacobi_classical_check, pasternack_reflection_check)
 from hahnlab.operator_calculus import (derive_recurrence, hahn_operator_identity_check,
                                        recurrence_check, shifted_operator_identity_check)
 from hahnlab.numerics import log_gamma_complex, pochhammer
@@ -38,8 +38,7 @@ from hahnlab.polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams,
                                  chahn_coeffs_complex, chahn_coeffs_exact, chahn_eval,
                                  jacobi_coeffs_complex, jacobi_coeffs_exact, jacobi_eval,
                                  pasternack_coeffs_complex, pasternack_coeffs_exact,
-                                 pasternack_eval, pasternack_hahn_params,
-                                 pasternack_reflection_check)
+                                 pasternack_eval, pasternack_hahn_params)
 from hahnlab import quadrature
 from hahnlab.reports import VerificationReport
 from hahnlab.series import FormalSeries, hypergeometric_series, one_minus_t_power

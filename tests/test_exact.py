@@ -86,18 +86,35 @@ def test_parse_rejects_junk():
             GaussianRational.parse(bad)
 
 
-@pytest.mark.parametrize("make", [
+_TEXT_ROUTES = pytest.mark.parametrize("make", [
     lambda text: GaussianRational.parse(text),
     lambda text: GaussianRational(text),
     lambda text: GaussianRational(0, text),
     lambda text: gr(text),
 ], ids=["parse", "re", "im", "gr"])
-@pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0", "zebra"])
+
+
+@_TEXT_ROUTES
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0", "zebra", "1e3", "1_000"])
 def test_bad_text_is_an_input_error(make, text):
-    """A zero denominator or junk text raises ExactInputError naming the
-    text, never ZeroDivisionError or ValueError."""
+    """A zero denominator, junk text, or Fraction's exponent and underscore
+    forms raise ExactInputError naming the text, never ZeroDivisionError or
+    ValueError: every route reads text with parse's grammar."""
     with pytest.raises(ExactInputError, match=text):
         make(text)
+
+
+@pytest.mark.parametrize("make, want", [
+    (GaussianRational.parse, GaussianRational(F(1, 2), F(1, 4))),
+    (GaussianRational, GaussianRational(F(1, 2), F(1, 4))),
+    (lambda text: GaussianRational(0, text), GaussianRational(F(-1, 4), F(1, 2))),
+    (gr, GaussianRational(F(1, 2), F(1, 4))),
+    (lambda text: ExactPoly([text]).coeff(0), GaussianRational(F(1, 2), F(1, 4))),
+], ids=["parse", "re", "im", "gr", "poly"])
+def test_complex_text_reads_on_every_route(make, want):
+    """Text in parse's grammar is one value on every route; as the imaginary
+    part of GaussianRational(re, im), a + bi is i (a + bi)."""
+    assert make("1/2+1/4i") == want
 
 
 @pytest.mark.parametrize("value", [1.5, 2, None, GaussianRational(1, 2)])

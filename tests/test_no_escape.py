@@ -27,14 +27,14 @@ import hahnlab
 from hahnlab import suites
 from hahnlab.errors import HahnlabError
 from hahnlab.exact import ExactPoly, GaussianRational, gr
+from hahnlab.identities import pasternack_reflection_check
 from hahnlab.numerics import beta, gamma, hahn_weight, log_gamma, pochhammer
 from hahnlab.orthogonality import (bateman_ortho_checks, jacobi_ortho_checks,
                                    pasternack_biortho_checks, pasternack_ortho_checks)
 from hahnlab.polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams,
                                  chahn_coeffs_complex, chahn_coeffs_exact, chahn_eval,
                                  jacobi_coeffs_exact,
-                                 jacobi_eval, pasternack_coeffs_exact, pasternack_eval,
-                                 pasternack_reflection_check)
+                                 jacobi_eval, pasternack_coeffs_exact, pasternack_eval)
 from hahnlab.series import FormalSeries
 from hahnlab.transforms import fourier_pair_checks, mellin_pair_checks
 
@@ -157,17 +157,21 @@ def test_hostile_arguments_raise_only_hahnlab_errors(name):
     (lambda: hahn_weight(0.5j, 1, 1, 1, 1), "z must be real, got 0.5j"),
     (lambda: hahn_weight(complex(math.nan, 0), 1, 1, 1, 1),
      "z must be finite; (nan+0j) is not finite"),
+    (lambda: ExactPoly([1, 2])(math.inf), "x = (inf+0j) is not finite"),
+    (lambda: ExactPoly([1, 2])(complex(0, math.nan)), "x = nanj is not finite"),
 ], ids=["jacobi-eval-params", "chahn-eval-params", "jacobi-exact-params", "chahn-exact-params",
         "jacobi-eval-list", "chahn-eval-list", "pasternack-eval-list", "jacobi-exact-list",
         "chahn-complex-list", "jacobi-eval-list-field",
         "poly-float", "poly-text", "poly-mapping", "poly-set",
-        "series-none", "weight-z-text", "weight-z-complex", "weight-z-nan"])
+        "series-none", "weight-z-text", "weight-z-complex", "weight-z-nan", "poly-call-inf",
+        "poly-call-nan"])
 def test_gates_the_sweep_found_missing(call, message):
     """A parameter record that is not a tuple of the family's size or is a
     list (which the memo cannot hash), coefficients that are not an iterable
     of scalars (text, a mapping or a set would read as other coefficients),
-    and a weight argument z that is not a finite real number, raise
-    DomainError naming them."""
+    a weight argument z that is not a finite real number, and a polynomial's
+    float x that is not finite (Horner gave nan+nanj), raise DomainError
+    naming them."""
     with pytest.raises(HahnlabError) as caught:
         call()
     assert type(caught.value).__name__ == "DomainError" and str(caught.value) == message

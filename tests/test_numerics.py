@@ -460,3 +460,21 @@ def test_gamma_finite_values_only():
     assert math.isfinite(abs(v))
     with pytest.raises(RangeOverflowError):
         log_gamma(200.0).exp()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: log_gamma_complex(1e306), "log-gamma at z = (1e+306+0j) is past the double range"),
+    (lambda: log_gamma_complex(3e305j), "log-gamma at z = 3e+305j is past the double range"),
+    (lambda: log_gamma_complex(-1e306 + 0.5j),
+     "log-gamma at z = (-1e+306+0.5j) is past the double range"),
+    (lambda: log_gamma(1e308), "log-gamma at z = (1e+308+0j) is past the double range"),
+    (lambda: beta(1e308, 1e308), "beta: alpha + beta = (inf+0j) is past the double range"),
+], ids=["real", "imaginary", "reflection", "principal", "beta-sum"])
+def test_log_gamma_past_the_double_range_raises(call, message):
+    """A finite argument whose log Gamma is not a finite complex double raises
+    RangeOverflowError naming it, never a silent inf or nan; beta names an
+    alpha + beta past the double range, not a log-gamma argument the caller
+    never passed."""
+    with pytest.raises(RangeOverflowError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from hahnlab.errors import DomainError, ExactInputError, PoleError, RangeOverflowError
 from hahnlab.exact import GR_I, ExactPoly, GaussianRational, gr
+from hahnlab.identities import pasternack_reflection_check
 from hahnlab.numerics import pochhammer
 from hahnlab.series import hypergeometric_series
 from hahnlab.polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams,
@@ -23,7 +24,6 @@ from hahnlab.polynomials import (EXACT_DEGREE_CAP, HahnParams, JacobiParams,
                                  pasternack_coeffs_complex,
                                  pasternack_coeffs_exact, pasternack_eval,
                                  pasternack_hahn_params,
-                                 pasternack_reflection_check,
                                  _EXACT_TYPES, _built, _chahn_sum, _exact_poly,
                                  _is_exact, _jacobi_sum, _lookup, _pasternack_sum,
                                  _to_complex)
