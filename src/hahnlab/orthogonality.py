@@ -10,8 +10,13 @@ degree-zero case.
 The sech and Jacobi checks have list forms (bateman_ortho_checks,
 pasternack_ortho_checks, pasternack_biortho_checks, jacobi_ortho_checks)
 that integrate every (n, p) pair on one weight in one trapezoid pass; the
-scalar checks are their one-pair case.  Expected diagonals always come
-from the closed-form right-hand sides, never from quadrature.
+scalar checks are their one-pair case.  Every pass runs on the sinh map
+z = c sinh u of quadrature.integrate_line, c the weight's strip: the
+Gram's min Re of its parameters, the sech weight's 1 - |Re m|, the tanh
+weight's pi/2.  Each has its nearest poles at +-i c, which the map puts at
++-i pi/2 however narrow the strip is, so Re alpha = 1/10000 or m = 0.9999
+take about 200 nodes.  Expected diagonals always come from the closed-form
+right-hand sides, never from quadrature.
 """
 
 from __future__ import annotations
@@ -20,14 +25,15 @@ import cmath
 import math
 from collections import namedtuple
 from itertools import repeat
-from operator import add, mul, sub, truediv
+from operator import mul, sub, truediv
 
 from .errors import RangeOverflowError, _require, _require_int, _require_tuple
 from .numerics import _weight_memo, gamma_product, pochhammer
 from .polynomials import (EXACT_DEGREE_CAP, JacobiParams, _chahn_recurrence, _to_complex,
                           jacobi_coeffs_complex, pasternack_coeffs_complex,
                           pasternack_hahn_params)
-from .quadrature import _ABS_TOL, _EPS, _REL_TOL, IntegralResult, _line_integral, integrate_line
+from .quadrature import (_ABS_TOL, _EPS, _REL_TOL, _STEP, IntegralResult, _line_integral,
+                         _sinh_nodes, integrate_line)
 from .reports import QuadDiagnostics, VerificationReport, integral_report
 from .transforms import _tanh_product_integral
 
@@ -52,13 +58,15 @@ class GramResult(namedtuple(
     What the matrix cost: evaluations is the number of trapezoid nodes
     (each one weight and N polynomial values, computed a trapezoid level
     at a time; each entry is one dot product per level), step the final
-    h, truncation_radius the cut-off Z of the grid, and estimated_error the
+    h in u of the map z = c sinh u (c = min Re of the parameters),
+    truncation_radius the cut-off c sinh U in z, and estimated_error the
     largest norm-scaled estimate of an entry (integrate_line: the predicted
     tail of its changes, else its change between steps 2h and h),
     floored by the rounding of the polynomial values, eps M_n(|z|) each, M_n
-    the recurrence run on magnitudes in floats (_gram_magnitudes; a relative
-    error for N = 1).  matrix is complex; for a positive weight (chahn_gram)
-    its entries are real sums, and every imaginary part is exactly 0.0.
+    the recurrence run on magnitudes in floats (_gram_magnitudes), and of
+    the weights, about eps (4 + |log w|) each (for N = 1 the whole floor).
+    matrix is complex; for a positive weight (chahn_gram) its entries are
+    real sums, and every imaginary part is exactly 0.0.
     """
 
     __slots__ = ()
@@ -156,18 +164,19 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     vanish by parity and are set to zero without quadrature.
 
     Every entry comes from one pass of integrate_line: the integrand is
-    analytic in the strip |Im z| < d = min Re(alpha, beta, a, b), so the
-    rule starts from a step set by d and halves it until every entry's
-    estimate (its predicted tail or its last change) is within
-    max(1e-14, 1e-10 sqrt|G_nn G_mm|).  Each node costs
-    one weight and N polynomial values, shared by all entries; they come a
-    level of new nodes at a time, as one weight list and the polynomials by
-    their three-term recurrence, a few passes over the level per degree,
-    and each entry is one dot product over it.  The rule
-    takes the even part on z >= 0: with real parameters w(-z) = conj w(z)
-    and p_n(-z) = (-1)^n conj p_n(z), so entry (n, m) has the sign
-    (-1)^(n+m) and one node serves z and -z.  The
-    cut-off Z is relative to the norms: the tail of entry (n, m) stays
+    analytic in the strip |Im z| < d = min Re(alpha, beta, a, b), whose
+    edge the pole at i d (or -i d) sets, so the rule runs in u on
+    z = d sinh u, which puts that pole at i pi/2, from the step 1/2, and
+    halves it until every entry's estimate (its predicted tail or its last
+    change) is within max(1e-14, 1e-10 sqrt|G_nn G_mm|).  Each node costs
+    one weight, times its Jacobian d cosh u, and N polynomial values,
+    shared by all entries; they come a level of new nodes at a time, as
+    one weight list and the polynomials by their three-term recurrence, a
+    few passes over the level per degree, and each entry is one dot
+    product over it.  The rule takes the even part on z >= 0: with real
+    parameters w(-z) = conj w(z) and p_n(-z) = (-1)^n conj p_n(z), so entry
+    (n, m) has the sign (-1)^(n+m) and one node serves z and -z.  The
+    cut-off is relative to the norms: the tail of entry (n, m) stays
     below 1e-16 max(1, sqrt|h_n h_m|), far below its tolerance.
 
     The norms cost 5 log-gammas (_chahn_norms).  No exact polynomial is
@@ -200,13 +209,13 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     diagonal_index = [entries.index((n, n)) for n in range(N)]
     two_pi = 2.0 * math.pi
 
-    def side(zs: list) -> list:
-        """The entries' integrands summed over the nodes zs: one loop over
-        the level per quantity."""
+    def side(zs: list, jacs: list) -> list:
+        """The entries' integrands times the Jacobians jacs summed over the
+        nodes zs: one loop over the level per quantity."""
         if positive:
-            w = [math.exp(log_weight(z).real) / two_pi for z in zs]
+            w = [math.exp(log_weight(z).real) * jac / two_pi for z, jac in zip(zs, jacs)]
         else:
-            w = [cmath.exp(log_weight(z)) / two_pi for z in zs]
+            w = [cmath.exp(log_weight(z)) * jac / two_pi for z, jac in zip(zs, jacs)]
         p = _gram_columns(triples, list(map(scalar, zs)))
         out = []
         for n in range(N):
@@ -247,26 +256,40 @@ def chahn_gram(N: int, alpha, beta, a, b) -> GramResult:
     max_diag = max(abs(matrix[n][n] - expected[n]) / abs(expected[n])
                    for n in range(N))
     # error estimate, norm-scaled: each entry's trapezoid estimate, floored by
-    # rounding.  The floor models a value's rounding as eps M_n(|z|), Horner's
-    # error model for real parameters, as a conservative bound on the
-    # recurrence's rounding where kappa is large: at (2, 1/3, 3/2, 3/4) the
-    # columns' |w|-weighted error measured at most 0.83 of it for n >= 5 (up
-    # to 3.9x at n <= 3, where kappa is small).  By Cauchy-Schwarz it moves
-    # entry (n, m) by eps (kappa_n + kappa_m), with
-    # kappa_n^2 = int |w| M_n(|z|)^2 / (2 pi |G_nn|) on the first level's
-    # nodes, out to the cut-off: every weight there is a memo hit, and
-    # |w(-z)| = |w(z)| where the fold applies.
-    step = res.first_step
-    zs = [k * step for k in range(int(res.radius / step) + 1)]
-    w = [math.exp(log_weight(z).real) for z in zs]
-    minus = w if real else [math.exp(log_weight(-z).real) for z in zs]
-    w = list(map(add, w, minus))
-    w[0] *= 0.5  # the centre node weighs half
-    columns = zip(*[_gram_magnitudes(magnitudes, z) for z in zs])  # M_n at every node
-    kappa = [math.sqrt(step * sum(u * abs(v) ** 2 for u, v in zip(w, column))
-                       / (two_pi * abs(matrix[n][n])))
-             for n, column in enumerate(columns)]
-    estimate = max(max(c / (scale[n] * scale[m]), _EPS * (kappa[n] + kappa[m]))
+    # rounding, summed on the first level's nodes u = k _STEP out to the cut-off
+    # (every weight there is a memo hit; where the fold applies |w(-z)| =
+    # |w(z)| and |p_n(-z)| = |p_n(z)|, so one side counts twice).  The floor
+    # models a value's rounding as eps M_n(|z|), Horner's error model for
+    # real parameters, as a conservative bound on the recurrence's rounding
+    # where kappa is large: at (2, 1/3, 3/2, 3/4) the columns' |w|-weighted
+    # error measured at most 0.83 of it for n >= 5 (up to 3.9x at n <= 3,
+    # where kappa is small).  By Cauchy-Schwarz it moves entry (n, m) by
+    # eps (kappa_n + kappa_m), with kappa_n^2 = int |w| M_n(|z|)^2 /
+    # (2 pi |G_nn|).  The weight times the Jacobian carries a relative
+    # rounding of about eps (4 + |log w|): the rounding of log w, and of its
+    # four log-gammas, the exponential, the node c sinh u and c cosh u.  At
+    # single nodes it measured up to 2.4x that against mpmath, in both
+    # signs; by Cauchy-Schwarz again it moves entry (n, m) by lam_n lam_m,
+    # lam_n^2 = eps int |w| (4 + |log w|) |p_n|^2 / (2 pi |G_nn|), which is
+    # what bounds a Gram of N = 1, whose p_0 = 1 is exact.
+    zs, jacs = _sinh_nodes(res.scale,
+                           [_STEP * k for k in range(int(res.cutoff / _STEP) + 1)])
+    bounds = list(zip(*[_gram_magnitudes(magnitudes, z) for z in zs]))  # M_n at every node
+    kappa, lam = [0.0] * N, [0.0] * N
+    for nodes in [zs] if real else [zs, [-z for z in zs]]:
+        logs = list(map(log_weight, nodes))
+        w = [math.exp(v.real) * jac for v, jac in zip(logs, jacs)]
+        w[0] *= 0.5  # the centre node weighs half
+        rounding = [u * (4.0 + abs(v)) for u, v in zip(w, logs)]
+        for n, column in enumerate(_gram_columns(triples, list(map(scalar, nodes)))):
+            kappa[n] += sum(u * v * v for u, v in zip(w, bounds[n]))
+            lam[n] += sum(u * abs(v) ** 2 for u, v in zip(rounding, column))
+    # the step, the fold's second side, and the norm
+    scaled = [(2.0 if real else 1.0) * _STEP / (two_pi * abs(matrix[n][n])) for n in range(N)]
+    kappa = [math.sqrt(v * d) for v, d in zip(kappa, scaled)]
+    lam = [math.sqrt(_EPS * v * d) for v, d in zip(lam, scaled)]
+    estimate = max(max(c / (scale[n] * scale[m]),
+                       _EPS * (kappa[n] + kappa[m]) + lam[n] * lam[m])
                    for (n, m), c in zip(entries, res.changes))
     return GramResult(matrix, expected, max_off, max_diag, max_off_scaled,
                       res.nodes, res.step, res.radius, estimate)
@@ -338,13 +361,21 @@ def _sech_integral(pairs: list, m, m2, scale: float) -> list[IntegralResult]:
                 for n, p in pairs]
     real = not any(u.imag for fn, fp, _ in products for u in (*fn, *fp))
     mc = _to_complex(m)
-    cos_pim = cmath.cos(math.pi * mc)
+    # cos(pi m) + cosh(pi x) = 2 (cos^2(pi m / 2) + sinh^2(pi x / 2)), whose
+    # terms are positive: near m = +-1 and x = 0 the sum of the left cancels
+    # to 1e-8 at m = 0.9999, and its rounding moved the integral by 3e-10;
+    # cos(pi m / 2) is sin(pi (1 - |m|) / 2) for real m (1 - |m| is exact
+    # for |m| >= 1/2) and cosh(pi Im m / 2) for imaginary m
+    half = (math.cosh(0.5 * math.pi * mc.imag) if mc.imag
+            else math.sin(0.5 * math.pi * (1.0 - abs(mc.real)))) ** 2
     # the weight is at most 4 e^{-pi|x|} in both uses: 2 / (1 + cosh(pi x))
     # everywhere, and 1 / (cosh(pi x) + cos(pi m)) since cosh(pi x) + cos(pi m)
-    # >= e^{pi|x|}/2 - 1 >= e^{pi|x|}/4 for |x| >= 0.45 (the scan starts at 2)
+    # >= e^{pi|x|}/2 - 1 >= e^{pi|x|}/4 for |x| >= 0.45; inside that the
+    # bound is above 0.97, far above the target, so the scan never stops there
     return _line_integral(
         products, lambda x: 1j * x,
-        lambda xs: {None: [scale / (cos_pim + math.cosh(math.pi * x)) for x in xs]},
+        lambda xs: {None: [0.5 * scale / (half + math.sinh(0.5 * math.pi * x) ** 2)
+                           for x in xs]},
         lambda x: 4.0 * math.exp(-math.pi * abs(x)), 1.0 - abs(mc.real),
         [1] * len(products) if real else None)
 

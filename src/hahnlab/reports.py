@@ -9,12 +9,13 @@ class QuadDiagnostics(namedtuple("QuadDiagnostics", "evaluations estimated_error
     """What a quadrature check cost: evaluations is the number of nested
     trapezoid nodes, both signs counted, of the pass that computed the row,
     summed over the check's integrals (every quadrature check runs on the
-    trapezoidal rule).  Rows whose integrals share a weight share its pass
-    (the list forms, such as fourier_pair_checks), so each of them reports
-    that pass's whole count.  estimated_error is the trapezoid's estimate of
-    the row's own value (the predicted tail of its changes, else its last
-    change) floored at rounding, summed over the integrals (norm-scaled for a
-    Gram matrix)."""
+    trapezoidal rule in u after the map z = c sinh u).  Rows whose integrals
+    share a weight share its pass (the list forms, such as
+    fourier_pair_checks), so each of them reports that pass's whole count.
+    estimated_error is the trapezoid's estimate of the row's own value (the
+    predicted tail of its changes, else its last change) floored at the
+    rounding of the node values and at the cut tails, summed over the
+    integrals (norm-scaled for a Gram matrix)."""
 
     __slots__ = ()
 

@@ -9,10 +9,16 @@ pass, the tanh logs once per node and the weight once per frequency; the
 scalar checks are their one-row case; each integral gives
 quadrature._line_integral only its weight.  The Fourier convention is
 F(f)(z) = int e^{-ixz} f(x) dx with Parseval constant 2*pi; a complex z
-converges for -2 Re beta < Im z < 2 Re alpha (outside, or near the edges,
-the cut-off scan raises QuadratureError).  The Mellin pair is the Fourier
-pair after x = e^{-2u}: both of its sides are the Fourier pair's at
-z = -2 lambda, scaled by 2^{1-alpha-beta}, where -Re alpha < Im lambda < Re beta.
+converges for -2 Re beta < Im z < 2 Re alpha (outside, the cut-off scan
+raises QuadratureError).  Every pass runs on the sinh map of
+quadrature.integrate_line, so a weight that decays slowly, as e^{-x/25}
+at Re alpha = 1/50 or e^{-x/100} at Im z = 0.99 and Re alpha = 1/2, is
+cut off a few units out on the map.  An oscillating e^{-ixz} is entire
+but narrows the map's strip to about atan(2 Re alpha / |z|), so a row at
+|z| = 5 takes about as many nodes as on a uniform grid.  The Mellin pair
+is the Fourier pair after x = e^{-2u}: both of its sides are the Fourier
+pair's at z = -2 lambda, scaled by 2^{1-alpha-beta}, where
+-Re alpha < Im lambda < Re beta.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ def _tanh_product_integral(entries: list, wa: complex, wb: complex) -> list[Inte
     distinct z, _line_integral's key; |e^{-ixz}| = e^{x Im z}, so the weight
     bound takes the largest Im z at x > 0 and the smallest at x < 0.  The
     integrand is analytic in |Im x| < pi/2 and has no reflection symmetry,
-    so each level is evaluated at both signs; the first step is at most
+    so each level is evaluated at both signs; the map's scale is at most
     pi/|z|, half a period of the fastest oscillation."""
     freqs = dict.fromkeys(z for *_, z in entries)  # none: _line_integral runs no pass
     hi, lo = max((z.imag for z in freqs), default=0.0), min((z.imag for z in freqs), default=0.0)

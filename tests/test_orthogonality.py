@@ -3,6 +3,7 @@ families, classical Jacobi."""
 
 import cmath
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -16,13 +17,13 @@ from hahnlab.numerics import hahn_weight_log, log_gamma_complex
 from hahnlab.orthogonality import (GramResult, _gram_columns, barnes_check,
                                    bateman_ortho_check, chahn_gram,
                                    chahn_norm_rhs, gram_check, jacobi_ortho_check,
-                                   pasternack_biortho_check,
-                                   pasternack_ortho_check, pi_m_over_sin_pi_m)
+                                   pasternack_biortho_check, pasternack_ortho_check,
+                                   pasternack_ortho_checks, pi_m_over_sin_pi_m)
 from hahnlab.operator_calculus import derive_recurrence
 from hahnlab.polynomials import (HahnParams, JacobiParams, _chahn_recurrence, _to_complex,
                                  chahn_coeffs_complex, chahn_coeffs_exact, horner,
                                  horner_level, jacobi_coeffs_complex)
-from hahnlab.quadrature import _EPS, IntegralResult, truncation_radius
+from hahnlab.quadrature import _EPS, IntegralResult, _sinh_nodes, truncation_radius
 from hahnlab.transforms import _tanh_product_integral
 
 F = Fraction
@@ -414,18 +415,52 @@ def test_gram_error_estimate_covers_offdiagonal_error(N, params):
 def test_gram_reports_its_cost():
     g = chahn_gram(4, 1, HALF, F(3, 4), F(5, 4))
     summary = g.to_summary_dict()
-    # nodes of a symmetric grid of step h out to the truncation radius
-    assert summary["evaluations"] == 2 * int(g.truncation_radius / g.step) + 1
+    # nodes of a symmetric grid of step h in u out to the cut-off U, where
+    # the truncation radius is (1/2) sinh U, 1/2 the strip
+    cutoff = math.asinh(g.truncation_radius / 0.5)
+    assert summary["evaluations"] == 2 * round(cutoff / g.step) + 1
     assert 0.0 < summary["step"] <= 0.5 and summary["truncation_radius"] >= 2.0
     assert 0.0 < summary["estimated_error"] <= 1e-10
     assert g.diagnostics().evaluations == g.evaluations
 
 
-def test_gram_narrow_strip_raises_promptly():
+def test_gram_narrow_strip_against_mpmath_norms():
+    """Re alpha = 1/10000: the strip's half-width is the map's scale, so the
+    pole at z = i alpha sits at i pi/2 in u whatever alpha is, and the Gram
+    takes 201 nodes (a uniform step of 1/10000 was over the node budget)."""
+    params = (F(1, 10000), HALF, HALF, HALF)
     t0 = time.perf_counter()
-    with pytest.raises(QuadratureError):
-        chahn_gram(4, F(1, 10000), HALF, HALF, HALF)
+    g = chahn_gram(4, *params)
     assert time.perf_counter() - t0 < 5.0
+    assert g.evaluations <= 201
+    norms = _mp_norms(4, params, digits=50)
+    assert _norm_scaled_error(g, norms) <= 1e-14
+    assert g.estimated_error >= _norm_scaled_error(g, norms)
+
+
+def test_gram_over_the_node_budget_raises_before_the_level_runs(monkeypatch):
+    """The conjugate pair alpha = 1/10000 + i, a = conj alpha: the poles at
+    z = -1 +- i/10000 sit off the imaginary axis and next to the line, where
+    the map's strip in u is about 1/10000 wide; the level that would pass
+    the node budget raises before any of its weights is computed."""
+    params = (GaussianRational(F(1, 10000), 1), HALF, GaussianRational(F(1, 10000), -1), HALF)
+    nodes = []
+
+    def recorder(*args):
+        log_weight = numerics._weight_memo(*args)
+
+        def recorded(z):
+            nodes.append(z)
+            return log_weight(z)
+        return recorded
+
+    monkeypatch.setattr(orthogonality, "_weight_memo", recorder)
+    with pytest.raises(QuadratureError, match="over the budget of 30000") as caught:
+        chahn_gram(2, *params)
+    refused = int(str(caught.value).split(" needs ")[1].split()[0])
+    # the levels before the refused one hold half its nodes, plus the
+    # scan's look one step past the cut-off on each side
+    assert len(set(nodes)) <= (refused - 1) // 2 + 1 + 2
 
 
 CONJ_PAIR = (GaussianRational(HALF, F(1, 4)), GaussianRational(F(3, 4), F(-1, 4)),
@@ -455,28 +490,40 @@ def test_norm_rhs_overflow_raises(args):
         chahn_norm_rhs(*args)
 
 
-# (N, truncation radius, step, nodes) of each Gram of the `gram` benchmark
-# workload at seed 1 (bench/workloads.py): the cut-off scan reads float
-# magnitudes, and none of these may move
+def _strip(params) -> float:
+    """The Gram's strip half-width, min Re of its parameters: the map's scale."""
+    return min(complex(p.to_complex() if isinstance(p, GaussianRational) else p).real
+               for p in params)
+
+
+# (N, cut-off U in u, step in u, nodes) of each Gram of the `gram`
+# benchmark workload at seed 1 (bench/workloads.py): the cut-off scan reads
+# float magnitudes, and none of these may move; the truncation radius is
+# c sinh U, c the strip
 GRAM_GRIDS = [
-    ((HALF,) * 4, 8, 12.5, 0.0625, 401),
-    ((HALF,) * 4, 12, 15.0, 0.0625, 481),
-    ((HALF,) * 4, 16, 18.0, 0.0625, 577),
-    ((F(1), HALF, F(3, 4), F(5, 4)), 8, 13.0, 0.0625, 417),
-    ((F(1), HALF, F(3, 4), F(5, 4)), 12, 15.5, 0.0625, 497),
-    ((F(1), HALF, F(3, 4), F(5, 4)), 16, 18.5, 0.0625, 593),
-    (CONJ_PAIR, 8, 13.0, 0.0625, 417),
-    (CONJ_PAIR, 12, 15.5, 0.0625, 497),
-    (CONJ_PAIR, 16, 18.5, 0.0625, 593),
-    ((0.5,) * 4, 8, 12.5, 0.0625, 401),
-    ((F(5, 8), F(11, 8), F(3, 8), F(7, 8)), 8, 12.5, 0.046875, 533),
+    ((HALF,) * 4, 8, 4.0, 0.125, 65),
+    ((HALF,) * 4, 12, 4.5, 0.0625, 145),
+    ((HALF,) * 4, 16, 4.5, 0.0625, 145),
+    ((F(1), HALF, F(3, 4), F(5, 4)), 8, 4.0, 0.125, 65),
+    ((F(1), HALF, F(3, 4), F(5, 4)), 12, 4.5, 0.0625, 145),
+    ((F(1), HALF, F(3, 4), F(5, 4)), 16, 4.5, 0.0625, 145),
+    (CONJ_PAIR, 8, 4.0, 0.125, 65),
+    (CONJ_PAIR, 12, 4.5, 0.0625, 145),
+    (CONJ_PAIR, 16, 4.5, 0.0625, 145),
+    ((0.5,) * 4, 8, 4.0, 0.125, 65),
+    ((F(5, 8), F(11, 8), F(3, 8), F(7, 8)), 8, 4.5, 0.0625, 145),
 ]
 
 
-@pytest.mark.parametrize("params, N, radius, step, nodes", GRAM_GRIDS)
-def test_gram_grid_is_pinned(params, N, radius, step, nodes):
+GRAM_GRID_IDS = [f"{name}-N{N}" for name in ("all-1/2", "1-1/2-3/4-5/4", "conjugate-pair")
+                 for N in (8, 12, 16)] + ["float-0.5-N8", "seeded-5/8-11/8-3/8-7/8-N8"]
+
+
+@pytest.mark.parametrize("params, N, cutoff, step, nodes", GRAM_GRIDS, ids=GRAM_GRID_IDS)
+def test_gram_grid_is_pinned(params, N, cutoff, step, nodes):
     g = chahn_gram(N, *params)
-    assert (g.truncation_radius, g.step, g.evaluations) == (radius, step, nodes)
+    assert (g.step, g.evaluations) == (step, nodes)
+    assert g.truncation_radius == _strip(params) * math.sinh(cutoff)
 
 
 @pytest.mark.parametrize("params, folded", [
@@ -489,7 +536,7 @@ def test_gram_folds_the_reflection_for_real_parameters(monkeypatch, params, fold
     the sign (-1)^(n+m), so the weight is never evaluated at z < 0; other
     parameters still evaluate both grid sides (and both envelope sides): the
     weight is read at every negative node of the final grid and nowhere else."""
-    seen, scan = [], []
+    seen, scan, cutoffs = [], [], []
 
     def recorder(*args):
         log_weight = numerics._weight_memo(*args)
@@ -500,21 +547,24 @@ def test_gram_folds_the_reflection_for_real_parameters(monkeypatch, params, fold
         return recorded
 
     def radius(*args, **kwargs):
-        z = truncation_radius(*args, **kwargs)
+        u = truncation_radius(*args, **kwargs)
         scan.extend(seen)  # the envelope's calls; the grid's come after
         seen.clear()
-        return z
+        cutoffs.append(u)
+        return u
 
     monkeypatch.setattr(orthogonality, "_weight_memo", recorder)
     monkeypatch.setattr(quadrature, "truncation_radius", radius)
     g = chahn_gram(8, *params)
+    [cutoff] = cutoffs
     negative = [z for z in seen if z < 0.0]
-    half_grid = int(g.truncation_radius / g.step)
+    half_grid = int(cutoff / g.step)
     assert g.evaluations == 2 * half_grid + 1
     if folded:
         assert not negative and min(scan) > 0.0
     else:
-        assert set(negative) == {-k * g.step for k in range(1, half_grid + 1)}
+        zs, _ = _sinh_nodes(_strip(params), [k * g.step for k in range(1, half_grid + 1)])
+        assert set(negative) == {-z for z in zs}
 
 
 _THIRD_FIFTH_PAIR = (GaussianRational(HALF, F(1, 3)), GaussianRational(F(1, 4), F(1, 5)),
@@ -556,30 +606,32 @@ def test_gram_columns_are_real_exactly_for_a_positive_weight(monkeypatch, params
     CONJ_PAIR,
 ], ids=["1-1/2-3/4-5/4", "conjugate-pair"])
 def test_gram_envelope_bounds_both_tails(monkeypatch, params, N):
-    """At and beyond the returned cut-off the envelope bounds the norm-scaled
-    integrand |w(z)| |p_n(z)|^2 / (2 pi max(|h_n|, 1)) at +z and at -z; for
-    the conjugate pair |w(-z)| is about e^pi |w(z)|."""
+    """At and beyond the returned cut-off U the envelope the scan reads in u
+    bounds the norm-scaled integrand times the Jacobian,
+    |w(z)| |p_n(z)|^2 c cosh u / (2 pi max(|h_n|, 1)), at z = c sinh u and
+    at -z; for the conjugate pair |w(-z)| is about e^pi |w(z)|."""
     captured = []
 
     def radius(envelope, *args, **kwargs):
-        z = truncation_radius(envelope, *args, **kwargs)
-        captured.append((envelope, z))
-        return z
+        u = truncation_radius(envelope, *args, **kwargs)
+        captured.append((envelope, u))
+        return u
 
     monkeypatch.setattr(quadrature, "truncation_radius", radius)
     chahn_gram(N, *params)
-    (envelope, radius_z), = captured
+    (envelope, cutoff), = captured
     al, be, a, b = (p.to_complex() if isinstance(p, GaussianRational) else complex(p)
                     for p in params)
     polys = [chahn_coeffs_complex(n, HahnParams(params[0], params[3], params[2], params[1]))
              for n in range(N)]
     scales = [2.0 * math.pi * max(abs(chahn_norm_rhs(n, al, be, a, b)), 1.0)
               for n in range(N)]
-    for z in (radius_z, radius_z + 0.5, radius_z + 2.0):
+    for u in (cutoff, cutoff + 0.5, cutoff + 2.0):
+        [z], [jac] = _sinh_nodes(_strip(params), [u])
         for x in (z, -z):
             w = abs(cmath.exp(hahn_weight_log(x, al, be, a, b)))
             worst = max(w * abs(horner(cs, x)) ** 2 / s for cs, s in zip(polys, scales))
-            assert envelope(z) >= worst
+            assert envelope(u) >= worst * jac
 
 
 def _gram_fields(g: GramResult) -> tuple:
@@ -589,11 +641,11 @@ def _gram_fields(g: GramResult) -> tuple:
 def test_gram_16_after_8_computes_only_the_new_nodes(monkeypatch):
     """The N = 8 and N = 16 Grams of a tuple share one node grid in the
     weight memo: N = 16 after N = 8 calls log_gamma_complex, once each, only
-    at nodes beyond the N = 8 cut-off (4 shifts a node), plus the 5 real
-    arguments of h_0 (the other norms are exact ratios of it)."""
+    at nodes that N = 8 did not compute (4 shifts a node): beyond its
+    cut-off and on the level of half its step, plus the 5 real arguments of
+    h_0 (the other norms are exact ratios of it)."""
     params = (F(1), HALF, F(3, 4), F(5, 4))
     numerics._weight_memo.cache_clear()
-    g8 = chahn_gram(8, *params)
     made = []
 
     def counted(w):
@@ -601,13 +653,15 @@ def test_gram_16_after_8_computes_only_the_new_nodes(monkeypatch):
         return log_gamma_complex(w)
 
     monkeypatch.setattr(numerics, "log_gamma_complex", counted)
+    g8 = chahn_gram(8, *params)
+    first = {w.imag for w in made if w.imag}
+    made.clear()
     g16 = chahn_gram(16, *params)
-    assert g16.step == g8.step and g16.truncation_radius > g8.truncation_radius
+    assert g16.step == g8.step / 2 and g16.truncation_radius > g8.truncation_radius
     nodes = [w for w in made if w.imag]
     assert len(made) - len(nodes) == 5
     assert nodes and len(set(nodes)) == len(nodes) and len(nodes) % 4 == 0
-    # the cut-off scan looks one step of 1/2 past the radius it returns
-    assert all(g8.truncation_radius < w.imag <= g16.truncation_radius + 0.5 for w in nodes)
+    assert not first & {w.imag for w in nodes}
 
 
 def test_gram_is_the_same_cold_and_warm():
@@ -624,10 +678,11 @@ def test_gram_is_the_same_cold_and_warm():
 
 def test_gram_cutoff_is_relative_to_the_norms():
     """N = 16 norms reach 1e24; an absolute tail target ran the grid out to
-    Z = 30, the norm-relative one stops at Z <= 19 at no loss of accuracy."""
+    U = 5 (Z = 37), the norm-relative one stops at U = 4.5 (Z = 22.5) at no
+    loss of accuracy."""
     params = (F(1), HALF, F(3, 4), F(5, 4))
     g = chahn_gram(16, *params)
-    assert g.truncation_radius <= 19.0
+    assert g.truncation_radius == 0.5 * math.sinh(4.5)
     norms = _mp_norms(16, params)
     for n in range(16):
         assert abs(g.matrix[n][n] - norms[n]) <= 1e-13 * abs(norms[n])
@@ -657,6 +712,44 @@ def test_gram_error_estimate_covers_error_against_mpmath(params, N):
     norms = _mp_norms(N, [p.to_complex() if isinstance(p, GaussianRational) else p
                           for p in params], digits=50)
     assert g.estimated_error >= _norm_scaled_error(g, norms)
+
+
+def _seeded_gram_tuples(seed: int) -> dict:
+    """Three parameter tuples drawn from seed: odd eighths in [3/8, 13/8]
+    (the `gram` benchmark's draw), complex ones with real parts in
+    [1/8, 3/2] and imaginary parts in [-1/2, 1/2], whose poles
+    z = i(alpha + k) sit off the imaginary axis where the map's strip in u
+    is narrower than pi/2, and a real part of 1/100 to 1/10000."""
+    rng = random.Random(seed)
+    odd = tuple(F(rng.randrange(3, 14, 2), 8) for _ in range(4))
+    complex_ = tuple(GaussianRational(F(rng.randint(1, 12), 8), F(rng.randint(-4, 4), 8))
+                     for _ in range(4))
+    tiny = (F(1, 10 ** rng.randint(2, 4)), *(F(rng.randint(1, 12), 8) for _ in range(3)))
+    return {f"odd-eighths-{seed}": odd, f"complex-{seed}": complex_, f"tiny-re-{seed}": tiny}
+
+
+SEEDED_GRAM_TUPLES = {**_seeded_gram_tuples(1), **_seeded_gram_tuples(7),
+                      # a positive weight with its poles at z = -+3/8 + i/2: the uniform
+                      # step 1/4 stopped on a change of 0 and was 2.8e-5 off, with an
+                      # estimate of 4.4e-16
+                      "conjugate-pair-3/8": (GaussianRational(HALF, F(3, 8)),
+                                             GaussianRational(1, F(-3, 8)),
+                                             GaussianRational(HALF, F(-3, 8)),
+                                             GaussianRational(1, F(3, 8)))}
+
+
+@pytest.mark.parametrize("N", [1, 4, 8, 16])
+@pytest.mark.parametrize("params", SEEDED_GRAM_TUPLES.values(), ids=SEEDED_GRAM_TUPLES.keys())
+def test_gram_error_estimate_covers_error_on_seeded_tuples(params, N):
+    """The estimate bounds the achieved norm-scaled error against 50-digit
+    closed-form norms on seeded tuples, off-axis poles and tiny real parts
+    among them; at N = 1, p_0 = 1 is exact and the floor is the weight's own
+    rounding."""
+    g = chahn_gram(N, *params)
+    norms = _mp_norms(N, [p.to_complex() if isinstance(p, GaussianRational) else p
+                          for p in params], digits=50)
+    assert g.estimated_error >= _norm_scaled_error(g, norms)
+    assert _norm_scaled_error(g, norms) <= 1e-13
 
 
 def test_gram_error_estimate_covers_error_float_parameters():
@@ -805,7 +898,7 @@ def test_gram_cold_log_gamma_count(monkeypatch):
         return log_gamma_complex(w)
 
     monkeypatch.setattr(numerics, "log_gamma_complex", counted)
-    for params, calls in (((HALF,) * 4, 295), ((F(1), HALF, F(3, 4), F(5, 4)), 1197)):
+    for params, calls in (((HALF,) * 4, 79), ((F(1), HALF, F(3, 4), F(5, 4)), 301)):
         numerics._weight_memo.cache_clear()
         made.clear()
         chahn_gram(16, *params)
@@ -991,18 +1084,23 @@ def test_sech_group_evaluates_each_polynomial_once_per_level(monkeypatch, m, m2,
         assert abs(res.value - alone.value) <= alone.error_estimate
 
 
-def test_sech_narrow_strip_raises_before_evaluating(monkeypatch):
-    """1 - |m| = 1e-4 sets the first step; that grid is over the node budget,
-    which is checked before the level runs: only the centre is evaluated."""
-    sizes = []
-
-    def recorder(coeffs, xs):
-        sizes.append(len(xs))
-        return horner_level(coeffs, xs)
-
-    monkeypatch.setattr(quadrature, "horner_level", recorder)
-    t0 = time.perf_counter()
-    with pytest.raises(QuadratureError):
-        pasternack_ortho_check(1, 1, 0.9999)
-    assert set(sizes) == {1}
-    assert time.perf_counter() - t0 < 5.0
+def test_sech_near_m_one_against_mpmath():
+    """m = 0.9999: the weight's poles at x = +-i (1 - m) sit 1e-4 from the
+    line, and the map's scale 1e-4 puts them at i pi/2 in u: 209 nodes (a
+    uniform step of 1e-4 was over the node budget).  Against the closed
+    forms at 40 digits each value is within 1e-15 relative, and the reports
+    pass at the rounding of their float closed form's sin(pi m), 7.2e-13;
+    the weight as 1 / (cos(pi m) + cosh(pi x)) left 3.4e-10 in n = p = 0
+    and 3.7e-11 in (2, 0)."""
+    pairs = [(0, 0), (1, 1), (2, 0), (3, 3)]
+    reports = pasternack_ortho_checks(0.9999, pairs)
+    assert all(r.passed and r.max_rel_err <= 1e-12 for r in reports)
+    results = orthogonality._sech_integral(pairs, 0.9999, 0.9999, 1.0)
+    with mpmath.workdps(40):
+        m = mpmath.mpf(0.9999)
+        base = 2 / mpmath.pi * m * mpmath.pi / mpmath.sin(mpmath.pi * m)
+        for (n, p), res in zip(pairs, results):
+            assert res.evaluations == 209
+            want = (-1) ** n / (2 * n + 1) * base * mpmath.rf(1 - m, n) / mpmath.rf(1 + m, n) \
+                if n == p else 0
+            assert abs(res.value - complex(want)) <= 1e-15 * res.mass, (n, p)

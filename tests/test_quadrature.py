@@ -12,7 +12,7 @@ import pytest
 from hahnlab.errors import DomainError, QuadratureError
 from hahnlab import quadrature
 from hahnlab.quadrature import (_ABS_TOL, _EPS, _REL_TOL, _TAIL_TOL, _line_integral,
-                                integrate_line, truncation_radius)
+                                _sinh_nodes, integrate_line, truncation_radius)
 
 
 def _sech(u):
@@ -37,9 +37,14 @@ def _relative(values):
 
 
 def _cut(radius):
-    """An envelope whose cut-off (truncation_radius) is radius, a multiple
-    of 1/2 from 2 on: positive inside, zero from radius on."""
+    """An envelope that is positive inside radius and zero from it on: the
+    cut-off U is the first multiple of 1/2 with c sinh U >= radius."""
     return lambda z: 1.0 if abs(z) < radius else 0.0
+
+
+def _summed(F):
+    """The level integrand of F: the sum over the nodes of jac F(z)."""
+    return lambda zs, jacs: [sum(F(z) * jac for z, jac in zip(zs, jacs))]
 
 
 def _even(k):
@@ -88,21 +93,30 @@ def test_diagnostics_populated():
 
 
 def test_interval_gaussian():
-    # e^{-x^2} is entire: the trapezoid sums on [-8, 8] reach sqrt(pi)
-    res = integrate_line(lambda zs: [sum(math.exp(-x * x) for x in zs)], _cut(8.0),
+    # e^{-x^2} is entire: an infinite strip maps by z = sinh u, and the
+    # trapezoid sums out to sinh 3 > 8 reach sqrt(pi)
+    res = integrate_line(_summed(lambda x: math.exp(-x * x)), _cut(8.0),
                          math.inf, _relative, _even(1))
-    assert (res.radius, res.first_step) == (8.0, 0.5)
+    assert (res.cutoff, res.scale, res.radius) == (3.0, 1.0, math.sinh(3.0))
     assert abs(res.values[0] - math.sqrt(math.pi)) <= 1e-12
 
 
+def _mapped(envelope):
+    """The envelope in u that integrate_line scans for an infinite strip,
+    where c = 1: envelope(sinh u) cosh u."""
+    return lambda u: envelope(math.sinh(u)) * math.cosh(u)
+
+
 def test_one_sided_envelope_bounds_both_tails():
-    """Without signs integrate_line cuts off at max(envelope(z), envelope(-z)):
-    e^{-(x+10)^2}, its own envelope, is negligible on [0, 2] and all of its
-    mass lies at x < 0, which a scan of envelope(z) alone would cut at 2."""
+    """Without signs integrate_line cuts off at max(envelope(z), envelope(-z))
+    in u: e^{-(x+10)^2}, its own envelope, is negligible at x >= 0 and all of
+    its mass lies at x < 0, which a scan of envelope(z) alone would cut at
+    u = 1/2."""
     envelope = lambda z: math.exp(-(z + 10.0) ** 2)
-    assert truncation_radius(envelope) == 2.0
-    res = integrate_line(lambda zs: [sum(map(envelope, zs))], envelope, math.inf, _relative)
-    assert res.radius == truncation_radius(lambda z: envelope(-z)) > 10.0
+    assert truncation_radius(_mapped(envelope)) == 0.5
+    res = integrate_line(_summed(envelope), envelope, math.inf, _relative)
+    assert res.cutoff == truncation_radius(_mapped(lambda z: envelope(-z)))
+    assert res.radius > 10.0
     assert abs(res.values[0] - math.sqrt(math.pi)) <= 1e-12
 
 
@@ -118,13 +132,39 @@ def test_oscillatory_panel_width():
 
 
 def test_truncation_radius_monotone_envelope():
-    z = truncation_radius(lambda x: math.exp(-x))
-    assert math.exp(-z) < _TAIL_TOL
+    u = truncation_radius(lambda x: math.exp(-x))
+    assert math.exp(-u) < _TAIL_TOL and u % 0.5 == 0.0
 
 
 def test_truncation_failure_raises():
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match="never decays"):
         truncation_radius(lambda x: 1.0)
+
+
+def test_scan_stops_before_sinh_overflows():
+    """An envelope that never decays in z grows like cosh u in u: the scan
+    gives up below u = 710, where math.sinh and math.cosh overflow, with a
+    QuadratureError and not an OverflowError."""
+    scanned = []
+
+    def envelope(z):
+        scanned.append(z)
+        return 1.0
+
+    with pytest.raises(QuadratureError, match="never decays"):
+        integrate_line(_summed(envelope), envelope, 1.0, _relative, _even(1))
+    assert max(scanned) == math.sinh(709.0) < math.inf
+
+
+@pytest.mark.parametrize("envelope", [lambda z: math.exp(z), lambda z: math.nan],
+                         ids=["overflows", "nan"])
+def test_scan_refuses_an_envelope_that_is_not_finite(envelope):
+    """e^z overflows math.exp at z = 710, long before u does; a NaN bounds
+    nothing.  Both are a QuadratureError, and no level is evaluated."""
+    calls = []
+    with pytest.raises(QuadratureError, match="not finite"):
+        integrate_line(lambda zs, jacs: calls.append(zs) or [0.0], envelope, 1.0, _relative)
+    assert not calls
 
 
 def test_deterministic_repeat():
@@ -142,19 +182,20 @@ def test_trapezoid_vector_sech_squared_and_moment():
     # the integrand
     calls = []
 
-    def g(zs):
+    def g(zs, jacs):
         calls.extend(zs)
-        s2 = [_sech(x) ** 2 for x in zs]
+        s2 = [_sech(x) ** 2 * jac for x, jac in zip(zs, jacs)]
         return [sum(s2), sum(x * x * s for x, s in zip(zs, s2))]
 
     res = integrate_line(g, _cut(40.0), math.pi / 2, _relative, _even(2))
     assert abs(res.values[0] - 2.0) <= 1e-14
     assert abs(res.values[1] - math.pi ** 2 / 6.0) <= 1e-13
     # nested and folded: every node z >= 0 of the final grid evaluated
-    # exactly once, and nodes still counts both sides of the grid
-    assert min(calls) == 0.0 and (res.radius, res.first_step) == (40.0, 0.5)
-    assert len(calls) == len(set(calls)) == int(40.0 / res.step) + 1
-    assert res.nodes == 2 * int(40.0 / res.step) + 1
+    # exactly once, and nodes still counts both sides of the grid;
+    # (pi / 2) sinh 4 is the first cut-off past 40
+    assert min(calls) == 0.0 and (res.cutoff, res.scale) == (4.0, math.pi / 2)
+    assert len(calls) == len(set(calls)) == int(4.0 / res.step) + 1
+    assert res.nodes == 2 * int(4.0 / res.step) + 1
     assert res.changes[0] <= 1e-10 * 2.0
 
 
@@ -163,16 +204,17 @@ def test_trapezoid_calls_f_once_per_level():
     # odd nodes, each level in one call
     levels = []
 
-    def g(zs):
-        levels.append(zs)
-        return [sum(_sech(x) ** 2 for x in zs)]
+    def g(zs, jacs):
+        levels.append((zs, jacs))
+        return [sum(_sech(x) ** 2 * jac for x, jac in zip(zs, jacs))]
 
-    res = integrate_line(g, _cut(40.0), math.pi / 2, _relative, _even(1))
-    assert levels[0] == [0.0]
-    assert levels[1] == [0.5 * k for k in range(1, 81)]
+    c = math.pi / 2
+    res = integrate_line(g, _cut(40.0), c, _relative, _even(1))
+    assert levels[0] == ([0.0], [c])
+    assert levels[1] == _sinh_nodes(c, [0.5 * k for k in range(1, 9)])
     for j, level in enumerate(levels[2:], 1):
         h = 0.5 / 2 ** j
-        assert level == [k * h for k in range(1, int(40.0 / h) + 1, 2)]
+        assert level == _sinh_nodes(c, [k * h for k in range(1, int(4.0 / h) + 1, 2)])
     assert res.step == 0.5 / 2 ** (len(levels) - 2)
 
 
@@ -182,9 +224,9 @@ def test_trapezoid_even_part_cancels_odd_part():
     # integral is that of sech^2 x alone
     levels = []
 
-    def g(zs):
+    def g(zs, jacs):
         levels.append(zs)
-        return [sum((1.0 + x) * _sech(x) ** 2 for x in zs)]
+        return _summed(lambda x: (1.0 + x) * _sech(x) ** 2)(zs, jacs)
 
     res = integrate_line(g, _cut(40.0), math.pi / 2, _relative)
     assert abs(res.values[0] - 2.0) <= 1e-14
@@ -202,9 +244,9 @@ def test_signs_fold_one_call_per_level():
     folds match the unfolded integrals to rounding on the same grid."""
     calls = []
 
-    def g(zs):
+    def g(zs, jacs):
         calls.append(zs)
-        v = sum(cmath.exp(1j * x) * _sech(x) ** 2 for x in zs)
+        [v] = _summed(lambda x: cmath.exp(1j * x) * _sech(x) ** 2)(zs, jacs)
         return [v, 1j * v]
 
     folded = integrate_line(g, _cut(40.0), 1.0, _relative, [1, -1])
@@ -220,42 +262,50 @@ def test_signs_fold_one_call_per_level():
 
 
 def test_trapezoid_node_budget_raises_before_evaluating(monkeypatch):
-    monkeypatch.setattr(quadrature, "_NODE_BUDGET", 150)
+    monkeypatch.setattr(quadrature, "_NODE_BUDGET", 20)
     calls = []
-    with pytest.raises(QuadratureError):
-        integrate_line(lambda zs: calls.extend(zs) or [float(len(zs))], _cut(100.0),
+    with pytest.raises(QuadratureError, match="over the budget of 20"):
+        integrate_line(lambda zs, jacs: calls.extend(zs) or [float(len(zs))], _cut(100.0),
                        0.5, _relative, _even(1))
-    assert calls == [0.0]  # the centre node only; the 401-node grid never ran
+    # the centre node only: the first level, u = k/2 out to U = 6, where
+    # sinh U / 2 passes 100, has 25 nodes and never ran
+    assert calls == [0.0]
 
 
-def _trapezoid(g, radius, h):
-    """The plain (not nested) trapezoid sums at step h of the even real
+def _trapezoid(g, scale, cutoff, h):
+    """The plain (not nested) trapezoid sums at step h in u of the even real
     integrand whose per-side sums g returns."""
-    centre, rest = g([0.0]), g([k * h for k in range(1, int(radius / h) + 1)])
+    centre = g(*_sinh_nodes(scale, [0.0]))
+    rest = g(*_sinh_nodes(scale, [k * h for k in range(1, int(cutoff / h) + 1)]))
     return [h * (c + 2.0 * r) for c, r in zip(centre, rest)]
 
 
 def test_trapezoid_stops_a_level_before_the_change_only_rule():
-    # sech^2 2x and x^2 sech^2 2x converge like e^{-pi^2 / 2h}: from h = 1/2
-    # the changes are about 2e-3 (1/2 -> 1/4) and 2e-7 (1/4 -> 1/8), so the
-    # predicted tail at 1/8 is about 2e-11, under the tolerance, while the
-    # change itself passes only at 1/16
-    def g(zs):
-        s2 = [_sech(2.0 * x) ** 2 for x in zs]
+    # sech^2 2x (x^2 + 2) / (x^4 + 4) and x^2 times it, the even part of
+    # sech^2 2x / (1 + (x - 1)^2): the poles at +-1 +- i, off the imaginary
+    # axis, slow the rule in u, whose changes from h = 1/2 are about 6e-5
+    # (1/2 -> 1/4) and 8e-9 (1/4 -> 1/8), so the predicted tail at 1/8 is
+    # about 1e-12, under the tolerance, while the change itself passes only
+    # at 1/16
+    def g(zs, jacs):
+        s2 = [_sech(2.0 * x) ** 2 * (x * x + 2.0) / (x ** 4 + 4.0) * jac
+              for x, jac in zip(zs, jacs)]
         return [sum(s2), sum(x * x * s for x, s in zip(zs, s2))]
 
-    res = integrate_line(g, _cut(40.0), math.pi / 4, _relative, _even(2))
+    c = math.pi / 4
+    res = integrate_line(g, _cut(40.0), c, _relative, _even(2))
+    assert res.cutoff == 5.0  # (pi / 4) sinh 5 is the first cut-off past 40
     h = 0.25
     while not all(abs(u - v) <= t for u, v, t in
-                  zip(_trapezoid(g, 40.0, h), _trapezoid(g, 40.0, 2 * h),
-                      _relative(_trapezoid(g, 40.0, h)))):
+                  zip(_trapezoid(g, c, 5.0, h), _trapezoid(g, c, 5.0, 2 * h),
+                      _relative(_trapezoid(g, c, 5.0, h)))):
         h *= 0.5
     assert res.step == 2 * h == 0.125
-    assert abs(res.values[0] - 1.0) <= 1e-14
-    assert abs(res.values[1] - math.pi ** 2 / 48.0) <= 1e-14
+    fine = _trapezoid(g, c, 5.0, 1 / 64)
+    assert all(abs(u - v) <= 1e-14 for u, v in zip(res.values, fine))
     # the reported estimate is the predicted tail, not the last change
-    last = [abs(u - v) for u, v in zip(res.values, _trapezoid(g, 40.0, 0.25))]
-    assert all(e < 1e-3 * c for e, c in zip(res.changes, last))
+    last = [abs(u - v) for u, v in zip(res.values, _trapezoid(g, c, 5.0, 0.25))]
+    assert all(e < 1e-3 * d for e, d in zip(res.changes, last))
     assert all(e <= t for e, t in zip(res.changes, _relative(res.values)))
 
 
@@ -267,7 +317,7 @@ def _sequence(*components, step=0.5):
     levels = iter([[0.0] * len(components)]
                   + [[(v[j] * 2 ** j / step - (v[j - 1] * 2 ** (j - 1) / step if j else 0.0))
                       / 2 for v in components] for j in range(len(components[0]))])
-    return lambda zs: next(levels)
+    return lambda zs, jacs: next(levels)
 
 
 def _driver(f, tol, k=1):
@@ -320,17 +370,17 @@ def test_trapezoid_prediction_is_the_richardson_tail():
 
 
 def test_trapezoid_unconverged_raises():
-    # a kink at 0 converges only algebraically in h
+    # a kink at 0, which the map keeps at u = 0, converges only algebraically in h
     with pytest.raises(QuadratureError):
-        integrate_line(lambda zs: [sum(math.exp(-x) for x in zs)], _cut(40.0), 0.5,
-                       _relative, _even(1))
+        integrate_line(_summed(lambda x: math.exp(-x)), _cut(40.0), 0.5, _relative, _even(1))
 
 
 @pytest.mark.parametrize("strip", [0.0, -1.0, math.nan])
 def test_driver_refuses_a_strip_that_is_not_positive(strip):
     calls = []
     with pytest.raises(DomainError, match="strip must be positive"):
-        integrate_line(lambda zs: calls.append(zs) or [0.0], _cut(2.0), strip, _relative)
+        integrate_line(lambda zs, jacs: calls.append(zs) or [0.0], _cut(2.0), strip,
+                       _relative)
     assert not calls
 
 
@@ -353,11 +403,13 @@ def test_line_integral_folds_and_reports_the_mass():
 
 
 def test_line_integral_components_share_one_pass():
-    """e^{-x^2} converges at fewer nodes alone than sech^2 x / (1 + x^2)
-    (poles at +-i): in one pass both report the slower one's node count, the
-    slower component is its lone integral to the bit, and the faster one
-    stays within its own estimate of its lone value."""
-    fast, slow = (lambda x: math.exp(-x * x)), (lambda x: _sech(x) ** 2 / (1.0 + x * x))
+    """e^{-x^2} converges at fewer nodes alone than sech^2 x / (1 + (x - 2)^2),
+    whose poles at 2 +- i lie off the imaginary axis, where the map narrows
+    their strip in u below pi/2: in one pass both report the slower one's
+    node count, the slower component is its lone integral to the bit, and
+    the faster one stays within its own estimate of its lone value."""
+    fast = lambda x: math.exp(-x * x)
+    slow = lambda x: _sech(x) ** 2 / (1.0 + (x - 2.0) ** 2)
     alone = [_line_integral(*_weighted(w), _sech_bound(), 1.0)[0] for w in (fast, slow)]
     pair = _line_integral(*_weighted(fast, slow), _sech_bound(), 1.0)
     assert alone[0].evaluations < alone[1].evaluations

@@ -34,10 +34,10 @@ _CASES = [
      True),
     (IntegralResult(1 + 2j, 1e-15, 9), IntegralResult(1 + 2j, 1e-15, 9, 1.0),
      "IntegralResult(value=(1+2j), error_estimate=1e-15, evaluations=9, mass=0.0)", True),
-    (TrapezoidResult([1j], [0.0], 0.25, 17, 4.0, 0.5),
-     TrapezoidResult([1j], [0.0], 0.25, 17, 4.5, 0.5),
-     "TrapezoidResult(values=[1j], changes=[0.0], step=0.25, nodes=17, radius=4.0,"
-     " first_step=0.5)", False),
+    (TrapezoidResult([1j], [0.0], 0.25, 17, 2.0, 0.5),
+     TrapezoidResult([1j], [0.0], 0.25, 17, 2.5, 0.5),
+     "TrapezoidResult(values=[1j], changes=[0.0], step=0.25, nodes=17, cutoff=2.0,"
+     " scale=0.5)", False),
     (LogGammaValue(0.5, -1.0), LogGammaValue(0.5, 1.0),
      "LogGammaValue(log_modulus=0.5, phase=-1.0)", True),
     (GramResult([[1j]], [1j], 0.0, 0.0), GramResult([[1j]], [1j], 0.0, 0.0, 1e-17),

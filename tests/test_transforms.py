@@ -8,12 +8,12 @@ import mpmath
 import pytest
 
 from hahnlab import quadrature
-from hahnlab.errors import DomainError
+from hahnlab.errors import DomainError, QuadratureError
 from hahnlab.exact import GaussianRational
 from hahnlab.numerics import beta as beta_fn
 from hahnlab.orthogonality import _sech_integral
 from hahnlab.polynomials import HahnParams, chahn_eval, horner_level
-from hahnlab.quadrature import _EPS, IntegralResult
+from hahnlab.quadrature import _EPS, IntegralResult, _sinh_nodes
 from hahnlab.transforms import (fourier_pair_check, mellin_pair_check,
                                 parseval_check, tanh_weight_logs,
                                 _hahn_of_jacobi, _parseval_right,
@@ -343,6 +343,31 @@ def test_complex_frequency_against_mpmath(z):
     assert mellin_pair_check(2, *args, -0.5 * z).max_rel_err <= 1e-13
 
 
+def test_fourier_at_re_alpha_one_fiftieth_against_mpmath():
+    """(1 - tanh x)^{1/50} decays like e^{-x/25}: a uniform grid's cut-off
+    scan gave up at |x| = 720, while on z = c sinh u the pass takes 3,841
+    nodes and is within 1e-14 of the closed form at 40 digits, relative."""
+    args = (F(1, 50), F(3, 4), HALF, F(1, 3), 1.0)
+    report = fourier_pair_check(2, *args)
+    assert report.passed and report.quad_diagnostics.evaluations == 3841
+    res = _transform(2, *args)
+    want = _mp_fourier_closed_form(2, *args)
+    assert abs(res.value - want) <= 1e-14 * abs(want)
+
+
+def test_complex_frequency_at_the_edge_of_the_strip():
+    """z = 0.99j, 1/100 inside the strip Im z < 2 Re alpha = 1, where the
+    integrand decays like e^{-x/100}: within 1e-14 of the closed form at 40
+    digits, relative.  Outside the strip the envelope grows until math.exp
+    overflows, a QuadratureError, not an OverflowError."""
+    res = _transform(1, HALF, HALF, 0, 0, 0.99j)
+    want = _mp_fourier_closed_form(1, HALF, HALF, 0, 0, 0.99j)
+    assert abs(res.value - want) <= 1e-14 * abs(want)
+    for z in (1.2j, 5j, -5j):
+        with pytest.raises(QuadratureError, match="not finite"):
+            fourier_pair_check(1, HALF, HALF, 0, 0, z)
+
+
 def test_fourier_group_evaluates_each_polynomial_once_per_level(monkeypatch):
     """Nine Fourier rows on one weight, n in (0, 1, 3) and z in (0, 1, 5):
     one pass, and per level one Horner sweep per distinct polynomial
@@ -384,8 +409,8 @@ def test_fourier_estimate_covers_one_more_halving(monkeypatch):
     [(f, (_, _, _, signs), res)] = seen
     assert signs is None  # no reflection symmetry: the even part takes both signs
     h = 0.5 * res.step
-    zs = [k * h for k in range(1, int(res.radius / h) + 1, 2)]
-    after = 0.5 * res.values[0] + h * (f(zs)[0] + f([-z for z in zs])[0])
+    zs, jacs = _sinh_nodes(res.scale, [k * h for k in range(1, int(res.cutoff / h) + 1, 2)])
+    after = 0.5 * res.values[0] + h * (f(zs, jacs)[0] + f([-z for z in zs], jacs)[0])
     assert abs(after - res.values[0]) <= report.quad_diagnostics.estimated_error
 
 
@@ -442,26 +467,29 @@ _ENVELOPE_CASES = {
 
 @pytest.mark.parametrize("case", _ENVELOPE_CASES)
 def test_envelope_bounds_both_tails(monkeypatch, case):
-    """The envelope each pass hands integrate_line is at least every |F_k|
-    at x and at -x, from the scan's start 2 to 8 past the cut-off, for the
-    three weights of _line_integral: sech (real, folded, and complex m),
-    tanh (a real and a complex frequency, whose |e^{-ixz}| = e^{x Im z}
-    grows on one side) and the four-gamma weight of Parseval (real,
-    folded, and complex, where |w(-z/2)| != |w(z/2)|)."""
+    """The envelope each pass hands integrate_line, times the Jacobian
+    c cosh u, is at least every |F_k| c cosh u at x = c sinh u and at -x, on
+    the scan's nodes u = k/2 from 1/2 to 1 past the cut-off U (both points
+    of the cut tails' estimate), for the three weights of _line_integral:
+    sech (real, folded, and complex m), tanh (a real and a complex
+    frequency, whose |e^{-ixz}| = e^{x Im z} grows on one side) and the
+    four-gamma weight of Parseval (real, folded, and complex, where
+    |w(-z/2)| != |w(z/2)|)."""
     seen, driver = [], quadrature.integrate_line
 
     def spy(f, envelope, *rest):
         res = driver(f, envelope, *rest)
-        seen.append((f, envelope, res.radius))
+        seen.append((f, envelope, res))
         return res
 
     monkeypatch.setattr(quadrature, "integrate_line", spy)
     _ENVELOPE_CASES[case]()
-    [(f, envelope, radius)] = seen
-    for x in (2.0 + 0.5 * k for k in range(int(2 * (radius + 6.0)) + 1)):
+    [(f, envelope, res)] = seen
+    us = [0.5 * k for k in range(1, int(2 * (res.cutoff + 1.0)) + 1)]
+    for x, jac in zip(*_sinh_nodes(res.scale, us)):
         for z in (x, -x):
-            sums = f([z])  # one node: each F_k(z), then each |F_k(z)|
-            assert envelope(z) >= max(sums[len(sums) // 2:]), z
+            sums = f([z], [jac])  # one node: each jac F_k(z), then each jac |F_k(z)|
+            assert envelope(z) * jac >= max(sums[len(sums) // 2:]), z
 
 
 def test_parseval_zero_case_reports_error_against_mass():
